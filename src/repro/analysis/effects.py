@@ -104,7 +104,7 @@ EFFECT_SUPPRESSORS: Dict[str, Tuple[str, ...]] = {
 #: Reading any of these derives a value from GridTopology fault state.
 TOPOLOGY_STATE_ATTRS = frozenset({"fault_epoch"})
 TOPOLOGY_STATE_CALLS = frozenset({
-    "failed_satellites", "failed_isls", "failed_ground_stations",
+    "failed_satellites", "edge_liveness", "gateway_access_satellites",
     "has_topology_faults", "live_ground_stations",
 })
 

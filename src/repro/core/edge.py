@@ -154,10 +154,7 @@ class OrbitalEdgeService:
         if src < 0 or not self.topology.ground_stations:
             return math.inf
         best = math.inf
-        for gs in self.topology.ground_stations:
-            access = self.topology.station_access_satellite(gs, t)
-            if access < 0:
-                continue
+        for _, access in self.topology.gateway_access_satellites(t):
             lat, lon = self.topology.propagator.subpoints(t)[access]
             route = self.router.route(src, float(lat), float(lon), t)
             if route.delivered:

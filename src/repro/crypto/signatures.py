@@ -49,7 +49,9 @@ class VerifyKey:
         # g^s = r * y^e  =>  r = g^s * y^(-e)
         gs = self.group.generate(s)
         ye = self.group.power(self.y, e)
-        r = gs * pow(ye, self.group.p - 2, self.group.p) % self.group.p
+        if ye == 0:  # y = 0 mod p: no inverse (p is prime), signs nothing
+            return False
+        r = gs * pow(ye, -1, self.group.p) % self.group.p
         expected = self.group.hash_to_scalar(self.group.element_bytes(r),
                                              message)
         return expected == e

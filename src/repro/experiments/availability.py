@@ -55,11 +55,8 @@ def gateway_reachability(constellation: Constellation,
     for sat in rng.sample(range(total), int(total * failure_fraction)):
         topology.fail_satellite(sat)
     graph = topology.snapshot_graph(t, include_ground=False)
-    sources = set()
-    for gs in stations:
-        access = topology.station_access_satellite(gs, t)
-        if access >= 0:
-            sources.add(access)
+    sources = {access for _, access
+               in topology.gateway_access_satellites(t)}
     if not sources:
         return 0.0
     reachable = set()

@@ -362,11 +362,8 @@ class _StatefulBaseline:
         graph = topology.snapshot_graph(t, include_ground=False)
         if sat not in graph:
             return False
-        sources = set()
-        for _, gs in topology.live_ground_stations():
-            access = topology.station_access_satellite(gs, t)
-            if access >= 0:
-                sources.add(access)
+        sources = {access for _, access
+                   in topology.gateway_access_satellites(t)}
         return any(nx.has_path(graph, sat, source)
                    for source in sources if source in graph)
 

@@ -90,11 +90,8 @@ def _cached_mean_hops(constellation: Constellation,
                       t: float) -> float:
     topology = GridTopology(IdealPropagator(constellation), list(stations))
     graph = topology.snapshot_graph(t, include_ground=False)
-    sources = set()
-    for gs in stations:
-        access = topology.station_access_satellite(gs, t)
-        if access >= 0:
-            sources.add(access)
+    sources = {access for _, access
+               in topology.gateway_access_satellites(t)}
     if not sources:
         raise RuntimeError("no gateway has satellite coverage at t")
     distances = nx.multi_source_dijkstra_path_length(

@@ -55,6 +55,7 @@ __all__ = [
     "serving_over_times",
     "visible_counts_over_times",
     "grid_neighbor_table",
+    "chord_lengths_km",
 ]
 
 #: Maximum number of cached snapshots; one Starlink-shell snapshot is
@@ -206,23 +207,34 @@ class ConstellationSnapshot:
         """ISL length to each +Grid neighbour, shape ``(N, 4)`` km.
 
         Column ``j`` pairs with column ``j`` of
-        :func:`grid_neighbor_table` (up, down, left, right).  Each
-        element computes ``sqrt(dx*dx + dy*dy + dz*dz)`` exactly like
-        the scalar per-edge memo in the geospatial router, so batched
-        delay accumulation is bit-identical.  Built lazily, cached on
-        the snapshot (pure geometry -- never depends on liveness).
+        :func:`grid_neighbor_table` (up, down, left, right).  Built
+        lazily, cached on the snapshot (pure geometry -- never depends
+        on liveness).
         """
         if self._hop_km is None:
             nbr = grid_neighbor_table(self.constellation)
-            pos = self.positions_ecef
-            px, py, pz = pos[:, 0], pos[:, 1], pos[:, 2]
-            dx = px[:, None] - px[nbr]
-            dy = py[:, None] - py[nbr]
-            dz = pz[:, None] - pz[nbr]
-            hop = np.sqrt(dx * dx + dy * dy + dz * dz)
+            hop = chord_lengths_km(self.positions_ecef,
+                                   np.arange(len(nbr))[:, None], nbr)
             hop.setflags(write=False)
             self._hop_km = hop
         return self._hop_km
+
+
+def chord_lengths_km(positions: np.ndarray, a: np.ndarray,
+                     b: np.ndarray) -> np.ndarray:
+    """Straight-line km between ``positions[a]`` and ``positions[b]``.
+
+    ``a``/``b`` are broadcastable satellite index arrays.  Each element
+    is ``sqrt(dx*dx + dy*dy + dz*dz)`` in that order, exactly like the
+    scalar per-edge memo in the geospatial router; the hop-length
+    tables and the snapshot graph both call this, so batched, scalar
+    and graph delays agree bit for bit.
+    """
+    px, py, pz = positions[:, 0], positions[:, 1], positions[:, 2]
+    dx = px[a] - px[b]
+    dy = py[a] - py[b]
+    dz = pz[a] - pz[b]
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 # ---------------------------------------------------------------------------

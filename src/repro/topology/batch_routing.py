@@ -68,7 +68,7 @@ from ..orbits.snapshot import (
 )
 from ._walk_kernel import load_kernel
 from .grid import GridTopology
-from .routing import GeospatialRouter, RouteResult, grid_edge_liveness
+from .routing import GeospatialRouter, RouteResult
 
 __all__ = [
     "BatchGeoRouter",
@@ -164,7 +164,7 @@ class NextHopTable:
         if self.healthy:
             self.edge_up = None
         else:
-            self.edge_up = grid_edge_liveness(topology, self.neighbors)
+            self.edge_up = topology.edge_liveness()
 
 
 class BatchRouteResult:

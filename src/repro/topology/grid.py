@@ -15,14 +15,17 @@ from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 import networkx as nx
 import numpy as np
 
-from ..constants import SPEED_OF_LIGHT_KM_S
+from ..constants import EARTH_RADIUS_KM, SPEED_OF_LIGHT_KM_S
 from ..orbits.constellation import Constellation
 from ..orbits.coordinates import distance3, geodetic_to_ecef
 from ..orbits.coverage import coverage_half_angle
 from ..orbits.groundstations import GroundStation
 from ..orbits.propagator import IdealPropagator
-from ..orbits.snapshot import snapshot_for
-from ..constants import EARTH_RADIUS_KM
+from ..orbits.snapshot import (
+    chord_lengths_km,
+    grid_neighbor_table,
+    snapshot_for,
+)
 from .links import propagation_delay_s
 
 
@@ -135,10 +138,6 @@ class GridTopology:
         """The currently-failed satellite set (immutable view)."""
         return frozenset(self._failed_sats)
 
-    def failed_isls(self) -> FrozenSet[FrozenSet[int]]:
-        """The currently-marked-failed ISL set (immutable view)."""
-        return frozenset(self._failed_isls)
-
     @property
     def has_topology_faults(self) -> bool:
         """Whether any satellite or ISL failure mark is active."""
@@ -172,6 +171,28 @@ class GridTopology:
         the marks they themselves placed.
         """
         return frozenset((sat_a, sat_b)) in self._failed_isls
+
+    def edge_liveness(self) -> np.ndarray:
+        """``(N, 4)`` liveness of every +Grid edge under current faults.
+
+        Entry ``[s, d]`` is ``isl_up(s, grid_neighbor_table[s, d])``:
+        both endpoints alive and no failure mark on the ISL.  The one
+        mask behind the batch router's next-hop tables, the Dijkstra
+        baseline's sparse adjacency and :meth:`snapshot_graph`.
+        """
+        neighbors = grid_neighbor_table(self.constellation)
+        total = self.constellation.total_satellites
+        sat_up = np.ones(total, dtype=bool)
+        if self._failed_sats:
+            sat_up[sorted(self._failed_sats)] = False
+        edge_up = sat_up[:, None] & sat_up[neighbors]
+        for link in self._failed_isls:
+            a, b = min(link), max(link)
+            if not (0 <= a and b < total):
+                continue
+            edge_up[a, neighbors[a] == b] = False
+            edge_up[b, neighbors[b] == a] = False
+        return edge_up
 
     # -- neighbourhood ---------------------------------------------------------
 
@@ -261,6 +282,17 @@ class GridTopology:
                 return sat
         return -1
 
+    def gateway_access_satellites(self, t: float
+                                  ) -> List[Tuple[GroundStation, int]]:
+        """(station, access satellite) of every online, covered gateway.
+
+        In station order; offline stations and stations no live
+        satellite covers at ``t`` are left out.
+        """
+        pairs = ((station, self.station_access_satellite(station, t))
+                 for _, station in self.live_ground_stations())
+        return [(station, sat) for station, sat in pairs if sat >= 0]
+
     # -- graph snapshot ------------------------------------------------------------
 
     def snapshot_graph(self, t: float,
@@ -268,32 +300,29 @@ class GridTopology:
         """A weighted (propagation-delay) graph of the live topology at t.
 
         Used by the Dijkstra baseline router and by reachability
-        analyses under failure injection.
+        analyses under failure injection.  A view of the arrays the
+        batch plane routes on: edges are the ``(up, right)`` columns of
+        :meth:`edge_liveness` (satellites ascending, ``up`` first) and
+        carry the ``hop_lengths_km`` lengths, computed for live edges
+        only and memoised nowhere.
         """
         graph = nx.Graph()
-        c = self.constellation
-        positions = snapshot_for(self.propagator, t).positions_ecef
-        for sat in range(c.total_satellites):
-            if self.is_up(sat):
-                graph.add_node(sat)
-        for sat in range(c.total_satellites):
-            if not self.is_up(sat):
-                continue
-            plane, slot = c.plane_slot(sat)
-            up, _ = c.intra_plane_neighbors(plane, slot)
-            _, right = c.inter_plane_neighbors(plane, slot)
-            for nbr in (up, right):
-                if self.isl_up(sat, nbr):
-                    dist = float(np.linalg.norm(positions[sat]
-                                                - positions[nbr]))
-                    graph.add_edge(sat, nbr,
-                                   weight=dist / SPEED_OF_LIGHT_KM_S,
-                                   distance_km=dist)
+        total = self.constellation.total_satellites
+        graph.add_nodes_from(sorted(set(range(total)) - self._failed_sats))
+        columns = [0, 3]  # up, right (GRID_DIRECTIONS)
+        live = self.edge_liveness()[:, columns]
+        src = np.nonzero(live)[0]
+        dst = grid_neighbor_table(self.constellation)[:, columns][live]
+        dist = chord_lengths_km(
+            snapshot_for(self.propagator, t).positions_ecef, src, dst)
+        graph.add_edges_from(
+            (a, b, {"weight": w, "distance_km": d})
+            for a, b, w, d in zip(src.tolist(), dst.tolist(),
+                                  (dist / SPEED_OF_LIGHT_KM_S).tolist(),
+                                  dist.tolist()))
         if include_ground:
-            for _, gs in self.live_ground_stations():
-                access = self.station_access_satellite(gs, t)
-                if access >= 0:
-                    delay = self.gsl_delay_s(access, gs, t)
-                    graph.add_edge(gs.name, access, weight=delay,
-                                   distance_km=delay * SPEED_OF_LIGHT_KM_S)
+            for gs, access in self.gateway_access_satellites(t):
+                delay = self.gsl_delay_s(access, gs, t)
+                graph.add_edge(gs.name, access, weight=delay,
+                               distance_km=delay * SPEED_OF_LIGHT_KM_S)
         return graph

@@ -76,34 +76,6 @@ def load_scipy_csgraph():
     return _scipy_csgraph
 
 
-def grid_edge_liveness(topology: GridTopology,
-                       neighbors: np.ndarray) -> np.ndarray:
-    """``(N, 4)`` liveness of every +Grid edge under current faults.
-
-    ``neighbors`` is the :func:`grid_neighbor_table` of the topology's
-    constellation; entry ``[s, d]`` is True when both endpoints of the
-    edge from ``s`` in direction ``d`` are alive and the ISL carries
-    no failure mark.  Shared by the batch router's next-hop tables and
-    the Dijkstra baseline's sparse adjacency.
-    """
-    total = topology.constellation.total_satellites
-    sat_up = np.ones(total, dtype=bool)
-    failed_sats = topology.failed_satellites()
-    if failed_sats:
-        sat_up[sorted(failed_sats)] = False
-    edge_up = sat_up[:, None] & sat_up[neighbors]
-    for link in topology.failed_isls():
-        pair = sorted(link)
-        if len(pair) != 2:
-            continue
-        a, b = pair
-        if not (0 <= a < total and 0 <= b < total):
-            continue
-        edge_up[a, neighbors[a] == b] = False
-        edge_up[b, neighbors[b] == a] = False
-    return edge_up
-
-
 @dataclass
 class RouteResult:
     """Outcome of routing one packet through the constellation."""
@@ -415,7 +387,7 @@ class DijkstraRouter:
         neighbors = grid_neighbor_table(c)
         hop_km = snapshot.hop_lengths_km()
         if self.topology.has_topology_faults:
-            edge_up = grid_edge_liveness(self.topology, neighbors)
+            edge_up = self.topology.edge_liveness()
             live = edge_up.ravel()
         else:
             edge_up = None
@@ -439,9 +411,11 @@ class DijkstraRouter:
         ``csgraph.dijkstra`` per unique source over the sparse +Grid
         adjacency and reconstructs each pair's path from the
         predecessor matrix; pairs sharing a source share the search.
-        Delays/distances match the per-pair networkx :meth:`route`
-        (same edge weights); tie-broken equal-delay paths may differ
-        node-for-node, as with any shortest-path implementation.
+        Delays/distances match the per-pair networkx :meth:`route`:
+        the CSR weights here and the ``snapshot_graph`` weights there
+        are the same ``chord_lengths_km`` / c values, bit for bit.
+        Tie-broken equal-delay paths may differ node-for-node, as with
+        any shortest-path implementation.
         """
         srcs = [int(s) for s in src_sats]
         dsts = [int(d) for d in dst_sats]

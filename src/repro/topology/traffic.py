@@ -131,14 +131,9 @@ def load_to_gateways(topology: GridTopology, t: float,
     if not topology.ground_stations:
         raise ValueError("gateway routing needs ground stations")
     graph = topology.snapshot_graph(t, include_ground=False)
-    access = {}
-    for gs in topology.ground_stations:
-        sat = topology.station_access_satellite(gs, t)
-        if sat >= 0:
-            access[gs.name] = sat
-    if not access:
+    access_sats = [sat for _, sat in topology.gateway_access_satellites(t)]
+    if not access_sats:
         raise RuntimeError("no gateway has coverage at t")
-    access_sats = list(access.values())
     load = TrafficLoad()
     paths_cache: Dict[int, Dict[int, List[int]]] = {}
 

@@ -414,6 +414,24 @@ class TestGroundStationFaults:
         graph = gs_topology.snapshot_graph(0.0, include_ground=True)
         assert name not in graph
 
+    def test_load_to_gateways_skips_dead_gateways(self, gs_topology):
+        """Demand must not detour through a gateway that is offline:
+        with every station but one failed, the load is the load of a
+        topology that only ever had that one station."""
+        from repro.topology import gravity_demand, load_to_gateways
+        demands = gravity_demand(gs_topology, 0.0, top_satellites=6)
+        for station in range(5):
+            gs_topology.fail_ground_station(station)
+        lone = GridTopology(gs_topology.propagator,
+                            gs_topology.ground_stations[5:])
+        load = load_to_gateways(gs_topology, 0.0, demands)
+        want = load_to_gateways(lone, 0.0, demands)
+        assert load.link_load == want.link_load
+        assert load.satellite_load == want.satellite_load
+        gs_topology.fail_ground_station(5)
+        with pytest.raises(RuntimeError):
+            load_to_gateways(gs_topology, 0.0, demands)
+
 
 class TestComputeDegradation:
     def test_window_tracks_live_factor(self, topology):

@@ -15,6 +15,7 @@ from repro.crypto import (
     generate_keypair,
     issue_certificate,
 )
+from repro.crypto.signatures import VerifyKey
 from repro.crypto.sts import ResponderReply
 
 
@@ -94,6 +95,47 @@ class TestSignatures:
         _, vk = generate_keypair(random.Random(5))
         assert not vk.verify(b"m", (SCHNORR_GROUP.q, 1))
         assert not vk.verify(b"m", (1, SCHNORR_GROUP.q))
+
+    def test_verify_matches_fermat_inverse_reference(self):
+        """``pow(ye, -1, p)`` gives the booleans the Fermat inverse
+        ``pow(ye, p - 2, p)`` gave, and a ``y = 0 (mod p)`` key (no
+        inverse) verifies nothing instead of raising."""
+        group = SCHNORR_GROUP
+
+        def fermat_verify(y, message, signature):
+            e, s = signature
+            if not (0 <= e < group.q and 0 <= s < group.q):
+                return False
+            ye = pow(y, e, group.p)
+            r = (pow(group.g, s, group.p)
+                 * pow(ye, group.p - 2, group.p) % group.p)
+            return group.hash_to_scalar(group.element_bytes(r),
+                                        message) == e
+
+        sk, vk = generate_keypair(random.Random(5))
+        e, s = sk.sign(b"message")
+        cases = [
+            (vk.y, b"message", (e, s), True),
+            (vk.y, b"other", (e, s), False),
+            (vk.y, b"message", ((e + 1) % group.q, s), False),
+            (vk.y, b"message", (e, (s + 1) % group.q), False),
+            (vk.y, b"message", (0, s), False),
+            (vk.y, b"message", (group.q, s), False),
+            (vk.y, b"message", (e, -1), False),
+            (0, b"message", (e, s), False),
+            (0, b"message", (0, s), False),
+            (group.p, b"message", (e, s), False),
+        ]
+        for y, message, signature, expected in cases:
+            got = VerifyKey(y).verify(message, signature)
+            assert got is expected
+            assert got == fermat_verify(y, message, signature)
+        # The one place the booleans differ, on purpose: with y = 0 the
+        # Fermat form computed r = 0 and so accepted e = H(0 || m) with
+        # any s; a key with no inverse now verifies nothing.
+        forged = (group.hash_to_scalar(group.element_bytes(0), b"m"), 1)
+        assert fermat_verify(0, b"m", forged)
+        assert not VerifyKey(0).verify(b"m", forged)
 
     def test_certificate_chain(self):
         home_sk, home_vk = generate_keypair(random.Random(1))

@@ -1,0 +1,201 @@
+"""``GridTopology.snapshot_graph`` against its scalar edge-by-edge oracle.
+
+The graph is built as an array program (liveness mask + snapshot
+positions, one ``add_edges_from``); the oracle here is the loop it
+replaced -- ``is_up`` / ``isl_up`` per satellite, ``add_edge`` per
+link -- so every ``has_path`` / ``connected_components`` / Dijkstra
+consumer provably sees the same nodes, edges and adjacency order.
+Edge lengths are pinned to ``hop_lengths_km()`` (the repo's one ISL
+length), not to the oracle's old ``np.linalg.norm``.
+"""
+
+import networkx as nx
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.constants import SPEED_OF_LIGHT_KM_S
+from repro.orbits import (
+    Constellation,
+    IdealPropagator,
+    default_ground_stations,
+    iridium,
+    starlink,
+)
+from repro.orbits.snapshot import grid_neighbor_table, snapshot_for
+from repro.topology import DijkstraRouter, GridTopology
+from repro.topology.routing import load_scipy_csgraph
+
+UP, RIGHT = 0, 3  # columns of grid_neighbor_table / hop_lengths_km
+
+# One propagator per shell so the snapshot cache serves every example.
+PROPAGATORS = {
+    "starlink": IdealPropagator(starlink()),
+    "iridium": IdealPropagator(iridium()),
+    # 2 slots per plane: up == down, every intra-plane edge is added twice.
+    "two-slot": IdealPropagator(Constellation(
+        name="two-slot", num_planes=5, sats_per_plane=2,
+        altitude_km=550.0, inclination_deg=53.0)),
+    # 1 plane: left == right == the satellite itself (self-loops).
+    "one-plane": IdealPropagator(Constellation(
+        name="one-plane", num_planes=1, sats_per_plane=7,
+        altitude_km=780.0, inclination_deg=86.4)),
+    # 2 planes: left == right, every inter-plane edge is added twice.
+    "two-plane": IdealPropagator(Constellation(
+        name="two-plane", num_planes=2, sats_per_plane=6,
+        altitude_km=1200.0, inclination_deg=87.9, raan_spread=np.pi)),
+}
+STATIONS = default_ground_stations()
+EPOCHS = (0.0, 615.0, 2871.5)
+
+
+def oracle_graph(topology: GridTopology, t: float,
+                 include_ground: bool) -> nx.Graph:
+    """The pre-array ``snapshot_graph`` loop, lengths from the table."""
+    graph = nx.Graph()
+    c = topology.constellation
+    hop_km = snapshot_for(topology.propagator, t).hop_lengths_km()
+    for sat in range(c.total_satellites):
+        if topology.is_up(sat):
+            graph.add_node(sat)
+    for sat in range(c.total_satellites):
+        if not topology.is_up(sat):
+            continue
+        plane, slot = c.plane_slot(sat)
+        up, _ = c.intra_plane_neighbors(plane, slot)
+        _, right = c.inter_plane_neighbors(plane, slot)
+        for nbr, column in ((up, UP), (right, RIGHT)):
+            if topology.isl_up(sat, nbr):
+                dist = float(hop_km[sat, column])
+                graph.add_edge(sat, nbr,
+                               weight=dist / SPEED_OF_LIGHT_KM_S,
+                               distance_km=dist)
+    if include_ground:
+        for _, gs in topology.live_ground_stations():
+            access = topology.station_access_satellite(gs, t)
+            if access >= 0:
+                delay = topology.gsl_delay_s(access, gs, t)
+                graph.add_edge(gs.name, access, weight=delay,
+                               distance_km=delay * SPEED_OF_LIGHT_KM_S)
+    return graph
+
+
+def assert_same_graph(topology: GridTopology, t: float) -> None:
+    for include_ground in (False, True):
+        got = topology.snapshot_graph(t, include_ground=include_ground)
+        want = oracle_graph(topology, t, include_ground)
+        assert list(got.nodes) == list(want.nodes)
+        assert list(got.edges) == list(want.edges)
+        assert ({n: list(got.adj[n]) for n in got}
+                == {n: list(want.adj[n]) for n in want})
+        for a, b, data in got.edges(data=True):
+            # Exact float equality, key order included.
+            assert list(data.items()) == list(want[a][b].items())
+            assert type(data["weight"]) is float
+            assert type(data["distance_km"]) is float
+            if isinstance(a, int) and isinstance(b, int):
+                assert (data["weight"]
+                        == data["distance_km"] / SPEED_OF_LIGHT_KM_S)
+        assert all(type(n) in (int, str) for n in got.nodes)
+
+
+@st.composite
+def fault_cocktails(draw, total: int, stations: int):
+    """A fail/recover op sequence drawn over a small hot set, so marks
+    on dead endpoints and marks outliving a recovery are common."""
+    hot = draw(st.lists(st.integers(0, total - 1), min_size=1,
+                        max_size=6, unique=True))
+    sat = st.sampled_from(hot)
+    op = st.one_of(
+        st.tuples(st.sampled_from(["fail_sat", "recover_sat"]), sat),
+        st.tuples(st.sampled_from(["fail_isl", "recover_isl"]), sat,
+                  st.integers(0, 3)),
+        # A mark between two arbitrary satellites (maybe not neighbours,
+        # maybe the same satellite) must be inert unless it names an ISL.
+        st.tuples(st.just("fail_pair"), sat, st.integers(0, total - 1)),
+        st.tuples(st.sampled_from(["fail_gs", "recover_gs"]),
+                  st.integers(0, stations - 1)),
+    )
+    return draw(st.lists(op, max_size=24))
+
+
+def apply_ops(topology: GridTopology, ops) -> None:
+    neighbors = grid_neighbor_table(topology.constellation)
+    for kind, *args in ops:
+        if kind == "fail_sat":
+            topology.fail_satellite(args[0])
+        elif kind == "recover_sat":
+            topology.recover_satellite(args[0])
+        elif kind == "fail_isl":
+            topology.fail_isl(args[0], int(neighbors[args[0], args[1]]))
+        elif kind == "recover_isl":
+            topology.recover_isl(args[0], int(neighbors[args[0], args[1]]))
+        elif kind == "fail_pair":
+            topology.fail_isl(args[0], args[1])
+        elif kind == "fail_gs":
+            topology.fail_ground_station(args[0])
+        else:
+            topology.recover_ground_station(args[0])
+
+
+@pytest.mark.parametrize("shell", sorted(PROPAGATORS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_snapshot_graph_matches_scalar_oracle(shell, data):
+    propagator = PROPAGATORS[shell]
+    topology = GridTopology(propagator, STATIONS)
+    total = propagator.constellation.total_satellites
+    apply_ops(topology, data.draw(fault_cocktails(total, len(STATIONS))))
+    assert_same_graph(topology, data.draw(st.sampled_from(EPOCHS)))
+
+
+@pytest.mark.parametrize("shell", sorted(PROPAGATORS))
+def test_unfaulted_and_heavily_faulted_shells(shell):
+    propagator = PROPAGATORS[shell]
+    topology = GridTopology(propagator, STATIONS)
+    assert_same_graph(topology, 0.0)
+    total = propagator.constellation.total_satellites
+    neighbors = grid_neighbor_table(propagator.constellation)
+    for sat in range(0, total, 3):
+        topology.fail_satellite(sat)
+    for sat in range(1, total, 4):
+        topology.fail_isl(sat, int(neighbors[sat, sat % 4]))
+    topology.fail_ground_station(0)
+    assert_same_graph(topology, 615.0)
+
+
+def test_isl_mark_on_dead_endpoint_outlives_its_recovery():
+    topology = GridTopology(PROPAGATORS["iridium"], STATIONS)
+    up = int(grid_neighbor_table(topology.constellation)[5, UP])
+    topology.fail_satellite(5)
+    topology.fail_isl(5, up)
+    assert_same_graph(topology, 0.0)
+    topology.recover_satellite(5)
+    graph = topology.snapshot_graph(0.0, include_ground=False)
+    assert 5 in graph and not graph.has_edge(5, up)
+    assert_same_graph(topology, 0.0)
+    topology.recover_isl(5, up)
+    assert topology.snapshot_graph(0.0, include_ground=False).has_edge(5, up)
+
+
+@pytest.mark.parametrize("faulted", [False, True])
+def test_graph_weights_equal_csr_weights(faulted):
+    """``DijkstraRouter.route`` (networkx over ``snapshot_graph``) and
+    ``route_many`` (scipy over the CSR adjacency) read one ISL length:
+    every live edge carries the same weight bits on both planes."""
+    if load_scipy_csgraph() is None:
+        pytest.skip("scipy not installed")
+    topology = GridTopology(PROPAGATORS["starlink"])
+    if faulted:
+        neighbors = grid_neighbor_table(topology.constellation)
+        for sat in (3, 40, 41, 900):
+            topology.fail_satellite(sat)
+        topology.fail_isl(7, int(neighbors[7, RIGHT]))
+        topology.fail_isl(40, int(neighbors[40, UP]))
+    t = 615.0
+    graph = topology.snapshot_graph(t, include_ground=False)
+    matrix = DijkstraRouter(topology)._adjacency(t)[0]
+    assert matrix.nnz == 2 * graph.number_of_edges()
+    for a, b, weight in graph.edges(data="weight"):
+        assert weight == matrix[a, b] == matrix[b, a]
