@@ -160,7 +160,10 @@ def _keystream(key: bytes, context: bytes, length: int) -> bytes:
 
 
 def _xor(data: bytes, stream: bytes) -> bytes:
-    return bytes(a ^ b for a, b in zip(data, stream))
+    """Bytewise XOR, truncated to the shorter input like ``zip``."""
+    n = min(len(data), len(stream))
+    return (int.from_bytes(data[:n], "big")
+            ^ int.from_bytes(stream[:n], "big")).to_bytes(n, "big")
 
 
 def _distribute(node: PolicyNode, share: int, leaf_counter: List[int],

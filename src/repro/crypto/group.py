@@ -10,18 +10,29 @@ deterministic structures:
   preserving the real protocol structure.  The constants were produced
   once by a seeded Miller-Rabin search (seed 20220822, the paper's
   conference date) and are fixed here.
-* ``SHARE_FIELD``: the prime field F_q over the Mersenne prime
-  2^521 - 1, used for Shamir secret sharing in the ABE scheme.
+* ``ShareField``: the prime field over the Mersenne prime
+  ``SHARE_PRIME`` = 2^127 - 1, used for Shamir secret sharing in the
+  ABE scheme.
 
 This is a *reproduction-grade* parameterisation: the algebra and the
 protocol flows are real, the key sizes are scaled for simulation.
+
+``SchnorrGroup.generate`` is table-driven: the base ``g`` is the same
+for every signature, key pair, STS share and SUCI ephemeral, so
+``g^x`` is a product of at most one precomputed entry per byte of
+``x mod q`` (fixed-base windowing, one table per group per process)
+instead of a square-and-multiply ladder.  ``power`` and ``is_element``
+stay on the builtin ``pow``: their base is a peer's element that is
+seen once or twice, fewer times than a table costs to build.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import secrets
 from dataclasses import dataclass
+from typing import Tuple
 
 #: 512-bit safe prime p = 2q + 1.
 _P = int(
@@ -53,8 +64,19 @@ class SchnorrGroup:
         return pow(base, exponent, self.p)
 
     def generate(self, exponent: int) -> int:
-        """g^exponent mod p."""
-        return pow(self.g, exponent, self.p)
+        """g^exponent mod p, for any integer exponent.
+
+        ``g`` has order ``q``, so the exponent is reduced modulo ``q``
+        first and the result is the product of one table entry per
+        byte of it.
+        """
+        rows = _fixed_base_table(self)
+        digits = (exponent % self.q).to_bytes(len(rows), "little")
+        p = self.p
+        acc = 1
+        for row, digit in zip(rows, digits):
+            acc = acc * row[digit] % p
+        return acc
 
     def is_element(self, x: int) -> bool:
         """Membership test for the order-q subgroup."""
@@ -71,6 +93,25 @@ class SchnorrGroup:
     def element_bytes(self, x: int) -> bytes:
         """Fixed-width big-endian encoding of a group element."""
         return x.to_bytes((self.p.bit_length() + 7) // 8, "big")
+
+
+@functools.lru_cache(maxsize=8)
+def _fixed_base_table(group: SchnorrGroup) -> Tuple[Tuple[int, ...], ...]:
+    """``rows[i][d] = g^(d * 256^i) mod p``, one row per byte of ``q``.
+
+    A module-level memo rather than a field on the (frozen) group, so
+    the table never rides along when keys carrying their group are
+    pickled into pool workers.
+    """
+    rows = []
+    base = group.g % group.p
+    for _ in range((group.q.bit_length() + 7) // 8):
+        row = [1]
+        for _ in range(255):
+            row.append(row[-1] * base % group.p)
+        rows.append(tuple(row))
+        base = row[-1] * base % group.p
+    return tuple(rows)
 
 
 SCHNORR_GROUP = SchnorrGroup(p=_P, q=_Q, g=_G)

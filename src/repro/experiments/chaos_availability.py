@@ -45,6 +45,7 @@ from ..core import ResilientSpaceCore, SpaceCoreSystem
 from ..faults.chaos import ChaosController, FaultKind, FaultSchedule
 from ..faults.failures import procedure_success_probability
 from ..fiveg.messages import ProcedureKind
+from ..fiveg.ue import UserEquipment
 from ..hardware.model import RASPBERRY_PI_4
 from ..hardware.queueing import procedure_latency
 from ..orbits.constellation import Constellation, starlink
@@ -327,6 +328,7 @@ class _StatefulBaseline:
         self.alive: Dict[str, bool] = {}
         self.recovery_latencies: List[float] = []
         self.lost = 0
+        self._ue_by_supi: Dict[str, UserEquipment] = {}
 
     def establish_all(self, ues, t: float) -> None:
         for ue in ues:
@@ -346,8 +348,12 @@ class _StatefulBaseline:
         if not victims:
             return
         t = self.controller.sim.now + RLF_DETECTION_S
+        # ISL edges cannot change inside this synchronous callback, so
+        # one graph serves every victim and every NAS retry; only the
+        # gateways' access satellites move with the retry time.
+        graph = self.system.topology.snapshot_graph(t, include_ground=False)
         for supi in victims:
-            self._reattach(supi, t)
+            self._reattach(supi, t, graph)
 
     def _crossing_loss(self) -> float:
         per_hop = (self.scenario.jam_link_loss
@@ -355,19 +361,16 @@ class _StatefulBaseline:
                    else self.scenario.per_link_loss)
         return 1.0 - (1.0 - per_hop) ** self.scenario.path_hops
 
-    def _gateway_reachable(self, sat: int, t: float) -> bool:
-        if sat < 0:
-            return False
-        topology = self.system.topology
-        graph = topology.snapshot_graph(t, include_ground=False)
-        if sat not in graph:
+    def _gateway_reachable(self, sat: int, t: float,
+                           graph: nx.Graph) -> bool:
+        if sat < 0 or sat not in graph:
             return False
         sources = {access for _, access
-                   in topology.gateway_access_satellites(t)}
+                   in self.system.topology.gateway_access_satellites(t)}
         return any(nx.has_path(graph, sat, source)
                    for source in sources if source in graph)
 
-    def _reattach(self, supi: str, t: float) -> None:
+    def _reattach(self, supi: str, t: float, graph: nx.Graph) -> None:
         """NAS-timed retries of the full home-routed procedure."""
         elapsed = 0.0
         for attempt in range(NAS_MAX_ATTEMPTS):
@@ -378,7 +381,7 @@ class _StatefulBaseline:
                                               self.scenario.per_link_loss)
                 * procedure_success_probability(self.crossing_messages,
                                                 self._crossing_loss()))
-            if (self._gateway_reachable(sat, now)
+            if (self._gateway_reachable(sat, now, graph)
                     and self.rng.random() < survival):
                 self.assignments[supi] = sat
                 self.recovery_latencies.append(

@@ -13,9 +13,12 @@ import pytest
 
 from repro.experiments import (
     ChaosScenario,
+    chaos_availability,
     run_chaos_availability,
     write_chaos_report,
 )
+from repro.faults import FaultKind
+from repro.topology import GridTopology
 
 SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
@@ -77,6 +80,100 @@ class TestSurvivalCurves:
         # far below any home-routed retry (seconds).
         for latency in small_result.spacecore_recovery_latencies:
             assert latency < 2.0
+
+
+class _PerAttemptBaseline(chaos_availability._StatefulBaseline):
+    """The oracle: a fresh ``snapshot_graph`` at every NAS attempt's
+    own time, as ``_gateway_reachable`` built it before ``on_fault``
+    hoisted one graph per fault event."""
+
+    def _gateway_reachable(self, sat, t, graph):
+        fresh = self.system.topology.snapshot_graph(t, include_ground=False)
+        return super()._gateway_reachable(sat, t, fresh)
+
+
+def _ground_outage_schedule(system, ues, scenario):
+    """The stock churn plus every other gateway down mid-run."""
+    stations = range(0, len(system.topology.ground_stations), 2)
+    return chaos_availability.default_chaos_schedule(
+        system, ues, scenario).add_ground_station_outage(
+            stations, 300.0, 1500.0)
+
+
+#: (ChaosScenario overrides, schedule_builder) per fault flavour.
+HOIST_CASES = {
+    "stock": ({}, None),
+    "jammed": ({"jam_start_s": 0.0, "jam_stop_s": 1800.0}, None),
+    "ground-outage": ({}, _ground_outage_schedule),
+}
+
+
+class TestBaselineGraphHoist:
+    """One reachability graph per fault event changes no outcome."""
+
+    @staticmethod
+    def _run(monkeypatch, baseline_cls, seed, case):
+        """Run one trial; returns (baseline, [(event, had_victims,
+        snapshot_graph calls inside on_fault), ...])."""
+        overrides, builder = HOIST_CASES[case]
+        made, builds, per_event = [], [0], []
+        real_snapshot_graph = GridTopology.snapshot_graph
+
+        def counting_snapshot_graph(self, *args, **kwargs):
+            builds[0] += 1
+            return real_snapshot_graph(self, *args, **kwargs)
+
+        class Recording(baseline_cls):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+            def on_fault(self, event):
+                had_victims = (
+                    event.kind is FaultKind.SAT_FAIL
+                    and any(sat == event.target[0] and self.alive.get(supi)
+                            for supi, sat in self.assignments.items()))
+                before = builds[0]
+                super().on_fault(event)
+                per_event.append((event, had_victims, builds[0] - before))
+
+        monkeypatch.setattr(GridTopology, "snapshot_graph",
+                            counting_snapshot_graph)
+        monkeypatch.setattr(chaos_availability, "_StatefulBaseline",
+                            Recording)
+        run_chaos_availability(
+            scenario=ChaosScenario(horizon_s=1800.0,
+                                   sample_interval_s=300.0, n_ues=16,
+                                   seed=seed, **overrides),
+            schedule_builder=builder)
+        (baseline,) = made
+        return baseline, per_event
+
+    @pytest.mark.parametrize("case", sorted(HOIST_CASES))
+    @pytest.mark.parametrize("seed", [SEED, SEED + 1, SEED + 2])
+    def test_outcomes_match_per_attempt_rebuild(self, monkeypatch, seed,
+                                                case):
+        hoisted, events = self._run(
+            monkeypatch, chaos_availability._StatefulBaseline, seed, case)
+        monkeypatch.undo()
+        oracle, oracle_events = self._run(
+            monkeypatch, _PerAttemptBaseline, seed, case)
+        assert ([e.key() for e, _, _ in events]
+                == [e.key() for e, _, _ in oracle_events])
+        assert hoisted.recovery_latencies == oracle.recovery_latencies
+        assert hoisted.lost == oracle.lost
+        assert hoisted.alive == oracle.alive
+        assert hoisted.assignments == oracle.assignments
+
+    @pytest.mark.parametrize("case", sorted(HOIST_CASES))
+    def test_one_graph_per_sat_fail_with_victims(self, monkeypatch, case):
+        _, events = self._run(
+            monkeypatch, chaos_availability._StatefulBaseline, SEED + 1,
+            case)
+        assert any(had_victims for _, had_victims, _ in events)
+        assert any(not had_victims for _, had_victims, _ in events)
+        for event, had_victims, graph_builds in events:
+            assert graph_builds == (1 if had_victims else 0), event
 
 
 class TestReportArtifact:

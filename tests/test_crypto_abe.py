@@ -19,6 +19,7 @@ from repro.crypto import (
     serving_satellite_policy,
     setup,
 )
+from repro.crypto.abe import _keystream, _xor
 from repro.crypto.access_tree import Gate
 
 
@@ -80,6 +81,21 @@ class TestAccessTree:
                                   "bandwidth>=10gbps"})
         assert not satisfies(policy, {"role:satellite"})
         assert not satisfies(policy, {"role:ue"})
+
+
+class TestXor:
+    @pytest.mark.parametrize("data_len,stream_len", [
+        (0, 0), (0, 64), (1, 1), (1, 64), (146, 146), (146, 192),
+        (16, 7)])
+    def test_matches_per_byte_zip(self, data_len, stream_len):
+        """One big-int XOR, same bytes as the per-byte ``zip`` loop it
+        replaced -- leading zero bytes kept, truncated to the shorter
+        input."""
+        data = (b"\x00" + _keystream(b"d", b"data", data_len))[:data_len]
+        stream = _keystream(b"k", b"stream", stream_len)
+        expected = bytes(a ^ b for a, b in zip(data, stream))
+        assert _xor(data, stream) == expected
+        assert len(_xor(data, stream)) == min(data_len, stream_len)
 
 
 class TestAbeRoundtrip:

@@ -1,9 +1,12 @@
 """Tests for the Schnorr group, signatures, and station-to-station DH."""
 
 import dataclasses
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import (
     Initiator,
@@ -15,8 +18,12 @@ from repro.crypto import (
     generate_keypair,
     issue_certificate,
 )
-from repro.crypto.signatures import VerifyKey
+from repro.crypto.group import SchnorrGroup, _fixed_base_table
+from repro.crypto.signatures import Certificate, SigningKey, VerifyKey
 from repro.crypto.sts import ResponderReply
+
+#: 4 has order 11 in Z_23^*: a one-row table next to the 64-row one.
+TOY_GROUP = SchnorrGroup(p=23, q=11, g=4)
 
 
 class TestSchnorrGroup:
@@ -49,6 +56,64 @@ class TestSchnorrGroup:
         g = SCHNORR_GROUP
         assert (g.random_scalar(random.Random(1))
                 == g.random_scalar(random.Random(1)))
+
+
+class TestFixedBaseGenerate:
+    """``generate`` is table-driven; builtin ``pow`` is the oracle."""
+
+    @staticmethod
+    def _reference(group, x):
+        return pow(group.g, x % group.q, group.p)
+
+    def test_edge_exponents_match_pow(self):
+        q = SCHNORR_GROUP.q
+        for x in (0, 1, q - 1, q, q + 1, 2 ** 520, -1, -q):
+            for group in (SCHNORR_GROUP, TOY_GROUP):
+                assert group.generate(x) == self._reference(group, x)
+                # Any integer exponent, as pow itself defines it
+                # (negative = power of the inverse of g).
+                assert group.generate(x) == pow(group.g, x, group.p)
+
+    @given(st.lists(st.integers(min_value=-2 ** 600, max_value=2 ** 600),
+                    min_size=1, max_size=8))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_pow_on_two_interleaved_groups(self, exponents):
+        for x in exponents:
+            for group in (SCHNORR_GROUP, TOY_GROUP):
+                assert group.generate(x) == self._reference(group, x)
+
+    def test_alternating_groups_share_the_memo_without_rebuilds(self):
+        for group in (SCHNORR_GROUP, TOY_GROUP):
+            group.generate(1)
+        assert len(_fixed_base_table(TOY_GROUP)) == 1
+        assert len(_fixed_base_table(SCHNORR_GROUP)) == 64
+        misses = _fixed_base_table.cache_info().misses
+        for x in range(2, 40):
+            for group in (SCHNORR_GROUP, TOY_GROUP):
+                assert group.generate(x) == self._reference(group, x)
+        assert _fixed_base_table.cache_info().misses == misses
+        # Keyed on the group's value, not its identity.
+        SchnorrGroup(p=23, q=11, g=4).generate(7)
+        assert _fixed_base_table.cache_info().misses == misses
+
+    def test_used_keys_pickle_no_larger_than_fresh_ones(self):
+        """The table lives beside the group, never inside a key that is
+        shipped to pool workers."""
+        group = SCHNORR_GROUP
+        sk = SigningKey(0xC0FFEE)
+        vk = VerifyKey(pow(group.g, sk.x, group.p))
+        cert = Certificate("sat-1", vk, "home", (1, 2))
+        fresh = [len(pickle.dumps(obj)) for obj in (sk, vk, cert)]
+        assert max(fresh) < 1024
+
+        assert sk.public == vk
+        signature = sk.sign(b"m")
+        assert vk.verify(b"m", signature)
+        assert not cert.verify(vk)
+        used = [len(pickle.dumps(obj)) for obj in (sk, vk, cert)]
+        assert used == fresh
+        clone = pickle.loads(pickle.dumps(vk))
+        assert clone == vk and clone.verify(b"m", signature)
 
 
 class TestShareField:

@@ -18,6 +18,10 @@ from repro.constants import (
     RLF_DETECTION_S,
 )
 from repro.core import ResilientSpaceCore, SpaceCoreSystem
+from repro.experiments.chaos_availability import (
+    ChaosScenario,
+    _StatefulBaseline,
+)
 from repro.faults import (
     ChaosController,
     FaultEvent,
@@ -198,6 +202,31 @@ class TestResilientRetries:
     def test_max_attempts_validated(self, system):
         with pytest.raises(ValueError):
             ResilientSpaceCore(system, max_attempts=0)
+
+
+class TestStatefulBaselineUnbound:
+    def test_fault_on_established_but_unbound_ue_is_a_loss(self, attached):
+        """``establish_all`` without ``bind_ues``: the baseline cannot
+        find the victim a new serving satellite, so every NAS attempt
+        fails and the session is lost -- it used to raise
+        ``AttributeError`` from ``_serving_at``."""
+        system, ue = attached
+        sim = Simulator()
+        controller = ChaosController(sim, system.topology)
+        baseline = _StatefulBaseline(system, ChaosScenario(), controller)
+        baseline.establish_all([ue], 0.0)
+        supi = str(ue.supi)
+        victim = baseline.assignments[supi]
+        assert victim >= 0
+        controller.subscribe(baseline.on_fault)
+        controller.arm(FaultSchedule().add(
+            FaultEvent(10.0, FaultKind.SAT_FAIL, (victim,))))
+        sim.run()
+        assert baseline._serving_at(supi, 10.0) == -1
+        assert baseline.lost == 1
+        assert baseline.alive[supi] is False
+        assert supi not in baseline.assignments
+        assert baseline.recovery_latencies == []
 
 
 class _AlwaysLossy:
