@@ -18,12 +18,11 @@ Every batch result is asserted bit-identical to the scalar walk on a
 sampled subset before any timing is trusted, so the speedup being
 measured is the speedup of *the same answer*.
 
-Acceptance floors (with the compiled kernel): >= 20x over the scalar
-sweep, >= 1M routed packets/s on the bulk wave, and >= 10x on the
-epoch sweep.  Without a C compiler the numpy fallback must still
-clear 5x on the single-epoch sweep and 2x on the epoch sweep (the
-per-epoch waves are two orders of magnitude smaller, so the numpy
-walk amortises less per hop level).
+Acceptance floors: >= 20x over the scalar sweep, >= 1M routed
+packets/s on the bulk wave, and >= 10x on the epoch sweep.  Without
+the compiled walk kernel the batch plane *is* the scalar walk (there
+is no second fast path), so there is nothing to time and the
+benchmark skips.
 """
 
 import json
@@ -33,6 +32,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.orbits import make_propagator, starlink
@@ -82,15 +82,17 @@ def _wave(constellation, packets, seed=SEED):
 
 
 def test_batch_routing_throughput():
+    if load_kernel() is None:
+        pytest.skip("no compiled walk kernel: the batch plane is the "
+                    "scalar walk on this host")
     constellation = starlink()
     topology = GridTopology(make_propagator(constellation, "ideal"), [])
     scalar = GeospatialRouter(topology)
     batch = BatchGeoRouter(topology)
-    kernel = load_kernel() is not None
     results = {
         "constellation": constellation.name,
         "total_satellites": constellation.total_satellites,
-        "kernel": kernel,
+        "kernel": True,
         "smoke": SMOKE,
     }
 
@@ -195,12 +197,8 @@ def test_batch_routing_throughput():
 
     assert table_builds == EPOCH_SWEEP_EPOCHS
 
-    # Acceptance floors for this PR's perf trajectory.
-    if kernel:
-        assert speedup >= 20.0
-        assert sweep_speedup >= 10.0
-        if not SMOKE:
-            assert bulk_rate >= 1_000_000.0
-    else:
-        assert speedup >= 5.0
-        assert sweep_speedup >= 2.0
+    # Acceptance floors for the plane's perf trajectory.
+    assert speedup >= 20.0
+    assert sweep_speedup >= 10.0
+    if not SMOKE:
+        assert bulk_rate >= 1_000_000.0

@@ -100,6 +100,7 @@ SATELLITE_CAPACITIES = (2_000, 10_000, 20_000, 30_000)
 # ---------------------------------------------------------------------------
 
 TWO_PI = 2.0 * math.pi
+HALF_PI = math.pi / 2.0
 
 
 def orbital_period_s(altitude_km: float) -> float:

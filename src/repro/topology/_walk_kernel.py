@@ -1,12 +1,14 @@
 """Optional compiled hop-walk kernel for the batch routing plane.
 
-The NumPy lock-step walk in :mod:`repro.topology.batch_routing` is
-portable, but each packet-hop costs on the order of a hundred
-elementwise array passes; on one core that caps routing in the low
-hundreds of thousands of packets per second.  This module compiles the
+The reference walk (:meth:`repro.topology.routing.GeospatialRouter.route`)
+costs on the order of a hundred microseconds per packet in the
+interpreter (~11 k packets/s on Starlink).  This module compiles the
 *same* walk -- operation-for-operation the same float64 arithmetic --
 as a per-packet C loop over the shared :class:`NextHopTable` arrays,
-which brings a hop down to a few dozen nanoseconds.
+which brings a hop down to a few dozen nanoseconds (~1.5 M packets/s).
+It models Algorithm 1's preferred-direction walk only; a packet that
+needs anything else (deflection, seam revisit, a path longer than the
+caller's buffer) is flagged for the reference walk to recompute.
 
 Bit-exactness
 =============
@@ -16,19 +18,19 @@ The C source mirrors the scalar reference precisely:
   (including the ``copysign(0.0, divisor)`` normalisation of a zero
   remainder), then the same ``> pi`` conditional subtract.
 * The exact haversine replays the operand order of the scalar
-  ``central_angle`` / the batch plane's ``_exact_angles`` (``x * x``
-  squares, ``(cos * cos) * s2``, clip to ``[0, 1]``).
+  ``central_angle`` (``x * x`` squares, ``(cos * cos) * s2``, clip to
+  ``[0, 1]``).
 * Transcendentals come from the very libm the interpreter's ``math``
   module binds, and the build passes ``-ffp-contract=off`` so no FMA
-  contraction re-associates a sum the NumPy plane rounds twice.
+  contraction re-associates a sum the interpreter rounds twice.
 
 The build is lazy and entirely optional: no C compiler, a failed
-compile, or ``REPRO_NO_CKERNEL=1`` all degrade silently to the NumPy
-plane, whose results are bit-identical (the equivalence suite runs
-against both engines).  Compiled objects are cached by source hash
-under ``$REPRO_KERNEL_CACHE`` (default: a ``repro-kernels`` directory
-in the system temp dir), so each source revision compiles once per
-machine.
+compile, or ``REPRO_NO_CKERNEL=1`` all degrade silently to the
+reference walk for the whole wave, with identical results and an
+identical ``fallback`` mask (the equivalence suite runs on both
+lanes).  Compiled objects are cached by source hash under
+``$REPRO_KERNEL_CACHE`` (default: a ``repro-kernels`` directory in the
+system temp dir), so each source revision compiles once per machine.
 """
 
 from __future__ import annotations
@@ -75,8 +77,9 @@ static double wrap_signed(double a) {
  * fmod: for |d| < 2*pi the fmod inside Python's % returns d exactly,
  * so the modulo is one rounded +2*pi when negative; for d in
  * (-4*pi, -2*pi] the first +2*pi is exact (Sterbenz lemma), so a
- * second conditional add reproduces % bit-for-bit.  Same transform
- * the NumPy plane's _wrap_signed_diff uses. */
+ * second conditional add reproduces % bit-for-bit.  Every (alpha,
+ * gamma) difference the walk forms lies in that range: minuends are
+ * >= -pi/2 (wrap_angle / asin / pi - asin), subtrahends < 2*pi. */
 static double wrap_signed_diff(double d) {
     if (d <= -2.0 * K_TWO_PI || d >= K_TWO_PI)
         return wrap_signed(d);  /* out of proven range: exact path */
@@ -87,7 +90,7 @@ static double wrap_signed_diff(double d) {
 }
 
 /* The scalar-order haversine central angle (same expression tree as
- * BatchGeoRouter._exact_angles / coordinates.central_angle). */
+ * coordinates.central_angle). */
 static double exact_angle(double sat_lat, double sat_lon,
                           double dest_lat, double dest_lon) {
     double sd_lat = sin((dest_lat - sat_lat) / 2.0);
@@ -160,7 +163,7 @@ static int hop_decision(double wa0, double wg0, double wa1, double wg1,
 }
 
 /* One Algorithm 1 walk per packet, identical decision structure to
- * BatchGeoRouter._route_chunk: coverage screen (dot product against
+ * GeospatialRouter.route: coverage screen (dot product against
  * the destination radial, guard-banded exact re-test), both-
  * representation hop offsets, strict-< representation pick, dominant-
  * dimension direction, liveness / seam-revisit / path-capacity
@@ -285,7 +288,7 @@ void walk_chunk(
 """
 
 #: -O2 without fast-math; contraction off so a*b+c never fuses into an
-#: FMA the NumPy plane would have rounded in two steps.
+#: FMA the interpreter would have rounded in two steps.
 _CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
 
 _lock = threading.Lock()
@@ -372,10 +375,11 @@ def load_kernel() -> Optional[ctypes.CDLL]:
     """The compiled walk kernel, or ``None`` when unavailable.
 
     ``None`` means: disabled via ``REPRO_NO_CKERNEL``, no C compiler
-    on PATH, or the build failed -- callers fall back to the NumPy
-    walk in every case.  The outcome (either way) is memoised.
+    on PATH, or the build failed -- the caller routes the whole wave
+    with the reference walk in every case.  The outcome (either way)
+    is memoised.
     """
-    global _cached, _load_attempted  # repro: ignore[shard-purity] -- once-only lazy compile; kernel is bit-exact vs the NumPy fallback
+    global _cached, _load_attempted  # repro: ignore[shard-purity] -- once-only lazy compile; kernel is bit-exact vs the reference walk
     if os.environ.get("REPRO_NO_CKERNEL"):
         return None
     with _lock:

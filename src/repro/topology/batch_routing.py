@@ -1,34 +1,33 @@
-"""Vectorized batch packet-routing plane (Algorithm 1 as array programs).
+"""Batch packet-routing plane: Algorithm 1 over ``(N,)`` packet waves.
 
-The scalar :class:`~repro.topology.routing.GeospatialRouter` walks one
-packet at a time through a Python-level hop loop; at Starlink scale
-that caps routing throughput orders of magnitude below what the
-stateless design can sustain.  This module routes an ``(N,)`` *batch*
-of packets per call: every per-hop decision of Algorithm 1 -- coverage
-test, both-representation hop offsets, dominant-dimension direction
-pick, neighbour gather, delay accumulation -- is one NumPy operation
-over the still-active packets, so the Python interpreter executes a
-handful of statements per *hop level* instead of per packet-hop.
+Algorithm 1 exists exactly twice in this repo.  The *reference walk*
+is the scalar :class:`~repro.topology.routing.GeospatialRouter`: one
+packet at a time through a Python hop loop, every code path modelled
+(deflection around faults, ``avoid_links``, seam revisits).  The
+*compiled walk* (:mod:`repro.topology._walk_kernel`) is a per-packet C
+loop over shared per-epoch arrays that replays the reference
+arithmetic operation for operation and *flags* any packet that needs
+a path it does not model.  :meth:`BatchGeoRouter.route_batch` runs the
+compiled walk over the wave and recomputes the flagged packets with
+the reference walk; on a host without the compiled walk (no C
+compiler, failed build, ``REPRO_NO_CKERNEL``) the whole wave takes the
+reference walk.  Either way ``route_batch(...).results()`` is
+element-for-element identical (paths, verdicts, delays, distances) to
+calling ``GeospatialRouter.route`` in a loop, which is what the
+equivalence suite asserts on both lanes.
 
-Bit-match contract
-==================
-For every packet the batch plane either (a) replays the scalar
-floating-point arithmetic operation-for-operation (same haversine
-expression tree, same ``wrap_signed`` modulo form, same strict-``<``
-representation pick, same hop-length formula), or (b) detects that the
-packet needs a code path the vectorized walk does not model -- grid
-deflection around faults, caller-supplied ``avoid_links``, or a node
-revisit on seam (non-full-torus) constellations -- and *falls back* to
-the scalar router for that packet alone.  Either way
-``route_batch(...).results()`` is element-for-element identical
-(paths, verdicts, delays, distances) to calling
-``GeospatialRouter.route`` in a loop, which is what the equivalence
-suite asserts.
+``BatchRouteResult.fallback[i]`` means one thing on both lanes: packet
+``i`` left Algorithm 1's preferred direction (centered but uncovered,
+dead preferred edge, seam revisit) -- the compiled walk's flag, and
+``RouteResult.deflected`` of the reference walk.  Two flags stay
+engine-specific: ``avoid_links`` flags the whole wave on either lane,
+and a path longer than the compiled walk's 64-node buffer is flagged
+by the compiled walk only.
 
 Per-epoch next-hop tables
 =========================
-All per-satellite state the walk gathers from -- runtime (alpha,
-gamma) coordinates, sub-satellite points, the ``(N, 4)`` +Grid
+All per-satellite state the compiled walk gathers from -- runtime
+(alpha, gamma) coordinates, sub-satellite points, the ``(N, 4)`` +Grid
 neighbour table, ISL hop lengths and liveness masks -- is materialised
 once per ``(epoch, fault_epoch)`` into a :class:`NextHopTable`, kept
 in a small LRU.  Fault injection both re-keys the cache (the key
@@ -58,7 +57,7 @@ from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..constants import SPEED_OF_LIGHT_KM_S, TWO_PI
+from ..constants import HALF_PI, SPEED_OF_LIGHT_KM_S, TWO_PI
 from ..obs.metrics import MetricsRegistry
 from ..orbits.snapshot import (
     ConstellationSnapshot,
@@ -68,7 +67,7 @@ from ..orbits.snapshot import (
 )
 from ._walk_kernel import load_kernel
 from .grid import GridTopology
-from .routing import GeospatialRouter, RouteResult
+from .routing import DESTINATION_CONTRACT, GeospatialRouter, RouteResult
 
 __all__ = [
     "BatchGeoRouter",
@@ -82,40 +81,21 @@ __all__ = [
 BATCH_SIZE_BUCKETS = (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0,
                       16384.0, 65536.0, 262144.0, 1048576.0)
 
-#: Column order of the neighbour/hop tables (matches
-#: :data:`repro.orbits.snapshot.GRID_DIRECTIONS`).
-_UP, _DOWN, _LEFT, _RIGHT = 0, 1, 2, 3
+#: Packets per compiled-walk call: large waves are split so one call's
+#: inputs and outputs stay cache-resident.  Results are independent per
+#: packet, so any chunking is bitwise neutral.
+_CHUNK_PACKETS = 65536
+
+#: Next-hop tables kept per router until a sweep asks for more.
+_TABLE_CACHE_SIZE = 8
 
 #: Half-width of the guard band (in cosine space) around the coverage
-#: threshold inside which the dot-product screen defers to the exact
-#: scalar haversine.  Both formulas agree with the true central angle
-#: to ~1e-14, so 1e-9 is over a thousand times wider than any possible
-#: disagreement -- decisions outside the band are provably identical.
+#: threshold inside which the compiled walk's dot-product screen defers
+#: to the exact scalar haversine.  Both formulas agree with the true
+#: central angle to ~1e-14, so 1e-9 is over a thousand times wider than
+#: any possible disagreement -- decisions outside the band are provably
+#: identical.
 _COVERAGE_GUARD = 1e-9
-
-
-def _wrap_signed_diff(diff: np.ndarray) -> np.ndarray:
-    """Bit-exact :func:`repro.orbits.coordinates.wrap_signed` for
-    angle *differences* in ``(-4*pi, 2*pi)``.
-
-    The scalar computes ``diff % TWO_PI`` then conditionally subtracts
-    ``TWO_PI``.  For ``|diff| < TWO_PI`` the ``fmod`` inside Python's
-    ``%`` is exact (returns ``diff`` unchanged), so the modulo equals
-    ``diff + TWO_PI`` (one rounded add) when negative and ``diff``
-    otherwise.  For ``diff`` in ``(-4*pi, -2*pi]`` the first
-    ``+TWO_PI`` is *exact* by the Sterbenz lemma (the operands are
-    within a factor of two), so applying the conditional add twice
-    reproduces ``%`` bit-for-bit -- without the far costlier fmod.
-    All (alpha, gamma) difference inputs here lie in that range:
-    minuends come from ``wrap_angle``/``asin``/``pi - asin`` (all
-    ``>= -pi/2``) and subtrahends from ``wrap_angle`` (``< 2*pi``).
-    """
-    wrapped = np.where(diff < 0.0, diff + TWO_PI, diff)
-    negative = wrapped < 0.0
-    if negative.any():
-        wrapped[negative] += TWO_PI
-    wrapped[wrapped > math.pi] -= TWO_PI
-    return wrapped
 
 
 class NextHopTable:
@@ -188,18 +168,23 @@ class BatchRouteResult:
     __slots__ = ("delivered", "degraded", "delay_s", "distance_km",
                  "path_len", "fallback", "_paths", "_normalized")
 
-    def __init__(self, delivered: np.ndarray, degraded: np.ndarray,
-                 delay_s: np.ndarray, distance_km: np.ndarray,
-                 path_buffer: np.ndarray, path_len: np.ndarray,
-                 fallback: np.ndarray, normalized: bool = True):
-        self.delivered = delivered
-        self.degraded = degraded
-        self.delay_s = delay_s
-        self.distance_km = distance_km
-        self.path_len = path_len
-        self.fallback = fallback
-        self._paths = path_buffer
-        self._normalized = normalized
+    def __init__(self, n: int, paths: Optional[np.ndarray] = None,
+                 path_len: int = 1):
+        """``n`` undelivered, unflagged packets for a router to fill.
+
+        ``paths`` is a raw ``(n, width)`` buffer whose cells beyond
+        each ``path_len`` are normalised lazily; the default is one
+        column of -1.
+        """
+        self.delivered = np.zeros(n, dtype=bool)
+        self.degraded = np.zeros(n, dtype=bool)
+        self.fallback = np.zeros(n, dtype=bool)
+        self.delay_s = np.zeros(n, dtype=float)
+        self.distance_km = np.zeros(n, dtype=float)
+        self.path_len = np.full(n, path_len, dtype=np.int32)
+        self._normalized = paths is None
+        self._paths = (np.full((n, 1), -1, dtype=np.int32)
+                       if paths is None else paths)
 
     def __len__(self) -> int:
         return int(self.delivered.shape[0])
@@ -221,6 +206,23 @@ class BatchRouteResult:
             self._paths = paths
             self._normalized = True
         return self._paths
+
+    def _widen(self, width: int) -> None:
+        """Grow the path matrix to ``width`` columns of -1."""
+        have = self._paths.shape[1]
+        if width > have:
+            wider = np.full((len(self), width), -1, dtype=np.int32)
+            wider[:, :have] = self._paths
+            self._paths = wider
+
+    def _scatter(self, sel: np.ndarray, wave: "BatchRouteResult") -> None:
+        """Store ``wave``'s packets at the indices ``sel``."""
+        rows = wave.path_buffer if self._normalized else wave._paths
+        self._widen(rows.shape[1])
+        self._paths[sel, :rows.shape[1]] = rows
+        for name in ("delivered", "degraded", "fallback", "delay_s",
+                     "distance_km", "path_len"):
+            getattr(self, name)[sel] = getattr(wave, name)
 
     @property
     def hops(self) -> np.ndarray:
@@ -250,31 +252,19 @@ class BatchGeoRouter:
     """Algorithm 1 over packet batches, next-hop tables per epoch.
 
     Wraps a scalar :class:`GeospatialRouter` (sharing its coverage
-    geometry and ``degraded_slack``) both as the per-packet fallback
-    for paths the array walk does not model and as the reference the
-    equivalence suite compares against.
+    geometry and ``degraded_slack``): the reference walk that
+    recomputes the packets the compiled walk flags, routes the whole
+    wave when there is no compiled walk, and is what the equivalence
+    suite compares against.
     """
 
     def __init__(self, topology: GridTopology, max_hops: int = 256,
-                 metrics: Optional[MetricsRegistry] = None,
-                 table_cache_size: int = 8,
-                 chunk_size: int = 65536,
-                 use_kernel: Optional[bool] = None):
+                 metrics: Optional[MetricsRegistry] = None):
         self.topology = topology
         self.scalar = GeospatialRouter(topology, max_hops=max_hops)
         self.max_hops = max_hops
         self.metrics = metrics
-        #: Packets per lock-step walk; large batches are split so the
-        #: per-hop working set stays cache-resident.  Results are
-        #: independent per packet, so any chunking is bitwise neutral.
-        self.chunk_size = max(1, chunk_size)
-        #: ``None``: use the compiled walk kernel when one is
-        #: available, else the NumPy walk (they are bit-identical).
-        #: ``True``: require the kernel; ``False``: never use it.
-        self._use_kernel = use_kernel
-        self._kernel_lib: Optional[ctypes.CDLL] = None
-        self._kernel_resolved = False
-        self._table_cache_size = max(1, table_cache_size)
+        self._table_cache_size = _TABLE_CACHE_SIZE
         self._tables: "OrderedDict[Tuple[float, int], NextHopTable]" = (
             OrderedDict())
         c = topology.constellation
@@ -301,20 +291,6 @@ class BatchGeoRouter:
     def _count(self, name: str, amount: int = 1, **labels: object) -> None:
         if self.metrics is not None and amount:
             self.metrics.counter(name, **labels).inc(amount)
-
-    def _kernel_handle(self) -> Optional[ctypes.CDLL]:
-        """The compiled walk kernel, or ``None`` for the NumPy walk."""
-        if self._use_kernel is False:
-            return None
-        if not self._kernel_resolved:
-            self._kernel_resolved = True
-            self._kernel_lib = load_kernel()
-        if self._use_kernel is True and self._kernel_lib is None:
-            raise RuntimeError(
-                "use_kernel=True but no compiled walk kernel is "
-                "available (no C compiler, failed build, or "
-                "REPRO_NO_CKERNEL set)")
-        return self._kernel_lib
 
     def _table(self, t: float) -> NextHopTable:
         key = (float(t), self.topology.fault_epoch)
@@ -350,15 +326,17 @@ class BatchGeoRouter:
                     dest_lons: Sequence[float], t: float,
                     avoid_links: Optional[Set[FrozenSet[int]]] = None
                     ) -> BatchRouteResult:
-        """Route ``(N,)`` packets in lock-step vectorized hops.
+        """Route ``(N,)`` packets that share one epoch ``t``.
 
-        All packets share one epoch ``t``.  Per hop level the walk
-        does: one gathered haversine coverage test, one
-        both-representation offset computation, one direction pick,
-        one neighbour/hop-length gather -- each a single NumPy call
-        over the packets still in flight.  Packets that hit a
-        non-vectorized code path (deflection, ``avoid_links``, seam
-        revisit) are recomputed exactly by the scalar router.
+        The compiled walk routes the wave against the epoch's next-hop
+        table; packets it flags (deflection, seam revisit, path longer
+        than its buffer) and every packet of an ``avoid_links`` wave
+        are recomputed exactly by the reference walk.  Without a
+        compiled walk the reference walk routes the whole wave, with
+        the same results and the same ``fallback`` mask (see the
+        module docstring).  Raises ``ValueError`` before any routing
+        on mismatched shapes, an out-of-range source or a destination
+        outside :data:`~repro.topology.routing.DESTINATION_CONTRACT`.
         """
         src = np.ascontiguousarray(np.asarray(src_sats, dtype=np.int64))
         dlat = np.ascontiguousarray(np.asarray(dest_lats, dtype=float))
@@ -369,6 +347,7 @@ class BatchGeoRouter:
         total = self.topology.constellation.total_satellites
         if n and (int(src.min()) < 0 or int(src.max()) >= total):
             raise ValueError("source satellite index out of range")
+        _check_destinations(dlat, dlon)
         self._count("routing.batches")
         self._count("routing.packets", n, plane="batch")
         if self.metrics is not None:
@@ -376,81 +355,47 @@ class BatchGeoRouter:
                 "routing.batch_size",
                 buckets=BATCH_SIZE_BUCKETS).observe(float(n))
 
-        delivered = np.zeros(n, dtype=bool)
-        degraded = np.zeros(n, dtype=bool)
-        fallback = np.zeros(n, dtype=bool)
-        delay = np.zeros(n, dtype=float)
-        distance = np.zeros(n, dtype=float)
-        path_len = np.ones(n, dtype=np.int32)
-
         if n == 0 or avoid_links:
-            paths = np.full((n, 1), -1, dtype=np.int32)
-            if n:
-                paths[:, 0] = src
-                # Caller-supplied link avoidance composes with the
-                # visited set inside the scalar walk; rare (mid-flight
-                # reroutes), so those packets take the exact scalar
-                # path wholesale.
-                fallback[:] = True
-            return self._finish(src, dlat, dlon, t, avoid_links,
-                                delivered, degraded, delay, distance,
-                                paths, path_len, fallback)
+            # Caller-supplied link avoidance composes with the visited
+            # set inside the reference walk; rare (mid-flight
+            # reroutes), so those waves take it wholesale, flagged as
+            # a whole, and build no table.
+            out = BatchRouteResult(n)
+            out.fallback[:] = True
+            return self._finish(out, src, dlat, dlon, t, avoid_links)
 
+        # Table first, kernel second: the table counters
+        # (``routing.table_builds`` / ``table_cache_*``) are the same
+        # with and without a compiled walk.
         table = self._table(t)
-        kernel = self._kernel_handle()
-        if kernel is not None:
-            # One raw path buffer for the whole batch; each chunk's
-            # rows are a contiguous slice the kernel writes in place,
-            # so there is no per-chunk stitch copy at all.  -1
-            # normalisation of never-written cells happens lazily on
-            # first path_buffer access (see BatchRouteResult).
-            #
-            # The capacity is deliberately small: an uninitialised
-            # 64-column buffer costs far less than a -1-filled
-            # (max_hops + 1)-column one, and the kernel flags the rare
-            # longer walk for exact scalar recompute (which has no
-            # capacity limit).  +Grid shortest-metric walks on the
-            # paper's shells stay well under 64 hops; only fault
-            # deflections ever exceed it.
-            cap = min(self.max_hops + 1, 64)
-            paths = np.empty((n, cap), dtype=np.int32)
-            for lo in range(0, n, self.chunk_size):
-                hi = min(n, lo + self.chunk_size)
-                self._route_chunk_kernel(
-                    kernel, table, src[lo:hi], dlat[lo:hi], dlon[lo:hi],
-                    delivered[lo:hi], degraded[lo:hi], delay[lo:hi],
-                    distance[lo:hi], path_len[lo:hi], fallback[lo:hi],
-                    paths[lo:hi])
-            return self._finish(src, dlat, dlon, t, avoid_links,
-                                delivered, degraded, delay, distance,
-                                paths, path_len, fallback,
-                                normalized=False)
-        if n <= self.chunk_size:
-            paths = self._route_chunk(table, src, dlat, dlon, delivered,
-                                      degraded, delay, distance,
-                                      path_len, fallback)
-        else:
-            # Chunking keeps the per-hop working set inside the cache
-            # hierarchy; per-packet results are independent, so chunked
-            # and unchunked batches are bitwise identical.
-            chunk_paths = []
-            for lo in range(0, n, self.chunk_size):
-                hi = min(n, lo + self.chunk_size)
-                chunk_paths.append(self._route_chunk(
-                    table, src[lo:hi], dlat[lo:hi], dlon[lo:hi],
-                    delivered[lo:hi], degraded[lo:hi], delay[lo:hi],
-                    distance[lo:hi], path_len[lo:hi], fallback[lo:hi]))
-            width = max(p.shape[1] for p in chunk_paths)
-            paths = np.empty((n, width), dtype=np.int32)
-            for k, chunk in enumerate(chunk_paths):
-                lo = k * self.chunk_size
-                hi = lo + chunk.shape[0]
-                paths[lo:hi, :chunk.shape[1]] = chunk
-                if chunk.shape[1] < width:
-                    paths[lo:hi, chunk.shape[1]:] = -1
-        return self._finish(src, dlat, dlon, t, avoid_links, delivered,
-                            degraded, delay, distance, paths, path_len,
-                            fallback)
+        kernel = load_kernel()
+        if kernel is None:
+            return self._finish(BatchRouteResult(n), src, dlat, dlon, t,
+                                whole_wave=True)
+        # One raw path buffer for the whole batch; each chunk's rows
+        # are a contiguous slice the kernel writes in place, so there
+        # is no per-chunk stitch copy at all.  -1 normalisation of
+        # never-written cells happens lazily on first path_buffer
+        # access (see BatchRouteResult).
+        #
+        # The capacity is deliberately small: an uninitialised
+        # 64-column buffer costs far less than a -1-filled
+        # (max_hops + 1)-column one, and the kernel flags the rare
+        # longer walk for exact recompute by the reference walk (which
+        # has no capacity limit).  +Grid shortest-metric walks on the
+        # paper's shells stay well under 64 hops; only fault
+        # deflections ever exceed it.
+        cap = min(self.max_hops + 1, 64)
+        paths = np.empty((n, cap), dtype=np.int32)
+        out = BatchRouteResult(n, paths)
+        for lo in range(0, n, _CHUNK_PACKETS):
+            hi = min(n, lo + _CHUNK_PACKETS)
+            self._route_chunk_kernel(
+                kernel, table, src[lo:hi], dlat[lo:hi], dlon[lo:hi],
+                out.delivered[lo:hi], out.degraded[lo:hi],
+                out.delay_s[lo:hi], out.distance_km[lo:hi],
+                out.path_len[lo:hi], out.fallback[lo:hi], paths[lo:hi])
+        return self._finish(out, src, dlat, dlon, t)
 
     # -- the epoch sweep -------------------------------------------------------
 
@@ -488,14 +433,11 @@ class BatchGeoRouter:
                 and src.ndim == 1):
             raise ValueError(
                 "src/dest/ts arrays must share one (N,) shape")
+        _check_destinations(dlat, dlon)
         n = src.shape[0]
         self._count("routing.sweeps")
         if n == 0:
-            return BatchRouteResult(
-                np.zeros(0, dtype=bool), np.zeros(0, dtype=bool),
-                np.zeros(0, dtype=float), np.zeros(0, dtype=float),
-                np.full((0, 1), -1, dtype=np.int32),
-                np.zeros(0, dtype=np.int32), np.zeros(0, dtype=bool))
+            return BatchRouteResult(0, path_len=0)
         epochs, inverse = np.unique(t_arr, return_inverse=True)
         self._count("routing.sweep_epochs", int(epochs.size))
         if int(epochs.size) > self._table_cache_size:
@@ -507,41 +449,23 @@ class BatchGeoRouter:
         snapshots_for(self.topology.propagator,
                       [float(t) for t in epochs])
 
-        delivered = np.zeros(n, dtype=bool)
-        degraded = np.zeros(n, dtype=bool)
-        fallback = np.zeros(n, dtype=bool)
-        delay = np.zeros(n, dtype=float)
-        distance = np.zeros(n, dtype=float)
-        path_len = np.ones(n, dtype=np.int32)
-        paths: Optional[np.ndarray] = None
+        out: Optional[BatchRouteResult] = None
         for k in range(epochs.size):
             sel = np.nonzero(inverse == k)[0]
             wave = self.route_batch(src[sel], dlat[sel], dlon[sel],
                                     float(epochs[k]),
                                     avoid_links=avoid_links)
-            delivered[sel] = wave.delivered
-            degraded[sel] = wave.degraded
-            fallback[sel] = wave.fallback
-            delay[sel] = wave.delay_s
-            distance[sel] = wave.distance_km
-            path_len[sel] = wave.path_len
-            # Merge the *raw* per-wave path buffers: only the first
-            # ``path_len`` cells of a row are meaningful either way,
-            # and ``normalized=False`` below defers the -1 padding of
-            # everything else to first path_buffer access (exactly the
-            # route_batch kernel-path policy).
-            rows = wave._paths
-            if paths is None:
-                paths = np.empty((n, rows.shape[1]), dtype=np.int32)
-            elif rows.shape[1] > paths.shape[1]:
-                wider = np.empty((n, rows.shape[1]), dtype=np.int32)
-                wider[:, :paths.shape[1]] = paths
-                paths = wider
-            paths[sel, :rows.shape[1]] = rows
-        assert paths is not None
-        return BatchRouteResult(delivered, degraded, delay, distance,
-                                paths, path_len, fallback,
-                                normalized=False)
+            if out is None:
+                # Merge the *raw* per-wave path buffers: only the
+                # first ``path_len`` cells of a row are meaningful
+                # either way, and -1 padding of everything else waits
+                # for first path_buffer access (exactly the
+                # route_batch kernel-lane policy).
+                out = BatchRouteResult(n, np.empty(
+                    (n, wave._paths.shape[1]), dtype=np.int32))
+            out._scatter(sel, wave)
+        assert out is not None
+        return out
 
     def sweep_trials(self, src: Tuple[float, float],
                      dst: Tuple[float, float],
@@ -576,26 +500,9 @@ class BatchGeoRouter:
             np.asarray(ts_list, dtype=float)[routed])
         if routed.size == n:
             return src_sats, wave
-        delivered = np.zeros(n, dtype=bool)
-        degraded = np.zeros(n, dtype=bool)
-        fallback = np.zeros(n, dtype=bool)
-        delay = np.zeros(n, dtype=float)
-        distance = np.zeros(n, dtype=float)
-        path_len = np.zeros(n, dtype=np.int32)
-        buffer = wave.path_buffer if routed.size else np.full(
-            (0, 1), -1, dtype=np.int32)
-        paths = np.full((n, max(buffer.shape[1], 1)), -1, dtype=np.int32)
-        delivered[routed] = wave.delivered
-        degraded[routed] = wave.degraded
-        fallback[routed] = wave.fallback
-        delay[routed] = wave.delay_s
-        distance[routed] = wave.distance_km
-        path_len[routed] = wave.path_len
-        if routed.size:
-            paths[routed, :buffer.shape[1]] = buffer
-        return src_sats, BatchRouteResult(delivered, degraded, delay,
-                                          distance, paths, path_len,
-                                          fallback)
+        out = BatchRouteResult(n, path_len=0)
+        out._scatter(routed, wave)
+        return src_sats, out
 
     def _route_chunk_kernel(self, kernel: ctypes.CDLL,
                             table: NextHopTable, src: np.ndarray,
@@ -606,10 +513,10 @@ class BatchGeoRouter:
                             paths: np.ndarray) -> None:
         """One chunk through the compiled per-packet walk.
 
-        Same decision structure and float64 arithmetic as
-        :meth:`_route_chunk` (see ``_walk_kernel``); scatters into the
-        same output views and writes each packet's path into its row
-        of ``paths`` (a contiguous row-slice of the batch buffer; only
+        Same decision structure and float64 arithmetic as the
+        reference walk (see ``_walk_kernel``); scatters into the
+        output views and writes each packet's path into its row of
+        ``paths`` (a contiguous row-slice of the batch buffer; only
         the first ``path_len`` cells of a row are touched).
         """
         n = src.shape[0]
@@ -648,248 +555,49 @@ class BatchGeoRouter:
             ptr(delivered), ptr(degraded), ptr(fallback),
             ptr(delay), ptr(distance), ptr(path_len), ptr(paths))
 
-    def _route_chunk(self, table: NextHopTable, src: np.ndarray,
-                     dlat: np.ndarray, dlon: np.ndarray,
-                     delivered: np.ndarray, degraded: np.ndarray,
-                     delay: np.ndarray, distance: np.ndarray,
-                     path_len: np.ndarray, fallback: np.ndarray
-                     ) -> np.ndarray:
-        """Lock-step walk of one chunk; scatters into the output views
-        and returns the chunk's path buffer."""
-        n = src.shape[0]
-        theta = self.scalar.coverage_angle
-        slack_theta = theta * self.scalar.degraded_slack
-        cos_in = math.cos(theta) + _COVERAGE_GUARD
-        cos_out = math.cos(theta) - _COVERAGE_GUARD
-        c = self.topology.constellation
-        delta_raan = c.delta_raan
-        delta_phase = c.delta_phase
-        a0, g0, a1, g1 = self.scalar.system.both_representations_batch(
-            dlat, dlon)
-        cos_dlat = np.cos(dlat)
-        unit_x = cos_dlat * np.cos(dlon)
-        unit_y = cos_dlat * np.sin(dlon)
-        unit_z = np.sin(dlat)
+    def _finish(self, out: BatchRouteResult, src: np.ndarray,
+                dlat: np.ndarray, dlon: np.ndarray, t: float,
+                avoid_links: Optional[Set[FrozenSet[int]]] = None,
+                whole_wave: bool = False) -> BatchRouteResult:
+        """Route the flagged packets of ``out`` with the reference walk.
 
-        capacity = min(self.max_hops + 1, 64)
-        paths = np.full((n, capacity), -1, dtype=np.int32)
-        paths[:, 0] = src
-
-        # Compacted in-flight state: element k of every array below is
-        # the same packet; ``idx`` maps it back to its chunk slot.
-        # Retired packets are filtered out so each hop level touches
-        # only packets still walking.
-        idx = np.arange(n)
-        cur = src.astype(np.int32)
-        delay_a = np.zeros(n, dtype=float)
-        dist_a = np.zeros(n, dtype=float)
-
-        def _compact(keep: np.ndarray) -> None:
-            nonlocal idx, cur, delay_a, dist_a, a0, g0, a1, g1
-            nonlocal unit_x, unit_y, unit_z
-            idx = idx[keep]
-            cur = cur[keep]
-            delay_a = delay_a[keep]
-            dist_a = dist_a[keep]
-            a0 = a0[keep]
-            g0 = g0[keep]
-            a1 = a1[keep]
-            g1 = g1[keep]
-            unit_x = unit_x[keep]
-            unit_y = unit_y[keep]
-            unit_z = unit_z[keep]
-
-        for step in range(self.max_hops):
-            if idx.size == 0:
-                break
-            # Lines 1-2: coverage.  Screen with a dot product against
-            # the destination radial (monotone in the central angle);
-            # only packets inside the guard band around the threshold
-            # re-test with the exact scalar haversine, so the decision
-            # is bit-identical while the hot path stays transcendental-
-            # free.
-            dot = table.unit_x[cur] * unit_x
-            dot += table.unit_y[cur] * unit_y
-            dot += table.unit_z[cur] * unit_z
-            covered = dot >= cos_in
-            border = (dot > cos_out) & ~covered
-            if border.any():
-                b = np.nonzero(border)[0]
-                covered[b] = self._exact_angles(
-                    table, cur[b], dlat[idx[b]], dlon[idx[b]]) <= theta
-            if covered.any():
-                done = idx[covered]
-                delivered[done] = True
-                delay[done] = delay_a[covered]
-                distance[done] = dist_a[covered]
-                path_len[done] = step + 1
-                _compact(~covered)
-                if idx.size == 0:
-                    break
-
-            # Lines 3-10: both-representation offsets, strict-< pick.
-            # The four signed differences are wrapped as one stacked
-            # (4, m) program; only the gamma-ascending row (1) can sit
-            # below -2*pi and need the second (exact, Sterbenz) add.
-            alpha_s = table.alpha[cur]
-            gamma_s = table.gamma[cur]
-            diffs = np.empty((4, idx.size))
-            np.subtract(a0, alpha_s, out=diffs[0])
-            np.subtract(g0, gamma_s, out=diffs[1])
-            np.subtract(a1, alpha_s, out=diffs[2])
-            np.subtract(g1, gamma_s, out=diffs[3])
-            wrapped = np.where(diffs < 0.0, diffs + TWO_PI, diffs)
-            row1 = wrapped[1]
-            negative = row1 < 0.0
-            if negative.any():
-                row1[negative] += TWO_PI
-            offsets = np.where(wrapped > math.pi,
-                               wrapped - TWO_PI, wrapped)
-            offsets[0] /= delta_raan
-            offsets[1] /= delta_phase
-            offsets[2] /= delta_raan
-            offsets[3] /= delta_phase
-            magnitudes = np.abs(offsets)
-            use_desc = (magnitudes[2] + magnitudes[3]
-                        < magnitudes[0] + magnitudes[1])
-            da = np.where(use_desc, offsets[2], offsets[0])
-            dg = np.where(use_desc, offsets[3], offsets[1])
-            abs_da = np.where(use_desc, magnitudes[2], magnitudes[0])
-            abs_dg = np.where(use_desc, magnitudes[3], magnitudes[1])
-
-            centered = (abs_da < 0.5) & (abs_dg < 0.5)
-            if centered.any():
-                cen = np.nonzero(centered)[0]
-                near = (self._exact_angles(table, cur[cen],
-                                           dlat[idx[cen]],
-                                           dlon[idx[cen]])
-                        <= slack_theta)
-                done = idx[cen[near]]
-                delivered[done] = True
-                degraded[done] = True
-                delay[done] = delay_a[cen[near]]
-                distance[done] = dist_a[cen[near]]
-                path_len[done] = step + 1
-                # Centered but not even nearly covered: the scalar
-                # walk deflects sideways -- recompute exactly.
-                fallback[idx[cen[~near]]] = True
-                keep = ~centered
-                _compact(keep)
-                if idx.size == 0:
-                    break
-                da = da[keep]
-                dg = dg[keep]
-                abs_da = abs_da[keep]
-                abs_dg = abs_dg[keep]
-
-            direction = np.where(
-                abs_da > abs_dg,
-                np.where(da > 0, _RIGHT, _LEFT),
-                np.where(dg > 0, _UP, _DOWN))
-            nxt = table.neighbors[cur, direction]
-
-            if not table.healthy:
-                assert table.edge_up is not None
-                ok = table.edge_up[cur, direction]
-                if not ok.all():
-                    # Preferred link or endpoint is dead: the scalar
-                    # walk deflects with the visited set -- recompute.
-                    fallback[idx[~ok]] = True
-                    _compact(ok)
-                    if idx.size == 0:
-                        break
-                    direction = direction[ok]
-                    nxt = nxt[ok]
-
-            if not self._full_torus:
-                # Seam constellations: greedy walks can revisit; the
-                # scalar router then deflects.  Detect by prefix
-                # membership (every active packet has exactly ``step``
-                # hops, so the prefix is columns [0, step]) and hand
-                # those packets to the scalar path.
-                revisit = (paths[idx, :step + 1]
-                           == nxt[:, None]).any(axis=1)
-                if revisit.any():
-                    fallback[idx[revisit]] = True
-                    keep = ~revisit
-                    _compact(keep)
-                    if idx.size == 0:
-                        break
-                    direction = direction[keep]
-                    nxt = nxt[keep]
-
-            # Per-edge delay precomputed at table build with the same
-            # operands/rounding as the scalar's per-hop divide.
-            delay_a += table.hop_delay_s[cur, direction]
-            dist_a += table.hop_km[cur, direction]
-            if step + 1 >= capacity:
-                grow = min(self.max_hops + 1, capacity * 2)
-                paths = np.concatenate(
-                    [paths, np.full((n, grow - capacity), -1,
-                                    dtype=np.int32)], axis=1)
-                capacity = grow
-            paths[idx, step + 1] = nxt
-            cur = nxt
-
-        if idx.size:
-            # max_hops levels exhausted: undelivered, with the partial
-            # path/delay the walk accumulated (scalar semantics).
-            delay[idx] = delay_a
-            distance[idx] = dist_a
-            path_len[idx] = self.max_hops + 1
-        return paths
-
-    def _exact_angles(self, table: NextHopTable, sats: np.ndarray,
-                      lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
-        """Exact scalar-order haversine central angles for a subset."""
-        sub_lat = table.sub_lat[sats]
-        sd_lat = np.sin((lats - sub_lat) / 2.0)
-        sd_lon = np.sin((lons - table.sub_lon[sats]) / 2.0)
-        h = (sd_lat * sd_lat
-             + np.cos(sub_lat) * np.cos(lats) * (sd_lon * sd_lon))
-        np.clip(h, 0.0, 1.0, out=h)
-        return 2.0 * np.arcsin(np.sqrt(h))
-
-    def _finish(self, src: np.ndarray, dlat: np.ndarray,
-                dlon: np.ndarray, t: float,
-                avoid_links: Optional[Set[FrozenSet[int]]],
-                delivered: np.ndarray, degraded: np.ndarray,
-                delay: np.ndarray, distance: np.ndarray,
-                paths: np.ndarray, path_len: np.ndarray,
-                fallback: np.ndarray,
-                normalized: bool = True) -> BatchRouteResult:
-        """Recompute flagged packets with the scalar reference walk."""
-        flagged = np.nonzero(fallback)[0]
-        self._count("routing.scalar_fallbacks", int(flagged.size))
+        ``whole_wave`` is the lane without a compiled walk: every
+        packet takes the reference walk and ``fallback`` reports its
+        ``deflected`` bit, which is what the compiled walk's flags
+        mean -- so the mask (and ``routing.scalar_fallbacks``) does
+        not depend on whether this host could build the kernel.
+        """
+        flagged = (np.arange(len(out)) if whole_wave
+                   else np.nonzero(out.fallback)[0])
         for index in flagged:
             result = self.scalar.route(
                 int(src[index]), float(dlat[index]), float(dlon[index]),
                 t, avoid_links=avoid_links)
-            delivered[index] = result.delivered
-            degraded[index] = result.degraded
-            delay[index] = result.delay_s
-            distance[index] = result.distance_km
+            out.delivered[index] = result.delivered
+            out.degraded[index] = result.degraded
+            out.delay_s[index] = result.delay_s
+            out.distance_km[index] = result.distance_km
+            if whole_wave:
+                out.fallback[index] = result.deflected
             node_count = len(result.path)
-            if node_count > paths.shape[1]:
-                paths = np.concatenate(
-                    [paths, np.full((paths.shape[0],
-                                     node_count - paths.shape[1]),
-                                    -1, dtype=np.int32)], axis=1)
-            paths[index, :node_count] = result.path
-            paths[index, node_count:] = -1
-            path_len[index] = node_count
-        return BatchRouteResult(delivered, degraded, delay, distance,
-                                paths, path_len, fallback,
-                                normalized=normalized)
+            out._widen(node_count)
+            out._paths[index, :node_count] = result.path
+            out._paths[index, node_count:] = -1
+            out.path_len[index] = node_count
+        self._count("routing.scalar_fallbacks",
+                    int(np.count_nonzero(out.fallback)))
+        return out
 
 
-def batch_route_pairs(router: BatchGeoRouter,
-                      pairs: Sequence[Tuple[int, float, float]],
-                      t: float) -> List[RouteResult]:
-    """Convenience: route ``(src, lat, lon)`` tuples, scalar results."""
-    if not pairs:
-        return []
-    src = [p[0] for p in pairs]
-    lats = [p[1] for p in pairs]
-    lons = [p[2] for p in pairs]
-    return router.route_batch(src, lats, lons, t).results()
+def _check_destinations(dlat: np.ndarray, dlon: np.ndarray) -> None:
+    """Raise unless every destination meets ``DESTINATION_CONTRACT``.
+
+    Four reductions, no temporaries; a NaN anywhere surfaces in the
+    min/max and fails the comparison.
+    """
+    if dlat.size and not (
+            -HALF_PI <= float(dlat.min())
+            and float(dlat.max()) <= HALF_PI
+            and math.isfinite(float(dlon.min()))
+            and math.isfinite(float(dlon.max()))):
+        raise ValueError(DESTINATION_CONTRACT)

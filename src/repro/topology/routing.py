@@ -17,7 +17,6 @@ of state SpaceCore wants satellites not to carry.
 from __future__ import annotations
 
 import math
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -25,7 +24,7 @@ from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 import networkx as nx
 import numpy as np
 
-from ..constants import SPEED_OF_LIGHT_KM_S
+from ..constants import HALF_PI, SPEED_OF_LIGHT_KM_S
 from ..orbits.coordinates import (
     InclinedCoordinateSystem,
     central_angle,
@@ -48,6 +47,12 @@ from .grid import GridTopology
 #: constant fixes -- see tests/test_batch_routing.py).
 RELAY_MAX_HOPS = 512
 
+#: The destination contract of every routing entry point (the scalar
+#: ``route``, ``route_batch``, ``route_sweep`` and everything layered
+#: on them); violations raise ``ValueError`` before any routing.
+DESTINATION_CONTRACT = ("destination lat/lon must be finite radians "
+                        "with |lat| <= pi/2")
+
 #: Sentinel distinguishing "scipy import not yet attempted" from "scipy
 #: absent" in the memo below.
 _SCIPY_UNRESOLVED = object()
@@ -58,14 +63,11 @@ def load_scipy_csgraph():
     """scipy's ``(csr_matrix, dijkstra)`` pair, or ``None``.
 
     ``None`` means scipy is not installed (it is an optional ``perf``
-    extra) or the user opted out with ``REPRO_NO_SCIPY=1``; callers
-    fall back to the networkx per-pair path.  The import outcome is
-    memoised; the environment gate is re-read per call so tests can
-    exercise both engines in one process.
+    extra); callers fall back to the networkx per-pair path.  Whether
+    the import succeeds is the only selector, and its outcome is
+    memoised.
     """
     global _scipy_csgraph
-    if os.environ.get("REPRO_NO_SCIPY"):
-        return None
     if _scipy_csgraph is _SCIPY_UNRESOLVED:
         try:
             from scipy.sparse import csr_matrix
@@ -85,6 +87,11 @@ class RouteResult:
     delay_s: float = 0.0
     distance_km: float = 0.0
     degraded: bool = False  # delivered below the nominal elevation mask
+    #: The walk left Algorithm 1's preferred direction at least once
+    #: (centered-but-uncovered, dead preferred edge, node revisit).
+    #: Diagnostic only: two results with equal fields are the same
+    #: route however they were computed.
+    deflected: bool = field(default=False, compare=False)
 
     @property
     def hops(self) -> int:
@@ -203,8 +210,12 @@ class GeospatialRouter:
         bounding detours).  ``avoid_links`` marks extra links to treat
         as down -- e.g. links the packet layer found to be inside a
         Gilbert-Elliott loss burst -- so degraded links can be routed
-        around without mutating the shared topology.
+        around without mutating the shared topology.  A destination
+        outside :data:`DESTINATION_CONTRACT` raises ``ValueError``.
         """
+        if not (math.isfinite(dest_lon) and abs(dest_lat) <= HALF_PI):
+            raise ValueError(
+                f"{DESTINATION_CONTRACT}: got ({dest_lat!r}, {dest_lon!r})")
         topo = self.topology
         # One cached snapshot and one destination (alpha, gamma)
         # conversion serve every hop of this packet.
@@ -214,10 +225,12 @@ class GeospatialRouter:
         visited = {src_sat}
         delay = 0.0
         distance = 0.0
+        deflected = False
         current = src_sat
         for _ in range(self.max_hops):
             if self._covers(snap, current, dest_lat, dest_lon):
-                return RouteResult(True, path, delay, distance)
+                return RouteResult(True, path, delay, distance,
+                                   deflected=deflected)
             preferred = self._next_hop_snap(snap, current, dest_reps)
             if preferred is None:
                 # Closest grid position, but the footprint misses D
@@ -225,7 +238,8 @@ class GeospatialRouter:
                 if self._nearly_covers_snap(snap, current, dest_lat,
                                             dest_lon):
                     return RouteResult(True, path, delay, distance,
-                                       degraded=True)
+                                       degraded=True, deflected=deflected)
+                deflected = True
                 preferred = self._best_live_neighbor_snap(
                     snap, current, dest_reps, visited, avoid_links)
             if (preferred is None or preferred in visited
@@ -233,17 +247,20 @@ class GeospatialRouter:
                     or (avoid_links
                         and frozenset((current, preferred))
                         in avoid_links)):
+                deflected = True
                 preferred = self._best_live_neighbor_snap(
                     snap, current, dest_reps, visited, avoid_links)
             if preferred is None:
-                return RouteResult(False, path, delay, distance)
+                return RouteResult(False, path, delay, distance,
+                                   deflected=deflected)
             hop_km = self._hop_km(snap, current, preferred)
             delay += hop_km / SPEED_OF_LIGHT_KM_S
             distance += hop_km
             current = preferred
             path.append(current)
             visited.add(current)
-        return RouteResult(False, path, delay, distance)
+        return RouteResult(False, path, delay, distance,
+                           deflected=deflected)
 
     def _hop_km(self, snap: ConstellationSnapshot, a: int, b: int) -> float:
         """Length of the a--b ISL at this epoch, memoised per snapshot."""
@@ -261,25 +278,12 @@ class GeospatialRouter:
             self._edge_km[key] = d
         return d
 
-    def _nearly_covers(self, sat: int, dest_lat: float, dest_lon: float,
-                       t: float) -> bool:
-        return self._nearly_covers_snap(self._snapshot(t), sat,
-                                        dest_lat, dest_lon)
-
     def _nearly_covers_snap(self, snap: ConstellationSnapshot, sat: int,
                             dest_lat: float, dest_lon: float) -> bool:
         sub = snap.subpoints
         return (central_angle(sub[sat, 0], sub[sat, 1],
                               dest_lat, dest_lon)
                 <= self.coverage_angle * self.degraded_slack)
-
-    def _best_live_neighbor(self, sat: int, dest_lat: float,
-                            dest_lon: float, t: float,
-                            visited: set) -> Optional[int]:
-        """Greedy deflection: live unvisited neighbour nearest the goal."""
-        return self._best_live_neighbor_snap(
-            self._snapshot(t), sat,
-            self.system.both_representations(dest_lat, dest_lon), visited)
 
     def _best_live_neighbor_snap(self, snap: ConstellationSnapshot,
                                  sat: int,
@@ -288,6 +292,7 @@ class GeospatialRouter:
                                  avoid_links: Optional[
                                      Set[FrozenSet[int]]] = None
                                  ) -> Optional[int]:
+        """Greedy deflection: live unvisited neighbour nearest the goal."""
         best = None
         best_metric = math.inf
         for nbr in self.topology.isl_neighbors(sat):

@@ -6,19 +6,26 @@ must reproduce the scalar :class:`~repro.topology.routing.GeospatialRouter`
 walk *bit for bit* -- same delivered/degraded verdicts, same hop
 sequence, and floating-point-identical delay and distance sums --
 across healthy grids, coverage-edge destinations, and fault cocktails,
-with and without the compiled C kernel.  Any `==` here is deliberate.
+on both lanes of the plane: the compiled C kernel, and the reference
+walk a host without a compiler gets.  Any `==` here is deliberate.
 """
 
+import contextlib
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.orbits.constellation import Constellation, iridium, starlink
 from repro.orbits.propagator import make_propagator
-from repro.orbits.snapshot import snapshot_for
+from repro.orbits.snapshot import grid_neighbor_table, snapshot_for
+from repro.topology import _walk_kernel, batch_routing, routing
 from repro.topology._walk_kernel import load_kernel
-from repro.topology.batch_routing import BatchGeoRouter, batch_route_pairs
+from repro.topology.batch_routing import BatchGeoRouter
 from repro.topology.grid import GridTopology
 from repro.topology.routing import (
     RELAY_MAX_HOPS,
@@ -46,11 +53,33 @@ CONSTELLATIONS = {
         raan_spread=np.pi),
 }
 
-_KERNEL_AVAILABLE = load_kernel() is not None
+needs_kernel = pytest.mark.skipif(
+    load_kernel() is None, reason="no compiled walk on this host")
 
-#: Both execution paths of the batch plane must match the scalar
-#: reference; the kernel variant only runs where a C compiler exists.
-KERNEL_MODES = ([False, True] if _KERNEL_AVAILABLE else [False])
+
+def _no_kernel():
+    """``route_batch`` as a host without the compiled walk runs it."""
+    return mock.patch.object(batch_routing, "load_kernel",
+                             return_value=None)
+
+
+@pytest.fixture
+def engine(request):
+    """The lane ``route_batch`` takes: ``"kernel"`` (the compiled walk,
+    skipped where it cannot be built) or ``"reference"`` (``load_kernel``
+    answers ``None``, as without a compiler)."""
+    with (_no_kernel() if request.param == "reference"
+          else contextlib.nullcontext()):
+        yield request.param
+
+
+#: Both lanes must match the scalar reference.  The ids answer "is the
+#: compiled walk present?" and are the ones these cases have carried
+#: since the plane was introduced, so their history lines up.
+both_engines = pytest.mark.parametrize("engine", [
+    pytest.param("reference", id="False"),
+    pytest.param("kernel", id="True", marks=needs_kernel),
+], indirect=True)
 
 
 def _topology(name):
@@ -104,17 +133,17 @@ def _sweep_wave(constellation, packets, epochs, seed, spacing_s=240.0):
 
 
 class TestBatchScalarEquivalence:
-    @pytest.mark.parametrize("use_kernel", KERNEL_MODES)
+    @both_engines
     @pytest.mark.parametrize("name", sorted(CONSTELLATIONS))
-    def test_random_waves_healthy(self, name, use_kernel):
+    def test_random_waves_healthy(self, name, engine):
         topo = _topology(name)
-        router = BatchGeoRouter(topo, use_kernel=use_kernel)
+        router = BatchGeoRouter(topo)
         src, lats, lons = _wave(topo.constellation, 160, seed=7)
         batch = router.route_batch(src, lats, lons, 120.0)
         assert_bit_equal(batch, router.scalar, src, lats, lons, 120.0)
 
-    @pytest.mark.parametrize("use_kernel", KERNEL_MODES)
-    def test_coverage_edge_destinations(self, use_kernel):
+    @both_engines
+    def test_coverage_edge_destinations(self, engine):
         """Destinations nudged across the coverage boundary.
 
         The batch plane screens coverage with a dot product inside a
@@ -123,7 +152,7 @@ class TestBatchScalarEquivalence:
         delivery, where any screening sloppiness would flip verdicts.
         """
         topo = _topology("starlink")
-        router = BatchGeoRouter(topo, use_kernel=use_kernel)
+        router = BatchGeoRouter(topo)
         theta = router.scalar.coverage_angle
         snap = snapshot_for(topo.propagator, 60.0)
         rng = np.random.default_rng(13)
@@ -144,9 +173,9 @@ class TestBatchScalarEquivalence:
         batch = router.route_batch(src, lats, lons, 60.0)
         assert_bit_equal(batch, router.scalar, src, lats, lons, 60.0)
 
-    @pytest.mark.parametrize("use_kernel", KERNEL_MODES)
+    @both_engines
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_fault_cocktail(self, seed, use_kernel):
+    def test_fault_cocktail(self, seed, engine):
         """Dead satellites + torn ISLs: the deflection path must match."""
         topo = _topology("starlink")
         rng = np.random.default_rng(seed)
@@ -157,15 +186,15 @@ class TestBatchScalarEquivalence:
             a = int(rng.integers(0, topo.constellation.total_satellites))
             for b in topo.isl_neighbors(a)[:2]:
                 topo.fail_isl(a, b)
-        router = BatchGeoRouter(topo, use_kernel=use_kernel)
+        router = BatchGeoRouter(topo)
         src, lats, lons = _wave(topo.constellation, 120, seed=seed + 50)
         batch = router.route_batch(src, lats, lons, 90.0)
         assert_bit_equal(batch, router.scalar, src, lats, lons, 90.0)
 
-    @pytest.mark.parametrize("use_kernel", KERNEL_MODES)
-    def test_avoid_links_matches_scalar(self, use_kernel):
+    @both_engines
+    def test_avoid_links_matches_scalar(self, engine):
         topo = _topology("square")
-        router = BatchGeoRouter(topo, use_kernel=use_kernel)
+        router = BatchGeoRouter(topo)
         src, lats, lons = _wave(topo.constellation, 40, seed=3)
         avoid = set()
         for sat in (0, 5, 17):
@@ -176,22 +205,35 @@ class TestBatchScalarEquivalence:
         assert_bit_equal(batch, router.scalar, src, lats, lons, 30.0,
                          avoid_links=avoid)
 
-    def test_kernel_and_numpy_paths_agree(self):
-        """The two batch implementations are themselves bit-identical."""
-        if not _KERNEL_AVAILABLE:
-            pytest.skip("no C compiler on this host")
-        topo = _topology("starlink")
-        with_k = BatchGeoRouter(topo, use_kernel=True)
-        without = BatchGeoRouter(topo, use_kernel=False)
-        src, lats, lons = _wave(topo.constellation, 300, seed=21)
-        a = with_k.route_batch(src, lats, lons, 300.0)
-        b = without.route_batch(src, lats, lons, 300.0)
-        assert np.array_equal(a.delivered, b.delivered)
-        assert np.array_equal(a.degraded, b.degraded)
-        assert np.array_equal(a.delay_s, b.delay_s)
-        assert np.array_equal(a.distance_km, b.distance_km)
-        assert [a.path(i) for i in range(len(a))] \
-            == [b.path(i) for i in range(len(b))]
+    @needs_kernel
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(sorted(CONSTELLATIONS)),
+           seed=st.integers(0, 2**32 - 1),
+           dead_sats=st.integers(0, 40), torn_isls=st.integers(0, 25),
+           t=st.sampled_from([0.0, 90.0, 2871.5]))
+    def test_kernel_and_reference_lanes_agree(self, name, seed, dead_sats,
+                                              torn_isls, t):
+        """With and without the compiled walk: every output array,
+        every path and the ``fallback`` mask are identical."""
+        topo = _topology(name)
+        total = topo.constellation.total_satellites
+        rng = np.random.default_rng(seed)
+        for sat in rng.choice(total, min(dead_sats, total // 8),
+                              replace=False):
+            topo.fail_satellite(int(sat))
+        wiring = grid_neighbor_table(topo.constellation)
+        for a, column in zip(rng.integers(0, total, torn_isls),
+                             rng.integers(0, 4, torn_isls)):
+            topo.fail_isl(int(a), int(wiring[a, column]))
+        src, lats, lons = _wave(topo.constellation, 48, seed=seed)
+        a = BatchGeoRouter(topo).route_batch(src, lats, lons, t)
+        with _no_kernel():
+            b = BatchGeoRouter(topo).route_batch(src, lats, lons, t)
+        for field in ("delivered", "degraded", "delay_s", "distance_km",
+                      "path_len", "fallback"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), \
+                field
+        assert np.array_equal(a.path_buffer, b.path_buffer)
 
     def test_path_stretch_identical_through_batch_plane(self):
         """path_stretch computed from batch results == from scalar."""
@@ -221,13 +263,13 @@ class TestBatchScalarEquivalence:
 
 
 class TestBatchRouterMechanics:
-    def test_chunked_equals_single_batch(self):
+    def test_chunked_equals_single_batch(self, monkeypatch):
         topo = _topology("square")
-        small = BatchGeoRouter(topo, chunk_size=32)
-        big = BatchGeoRouter(topo)
+        router = BatchGeoRouter(topo)
         src, lats, lons = _wave(topo.constellation, 101, seed=9)
-        a = small.route_batch(src, lats, lons, 10.0)
-        b = big.route_batch(src, lats, lons, 10.0)
+        b = router.route_batch(src, lats, lons, 10.0)
+        monkeypatch.setattr(batch_routing, "_CHUNK_PACKETS", 32)
+        a = router.route_batch(src, lats, lons, 10.0)
         assert np.array_equal(a.delay_s, b.delay_s)
         assert [a.path(i) for i in range(len(a))] \
             == [b.path(i) for i in range(len(b))]
@@ -282,20 +324,6 @@ class TestBatchRouterMechanics:
         merged = merge_snapshots([snap, run()])
         assert merged["counters"]["routing.batches"] == 4
 
-    def test_batch_route_pairs_convenience(self):
-        topo = _topology("square")
-        router = BatchGeoRouter(topo)
-        src, lats, lons = _wave(topo.constellation, 5, seed=8)
-        pairs = [(int(s), float(la), float(lo))
-                 for s, la, lo in zip(src, lats, lons)]
-        results = batch_route_pairs(router, pairs, 0.0)
-        for result, (s, la, lo) in zip(results, pairs):
-            expected = router.scalar.route(s, la, lo, 0.0)
-            assert result.delivered == expected.delivered
-            assert result.delay_s == expected.delay_s
-            assert result.path == expected.path
-        assert batch_route_pairs(router, [], 0.0) == []
-
     def test_scalar_route_delegates(self):
         topo = _topology("square")
         router = BatchGeoRouter(topo)
@@ -316,6 +344,95 @@ class TestBatchRouterMechanics:
         router = BatchGeoRouter(topo)
         with pytest.raises(ValueError):
             router.route_batch([10_000], [0.0], [0.0], 0.0)
+
+    @both_engines
+    @pytest.mark.parametrize("lat, lon", [
+        pytest.param(math.nan, 0.0, id="nan-lat"),
+        pytest.param(0.0, math.nan, id="nan-lon"),
+        pytest.param(math.inf, 0.0, id="inf-lat"),
+        pytest.param(0.0, -math.inf, id="inf-lon"),
+        pytest.param(10.0, 0.0, id="lat-10"),
+        pytest.param(-math.pi / 2 - 1e-9, 0.0, id="past-pole")])
+    def test_rejects_bad_destination(self, lat, lon, engine):
+        """One typed error on every entry point, raised before any
+        routing, table build or batch counter."""
+        from repro.obs.metrics import MetricsRegistry
+        topo = _topology("square")
+        metrics = MetricsRegistry()
+        router = BatchGeoRouter(topo, metrics=metrics)
+        good = (3, 0.1, 0.2)
+        calls = [
+            lambda: router.scalar.route(5, lat, lon, 0.0),
+            lambda: router.route(5, lat, lon, 0.0),
+            lambda: router.route_batch([good[0], 5], [good[1], lat],
+                                       [good[2], lon], 0.0),
+            lambda: router.route_sweep([good[0], 5], [good[1], lat],
+                                       [good[2], lon], [0.0, 60.0]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="finite radians"):
+                call()
+        counters = metrics.snapshot()["counters"]
+        assert "routing.batches" not in counters
+        assert "routing.table_builds" not in counters
+        # The poles themselves are inside the contract.
+        pole = router.route_batch([5], [math.pi / 2], [7.0], 0.0)
+        assert pole.result(0) == router.scalar.route(5, math.pi / 2,
+                                                     7.0, 0.0)
+
+
+class TestKernelBuildFailureModes:
+    """Every way the compiled walk can be missing, exercised: the
+    plane keeps working and answers exactly as the reference walk."""
+
+    @pytest.fixture
+    def cache_dir(self, monkeypatch, tmp_path):
+        """A fresh ``load_kernel``: memo reset, empty object cache."""
+        monkeypatch.setattr(_walk_kernel, "_cached", None)
+        monkeypatch.setattr(_walk_kernel, "_load_attempted", False)
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_CKERNEL", raising=False)
+        return tmp_path
+
+    @staticmethod
+    def _assert_routes_like_reference():
+        topo = _topology("tall")
+        topo.fail_satellite(11)
+        router = BatchGeoRouter(topo)
+        src, lats, lons = _wave(topo.constellation, 64, seed=41)
+        batch = router.route_batch(src, lats, lons, 45.0)
+        assert_bit_equal(batch, router.scalar, src, lats, lons, 45.0)
+        deflected = [router.scalar.route(int(s), float(la), float(lo),
+                                         45.0).deflected
+                     for s, la, lo in zip(src, lats, lons)]
+        assert batch.fallback.tolist() == deflected
+        assert any(deflected)
+
+    def test_no_compiler(self, cache_dir, monkeypatch):
+        monkeypatch.setattr(_walk_kernel, "_find_compiler", lambda: None)
+        assert load_kernel() is None
+        self._assert_routes_like_reference()
+        assert os.listdir(cache_dir) == []
+
+    def test_compiler_exits_nonzero(self, cache_dir, monkeypatch):
+        stub = cache_dir / "failing-cc"
+        stub.write_text("#!/bin/sh\nexit 1\n")
+        stub.chmod(0o755)
+        monkeypatch.setattr(_walk_kernel, "_find_compiler",
+                            lambda: str(stub))
+        assert load_kernel() is None
+        self._assert_routes_like_reference()
+        # Neither an object nor the temporary source is left behind.
+        assert os.listdir(cache_dir) == ["failing-cc"]
+
+    @pytest.mark.skipif(_walk_kernel._find_compiler() is None,
+                        reason="no C compiler on this host")
+    def test_truncated_cached_object_is_rebuilt(self, cache_dir):
+        stale = cache_dir / f"walk_{_walk_kernel.kernel_source_hash()}.so"
+        stale.write_bytes(b"\x7fELF truncated")
+        assert load_kernel() is not None
+        assert stale.stat().st_size > 1024
+        self._assert_routes_like_reference()
 
 
 class TestDijkstraBatchAndInvalidation:
@@ -339,7 +456,8 @@ class TestDijkstraBatchAndInvalidation:
     @pytest.mark.parametrize("no_scipy", [False, True])
     def test_route_many_matches_scalar(self, no_scipy, monkeypatch):
         if no_scipy:
-            monkeypatch.setenv("REPRO_NO_SCIPY", "1")
+            # What a failed ``import scipy`` memoises.
+            monkeypatch.setattr(routing, "_scipy_csgraph", None)
         elif load_scipy_csgraph() is None:
             pytest.skip("scipy not installed")
         topo = _topology("square")
@@ -362,47 +480,47 @@ class TestDijkstraBatchAndInvalidation:
 class TestEpochSweepEquivalence:
     """route_sweep vs the per-epoch scalar walk, bit for bit."""
 
-    @pytest.mark.parametrize("use_kernel", KERNEL_MODES)
+    @both_engines
     @pytest.mark.parametrize("name", ["starlink", "iridium", "tall"])
-    def test_sweep_matches_per_epoch_scalar(self, name, use_kernel):
+    def test_sweep_matches_per_epoch_scalar(self, name, engine):
         topo = _topology(name)
-        router = BatchGeoRouter(topo, use_kernel=use_kernel)
+        router = BatchGeoRouter(topo)
         src, lats, lons, ts = _sweep_wave(topo.constellation, 96,
                                           epochs=6, seed=31)
         swept = router.route_sweep(src, lats, lons, ts)
         assert_sweep_bit_equal(swept, router.scalar, src, lats, lons, ts)
 
     def test_sweep_under_no_ckernel_env(self, monkeypatch):
-        """REPRO_NO_CKERNEL=1 forces the numpy walk; same answer."""
+        """REPRO_NO_CKERNEL=1 selects the reference walk; same answer."""
         monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
         topo = _topology("square")
         router = BatchGeoRouter(topo)
-        assert router._kernel_handle() is None
+        assert batch_routing.load_kernel() is None
         src, lats, lons, ts = _sweep_wave(topo.constellation, 64,
                                           epochs=5, seed=32)
         swept = router.route_sweep(src, lats, lons, ts)
         assert_sweep_bit_equal(swept, router.scalar, src, lats, lons, ts)
 
-    @pytest.mark.parametrize("use_kernel", KERNEL_MODES)
-    def test_sweep_shuffled_epochs(self, use_kernel):
+    @both_engines
+    def test_sweep_shuffled_epochs(self, engine):
         """Arbitrary (unsorted, repeated) epoch order scatters back."""
         topo = _topology("wide")
-        router = BatchGeoRouter(topo, use_kernel=use_kernel)
+        router = BatchGeoRouter(topo)
         src, lats, lons = _wave(topo.constellation, 80, seed=33)
         rng = np.random.default_rng(33)
         ts = rng.choice([0.0, 75.0, 150.0, 900.0], size=80)
         swept = router.route_sweep(src, lats, lons, ts)
         assert_sweep_bit_equal(swept, router.scalar, src, lats, lons, ts)
 
-    @pytest.mark.parametrize("use_kernel", KERNEL_MODES)
-    def test_sweep_with_faults(self, use_kernel):
+    @both_engines
+    def test_sweep_with_faults(self, engine):
         """Deflection fallbacks route at the right epoch too."""
         topo = _topology("starlink")
         rng = np.random.default_rng(34)
         for sat in rng.choice(topo.constellation.total_satellites, 30,
                               replace=False):
             topo.fail_satellite(int(sat))
-        router = BatchGeoRouter(topo, use_kernel=use_kernel)
+        router = BatchGeoRouter(topo)
         src, lats, lons, ts = _sweep_wave(topo.constellation, 60,
                                           epochs=4, seed=35)
         swept = router.route_sweep(src, lats, lons, ts)
@@ -531,11 +649,10 @@ class TestRelayHopBudgetParity:
         narrow = GeospatialRouter(topo, max_hops=256)
         assert not narrow.route(0, lat, lon, 0.0).delivered
 
-    @pytest.mark.parametrize("use_kernel", KERNEL_MODES)
-    def test_batch_plane_honors_relay_budget(self, use_kernel):
+    @both_engines
+    def test_batch_plane_honors_relay_budget(self, engine):
         topo, lat, lon, expected = self._long_walk_case()
-        router = BatchGeoRouter(topo, max_hops=RELAY_MAX_HOPS,
-                                use_kernel=use_kernel)
+        router = BatchGeoRouter(topo, max_hops=RELAY_MAX_HOPS)
         batch = router.route_batch([0], [lat], [lon], 0.0)
         assert bool(batch.delivered[0])
         assert int(batch.hops[0]) == expected.hops > 256
