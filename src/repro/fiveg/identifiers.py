@@ -81,8 +81,15 @@ class Suci:
         return cls(supi.plmn, ephemeral, masked)
 
     def deconceal(self, home_secret: SigningKey) -> Supi:
-        """Only the home (UDM/SIDF) can recover the SUPI."""
+        """Only the home (UDM/SIDF) can recover the SUPI.
+
+        Raises ``ValueError`` for an ephemeral outside the order-q
+        subgroup: ``p - 1`` would put ``shared`` in ``{1, p - 1}`` and
+        leak the parity of the home key.
+        """
         group = home_secret.group
+        if not group.is_element(self.ephemeral):
+            raise ValueError("SUCI ephemeral is not a group element")
         shared = group.power(self.ephemeral, home_secret.x)
         mask = hashlib.sha256(
             b"suci" + group.element_bytes(shared)).digest()[:8]

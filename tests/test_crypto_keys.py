@@ -18,7 +18,13 @@ from repro.crypto import (
     generate_keypair,
     issue_certificate,
 )
-from repro.crypto.group import SchnorrGroup, _fixed_base_table
+from repro.crypto.group import (
+    _HOT_BASES,
+    _TABLE_AFTER_USES,
+    SchnorrGroup,
+    _base_slot,
+    _fixed_base_table,
+)
 from repro.crypto.signatures import Certificate, SigningKey, VerifyKey
 from repro.crypto.sts import ResponderReply
 
@@ -56,6 +62,37 @@ class TestSchnorrGroup:
         g = SCHNORR_GROUP
         assert (g.random_scalar(random.Random(1))
                 == g.random_scalar(random.Random(1)))
+
+    @pytest.mark.parametrize("p, q, g", [
+        (23, 7, 4),      # p != 2q + 1
+        (47, 11, 4),     # the wrong q for a safe prime
+        (23, 11, 1),     # the identity generates nothing
+        (23, 11, 23),    # g outside 1 < g < p
+        (23, 11, 5),     # a non-residue: order 22, not 11
+        (SCHNORR_GROUP.p, SCHNORR_GROUP.q, SCHNORR_GROUP.p - 1),
+    ])
+    def test_only_safe_prime_groups_with_an_order_q_generator(self, p, q, g):
+        """``is_element`` is the Legendre symbol, exact only here."""
+        with pytest.raises(ValueError):
+            SchnorrGroup(p=p, q=q, g=g)
+
+    @given(st.integers(min_value=-2 ** 520, max_value=2 ** 520))
+    @settings(max_examples=200, deadline=None)
+    def test_is_element_matches_x_to_the_q(self, x):
+        g = SCHNORR_GROUP
+        member = g.generate(x)
+        for y in (x, member, g.p - member, member + g.p):
+            assert g.is_element(y) is (0 < y < g.p
+                                       and pow(y, g.q, g.p) == 1)
+
+    def test_is_element_exhaustive_on_the_toy_group(self):
+        g = TOY_GROUP
+        members = {pow(g.g, k, g.p) for k in range(g.q)}
+        assert len(members) == g.q
+        for x in range(-g.p, 3 * g.p):
+            assert g.is_element(x) is (x in members)
+            assert g.is_element(x) is (0 < x < g.p
+                                       and pow(x, g.q, g.p) == 1)
 
 
 class TestFixedBaseGenerate:
@@ -114,6 +151,100 @@ class TestFixedBaseGenerate:
         assert used == fresh
         clone = pickle.loads(pickle.dumps(vk))
         assert clone == vk and clone.verify(b"m", signature)
+
+        # ... nor does the per-base table ``power`` builds for a key
+        # that keeps verifying.
+        for _ in range(_TABLE_AFTER_USES + 1):
+            assert vk.verify(b"m", signature)
+        assert _base_slot(group.p, vk.y)[1] is not None
+        assert [len(pickle.dumps(obj)) for obj in (sk, vk, cert)] == fresh
+
+
+def _bases(group):
+    """Members, non-residues, the degenerate residues and values that
+    ``pow`` reduces first."""
+    p = group.p
+    member = st.integers(min_value=0, max_value=2 ** 520).map(group.generate)
+    return st.one_of(
+        member,
+        member.map(lambda y: p - y),  # -1 is a non-residue mod p = 3 (4)
+        st.sampled_from([0, 1, 2, p - 1, p, p + 1, 2 * p - 1, -1, -p]),
+        st.integers(min_value=-2 ** 520, max_value=2 ** 520))
+
+
+def _exponents(group):
+    p, q = group.p, group.q
+    window = 1 << 8 * ((p.bit_length() + 7) // 8)
+    return st.one_of(
+        st.sampled_from([0, 1, 2, q - 1, q, q + 1, p - 1, p,
+                         window - 1, window, 2 ** 600, -1, -q]),
+        st.integers(min_value=-2 ** 600, max_value=2 ** 600))
+
+
+class TestCountedPowerTables:
+    """``power`` builds a table for a base it keeps seeing; builtin
+    ``pow`` is the oracle, errors included."""
+
+    @staticmethod
+    def _assert_power_is_pow(group, base, exponent):
+        try:
+            expected = pow(base, exponent, group.p)
+        except ValueError:  # negative power of a non-invertible base
+            with pytest.raises(ValueError):
+                group.power(base, exponent)
+        else:
+            assert group.power(base, exponent) == expected
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pow_across_the_build_on_two_interleaved_groups(
+            self, data):
+        _base_slot.cache_clear()
+        groups = (SCHNORR_GROUP, TOY_GROUP)
+        bases = {group: data.draw(st.lists(_bases(group), min_size=1,
+                                           max_size=3)) for group in groups}
+        exponents = {group: _exponents(group) for group in groups}
+        for _ in range(_TABLE_AFTER_USES + 2):
+            for group in groups:
+                for base in bases[group]:
+                    self._assert_power_is_pow(
+                        group, base, data.draw(exponents[group]))
+        for group in groups:
+            assert _base_slot(group.p, bases[group][-1])[1] is not None
+
+    def test_one_shot_bases_never_build(self):
+        _base_slot.cache_clear()
+        group = SCHNORR_GROUP
+        for k in range(1, 40):
+            base = group.generate(k)
+            for e in range(_TABLE_AFTER_USES - 1):
+                self._assert_power_is_pow(group, base, group.q - e)
+            assert _base_slot(group.p, base) == [_TABLE_AFTER_USES - 1, None]
+        assert _base_slot.cache_info().currsize == _HOT_BASES
+
+    def test_more_hot_bases_than_slots_evict_and_rebuild(self):
+        _base_slot.cache_clear()
+        group = SCHNORR_GROUP
+        rng = random.Random(16)
+        hot = [group.generate(rng.randrange(group.q))
+               for _ in range(_HOT_BASES + 3)]
+        for sweep in range(2):
+            for base in hot:
+                # Evicted with its count: the second sweep starts over.
+                assert _base_slot(group.p, base) == [0, None]
+                for _ in range(_TABLE_AFTER_USES + 2):
+                    self._assert_power_is_pow(group, base,
+                                              rng.randrange(group.p))
+                assert _base_slot(group.p, base)[1] is not None
+        assert _base_slot.cache_info().currsize == _HOT_BASES
+        # Round-robin over more bases than slots: no base is ever seen
+        # twice inside the LRU, so nothing is built and all of it is pow.
+        _base_slot.cache_clear()
+        for _ in range(_TABLE_AFTER_USES + 2):
+            for base in hot:
+                self._assert_power_is_pow(group, base,
+                                          rng.randrange(group.p))
+        assert all(_base_slot(group.p, base)[1] is None for base in hot)
 
 
 class TestShareField:

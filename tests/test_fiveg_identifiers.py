@@ -1,5 +1,6 @@
 """Tests for 5G identifiers and AKA."""
 
+import dataclasses
 import random
 
 import pytest
@@ -71,6 +72,20 @@ class TestSuci:
         except ValueError:
             return
         assert recovered != supi
+
+    def test_ephemeral_outside_the_subgroup_rejected(self):
+        """``p - 1`` has order 2: ``shared`` would be 1 or ``p - 1`` by
+        the parity of the home key.  0 and values ``>= p`` are not
+        elements either; the check runs before any exponentiation."""
+        home_sk, home_vk = generate_keypair(random.Random(1))
+        supi = Supi(Plmn(460, 0), 987654)
+        genuine = Suci.conceal(supi, home_vk, random.Random(2))
+        p = home_vk.group.p
+        for ephemeral in (p - 1, 0, p + genuine.ephemeral):
+            forged = dataclasses.replace(genuine, ephemeral=ephemeral)
+            with pytest.raises(ValueError, match="not a group element"):
+                forged.deconceal(home_sk)
+        assert genuine.deconceal(home_sk) == supi
 
 
 class TestGuti:

@@ -164,6 +164,42 @@ class TestRunDeterminism:
         assert len(degraded_lat) == len(calm_lat)
         assert sum(degraded_lat) > sum(calm_lat)
 
+    def test_host_crypto_speed_never_reaches_the_artifact(self, monkeypatch):
+        """Fig. 18a's crypto costs are *modelled*: simulated latency and
+        CPU-seconds come from the cost model, so an equal but several
+        times slower ``power``/``is_element`` (a Python square-and-multiply
+        ladder) changes no byte."""
+        from repro.crypto.group import SchnorrGroup
+        spec = CATALOG["compute-degradation"]
+        fast = run_scenario(spec, workers=1)
+        calls = {"power": 0, "is_element": 0}
+
+        def ladder(base, exponent, p):
+            acc = 1
+            for bit in bin(exponent)[2:]:
+                acc = acc * acc % p
+                if bit == "1":
+                    acc = acc * base % p
+            return acc
+
+        def ladder_power(self, base, exponent):
+            calls["power"] += 1
+            return ladder(base, exponent, self.p)
+
+        def ladder_is_element(self, x):
+            calls["is_element"] += 1
+            return 0 < x < self.p and ladder(x, self.q, self.p) == 1
+
+        monkeypatch.setattr(SchnorrGroup, "power", ladder_power)
+        monkeypatch.setattr(SchnorrGroup, "is_element", ladder_is_element)
+        slow = run_scenario(spec, workers=1)
+        assert calls["power"] > 100 and calls["is_element"] > 30
+        assert slow.artifact_json() == fast.artifact_json()
+        assert (json.dumps(slow.merged_snapshot, sort_keys=True)
+                == json.dumps(fast.merged_snapshot, sort_keys=True))
+        assert any(key.startswith("procedure.delay_s")
+                   for key in slow.merged_snapshot["histograms"])
+
 
 class TestGoldenGate:
     """The committed catalog must replay byte-for-byte and pass SLOs."""
