@@ -9,7 +9,7 @@ its fixed point over:
 
 * **nodes** -- every function and method defined in the analyzed file
   set, identified as ``<module>.<qualname>``
-  (``repro.topology.routing.DijkstraRouter.invalidate``);
+  (``repro.topology.batch_routing.BatchGeoRouter.invalidate``);
 * **edges** -- resolved intra-project calls.  Resolution is
   deliberately syntactic but layered: module-level names, import
   aliases (including relative imports), ``self.method`` dispatch with

@@ -104,8 +104,9 @@ EFFECT_SUPPRESSORS: Dict[str, Tuple[str, ...]] = {
 #: Reading any of these derives a value from GridTopology fault state.
 TOPOLOGY_STATE_ATTRS = frozenset({"fault_epoch"})
 TOPOLOGY_STATE_CALLS = frozenset({
-    "failed_satellites", "edge_liveness", "gateway_access_satellites",
-    "has_topology_faults", "live_ground_stations",
+    "failed_satellites", "edge_liveness", "delay_adjacency",
+    "gateway_access_satellites", "has_topology_faults",
+    "live_ground_stations",
 })
 
 #: Container-mutating method names (receiver is modified in place).

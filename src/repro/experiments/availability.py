@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-import networkx as nx
+import numpy as np
 
 from ..baselines.solutions import fiveg_ntn, spacecore
 from ..faults.failures import procedure_success_probability
@@ -46,6 +46,7 @@ def gateway_reachability(constellation: Constellation,
                          seed: int = 0,
                          t: float = 0.0) -> float:
     """Fraction of live satellites with an ISL path to some gateway."""
+    from scipy.sparse.csgraph import connected_components
     if not 0.0 <= failure_fraction < 1.0:
         raise ValueError("failure fraction must be in [0, 1)")
     stations = default_ground_stations()
@@ -54,17 +55,16 @@ def gateway_reachability(constellation: Constellation,
     total = constellation.total_satellites
     for sat in rng.sample(range(total), int(total * failure_fraction)):
         topology.fail_satellite(sat)
-    graph = topology.snapshot_graph(t, include_ground=False)
-    sources = {access for _, access
-               in topology.gateway_access_satellites(t)}
+    sources = [access for _, access
+               in topology.gateway_access_satellites(t)]
     if not sources:
         return 0.0
-    reachable = set()
-    for component in nx.connected_components(graph):
-        if component & sources:
-            reachable |= component
-    live = graph.number_of_nodes()
-    return len(reachable) / live if live else 0.0
+    _, label = connected_components(topology.delay_adjacency(t),
+                                    directed=False)
+    # A failed satellite is an isolated node with a label no (live)
+    # access satellite shares, so it is in neither count.
+    live = total - len(topology.failed_satellites())
+    return int(np.isin(label, label[sources]).sum()) / live
 
 
 def availability_sweep(constellation: Constellation,

@@ -258,8 +258,7 @@ def batch_path_stretch(constellation: Constellation, pairs: int = 64,
     """Mean delay stretch of Algorithm 1 over the Dijkstra optimum.
 
     Both sides run batched: one ``route_batch`` for the stateless
-    plane, one multi-source ``route_many`` for the baseline (scipy
-    when available, networkx otherwise).
+    plane, one multi-source ``route_many`` for the baseline.
     """
     from ..topology.routing import DijkstraRouter
     propagator = make_propagator(constellation, "ideal")

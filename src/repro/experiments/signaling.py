@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
+import numpy as np
 
 from ..baselines.base import Solution
 from ..baselines.solutions import ALL_SOLUTIONS
@@ -88,15 +88,16 @@ def _hops_key(constellation, stations, t):
 def _cached_mean_hops(constellation: Constellation,
                       stations: Tuple[GroundStation, ...],
                       t: float) -> float:
+    from scipy.sparse.csgraph import dijkstra
     topology = GridTopology(IdealPropagator(constellation), list(stations))
-    graph = topology.snapshot_graph(t, include_ground=False)
-    sources = {access for _, access
-               in topology.gateway_access_satellites(t)}
+    sources = [access for _, access
+               in topology.gateway_access_satellites(t)]
     if not sources:
         raise RuntimeError("no gateway has satellite coverage at t")
-    distances = nx.multi_source_dijkstra_path_length(
-        graph, sources, weight=None)
-    return sum(distances.values()) / len(distances)  # repro: ignore[float-reduction-order] -- hop counts are ints (weight=None); integer sums are order-exact
+    hops = dijkstra(topology.delay_adjacency(t), unweighted=True,
+                    indices=sources, min_only=True)
+    # Hop counts are whole numbers, so the float mean is order-exact.
+    return float(hops[np.isfinite(hops)].mean())
 
 
 def mean_hops_to_ground(constellation: Constellation,
@@ -105,8 +106,8 @@ def mean_hops_to_ground(constellation: Constellation,
     """Mean ISL hop count from a satellite to its nearest gateway.
 
     Multi-source BFS from every gateway's access satellite over the
-    +Grid graph -- the multi-hop factor of the storm arithmetic ("up
-    to 48" hops in the paper's polar worst case).  The Dijkstra is
+    +Grid adjacency -- the multi-hop factor of the storm arithmetic ("up
+    to 48" hops in the paper's polar worst case).  The search is
     memoized per process on (constellation, station set, t):
     ``reduction_factors`` and ``sweep`` ask for the same constellation
     many times, and sharded workers ask once per design point.

@@ -2,8 +2,8 @@
 
 PR 3's ``run_sharded`` paid full pool startup per call and one pickled
 task per shard, so small work units *lost* to serial (0.20x on the
-80-point signaling sweep, 0.93x on the chaos Monte Carlo --
-``BENCH_scaling.json`` before this module existed).  TEGRA's
+80-point signaling sweep, 0.93x on the chaos Monte Carlo, measured
+before this module existed).  TEGRA's
 disaggregated-core argument and Serverless5GC's cold-start-vs-warm-pool
 tradeoff teach the same lesson: parallelism is fictional unless startup
 and dispatch overhead are amortized across many invocations.  This
@@ -323,7 +323,7 @@ def note_pool_recycled(label: str) -> None:
 
     A worker death (OOM kill, signal) silently costs a full pool
     restart plus a recompute of the sharded region; this counter makes
-    those incidents visible in ``BENCH_planner_log.json``.
+    those incidents visible in the metrics snapshot.
     """
     _metrics.counter("planner.pool_recycles", label=label).inc()
 

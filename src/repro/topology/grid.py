@@ -48,8 +48,9 @@ class GridTopology:
         # neighbours so per-hop routing does no plane/slot arithmetic.
         self._neighbor_cache: Dict[int, Tuple[int, int, int, int]] = {}
         #: Monotonic counter bumped on every failure-state change, so
-        #: liveness-dependent caches (e.g. DijkstraRouter graphs) can
-        #: key on it.  Pure-geometry snapshots never depend on it.
+        #: liveness-dependent caches (the batch router's next-hop
+        #: tables) can key on it.  Pure-geometry snapshots never depend
+        #: on it.
         self._fault_epoch = 0
         #: Weak references to zero-argument callbacks fired after every
         #: fault-epoch bump; routers register their ``invalidate`` here
@@ -177,8 +178,8 @@ class GridTopology:
 
         Entry ``[s, d]`` is ``isl_up(s, grid_neighbor_table[s, d])``:
         both endpoints alive and no failure mark on the ISL.  The one
-        mask behind the batch router's next-hop tables, the Dijkstra
-        baseline's sparse adjacency and :meth:`snapshot_graph`.
+        mask behind the batch router's next-hop tables,
+        :meth:`delay_adjacency` and :meth:`snapshot_graph`.
         """
         neighbors = grid_neighbor_table(self.constellation)
         total = self.constellation.total_satellites
@@ -193,6 +194,34 @@ class GridTopology:
             edge_up[a, neighbors[a] == b] = False
             edge_up[b, neighbors[b] == a] = False
         return edge_up
+
+    def delay_adjacency(self, t: float):
+        """Symmetric CSR of one-way ISL delays (s) over the live +Grid at t.
+
+        The one adjacency of the stateful side: the Dijkstra baseline,
+        mean hops to a gateway, gateway-routed traffic load and
+        gateway reachability all search this matrix through
+        ``scipy.sparse.csgraph``.  Built from the ``(up, right)``
+        columns :meth:`snapshot_graph` uses and mirrored with
+        ``maximum``, so an ISL that the wiring names twice (2 planes:
+        ``left == right``; 2 slots: ``up == down``) keeps one copy of
+        its delay; a failed satellite is an isolated row, and the
+        zero-length self-loops of 1-plane / 1-slot shells drop out.
+        Not cached: a build is about 0.3 ms on Starlink.  scipy is
+        imported here, not at module level: the import costs ~0.3 s,
+        which runs that never search the baseline should not pay.
+        """
+        from scipy.sparse import csr_matrix
+        total = self.constellation.total_satellites
+        columns = [0, 3]  # up, right (GRID_DIRECTIONS)
+        live = self.edge_liveness()[:, columns]
+        src = np.nonzero(live)[0]
+        dst = grid_neighbor_table(self.constellation)[:, columns][live]
+        hop_km = snapshot_for(self.propagator, t).hop_lengths_km()
+        half = csr_matrix(
+            (hop_km[:, columns][live] / SPEED_OF_LIGHT_KM_S, (src, dst)),
+            shape=(total, total))
+        return half.maximum(half.T)
 
     # -- neighbourhood ---------------------------------------------------------
 
@@ -299,8 +328,9 @@ class GridTopology:
                        include_ground: bool = True) -> nx.Graph:
         """A weighted (propagation-delay) graph of the live topology at t.
 
-        Used by the Dijkstra baseline router and by reachability
-        analyses under failure injection.  A view of the arrays the
+        Used by the chaos experiment's stateful baseline (reachability
+        under failure injection) and, in the tests, as the networkx
+        oracle for :meth:`delay_adjacency`.  A view of the arrays the
         batch plane routes on: edges are the ``(up, right)`` columns of
         :meth:`edge_liveness` (satellites ascending, ``up`` first) and
         carry the ``hop_lengths_km`` lengths, computed for live edges

@@ -17,11 +17,9 @@ of state SpaceCore wants satellites not to carry.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..constants import HALF_PI, SPEED_OF_LIGHT_KM_S
@@ -52,31 +50,6 @@ RELAY_MAX_HOPS = 512
 #: on them); violations raise ``ValueError`` before any routing.
 DESTINATION_CONTRACT = ("destination lat/lon must be finite radians "
                         "with |lat| <= pi/2")
-
-#: Sentinel distinguishing "scipy import not yet attempted" from "scipy
-#: absent" in the memo below.
-_SCIPY_UNRESOLVED = object()
-_scipy_csgraph = _SCIPY_UNRESOLVED
-
-
-def load_scipy_csgraph():
-    """scipy's ``(csr_matrix, dijkstra)`` pair, or ``None``.
-
-    ``None`` means scipy is not installed (it is an optional ``perf``
-    extra); callers fall back to the networkx per-pair path.  Whether
-    the import succeeds is the only selector, and its outcome is
-    memoised.
-    """
-    global _scipy_csgraph
-    if _scipy_csgraph is _SCIPY_UNRESOLVED:
-        try:
-            from scipy.sparse import csr_matrix
-            from scipy.sparse.csgraph import dijkstra
-            _scipy_csgraph = (csr_matrix, dijkstra)
-        except ImportError:
-            _scipy_csgraph = None
-    return _scipy_csgraph
-
 
 @dataclass
 class RouteResult:
@@ -311,127 +284,44 @@ class GeospatialRouter:
 class DijkstraRouter:
     """Stateful shortest-path baseline over a topology snapshot.
 
-    Graphs are kept in a bounded LRU keyed by ``(t, fault_epoch)`` so
-    workloads that alternate between a handful of timesteps (e.g.
-    ideal-vs-J4 sweeps interleaving the same sample epochs) stop
-    rebuilding the same snapshot graph on every switch.  The router
-    also registers as a fault listener: any failure-state change
-    actively drops every cached graph/adjacency, so chaos scenarios
-    can neither read stale liveness nor pin dead-epoch graphs in
-    memory until they age out of the LRU.
-
-    :meth:`route_many` answers whole source/destination batches at
-    once through ``scipy.sparse.csgraph.dijkstra`` over the +Grid
-    adjacency (one multi-source run per unique source); without scipy
-    (an optional extra) it degrades to the per-pair networkx walk.
+    Every query builds :meth:`GridTopology.delay_adjacency` for its
+    epoch and searches it with ``scipy.sparse.csgraph.dijkstra``.
+    Nothing is cached, so there is no liveness to go stale under fault
+    injection: a build is about 0.3 ms on Starlink and no caller asks
+    twice at one ``(t, fault_epoch)``.
     """
 
-    def __init__(self, topology: GridTopology, cache_size: int = 16):
+    def __init__(self, topology: GridTopology):
         self.topology = topology
-        self._cache_size = max(1, cache_size)
-        self._graph_cache: "OrderedDict[Tuple[float, int], nx.Graph]" = (
-            OrderedDict())
-        #: (t, fault_epoch) -> (csr delay-weighted adjacency,
-        #: neighbor table, per-edge km, per-edge liveness or None).
-        self._matrix_cache: "OrderedDict[Tuple[float, int], tuple]" = (
-            OrderedDict())
-        topology.add_fault_listener(self.invalidate)
-
-    def invalidate(self) -> None:
-        """Drop every cached graph (fault listeners call this)."""
-        self._graph_cache.clear()
-        self._matrix_cache.clear()
-
-    def _graph(self, t: float) -> nx.Graph:
-        # Keyed by (t, fault epoch): a graph embeds liveness, so any
-        # failure-injection change makes a new key and old entries age
-        # out of the LRU instead of being served stale.
-        key = (t, self.topology.fault_epoch)
-        graph = self._graph_cache.get(key)
-        if graph is not None:
-            self._graph_cache.move_to_end(key)
-            return graph
-        graph = self.topology.snapshot_graph(t, include_ground=False)
-        self._graph_cache[key] = graph
-        while len(self._graph_cache) > self._cache_size:
-            self._graph_cache.popitem(last=False)
-        return graph
 
     def route(self, src_sat: int, dst_sat: int, t: float) -> RouteResult:
-        """Shortest path between two satellites on the snapshot graph."""
-        graph = self._graph(t)
-        if src_sat not in graph or dst_sat not in graph:
-            return RouteResult(False)
-        try:
-            path = nx.shortest_path(graph, src_sat, dst_sat,
-                                    weight="weight")
-        except nx.NetworkXNoPath:
-            return RouteResult(False)
-        delay = 0.0
-        distance = 0.0
-        for a, b in zip(path, path[1:]):
-            delay += graph[a][b]["weight"]
-            distance += graph[a][b]["distance_km"]
-        return RouteResult(True, list(path), delay, distance)
-
-    # -- batched shortest paths ------------------------------------------------
-
-    def _adjacency(self, t: float) -> tuple:
-        """Sparse +Grid adjacency (delay-weighted) for one epoch."""
-        key = (float(t), self.topology.fault_epoch)
-        cached = self._matrix_cache.get(key)
-        if cached is not None:
-            self._matrix_cache.move_to_end(key)
-            return cached
-        loaded = load_scipy_csgraph()
-        assert loaded is not None  # callers gate on load_scipy_csgraph
-        csr_matrix, _ = loaded
-        c = self.topology.constellation
-        total = c.total_satellites
-        snapshot = snapshot_for(self.topology.propagator, t)
-        neighbors = grid_neighbor_table(c)
-        hop_km = snapshot.hop_lengths_km()
-        if self.topology.has_topology_faults:
-            edge_up = self.topology.edge_liveness()
-            live = edge_up.ravel()
-        else:
-            edge_up = None
-            live = slice(None)
-        rows = np.repeat(np.arange(total), neighbors.shape[1])[live]
-        cols = neighbors.ravel()[live]
-        weights = (hop_km / SPEED_OF_LIGHT_KM_S).ravel()[live]
-        matrix = csr_matrix((weights, (rows, cols)),
-                            shape=(total, total))
-        entry = (matrix, neighbors, hop_km, edge_up)
-        self._matrix_cache[key] = entry
-        while len(self._matrix_cache) > self._cache_size:
-            self._matrix_cache.popitem(last=False)
-        return entry
+        """Shortest path between two satellites at ``t``."""
+        return self.route_many([src_sat], [dst_sat], t)[0]
 
     def route_many(self, src_sats: Sequence[int],
                    dst_sats: Sequence[int], t: float) -> List[RouteResult]:
         """Shortest paths for ``(src, dst)`` satellite pairs in bulk.
 
-        With scipy available this runs one multi-source
-        ``csgraph.dijkstra`` per unique source over the sparse +Grid
-        adjacency and reconstructs each pair's path from the
-        predecessor matrix; pairs sharing a source share the search.
-        Delays/distances match the per-pair networkx :meth:`route`:
-        the CSR weights here and the ``snapshot_graph`` weights there
-        are the same ``chord_lengths_km`` / c values, bit for bit.
-        Tie-broken equal-delay paths may differ node-for-node, as with
-        any shortest-path implementation.
+        One multi-source ``csgraph.dijkstra`` run per unique source
+        over the sparse +Grid adjacency; each pair's path is rebuilt
+        from the predecessor matrix, so pairs sharing a source share
+        the search.  Dead and out-of-range endpoints are undelivered.
+        ``delay_s`` equals a textbook Dijkstra over ``snapshot_graph``
+        bit for bit (same ``chord_lengths_km`` / c weights, summed
+        source to destination); between routes tied in exact arithmetic
+        the path, and with it the last ulp of ``distance_km``, may
+        differ from another implementation's.
         """
+        from scipy.sparse.csgraph import dijkstra
         srcs = [int(s) for s in src_sats]
         dsts = [int(d) for d in dst_sats]
         if len(srcs) != len(dsts):
             raise ValueError("src/dst sequences must have equal length")
         if not srcs:
             return []
-        if load_scipy_csgraph() is None:
-            return [self.route(s, d, t) for s, d in zip(srcs, dsts)]
-        _, dijkstra = load_scipy_csgraph()
-        matrix, neighbors, hop_km, edge_up = self._adjacency(t)
+        matrix = self.topology.delay_adjacency(t)
+        neighbors = grid_neighbor_table(self.topology.constellation)
+        hop_km = snapshot_for(self.topology.propagator, t).hop_lengths_km()
         total = matrix.shape[0]
         failed = self.topology.failed_satellites()
         unique = sorted({s for s in srcs if 0 <= s < total})

@@ -18,17 +18,14 @@ population under their footprints.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from ..geo.population import PopulationGrid
 from ..orbits.coverage import footprint_radius_km
 from ..orbits.snapshot import snapshot_for
 from .grid import GridTopology
-from .routing import GeospatialRouter
+from .routing import DijkstraRouter, GeospatialRouter
 
 LinkKey = Tuple[int, int]
 
@@ -130,32 +127,27 @@ def load_to_gateways(topology: GridTopology, t: float,
     """
     if not topology.ground_stations:
         raise ValueError("gateway routing needs ground stations")
-    graph = topology.snapshot_graph(t, include_ground=False)
     access_sats = [sat for _, sat in topology.gateway_access_satellites(t)]
     if not access_sats:
         raise RuntimeError("no gateway has coverage at t")
+    endpoints = sorted({sat for src, dst, _ in demands for sat in (src, dst)})
+    routes = DijkstraRouter(topology).route_many(
+        [endpoint for endpoint in endpoints for _ in access_sats],
+        access_sats * len(endpoints), t)
+    # Per endpoint, the gateway reached in the fewest hops (first wins).
+    best_path = {}
+    count = len(access_sats)
+    for k, endpoint in enumerate(endpoints):
+        reached = [route.path for route in routes[k * count:(k + 1) * count]
+                   if route.delivered]
+        best_path[endpoint] = min(reached, key=len, default=None)
     load = TrafficLoad()
-    paths_cache: Dict[int, Dict[int, List[int]]] = {}
-
-    def shortest(a: int, b: int) -> Optional[List[int]]:
-        if a not in paths_cache:
-            paths_cache[a] = nx.single_source_dijkstra_path(
-                graph, a, weight="weight")
-        return paths_cache[a].get(b)
-
     for src, dst, demand in demands:
         for endpoint in (src, dst):
-            best_path = None
-            best_cost = math.inf
-            for gateway_sat in access_sats:
-                path = shortest(endpoint, gateway_sat)
-                if path is not None and len(path) < best_cost:
-                    best_cost = len(path)
-                    best_path = path
-            if best_path is None:
+            if best_path[endpoint] is None:
                 load.undelivered += demand
             else:
-                load.add_path(best_path, demand)
+                load.add_path(best_path[endpoint], demand)
     return load
 
 

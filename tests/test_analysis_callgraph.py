@@ -165,15 +165,13 @@ class TestRealPackage:
 
     def test_router_invalidation_is_a_node(self, analysis):
         graph, _ = analysis
-        assert "repro.topology.routing.DijkstraRouter.invalidate" \
+        assert "repro.topology.batch_routing.BatchGeoRouter.invalidate" \
             in graph.nodes
 
     def test_router_init_registers_fault_listener(self, analysis):
         _, effects = analysis
-        for router in ("repro.topology.routing.DijkstraRouter",
-                       "repro.topology.batch_routing.BatchGeoRouter"):
-            assert REGISTERS_FAULT_LISTENER in effects.direct[
-                f"{router}.__init__"], router
+        assert REGISTERS_FAULT_LISTENER in effects.direct[
+            "repro.topology.batch_routing.BatchGeoRouter.__init__"]
 
     def test_every_shipped_shard_worker_is_pure(self, analysis):
         # The acceptance invariant behind the shard-purity rule: the

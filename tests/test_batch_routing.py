@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.orbits.constellation import Constellation, iridium, starlink
 from repro.orbits.propagator import make_propagator
 from repro.orbits.snapshot import grid_neighbor_table, snapshot_for
-from repro.topology import _walk_kernel, batch_routing, routing
+from repro.topology import _walk_kernel, batch_routing
 from repro.topology._walk_kernel import load_kernel
 from repro.topology.batch_routing import BatchGeoRouter
 from repro.topology.grid import GridTopology
@@ -31,7 +31,6 @@ from repro.topology.routing import (
     RELAY_MAX_HOPS,
     DijkstraRouter,
     GeospatialRouter,
-    load_scipy_csgraph,
     path_stretch,
 )
 
@@ -453,13 +452,7 @@ class TestDijkstraBatchAndInvalidation:
         assert rerouted.delivered
         assert victim not in rerouted.path
 
-    @pytest.mark.parametrize("no_scipy", [False, True])
-    def test_route_many_matches_scalar(self, no_scipy, monkeypatch):
-        if no_scipy:
-            # What a failed ``import scipy`` memoises.
-            monkeypatch.setattr(routing, "_scipy_csgraph", None)
-        elif load_scipy_csgraph() is None:
-            pytest.skip("scipy not installed")
+    def test_route_many_matches_scalar(self):
         topo = _topology("square")
         topo.fail_satellite(7)
         topo.fail_isl(20, topo.isl_neighbors(20)[0])

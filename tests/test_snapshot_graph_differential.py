@@ -1,4 +1,5 @@
-"""``GridTopology.snapshot_graph`` against its scalar edge-by-edge oracle.
+"""``GridTopology.snapshot_graph`` against its scalar edge-by-edge oracle,
+and the CSR shortest-path / reachability plane against networkx.
 
 The graph is built as an array program (liveness mask + snapshot
 positions, one ``add_edges_from``); the oracle here is the loop it
@@ -7,15 +8,26 @@ link -- so every ``has_path`` / ``connected_components`` / Dijkstra
 consumer provably sees the same nodes, edges and adjacency order.
 Edge lengths are pinned to ``hop_lengths_km()`` (the repo's one ISL
 length), not to the oracle's old ``np.linalg.norm``.
+
+Below that, networkx over ``snapshot_graph`` is itself the oracle:
+``GridTopology.delay_adjacency`` and its ``scipy.sparse.csgraph``
+consumers (``DijkstraRouter``, ``mean_hops_to_ground``,
+``gateway_reachability``, ``load_to_gateways``) must give the numbers
+the networkx code they replaced gave, degenerate shells included.
 """
+
+import random
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from repro.constants import SPEED_OF_LIGHT_KM_S
+from repro.experiments.availability import gateway_reachability
+from repro.experiments.signaling import mean_hops_to_ground
 from repro.orbits import (
     Constellation,
     IdealPropagator,
@@ -23,9 +35,14 @@ from repro.orbits import (
     iridium,
     starlink,
 )
+from repro.orbits.constellation import TABLE1
 from repro.orbits.snapshot import grid_neighbor_table, snapshot_for
-from repro.topology import DijkstraRouter, GridTopology
-from repro.topology.routing import load_scipy_csgraph
+from repro.topology import DijkstraRouter, GridTopology, RouteResult
+from repro.topology.traffic import (
+    TrafficLoad,
+    gravity_demand,
+    load_to_gateways,
+)
 
 UP, RIGHT = 0, 3  # columns of grid_neighbor_table / hop_lengths_km
 
@@ -45,6 +62,14 @@ PROPAGATORS = {
     "two-plane": IdealPropagator(Constellation(
         name="two-plane", num_planes=2, sats_per_plane=6,
         altitude_km=1200.0, inclination_deg=87.9, raan_spread=np.pi)),
+    # 2 x 2: both at once, every ISL is named by two wiring columns.
+    "two-by-two": IdealPropagator(Constellation(
+        name="two-by-two", num_planes=2, sats_per_plane=2,
+        altitude_km=550.0, inclination_deg=53.0)),
+    # 1 slot per plane: up == down == the satellite itself.
+    "one-slot": IdealPropagator(Constellation(
+        name="one-slot", num_planes=7, sats_per_plane=1,
+        altitude_km=550.0, inclination_deg=53.0)),
 }
 STATIONS = default_ground_stations()
 EPOCHS = (0.0, 615.0, 2871.5)
@@ -139,15 +164,20 @@ def apply_ops(topology: GridTopology, ops) -> None:
             topology.recover_ground_station(args[0])
 
 
-@pytest.mark.parametrize("shell", sorted(PROPAGATORS))
-@settings(max_examples=20, deadline=None)
-@given(data=st.data())
-def test_snapshot_graph_matches_scalar_oracle(shell, data):
+def faulted_topology(shell, data):
+    """One shell under a drawn fault cocktail, and a drawn epoch."""
     propagator = PROPAGATORS[shell]
     topology = GridTopology(propagator, STATIONS)
     total = propagator.constellation.total_satellites
     apply_ops(topology, data.draw(fault_cocktails(total, len(STATIONS))))
-    assert_same_graph(topology, data.draw(st.sampled_from(EPOCHS)))
+    return topology, data.draw(st.sampled_from(EPOCHS))
+
+
+@pytest.mark.parametrize("shell", sorted(PROPAGATORS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_snapshot_graph_matches_scalar_oracle(shell, data):
+    assert_same_graph(*faulted_topology(shell, data))
 
 
 @pytest.mark.parametrize("shell", sorted(PROPAGATORS))
@@ -180,22 +210,136 @@ def test_isl_mark_on_dead_endpoint_outlives_its_recovery():
 
 
 @pytest.mark.parametrize("faulted", [False, True])
-def test_graph_weights_equal_csr_weights(faulted):
-    """``DijkstraRouter.route`` (networkx over ``snapshot_graph``) and
-    ``route_many`` (scipy over the CSR adjacency) read one ISL length:
-    every live edge carries the same weight bits on both planes."""
-    if load_scipy_csgraph() is None:
-        pytest.skip("scipy not installed")
-    topology = GridTopology(PROPAGATORS["starlink"])
+@pytest.mark.parametrize("shell", sorted(PROPAGATORS))
+def test_graph_weights_equal_csr_weights(shell, faulted):
+    """``delay_adjacency`` carries every live ``snapshot_graph`` edge
+    once per direction with the same weight bits -- also where the
+    wiring names an ISL twice (2 planes, 2 slots), which a summing
+    ``csr_matrix`` build doubled."""
+    topology = GridTopology(PROPAGATORS[shell])
     if faulted:
+        total = topology.constellation.total_satellites
         neighbors = grid_neighbor_table(topology.constellation)
-        for sat in (3, 40, 41, 900):
+        for sat in range(1, total, 5):
             topology.fail_satellite(sat)
-        topology.fail_isl(7, int(neighbors[7, RIGHT]))
-        topology.fail_isl(40, int(neighbors[40, UP]))
+        for sat in range(0, total, 7):
+            topology.fail_isl(sat, int(neighbors[sat, sat % 4]))
     t = 615.0
     graph = topology.snapshot_graph(t, include_ground=False)
-    matrix = DijkstraRouter(topology)._adjacency(t)[0]
-    assert matrix.nnz == 2 * graph.number_of_edges()
+    matrix = topology.delay_adjacency(t)
+    # Zero-length self-loops (1 plane / 1 slot) are not stored.
+    loops = nx.number_of_selfloops(graph)
+    assert matrix.nnz == 2 * (graph.number_of_edges() - loops)
     for a, b, weight in graph.edges(data="weight"):
         assert weight == matrix[a, b] == matrix[b, a]
+
+
+@pytest.mark.parametrize("shell", sorted(PROPAGATORS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_dijkstra_router_matches_networkx(shell, data):
+    """``route`` == one-pair ``route_many`` == networkx Dijkstra over
+    ``snapshot_graph``: same verdict and ``delay_s`` bits, and the path
+    is a live path whose lengths sum to the reported totals."""
+    topology, t = faulted_topology(shell, data)
+    total = topology.constellation.total_satellites
+    # Dead and out-of-range endpoints are drawn on purpose.
+    endpoint = st.one_of(
+        st.integers(0, total - 1),
+        st.sampled_from(sorted(topology.failed_satellites())
+                        + [-1, total, total + 3]))
+    pairs = data.draw(st.lists(st.tuples(endpoint, endpoint),
+                               min_size=1, max_size=12))
+    graph = topology.snapshot_graph(t, include_ground=False)
+    router = DijkstraRouter(topology)
+    batched = router.route_many([s for s, _ in pairs],
+                                [d for _, d in pairs], t)
+    for (s, d), many in zip(pairs, batched):
+        got = router.route(s, d, t)
+        assert got == many
+        reachable = s in graph and d in graph and nx.has_path(graph, s, d)
+        assert got.delivered == reachable
+        if not reachable:
+            assert got == RouteResult(False)
+            continue
+        assert got.delay_s == nx.shortest_path_length(graph, s, d, "weight")
+        assert got.path[0] == s and got.path[-1] == d
+        hops = list(zip(got.path, got.path[1:]))
+        assert got.delay_s == sum(graph[a][b]["weight"] for a, b in hops)
+        assert got.distance_km == sum(graph[a][b]["distance_km"]
+                                      for a, b in hops)
+
+
+@pytest.mark.parametrize("shell", sorted(PROPAGATORS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_csr_components_partition_live_satellites_like_networkx(shell, data):
+    topology, t = faulted_topology(shell, data)
+    graph = topology.snapshot_graph(t, include_ground=False)
+    _, label = connected_components(topology.delay_adjacency(t),
+                                    directed=False)
+    by_label = {}
+    for sat in graph.nodes:
+        by_label.setdefault(int(label[sat]), set()).add(sat)
+    assert (sorted(map(sorted, by_label.values()))
+            == sorted(map(sorted, nx.connected_components(graph))))
+
+
+# -- the consumers, re-computed the way they were before they left networkx ---
+
+
+def nx_mean_hops(constellation, t):
+    topology = GridTopology(IdealPropagator(constellation), STATIONS)
+    graph = topology.snapshot_graph(t, include_ground=False)
+    sources = {sat for _, sat in topology.gateway_access_satellites(t)}
+    hops = nx.multi_source_dijkstra_path_length(graph, sources, weight=None)
+    return sum(hops.values()) / len(hops)
+
+
+def nx_gateway_reachability(constellation, failure_fraction, seed, t):
+    topology = GridTopology(IdealPropagator(constellation), STATIONS)
+    total = constellation.total_satellites
+    rng = random.Random(seed)
+    for sat in rng.sample(range(total), int(total * failure_fraction)):
+        topology.fail_satellite(sat)
+    graph = topology.snapshot_graph(t, include_ground=False)
+    sources = {sat for _, sat in topology.gateway_access_satellites(t)}
+    reachable = set()
+    for component in nx.connected_components(graph):
+        if component & sources:
+            reachable |= component
+    return len(reachable) / graph.number_of_nodes()
+
+
+def nx_link_load(topology, t, demands):
+    graph = topology.snapshot_graph(t, include_ground=False)
+    access_sats = [sat for _, sat in topology.gateway_access_satellites(t)]
+    paths = {}
+    load = TrafficLoad()
+    for src, dst, demand in demands:
+        for endpoint in (src, dst):
+            if endpoint not in paths:
+                paths[endpoint] = nx.single_source_dijkstra_path(
+                    graph, endpoint, weight="weight")
+            reached = [paths[endpoint][sat] for sat in access_sats
+                       if sat in paths[endpoint]]
+            load.add_path(min(reached, key=len), demand)
+    return load.link_load
+
+
+@pytest.mark.parametrize("name", sorted(TABLE1))
+def test_consumers_keep_their_networkx_numbers(name):
+    constellation = TABLE1[name]()
+    for t in EPOCHS:
+        assert (mean_hops_to_ground(constellation, STATIONS, t)
+                == nx_mean_hops(constellation, t))
+    for fraction in (0.0, 0.025, 0.05, 0.1, 0.2):
+        for seed in (0, 1):
+            assert (gateway_reachability(constellation, fraction, seed)
+                    == nx_gateway_reachability(constellation, fraction,
+                                               seed, 0.0))
+    topology = GridTopology(IdealPropagator(constellation), STATIONS)
+    demands = gravity_demand(topology, 0.0, top_satellites=16)
+    got = load_to_gateways(topology, 0.0, demands).link_load
+    assert list(got.items()) == list(nx_link_load(topology, 0.0,
+                                                  demands).items())
