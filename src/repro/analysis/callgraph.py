@@ -16,7 +16,7 @@ its fixed point over:
   base-class search, parameter/attribute type annotations
   (``topology: GridTopology`` makes ``topology.fail_satellite()``
   resolve), local ``x = ClassName(...)`` inference, decorator
-  arguments (``@shard_memoized(_key)`` runs ``_key`` on every call),
+  arguments (``@register(_key)`` may run ``_key`` on every call),
   and -- only when a method name is defined by exactly one project
   class -- a unique-name fallback.  Callables passed as values
   (callbacks, ``run_sharded`` workers) contribute *reference* edges:

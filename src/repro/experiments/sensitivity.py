@@ -61,9 +61,10 @@ def sensitivity_sweep(constellation: Constellation,
                       ) -> List[SensitivityPoint]:
     """Perturb hops, gateway count, and capacity one at a time.
 
-    Each perturbation cell is independent, so the grid shards across
-    workers (planner permitting); cell order (and every value) matches
-    the serial walk.
+    Each perturbation cell is independent, so the grid may shard
+    across workers (it finishes inside the planner's serial budget, so
+    in practice it does not); cell order (and every value) matches the
+    serial walk.
     """
     station_sets: Dict[str, Tuple] = {
         "base": tuple(default_ground_stations()),
@@ -137,8 +138,9 @@ def constellation_scaling(sizes: Sequence[Tuple[int, int]] = (
     """SpaceCore's advantage vs shell size (synthetic Walker shells).
 
     The paper's trend: the denser the constellation, the harsher the
-    stateful storm -- and the larger SpaceCore's win.  Shells shard
-    across workers; each worker builds its own shell topology once.
+    stateful storm -- and the larger SpaceCore's win.  Shells left
+    over when the planner's serial budget is spent shard across
+    workers; each process builds a given shell's topology once.
     """
     stations = tuple(default_ground_stations())
     cells = [(planes, slots, altitude_km, inclination_deg, capacity)

@@ -78,16 +78,12 @@ class SignalingLoad:
         return session, mobility
 
 
-def _hops_key(constellation, stations, t):
-    # Key by the full (frozen) constellation rather than its name:
-    # synthetic shells share a name but differ in geometry.
-    return (constellation, stations, t)
-
-
-@shard_memoized(_hops_key)
+@shard_memoized
 def _cached_mean_hops(constellation: Constellation,
                       stations: Tuple[GroundStation, ...],
                       t: float) -> float:
+    # Keyed by the full (frozen) constellation rather than its name:
+    # synthetic shells share a name but differ in geometry.
     from scipy.sparse.csgraph import dijkstra
     topology = GridTopology(IdealPropagator(constellation), list(stations))
     sources = [access for _, access
@@ -217,10 +213,9 @@ def sweep(solutions: Iterable, constellations: Iterable[Constellation],
     """Cartesian sweep used by Fig. 10 (options) and Fig. 20 (solutions).
 
     ``solutions`` takes factories or instances.  With ``workers > 1``
-    (or ``REPRO_WORKERS`` set) the design points fan out across a
-    process pool under the execution planner -- batched into chunks,
-    or folded back to the serial path when the grid is below
-    break-even; results come back in the same nested
+    (or ``REPRO_WORKERS`` set) the design points run in-process for
+    the planner's serial budget and only an unfinished rest ships to
+    the process pool in chunks; results come back in the same nested
     (constellation, solution, capacity) order as the serial walk, with
     bit-identical values.  Parallel runs need picklable solution specs
     (module-level factories or instances, not lambdas).

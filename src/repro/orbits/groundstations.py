@@ -68,16 +68,19 @@ _DEFAULT_SITES: Sequence[Tuple[str, float, float]] = (
 )
 
 
+#: Built once: the stations are frozen, and the warm worker pool
+#: compares shared objects by identity, so a rebuilt catalog would
+#: tear the pool down on every sweep that takes the default.
+_DEFAULT_STATIONS: Tuple[GroundStation, ...] = tuple(
+    GroundStation(name, lat, lon) for name, lat, lon in _DEFAULT_SITES)
+
+
 def default_ground_stations(count: Optional[int] = None
                             ) -> List[GroundStation]:
     """The default gateway catalog; optionally truncated to ``count``."""
-    stations = [GroundStation(name, lat, lon)
-                for name, lat, lon in _DEFAULT_SITES]
-    if count is not None:
-        if count < 1:
-            raise ValueError("need at least one ground station")
-        stations = stations[:count]
-    return stations
+    if count is not None and count < 1:
+        raise ValueError("need at least one ground station")
+    return list(_DEFAULT_STATIONS[:count])
 
 
 def nearest_station(lat: float, lon: float,

@@ -13,10 +13,9 @@ work units across workers.  This package is that spine:
   initializer-installed shared-object registry, and a serial fallback
   (``REPRO_WORKERS=1``) that is bit-identical to the pre-runtime
   per-loop code;
-* :mod:`.planner` -- the cost-aware execution policy: calibrated
-  dispatch overhead, per-label cost priors, batch sizing, and a
-  break-even auto-fallback to serial, with every decision logged and
-  mirrored into a mergeable metrics registry;
+* :mod:`.planner` -- the execution policy: a time-boxed in-process
+  prefix that is the fan-out's own cost estimate, one heavy/light bit
+  per label, fixed chunking, with every decision logged;
 * :mod:`.memo` -- shard-local memoization of expensive pure inputs
   (mean ISL hops to a gateway, dwell times) so workers never recompute
   topology per design point;
@@ -29,8 +28,6 @@ from .memo import (
     MEMO_DECORATOR_NAMES,
     cached_dwell_time_s,
     clear_shard_caches,
-    memo_metadata,
-    memoized_functions,
     shard_memoized,
 )
 from .parallel import (
@@ -43,19 +40,10 @@ from .parallel import (
     shutdown_worker_pools,
     warm_pool_info,
 )
-from .planner import (
-    PLANNER_ENV_VAR,
-    ExecutionPlan,
-    plan_execution,
-    planner_calibration,
-    planner_decisions,
-    planner_metrics_snapshot,
-    reset_planner,
-)
+from .planner import PLANNER_ENV_VAR, planner_decisions, reset_planner
 
 __all__ = [
     "CohortStats",
-    "ExecutionPlan",
     "MEMO_DECORATOR_NAMES",
     "OfferedLoadProbe",
     "PLANNER_ENV_VAR",
@@ -64,12 +52,7 @@ __all__ = [
     "cached_dwell_time_s",
     "clear_shard_caches",
     "get_shared",
-    "memo_metadata",
-    "memoized_functions",
-    "plan_execution",
-    "planner_calibration",
     "planner_decisions",
-    "planner_metrics_snapshot",
     "pools_created",
     "reset_planner",
     "resolve_workers",

@@ -9,33 +9,15 @@ computes each distinct input once -- "shard-local" because the caches
 live in module state, which every forked/spawned worker owns
 separately (and the pre-fork parent's warm cache is inherited for
 free on fork platforms).
-
-Caches register themselves so :func:`clear_shard_caches` can reset the
-process to a cold state -- benchmarks use that to time the real
-compute, and tests use it to prove cached and uncached paths agree.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Tuple,
-    TypeVar,
-    cast,
-)
+from typing import Callable, List, Optional, Tuple
 
-F = TypeVar("F", bound=Callable)
-
-#: Every cache created by :func:`shard_memoized`, for global clearing.
-_SHARD_CACHES: List[Dict] = []
-
-#: Every function wrapped by :func:`shard_memoized`, for introspection.
-_MEMOIZED_FUNCS: List[Callable] = []
+#: Every function wrapped by :func:`shard_memoized`, for global clearing.
+_MEMOIZED: List[Callable] = []
 
 #: Decorator names whose presence marks a function as memoized.  The
 #: static analyzer (``repro.analysis.rules_cachekeys``) imports this
@@ -45,55 +27,21 @@ MEMO_DECORATOR_NAMES: Tuple[str, ...] = ("shard_memoized", "lru_cache",
                                          "cache")
 
 
-def shard_memoized(make_key: Callable[..., Any]) -> Callable[[F], F]:
-    """Memoize a pure function in a per-process dict.
-
-    ``make_key`` maps the call arguments to a hashable cache key; it
-    runs on every call, so keep it cheap.  The cache is exposed as
-    ``fn.shard_cache`` for tests, and decorator metadata as
-    ``fn.__repro_memo__`` for the static analyzer's self-test.
-    """
-    def decorate(fn: F) -> F:
-        cache: Dict[Any, Any] = {}
-        _SHARD_CACHES.append(cache)
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            key = make_key(*args, **kwargs)
-            try:
-                return cache[key]
-            except KeyError:
-                value = fn(*args, **kwargs)
-                cache[key] = value
-                return value
-
-        setattr(wrapper, "shard_cache", cache)
-        setattr(wrapper, "__repro_memo__", {
-            "decorator": "shard_memoized",
-            "function": fn.__qualname__,
-            "module": fn.__module__,
-            "make_key": getattr(make_key, "__qualname__",
-                                repr(make_key)),
-        })
-        _MEMOIZED_FUNCS.append(wrapper)
-        return cast(F, wrapper)
-    return decorate
-
-
-def memo_metadata(fn: Callable) -> Optional[Dict[str, str]]:
-    """The ``shard_memoized`` metadata of a wrapped function, or None."""
-    return getattr(fn, "__repro_memo__", None)
-
-
-def memoized_functions() -> Tuple[Callable, ...]:
-    """Every ``shard_memoized``-wrapped function in this process."""
-    return tuple(_MEMOIZED_FUNCS)
+def shard_memoized(fn: Callable) -> Callable:
+    """An unbounded ``lru_cache`` that :func:`clear_shard_caches` resets."""
+    cached = functools.lru_cache(maxsize=None)(fn)
+    _MEMOIZED.append(cached)
+    return cached
 
 
 def clear_shard_caches() -> None:
-    """Drop every shard-local cache in this process (incl. snapshots)."""
-    for cache in _SHARD_CACHES:
-        cache.clear()
+    """Drop every shard-local cache in this process (incl. snapshots).
+
+    Benchmarks use this to time the real compute, and tests to prove
+    cached and uncached paths agree.
+    """
+    for cached in _MEMOIZED:
+        cached.cache_clear()
     # The epoch-keyed constellation snapshot LRU is the third expensive
     # pure input; it predates this module but is shard-local in exactly
     # the same sense.
@@ -101,11 +49,7 @@ def clear_shard_caches() -> None:
     clear_snapshot_cache()
 
 
-def _dwell_key(constellation, min_elevation_deg=None):
-    return (constellation, min_elevation_deg)
-
-
-@shard_memoized(_dwell_key)
+@shard_memoized
 def cached_dwell_time_s(constellation,
                         min_elevation_deg: Optional[float] = None) -> float:
     """Shard-local :func:`repro.orbits.coverage.mean_dwell_time_s`."""

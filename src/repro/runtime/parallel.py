@@ -18,14 +18,13 @@ Two rules make that hold:
   ``[fn(items[0]), fn(items[1]), ...]`` regardless of which worker
   finished first.
 
-Since the execution-planner rework, three mechanisms keep the pool
-path from losing to serial on small work units (the policy deciding
-when to use them lives in :mod:`.planner`):
+Three mechanisms keep the pool path cheap (the policy deciding when to
+use them lives in :mod:`.planner`):
 
 * **Shard batching** -- many shards ship as one pool task
   (``_run_batch``), with results unpacked back to per-shard index
-  order, so per-task dispatch overhead amortizes across a
-  planner-chosen chunk instead of dominating every tiny shard.
+  order, so per-task dispatch overhead amortizes across a chunk
+  instead of dominating every tiny shard.
 * **Warm pool reuse** -- one module-level ``ProcessPoolExecutor``
   persists across ``run_sharded`` calls (same worker count, same
   shared objects), so a sweep of sweeps pays pool startup once.
@@ -45,7 +44,7 @@ import hashlib
 import os
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import (
@@ -68,13 +67,6 @@ R = TypeVar("R")
 #: Environment knob for the default worker count; ``1`` (the default)
 #: keeps every experiment on the serial in-process path.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
-
-#: Cap queued-but-unsubmitted tasks so huge grids don't pickle the
-#: whole work list into the executor at once.
-_MAX_INFLIGHT_PER_WORKER = 4
-
-#: No-op round trips used to measure per-task dispatch overhead.
-_CALIBRATION_TASKS = 16
 
 
 def seed_for(base_seed: int, shard_id: Any) -> int:
@@ -158,11 +150,6 @@ _POOL_SHARED: Dict[str, Any] = {}
 _POOLS_CREATED = 0
 
 
-def _noop() -> None:
-    """Calibration/warmup payload: measures pure dispatch overhead."""
-    return None
-
-
 def _init_worker(shared: Dict[str, Any]) -> None:
     """Pool initializer: serial-only children plus the shared registry.
 
@@ -235,34 +222,20 @@ atexit.register(shutdown_worker_pools)
 
 
 def _acquire_pool(workers: int) -> ProcessPoolExecutor:
-    """The warm pool if it matches, else a fresh calibrated one."""
+    """The warm pool if it matches, else a fresh one."""
     global _POOL, _POOL_WORKERS, _POOL_SHARED, _POOLS_CREATED
     if pool_is_warm(workers):
         assert _POOL is not None
         return _POOL
     shutdown_worker_pools()
     shared = dict(_PARENT_SHARED)
-    start = time.perf_counter()  # repro: ignore[wallclock-time] -- pool startup calibration; never enters artifacts
-    pool = ProcessPoolExecutor(max_workers=workers,
-                               initializer=_init_worker,
-                               initargs=(shared,))
-    for future in [pool.submit(_noop) for _ in range(workers)]:
-        future.result()
-    startup_s = time.perf_counter() - start  # repro: ignore[wallclock-time] -- pool startup calibration; never enters artifacts
-    _POOL = pool
+    _POOL = ProcessPoolExecutor(max_workers=workers,
+                                initializer=_init_worker,
+                                initargs=(shared,))
     _POOL_WORKERS = workers
     _POOL_SHARED = shared
     _POOLS_CREATED += 1
-    planner.record_pool_startup(startup_s)
-    planner.note_pool_created()
-    if not planner.is_calibrated():
-        start = time.perf_counter()  # repro: ignore[wallclock-time] -- one-time dispatch-overhead calibration
-        for future in [pool.submit(_noop)
-                       for _ in range(_CALIBRATION_TASKS)]:
-            future.result()
-        elapsed = time.perf_counter() - start  # repro: ignore[wallclock-time] -- one-time dispatch-overhead calibration
-        planner.record_task_overhead(elapsed / _CALIBRATION_TASKS)
-    return pool
+    return _POOL
 
 
 # ---------------------------------------------------------------------------
@@ -270,41 +243,30 @@ def _acquire_pool(workers: int) -> ProcessPoolExecutor:
 # ---------------------------------------------------------------------------
 
 def _run_batch(payload: Tuple[Callable[[Any], Any], List[Any]]
-               ) -> List[Any]:
-    """One pool task: a planner-chosen chunk of consecutive shards."""
+               ) -> Tuple[List[Any], float]:
+    """One pool task: a chunk of consecutive shards and its compute time.
+
+    The seconds are measured here, where the work runs, so the
+    planner's heavy/light bit never books dispatch cost as item cost.
+    """
     fn, batch = payload
-    return [fn(item) for item in batch]
-
-
-def _run_serial(fn: Callable[[T], R], items: List[T],
-                results: List[Any], start: int, label: str) -> None:
-    """In-process tail of a fan-out, feeding the label's cost prior."""
-    count = len(items) - start
-    if count <= 0:
-        return
-    t0 = time.perf_counter()  # repro: ignore[wallclock-time] -- planner cost prior; never enters artifacts
-    for index in range(start, len(items)):
-        results[index] = fn(items[index])
-    elapsed = time.perf_counter() - t0  # repro: ignore[wallclock-time] -- planner cost prior; never enters artifacts
-    planner.update_cost_prior(label, elapsed / count, source="serial")
+    t0 = time.perf_counter()  # repro: ignore[wallclock-time] -- execution policy; never enters artifacts
+    values = [fn(item) for item in batch]
+    return values, time.perf_counter() - t0  # repro: ignore[wallclock-time] -- execution policy; never enters artifacts
 
 
 def _dispatch_batches(pool: ProcessPoolExecutor, fn: Callable[[T], R],
                       items: List[T], start: int, chunk: int,
-                      results: List[Any], workers: int) -> None:
-    """Submit chunked tasks with a bounded in-flight window."""
-    max_inflight = workers * _MAX_INFLIGHT_PER_WORKER
-    inflight: Dict[Future, Tuple[int, int]] = {}
-    for lo in range(start, len(items), chunk):
-        batch = items[lo:lo + chunk]
-        inflight[pool.submit(_run_batch, (fn, batch))] = (lo, len(batch))
-        if len(inflight) >= max_inflight:
-            done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-            for future in done:
-                lo_done, length = inflight.pop(future)
-                results[lo_done:lo_done + length] = future.result()
-    for future, (lo_done, length) in inflight.items():
-        results[lo_done:lo_done + length] = future.result()
+                      results: List[Any]) -> float:
+    """Ship ``items[start:]`` in chunks; returns worker compute seconds."""
+    futures = [(lo, pool.submit(_run_batch, (fn, items[lo:lo + chunk])))
+               for lo in range(start, len(items), chunk)]
+    compute_s = 0.0
+    for lo, future in futures:
+        values, seconds = future.result()
+        results[lo:lo + len(values)] = values
+        compute_s += seconds
+    return compute_s
 
 
 def _fan_out_label(fn: Callable, label: Optional[str]) -> str:
@@ -319,84 +281,63 @@ def run_sharded(fn: Callable[[T], R], items: Iterable[T], *,
                 workers: Optional[int] = None,
                 shared: Optional[Dict[str, Any]] = None,
                 label: Optional[str] = None) -> List[R]:
-    """Map ``fn`` over ``items``, planner-sharded across processes.
+    """Map ``fn`` over ``items``, sharded across processes when it pays.
 
     ``fn`` must be a picklable top-level callable and each item must be
     picklable.  With one worker (the default unless ``REPRO_WORKERS``
-    or ``workers`` says otherwise), a single item, or a grid the
-    planner judges below break-even, this is a plain in-process loop --
-    no pool, no pickling -- which is the bit-identical serial fallback.
-    Results always come back in item order.
+    or ``workers`` says otherwise) or a single item this is a plain
+    in-process loop -- no pool, no pickling, no timer -- which is the
+    bit-identical serial fallback.  Otherwise items run in-process
+    until ``planner.SERIAL_BUDGET_S`` is spent and only the rest (if
+    any) ships to the warm pool; a label whose last fan-out cost that
+    much ships every item.  Results always come back in item order.
 
     ``shared`` registers large common inputs once per pool (fetched in
     ``fn`` via :func:`get_shared`) instead of pickling them into every
     task; ``label`` names the fan-out in the planner's decision log and
-    keys its learned cost prior.
+    keys its heavy/light bit.
     """
     workers = resolve_workers(workers)
     items = list(items)
     n = len(items)
-    fan_label = _fan_out_label(fn, label)
     with _shared_scope(dict(shared) if shared else {}):
-        if n == 0:
-            return []
+        if workers == 1 or n <= 1:
+            # Short-circuit before any policy: singletons and the
+            # serial contract never pay startup, pickling or a timer.
+            return [fn(item) for item in items]
+        fan_label = _fan_out_label(fn, label)
+        budget_s, reason = planner.serial_budget(fan_label)
         results: List[Any] = [None] * n
-        if workers == 1 or n == 1:
-            # Short-circuit before any pool work: singletons and the
-            # serial contract never pay startup or pickling.
-            _run_serial(fn, items, results, 0, fan_label)
-            return results
-        force = planner.forced_mode()
-        if force == "serial":
-            planner.record_decision(
-                planner.trivial_plan("serial", "forced-serial", n,
-                                     workers), fan_label)
-            _run_serial(fn, items, results, 0, fan_label)
-            return results
-        est = planner.cost_prior(fan_label)
-        probed = 0
-        if force != "sharded" and est is None:
-            # First-ever fan-out for this label: probe one item
-            # in-process to seed the cost model.  The result is kept
-            # (fn is pure per item), so the probe costs nothing extra.
-            t0 = time.perf_counter()  # repro: ignore[wallclock-time] -- planner cost probe; never enters artifacts
-            results[0] = fn(items[0])
-            est = time.perf_counter() - t0  # repro: ignore[wallclock-time] -- planner cost probe; never enters artifacts
-            probed = 1
-            planner.note_probe(fan_label)
-            planner.update_cost_prior(fan_label, est, source="probe")
-        plan = planner.plan_execution(
-            n_items=n, workers=workers, est_item_cost_s=est,
-            remaining=n - probed, pool_is_warm=pool_is_warm(workers),
-            force=force)
-        planner.record_decision(plan, fan_label)
-        if plan.mode == "serial":
-            _run_serial(fn, items, results, probed, fan_label)
-            return results
-        pool = _acquire_pool(workers)
-        t0 = time.perf_counter()  # repro: ignore[wallclock-time] -- planner cost prior; never enters artifacts
-        try:
-            _dispatch_batches(pool, fn, items, probed, plan.chunk_size,
-                              results, workers)
-        except BrokenProcessPool:
-            # A worker died (OOM-killed, signalled).  Recycle the pool
-            # once and recompute the whole sharded region -- results
-            # are pure per item, so overwriting is harmless.
-            warnings.warn(
-                f"worker pool broke during {fan_label!r}; recycling "
-                "the pool and recomputing the sharded region",
-                RuntimeWarning, stacklevel=2)
-            planner.note_pool_recycled(fan_label)
-            shutdown_worker_pools()
-            pool = _acquire_pool(workers)
-            _dispatch_batches(pool, fn, items, probed, plan.chunk_size,
-                              results, workers)
-        wall = time.perf_counter() - t0  # repro: ignore[wallclock-time] -- planner cost prior; never enters artifacts
-        effective = max(1, min(workers, plan.n_tasks,
-                               planner.usable_cores()))
-        planner.update_cost_prior(fan_label,
-                                  wall * effective / (n - probed),
-                                  source="sharded")
+        done = 0
+        spent_s = 0.0
+        # The serial loop is the estimator: results are kept (fn is pure
+        # per item), and a lone leftover item is not worth a dispatch.
+        t0 = time.perf_counter()  # repro: ignore[wallclock-time] -- execution policy; never enters artifacts
+        while done < n and (spent_s < budget_s or done == n - 1):
+            results[done] = fn(items[done])
+            done += 1
+            spent_s = time.perf_counter() - t0  # repro: ignore[wallclock-time] -- execution policy; never enters artifacts
+        chunk = planner.chunk_size(n - done, workers)
+        planner.record_decision(fan_label, reason, n_items=n, workers=workers,
+                                in_process=done, chunk_size=chunk)
+        compute_s = 0.0
+        if done < n:
+            try:
+                compute_s = _dispatch_batches(_acquire_pool(workers), fn,
+                                              items, done, chunk, results)
+            except BrokenProcessPool:
+                # A worker died (OOM-killed, signalled).  Recycle the
+                # pool once and recompute the whole sharded region --
+                # results are pure per item, so overwriting is harmless.
+                warnings.warn(
+                    f"worker pool broke during {fan_label!r}; recycling "
+                    "the pool and recomputing the sharded region",
+                    RuntimeWarning, stacklevel=2)
+                planner.note_pool_recycled(fan_label)
+                shutdown_worker_pools()
+                compute_s = _dispatch_batches(_acquire_pool(workers), fn,
+                                              items, done, chunk, results)
+        planner.note_cost(fan_label, spent_s + compute_s)
         return results
 
 

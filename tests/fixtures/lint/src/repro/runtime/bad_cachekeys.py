@@ -12,17 +12,13 @@ _TUNING: Dict[str, float] = {"spacing_km": 50.0}
 _LIMIT = 64
 
 
-def _key(stations, t):
-    return (tuple(stations), t)
-
-
 @functools.lru_cache(maxsize=None)
 def mean_hops(stations: List[str], t: float = 0.0) -> float:
     # cache-key-unhashable: List parameter on an lru_cache function.
     return float(len(stations)) + t
 
 
-@shard_memoized(_key)
+@shard_memoized
 def dwell_profile(stations, t: float = 0.0) -> float:
     # cache-mutable-global: result depends on _TUNING, which is
     # outside the cache key.
@@ -35,7 +31,7 @@ def hops_with_default(extra: list = []) -> int:
     return len(extra)
 
 
-@shard_memoized(_key)
+@shard_memoized
 def sound_cached(stations: tuple, t: float = 0.0) -> float:
     # Negative control: hashable params, locals shadow nothing.
     spacing = 50.0

@@ -11,12 +11,7 @@ from pathlib import Path
 
 from repro.analysis import Baseline, analyze
 from repro.analysis.baseline import BASELINE_FILENAME
-from repro.runtime.memo import (
-    MEMO_DECORATOR_NAMES,
-    cached_dwell_time_s,
-    memo_metadata,
-    memoized_functions,
-)
+from repro.runtime.memo import MEMO_DECORATOR_NAMES, cached_dwell_time_s
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = REPO_ROOT / "src" / "repro"
@@ -99,16 +94,8 @@ def test_inline_suppressions_are_counted_not_hidden():
 
 
 def test_memo_decorator_metadata_is_exposed():
-    """runtime.memo exposes decorator metadata for the checker and
-    the decorator-name list the cache rules key on."""
+    """runtime.memo exposes the decorator-name list the cache rules
+    key on; its own memoizer is an ``lru_cache`` underneath."""
     assert "shard_memoized" in MEMO_DECORATOR_NAMES
     assert "lru_cache" in MEMO_DECORATOR_NAMES
-    metadata = memo_metadata(cached_dwell_time_s)
-    assert metadata is not None
-    assert metadata["decorator"] == "shard_memoized"
-    assert metadata["make_key"] == "_dwell_key"
-    assert cached_dwell_time_s in memoized_functions()
-
-
-def test_memo_metadata_absent_on_plain_functions():
-    assert memo_metadata(test_committed_baseline_is_empty) is None
+    assert cached_dwell_time_s.cache_info().maxsize is None

@@ -6,10 +6,10 @@ ran serially (``workers=1``, today's behaviour) or sharded across any
 number of worker processes, in any shard completion order.
 
 Every ``workers > 1`` call here runs under ``REPRO_PLANNER=sharded``
-(module-wide fixture below): the auto planner would correctly judge
-these deliberately small workloads below break-even and fold them back
-to the in-process path, which would leave the pool machinery -- the
-thing this file exists to check -- untested.  Forcing the medium is
+(module-wide fixture below): the auto planner would finish most of
+these deliberately small workloads inside its serial budget, which
+would leave the pool machinery -- the thing this file exists to
+check -- untested.  Forcing the medium is
 safe precisely because of the property under test: the planner may
 only ever change *where* shards run, never what they produce.
 """
@@ -161,7 +161,7 @@ class TestSweepEquivalence:
 
 class TestPlannerAutoEquivalence:
     """With no forced mode the planner picks the medium itself; the
-    artifact must not depend on which way the break-even call went."""
+    artifact must not depend on where the serial budget ran out."""
 
     def test_auto_mode_matches_serial(self, monkeypatch):
         monkeypatch.delenv(PLANNER_ENV_VAR, raising=False)

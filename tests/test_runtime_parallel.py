@@ -1,6 +1,7 @@
 """Tests for the sharded parallel runner and shard-local memoization."""
 
 import os
+import signal
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.runtime import (
     shutdown_worker_pools,
 )
 from repro.runtime.parallel import shard_seeds
+from repro.runtime.planner import pool_recycles
 
 
 def _square(x):
@@ -23,6 +25,19 @@ def _square(x):
 
 def _worker_env(_):
     return os.environ.get(WORKERS_ENV_VAR)
+
+
+def _square_or_die_once(work):
+    """SIGKILL the worker running item ``victim`` -- once, via a flag file."""
+    x, victim, flag = work
+    if x == victim:
+        try:
+            os.close(os.open(flag, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            pass
+        else:
+            os.kill(os.getpid(), signal.SIGKILL)
+    return x * x
 
 
 class TestSeedDerivation:
@@ -87,8 +102,8 @@ class TestRunSharded:
         """Pool children see REPRO_WORKERS=1, so shards cannot fan out.
 
         ``REPRO_PLANNER=sharded`` pins the pool path: the auto planner
-        would (correctly) judge this trivial workload below break-even
-        and run it in-process, where the env var is the parent's.
+        would finish this trivial workload inside its serial budget,
+        in-process, where the env var is the parent's.
         """
         monkeypatch.setenv(PLANNER_ENV_VAR, "sharded")
         try:
@@ -102,7 +117,7 @@ class TestShardMemoized:
     def test_caches_by_key(self):
         calls = []
 
-        @shard_memoized(lambda x: x)
+        @shard_memoized
         def expensive(x):
             calls.append(x)
             return x * 10
@@ -115,7 +130,7 @@ class TestShardMemoized:
     def test_clear_shard_caches_resets(self):
         calls = []
 
-        @shard_memoized(lambda x: x)
+        @shard_memoized
         def expensive(x):
             calls.append(x)
             return x
@@ -136,74 +151,65 @@ class TestShardMemoized:
         constellation = iridium()
         stations = default_ground_stations(6)
         first = mean_hops_to_ground(constellation, stations)
-        size_after_first = len(_cached_mean_hops.shard_cache)
+        size_after_first = _cached_mean_hops.cache_info().currsize
         second = mean_hops_to_ground(constellation, stations)
         assert first == second
-        assert len(_cached_mean_hops.shard_cache) == size_after_first
+        assert _cached_mean_hops.cache_info().currsize == size_after_first
 
 
 class TestBrokenPoolRecycle:
     """A worker death must be visible: a RuntimeWarning plus a planner
-    counter, not a silent restart (ISSUE 7 satellite).
+    recycle count under the fan-out's label, not a silent restart.
     """
 
-    def test_recycle_warns_counts_and_still_completes(self, monkeypatch):
+    @pytest.fixture
+    def flaky_dispatch(self, monkeypatch):
+        """The first ``_dispatch_batches`` call finds the pool broken."""
         from concurrent.futures.process import BrokenProcessPool
 
         from repro.runtime import parallel
-        from repro.runtime.planner import planner_metrics_snapshot
 
         real_dispatch = parallel._dispatch_batches
         crashes = {"remaining": 1}
 
-        def flaky_dispatch(*args, **kwargs):
+        def dispatch(*args, **kwargs):
             if crashes["remaining"]:
                 crashes["remaining"] -= 1
                 raise BrokenProcessPool("worker died")
             return real_dispatch(*args, **kwargs)
 
-        monkeypatch.setattr(parallel, "_dispatch_batches", flaky_dispatch)
+        monkeypatch.setattr(parallel, "_dispatch_batches", dispatch)
         monkeypatch.setenv(PLANNER_ENV_VAR, "sharded")
+        yield crashes
+        shutdown_worker_pools()
 
-        def recycle_count():
-            counters = planner_metrics_snapshot()["counters"]
-            return sum(v for k, v in counters.items()
-                       if k.startswith("planner.pool_recycles"))
+    def test_recycle_warns_counts_and_still_completes(self, flaky_dispatch):
+        before = sum(pool_recycles().values())
+        with pytest.warns(RuntimeWarning, match="recycling"):
+            values = run_sharded(_square, range(6), workers=2,
+                                 label="recycle-test")
+        assert values == [x * x for x in range(6)]
+        assert flaky_dispatch["remaining"] == 0
+        assert sum(pool_recycles().values()) == before + 1
 
-        before = recycle_count()
+    def test_recycle_counter_carries_fan_label(self, flaky_dispatch):
+        before = pool_recycles().get("labelled-recycle", 0)
+        with pytest.warns(RuntimeWarning):
+            run_sharded(_square, range(4), workers=2,
+                        label="labelled-recycle")
+        assert pool_recycles()["labelled-recycle"] == before + 1
+
+    def test_killed_worker_warns_counts_and_matches_serial(
+            self, monkeypatch, tmp_path):
+        """A real death mid-shard: the worker SIGKILLs itself on item 5."""
+        monkeypatch.setenv(PLANNER_ENV_VAR, "sharded")
+        work = [(x, 5, str(tmp_path / "died")) for x in range(12)]
+        before = pool_recycles().get("killed-worker", 0)
         try:
             with pytest.warns(RuntimeWarning, match="recycling"):
-                values = run_sharded(_square, range(6), workers=2,
-                                     label="recycle-test")
+                values = run_sharded(_square_or_die_once, work, workers=2,
+                                     label="killed-worker")
         finally:
             shutdown_worker_pools()
-        assert values == [x * x for x in range(6)]
-        assert crashes["remaining"] == 0
-        assert recycle_count() == before + 1
-
-    def test_recycle_counter_carries_fan_label(self, monkeypatch):
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.runtime import parallel
-        from repro.runtime.planner import planner_metrics_snapshot
-
-        real_dispatch = parallel._dispatch_batches
-        crashes = {"remaining": 1}
-
-        def flaky_dispatch(*args, **kwargs):
-            if crashes["remaining"]:
-                crashes["remaining"] -= 1
-                raise BrokenProcessPool("worker died")
-            return real_dispatch(*args, **kwargs)
-
-        monkeypatch.setattr(parallel, "_dispatch_batches", flaky_dispatch)
-        monkeypatch.setenv(PLANNER_ENV_VAR, "sharded")
-        try:
-            with pytest.warns(RuntimeWarning):
-                run_sharded(_square, range(4), workers=2,
-                            label="labelled-recycle")
-        finally:
-            shutdown_worker_pools()
-        counters = planner_metrics_snapshot()["counters"]
-        assert counters.get(
-            "planner.pool_recycles{label=labelled-recycle}", 0) >= 1
+        assert values == [x * x for x, *_ in work]
+        assert pool_recycles()["killed-worker"] == before + 1

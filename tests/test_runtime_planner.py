@@ -1,22 +1,21 @@
-"""Tests for the cost-aware execution planner and its pool mechanisms.
+"""Tests for the execution policy and the pool mechanisms it selects.
 
-Unit tests pin the planning math (batch sizing, break-even fallback,
-forced modes, cost priors); integration tests drive ``run_sharded``
-through real pools and check the mechanisms the plan selects: batching
-that preserves per-shard order and seed derivation, warm-pool reuse
-across calls, shared-registry shipping, and the no-pool short-circuits.
+Policy tests drive ``run_sharded`` with controlled ``time.sleep`` costs
+and read the decision log: the in-process prefix, the heavy/light bit,
+fixed chunking, forced modes.  Integration tests go through real pools
+and check the mechanisms: batching that preserves per-shard order and
+seed derivation, warm-pool reuse across calls, shared-registry
+shipping, and the no-pool short-circuits.
 """
 
 import math
+import time
 
 import pytest
 
 from repro.runtime import (
     PLANNER_ENV_VAR,
-    ExecutionPlan,
     get_shared,
-    plan_execution,
-    planner_calibration,
     planner_decisions,
     pools_created,
     reset_planner,
@@ -25,15 +24,12 @@ from repro.runtime import (
     shutdown_worker_pools,
     warm_pool_info,
 )
+from repro.runtime import planner
 from repro.runtime.planner import (
-    DEFAULT_POOL_STARTUP_S,
-    DEFAULT_TASK_OVERHEAD_S,
-    FORCED_TASKS_PER_WORKER,
-    MIN_TASK_SPAN_S,
-    cost_prior,
-    cost_priors,
+    SERIAL_BUDGET_S,
+    TASKS_PER_WORKER,
+    chunk_size,
     forced_mode,
-    update_cost_prior,
 )
 
 
@@ -45,6 +41,13 @@ def _clean_planner():
     yield
     reset_planner()
     shutdown_worker_pools()
+
+
+@pytest.fixture
+def auto_two_cores(monkeypatch):
+    """The policy under test: no forced mode, more than one core."""
+    monkeypatch.delenv(PLANNER_ENV_VAR, raising=False)
+    monkeypatch.setattr(planner, "usable_cores", lambda: 2)
 
 
 def _seeded(work):
@@ -60,98 +63,178 @@ def _shared_sum(x):
     return x + get_shared("test:offset")
 
 
+def _sleep_then_double(work):
+    """``(x, seconds)`` -> ``2 * x`` after a controlled cost."""
+    x, seconds = work
+    time.sleep(seconds)
+    return 2 * x
+
+
+#: Several budgets per item / a small share of one.
+HEAVY_S = 2.5 * SERIAL_BUDGET_S
+LIGHT_S = SERIAL_BUDGET_S / 100
+
+
+def _doubles(work):
+    return [2 * x for x, *_ in work]
+
+
 # ---------------------------------------------------------------------------
-# Planning math
+# The policy
 # ---------------------------------------------------------------------------
 
 class TestChunkSizing:
     def test_chunk_never_exceeds_item_count(self):
-        plan = plan_execution(n_items=3, workers=8, est_item_cost_s=1e-6,
-                              cores=8)
-        assert 1 <= plan.chunk_size <= 3
+        assert chunk_size(3, 8) == 1
+        assert chunk_size(1, 2) == 1
 
     def test_chunk_spreads_across_all_workers(self):
-        """Cheap 80-item grid: batching must still use every worker."""
-        plan = plan_execution(n_items=80, workers=4, est_item_cost_s=1e-4,
-                              cores=4)
-        assert plan.chunk_size <= math.ceil(80 / 4)
-        assert plan.n_tasks >= 4
+        """An 80-item grid on 4 workers: every worker gets several tasks."""
+        chunk = chunk_size(80, 4)
+        assert chunk <= math.ceil(80 / 4)
+        assert math.ceil(80 / chunk) >= 4
 
     def test_expensive_items_get_singleton_chunks(self):
-        plan = plan_execution(n_items=8, workers=4, est_item_cost_s=1.0,
-                              cores=4)
-        assert plan.chunk_size == 1
-        assert plan.n_tasks == 8
+        """Few items (the chaos Monte Carlo: 4 on 2 workers) ship alone."""
+        assert chunk_size(4, 2) == 1
+        assert chunk_size(8, 4) == 1
 
-    def test_chunk_targets_min_task_span(self):
-        est = 1e-4
-        plan = plan_execution(n_items=1000, workers=4,
-                              est_item_cost_s=est, cores=4)
-        target = max(MIN_TASK_SPAN_S,
-                     10.0 * plan.overhead_per_task_s)
-        assert plan.chunk_size == math.ceil(target / est)
-
-    def test_forced_sharded_without_estimate_balances(self):
-        plan = plan_execution(n_items=30, workers=3, est_item_cost_s=None,
-                              force="sharded", cores=1)
-        assert plan.mode == "sharded"
-        assert plan.reason == "forced-sharded"
-        assert plan.chunk_size == math.ceil(
-            30 / (3 * FORCED_TASKS_PER_WORKER))
+    def test_forced_sharded_without_estimate_balances(self, monkeypatch):
+        monkeypatch.setenv(PLANNER_ENV_VAR, "sharded")
+        run_sharded(_double, range(30), workers=3, label="balanced")
+        decision = planner_decisions()[-1]
+        assert decision["mode"] == "sharded"
+        assert decision["reason"] == "forced-sharded"
+        assert decision["in_process"] == 0
+        assert decision["chunk_size"] == math.ceil(
+            30 / (3 * TASKS_PER_WORKER))
 
 
 class TestBreakEven:
-    def test_expensive_grid_shards(self):
-        plan = plan_execution(n_items=8, workers=4, est_item_cost_s=1.0,
-                              cores=4)
-        assert plan.mode == "sharded"
-        assert plan.reason == "parallel-wins"
-        assert plan.serial_est_s == pytest.approx(8.0)
+    """``SERIAL_BUDGET_S`` of in-process work is the measured break-even."""
 
-    def test_cheap_grid_falls_back_to_serial(self):
-        plan = plan_execution(n_items=80, workers=4, est_item_cost_s=1e-4,
-                              cores=4)
-        assert plan.mode == "serial"
-        assert plan.reason == "below-break-even"
+    def test_cheap_grid_falls_back_to_serial(self, auto_two_cores):
+        work = [(x, LIGHT_S) for x in range(8)]
+        before = pools_created()
+        for _ in range(2):
+            assert run_sharded(_sleep_then_double, work, workers=2,
+                               label="light") == _doubles(work)
+            decision = planner_decisions()[-1]
+            assert decision["mode"] == "serial"
+            assert decision["in_process"] == 8
+        assert pools_created() == before
 
-    def test_single_core_always_serial(self):
-        plan = plan_execution(n_items=8, workers=4, est_item_cost_s=10.0,
-                              cores=1)
-        assert plan.mode == "serial"
-        assert plan.reason == "single-core"
+    def test_expensive_grid_shards(self, auto_two_cores):
+        """Unknown heavy label: an in-process prefix, then the rest
+        ships; known heavy label: every item ships."""
+        work = [(x, HEAVY_S) for x in range(4)]
+        before = pools_created()
+        assert run_sharded(_sleep_then_double, work, workers=2,
+                           label="heavy") == _doubles(work)
+        first = planner_decisions()[-1]
+        assert first["mode"] == "sharded"
+        assert 1 <= first["in_process"] < 4
+        assert run_sharded(_sleep_then_double, work, workers=2,
+                           label="heavy") == _doubles(work)
+        second = planner_decisions()[-1]
+        assert second["mode"] == "sharded"
+        assert second["in_process"] == 0
+        assert second["chunk_size"] == 1
+        assert pools_created() == before + 1
 
-    def test_warm_pool_drops_startup_from_projection(self):
-        cold = plan_execution(n_items=80, workers=4, est_item_cost_s=1e-3,
-                              cores=4, pool_is_warm=False)
-        warm = plan_execution(n_items=80, workers=4, est_item_cost_s=1e-3,
-                              cores=4, pool_is_warm=True)
-        assert cold.pool_startup_s == DEFAULT_POOL_STARTUP_S
-        assert warm.pool_startup_s == 0.0
-        assert warm.parallel_est_s < cold.parallel_est_s
+    def test_two_heavy_items_run_serially_once_then_pair_up(
+            self, auto_two_cores):
+        """The ``scenario.*`` shape: a lone leftover is not shipped."""
+        work = [(x, HEAVY_S) for x in range(2)]
+        before = pools_created()
+        assert run_sharded(_sleep_then_double, work, workers=2,
+                           label="pair") == _doubles(work)
+        assert planner_decisions()[-1]["mode"] == "serial"
+        assert pools_created() == before
+        assert run_sharded(_sleep_then_double, work, workers=2,
+                           label="pair") == _doubles(work)
+        decision = planner_decisions()[-1]
+        assert decision["mode"] == "sharded"
+        assert decision["in_process"] == 0
+        assert decision["chunk_size"] == 1
 
-    def test_default_overhead_before_calibration(self):
-        plan = plan_execution(n_items=8, workers=2, est_item_cost_s=1.0,
-                              cores=2)
-        assert plan.overhead_per_task_s == DEFAULT_TASK_OVERHEAD_S
-        assert planner_calibration() == {}
+    def test_cold_first_item_does_not_shard_forever(self, auto_two_cores):
+        """A cold memo on item 0 promotes the label once; cost measured
+        in the workers, where dispatch is not booked, demotes it."""
+        cold = [(0, HEAVY_S)] + [(x, 0.0) for x in range(1, 40)]
+        warm = [(x, 0.0) for x in range(40)]
+        assert run_sharded(_sleep_then_double, cold, workers=2,
+                           label="memo") == _doubles(cold)
+        assert planner_decisions()[-1]["mode"] == "sharded"
+        pools = pools_created()
+        for _ in range(2):
+            assert run_sharded(_sleep_then_double, warm, workers=2,
+                               label="memo") == _doubles(warm)
+        assert planner_decisions()[-1]["mode"] == "serial"
+        assert pools_created() == pools
 
-    def test_rejects_degenerate_inputs(self):
-        with pytest.raises(ValueError):
-            plan_execution(n_items=1, workers=2, est_item_cost_s=1.0)
-        with pytest.raises(ValueError):
-            plan_execution(n_items=4, workers=1, est_item_cost_s=1.0)
-        with pytest.raises(ValueError):
-            plan_execution(n_items=4, workers=2, est_item_cost_s=1.0,
-                           remaining=5)
-        with pytest.raises(ValueError):
-            plan_execution(n_items=4, workers=2, est_item_cost_s=None)
+    def test_single_core_always_serial(self, monkeypatch):
+        monkeypatch.delenv(PLANNER_ENV_VAR, raising=False)
+        monkeypatch.setattr(planner, "usable_cores", lambda: 1)
+        work = [(x, HEAVY_S) for x in range(3)]
+        before = pools_created()
+        for _ in range(2):
+            assert run_sharded(_sleep_then_double, work, workers=2,
+                               label="one-core") == _doubles(work)
+            decision = planner_decisions()[-1]
+            assert decision["mode"] == "serial"
+            assert decision["reason"] == "single-core"
+        assert pools_created() == before
 
-    def test_plan_is_frozen(self):
-        plan = plan_execution(n_items=4, workers=2, est_item_cost_s=1.0,
-                              cores=2)
-        assert isinstance(plan, ExecutionPlan)
-        with pytest.raises(AttributeError):
-            plan.mode = "sharded"
+    def test_single_core_still_pools_when_forced(self, monkeypatch):
+        monkeypatch.setenv(PLANNER_ENV_VAR, "sharded")
+        monkeypatch.setattr(planner, "usable_cores", lambda: 1)
+        before = pools_created()
+        assert run_sharded(_double, range(6), workers=2) == \
+            [2 * x for x in range(6)]
+        assert pools_created() == before + 1
+
+    def test_light_experiment_fanouts_never_pool(self, auto_two_cores):
+        from repro.experiments.cpu import (
+            fig7_cpu_breakdown,
+            fig8_latency_sweep,
+        )
+        from repro.experiments.observability import cohort_observability
+        from repro.experiments.sensitivity import sensitivity_sweep
+        from repro.hardware import RASPBERRY_PI_4
+        from repro.orbits import starlink
+        before = pools_created()
+        sensitivity_sweep(starlink(), workers=2)
+        fig7_cpu_breakdown(RASPBERRY_PI_4, workers=2)
+        fig8_latency_sweep(workers=2)
+        cohort_observability(workers=2)
+        assert [(decision["label"], decision["mode"])
+                for decision in planner_decisions()] == [
+            ("sensitivity.grid", "serial"), ("cpu.fig7", "serial"),
+            ("cpu.fig8", "serial"), ("obs.cohort", "serial")]
+        assert pools_created() == before
+
+    def test_measured_traffic_settles_on_serial(self, auto_two_cores):
+        """The real light fan-outs: whatever a cold first call decides,
+        the third call runs in-process and the pool count has settled."""
+        from repro.baselines.solutions import ALL_SOLUTIONS
+        from repro.experiments.sensitivity import constellation_scaling
+        from repro.experiments.signaling import sweep
+        from repro.orbits import TABLE1
+        constellations = [factory() for factory in TABLE1.values()]
+        serial = sweep(ALL_SOLUTIONS, constellations, workers=1)
+        for _ in range(2):
+            assert sweep(ALL_SOLUTIONS, constellations,
+                         workers=2) == serial
+            constellation_scaling(workers=2)
+        pools = pools_created()
+        assert sweep(ALL_SOLUTIONS, constellations, workers=2) == serial
+        constellation_scaling(workers=2)
+        last = {decision["label"]: decision["mode"]
+                for decision in planner_decisions()}
+        assert last == {"signaling.sweep": "serial",
+                        "sensitivity.scaling": "serial"}
+        assert pools_created() == pools
 
 
 class TestForcedMode:
@@ -173,32 +256,6 @@ class TestForcedMode:
         monkeypatch.setenv(PLANNER_ENV_VAR, "turbo")
         with pytest.raises(ValueError):
             forced_mode()
-
-
-class TestCostPriors:
-    def test_unknown_label_has_no_prior(self):
-        assert cost_prior("never-seen") is None
-
-    def test_first_sample_sets_prior(self):
-        update_cost_prior("lbl", 1.0, source="serial")
-        assert cost_prior("lbl") == 1.0
-
-    def test_ema_folds_new_samples(self):
-        update_cost_prior("lbl", 1.0)
-        update_cost_prior("lbl", 2.0)
-        assert cost_prior("lbl") == pytest.approx(1.5)
-        entry = cost_priors()["lbl"]
-        assert entry["samples"] == 2
-
-    def test_negative_samples_ignored(self):
-        update_cost_prior("lbl", 1.0)
-        update_cost_prior("lbl", -5.0)
-        assert cost_prior("lbl") == 1.0
-
-    def test_reset_clears_priors(self):
-        update_cost_prior("lbl", 1.0)
-        reset_planner()
-        assert cost_prior("lbl") is None
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +350,7 @@ class TestPoolIntegration:
         decision = planner_decisions()[-1]
         assert decision["label"] == "planner-test.cheap"
         assert decision["mode"] == "serial"
-        assert decision["reason"] in ("below-break-even", "single-core")
+        assert decision["reason"] in ("budget", "single-core")
 
     def test_forced_serial_never_pools(self, monkeypatch):
         monkeypatch.setenv(PLANNER_ENV_VAR, "serial")
@@ -310,13 +367,17 @@ class TestPoolIntegration:
         assert decision["label"] == "forced-pool"
         assert decision["mode"] == "sharded"
         assert decision["reason"] == "forced-sharded"
-        assert decision["n_tasks"] >= 1
-        # A real pool ran, so calibration now holds measured numbers.
-        calibration = planner_calibration()
-        assert calibration["task_overhead_s"] > 0
-        assert calibration["pool_startup_s"] > 0
+        assert decision["chunk_size"] >= 1
 
-    def test_serial_runs_seed_cost_priors(self):
-        run_sharded(_double, range(8), workers=1, label="prior-seeding")
-        prior = cost_prior("prior-seeding")
-        assert prior is not None and prior >= 0
+    def test_warm_pool_survives_consecutive_sweeps(self, monkeypatch):
+        """The default station catalog is one set of objects, so the
+        identity-compared shared registry matches from call to call."""
+        from repro.baselines.solutions import ALL_SOLUTIONS
+        from repro.experiments.signaling import sweep
+        from repro.orbits import TABLE1
+        monkeypatch.setenv(PLANNER_ENV_VAR, "sharded")
+        constellations = [factory() for factory in TABLE1.values()]
+        before = pools_created()
+        sweep(ALL_SOLUTIONS, constellations, workers=2)
+        sweep(ALL_SOLUTIONS, constellations, workers=2)
+        assert pools_created() == before + 1
