@@ -117,21 +117,7 @@ class SpaceCoreSystem:
         satellites are skipped -- a UE under churn attaches to the best
         survivor instead of a corpse.
         """
-        return self._closest_live_candidate(ue, t)
-
-    def _closest_live_candidate(self, ue: UserEquipment,
-                                t: float) -> int:
-        from ..orbits.snapshot import snapshot_for
-        snap = snapshot_for(self.propagator, t)
-        candidates = snap.visible_satellites(ue.lat, ue.lon)
-        if len(candidates) == 0:
-            return -1
-        angles = snap.central_angles(ue.lat, ue.lon)[candidates]
-        for idx in angles.argsort(kind="stable"):
-            sat = int(candidates[idx])
-            if self.topology.is_up(sat):
-                return sat
-        return -1
+        return self.topology.live_access_satellite(ue.lat, ue.lon, t)
 
     def cell_of(self, ue: UserEquipment) -> CellId:
         """The UE's geospatial cell id."""
@@ -230,7 +216,9 @@ class SpaceCoreSystem:
 
         The ingress satellite derives the destination's location from
         the geospatial address and relays via Algorithm 1; the covering
-        satellite pages the UE, which then establishes locally.
+        satellite pages the UE, which then establishes locally.  An
+        ``ingress_sat`` of -1 (what :meth:`serving_satellite_of` returns
+        for an uncovered UE) raises ``ValueError`` from the router.
         """
         if dest.ip_address is None:
             raise ValueError("destination UE has no geospatial address")

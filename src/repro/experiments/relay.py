@@ -302,6 +302,8 @@ def path_stretch_vs_optimal(constellation: Constellation,
     router = GeospatialRouter(topology)
     src = serving_satellite(propagator, t, *BEIJING)
     dst = serving_satellite(propagator, t, *NEW_YORK)
+    if src < 0 or dst < 0:
+        raise RuntimeError("Beijing or New York is uncovered at this epoch")
     geo = router.route(src, *NEW_YORK, t)
     base = DijkstraRouter(topology).route(src, dst, t)
     if not (geo.delivered and base.delivered):

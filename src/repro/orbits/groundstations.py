@@ -27,6 +27,14 @@ class GroundStation:
     lat_deg: float
     lon_deg: float
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.lat_deg) and math.isfinite(self.lon_deg)
+                and abs(self.lat_deg) <= 90.0):
+            raise ValueError(
+                f"ground station {self.name!r}: lat_deg/lon_deg must be "
+                f"finite degrees with |lat_deg| <= 90, got "
+                f"({self.lat_deg!r}, {self.lon_deg!r})")
+
     @property
     def lat(self) -> float:
         return math.radians(self.lat_deg)

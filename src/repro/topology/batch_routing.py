@@ -67,7 +67,12 @@ from ..orbits.snapshot import (
 )
 from ._walk_kernel import load_kernel
 from .grid import GridTopology
-from .routing import DESTINATION_CONTRACT, GeospatialRouter, RouteResult
+from .routing import (
+    DESTINATION_CONTRACT,
+    SOURCE_CONTRACT,
+    GeospatialRouter,
+    RouteResult,
+)
 
 __all__ = [
     "BatchGeoRouter",
@@ -308,6 +313,20 @@ class BatchGeoRouter:
             self._tables.popitem(last=False)
         return table
 
+    def _check_sources(self, src_sats: Sequence[int]) -> np.ndarray:
+        """``src_sats`` as a contiguous int64 array, or ``ValueError``.
+
+        Every entry must meet
+        :data:`~repro.topology.routing.SOURCE_CONTRACT`; a float entry
+        (``2.5``) is refused, not truncated to an index.
+        """
+        raw = np.asarray(src_sats)
+        total = self.topology.constellation.total_satellites
+        if raw.size and (raw.dtype.kind not in "iu"
+                         or int(raw.min()) < 0 or int(raw.max()) >= total):
+            raise ValueError(SOURCE_CONTRACT)
+        return np.ascontiguousarray(raw, dtype=np.int64)
+
     # -- scalar delegation ----------------------------------------------------
 
     def route(self, src_sat: int, dest_lat: float, dest_lon: float,
@@ -315,9 +334,10 @@ class BatchGeoRouter:
               avoid_links: Optional[Set[FrozenSet[int]]] = None
               ) -> RouteResult:
         """Single-packet routing (delegates to the scalar reference)."""
+        result = self.scalar.route(src_sat, dest_lat, dest_lon, t,
+                                   avoid_links=avoid_links)
         self._count("routing.packets", plane="scalar")
-        return self.scalar.route(src_sat, dest_lat, dest_lon, t,
-                                 avoid_links=avoid_links)
+        return result
 
     # -- the batch walk --------------------------------------------------------
 
@@ -335,18 +355,16 @@ class BatchGeoRouter:
         compiled walk the reference walk routes the whole wave, with
         the same results and the same ``fallback`` mask (see the
         module docstring).  Raises ``ValueError`` before any routing
-        on mismatched shapes, an out-of-range source or a destination
+        on mismatched shapes, a source outside
+        :data:`~repro.topology.routing.SOURCE_CONTRACT` or a destination
         outside :data:`~repro.topology.routing.DESTINATION_CONTRACT`.
         """
-        src = np.ascontiguousarray(np.asarray(src_sats, dtype=np.int64))
+        src = self._check_sources(src_sats)
         dlat = np.ascontiguousarray(np.asarray(dest_lats, dtype=float))
         dlon = np.ascontiguousarray(np.asarray(dest_lons, dtype=float))
         if not (src.shape == dlat.shape == dlon.shape and src.ndim == 1):
             raise ValueError("src/dest arrays must share one (N,) shape")
         n = src.shape[0]
-        total = self.topology.constellation.total_satellites
-        if n and (int(src.min()) < 0 or int(src.max()) >= total):
-            raise ValueError("source satellite index out of range")
         _check_destinations(dlat, dlon)
         self._count("routing.batches")
         self._count("routing.packets", n, plane="batch")
@@ -425,7 +443,7 @@ class BatchGeoRouter:
         revisit their epochs rebuild nothing (``routing.table_builds``
         counts exactly one build per distinct ``(t, fault_epoch)``).
         """
-        src = np.ascontiguousarray(np.asarray(src_sats, dtype=np.int64))
+        src = self._check_sources(src_sats)
         dlat = np.ascontiguousarray(np.asarray(dest_lats, dtype=float))
         dlon = np.ascontiguousarray(np.asarray(dest_lons, dtype=float))
         t_arr = np.asarray(ts, dtype=float)

@@ -159,9 +159,15 @@ class GridTopology:
         return sat not in self._failed_sats
 
     def isl_up(self, sat_a: int, sat_b: int) -> bool:
-        """Whether the link between two satellites is usable."""
-        return (self.is_up(sat_a) and self.is_up(sat_b)
-                and frozenset((sat_a, sat_b)) not in self._failed_isls)
+        """Whether the link between two satellites is usable.
+
+        On the reference walk's per-hop path: the ``frozenset`` key is
+        built only when some ISL carries a failure mark.
+        """
+        failed = self._failed_sats
+        return (sat_a not in failed and sat_b not in failed
+                and not (self._failed_isls
+                         and frozenset((sat_a, sat_b)) in self._failed_isls))
 
     def isl_marked_failed(self, sat_a: int, sat_b: int) -> bool:
         """Whether the link itself carries a failure mark.
@@ -173,6 +179,13 @@ class GridTopology:
         """
         return frozenset((sat_a, sat_b)) in self._failed_isls
 
+    def satellite_liveness(self) -> np.ndarray:
+        """``(N,)`` bool: entry ``s`` is ``is_up(s)`` under current faults."""
+        sat_up = np.ones(self.constellation.total_satellites, dtype=bool)
+        if self._failed_sats:
+            sat_up[sorted(self._failed_sats)] = False
+        return sat_up
+
     def edge_liveness(self) -> np.ndarray:
         """``(N, 4)`` liveness of every +Grid edge under current faults.
 
@@ -183,9 +196,7 @@ class GridTopology:
         """
         neighbors = grid_neighbor_table(self.constellation)
         total = self.constellation.total_satellites
-        sat_up = np.ones(total, dtype=bool)
-        if self._failed_sats:
-            sat_up[sorted(self._failed_sats)] = False
+        sat_up = self.satellite_liveness()
         edge_up = sat_up[:, None] & sat_up[neighbors]
         for link in self._failed_isls:
             a, b = min(link), max(link)
@@ -225,7 +236,7 @@ class GridTopology:
 
     # -- neighbourhood ---------------------------------------------------------
 
-    def _grid_neighbors(self, sat: int) -> Tuple[int, int, int, int]:
+    def grid_neighbors(self, sat: int) -> Tuple[int, int, int, int]:
         """(up, down, left, right) neighbours of ``sat``, memoised."""
         cached = self._neighbor_cache.get(sat)
         if cached is None:
@@ -239,12 +250,11 @@ class GridTopology:
 
     def isl_neighbors(self, sat: int) -> List[int]:
         """The up-to-four live grid neighbours of ``sat``."""
-        up, down, left, right = self._grid_neighbors(sat)
-        return [n for n in (up, down, left, right) if self.isl_up(sat, n)]
+        return [n for n in self.grid_neighbors(sat) if self.isl_up(sat, n)]
 
     def directional_neighbors(self, sat: int) -> Dict[str, int]:
         """Neighbours keyed by the Algorithm 1 direction names."""
-        up, down, left, right = self._grid_neighbors(sat)
+        up, down, left, right = self.grid_neighbors(sat)
         return {"up": up, "down": down, "left": left, "right": right}
 
     # -- geometry ---------------------------------------------------------------
@@ -298,18 +308,24 @@ class GridTopology:
 
         Returns -1 when no live satellite covers the gateway.
         """
+        return self.live_access_satellite(station.lat, station.lon, t)
+
+    def live_access_satellite(self, lat: float, lon: float,
+                              t: float) -> int:
+        """Closest live satellite covering ``(lat, lon)`` radians at t.
+
+        One haversine over the snapshot and one masked ``argmin``: dead
+        satellites and angles beyond the coverage half angle are out,
+        and among equal angles the lowest index wins (a stable sort of
+        the covering satellites picks the same one).  -1 when none.
+        """
         c = self.constellation
         theta = coverage_half_angle(c.altitude_km, c.min_elevation_deg)
-        ang = snapshot_for(self.propagator, t).central_angles(
-            station.lat, station.lon)
-        order = np.argsort(ang)
-        for idx in order:
-            sat = int(idx)
-            if ang[idx] > theta:
-                break
-            if self.is_up(sat):
-                return sat
-        return -1
+        ang = snapshot_for(self.propagator, t).central_angles(lat, lon)
+        if self._failed_sats:
+            ang[~self.satellite_liveness()] = np.inf
+        best = int(np.argmin(ang))
+        return best if ang[best] <= theta else -1
 
     def gateway_access_satellites(self, t: float
                                   ) -> List[Tuple[GroundStation, int]]:

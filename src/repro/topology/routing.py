@@ -51,6 +51,12 @@ RELAY_MAX_HOPS = 512
 DESTINATION_CONTRACT = ("destination lat/lon must be finite radians "
                         "with |lat| <= pi/2")
 
+#: The source contract of the same entry points: a source satellite is
+#: an integer flat index in ``[0, total_satellites)``.  Negative
+#: indices must not wrap to the end of the snapshot arrays.
+SOURCE_CONTRACT = ("source satellite index out of range: need an "
+                   "integer in [0, total_satellites)")
+
 @dataclass
 class RouteResult:
     """Outcome of routing one packet through the constellation."""
@@ -83,6 +89,9 @@ class GeospatialRouter:
     def __init__(self, topology: GridTopology, max_hops: int = 256):
         self.topology = topology
         c = topology.constellation
+        self._total = c.total_satellites
+        self._delta_raan = c.delta_raan
+        self._delta_phase = c.delta_phase
         self.system = InclinedCoordinateSystem(c.inclination_rad)
         self.coverage_angle = coverage_half_angle(c.altitude_km,
                                                   c.min_elevation_deg)
@@ -107,10 +116,19 @@ class GeospatialRouter:
         """Line 1-2 of Algorithm 1: does this satellite cover D?"""
         return self._covers(self._snapshot(t), sat, dest_lat, dest_lon)
 
+    # Per-hop reads go through ``ndarray.item()``, so the arithmetic
+    # runs on Python floats: the same IEEE operations as on numpy
+    # scalars (float64 ``%`` and float ``%`` are both fmod plus the
+    # same sign fix), minus the numpy-scalar overhead.  ``.item()``
+    # wraps negative indices like ``[]`` does, hence the source check
+    # in ``route``.  There is deliberately no per-snapshot ``tolist()``
+    # view: converting the arrays costs several routes, which callers
+    # that alternate epochs would pay on every packet.
+
     def _covers(self, snap: ConstellationSnapshot, sat: int,
                 dest_lat: float, dest_lon: float) -> bool:
         sub = snap.subpoints
-        return (central_angle(sub[sat, 0], sub[sat, 1],
+        return (central_angle(sub.item(sat, 0), sub.item(sat, 1),
                               dest_lat, dest_lon)
                 <= self.coverage_angle)
 
@@ -130,14 +148,13 @@ class GeospatialRouter:
     def _hop_offsets_snap(self, snap: ConstellationSnapshot, sat: int,
                           dest_reps: Sequence[Tuple[float, float]]
                           ) -> Tuple[float, float]:
-        c = self.topology.constellation
-        alpha_s = snap.raan_ecef[sat]
-        gamma_s = snap.arg_latitude[sat]
+        alpha_s = snap.raan_ecef.item(sat)
+        gamma_s = snap.arg_latitude.item(sat)
         best: Optional[Tuple[float, float]] = None
         best_metric = math.inf
         for alpha_d, gamma_d in dest_reps:
-            da = wrap_signed(alpha_d - alpha_s) / c.delta_raan
-            dg = wrap_signed(gamma_d - gamma_s) / c.delta_phase
+            da = wrap_signed(alpha_d - alpha_s) / self._delta_raan
+            dg = wrap_signed(gamma_d - gamma_s) / self._delta_phase
             metric = abs(da) + abs(dg)
             if metric < best_metric:
                 best_metric = metric
@@ -162,12 +179,10 @@ class GeospatialRouter:
         da, dg = self._hop_offsets_snap(snap, sat, dest_reps)
         if abs(da) < 0.5 and abs(dg) < 0.5:
             return None
-        neighbors = self.topology.directional_neighbors(sat)
+        up, down, left, right = self.topology.grid_neighbors(sat)
         if abs(da) > abs(dg):
-            direction = "right" if da > 0 else "left"
-        else:
-            direction = "up" if dg > 0 else "down"
-        return neighbors[direction]
+            return right if da > 0 else left
+        return up if dg > 0 else down
 
     # -- end-to-end ---------------------------------------------------------------
 
@@ -183,12 +198,17 @@ class GeospatialRouter:
         bounding detours).  ``avoid_links`` marks extra links to treat
         as down -- e.g. links the packet layer found to be inside a
         Gilbert-Elliott loss burst -- so degraded links can be routed
-        around without mutating the shared topology.  A destination
-        outside :data:`DESTINATION_CONTRACT` raises ``ValueError``.
+        around without mutating the shared topology.  A source outside
+        :data:`SOURCE_CONTRACT` or a destination outside
+        :data:`DESTINATION_CONTRACT` raises ``ValueError``.
         """
+        if not (isinstance(src_sat, (int, np.integer))
+                and 0 <= src_sat < self._total):
+            raise ValueError(f"{SOURCE_CONTRACT}: got {src_sat!r}")
         if not (math.isfinite(dest_lon) and abs(dest_lat) <= HALF_PI):
             raise ValueError(
                 f"{DESTINATION_CONTRACT}: got ({dest_lat!r}, {dest_lon!r})")
+        src_sat = int(src_sat)
         topo = self.topology
         # One cached snapshot and one destination (alpha, gamma)
         # conversion serve every hop of this packet.
@@ -243,10 +263,10 @@ class GeospatialRouter:
         key = (a, b) if a < b else (b, a)
         d = self._edge_km.get(key)
         if d is None:
-            pos = snap.positions_ecef
-            dx = pos[a, 0] - pos[b, 0]
-            dy = pos[a, 1] - pos[b, 1]
-            dz = pos[a, 2] - pos[b, 2]
+            item = snap.positions_ecef.item
+            dx = item(a, 0) - item(b, 0)
+            dy = item(a, 1) - item(b, 1)
+            dz = item(a, 2) - item(b, 2)
             d = math.sqrt(dx * dx + dy * dy + dz * dz)
             self._edge_km[key] = d
         return d
@@ -254,7 +274,7 @@ class GeospatialRouter:
     def _nearly_covers_snap(self, snap: ConstellationSnapshot, sat: int,
                             dest_lat: float, dest_lon: float) -> bool:
         sub = snap.subpoints
-        return (central_angle(sub[sat, 0], sub[sat, 1],
+        return (central_angle(sub.item(sat, 0), sub.item(sat, 1),
                               dest_lat, dest_lon)
                 <= self.coverage_angle * self.degraded_slack)
 

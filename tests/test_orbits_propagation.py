@@ -7,6 +7,7 @@ import pytest
 
 from repro.constants import STARLINK_DWELL_S
 from repro.orbits import (
+    GroundStation,
     IdealPropagator,
     J4Propagator,
     by_name,
@@ -195,6 +196,21 @@ class TestGroundStations:
         gs = nearest_station(math.radians(35.6), math.radians(139.8),
                              stations)
         assert gs.name == "tokyo-jp"
+
+    @pytest.mark.parametrize("lat, lon", [
+        pytest.param(math.nan, 0.0, id="nan-lat"),
+        pytest.param(0.0, math.nan, id="nan-lon"),
+        pytest.param(math.inf, 0.0, id="inf-lat"),
+        pytest.param(0.0, -math.inf, id="inf-lon"),
+        pytest.param(90.5, 0.0, id="past-north-pole"),
+        pytest.param(-91.0, 0.0, id="past-south-pole")])
+    def test_rejects_bad_coordinates(self, lat, lon):
+        with pytest.raises(ValueError, match="finite degrees"):
+            GroundStation("bad", lat, lon)
+
+    def test_poles_and_any_finite_longitude_are_valid(self):
+        assert GroundStation("north", 90.0, 0.0).lat == math.pi / 2
+        assert GroundStation("south", -90.0, 540.0).lat == -math.pi / 2
 
     def test_nearest_station_empty_raises(self):
         with pytest.raises(ValueError):

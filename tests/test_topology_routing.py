@@ -3,9 +3,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.orbits import (
+    GroundStation,
     IdealPropagator,
     J4Propagator,
     default_ground_stations,
@@ -14,6 +18,8 @@ from repro.orbits import (
     serving_satellite,
     starlink,
 )
+from repro.orbits.coverage import coverage_half_angle
+from repro.orbits.snapshot import ConstellationSnapshot, snapshot_for
 from repro.topology import (
     DijkstraRouter,
     GeospatialRouter,
@@ -262,3 +268,84 @@ class TestStarConstellations:
         # itself reports occasional Iridium detours.  Require a high
         # delivery rate rather than perfection.
         assert delivered / attempts >= 0.9
+
+
+def _scan_access(topology, lat, lon, t):
+    """The gateway access pick the masked ``argmin`` replaced: sort
+    every angle, scan to the first live satellite inside the footprint.
+    (The old ``np.argsort`` was the unstable default; the stable sort is
+    the tie rule ``live_access_satellite`` documents.)"""
+    c = topology.constellation
+    theta = coverage_half_angle(c.altitude_km, c.min_elevation_deg)
+    ang = snapshot_for(topology.propagator, t).central_angles(lat, lon)
+    for idx in np.argsort(ang, kind="stable"):
+        sat = int(idx)
+        if ang[idx] > theta:
+            break
+        if topology.is_up(sat):
+            return sat
+    return -1
+
+
+def _candidate_access(topology, lat, lon, t):
+    """``SpaceCoreSystem``'s old UE pick: visible set, then a stable
+    sort of the candidates' angles, first live one."""
+    snap = snapshot_for(topology.propagator, t)
+    candidates = snap.visible_satellites(lat, lon)
+    if len(candidates) == 0:
+        return -1
+    angles = snap.central_angles(lat, lon)[candidates]
+    for idx in angles.argsort(kind="stable"):
+        sat = int(candidates[idx])
+        if topology.is_up(sat):
+            return sat
+    return -1
+
+
+ACCESS_PROPAGATORS = {"starlink": IdealPropagator(starlink()),
+                      "iridium": IdealPropagator(iridium())}
+
+
+class TestAccessSatellite:
+    """Gateway and UE access as one masked ``argmin``, against the scans
+    it replaced, on generated stations x epochs x failed satellites."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(ACCESS_PROPAGATORS)),
+           lat_deg=st.floats(-90.0, 90.0), lon_deg=st.floats(-180.0, 180.0),
+           t=st.sampled_from([0.0, 615.0, 2871.5]),
+           nearest_dead=st.integers(0, 4),
+           seed=st.integers(0, 2**32 - 1), random_dead=st.integers(0, 60))
+    def test_masked_argmin_matches_the_scans(self, name, lat_deg, lon_deg,
+                                             t, nearest_dead, seed,
+                                             random_dead):
+        topology = GridTopology(ACCESS_PROPAGATORS[name], [])
+        station = GroundStation("probe", lat_deg, lon_deg)
+        ang = snapshot_for(topology.propagator, t).central_angles(
+            station.lat, station.lon)
+        # Kill the closest satellites so the pick must skip the dead.
+        for sat in np.argsort(ang, kind="stable")[:nearest_dead]:
+            topology.fail_satellite(int(sat))
+        rng = np.random.default_rng(seed)
+        for sat in rng.choice(len(ang), random_dead, replace=False):
+            topology.fail_satellite(int(sat))
+        expected = _scan_access(topology, station.lat, station.lon, t)
+        assert topology.station_access_satellite(station, t) == expected
+        assert topology.live_access_satellite(
+            station.lat, station.lon, t) == expected
+        assert _candidate_access(topology, station.lat, station.lon,
+                                 t) == expected
+
+    def test_ties_go_to_the_lowest_live_index(self, monkeypatch):
+        topology = GridTopology(ACCESS_PROPAGATORS["iridium"], [])
+        ang = np.ones(topology.constellation.total_satellites)
+        ang[[9, 3, 5]] = 0.01
+        monkeypatch.setattr(ConstellationSnapshot, "central_angles",
+                            lambda self, lat, lon: ang.copy())
+        assert topology.live_access_satellite(0.0, 0.0, 0.0) == 3
+        topology.fail_satellite(3)
+        assert topology.live_access_satellite(0.0, 0.0, 0.0) == 5
+        assert _scan_access(topology, 0.0, 0.0, 0.0) == 5
+        for sat in (5, 9):
+            topology.fail_satellite(sat)
+        assert topology.live_access_satellite(0.0, 0.0, 0.0) == -1
