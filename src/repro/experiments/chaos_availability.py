@@ -300,6 +300,13 @@ def compute_degradation_penalty_s(system_kind: str, factor: float,
     return max(0.0, degraded - base)
 
 
+def _component_labels(graph: nx.Graph) -> Dict[int, int]:
+    """``node -> label``: equal labels iff same connected component."""
+    return {node: label for label, component
+            in enumerate(nx.connected_components(graph))
+            for node in component}
+
+
 class _StatefulBaseline:
     """A 5G NTN-style core under the same fault schedule.
 
@@ -348,12 +355,15 @@ class _StatefulBaseline:
         if not victims:
             return
         t = self.controller.sim.now + RLF_DETECTION_S
-        # ISL edges cannot change inside this synchronous callback, so
-        # one graph serves every victim and every NAS retry; only the
-        # gateways' access satellites move with the retry time.
+        # Faults cannot change inside this synchronous callback, so the
+        # live ISL mesh -- and hence its connected components -- is
+        # fixed for every victim and every NAS retry.  Label it once;
+        # each attempt then asks only which gateways are covered at its
+        # own retry time, the one thing that moves.
         graph = self.system.topology.snapshot_graph(t, include_ground=False)
+        labels = _component_labels(graph)
         for supi in victims:
-            self._reattach(supi, t, graph)
+            self._reattach(supi, t, labels)
 
     def _crossing_loss(self) -> float:
         per_hop = (self.scenario.jam_link_loss
@@ -362,15 +372,26 @@ class _StatefulBaseline:
         return 1.0 - (1.0 - per_hop) ** self.scenario.path_hops
 
     def _gateway_reachable(self, sat: int, t: float,
-                           graph: nx.Graph) -> bool:
-        if sat < 0 or sat not in graph:
-            return False
-        sources = {access for _, access
-                   in self.system.topology.gateway_access_satellites(t)}
-        return any(nx.has_path(graph, sat, source)
-                   for source in sources if source in graph)
+                           labels: Dict[int, int]) -> bool:
+        """Whether ``sat`` shares a live-ISL component with a gateway.
 
-    def _reattach(self, supi: str, t: float, graph: nx.Graph) -> None:
+        ``labels`` maps every live satellite to its component label.
+        Gateways are scanned in catalog order and the scan stops at the
+        first covered one in ``sat``'s component, so on a connected
+        mesh one access-satellite lookup usually answers.
+        """
+        label = labels.get(sat)  # None for -1 and dead satellites
+        if label is None:
+            return False
+        topology = self.system.topology
+        for _, station in topology.live_ground_stations():
+            access = topology.station_access_satellite(station, t)
+            if access >= 0 and labels.get(access) == label:
+                return True
+        return False
+
+    def _reattach(self, supi: str, t: float,
+                  labels: Dict[int, int]) -> None:
         """NAS-timed retries of the full home-routed procedure."""
         elapsed = 0.0
         for attempt in range(NAS_MAX_ATTEMPTS):
@@ -381,7 +402,7 @@ class _StatefulBaseline:
                                               self.scenario.per_link_loss)
                 * procedure_success_probability(self.crossing_messages,
                                                 self._crossing_loss()))
-            if (self._gateway_reachable(sat, now, graph)
+            if (self._gateway_reachable(sat, now, labels)
                     and self.rng.random() < survival):
                 self.assignments[supi] = sat
                 self.recovery_latencies.append(

@@ -17,11 +17,30 @@ experiment scripts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
 from ..experiments.chaos_availability import ChaosScenario, PacketProbeSpec
 from .slo import SLOBudget
+
+
+def _require_finite(spec) -> None:
+    """Reject NaN and infinity in any float field of a frozen spec."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{type(spec).__name__}.{f.name} must be "
+                             f"finite, got {value!r}")
+
+
+def _require_non_negative(spec, *names: str) -> None:
+    """Reject negative radii, delays and window edges (None passes)."""
+    for name in names:
+        value = getattr(spec, name)
+        if value is not None and value < 0:
+            raise ValueError(f"{type(spec).__name__}.{name} cannot be "
+                             f"negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -38,10 +57,17 @@ class PopulationSpec:
     compute_load_per_s: float = 150.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.n_ues < 1:
             raise ValueError("population needs at least one UE")
-        if self.jitter_deg < 0:
-            raise ValueError("jitter cannot be negative")
+        _require_non_negative(self, "jitter_deg", "compute_load_per_s")
+        for site in self.sites or ():
+            lat, lon = site
+            if not (math.isfinite(lat) and math.isfinite(lon)
+                    and abs(lat) <= 90.0 and abs(lon) <= 180.0):
+                raise ValueError(
+                    f"PopulationSpec.sites entry {site!r} must be finite "
+                    f"degrees with |lat| <= 90 and |lon| <= 180")
 
 
 @dataclass(frozen=True)
@@ -84,8 +110,15 @@ class ChaosSpec:
     compute_fraction: float = 1.0        # fraction of serving satellites
 
     def __post_init__(self) -> None:
-        if self.decay_acceleration < 0:
-            raise ValueError("decay acceleration cannot be negative")
+        _require_finite(self)
+        _require_non_negative(
+            self, "decay_acceleration", "repair_delay_s", "jam_start_s",
+            "jam_stop_s", "jam_radius_km", "storm_start_s", "storm_stop_s",
+            "storm_repair_delay_s", "gs_outage_start_s", "gs_outage_stop_s",
+            "compute_start_s", "compute_stop_s")
+        for name in ("link_p_good_to_bad", "link_p_bad_to_good"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be a probability in [0, 1]")
         if not 0.0 <= self.gs_outage_fraction <= 1.0:
             raise ValueError("gs outage fraction must be in [0, 1]")
         if not 0.0 < self.compute_factor <= 1.0:
@@ -136,6 +169,7 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not self.name or any(c.isspace() for c in self.name):
             raise ValueError("scenario name must be a non-empty slug")
+        _require_finite(self)
         if self.horizon_s <= 0 or self.sample_interval_s <= 0:
             raise ValueError("horizon and sample interval must be positive")
         if self.n_trials < 1:

@@ -8,7 +8,9 @@ stateful baseline under the default churn scenario.
 
 import json
 import os
+import random
 
+import networkx as nx
 import pytest
 
 from repro.experiments import (
@@ -82,14 +84,26 @@ class TestSurvivalCurves:
             assert latency < 2.0
 
 
-class _PerAttemptBaseline(chaos_availability._StatefulBaseline):
-    """The oracle: a fresh ``snapshot_graph`` at every NAS attempt's
-    own time, as ``_gateway_reachable`` built it before ``on_fault``
-    hoisted one graph per fault event."""
+def _has_path_reachable(topology, sat, t):
+    """The frozen reference check: a fresh ``snapshot_graph`` at ``t``,
+    every covered gateway's access satellite, one ``nx.has_path`` each
+    -- reachability as the baseline computed it before component
+    labels and the short-circuiting gateway scan."""
+    graph = topology.snapshot_graph(t, include_ground=False)
+    if sat < 0 or sat not in graph:
+        return False
+    sources = {access for _, access
+               in topology.gateway_access_satellites(t)}
+    return any(nx.has_path(graph, sat, source)
+               for source in sources if source in graph)
 
-    def _gateway_reachable(self, sat, t, graph):
-        fresh = self.system.topology.snapshot_graph(t, include_ground=False)
-        return super()._gateway_reachable(sat, t, fresh)
+
+class _PerAttemptBaseline(chaos_availability._StatefulBaseline):
+    """The oracle: the frozen ``has_path`` check at every NAS attempt's
+    own time, ignoring the labels ``on_fault`` hands down."""
+
+    def _gateway_reachable(self, sat, t, labels):
+        return _has_path_reachable(self.system.topology, sat, t)
 
 
 def _ground_outage_schedule(system, ues, scenario):
@@ -174,6 +188,120 @@ class TestBaselineGraphHoist:
         assert any(not had_victims for _, had_victims, _ in events)
         for event, had_victims, graph_builds in events:
             assert graph_builds == (1 if had_victims else 0), event
+
+
+def _labelled_baseline():
+    """A stand-alone baseline on a fresh Starlink system (no faults)."""
+    system = chaos_availability.SpaceCoreSystem(
+        chaos_availability.starlink())
+    controller = chaos_availability.ChaosController(
+        chaos_availability.Simulator(), system.topology)
+    return chaos_availability._StatefulBaseline(
+        system, ChaosScenario(seed=SEED), controller)
+
+
+def _labels(topology, t):
+    return chaos_availability._component_labels(
+        topology.snapshot_graph(t, include_ground=False))
+
+
+def _isolate(topology, sat):
+    """Cut the satellite's four grid ISLs; returns the cut pairs."""
+    cuts = [(sat, nbr)
+            for nbr in topology.directional_neighbors(sat).values()]
+    for pair in cuts:
+        topology.fail_isl(*pair)
+    return cuts
+
+
+class TestGatewayReachableOnPartitions:
+    """Component labels decide reachability once the mesh splits."""
+
+    T = 250.0
+
+    @pytest.fixture
+    def baseline(self):
+        return _labelled_baseline()
+
+    @staticmethod
+    def _access(topology, t):
+        return {sat for _, sat in topology.gateway_access_satellites(t)}
+
+    def _non_access_sat(self, topology):
+        access = self._access(topology, self.T)
+        return next(sat for sat in range(
+            topology.constellation.total_satellites) if sat not in access)
+
+    def test_isolated_satellite_is_unreachable(self, baseline):
+        topology = baseline.system.topology
+        sat = self._non_access_sat(topology)
+        _isolate(topology, sat)
+        assert self._access(topology, self.T)
+        labels = _labels(topology, self.T)
+        assert baseline._gateway_reachable(sat, self.T, labels) is False
+        assert _has_path_reachable(topology, sat, self.T) is False
+
+    def test_gateway_component_is_reachable(self, baseline):
+        topology = baseline.system.topology
+        isolated = self._non_access_sat(topology)
+        _isolate(topology, isolated)
+        labels = _labels(topology, self.T)
+        sat = next(iter(topology.directional_neighbors(isolated).values()))
+        assert baseline._gateway_reachable(sat, self.T, labels) is True
+
+    def test_no_serving_satellite_is_unreachable(self, baseline):
+        labels = _labels(baseline.system.topology, self.T)
+        assert baseline._gateway_reachable(-1, self.T, labels) is False
+
+    def test_failed_satellite_is_unreachable(self, baseline):
+        topology = baseline.system.topology
+        sat = self._non_access_sat(topology)
+        topology.fail_satellite(sat)
+        labels = _labels(topology, self.T)
+        assert baseline._gateway_reachable(sat, self.T, labels) is False
+
+    def test_all_gateways_down_is_unreachable(self, baseline):
+        topology = baseline.system.topology
+        for station in range(len(topology.ground_stations)):
+            topology.fail_ground_station(station)
+        labels = _labels(topology, self.T)
+        assert all(not baseline._gateway_reachable(sat, self.T, labels)
+                   for sat in range(0, 200, 7))
+
+    def test_matches_has_path_oracle_on_cut_meshes(self, baseline):
+        """Seeded ISL cuts that split the mesh: every probe agrees with
+        the frozen ``has_path`` check, and some live victim sits in a
+        component no covered gateway reaches."""
+        topology = baseline.system.topology
+        total = topology.constellation.total_satellites
+        rng = random.Random(SEED + 26)
+        stranded = 0
+        cuts = []
+        for _ in range(6):
+            for pair in cuts:
+                topology.recover_isl(*pair)
+            islands = rng.sample(range(total), 3)
+            cuts = [pair for sat in islands
+                    for pair in _isolate(topology, sat)]
+            for _ in range(40):
+                sat = rng.randrange(total)
+                nbr = rng.choice(list(
+                    topology.directional_neighbors(sat).values()))
+                topology.fail_isl(sat, nbr)
+                cuts.append((sat, nbr))
+            t = rng.uniform(0.0, 3600.0)
+            graph = topology.snapshot_graph(t, include_ground=False)
+            assert nx.number_connected_components(graph) >= 2
+            labels = chaos_availability._component_labels(graph)
+            probes = islands + rng.sample(range(total), 12) + [-1]
+            for sat in probes:
+                for now in (t, t + 15.0):
+                    expected = _has_path_reachable(topology, sat, now)
+                    assert (baseline._gateway_reachable(sat, now, labels)
+                            is expected), (sat, now)
+                    stranded += sat >= 0 and not expected and bool(
+                        topology.gateway_access_satellites(now))
+        assert stranded > 0
 
 
 class TestReportArtifact:

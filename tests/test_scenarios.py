@@ -90,6 +90,50 @@ class TestCatalogIntegrity:
         with pytest.raises(ValueError):
             PopulationSpec(n_ues=0)
 
+    _SPEC_KWARGS = {"name": "x", "title": "t", "description": "d"}
+
+    @pytest.mark.parametrize("cls,field,value", [
+        (ScenarioSpec, "horizon_s", float("nan")),
+        (ScenarioSpec, "horizon_s", float("inf")),
+        (ScenarioSpec, "sample_interval_s", float("inf")),
+        (ScenarioSpec, "sample_interval_s", float("nan")),
+        (PopulationSpec, "jitter_deg", float("nan")),
+        (PopulationSpec, "jitter_deg", -1.0),
+        (PopulationSpec, "compute_load_per_s", float("nan")),
+        (PopulationSpec, "compute_load_per_s", -150.0),
+        (PopulationSpec, "sites", ((95.0, 0.0),)),
+        (PopulationSpec, "sites", ((0.0, -181.0),)),
+        (PopulationSpec, "sites", ((float("nan"), 0.0),)),
+        (PopulationSpec, "sites", ((0.0, float("inf")),)),
+        (ChaosSpec, "decay_acceleration", float("nan")),
+        (ChaosSpec, "decay_acceleration", -1.0),
+        (ChaosSpec, "repair_delay_s", float("inf")),
+        (ChaosSpec, "repair_delay_s", -1.0),
+        (ChaosSpec, "link_p_good_to_bad", float("nan")),
+        (ChaosSpec, "link_p_good_to_bad", 1.5),
+        (ChaosSpec, "link_p_bad_to_good", -0.1),
+        (ChaosSpec, "jam_start_s", -1.0),
+        (ChaosSpec, "jam_stop_s", float("inf")),
+        (ChaosSpec, "jam_radius_km", -5.0),
+        (ChaosSpec, "jam_radius_km", float("nan")),
+        (ChaosSpec, "storm_start_s", float("nan")),
+        (ChaosSpec, "storm_stop_s", -1.0),
+        (ChaosSpec, "storm_repair_delay_s", -120.0),
+        (ChaosSpec, "gs_outage_start_s", -1.0),
+        (ChaosSpec, "gs_outage_stop_s", float("nan")),
+        (ChaosSpec, "gs_outage_fraction", float("nan")),
+        (ChaosSpec, "compute_start_s", -1.0),
+        (ChaosSpec, "compute_stop_s", float("inf")),
+        (ChaosSpec, "compute_factor", float("nan")),
+        (ChaosSpec, "compute_fraction", float("nan")),
+    ])
+    def test_spec_rejects_non_finite_and_impossible(self, cls, field,
+                                                    value):
+        kwargs = dict(self._SPEC_KWARGS) if cls is ScenarioSpec else {}
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            cls(**kwargs)
+
 
 class TestScheduleComposition:
     def _system_and_ues(self, spec, seed=0):
