@@ -26,8 +26,10 @@ and identical procedure outcome records.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
@@ -58,9 +60,68 @@ from ..sim.engine import Simulator
 SPACECORE_LOCAL_EXCHANGE_S = 4 * 0.0027
 
 
+def _require_finite(spec) -> None:
+    """Reject NaN and infinity in any float field of a frozen spec."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{type(spec).__name__}.{f.name} must be "
+                             f"finite, got {value!r}")
+
+
+def _require_non_negative(spec, *names: str) -> None:
+    """Reject negative radii, delays and window edges (None passes)."""
+    for name in names:
+        value = getattr(spec, name)
+        if value is not None and value < 0:
+            raise ValueError(f"{type(spec).__name__}.{name} cannot be "
+                             f"negative, got {value!r}")
+
+
+def _require_positive(spec, *names: str) -> None:
+    """Reject zero or negative horizons and intervals."""
+    for name in names:
+        value = getattr(spec, name)
+        if not value > 0:
+            raise ValueError(f"{type(spec).__name__}.{name} must be "
+                             f"positive, got {value!r}")
+
+
+def _require_count(spec, name: str, minimum: int) -> None:
+    """Reject a count or seed that is not an integer >= ``minimum``."""
+    value = getattr(spec, name)
+    if not (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= minimum):
+        raise ValueError(f"{type(spec).__name__}.{name} must be an "
+                         f"integer >= {minimum}, got {value!r}")
+
+
+def _require_probability(spec, *names: str) -> None:
+    """Reject a probability outside ``[0, 1]``."""
+    for name in names:
+        if not 0.0 <= getattr(spec, name) <= 1.0:
+            raise ValueError(f"{name} must be a probability in [0, 1]")
+
+
+def _require_sites(spec, name: str) -> None:
+    """Reject (lat, lon) degree sites off the globe (None passes)."""
+    for site in getattr(spec, name) or ():
+        lat, lon = site
+        if not (math.isfinite(lat) and math.isfinite(lon)
+                and abs(lat) <= 90.0 and abs(lon) <= 180.0):
+            raise ValueError(
+                f"{type(spec).__name__}.{name} entry {site!r} must be "
+                f"finite degrees with |lat| <= 90 and |lon| <= 180")
+
+
 @dataclass(frozen=True)
 class ChaosScenario:
-    """Knobs of the default churn scenario (all seeded)."""
+    """Knobs of the default churn scenario (all seeded).
+
+    Validated on construction, like the scenario specs that build it:
+    a NaN horizon, a loss probability above 1 or a zero sample
+    interval raises ``ValueError`` naming the field.
+    """
 
     horizon_s: float = 3600.0
     sample_interval_s: float = 120.0
@@ -92,6 +153,18 @@ class ChaosScenario:
     compute_load_per_s: float = 150.0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        _require_finite(self)
+        _require_positive(self, "horizon_s", "sample_interval_s")
+        _require_count(self, "n_ues", 1)
+        _require_non_negative(
+            self, "decay_acceleration", "repair_delay_s", "jam_start_s",
+            "jam_stop_s", "jam_radius_km", "path_hops", "ue_jitter_deg",
+            "compute_load_per_s")
+        _require_probability(self, "per_link_loss", "jam_link_loss")
+        _require_sites(self, "ue_sites")
+        _require_count(self, "seed", 0)
+
 
 @dataclass(frozen=True)
 class PacketProbeSpec:
@@ -113,9 +186,11 @@ class PacketProbeSpec:
     t_s: Optional[float] = None
     seed: int = 7
 
-    def __post_init__(self):
-        if self.packets < 1:
-            raise ValueError("probe needs at least one packet")
+    def __post_init__(self) -> None:
+        _require_count(self, "packets", 1)
+        _require_finite(self)
+        _require_non_negative(self, "t_s")
+        _require_count(self, "seed", 0)
 
 
 def _run_packet_probe(system: SpaceCoreSystem, scenario: ChaosScenario,
@@ -125,8 +200,6 @@ def _run_packet_probe(system: SpaceCoreSystem, scenario: ChaosScenario,
     Deterministic in (probe, scenario.seed); every float is rounded so
     the payload survives the golden-artifact byte contract.
     """
-    import math
-
     import numpy as np
 
     from ..topology.batch_routing import BatchGeoRouter

@@ -17,30 +17,19 @@ experiment scripts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
-from ..experiments.chaos_availability import ChaosScenario, PacketProbeSpec
+from ..experiments.chaos_availability import (
+    ChaosScenario,
+    PacketProbeSpec,
+    _require_finite,
+    _require_non_negative,
+    _require_positive,
+    _require_probability,
+    _require_sites,
+)
 from .slo import SLOBudget
-
-
-def _require_finite(spec) -> None:
-    """Reject NaN and infinity in any float field of a frozen spec."""
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{type(spec).__name__}.{f.name} must be "
-                             f"finite, got {value!r}")
-
-
-def _require_non_negative(spec, *names: str) -> None:
-    """Reject negative radii, delays and window edges (None passes)."""
-    for name in names:
-        value = getattr(spec, name)
-        if value is not None and value < 0:
-            raise ValueError(f"{type(spec).__name__}.{name} cannot be "
-                             f"negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -61,13 +50,7 @@ class PopulationSpec:
         if self.n_ues < 1:
             raise ValueError("population needs at least one UE")
         _require_non_negative(self, "jitter_deg", "compute_load_per_s")
-        for site in self.sites or ():
-            lat, lon = site
-            if not (math.isfinite(lat) and math.isfinite(lon)
-                    and abs(lat) <= 90.0 and abs(lon) <= 180.0):
-                raise ValueError(
-                    f"PopulationSpec.sites entry {site!r} must be finite "
-                    f"degrees with |lat| <= 90 and |lon| <= 180")
+        _require_sites(self, "sites")
 
 
 @dataclass(frozen=True)
@@ -116,9 +99,8 @@ class ChaosSpec:
             "jam_stop_s", "jam_radius_km", "storm_start_s", "storm_stop_s",
             "storm_repair_delay_s", "gs_outage_start_s", "gs_outage_stop_s",
             "compute_start_s", "compute_stop_s")
-        for name in ("link_p_good_to_bad", "link_p_bad_to_good"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be a probability in [0, 1]")
+        _require_probability(self, "link_p_good_to_bad",
+                             "link_p_bad_to_good")
         if not 0.0 <= self.gs_outage_fraction <= 1.0:
             raise ValueError("gs outage fraction must be in [0, 1]")
         if not 0.0 < self.compute_factor <= 1.0:
@@ -170,8 +152,7 @@ class ScenarioSpec:
         if not self.name or any(c.isspace() for c in self.name):
             raise ValueError("scenario name must be a non-empty slug")
         _require_finite(self)
-        if self.horizon_s <= 0 or self.sample_interval_s <= 0:
-            raise ValueError("horizon and sample interval must be positive")
+        _require_positive(self, "horizon_s", "sample_interval_s")
         if self.n_trials < 1:
             raise ValueError("scenario needs at least one trial")
 

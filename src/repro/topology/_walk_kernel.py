@@ -8,7 +8,11 @@ as a per-packet C loop over the shared :class:`NextHopTable` arrays,
 which brings a hop down to a few dozen nanoseconds (~1.5 M packets/s).
 It models Algorithm 1's preferred-direction walk only; a packet that
 needs anything else (deflection, seam revisit, a path longer than the
-caller's buffer) is flagged for the reference walk to recompute.
+caller's buffer) is flagged, with the prefix walked so far (path
+cells, delay, distance, length) written out, and the reference walk
+*continues* it from the node where the flag was raised.  The prefix is
+the one the reference walk would have walked itself, bit for bit, so
+continuing it equals recomputing it.
 
 Bit-exactness
 =============
@@ -167,7 +171,10 @@ static int hop_decision(double wa0, double wg0, double wa1, double wg1,
  * the destination radial, guard-banded exact re-test), both-
  * representation hop offsets, strict-< representation pick, dominant-
  * dimension direction, liveness / seam-revisit / path-capacity
- * fallback flags. */
+ * fallback flags.  Every exit -- delivery, a flag, or the hop budget
+ * spent -- writes the walked prefix: path cells 0..step, its delay and
+ * distance, and path_len = step + 1, so a flagged packet's reference
+ * walk continues from there instead of starting over. */
 void walk_chunk(
     int64_t n, int64_t max_hops, int64_t path_cap,
     int32_t full_torus, int32_t healthy,
@@ -198,8 +205,8 @@ void walk_chunk(
         double delay = 0.0, dist = 0.0;
         int32_t *path = paths + i * path_cap;
         path[0] = (int32_t)cur;
-        int resolved = 0;
-        for (int64_t step = 0; step < max_hops; step++) {
+        int64_t step;
+        for (step = 0; step < max_hops; step++) {
             double dot = t_ux[cur] * UX + t_uy[cur] * UY
                        + t_uz[cur] * UZ;
             int covered;
@@ -213,10 +220,6 @@ void walk_chunk(
             }
             if (covered) {
                 delivered[i] = 1;
-                delay_out[i] = delay;
-                dist_out[i] = dist;
-                path_len[i] = (int32_t)(step + 1);
-                resolved = 1;
                 break;
             }
             double wa0 = wrap_signed_diff(A0 - t_alpha[cur]);
@@ -231,22 +234,17 @@ void walk_chunk(
                                 DLAT, DLON) <= slack_theta) {
                     delivered[i] = 1;
                     degraded[i] = 1;
-                    delay_out[i] = delay;
-                    dist_out[i] = dist;
-                    path_len[i] = (int32_t)(step + 1);
                 } else {
                     /* Centered but not even nearly covered: the
-                     * scalar walk deflects sideways -- recompute. */
+                     * scalar walk deflects sideways from here. */
                     fallback[i] = 1;
                 }
-                resolved = 1;
                 break;
             }
             int64_t off = cur * 4 + dir;
             int32_t nxt = t_nbr[off];
             if (!healthy && !t_edge[off]) {
                 fallback[i] = 1;
-                resolved = 1;
                 break;
             }
             if (!full_torus) {
@@ -256,16 +254,14 @@ void walk_chunk(
                 }
                 if (revisit) {
                     fallback[i] = 1;
-                    resolved = 1;
                     break;
                 }
             }
             if (step + 1 >= path_cap) {
                 /* Path buffer exhausted (the caller trades capacity
-                 * for allocation cost); the scalar recompute has no
-                 * such limit. */
+                 * for allocation cost); the scalar walk that continues
+                 * from here has no such limit. */
                 fallback[i] = 1;
-                resolved = 1;
                 break;
             }
             /* t_delay is hop_km / c precomputed edgewise -- the same
@@ -277,12 +273,11 @@ void walk_chunk(
             path[step + 1] = nxt;
             cur = (int64_t)nxt;
         }
-        if (!resolved) {
-            /* max_hops levels exhausted: undelivered, partial path. */
-            delay_out[i] = delay;
-            dist_out[i] = dist;
-            path_len[i] = (int32_t)(max_hops + 1);
-        }
+        /* step == max_hops when the budget ran out: undelivered, with
+         * the max_hops + 1 nodes walked. */
+        delay_out[i] = delay;
+        dist_out[i] = dist;
+        path_len[i] = (int32_t)(step + 1);
     }
 }
 """

@@ -8,10 +8,14 @@ packet at a time through a Python hop loop, every code path modelled
 loop over shared per-epoch arrays that replays the reference
 arithmetic operation for operation and *flags* any packet that needs
 a path it does not model.  :meth:`BatchGeoRouter.route_batch` runs the
-compiled walk over the wave and recomputes the flagged packets with
-the reference walk; on a host without the compiled walk (no C
+compiled walk over the wave, and the reference walk *continues* each
+flagged packet from where the compiled walk stopped: the compiled walk
+hands over the prefix it walked (path, delay, distance), which is the
+reference walk's own prefix bit for bit, so only the hops from the
+flag on run in Python.  On a host without the compiled walk (no C
 compiler, failed build, ``REPRO_NO_CKERNEL``) the whole wave takes the
-reference walk.  Either way ``route_batch(...).results()`` is
+reference walk from the source.  Either way
+``route_batch(...).results()`` is
 element-for-element identical (paths, verdicts, delays, distances) to
 calling ``GeospatialRouter.route`` in a loop, which is what the
 equivalence suite asserts on both lanes.
@@ -69,6 +73,7 @@ from ._walk_kernel import load_kernel
 from .grid import GridTopology
 from .routing import (
     DESTINATION_CONTRACT,
+    EPOCH_CONTRACT,
     SOURCE_CONTRACT,
     GeospatialRouter,
     RouteResult,
@@ -258,7 +263,7 @@ class BatchGeoRouter:
 
     Wraps a scalar :class:`GeospatialRouter` (sharing its coverage
     geometry and ``degraded_slack``): the reference walk that
-    recomputes the packets the compiled walk flags, routes the whole
+    continues the packets the compiled walk flags, routes the whole
     wave when there is no compiled walk, and is what the equivalence
     suite compares against.
     """
@@ -349,15 +354,18 @@ class BatchGeoRouter:
         """Route ``(N,)`` packets that share one epoch ``t``.
 
         The compiled walk routes the wave against the epoch's next-hop
-        table; packets it flags (deflection, seam revisit, path longer
-        than its buffer) and every packet of an ``avoid_links`` wave
-        are recomputed exactly by the reference walk.  Without a
+        table; the reference walk continues each packet it flags
+        (deflection, seam revisit, path longer than its buffer) from
+        the prefix the compiled walk handed over, and routes every
+        packet of an ``avoid_links`` wave from its source.  Without a
         compiled walk the reference walk routes the whole wave, with
         the same results and the same ``fallback`` mask (see the
         module docstring).  Raises ``ValueError`` before any routing
         on mismatched shapes, a source outside
-        :data:`~repro.topology.routing.SOURCE_CONTRACT` or a destination
-        outside :data:`~repro.topology.routing.DESTINATION_CONTRACT`.
+        :data:`~repro.topology.routing.SOURCE_CONTRACT`, a destination
+        outside :data:`~repro.topology.routing.DESTINATION_CONTRACT`
+        or an epoch outside
+        :data:`~repro.topology.routing.EPOCH_CONTRACT`.
         """
         src = self._check_sources(src_sats)
         dlat = np.ascontiguousarray(np.asarray(dest_lats, dtype=float))
@@ -366,6 +374,8 @@ class BatchGeoRouter:
             raise ValueError("src/dest arrays must share one (N,) shape")
         n = src.shape[0]
         _check_destinations(dlat, dlon)
+        if not math.isfinite(t):
+            raise ValueError(f"{EPOCH_CONTRACT}: got {t!r}")
         self._count("routing.batches")
         self._count("routing.packets", n, plane="batch")
         if self.metrics is not None:
@@ -399,8 +409,8 @@ class BatchGeoRouter:
         # The capacity is deliberately small: an uninitialised
         # 64-column buffer costs far less than a -1-filled
         # (max_hops + 1)-column one, and the kernel flags the rare
-        # longer walk for exact recompute by the reference walk (which
-        # has no capacity limit).  +Grid shortest-metric walks on the
+        # longer walk for the reference walk to continue (it has no
+        # capacity limit).  +Grid shortest-metric walks on the
         # paper's shells stay well under 64 hops; only fault
         # deflections ever exceed it.
         cap = min(self.max_hops + 1, 64)
@@ -452,6 +462,9 @@ class BatchGeoRouter:
             raise ValueError(
                 "src/dest/ts arrays must share one (N,) shape")
         _check_destinations(dlat, dlon)
+        if t_arr.size and not (math.isfinite(float(t_arr.min()))
+                               and math.isfinite(float(t_arr.max()))):
+            raise ValueError(EPOCH_CONTRACT)
         n = src.shape[0]
         self._count("routing.sweeps")
         if n == 0:
@@ -579,18 +592,30 @@ class BatchGeoRouter:
                 whole_wave: bool = False) -> BatchRouteResult:
         """Route the flagged packets of ``out`` with the reference walk.
 
-        ``whole_wave`` is the lane without a compiled walk: every
-        packet takes the reference walk and ``fallback`` reports its
-        ``deflected`` bit, which is what the compiled walk's flags
-        mean -- so the mask (and ``routing.scalar_fallbacks``) does
-        not depend on whether this host could build the kernel.
+        On the compiled-walk lane each flagged packet's reference walk
+        continues the prefix the compiled walk left in ``out`` (its
+        first ``path_len`` path cells, ``delay_s`` and
+        ``distance_km``).  ``avoid_links`` waves and ``whole_wave``
+        walk from the source.  ``whole_wave`` is the lane without a
+        compiled walk: every packet takes the reference walk and
+        ``fallback`` reports its ``deflected`` bit, which is what the
+        compiled walk's flags mean -- so the mask (and
+        ``routing.scalar_fallbacks``) does not depend on whether this
+        host could build the kernel.
         """
         flagged = (np.arange(len(out)) if whole_wave
                    else np.nonzero(out.fallback)[0])
+        resume = not (whole_wave or avoid_links)
         for index in flagged:
+            walked = None
+            if resume:
+                walked = RouteResult(
+                    False, out._paths[index, :out.path_len[index]].tolist(),
+                    float(out.delay_s[index]),
+                    float(out.distance_km[index]))
             result = self.scalar.route(
                 int(src[index]), float(dlat[index]), float(dlon[index]),
-                t, avoid_links=avoid_links)
+                t, avoid_links=avoid_links, walked=walked)
             out.delivered[index] = result.delivered
             out.degraded[index] = result.degraded
             out.delay_s[index] = result.delay_s

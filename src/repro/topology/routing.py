@@ -57,6 +57,11 @@ DESTINATION_CONTRACT = ("destination lat/lon must be finite radians "
 SOURCE_CONTRACT = ("source satellite index out of range: need an "
                    "integer in [0, total_satellites)")
 
+#: The epoch contract of the same entry points: ``t`` is a finite
+#: number of seconds (a NaN epoch would otherwise compare its way to
+#: "delivered in 0 hops").
+EPOCH_CONTRACT = "route epoch t must be finite seconds"
+
 @dataclass
 class RouteResult:
     """Outcome of routing one packet through the constellation."""
@@ -188,7 +193,8 @@ class GeospatialRouter:
 
     def route(self, src_sat: int, dest_lat: float, dest_lon: float,
               t: float,
-              avoid_links: Optional[Set[FrozenSet[int]]] = None
+              avoid_links: Optional[Set[FrozenSet[int]]] = None,
+              *, walked: Optional[RouteResult] = None
               ) -> RouteResult:
         """Forward hop by hop from ``src_sat`` to the destination's cell.
 
@@ -199,8 +205,18 @@ class GeospatialRouter:
         as down -- e.g. links the packet layer found to be inside a
         Gilbert-Elliott loss burst -- so degraded links can be routed
         around without mutating the shared topology.  A source outside
-        :data:`SOURCE_CONTRACT` or a destination outside
-        :data:`DESTINATION_CONTRACT` raises ``ValueError``.
+        :data:`SOURCE_CONTRACT`, a destination outside
+        :data:`DESTINATION_CONTRACT` or an epoch outside
+        :data:`EPOCH_CONTRACT` raises ``ValueError``.
+
+        ``walked`` continues a walk instead of starting one: a prefix
+        of this very route (``path`` from ``src_sat``, with the
+        ``delay_s`` / ``distance_km`` accumulated over it, and
+        ``deflected`` if it deflected).  The walk resumes at the
+        prefix's last node with the prefix's nodes visited and the
+        remaining hop budget, so the result equals the from-scratch
+        route bit for bit.  The batch plane passes the compiled walk's
+        prefix of a packet it flagged.
         """
         if not (isinstance(src_sat, (int, np.integer))
                 and 0 <= src_sat < self._total):
@@ -208,19 +224,26 @@ class GeospatialRouter:
         if not (math.isfinite(dest_lon) and abs(dest_lat) <= HALF_PI):
             raise ValueError(
                 f"{DESTINATION_CONTRACT}: got ({dest_lat!r}, {dest_lon!r})")
+        if not math.isfinite(t):
+            raise ValueError(f"{EPOCH_CONTRACT}: got {t!r}")
         src_sat = int(src_sat)
+        if walked is None:
+            walked = RouteResult(False, [src_sat])
+        path = list(walked.path)
+        if not path or path[0] != src_sat or len(path) - 1 > self.max_hops:
+            raise ValueError("walked must be a prefix of this route: "
+                             "a path from src_sat within max_hops")
         topo = self.topology
         # One cached snapshot and one destination (alpha, gamma)
         # conversion serve every hop of this packet.
         snap = self._snapshot(t)
         dest_reps = self.system.both_representations(dest_lat, dest_lon)
-        path = [src_sat]
-        visited = {src_sat}
-        delay = 0.0
-        distance = 0.0
-        deflected = False
-        current = src_sat
-        for _ in range(self.max_hops):
+        delay = walked.delay_s
+        distance = walked.distance_km
+        deflected = walked.deflected
+        visited = set(path)
+        current = path[-1]
+        for _ in range(self.max_hops - (len(path) - 1)):
             if self._covers(snap, current, dest_lat, dest_lon):
                 return RouteResult(True, path, delay, distance,
                                    deflected=deflected)

@@ -13,6 +13,9 @@ walk a host without a compiler gets.  Any `==` here is deliberate.
 import contextlib
 import math
 import os
+import pathlib
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -20,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.constants import SPEED_OF_LIGHT_KM_S
 from repro.orbits.constellation import Constellation, iridium, starlink
 from repro.orbits.propagator import make_propagator
 from repro.orbits.snapshot import grid_neighbor_table, snapshot_for
@@ -28,6 +32,7 @@ from repro.topology._walk_kernel import load_kernel
 from repro.topology.batch_routing import BatchGeoRouter
 from repro.topology.grid import GridTopology
 from repro.topology.routing import (
+    EPOCH_CONTRACT,
     RELAY_MAX_HOPS,
     DijkstraRouter,
     GeospatialRouter,
@@ -379,6 +384,33 @@ class TestBatchRouterMechanics:
         assert pole.result(0) == router.scalar.route(5, math.pi / 2,
                                                      7.0, 0.0)
 
+    @both_engines
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_rejects_bad_epoch(self, t, engine):
+        """A NaN epoch used to deliver "in 0 hops" (and be flagged as a
+        fallback by the batch plane); an infinite one died inside the
+        propagator.  Now one typed error, before any counter moves."""
+        from repro.obs.metrics import MetricsRegistry
+        topo = _topology("square")
+        metrics = MetricsRegistry()
+        router = BatchGeoRouter(topo, metrics=metrics)
+        calls = [
+            lambda: router.scalar.route(5, 0.3, 1.0, t),
+            lambda: router.route(5, 0.3, 1.0, t),
+            lambda: router.route_batch([3, 5], [0.1, 0.3], [0.2, 1.0], t),
+            lambda: router.route_sweep([3, 5], [0.1, 0.3], [0.2, 1.0],
+                                       [0.0, t]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=EPOCH_CONTRACT):
+                call()
+        assert not any(key.startswith("routing.")
+                       for key in metrics.snapshot()["counters"])
+        # Any finite epoch is inside the contract, numpy scalars too.
+        batch = router.route_batch([5], [0.3], [1.0], np.float64(-30.0))
+        assert batch.result(0) == router.scalar.route(5, 0.3, 1.0, -30.0)
+
 
 class TestKernelBuildFailureModes:
     """Every way the compiled walk can be missing, exercised: the
@@ -432,6 +464,188 @@ class TestKernelBuildFailureModes:
         assert load_kernel() is not None
         assert stale.stat().st_size > 1024
         self._assert_routes_like_reference()
+
+
+def _stretched_star():
+    """An Iridium-style star shell (two pi-spread planes, 86.4 deg)
+    stretched in-plane: its preferred-direction walks outgrow the
+    compiled walk's 64-node buffer, centre on coverage gaps and revisit
+    across the seam."""
+    return Constellation(
+        name="iridium-stretched", num_planes=2, sats_per_plane=600,
+        altitude_km=780.0, inclination_deg=86.4, raan_spread=np.pi)
+
+
+def _faulted(constellation, seed, dead, torn):
+    """A fresh topology with ``dead`` satellites and ``torn`` ISLs down."""
+    topo = GridTopology(make_propagator(constellation, "ideal"), [])
+    rng = np.random.default_rng(seed)
+    total = constellation.total_satellites
+    for sat in rng.choice(total, dead, replace=False):
+        topo.fail_satellite(int(sat))
+    wiring = grid_neighbor_table(constellation)
+    for a, column in zip(rng.integers(0, total, torn),
+                         rng.integers(0, 4, torn)):
+        topo.fail_isl(int(a), int(wiring[a, column]))
+    return topo
+
+
+@needs_kernel
+class TestKernelHandOff:
+    """A flag is a hand-off, not a redo: the prefix the compiled walk
+    leaves for each flagged packet is the reference walk's own prefix,
+    path cells and float bits alike, at all four flag sites."""
+
+    @staticmethod
+    def _flag_kind(topo, router, walked, lat, lon, t):
+        """Which of the compiled walk's four flags stopped ``walked``."""
+        scalar = router.scalar
+        node = walked.path[-1]
+        preferred = scalar._next_hop_snap(
+            scalar._snapshot(t), node,
+            scalar.system.both_representations(lat, lon))
+        if preferred is None:
+            return "centred, not nearly covered"
+        if not topo.isl_up(node, preferred):
+            return "dead preferred edge"
+        if preferred in walked.path:
+            return "seam revisit"
+        assert len(walked.path) == 64
+        return "path buffer full"
+
+    def test_flagged_prefix_is_the_reference_walks_prefix(self):
+        kinds = set()
+        longest = 0
+        t = 90.0
+        for shell, dead, torn, packets in [(starlink(), 40, 25, 600),
+                                           (_stretched_star(), 0, 0, 60)]:
+            topo = _faulted(shell, 1, dead, torn)
+            router = BatchGeoRouter(topo)
+            src, lats, lons = _wave(shell, packets, 1)
+            handed = []
+            route = router.scalar.route
+
+            def spy(*args, walked=None, **kwargs):
+                handed.append(walked)
+                return route(*args, walked=walked, **kwargs)
+
+            with mock.patch.object(router.scalar, "route", spy):
+                batch = router.route_batch(src, lats, lons, t)
+            flagged = np.nonzero(batch.fallback)[0]
+            # One reference walk per flagged packet, as before.
+            assert len(handed) == flagged.size > 0
+            reference = GeospatialRouter(topo)
+            snap = snapshot_for(topo.propagator, t)
+            for i, walked in zip(flagged, handed):
+                lat, lon = float(lats[i]), float(lons[i])
+                expected = reference.route(int(src[i]), lat, lon, t)
+                hops = len(walked.path) - 1
+                assert walked.path == expected.path[:hops + 1]
+                delay = distance = 0.0
+                for a, b in zip(walked.path, walked.path[1:]):
+                    hop_km = reference._hop_km(snap, a, b)
+                    delay += hop_km / SPEED_OF_LIGHT_KM_S
+                    distance += hop_km
+                assert walked.delay_s.hex() == delay.hex()
+                assert walked.distance_km.hex() == distance.hex()
+                assert not (walked.delivered or walked.deflected)
+                assert batch.result(int(i)) == expected
+                kinds.add(self._flag_kind(topo, router, walked, lat, lon,
+                                          t))
+            longest = max(longest, int(batch.path_len.max()))
+        assert kinds == {"centred, not nearly covered",
+                         "dead preferred edge", "seam revisit",
+                         "path buffer full"}
+        assert longest > 64
+
+    def test_avoid_links_waves_walk_from_the_source(self):
+        topo = _topology("square")
+        router = BatchGeoRouter(topo)
+        src, lats, lons = _wave(topo.constellation, 12, seed=3)
+        avoid = {frozenset((0, topo.isl_neighbors(0)[0]))}
+        with mock.patch.object(router.scalar, "route",
+                               wraps=router.scalar.route) as spy:
+            router.route_batch(src, lats, lons, 30.0, avoid_links=avoid)
+        assert spy.call_count == 12
+        assert all(call.kwargs["walked"] is None
+                   for call in spy.call_args_list)
+
+
+#: The sanitizer leg's child: build the kernel under ASan/UBSan into a
+#: fresh cache, then hold a faulted Starlink wave (flagged packets, one
+#: path longer than 64 nodes) and stretched star packets (walks that
+#: fill the 64-node buffer) to the reference walk.  Each star packet is
+#: its own one-packet wave, so its buffer row ends where the heap block
+#: does and a write past the row cannot land in a neighbour's row.
+_SANITIZED_CHILD = r"""
+from repro.topology import _walk_kernel
+_walk_kernel._CFLAGS = _walk_kernel._CFLAGS + [
+    "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+assert _walk_kernel.load_kernel() is not None, "sanitized build failed"
+from tests.test_batch_routing import _faulted, _stretched_star, _wave
+from repro.orbits.constellation import starlink
+from repro.topology.batch_routing import BatchGeoRouter
+flagged = longest = 0
+for shell, dead, torn, packets, wave in [(starlink(), 40, 25, 400, 400),
+                                         (_stretched_star(), 0, 0, 40, 1)]:
+    topo = _faulted(shell, 1, dead, torn)
+    router = BatchGeoRouter(topo)
+    src, lats, lons = _wave(shell, packets, 1)
+    for lo in range(0, packets, wave):
+        part = slice(lo, lo + wave)
+        batch = router.route_batch(src[part], lats[part], lons[part], 90.0)
+        for i in range(len(batch)):
+            assert batch.result(i) == router.scalar.route(
+                int(src[lo + i]), float(lats[lo + i]), float(lons[lo + i]),
+                90.0), lo + i
+        flagged += int(batch.fallback.sum())
+        longest = max(longest, int(batch.path_len.max()))
+print(flagged, longest)
+"""
+
+
+def _sanitizer_runtimes():
+    """``libasan.so`` for LD_PRELOAD, or None without a compiler or
+    without both sanitizer runtimes."""
+    compiler = _walk_kernel._find_compiler()
+    if compiler is None:
+        return None
+    found = []
+    for lib in ("libasan.so", "libubsan.so"):
+        try:
+            path = subprocess.run(
+                [compiler, f"-print-file-name={lib}"], capture_output=True,
+                text=True, timeout=30).stdout.strip()
+        except (OSError, subprocess.SubprocessError):
+            return None
+        if not (os.path.isabs(path) and os.path.exists(path)):
+            return None
+        found.append(path)
+    return found[0]
+
+
+class TestKernelUnderSanitizers:
+    def test_sanitized_kernel_matches_reference_walk(self, tmp_path):
+        """The compiled walk built with -fsanitize=address,undefined
+        writes every flag site's prefix, fills the path buffer and
+        routes a faulted wave exactly like the reference walk, with no
+        out-of-bounds access and no undefined behaviour."""
+        libasan = _sanitizer_runtimes()
+        if libasan is None:
+            pytest.skip("no C compiler or no ASan/UBSan runtime")
+        repo = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, LD_PRELOAD=libasan,
+                   ASAN_OPTIONS="detect_leaks=0",
+                   REPRO_KERNEL_CACHE=str(tmp_path),
+                   PYTHONPATH=os.pathsep.join([str(repo / "src"),
+                                               str(repo)]))
+        env.pop("REPRO_NO_CKERNEL", None)
+        child = subprocess.run(
+            [sys.executable, "-c", _SANITIZED_CHILD], cwd=repo, env=env,
+            capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr[-3000:]
+        flagged, longest = map(int, child.stdout.split())
+        assert flagged > 0 and longest > 64
 
 
 class TestDijkstraBatchAndInvalidation:
@@ -619,11 +833,7 @@ class TestRelayHopBudgetParity:
 
     @staticmethod
     def _long_walk_case():
-        shell = Constellation(
-            name="iridium-stretched", num_planes=2, sats_per_plane=600,
-            altitude_km=780.0, inclination_deg=86.4,
-            raan_spread=np.pi)
-        topo = GridTopology(make_propagator(shell, "ideal"), [])
+        topo = GridTopology(make_propagator(_stretched_star(), "ideal"), [])
         snap = snapshot_for(topo.propagator, 0.0)
         wide = GeospatialRouter(topo, max_hops=RELAY_MAX_HOPS)
         # Scan in-plane slots around the ring antipode for a walk that

@@ -364,3 +364,63 @@ class TestPacketProbe:
         from repro.experiments.chaos_availability import PacketProbeSpec
         with pytest.raises(ValueError):
             PacketProbeSpec(packets=0)
+
+
+class TestSpecValidation:
+    """``ChaosScenario`` and ``PacketProbeSpec`` refuse what the
+    scenario specs refuse, when built directly: one ``ValueError``
+    naming the field, at construction rather than mid-run."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("horizon_s", float("nan")),
+        ("horizon_s", 0.0),
+        ("sample_interval_s", 0.0),
+        ("sample_interval_s", float("inf")),
+        ("n_ues", 0),
+        ("n_ues", 2.5),
+        ("decay_acceleration", -1.0),
+        ("repair_delay_s", float("nan")),
+        ("repair_delay_s", -1.0),
+        ("jam_start_s", -1.0),
+        ("jam_stop_s", float("inf")),
+        ("jam_radius_km", -1.0),
+        ("per_link_loss", 1.5),
+        ("per_link_loss", float("nan")),
+        ("jam_link_loss", -0.1),
+        ("path_hops", -6.0),
+        ("ue_sites", ((95.0, 0.0),)),
+        ("ue_sites", ((0.0, float("nan")),)),
+        ("ue_jitter_deg", float("-inf")),
+        ("compute_load_per_s", -150.0),
+        ("seed", -1),
+        ("seed", 2.5),
+    ])
+    def test_chaos_scenario_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ChaosScenario(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("packets", 0),
+        ("packets", 2.5),
+        ("packets", True),
+        ("t_s", float("nan")),
+        ("t_s", float("inf")),
+        ("t_s", -1.0),
+        ("seed", -7),
+        ("seed", 7.5),
+    ])
+    def test_packet_probe_rejects(self, field, value):
+        from repro.experiments.chaos_availability import PacketProbeSpec
+        with pytest.raises(ValueError, match=field):
+            PacketProbeSpec(**{field: value})
+
+    def test_valid_specs_still_build(self):
+        import numpy as np
+
+        from repro.experiments.chaos_availability import PacketProbeSpec
+        from repro.scenarios import CATALOG
+        assert ChaosScenario(repair_delay_s=None, per_link_loss=1.0,
+                             jam_radius_km=0.0, seed=np.int64(3)).seed == 3
+        assert PacketProbeSpec(packets=np.int64(5), t_s=0.0).packets == 5
+        for spec in CATALOG.values():
+            spec.chaos_scenario(spec.base_seed)

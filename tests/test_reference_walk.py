@@ -301,6 +301,61 @@ class TestParentWalkOracle:
                                                or want.deflected)
 
 
+class TestWalkedHandOff:
+    """``route(..., walked=prefix)`` continues a walk: from any prefix of
+    the route's own path it lands on the from-scratch result, every
+    field's bits included.  A prefix is the same walk cut short by a
+    ``hops``-hop budget: its path, delay, distance and ``deflected``
+    so far.  The batch plane hands the compiled walk's prefix over this
+    way."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(PROPAGATORS)),
+           seed=st.integers(0, 2**32 - 1),
+           dead=st.integers(0, 40), torn=st.integers(0, 25),
+           t=st.sampled_from(EPOCHS), avoid=st.booleans(),
+           cut=st.floats(0.0, 1.0))
+    def test_any_prefix_continues_to_the_same_route(
+            self, name, seed, dead, torn, t, avoid, cut):
+        topology = GridTopology(PROPAGATORS[name], [])
+        total = topology.constellation.total_satellites
+        rng = np.random.default_rng(seed)
+        _fault_cocktail(topology, rng, dead, torn)
+        avoid_links = None
+        if avoid:
+            wiring = grid_neighbor_table(topology.constellation)
+            avoid_links = {frozenset((int(a), int(wiring[a, column])))
+                           for a, column in zip(rng.integers(0, total, 6),
+                                                rng.integers(0, 4, 6))}
+        router = GeospatialRouter(topology)
+        packets = 12
+        src = rng.integers(0, total, packets)
+        lats = rng.uniform(-HALF_PI, HALF_PI, packets)
+        lons = rng.uniform(-math.pi, math.pi, packets)
+        for s, lat, lon in zip(src.tolist(), lats.tolist(), lons.tolist()):
+            whole = router.route(s, lat, lon, t, avoid_links=avoid_links)
+            # The empty prefix, a drawn one, and the whole path.
+            for hops in sorted({0, int(cut * whole.hops), whole.hops}):
+                walked = GeospatialRouter(topology, max_hops=hops).route(
+                    s, lat, lon, t, avoid_links=avoid_links)
+                assert walked.path == whole.path[:hops + 1]
+                got = router.route(s, lat, lon, t, avoid_links=avoid_links,
+                                   walked=walked)
+                assert _bits(got) == _bits(whole)
+                # The caller's prefix is read, never extended.
+                assert walked.path == whole.path[:hops + 1]
+
+    def test_rejects_a_foreign_prefix(self):
+        router = GeospatialRouter(GridTopology(PROPAGATORS["starlink"], []))
+        whole = router.route(3, 0.3, 1.0, 0.0)
+        assert whole.hops > 0
+        for walked in (RouteResult(False, []),
+                       RouteResult(False, [4] + whole.path[1:]),
+                       RouteResult(False, [3] * (router.max_hops + 2))):
+            with pytest.raises(ValueError, match="prefix of this route"):
+                router.route(3, 0.3, 1.0, 0.0, walked=walked)
+
+
 class TestSourceIngress:
     """One ``ValueError`` for a bad source on every routing entry point,
     raised before any routing, table build or counter."""
