@@ -331,10 +331,6 @@ class CallGraph:
         ids = self._module_nodes.get(module.relpath, [])
         return [self.nodes[node_id] for node_id in ids]
 
-    def class_info(self, modname: str, name: str) -> Optional[ClassInfo]:
-        """The class defined as ``name`` in module ``modname``, if any."""
-        return self.classes.get((modname, name))
-
     def lookup_class(self, name: str, modname: str) -> Optional[ClassInfo]:
         """A class by source name: same module first, else unique
         global match, else the import table."""

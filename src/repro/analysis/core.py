@@ -175,12 +175,6 @@ class ModuleInfo:
         rules = self.suppressions.get(line)
         return bool(rules) and ("*" in rules or rule_id in rules)
 
-    def source_line(self, line: int) -> str:
-        """The 1-indexed source line, or empty when out of range."""
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1]
-        return ""
-
     def finding(self, rule_id: str, node: ast.AST,
                 message: str) -> Finding:
         """Build a :class:`Finding` anchored at an AST node."""

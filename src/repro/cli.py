@@ -14,6 +14,7 @@ benchmark prints; see EXPERIMENTS.md for the paper-vs-measured notes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Dict, List, Optional
 
@@ -487,6 +488,30 @@ _COMMANDS: Dict[str, tuple] = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0 (nan and inf are refused)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Assemble the argparse tree for every subcommand."""
     parser = argparse.ArgumentParser(
@@ -498,30 +523,30 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(func=func)
         if name in ("fig10", "fig20"):
             sub.add_argument("--constellation", default="Starlink")
-            sub.add_argument("--capacity", type=int, default=30_000)
+            sub.add_argument("--capacity", type=_positive_int, default=30_000)
             sub.add_argument("--workers", type=int, default=None,
                              help="shard design points across N worker "
                                   "processes (default: REPRO_WORKERS "
                                   "or serial)")
         if name == "table3":
-            sub.add_argument("--samples", type=int, default=20_000)
+            sub.add_argument("--samples", type=_positive_int, default=20_000)
         if name == "fig18b":
-            sub.add_argument("--samples", type=int, default=12)
+            sub.add_argument("--samples", type=_positive_int, default=12)
         if name == "report":
             sub.add_argument("--output", default=None)
             sub.add_argument("--full", action="store_true")
         if name == "emulate":
             sub.add_argument("--constellation", default="Starlink")
-            sub.add_argument("--ues", type=int, default=15)
-            sub.add_argument("--duration", type=float, default=600.0)
-            sub.add_argument("--interval", type=float, default=106.9)
+            sub.add_argument("--ues", type=_positive_int, default=15)
+            sub.add_argument("--duration", type=_positive_float, default=600.0)
+            sub.add_argument("--interval", type=_positive_float, default=106.9)
             sub.add_argument("--seed", type=int, default=0)
-            sub.add_argument("--cohorts", type=int, default=None,
+            sub.add_argument("--cohorts", type=_positive_int, default=None,
                              help="use the vectorized cohort engine "
                                   "with N cohorts (for large --ues)")
         if name == "chaos":
-            sub.add_argument("--ues", type=int, default=24)
-            sub.add_argument("--horizon", type=float, default=3600.0)
+            sub.add_argument("--ues", type=_positive_int, default=24)
+            sub.add_argument("--horizon", type=_positive_float, default=3600.0)
             sub.add_argument("--seed", type=int, default=0)
             sub.add_argument("--trials", type=int, default=1,
                              help="Monte Carlo trials with derived "
@@ -536,14 +561,15 @@ def build_parser() -> argparse.ArgumentParser:
                 sub.add_argument("--experiment",
                                  choices=("chaos", "cohort"),
                                  default="chaos")
-                sub.add_argument("--duration", type=float, default=600.0,
+                sub.add_argument("--duration",
+                                 type=_positive_float, default=600.0,
                                  help="cohort-sweep duration (seconds)")
-                sub.add_argument("--cohorts", type=int, default=32)
+                sub.add_argument("--cohorts", type=_positive_int, default=32)
             else:
                 sub.add_argument("--head", type=int, default=10,
                                  help="spans to echo to stdout")
-            sub.add_argument("--ues", type=int, default=24)
-            sub.add_argument("--horizon", type=float, default=3600.0)
+            sub.add_argument("--ues", type=_positive_int, default=24)
+            sub.add_argument("--horizon", type=_positive_float, default=3600.0)
             sub.add_argument("--seed", type=int, default=0)
             sub.add_argument("--trials", type=int, default=1)
             sub.add_argument("--workers", type=int, default=None,
@@ -601,9 +627,10 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "loadpoint":
             sub.add_argument("--constellation", default="Starlink")
             sub.add_argument("--solution", default="SpaceCore")
-            sub.add_argument("--ues", type=int, default=1_000_000)
-            sub.add_argument("--duration", type=float, default=3600.0)
-            sub.add_argument("--cohorts", type=int, default=256)
+            sub.add_argument("--ues", type=_positive_int, default=1_000_000)
+            sub.add_argument("--duration",
+                             type=_positive_float, default=3600.0)
+            sub.add_argument("--cohorts", type=_positive_int, default=256)
             sub.add_argument("--seed", type=int, default=0)
     return parser
 

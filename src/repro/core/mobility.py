@@ -102,7 +102,3 @@ class GeospatialMobilityManager:
         is eliminated by geospatial mobility management").
         """
         return 0.0
-
-    def registration_rate_moving_user(self, speed_km_s: float) -> float:
-        """Cell-crossing (hence registration) rate for a moving UE."""
-        return self.grid.crossing_rate_per_user(speed_km_s)

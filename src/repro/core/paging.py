@@ -126,8 +126,3 @@ class PagingTransaction:
         listen_at = self.occasion.next_after(now_s)
         self.answered_at = listen_at + response_delay_s
         return self.answered_at
-
-    @property
-    def mean_paging_delay_s(self) -> float:
-        """Expected wait until the occasion: half a cycle slot."""
-        return self.occasion.cycle_s / 2.0

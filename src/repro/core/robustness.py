@@ -90,10 +90,6 @@ class ResilientSpaceCore:
         """Make the wrapper responsible for this UE's recovery."""
         self._ues[str(ue.supi)] = ue
 
-    def tracked_ues(self) -> List[UserEquipment]:
-        """Every UE this wrapper will recover after a fault."""
-        return list(self._ues.values())
-
     def _backoff(self, attempt: int) -> float:
         return min(self.backoff_base_s * (2.0 ** attempt),
                    self.backoff_cap_s)

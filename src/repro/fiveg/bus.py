@@ -61,14 +61,6 @@ class SignalingBus:
             return len(self.messages)
         return sum(1 for m in self.messages if m.procedure == procedure)
 
-    def bytes_sent(self) -> int:
-        """Total bytes of all recorded messages."""
-        return sum(m.size_bytes for m in self.messages)
-
-    def security_exposures(self) -> List[SentMessage]:
-        """Messages that carried S5 over any link (Fig. 19 MITM)."""
-        return [m for m in self.messages if m.carries_security]
-
     def reset(self) -> None:
         """Clear the message log and the accumulated latency."""
         self.messages.clear()

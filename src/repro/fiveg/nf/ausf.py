@@ -56,7 +56,3 @@ class Ausf:
         self.authentications_succeeded += 1
         return derive_k_seaf(pending.vector.k_ausf,
                              pending.serving_network)
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)

@@ -62,10 +62,6 @@ class Udm:
         """Whether this subscriber is provisioned here."""
         return str(supi) in self._subscribers
 
-    @property
-    def subscriber_count(self) -> int:
-        return len(self._subscribers)
-
     # -- identity ----------------------------------------------------------
 
     def deconceal(self, suci: Suci) -> Supi:

@@ -85,10 +85,6 @@ class Udsf:
         """Wall-clock cost of one state retrieval from a client NF."""
         return self.location_rtt_s + UDSF_ACCESS_LATENCY_S
 
-    def write_latency_s(self) -> float:
-        """Wall-clock cost of one state write from a client NF."""
-        return self.location_rtt_s + UDSF_ACCESS_LATENCY_S
-
 
 class ConflictError(Exception):
     """Optimistic-concurrency conflict on a UDSF write."""

@@ -26,10 +26,6 @@ class ForwardingEntry:
     bytes_down: int = 0
     shaper: Optional[QosShaper] = None
 
-    @property
-    def total_mb(self) -> float:
-        return (self.bytes_up + self.bytes_down) / 1e6
-
 
 class Upf:
     """A user-plane gateway (satellite-local or terrestrial anchor).

@@ -121,18 +121,6 @@ class SessionState:
         """A home-controlled update produces a strictly newer version."""
         return replace(self, version=self.version + 1)
 
-    def with_location(self, location: LocationState) -> "SessionState":
-        """A copy with the S2 location replaced."""
-        return replace(self, location=location)
-
-    def with_billing(self, billing: BillingState) -> "SessionState":
-        """A copy with the S4 billing state replaced."""
-        return replace(self, billing=billing)
-
-    def with_security(self, security: SecurityState) -> "SessionState":
-        """A copy with the S5 security state replaced."""
-        return replace(self, security=security)
-
     def expired(self, age_s: float) -> bool:
         """TTL expiry forces a refresh from the home (Appendix B)."""
         return age_s >= self.ttl_s

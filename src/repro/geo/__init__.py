@@ -1,20 +1,14 @@
 """Geospatial state simplification: cells, addressing, population.
 
 Implements S4.1 of the paper: the geospatial cell grid decoupled from
-satellites, the 128-bit geospatial UE address, and the World-Bank-like
-population model that drives per-satellite load.
+satellites (its analytic cell-crossing rate backs S4.3's claim that
+a moving UE rarely changes cell), the 128-bit geospatial UE address,
+and the World-Bank-like population model that drives per-satellite
+load.
 """
 
 from .addressing import AddressAllocator, GeospatialAddress
 from .cells import CellStatistics, GeospatialCellGrid
-from .mobility import (
-    TracePoint,
-    commuter_trace,
-    count_cell_crossings,
-    crossing_rate,
-    random_waypoint_trace,
-    transoceanic_trace,
-)
 from .population import PopulationGrid, Region, WORLD_BANK_REGIONS
 
 __all__ = [
@@ -22,12 +16,6 @@ __all__ = [
     "GeospatialAddress",
     "CellStatistics",
     "GeospatialCellGrid",
-    "TracePoint",
-    "commuter_trace",
-    "count_cell_crossings",
-    "crossing_rate",
-    "random_waypoint_trace",
-    "transoceanic_trace",
     "PopulationGrid",
     "Region",
     "WORLD_BANK_REGIONS",

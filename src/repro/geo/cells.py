@@ -142,12 +142,6 @@ class GeospatialCellGrid:
         gamma = (row % self.num_rows) * self.delta_gamma
         return self.system.to_geodetic(alpha, gamma)
 
-    def cell_anchor(self, cell: CellId) -> Tuple[float, float]:
-        """(alpha, gamma) of a cell's grid node on the torus."""
-        col, row = cell
-        return ((col % self.num_columns) * self.delta_alpha,
-                (row % self.num_rows) * self.delta_gamma)
-
     def neighbors(self, cell: CellId) -> List[CellId]:
         """The four torus neighbours of a cell."""
         col, row = cell

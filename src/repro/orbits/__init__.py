@@ -44,13 +44,6 @@ from .snapshot import (
     snapshot_cache_info,
     snapshot_for,
     visible_counts,
-    visible_counts_over_times,
-)
-from .visibility import (
-    CoverageStatistics,
-    coverage_by_latitude,
-    coverage_statistics,
-    densest_latitude_deg,
 )
 
 __all__ = [
@@ -85,9 +78,4 @@ __all__ = [
     "serving_satellites",
     "visible_counts",
     "serving_over_times",
-    "visible_counts_over_times",
-    "CoverageStatistics",
-    "coverage_by_latitude",
-    "coverage_statistics",
-    "densest_latitude_deg",
 ]

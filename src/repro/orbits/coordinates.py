@@ -198,21 +198,7 @@ class InclinedCoordinateSystem:
         lon = wrap_signed(alpha + dlon)
         return lat, lon
 
-    # -- satellite runtime coordinates ---------------------------------------
-
-    def satellite_coordinates(self, raan_ecef: float,
-                              arg_latitude: float) -> Tuple[float, float]:
-        """Runtime ``(alpha_s(t), gamma_s(t))`` of a satellite.
-
-        ``raan_ecef`` is the ascending-node longitude measured in the
-        Earth-fixed frame (i.e. RAAN minus the accumulated Earth
-        rotation); ``arg_latitude`` is the current argument of latitude.
-        On the ascending half the satellite's own coordinates coincide
-        with the projection of its sub-satellite point; on the
-        descending half ``gamma`` keeps increasing past ``pi/2`` so the
-        torus structure (used by Algorithm 1) is preserved.
-        """
-        return wrap_angle(raan_ecef), wrap_angle(arg_latitude)
+    # -- ascending and descending branches -----------------------------------
 
     def descending_representation(
             self, lat: float, lon: float) -> Tuple[float, float]:

@@ -18,7 +18,6 @@ from typing import List, Optional, Tuple
 
 from ..constants import EARTH_RADIUS_KM
 from .constellation import Constellation
-from .coordinates import central_angle
 from .propagator import IdealPropagator
 from .snapshot import sample_times, serving_over_times, snapshot_for
 
@@ -58,13 +57,6 @@ def elevation_angle(sat_distance_km: float, altitude_km: float) -> float:
         2.0 * sat_distance_km * re)
     cos_zenith = max(-1.0, min(1.0, cos_zenith))
     return math.acos(cos_zenith) - math.pi / 2.0
-
-
-def is_visible(sat_lat: float, sat_lon: float, ue_lat: float, ue_lon: float,
-               altitude_km: float, min_elevation_deg: float) -> bool:
-    """Whether a ground point is inside the satellite's footprint."""
-    theta = coverage_half_angle(altitude_km, min_elevation_deg)
-    return central_angle(sat_lat, sat_lon, ue_lat, ue_lon) <= theta
 
 
 def mean_dwell_time_s(constellation: Constellation,

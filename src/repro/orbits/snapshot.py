@@ -19,12 +19,12 @@ Two query tiers are exposed:
   and the batch (M users x N sats) variants replicate the pre-snapshot
   haversine element-for-element, so single-epoch answers are
   bit-identical to the scalar code they replace;
-* **time-grid kernels** -- :func:`serving_over_times` and
-  :func:`visible_counts_over_times` evaluate a whole (T times x N sats)
-  sweep with only O(T + N) trigonometric evaluations, using the
-  angle-addition decomposition of the circular-orbit motion (all
-  time dependence enters through per-plane phase terms, so the
-  (T, N) part of the computation is pure multiply-add).
+* **time-grid kernel** -- :func:`serving_over_times` evaluates a
+  whole (T times x N sats) sweep with only O(T + N) trigonometric
+  evaluations, using the angle-addition decomposition of the
+  circular-orbit motion (all time dependence enters through per-plane
+  phase terms, so the (T, N) part of the computation is pure
+  multiply-add).
 
 Failure injection never touches these arrays: a snapshot is pure
 geometry, valid no matter which satellites or ISLs are currently
@@ -53,7 +53,6 @@ __all__ = [
     "visible_counts",
     "central_angles",
     "serving_over_times",
-    "visible_counts_over_times",
     "grid_neighbor_table",
     "chord_lengths_km",
 ]
@@ -459,23 +458,6 @@ def serving_over_times(propagator: IdealPropagator,
     best = np.argmax(dots, axis=1)
     covered = dots[np.arange(dots.shape[0]), best] >= math.cos(theta)
     return np.where(covered, best, -1)
-
-
-def visible_counts_over_times(propagator: IdealPropagator,
-                              times: Sequence[float],
-                              lat: float, lon: float,
-                              min_elevation_deg: Optional[float] = None
-                              ) -> np.ndarray:
-    """Simultaneously visible satellites at each sampled time, ``(T,)``.
-
-    The vectorised core of
-    :func:`repro.orbits.visibility.coverage_statistics`.
-    """
-    theta = _cap_angle(propagator.constellation, min_elevation_deg)
-    dots = _cos_angles_over_times(propagator, times, lat, lon)
-    if dots.shape[0] == 0:
-        return np.zeros(0, dtype=int)
-    return (dots >= math.cos(theta)).sum(axis=1)
 
 
 def sample_times(t_start: float, t_end: float,

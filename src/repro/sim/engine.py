@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -179,7 +180,13 @@ class Simulator:
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
-        """Run until the queue drains, ``until`` passes, or the budget ends."""
+        """Run until the queue drains, ``until`` passes, or the budget ends.
+
+        A NaN ``until`` raises ``ValueError``: no event time compares
+        greater than NaN, so a periodic chain would run forever.
+        """
+        if until is not None and math.isnan(until):
+            raise ValueError("run(until=nan) would never stop")
         processed = 0
         while self._queue:
             if max_events is not None and processed >= max_events:

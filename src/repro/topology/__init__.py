@@ -1,12 +1,5 @@
 """Satellite network substrate: +Grid topology, links, routing."""
 
-from .contact_plan import (
-    Contact,
-    ContactPlanStats,
-    cell_coverage_plan,
-    gateway_contact_plan,
-    summarize,
-)
 from .grid import GridTopology
 from .links import Link, LinkBudget, line_of_sight_clear, propagation_delay_s
 from .routing import DijkstraRouter, GeospatialRouter, RouteResult, path_stretch
@@ -20,8 +13,6 @@ from .traffic import (
 )
 
 __all__ = [
-    "Contact", "ContactPlanStats", "cell_coverage_plan",
-    "gateway_contact_plan", "summarize",
     "GridTopology",
     "Link",
     "LinkBudget",

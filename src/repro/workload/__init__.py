@@ -1,11 +1,10 @@
-"""Workload generation: arrival processes and Table 2 trace synthesis."""
+"""Signaling workloads: Table 2 trace synthesis and Trace 1 replay.
 
-from .arrivals import (
-    SessionWorkload,
-    WorkloadEvent,
-    poisson_arrivals,
-    satellite_workload,
-)
+Session arrivals are drawn where they are consumed:
+:mod:`repro.sim.emulation` samples exponential inter-arrivals per UE
+and :mod:`repro.runtime.cohort` Poisson counts per cohort.
+"""
+
 from .replay import (
     CpuSample,
     TimelineEvent,
@@ -27,8 +26,6 @@ from .traces import (
 )
 
 __all__ = [
-    "SessionWorkload", "WorkloadEvent", "poisson_arrivals",
-    "satellite_workload",
     "CpuSample", "TimelineEvent", "replay_cpu_series",
     "timeline_duration_s", "trace1_timeline",
     "REGISTRATION_DELAY_S", "SATELLITE_SOURCES", "TABLE2_COUNTS",

@@ -66,7 +66,7 @@ class TestDeterminismRules:
 
     def test_wallclock_scope_covers_instrumented_layers(self):
         rule = next(r for r in get_rules(["wallclock-time"]))
-        assert rule.applies_to("src/repro/fiveg/sbi.py")
+        assert rule.applies_to("src/repro/fiveg/bus.py")
         assert rule.applies_to("src/repro/obs/metrics.py")
         assert rule.applies_to("src/repro/core/robustness.py")
         assert rule.applies_to("src/repro/faults/chaos.py")

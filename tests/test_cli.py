@@ -81,3 +81,29 @@ class TestEmulateCommand:
         out = capsys.readouterr().out
         assert "sessions:" in out
         assert "fallbacks: 0" in out
+
+
+class TestNumericArguments:
+    @pytest.mark.parametrize("argv", [
+        ["emulate", "--interval", "0"],
+        ["emulate", "--duration", "nan"],
+        ["emulate", "--ues", "-3"],
+        ["emulate", "--cohorts", "0"],
+        ["table3", "--samples", "0"],
+        ["fig18b", "--samples", "0"],
+        ["fig10", "--capacity", "0"],
+        ["loadpoint", "--duration", "nan"],
+        ["loadpoint", "--duration", "inf"],
+        ["loadpoint", "--ues", "many"],
+        ["chaos", "--horizon", "-1"],
+        ["metrics", "--cohorts", "0"],
+        ["trace", "--horizon", "nan"],
+    ])
+    def test_bad_value_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro ")
+        assert f"error: argument {argv[1]}: " in err
+        assert "Traceback" not in err

@@ -5,25 +5,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import ALL_OPTIONS, ALL_SOLUTIONS
-from repro.fiveg.messages import ProcedureKind, Role
+from repro.fiveg.messages import (
+    LEGACY_FLOWS,
+    ProcedureKind,
+    Role,
+    SPACECORE_FLOWS,
+)
 from repro.fiveg.qos import QosShaper
 from repro.fiveg.state import QosState
-from repro.fiveg.wire import MESSAGE_TYPE_IDS
 from repro.geo import AddressAllocator, GeospatialAddress
 from repro.orbits import starlink
 
 
 class TestCatalogCoherence:
-    def test_every_solution_flow_is_wire_encodable(self):
-        """Every message any solution can emit has a wire type id."""
+    def test_every_solution_flow_is_in_the_catalog(self):
+        """Every message any solution can emit is a catalog message."""
+        catalog = {template.name
+                   for flows in (LEGACY_FLOWS, SPACECORE_FLOWS)
+                   for templates in flows.values()
+                   for template in templates}
         for factory in ALL_SOLUTIONS:
             solution = factory()
             for kind in ProcedureKind:
                 for template in solution.flow(kind):
                     # Baoyun/DPCM derive their flows from the catalog;
-                    # derived names must still be registered or be the
+                    # derived names must still be catalog names or the
                     # two documented DPCM specials.
-                    known = (template.name in MESSAGE_TYPE_IDS
+                    known = (template.name in catalog
                              or "device-state" in template.name
                              or template.name
                              == "session-context-install")

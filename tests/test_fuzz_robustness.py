@@ -1,8 +1,7 @@
 """Fuzz/robustness tests: malformed inputs must fail cleanly.
 
-Codecs that face the network (GTP-U, the signaling wire format, AT
-commands, NAS security, the replica format) must never crash on
-garbage -- they raise their typed errors instead.
+The replica format faces the network, so it must never crash on
+garbage -- it raises a typed error instead.
 """
 
 import json
@@ -11,73 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fiveg import StateReplica, gtpu
-from repro.fiveg.atcmd import AtCommandError, SatelliteAtAgent, parse
-from repro.fiveg.nas_security import NasSecurityError, establish_pair
-from repro.fiveg.wire import WireError, decode_frame
-
-
-class TestGtpuFuzz:
-    @given(st.binary(max_size=256))
-    @settings(max_examples=200)
-    def test_random_bytes_never_crash(self, data):
-        try:
-            gtpu.decode(data)
-        except gtpu.GtpError:
-            pass  # the only acceptable failure mode
-
-    @given(st.binary(min_size=8, max_size=128))
-    @settings(max_examples=100)
-    def test_mutated_valid_packets(self, noise):
-        wire = bytearray(gtpu.encapsulate_with_replica(
-            7, b"payload", b"replica-bytes"))
-        for i, b in enumerate(noise):
-            wire[i % len(wire)] ^= b
-        try:
-            gtpu.decode(bytes(wire))
-        except gtpu.GtpError:
-            pass
-
-
-class TestWireFuzz:
-    @given(st.binary(max_size=128))
-    @settings(max_examples=200)
-    def test_random_bytes_never_crash(self, data):
-        try:
-            decode_frame(data)
-        except WireError:
-            pass
-
-
-class TestAtFuzz:
-    @given(st.text(max_size=120))
-    @settings(max_examples=200)
-    def test_random_text_never_crashes_parser(self, line):
-        try:
-            parse(line)
-        except AtCommandError:
-            pass
-
-    @given(st.text(max_size=120))
-    @settings(max_examples=100)
-    def test_agent_survives_garbage(self, line):
-        agent = SatelliteAtAgent()
-        assert agent.handle(line) is None or isinstance(
-            agent.handle(line), bytes)
-
-
-class TestNasFuzz:
-    @given(st.binary(max_size=128))
-    @settings(max_examples=150)
-    def test_random_bytes_never_authenticate(self, data):
-        _, amf = establish_pair(b"k" * 32)
-        try:
-            amf.unprotect(data, uplink=True)
-        except NasSecurityError:
-            return
-        # Authenticating random bytes would require a MAC collision;
-        # with an 8-byte MAC the chance is ~2^-64 per example.
-        pytest.fail("random bytes passed NAS integrity")
+from repro.fiveg import StateReplica
 
 
 class TestReplicaFuzz:
@@ -96,3 +29,17 @@ class TestReplicaFuzz:
         wire = ue.replica.to_bytes()
         with pytest.raises((ValueError, json.JSONDecodeError)):
             StateReplica.from_bytes(wire[: len(wire) // 2])
+
+
+class TestReplicaWireFormat:
+    def test_replica_roundtrip(self):
+        from repro.core.home import SpaceCoreHome
+        home = SpaceCoreHome()
+        ue = home.provision_subscriber(7)
+        home.register(ue, (1, 1), (1, 1))
+        wire = ue.replica.to_bytes()
+        recovered = StateReplica.from_bytes(wire)
+        assert recovered.version == ue.replica.version
+        assert recovered.signature == ue.replica.signature
+        assert (recovered.ciphertext.payload
+                == ue.replica.ciphertext.payload)

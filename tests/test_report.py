@@ -1,8 +1,15 @@
 """Tests for the reproduction report generator."""
 
+import difflib
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.report import generate_report
+
+#: The pinned ``repro report`` output.  Re-bless with
+#: ``python -m repro report --output artifacts/report.md``.
+GOLDEN = Path(__file__).resolve().parents[1] / "artifacts" / "report.md"
 
 
 @pytest.fixture(scope="module")
@@ -40,3 +47,11 @@ class TestReport:
         # Reuse the cached content path: write directly.
         target.write_text(report)
         assert target.read_text() == report
+
+    def test_matches_golden_byte_for_byte(self, report):
+        expected = GOLDEN.read_text(encoding="utf-8")
+        diff = "".join(difflib.unified_diff(
+            expected.splitlines(keepends=True),
+            report.splitlines(keepends=True),
+            fromfile=str(GOLDEN), tofile="generate_report(fast=True)"))
+        assert report == expected, diff

@@ -1,7 +1,6 @@
-"""Tests for the RRC state machine, QoS shaping, and paging."""
+"""Tests for QoS shaping and paging."""
 
 import pytest
-from hypothesis import strategies as st
 
 from repro.core.paging import (
     DEFAULT_DRX_CYCLE_S,
@@ -11,91 +10,9 @@ from repro.core.paging import (
     occasion_for,
 )
 from repro.fiveg.qos import QosShaper, TokenBucket
-from repro.fiveg.rrc import RrcConnection, RrcError, RrcEvent, RrcState
 from repro.fiveg.state import QosState
 from repro.geo import GeospatialCellGrid
 from repro.orbits import starlink
-
-
-class TestRrcStateMachine:
-    def test_starts_idle(self):
-        assert RrcConnection().state is RrcState.IDLE
-
-    def test_setup_connects(self):
-        rrc = RrcConnection()
-        assert rrc.handle(RrcEvent.SETUP, 0.0) is RrcState.CONNECTED
-        assert rrc.connected
-
-    def test_inactivity_releases(self):
-        """S3.1: inactive connections release after 10-15 s."""
-        rrc = RrcConnection(inactivity_timeout_s=12.5)
-        rrc.handle(RrcEvent.SETUP, 0.0)
-        assert rrc.tick(12.0) is None
-        transition = rrc.tick(12.5)
-        assert transition is not None
-        assert rrc.state is RrcState.IDLE
-
-    def test_data_activity_refreshes_timer(self):
-        rrc = RrcConnection(inactivity_timeout_s=10.0)
-        rrc.handle(RrcEvent.SETUP, 0.0)
-        rrc.data_activity(8.0)
-        assert rrc.tick(12.0) is None  # timer restarted at t=8
-        assert rrc.tick(18.0) is not None
-
-    def test_suspend_resume_cycle(self):
-        rrc = RrcConnection()
-        rrc.handle(RrcEvent.SETUP, 0.0)
-        rrc.handle(RrcEvent.SUSPEND, 1.0)
-        assert rrc.state is RrcState.INACTIVE
-        assert rrc.reachable_by_paging
-        rrc.handle(RrcEvent.RESUME, 2.0)
-        assert rrc.connected
-        assert rrc.resumes == 1
-
-    def test_paging_connects_idle_ue(self):
-        rrc = RrcConnection()
-        rrc.handle(RrcEvent.PAGE, 5.0)
-        assert rrc.connected
-
-    def test_illegal_transitions_rejected(self):
-        rrc = RrcConnection()
-        with pytest.raises(RrcError):
-            rrc.handle(RrcEvent.RESUME, 0.0)  # resume from idle
-        rrc.handle(RrcEvent.SETUP, 0.0)
-        with pytest.raises(RrcError):
-            rrc.handle(RrcEvent.SETUP, 1.0)  # double setup
-
-    def test_data_activity_requires_connected(self):
-        with pytest.raises(RrcError):
-            RrcConnection().data_activity(0.0)
-
-    def test_radio_link_failure_drops_to_idle(self):
-        rrc = RrcConnection()
-        rrc.handle(RrcEvent.SETUP, 0.0)
-        rrc.handle(RrcEvent.RADIO_LINK_FAILURE, 3.0)
-        assert rrc.state is RrcState.IDLE
-
-    def test_connected_fraction_matches_paper_math(self):
-        """A session every ~107 s held ~12.5 s -> ~12% connected."""
-        rrc = RrcConnection(inactivity_timeout_s=12.5)
-        t = 0.0
-        while t < 1069.0:
-            rrc.handle(RrcEvent.SETUP, t)
-            rrc.handle(RrcEvent.INACTIVITY_EXPIRED, t + 12.5)
-            t += 106.9
-        fraction = rrc.connected_time_fraction(1069.0)
-        assert fraction == pytest.approx(12.5 / 106.9, rel=0.05)
-
-    def test_history_recorded(self):
-        rrc = RrcConnection()
-        rrc.handle(RrcEvent.SETUP, 0.0)
-        rrc.handle(RrcEvent.RELEASE, 1.0)
-        assert len(rrc.history) == 2
-        assert rrc.history[0].event is RrcEvent.SETUP
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RrcConnection(inactivity_timeout_s=0)
 
 
 class TestTokenBucket:

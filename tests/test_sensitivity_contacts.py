@@ -1,4 +1,10 @@
-"""Tests for sensitivity analysis and contact plans."""
+"""Tests for sensitivity analysis and contact plans.
+
+A contact plan is the schedule of which satellite serves a fixed
+ground point (a gateway, or a geospatial cell's centre) when:
+``pass_schedule`` for the healthy shell, ``GridTopology``'s live
+access satellite once satellites fail.
+"""
 
 import pytest
 
@@ -9,13 +15,15 @@ from repro.experiments import (
     worst_case_reduction,
 )
 from repro.geo import GeospatialCellGrid
-from repro.orbits import IdealPropagator, default_ground_stations, starlink
-from repro.topology import (
-    GridTopology,
-    cell_coverage_plan,
-    gateway_contact_plan,
-    summarize,
+from repro.orbits import (
+    IdealPropagator,
+    default_ground_stations,
+    mean_dwell_time_s,
+    starlink,
 )
+from repro.orbits.coverage import pass_schedule
+from repro.orbits.snapshot import sample_times
+from repro.topology import GridTopology
 
 
 @pytest.fixture(scope="module")
@@ -65,63 +73,62 @@ def topology():
                         default_ground_stations())
 
 
+def _covered_fraction(plan, t_start, t_end):
+    return sum(end - start for start, end, _ in plan) / (t_end - t_start)
+
+
 class TestContactPlans:
     def test_gateway_plan_structure(self, topology):
         station = topology.ground_stations[0]
-        plan = gateway_contact_plan(topology, station, 0.0, 1800.0,
-                                    step_s=30.0)
+        plan = pass_schedule(topology.propagator, station.lat,
+                             station.lon, 0.0, 1800.0, step_s=30.0)
         assert plan, "a mid-latitude gateway is never uncovered"
-        for contact in plan:
-            assert contact.end_s > contact.start_s
-            assert 0 <= contact.satellite < 1584
+        for start, end, sat in plan:
+            assert end > start
+            assert 0 <= sat < 1584
         # Contacts are time-ordered and non-overlapping.
-        for a, b in zip(plan, plan[1:]):
-            assert a.end_s <= b.start_s
+        for (_, a_end, _), (b_start, _, _) in zip(plan, plan[1:]):
+            assert a_end <= b_start
 
     def test_gateway_hands_over_repeatedly(self, topology):
         """The Fig. 11 effect seen from the ground: servers rotate."""
         station = topology.ground_stations[0]
-        plan = gateway_contact_plan(topology, station, 0.0, 1800.0,
-                                    step_s=30.0)
-        stats = summarize(plan, 0.0, 1800.0)
-        assert stats.contact_count >= 3
-        assert stats.distinct_satellites >= 3
-        assert stats.coverage_fraction > 0.95
+        plan = pass_schedule(topology.propagator, station.lat,
+                             station.lon, 0.0, 1800.0, step_s=30.0)
+        assert len(plan) >= 3
+        assert len({sat for _, _, sat in plan}) >= 3
+        assert _covered_fraction(plan, 0.0, 1800.0) > 0.95
 
     def test_contact_durations_bounded_by_dwell(self, topology):
         """Closest-server contacts are shorter than the full pass:
         with Starlink's dense multi-coverage a *different* satellite
         becomes closest well before the current one sets."""
-        from repro.orbits import mean_dwell_time_s
         station = topology.ground_stations[0]
-        plan = gateway_contact_plan(topology, station, 0.0, 3600.0,
-                                    step_s=15.0)
-        stats = summarize(plan, 0.0, 3600.0)
+        plan = pass_schedule(topology.propagator, station.lat,
+                             station.lon, 0.0, 3600.0, step_s=15.0)
+        mean_duration = sum(end - start for start, end, _ in plan) \
+            / len(plan)
         dwell = mean_dwell_time_s(topology.constellation)
-        assert 15.0 < stats.mean_duration_s <= dwell * 1.2
+        assert 15.0 < mean_duration <= dwell * 1.2
 
     def test_cell_plan_rotates_servers(self, topology):
+        """The cell is fixed; the satellite covering it changes."""
         grid = GeospatialCellGrid(topology.constellation)
-        cell = grid.cell_of_degrees(39.9, 116.4)
-        plan = cell_coverage_plan(topology, grid, cell, 0.0, 1200.0,
-                                  step_s=30.0)
-        stats = summarize(plan, 0.0, 1200.0)
-        assert stats.distinct_satellites >= 2
-        assert stats.coverage_fraction > 0.9
+        lat, lon = grid.cell_center(grid.cell_of_degrees(39.9, 116.4))
+        plan = pass_schedule(topology.propagator, lat, lon, 0.0, 1200.0,
+                             step_s=30.0)
+        assert len({sat for _, _, sat in plan}) >= 2
+        assert _covered_fraction(plan, 0.0, 1200.0) > 0.9
 
     def test_failed_satellite_leaves_gap(self, topology):
         grid = GeospatialCellGrid(topology.constellation)
-        cell = grid.cell_of_degrees(39.9, 116.4)
-        plan = cell_coverage_plan(topology, grid, cell, 0.0, 600.0,
-                                  step_s=30.0)
-        victim = plan[0].satellite
+        lat, lon = grid.cell_center(grid.cell_of_degrees(39.9, 116.4))
+        times = sample_times(0.0, 600.0, 30.0)
+        victim = pass_schedule(topology.propagator, lat, lon, 0.0, 600.0,
+                               step_s=30.0)[0][2]
         local = GridTopology(topology.propagator, [])
         local.fail_satellite(victim)
-        degraded = cell_coverage_plan(local, grid, cell, 0.0, 600.0,
-                                      step_s=30.0)
-        assert victim not in {c.satellite for c in degraded}
-
-    def test_validation(self, topology):
-        station = topology.ground_stations[0]
-        with pytest.raises(ValueError):
-            gateway_contact_plan(topology, station, 10.0, 5.0)
+        servers = {local.live_access_satellite(lat, lon, t)
+                   for t in times}
+        assert victim not in servers
+        assert servers - {-1}, "the cell's other servers still cover it"

@@ -149,6 +149,18 @@ class TestRunControl:
         assert fired == ["early"]
         assert sim.now == 5.0
 
+    def test_nan_until_rejected_before_any_event(self):
+        """``head.time > nan`` is always False, so a periodic chain
+        under ``until=nan`` would never return."""
+        sim = Simulator()
+        ticks = []
+        sim.schedule_periodic(1.0, ticks.append, "tick")
+        with pytest.raises(ValueError):
+            sim.run(until=float("nan"))
+        assert ticks == []
+        assert sim.now == 0.0
+        assert sim.pending() == 1
+
     def test_step_returns_false_when_empty(self):
         sim = Simulator()
         assert sim.step() is False

@@ -32,7 +32,6 @@ from repro.orbits.snapshot import (
     serving_over_times,
     serving_satellites,
     visible_counts,
-    visible_counts_over_times,
 )
 from repro.topology.grid import GridTopology
 from repro.topology.routing import GeospatialRouter, RouteResult
@@ -291,17 +290,6 @@ class TestTimeGridEquivalence:
         fast = serving_over_times(prop, times, lat, lon)
         for t, sat in zip(times, fast):
             assert int(sat) == _scalar_serving(prop, t, lat, lon)
-
-    @pytest.mark.parametrize("kind", PROPAGATOR_KINDS)
-    @pytest.mark.parametrize("factory", CONSTELLATIONS)
-    def test_visible_counts_over_times(self, factory, kind):
-        prop = make_propagator(factory(), kind)
-        rng = np.random.default_rng(7)
-        times = [float(t) for t in rng.uniform(0, 7000, 120)]
-        lat, lon = NEW_YORK
-        fast = visible_counts_over_times(prop, times, lat, lon)
-        for t, count in zip(times, fast):
-            assert int(count) == len(_scalar_visible(prop, t, lat, lon))
 
     @pytest.mark.parametrize("kind", PROPAGATOR_KINDS)
     def test_pass_schedule_equivalence(self, kind):

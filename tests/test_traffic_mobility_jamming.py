@@ -1,18 +1,10 @@
-"""Tests for traffic concentration, mobility traces, and jamming."""
+"""Tests for traffic concentration and jamming."""
 
 import math
 
 import pytest
 
 from repro.faults import JammingAttack
-from repro.geo import (
-    GeospatialCellGrid,
-    commuter_trace,
-    count_cell_crossings,
-    crossing_rate,
-    random_waypoint_trace,
-    transoceanic_trace,
-)
 from repro.orbits import (
     IdealPropagator,
     default_ground_stations,
@@ -82,53 +74,6 @@ class TestTrafficConcentration:
         demands = gravity_demand(topology, 0.0, top_satellites=8)
         load = load_peer_to_peer(topology, 0.0, demands)
         assert 0.0 <= load.gini_coefficient() <= 1.0
-
-
-class TestMobilityTraces:
-    GRID = GeospatialCellGrid(starlink())
-
-    def test_random_waypoint_stays_near_start(self):
-        trace = random_waypoint_trace(*BEIJING, speed_km_s=0.014,
-                                      duration_s=3600.0)
-        assert len(trace) > 10
-        for point in trace:
-            from repro.orbits.coordinates import central_angle
-            drift = central_angle(BEIJING[0], BEIJING[1], point.lat,
-                                  point.lon) * 6371.0
-            assert drift < 60.0  # a walker stays within tens of km
-
-    def test_pedestrian_never_crosses_cells(self):
-        """Table 3: cells are so large that walking never leaves one."""
-        trace = random_waypoint_trace(*BEIJING, speed_km_s=0.0015,
-                                      duration_s=4 * 3600.0)
-        assert count_cell_crossings(self.GRID, trace) == 0
-
-    def test_commuter_rarely_crosses(self):
-        home = BEIJING
-        work = (math.radians(40.0), math.radians(116.6))
-        trace = commuter_trace(*home, *work, speed_km_s=0.014,
-                               duration_s=8 * 3600.0)
-        assert count_cell_crossings(self.GRID, trace) <= 2
-
-    def test_transoceanic_flight_crosses_cells(self):
-        """Only continental-scale motion triggers registrations."""
-        trace = transoceanic_trace(*BEIJING, *NEW_YORK,
-                                   speed_km_s=0.25)  # ~900 km/h
-        crossings = count_cell_crossings(self.GRID, trace)
-        assert crossings >= 5
-        # Even a jet registers less than once per ten minutes (the
-        # polar-arc route clips the pinched high-latitude cells).
-        assert crossing_rate(self.GRID, trace) < 1.0 / 600.0
-
-    def test_trace_validation(self):
-        with pytest.raises(ValueError):
-            random_waypoint_trace(0.0, 0.0, -1.0, 100.0)
-
-    def test_transoceanic_endpoints(self):
-        trace = transoceanic_trace(*BEIJING, *NEW_YORK,
-                                   speed_km_s=0.25)
-        assert trace[0].lat == pytest.approx(BEIJING[0])
-        assert trace[-1].lat == pytest.approx(NEW_YORK[0])
 
 
 class TestJamming:

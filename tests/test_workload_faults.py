@@ -1,13 +1,10 @@
-"""Tests for workload generation and failure/attack models."""
-
-import random
+"""Tests for Table 2 trace synthesis and failure/attack models."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import spacecore, skycore, baoyun, fiveg_ntn
-from repro.constants import SESSION_INTERARRIVAL_S, STARLINK_DWELL_S
 from repro.faults import (
     GilbertElliottChannel,
     HijackScenario,
@@ -17,79 +14,14 @@ from repro.faults import (
     procedure_success_probability,
     satellite_decay_series,
 )
-from repro.fiveg.messages import ProcedureKind
-from repro.orbits import starlink
 from repro.workload import (
-    SessionWorkload,
     TABLE2_COUNTS,
     layer_mix,
-    poisson_arrivals,
     registration_delay_samples,
-    satellite_workload,
     synthesize,
     table2_summary,
     total_messages,
 )
-
-
-class TestPoisson:
-    def test_rate_matches(self):
-        rng = random.Random(0)
-        events = list(poisson_arrivals(10.0, 1000.0, rng))
-        assert len(events) == pytest.approx(10000, rel=0.05)
-
-    def test_zero_rate_no_events(self):
-        assert list(poisson_arrivals(0.0, 100.0, random.Random(0))) == []
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            list(poisson_arrivals(-1.0, 10.0, random.Random(0)))
-
-    def test_events_sorted_and_bounded(self):
-        events = list(poisson_arrivals(5.0, 50.0, random.Random(1)))
-        assert events == sorted(events)
-        assert all(0 <= t < 50.0 for t in events)
-
-
-class TestSessionWorkload:
-    def test_event_stream_rates(self):
-        workload = SessionWorkload(num_ues=1000, dwell_s=STARLINK_DWELL_S,
-                                   mobility_registrations=True, seed=1)
-        events = workload.events(600.0)
-        sessions = [e for e in events
-                    if e.kind is ProcedureKind.SESSION_ESTABLISHMENT]
-        expected = 1000 / SESSION_INTERARRIVAL_S * 600
-        assert len(sessions) == pytest.approx(expected, rel=0.15)
-
-    def test_mobility_bursts_present_when_enabled(self):
-        workload = SessionWorkload(num_ues=500, dwell_s=STARLINK_DWELL_S,
-                                   mobility_registrations=True, seed=2)
-        events = workload.events(400.0)
-        mob = [e for e in events
-               if e.kind is ProcedureKind.MOBILITY_REGISTRATION]
-        assert len(mob) >= 500  # at least one burst of all UEs
-
-    def test_no_mobility_when_disabled(self):
-        workload = SessionWorkload(num_ues=500, dwell_s=STARLINK_DWELL_S,
-                                   mobility_registrations=False, seed=2)
-        events = workload.events(400.0)
-        assert not [e for e in events
-                    if e.kind is ProcedureKind.MOBILITY_REGISTRATION]
-
-    def test_events_sorted(self):
-        workload = satellite_workload(starlink(), 200, True)
-        events = workload.events(300.0)
-        times = [e.time_s for e in events]
-        assert times == sorted(times)
-
-    def test_mean_rates_consistent(self):
-        workload = SessionWorkload(num_ues=2000, dwell_s=165.8,
-                                   mobility_registrations=True)
-        rates = workload.mean_rates()
-        assert rates[ProcedureKind.SESSION_ESTABLISHMENT] == \
-            pytest.approx(2000 / 106.9)
-        assert rates[ProcedureKind.MOBILITY_REGISTRATION] == \
-            pytest.approx(2000 / 165.8)
 
 
 class TestTable2Traces:
