@@ -16,8 +16,8 @@ promise dies the moment any code path
   ``time.monotonic``: the SBI mesh was stamping handler latency with
   ``perf_counter`` and feeding it into the recorded artifacts, which
   is exactly the feeding-wall-time-into-the-computation bug.  Timing
-  a benchmark is still fine -- ``benchmarks/`` and the CLI front end
-  are outside the rule's scope.
+  a benchmark is still fine -- ``bench/`` and the CLI front end are
+  outside the rule's scope.
 """
 
 from __future__ import annotations

@@ -1,14 +1,16 @@
 """Command-line front end for the reproduction.
 
-Regenerate any table/figure without pytest::
+Regenerate any table/figure::
 
+    python -m repro report
     python -m repro table4
-    python -m repro fig18b --samples 24
     python -m repro emulate --ues 20 --duration 600
     python -m repro list
 
-Each subcommand prints the same rows/series the corresponding
-benchmark prints; see EXPERIMENTS.md for the paper-vs-measured notes.
+``report`` prints every paper artifact; each artifact is also its own
+command (``table4``, ``fig18b``, ...) that prints exactly its section
+of that report (``report_sections.SECTION_TITLES``).  See
+EXPERIMENTS.md for the paper-vs-measured notes.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import math
 import sys
 from typing import Dict, List, Optional
 
+from .report_sections import SECTION_TITLES
+
 
 def _cmd_list(args) -> int:
     print("available experiments:")
@@ -26,138 +30,9 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _cmd_table1(args) -> int:
-    from .orbits import TABLE1, mean_dwell_time_s
-    print("Table 1 -- constellations:")
-    for name, factory in TABLE1.items():
-        c = factory()
-        print(f"  {name:9s} n={c.sats_per_plane:3d} m={c.num_planes:3d} "
-              f"total={c.total_satellites:5d} H={c.altitude_km:6.0f} km "
-              f"i={c.inclination_deg:5.1f} v={c.speed_km_s:.2f} km/s "
-              f"dwell={mean_dwell_time_s(c):.0f}s")
-    return 0
-
-
-def _cmd_table2(args) -> int:
-    from .workload import table2_summary
-    print("Table 2 -- dataset overview:")
-    for source, counts, total in table2_summary():
-        mix = " ".join(f"{k}={v}" for k, v in counts.items())
-        print(f"  {source:22s} total={total:>9d}  {mix}")
-    return 0
-
-
-def _cmd_table3(args) -> int:
-    from .geo import GeospatialCellGrid
-    from .orbits import kuiper, oneweb, starlink
-    print("Table 3 -- geospatial cell sizes:")
-    for factory in (starlink, kuiper, oneweb):
-        c = factory()
-        stats = GeospatialCellGrid(c).cell_size_statistics(
-            samples=args.samples)
-        print(f"  {c.name:9s} cells={stats.num_cells:5d} "
-              f"min={stats.min_km2:>10.0f} max={stats.max_km2:>10.0f} "
-              f"avg={stats.avg_km2:>10.0f} km^2")
-    return 0
-
-
-def _cmd_table4(args) -> int:
-    from .experiments import reduction_factors
-    from .orbits import TABLE1, default_ground_stations
-    print("Table 4 -- SpaceCore signaling reduction (capacity 30K):")
-    for name, factory in TABLE1.items():
-        c = factory()
-        stations = default_ground_stations(
-            min(max(6, c.total_satellites // 60), 26))
-        factors = reduction_factors(c, stations=stations)
-        cells = "  ".join(f"{k}={v:5.1f}x"
-                          for k, v in sorted(factors.items()))
-        print(f"  {name:9s} {cells}")
-    return 0
-
-
-def _cmd_fig10(args) -> int:
-    from .baselines import ALL_OPTIONS
-    from .experiments.signaling import sweep
-    from .orbits import by_name, default_ground_stations
-    c = by_name(args.constellation)
-    stations = default_ground_stations(
-        min(max(6, c.total_satellites // 60), 26))
-    print(f"Fig. 10 -- {c.name}, capacity {args.capacity}:")
-    for load in sweep(ALL_OPTIONS, [c], [args.capacity], stations,
-                      workers=args.workers):
-        sess, mob = load.satellite_rows()
-        print(f"  {load.solution:30s} SAT sess={sess:9.0f}/s "
-              f"mob={mob:9.0f}/s GS={load.ground_station_per_s:10.0f}/s")
-    return 0
-
-
-def _cmd_fig17(args) -> int:
-    from .experiments import fig17_sweep
-    points = fig17_sweep(rates=(100, 300, 500))
-    print("Fig. 17 -- prototype latency / CPU (hardware 1):")
-    for p in points:
-        print(f"  {p.procedure.value} {p.solution:10s} "
-              f"@{p.rate_per_s:3d}/s lat={p.latency_s:7.3f}s "
-              f"cpu={p.satellite_cpu_percent:5.1f}%"
-              f"{' SATURATED' if p.saturated else ''}")
-    return 0
-
-
-def _cmd_fig18b(args) -> int:
-    from .experiments import compare_ideal_vs_j4
-    from .orbits import TABLE1
-    print("Fig. 18b -- Beijing->New York relay (ideal vs J4):")
-
-    def ms(value: Optional[float]) -> str:
-        return "   n/a" if value is None else f"{value:6.1f}"
-
-    for name, factory in TABLE1.items():
-        row = compare_ideal_vs_j4(factory(), samples=args.samples)
-        print(f"  {name:9s} ideal={ms(row.mean_delay_ideal_ms)} ms "
-              f"j4={ms(row.mean_delay_j4_ms)} ms "
-              f"delivery={row.delivery_rate_j4 * 100:.0f}%")
-    return 0
-
-
-def _cmd_fig19(args) -> int:
-    from .experiments import fig19_study, final_hijack_leaks
-    from .orbits import starlink
-    study = fig19_study(starlink(), duration_s=6000.0)
-    print("Fig. 19a -- hijack leaks after 100 min:")
-    for name, total in sorted(final_hijack_leaks(study).items(),
-                              key=lambda kv: kv[1]):
-        print(f"  {name:10s} {total:12.2e} states")
-    print("Fig. 19b -- MITM leak rates (no IPsec):")
-    for name, rate in sorted(study.mitm_rates.items(),
-                             key=lambda kv: kv[1]):
-        print(f"  {name:10s} {rate:10.1f} states/s")
-    return 0
-
-
-def _cmd_fig20(args) -> int:
-    from .baselines import ALL_SOLUTIONS
-    from .experiments.signaling import sweep
-    from .orbits import by_name, default_ground_stations
-    c = by_name(args.constellation)
-    stations = default_ground_stations(
-        min(max(6, c.total_satellites // 60), 26))
-    print(f"Fig. 20 -- {c.name}, capacity {args.capacity}:")
-    for load in sweep(ALL_SOLUTIONS, [c], [args.capacity], stations,
-                      workers=args.workers):
-        print(f"  {load.solution:10s} "
-              f"SAT={load.satellite_hotspot_per_s:10.0f}/s "
-              f"GS={load.ground_station_per_s:10.0f}/s")
-    return 0
-
-
-def _cmd_fig21(args) -> int:
-    from .experiments import fig21_comparison
-    print("Fig. 21 -- user-level stalls across one satellite pass:")
-    for r in sorted(fig21_comparison(), key=lambda r: r.tcp_stall_s):
-        fate = "RESET" if r.connection_reset else "survives"
-        print(f"  {r.solution:10s} tcp={r.tcp_stall_s:5.2f}s "
-              f"ping={r.ping_stall_s:5.2f}s {fate}")
+def _cmd_section(args) -> int:
+    from .experiments.report import render_section
+    sys.stdout.write(render_section(args.command))
     return 0
 
 
@@ -357,7 +232,7 @@ def _cmd_report(args) -> int:
         write_report(args.output, fast=not args.full)
         print(f"report written to {args.output}")
     else:
-        print(generate_report(fast=not args.full))
+        sys.stdout.write(generate_report(fast=not args.full))
     return 0
 
 
@@ -463,16 +338,6 @@ def _cmd_scenario(args) -> int:
 _COMMANDS: Dict[str, tuple] = {
     "list": (_cmd_list, "list available experiments"),
     "report": (_cmd_report, "generate the full reproduction report"),
-    "table1": (_cmd_table1, "constellation parameters"),
-    "table2": (_cmd_table2, "signaling dataset overview"),
-    "table3": (_cmd_table3, "geospatial cell sizes"),
-    "table4": (_cmd_table4, "SpaceCore signaling reduction factors"),
-    "fig10": (_cmd_fig10, "signaling per option (per constellation)"),
-    "fig17": (_cmd_fig17, "prototype latency and CPU"),
-    "fig18b": (_cmd_fig18b, "geospatial relay, ideal vs J4"),
-    "fig19": (_cmd_fig19, "leakage under hijack / MITM"),
-    "fig20": (_cmd_fig20, "signaling per solution"),
-    "fig21": (_cmd_fig21, "user-level stalling"),
     "emulate": (_cmd_emulate, "run the live-stack emulation"),
     "chaos": (_cmd_chaos, "session survival under injected churn"),
     "loadpoint": (_cmd_loadpoint,
@@ -485,6 +350,8 @@ _COMMANDS: Dict[str, tuple] = {
              "statelessness/determinism invariant checks (static)"),
     "scenario": (_cmd_scenario,
                  "scenario catalog: list | run | check | diff"),
+    **{name: (_cmd_section, f"report section: {title}")
+       for name, title in SECTION_TITLES.items()},
 }
 
 
@@ -521,17 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (func, description) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=description)
         sub.set_defaults(func=func)
-        if name in ("fig10", "fig20"):
-            sub.add_argument("--constellation", default="Starlink")
-            sub.add_argument("--capacity", type=_positive_int, default=30_000)
-            sub.add_argument("--workers", type=int, default=None,
-                             help="shard design points across N worker "
-                                  "processes (default: REPRO_WORKERS "
-                                  "or serial)")
-        if name == "table3":
-            sub.add_argument("--samples", type=_positive_int, default=20_000)
-        if name == "fig18b":
-            sub.add_argument("--samples", type=_positive_int, default=12)
         if name == "report":
             sub.add_argument("--output", default=None)
             sub.add_argument("--full", action="store_true")

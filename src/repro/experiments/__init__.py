@@ -1,7 +1,8 @@
 """Experiment harness: one module per table/figure of the evaluation.
 
-See DESIGN.md's experiment index for the mapping from paper artifacts
-(Tables 1-4, Figures 5-21) to these modules and their benchmarks.
+``report.RENDERERS`` renders each paper artifact (Tables 1-4, Figures
+5-21) once from these modules; DESIGN.md's experiment index maps every
+artifact to its module and its report section.
 """
 
 from .availability import (
@@ -60,7 +61,6 @@ from .relay import (
     RelaySweepStats,
     RelayTrial,
     compare_ideal_vs_j4,
-    path_stretch_vs_optimal,
     relay_router,
     relay_sweep_stats,
     relay_times,
@@ -118,7 +118,7 @@ __all__ = [
     "session_latency_comparison", "solution_cpu_percent",
     "solution_latency_s",
     "RelayComparison", "RelaySweepStats", "RelayTrial",
-    "compare_ideal_vs_j4", "path_stretch_vs_optimal", "relay_router",
+    "compare_ideal_vs_j4", "relay_router",
     "relay_sweep_stats", "relay_times", "relay_trials",
     "ACTIVE_SATELLITE_FRACTION", "SignalingLoad", "cohort_load_point",
     "mean_hops_to_ground", "reduction_factors", "signaling_load", "sweep",

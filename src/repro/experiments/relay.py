@@ -22,12 +22,10 @@ import numpy as np
 
 from ..obs.metrics import MetricsRegistry
 from ..orbits.constellation import Constellation
-from ..orbits.coverage import serving_satellite
 from ..orbits.propagator import make_propagator
-from ..orbits.snapshot import snapshot_for
 from ..topology.batch_routing import BatchGeoRouter
 from ..topology.grid import GridTopology
-from ..topology.routing import RELAY_MAX_HOPS, GeospatialRouter
+from ..topology.routing import RELAY_MAX_HOPS
 
 BEIJING = (math.radians(39.9), math.radians(116.4))
 NEW_YORK = (math.radians(40.7), math.radians(-74.0))
@@ -257,15 +255,14 @@ def batch_path_stretch(constellation: Constellation, pairs: int = 64,
                        t: float = 0.0, seed: int = 11) -> float:
     """Mean delay stretch of Algorithm 1 over the Dijkstra optimum.
 
-    Both sides run batched: one ``route_batch`` for the stateless
-    plane, one multi-source ``route_many`` for the baseline.
+    Each delivered packet is compared with Dijkstra's shortest path to
+    the satellite the walk landed on -- the same destination, so every
+    ratio is at least 1.  Both sides run batched: one ``route_batch``
+    for the stateless plane, one multi-source ``route_many`` for the
+    baseline.
     """
     from ..topology.routing import DijkstraRouter
-    propagator = make_propagator(constellation, "ideal")
-    topology = GridTopology(propagator, [])
-    geo = BatchGeoRouter(topology)
-    base = DijkstraRouter(topology)
-    snap = snapshot_for(propagator, t)
+    topology = GridTopology(make_propagator(constellation, "ideal"), [])
     rng = np.random.default_rng(seed)
     lat_band = math.radians(
         min(constellation.inclination_deg,
@@ -273,39 +270,14 @@ def batch_path_stretch(constellation: Constellation, pairs: int = 64,
     lats = rng.uniform(-lat_band, lat_band, pairs)
     lons = rng.uniform(-math.pi, math.pi, pairs)
     srcs = rng.integers(0, constellation.total_satellites, pairs)
-    dsts = [snap.serving_satellite(float(lat), float(lon))
-            for lat, lon in zip(lats, lons)]
-    keep = [k for k, d in enumerate(dsts) if d >= 0]
-    geo_batch = geo.route_batch(srcs[keep], lats[keep], lons[keep], t)
-    base_batch = base.route_many([int(srcs[k]) for k in keep],
-                                 [dsts[k] for k in keep], t)
-    stretches = []
-    for i, baseline in enumerate(base_batch):
-        if not (geo_batch.delivered[i] and baseline.delivered):
-            continue
-        if baseline.delay_s == 0:
-            stretches.append(1.0)
-        else:
-            stretches.append(float(geo_batch.delay_s[i])
-                             / baseline.delay_s)
-    if not stretches:
-        raise RuntimeError("no pair delivered on both planes")
+    geo = BatchGeoRouter(topology).route_batch(srcs, lats, lons, t)
+    delivered = [int(i) for i in np.nonzero(geo.delivered)[0]]
+    if not delivered:
+        raise RuntimeError("Algorithm 1 delivered no packet")
+    landings = [geo.path(i)[-1] for i in delivered]
+    optimal = DijkstraRouter(topology).route_many(
+        [int(srcs[i]) for i in delivered], landings, t)
+    stretches = [float(geo.delay_s[i]) / best.delay_s
+                 if best.delay_s > 0 else 1.0
+                 for i, best in zip(delivered, optimal)]
     return sum(stretches) / len(stretches)
-
-
-def path_stretch_vs_optimal(constellation: Constellation,
-                            t: float = 0.0) -> float:
-    """Ablation: Algorithm 1's delay stretch over Dijkstra."""
-    from ..topology.routing import DijkstraRouter, path_stretch
-    propagator = make_propagator(constellation, "ideal")
-    topology = GridTopology(propagator, [])
-    router = GeospatialRouter(topology)
-    src = serving_satellite(propagator, t, *BEIJING)
-    dst = serving_satellite(propagator, t, *NEW_YORK)
-    if src < 0 or dst < 0:
-        raise RuntimeError("Beijing or New York is uncovered at this epoch")
-    geo = router.route(src, *NEW_YORK, t)
-    base = DijkstraRouter(topology).route(src, dst, t)
-    if not (geo.delivered and base.delivered):
-        raise RuntimeError("both routers should deliver in a healthy grid")
-    return path_stretch(geo, base)

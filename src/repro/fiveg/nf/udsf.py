@@ -3,8 +3,8 @@
 Footnote 3 of the paper: "5G also has an infrastructure-side state
 repository (UDSF [91, 92]), which is slow [93] and suffers from issues
 in S3 in satellites."  We implement it as the natural alternative to
-device-as-the-repository so the ablation benchmarks can compare the
-two: a UDSF lookup from a satellite costs a network round trip to
+device-as-the-repository so the report's design claims can compare
+the two: a UDSF lookup from a satellite costs a network round trip to
 wherever the UDSF lives (the remote home, or a peer satellite), plus a
 store-access latency measured for stateless 5G NFs by [93].
 """

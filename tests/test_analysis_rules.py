@@ -72,7 +72,7 @@ class TestDeterminismRules:
         assert rule.applies_to("src/repro/faults/chaos.py")
         # Benchmark timing and the CLI front end stay legal.
         assert not rule.applies_to("src/repro/cli.py")
-        assert not rule.applies_to("benchmarks/test_ablations.py")
+        assert not rule.applies_to("bench/workloads.py")
 
     def test_seeded_draws_are_not_flagged(self):
         # The negative-control function sits at the bottom of the

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.cli import main
+from repro.report_sections import SECTION_TITLES
+
+from .test_paper_claims import GOLDEN
 
 
 class TestParser:
@@ -20,58 +23,33 @@ class TestParser:
             main(["figure999"])
 
 
-class TestTableCommands:
-    def test_table1(self, capsys):
-        assert main(["table1"]) == 0
-        out = capsys.readouterr().out
-        assert "Starlink" in out and "1584" in out
+class TestReportCommands:
+    """``repro report`` prints the pinned report; every other report
+    command prints exactly its own section of it."""
 
-    def test_table2(self, capsys):
-        assert main(["table2"]) == 0
-        assert "8480488" in capsys.readouterr().out.replace(",", "")
+    @pytest.mark.parametrize("name", [*SECTION_TITLES, "report"])
+    def test_stdout_is_the_golden_bytes(self, name, capsys):
+        expected = GOLDEN.read_text(encoding="utf-8")
+        if name != "report":
+            # From the section's heading to the next one (or the end).
+            start = expected.index(f"\n## {SECTION_TITLES[name]}\n")
+            end = expected.find("\n## ", start + 1)
+            expected = expected[start:end if end >= 0 else None]
+        assert main([name]) == 0
+        assert capsys.readouterr().out == expected
 
-    def test_table3_small_sample(self, capsys):
-        assert main(["table3", "--samples", "2000"]) == 0
-        assert "km^2" in capsys.readouterr().out
-
-
-class TestFigureCommands:
-    def test_fig20_iridium(self, capsys):
-        assert main(["fig20", "--constellation", "Iridium",
-                     "--capacity", "2000"]) == 0
-        out = capsys.readouterr().out
-        assert "SpaceCore" in out and "Iridium" in out
-
-    def test_fig18b_fast(self, capsys):
-        assert main(["fig18b", "--samples", "4"]) == 0
-        assert "Beijing" in capsys.readouterr().out
-
-    def test_fig21(self, capsys):
-        assert main(["fig21"]) == 0
-        out = capsys.readouterr().out
-        assert "RESET" in out and "survives" in out
-
-
-class TestHeavierCommands:
-    def test_fig10_small_constellation(self, capsys):
-        assert main(["fig10", "--constellation", "Iridium",
-                     "--capacity", "2000"]) == 0
-        out = capsys.readouterr().out
-        assert "Option 1" in out and "Option 4" in out
-
-    def test_fig17(self, capsys):
-        assert main(["fig17"]) == 0
-        out = capsys.readouterr().out
-        assert "C1" in out and "SATURATED" in out
-
-    def test_fig19(self, capsys):
-        assert main(["fig19"]) == 0
-        out = capsys.readouterr().out
-        assert "hijack" in out and "MITM" in out
-
-    def test_table1_table2(self, capsys):
-        assert main(["table1"]) == 0
-        assert main(["table2"]) == 0
+    @pytest.mark.parametrize("argv", [
+        ["table3", "--samples", "2000"],
+        ["fig18b", "--samples", "4"],
+        ["fig10", "--constellation", "Iridium"],
+        ["fig20", "--capacity", "2000"],
+        ["fig20", "--workers", "2"],
+    ])
+    def test_sections_take_no_options(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestEmulateCommand:
@@ -89,9 +67,6 @@ class TestNumericArguments:
         ["emulate", "--duration", "nan"],
         ["emulate", "--ues", "-3"],
         ["emulate", "--cohorts", "0"],
-        ["table3", "--samples", "0"],
-        ["fig18b", "--samples", "0"],
-        ["fig10", "--capacity", "0"],
         ["loadpoint", "--duration", "nan"],
         ["loadpoint", "--duration", "inf"],
         ["loadpoint", "--ues", "many"],

@@ -1,32 +1,21 @@
-"""Tests for the experiment harness: shapes of every table/figure."""
+"""Tests for the experiment harness's mechanisms.
+
+The shapes of the tables and figures themselves are claims over the
+pinned report (``tests/test_paper_claims.py``).
+"""
 
 import pytest
 
-from repro.baselines import ALL_OPTIONS, ALL_SOLUTIONS, fiveg_ntn, spacecore
+from repro.baselines import ALL_OPTIONS, fiveg_ntn, spacecore
 from repro.experiments import (
     compare_ideal_vs_j4,
-    deadline_violation_factor,
-    fig7_cpu_breakdown,
-    fig8_latency_sweep,
-    fig17_sweep,
-    fig19_study,
-    fig21_comparison,
-    final_hijack_leaks,
-    gateway_concentration,
-    load_variation,
     mean_hops_to_ground,
-    path_stretch_vs_optimal,
-    reduction_factors,
     registration_delay_cdf,
-    satellite_ground_track_load,
-    session_latency_comparison,
     signaling_load,
-    solution_latency_s,
     sweep,
     tcp_recovery_time_s,
 )
 from repro.fiveg.messages import ProcedureKind
-from repro.hardware import RASPBERRY_PI_4, XEON_WORKSTATION
 from repro.orbits import default_ground_stations, iridium, starlink
 
 
@@ -69,18 +58,6 @@ class TestSignalingStorms:
         assert loads == sorted(loads)
         assert loads[-1] == pytest.approx(15 * loads[0], rel=0.01)
 
-    def test_table4_spacecore_wins_everywhere(self, starlink_hops):
-        factors = reduction_factors(starlink())
-        assert set(factors) == {"5G NTN", "SkyCore", "DPCM", "Baoyun"}
-        for name, factor in factors.items():
-            assert factor > 5.0, f"{name} should cost >5x SpaceCore"
-
-    def test_table4_ordering_matches_paper(self):
-        """Starlink row: NTN worst, SkyCore least-bad (Table 4)."""
-        factors = reduction_factors(starlink())
-        assert factors["5G NTN"] == max(factors.values())
-        assert factors["SkyCore"] == min(factors.values())
-
     def test_fig10_mobility_rows(self, starlink_hops):
         """Options 1-2 show handovers only; 3-4 add registrations."""
         opt1 = ALL_OPTIONS[0]()
@@ -103,75 +80,7 @@ class TestSignalingStorms:
         assert len(loads) == 4
 
 
-class TestCpuAndLatency:
-    def test_fig7_rpi_saturates_before_xeon(self):
-        rpi = fig7_cpu_breakdown(RASPBERRY_PI_4)
-        xeon = fig7_cpu_breakdown(XEON_WORKSTATION)
-        assert rpi[-1].total_percent > xeon[-1].total_percent
-
-    def test_fig7_rpi_near_saturation_at_250(self):
-        """Fig. 7a: hardware 1 exhausts around 250 registrations/s."""
-        rpi = fig7_cpu_breakdown(RASPBERRY_PI_4)
-        assert rpi[-1].total_percent > 60.0
-
-    def test_fig8_latency_monotone_in_rate(self):
-        points = fig8_latency_sweep()
-        rpi_points = [p for p in points if "rpi" in p.platform]
-        delays = [p.registration.total_s for p in rpi_points]
-        assert delays == sorted(delays)
-
-    def test_fig8_hardware1_slower(self):
-        points = fig8_latency_sweep()
-        by_platform = {}
-        for p in points:
-            if p.rate_per_s == 300:
-                by_platform[p.platform] = p.registration.total_s
-        assert by_platform["hardware-1-rpi4"] >= \
-            by_platform["hardware-2-xeon"]
-
-
-class TestPrototype:
-    def test_fig17_grid_size(self):
-        points = fig17_sweep(rates=(100, 300))
-        assert len(points) == 5 * 3 * 2
-
-    def test_spacecore_mobility_latency_zero(self):
-        latency, _ = solution_latency_s(
-            spacecore(), ProcedureKind.MOBILITY_REGISTRATION, 300)
-        assert latency == 0.0
-
-    def test_session_latency_ordering(self):
-        """Fig. 17b: SpaceCore lowest among home-interacting designs."""
-        latencies = session_latency_comparison(300)
-        assert latencies["SpaceCore"] < latencies["5G NTN"]
-        assert latencies["SpaceCore"] < latencies["Baoyun"]
-
-    def test_baoyun_dpcm_saturate_at_high_rate(self):
-        """Fig. 17a: on-board open5gs melts near 500 registrations/s."""
-        _, baoyun_sat = solution_latency_s(
-            ALL_SOLUTIONS[4](), ProcedureKind.INITIAL_REGISTRATION, 500)
-        assert baoyun_sat
-
-    def test_skycore_registration_fastest(self):
-        """Fig. 17a: SkyCore pre-stores state, so C1 is local/fast."""
-        rows = {f().name: solution_latency_s(
-            f(), ProcedureKind.INITIAL_REGISTRATION, 300)[0]
-            for f in ALL_SOLUTIONS}
-        assert rows["SkyCore"] == min(rows.values())
-
-
 class TestRelay:
-    def test_fig18b_starlink(self):
-        comparison = compare_ideal_vs_j4(starlink(), samples=8)
-        assert comparison.delivery_rate_ideal == 1.0
-        assert comparison.delivery_rate_j4 == 1.0
-        assert comparison.delays_similar
-        # Beijing-New York one-way over LEO: tens of ms.
-        assert 25.0 < comparison.mean_delay_ideal_ms < 150.0
-
-    def test_stretch_ablation_small(self):
-        assert path_stretch_vs_optimal(starlink()) < 1.6
-
     def test_zero_samples_serializes_clean(self):
         """samples=0 edge: no ZeroDivisionError, no JSON Infinity.
 
@@ -210,64 +119,18 @@ class TestRelay:
         assert stats.mean_delay_ms is not None
 
 
-class TestLeakage:
-    def test_fig19_shapes(self):
-        study = fig19_study(starlink(), duration_s=3000.0)
-        finals = final_hijack_leaks(study)
-        assert finals["SkyCore"] == max(finals.values())
-        assert finals["SpaceCore"] == min(finals.values())
-        assert finals["SkyCore"] > 1e7  # the paper's 1e8-scale axis
-        assert study.mitm_rates["SpaceCore"] == min(
-            study.mitm_rates.values())
-
-
-class TestTemporalAndUserLevel:
-    def test_fig12_load_tracks_population(self):
-        samples = satellite_ground_track_load(starlink(), 30_000,
-                                              duration_s=5700.0,
-                                              step_s=120.0)
-        peak, trough = load_variation(samples)
-        assert peak > 0
-        assert trough < peak / 5  # bursty: oceans nearly silent
-
-    def test_fig12_regions_change(self):
-        samples = satellite_ground_track_load(starlink(), 30_000,
-                                              duration_s=5700.0,
-                                              step_s=120.0)
-        regions = {s.region for s in samples}
-        assert len(regions) >= 2
-
+class TestUserLevel:
     def test_tcp_recovery_exceeds_outage(self):
         """Fig. 21: stalls outlast the signaling outage (RTO)."""
         for outage in (0.05, 0.5, 2.0):
             assert tcp_recovery_time_s(outage) >= outage
-
-    def test_fig21_resets(self):
-        results = {r.solution: r for r in fig21_comparison()}
-        assert not results["SpaceCore"].connection_reset
-        assert not results["5G NTN"].connection_reset
-        assert results["Baoyun"].connection_reset
-        assert results["SkyCore"].connection_reset
-
-    def test_fig21_spacecore_stalls_least(self):
-        results = {r.solution: r for r in fig21_comparison()}
-        spacecore_stall = results["SpaceCore"].tcp_stall_s
-        for name, result in results.items():
-            if name != "SpaceCore":
-                assert result.tcp_stall_s >= spacecore_stall
+        # 0.2 + 0.4 + 0.8 fires at 1.4 s, the first instant past 0.9 s.
+        assert tcp_recovery_time_s(0.9) == pytest.approx(1.4)
 
 
 class TestBottleneck:
-    def test_fig5a_concentration(self):
-        conc = gateway_concentration(starlink())
-        assert conc.concentration_factor > 2.0
-
     def test_fig5b_cdf_monotone(self):
         cdf = registration_delay_cdf("inmarsat-explorer-710", 200)
         fractions = [f for _, f in cdf]
         assert fractions == sorted(fractions)
         assert fractions[-1] == pytest.approx(1.0)
-
-    def test_deadline_violation_enormous(self):
-        """S2.2: seconds-scale registration vs <10 ms deadlines."""
-        assert deadline_violation_factor("tiantong-sc310") > 100

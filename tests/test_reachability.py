@@ -1,9 +1,9 @@
 """Every module under ``src/repro`` is imported from a real entry point.
 
 The roots are what a user or a measurement actually runs: the CLI
-(``repro.cli`` and ``python -m repro``), ``examples/``, ``bench/``,
-``benchmarks/`` and the lint rule modules that
-``registry.RULE_MODULES`` loads by name.  From them the walk follows
+(``repro.cli`` and ``python -m repro``, whose report sections import
+every paper artifact's module), ``examples/``, ``bench/`` and the lint
+rule modules that ``registry.RULE_MODULES`` loads by name.  From them the walk follows
 ``import`` / ``from ... import`` statements (function-local ones too),
 resolved by the call graph's relative-aware import map.
 
@@ -30,7 +30,7 @@ from repro.analysis.runner import collect_files, load_module
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 ROOT_MODULES = ("repro.cli", "repro.__main__") + RULE_MODULES
-ROOT_DIRS = ("examples", "bench", "benchmarks")
+ROOT_DIRS = ("examples", "bench")
 
 
 def _load(path: Path):

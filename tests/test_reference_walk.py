@@ -399,13 +399,6 @@ class TestSourceIngress:
         assert batch.result(0) == expected
         assert len(router.route_batch([], [], [], 0.0)) == 0
 
-    def test_relay_stretch_reports_an_uncovered_endpoint(self):
-        from repro.experiments import relay
-        with mock.patch.object(relay, "serving_satellite",
-                               return_value=-1):
-            with pytest.raises(RuntimeError, match="uncovered"):
-                relay.path_stretch_vs_optimal(starlink())
-
 
 @st.composite
 def walker_shells(draw):

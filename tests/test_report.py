@@ -1,15 +1,13 @@
 """Tests for the reproduction report generator."""
 
 import difflib
-from pathlib import Path
 
 import pytest
 
-from repro.experiments.report import generate_report
+from repro.experiments.report import RENDERERS, _exact, generate_report
+from repro.report_sections import SECTION_TITLES
 
-#: The pinned ``repro report`` output.  Re-bless with
-#: ``python -m repro report --output artifacts/report.md``.
-GOLDEN = Path(__file__).resolve().parents[1] / "artifacts" / "report.md"
+from .test_paper_claims import CLAIMS, GOLDEN, parse_report
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +46,23 @@ class TestReport:
         target.write_text(report)
         assert target.read_text() == report
 
+    def test_every_titled_section_has_a_renderer(self):
+        assert list(RENDERERS) == list(SECTION_TITLES)
+
+    @pytest.mark.parametrize("value, spec, other, text", [
+        (0.0, ".1f", 0.0, "0.0"),
+        (0.04, ".1f", 0.0, "0.04"),          # not "0.0"
+        (0.4, ",.0f", 0.0, "0.4"),           # not "0"
+        (1234.0, ",.0f", 0.0, "1,234"),
+        (100.0, ".0f", 100, "100"),
+        (99.6, ".0f", 100, "99.6"),          # not "100"
+        (16100.0, ".2e", 16100.0, "1.61e+04"),
+        (16100.4, ".2e", 16100.0, "16100.4"),  # not the other's "1.61e+04"
+    ])
+    def test_rounding_never_fakes_an_exact_value(self, value, spec, other,
+                                                 text):
+        assert _exact(value, spec, other) == text
+
     def test_matches_golden_byte_for_byte(self, report):
         expected = GOLDEN.read_text(encoding="utf-8")
         diff = "".join(difflib.unified_diff(
@@ -55,3 +70,16 @@ class TestReport:
             report.splitlines(keepends=True),
             fromfile=str(GOLDEN), tofile="generate_report(fast=True)"))
         assert report == expected, diff
+
+    def test_full_report_upholds_every_paper_claim(self):
+        """``--full`` resamples Table 3, Fig. 18b and the routing plane;
+        no claim of ``tests/test_paper_claims.py`` may hold only at the
+        pinned report's fast sampling."""
+        full = parse_report(generate_report(fast=False))
+        failed = []
+        for claim_id, check in CLAIMS.items():
+            try:
+                check(full)
+            except AssertionError as exc:
+                failed.append(f"{claim_id}: {exc}")
+        assert not failed, "\n".join(failed)
