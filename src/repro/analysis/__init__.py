@@ -14,8 +14,8 @@ resolves intra-project calls and :mod:`.effects` runs a fixed-point
 effect inference over them, so the interprocedural rules
 (:mod:`.rules_interprocedural`) can ask transitive questions --
 "does this ``run_sharded`` worker ever read the wall clock?", "does
-this topology-keyed cache ever reach ``add_fault_listener``?" --
-that file-local rules cannot.
+this set iteration reach a JSON sink?" -- that file-local rules
+cannot.
 
 See DESIGN.md "Static analysis & invariants" for the rule catalogue,
 suppression syntax, and how to add a rule.

@@ -2,14 +2,13 @@
 
 The file-local rules of ISSUE 4 stop at module boundaries, and that is
 exactly where the bugs that motivated ISSUE 9 lived: a ``time.time()``
-two call-hops below a sharded worker, a topology-keyed cache four
-modules away from the fault-listener registry.  This pass builds the
+two call-hops below a sharded worker.  This pass builds the
 whole-program structure the effect inference (:mod:`.effects`) runs
 its fixed point over:
 
 * **nodes** -- every function and method defined in the analyzed file
   set, identified as ``<module>.<qualname>``
-  (``repro.topology.batch_routing.BatchGeoRouter.invalidate``);
+  (``repro.topology.batch_routing.BatchGeoRouter.route_batch``);
 * **edges** -- resolved intra-project calls.  Resolution is
   deliberately syntactic but layered: module-level names, import
   aliases (including relative imports), ``self.method`` dispatch with

@@ -4,11 +4,10 @@ Each function gets a *direct* effect set read straight off its body,
 then a fixed point propagates callee effects to callers until nothing
 changes.  The result is a transitive **effect summary** per function:
 "somewhere below this call, the wall clock is read", "a set is
-iterated without sorting", "a fault listener is registered".  The
-interprocedural rules (:mod:`.rules_interprocedural`) are thin
-predicates over these summaries -- the PR 5 determinism bugs and the
-PR 8 cache-staleness bug were all one-effect-summary questions the
-file-local linter could not ask.
+iterated without sorting".  The interprocedural rules
+(:mod:`.rules_interprocedural`) are thin predicates over these
+summaries -- the PR 5 determinism bugs were one-effect-summary
+questions the file-local linter could not ask.
 
 Inline suppressions participate: a direct effect whose source line
 carries ``# repro: ignore[<base rule>]`` (e.g. the planner's justified
@@ -33,14 +32,6 @@ Effects
     vocabulary (``cache``/``memo``/``table``) are exempt: keyed
     memoization of pure functions is the sanctioned pattern
     (``runtime.memo``), deterministic per shard by construction.
-``registers-fault-listener``
-    An ``add_fault_listener(...)`` call (the GridTopology invalidation
-    registry).
-``builds-topology-keyed-cache``
-    A keyed store (``self._cache[key] = ...``) in a function that also
-    reads GridTopology fault state (``fault_epoch``,
-    ``failed_satellites()``, ...): the raw material of the stale-cache
-    rule.
 ``emits-artifact``
     A JSON/golden/merge serialization sink: the places where
     iteration order becomes bytes.
@@ -71,8 +62,6 @@ READS_WALLCLOCK = "reads-wallclock"
 DRAWS_UNSEEDED_RNG = "draws-unseeded-rng"
 ITERATES_UNORDERED = "iterates-unordered"
 MUTATES_MODULE_GLOBAL = "mutates-module-global"
-REGISTERS_FAULT_LISTENER = "registers-fault-listener"
-BUILDS_TOPOLOGY_KEYED_CACHE = "builds-topology-keyed-cache"
 EMITS_ARTIFACT = "emits-artifact"
 
 ALL_EFFECTS = (
@@ -80,8 +69,6 @@ ALL_EFFECTS = (
     DRAWS_UNSEEDED_RNG,
     ITERATES_UNORDERED,
     MUTATES_MODULE_GLOBAL,
-    REGISTERS_FAULT_LISTENER,
-    BUILDS_TOPOLOGY_KEYED_CACHE,
     EMITS_ARTIFACT,
 )
 
@@ -98,16 +85,7 @@ EFFECT_SUPPRESSORS: Dict[str, Tuple[str, ...]] = {
     DRAWS_UNSEEDED_RNG: ("unseeded-rng", "shard-purity"),
     MUTATES_MODULE_GLOBAL: ("shard-purity",),
     ITERATES_UNORDERED: ("unordered-iteration",),
-    BUILDS_TOPOLOGY_KEYED_CACHE: ("stale-cache",),
 }
-
-#: Reading any of these derives a value from GridTopology fault state.
-TOPOLOGY_STATE_ATTRS = frozenset({"fault_epoch"})
-TOPOLOGY_STATE_CALLS = frozenset({
-    "failed_satellites", "edge_liveness", "delay_adjacency",
-    "gateway_access_satellites", "has_topology_faults",
-    "live_ground_stations",
-})
 
 #: Container-mutating method names (receiver is modified in place).
 MUTATOR_METHODS = frozenset({
@@ -155,19 +133,6 @@ class EffectOccurrence:
 def _suppressed(module: ModuleInfo, line: int, effect: str) -> bool:
     return any(module.is_suppressed(line, rule)
                for rule in EFFECT_SUPPRESSORS.get(effect, ()))
-
-
-def reads_topology_state(func: ast.AST) -> bool:
-    """Whether a function body derives a value from fault state."""
-    for node in ast.walk(func):
-        if isinstance(node, ast.Attribute) \
-                and node.attr in TOPOLOGY_STATE_ATTRS:
-            return True
-        if isinstance(node, ast.Call) \
-                and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in TOPOLOGY_STATE_CALLS:
-            return True
-    return False
 
 
 class _SetTracker:
@@ -261,7 +226,6 @@ class EffectAnalysis:
         func = fnode.func
         tracker = _SetTracker(fnode, self.graph)
         local = bound_names(func)
-        topology_keyed = reads_topology_state(func)
         mutable_globals = {
             name for name in module.mutable_globals
             if not _CACHE_NAME_RE.search(name)}
@@ -303,11 +267,6 @@ class EffectAnalysis:
                 rng = _classify_rng(node, name, tail)
                 if rng is not None:
                     found = occ(DRAWS_UNSEEDED_RNG, node, rng)
-                    if found:
-                        yield found
-                if tail == "add_fault_listener":
-                    found = occ(REGISTERS_FAULT_LISTENER, node,
-                                _describe(node.func, module))
                     if found:
                         yield found
                 if name in ARTIFACT_SINK_CALLS \
@@ -359,20 +318,13 @@ class EffectAnalysis:
                            else node.targets if isinstance(node, ast.Delete)
                            else [node.target])
                 for target in targets:
-                    if not isinstance(target, ast.Subscript):
+                    if not (isinstance(target, ast.Subscript)
+                            and isinstance(target.value, ast.Name)):
                         continue
-                    if isinstance(target.value, ast.Name):
-                        name = target.value.id
-                        if name in mutable_globals and name not in local:
-                            found = occ(MUTATES_MODULE_GLOBAL, target,
-                                        f"{name}[...] store")
-                            if found:
-                                yield found
-                    if topology_keyed \
-                            and not isinstance(node, ast.Delete) \
-                            and isinstance(target.value, ast.Attribute):
-                        found = occ(BUILDS_TOPOLOGY_KEYED_CACHE, target,
-                                    _describe(target.value, module))
+                    name = target.value.id
+                    if name in mutable_globals and name not in local:
+                        found = occ(MUTATES_MODULE_GLOBAL, target,
+                                    f"{name}[...] store")
                         if found:
                             yield found
 

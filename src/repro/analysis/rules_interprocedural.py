@@ -9,43 +9,35 @@ actually shipped and later hand-fixed:
   worker dispatched through ``runtime.parallel.run_sharded`` must be
   transitively free of wall-clock reads, unseeded draws and mutable
   module-global writes, or serial and sharded runs diverge;
-* ``stale-cache`` -- the PR 8 ``DijkstraRouter`` staleness bug, as a
-  rule: a cache keyed on ``GridTopology`` fault state must register
-  invalidation through ``add_fault_listener``;
 * ``unordered-iteration`` -- set iteration feeding a JSON/golden/merge
   sink without ``sorted(...)`` bakes ``PYTHONHASHSEED`` into artifact
   bytes;
 * ``float-reduction-order`` -- ``sum()`` over an unordered collection
-  in the merge/artifact layers makes float totals order-dependent;
-* ``listener-leak`` -- a listener registry holding strong references
-  pins routers (and their caches) alive forever; ``grid.py``'s
-  ``WeakMethod`` pattern is the contract.
+  in the merge/artifact layers makes float totals order-dependent.
+
+A liveness cache needs no rule: it keys on ``GridTopology.fault_epoch``
+(see :mod:`repro.topology.grid`), so a stale entry cannot be looked up.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, Optional
 
-from ..runtime.memo import MEMO_DECORATOR_NAMES
 from .core import (
     Finding,
-    FuncDef,
     ModuleInfo,
     ProjectContext,
     Rule,
     call_name,
-    dotted_name,
     tail_name,
 )
 from .effects import (
-    BUILDS_TOPOLOGY_KEYED_CACHE,
     DRAWS_UNSEEDED_RNG,
     EMITS_ARTIFACT,
     ITERATES_UNORDERED,
     MUTATES_MODULE_GLOBAL,
     READS_WALLCLOCK,
-    REGISTERS_FAULT_LISTENER,
     SHARD_IMPURE_EFFECTS,
     EffectAnalysis,
     _SetTracker,
@@ -54,10 +46,6 @@ from .registry import register
 
 #: Fan-out entry points whose first argument is a shard worker.
 SHARD_DISPATCHERS = frozenset({"run_sharded"})
-
-#: Parameter names/annotations marking a memo key as topology-derived.
-_TOPOLOGY_PARAM_NAMES = frozenset({"topology", "grid", "grid_topology"})
-_TOPOLOGY_ANNOTATION_TAILS = frozenset({"GridTopology"})
 
 _EFFECT_LABEL = {
     READS_WALLCLOCK: "reads the wall clock",
@@ -116,115 +104,6 @@ class ShardPurityRule(Rule):
                             f"(transitively): "
                             f"{_chain_text(effects, target, effect)}; "
                             f"sharded and serial runs will diverge")
-
-
-def _memo_decorated(func: FuncDef, module: ModuleInfo) -> Optional[str]:
-    for decorator in func.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) \
-            else decorator
-        name = tail_name(dotted_name(target, module))
-        if name in MEMO_DECORATOR_NAMES:
-            return name
-    return None
-
-
-@register
-class StaleCacheRule(Rule):
-    """Topology-keyed caches must register fault-listener invalidation."""
-
-    id = "stale-cache"
-    family = "cache-keys"
-    description = ("a cache keyed on GridTopology fault state "
-                   "(fault_epoch, failed_satellites, ...) must wire "
-                   "topology.add_fault_listener(invalidate) through "
-                   "itself, or chaos churn serves stale routes (the "
-                   "pre-PR-8 DijkstraRouter bug)")
-
-    def check(self, module: ModuleInfo,
-              project: ProjectContext) -> Iterable[Finding]:
-        """Yield topology-keyed caches with no invalidation path."""
-        effects = project.effects()
-        for class_node in ast.walk(module.tree):
-            if isinstance(class_node, ast.ClassDef):
-                yield from self._check_class(
-                    module, project, class_node, effects)
-        # Memoized module-level functions cannot register a listener
-        # at all: a mutable topology in the key is always unsound.
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                decorator = _memo_decorated(node, module)
-                if decorator is None:
-                    continue
-                for arg, tail in _topology_params(node):
-                    yield module.finding(
-                        self.id, arg,
-                        f"@{decorator} function {node.name}() keys its "
-                        f"cache on mutable topology parameter "
-                        f"{arg.arg}{': ' + tail if tail else ''}; fault "
-                        f"injection mutates it in place with no "
-                        f"invalidation signal -- key on immutable "
-                        f"state (e.g. (t, fault_epoch)) inside a "
-                        f"listener-invalidated cache instead")
-
-    def _check_class(self, module: ModuleInfo, project: ProjectContext,
-                     class_node: ast.ClassDef,
-                     effects: EffectAnalysis) -> Iterable[Finding]:
-        method_ids = self._method_node_ids(module, project, class_node)
-        store = None
-        for node_id in method_ids:
-            if REGISTERS_FAULT_LISTENER in effects.effects_of(node_id):
-                return
-            if store is None:
-                for occurrence in effects.occurrences.get(node_id, []):
-                    if occurrence.effect == BUILDS_TOPOLOGY_KEYED_CACHE \
-                            and occurrence.detail.startswith("self."):
-                        store = occurrence
-                        break
-        if store is None:
-            return
-        attr = store.detail.split(".", 1)[1]
-        yield Finding(
-            rule=self.id, path=module.relpath, line=store.line,
-            message=(
-                f"{class_node.name}.{attr} caches results keyed on "
-                f"GridTopology fault state but no method reaches "
-                f"add_fault_listener; chaos fault injection will serve "
-                f"stale entries (the pre-PR-8 DijkstraRouter bug) -- "
-                f"register topology.add_fault_listener(self.invalidate) "
-                f"in __init__"))
-
-    @staticmethod
-    def _method_node_ids(module: ModuleInfo, project: ProjectContext,
-                         class_node: ast.ClassDef) -> List[str]:
-        graph = project.callgraph()
-        ids: List[str] = []
-        for item in class_node.body:
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                node_id = graph.node_for_def(item)
-                if node_id is not None:
-                    ids.append(node_id)
-        return ids
-
-
-def _topology_params(func: FuncDef) -> List[Tuple[ast.arg, str]]:
-    out: List[Tuple[ast.arg, str]] = []
-    for arg in (func.args.posonlyargs + func.args.args
-                + func.args.kwonlyargs):
-        tail = _annotation_tail_name(arg.annotation)
-        if arg.arg.lower() in _TOPOLOGY_PARAM_NAMES \
-                or tail in _TOPOLOGY_ANNOTATION_TAILS:
-            out.append((arg, tail))
-    return out
-
-
-def _annotation_tail_name(node: Optional[ast.expr]) -> str:
-    while isinstance(node, ast.Subscript):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return ""
 
 
 @register
@@ -334,81 +213,3 @@ class FloatReductionOrderRule(Rule):
                     and isinstance(node.op, (ast.Add, ast.Mult)):
                 return True
         return False
-
-
-@register
-class ListenerLeakRule(Rule):
-    """Listener registries must hold weak references (grid.py)."""
-
-    id = "listener-leak"
-    family = "lifecycle"
-    severity = "warning"
-    description = ("appending a callback into a *listener* registry "
-                   "without weakref.WeakMethod/weakref.ref pins every "
-                   "registrant (and its caches) alive for the "
-                   "registry's lifetime; use grid.py's WeakMethod "
-                   "pattern")
-
-    #: Registry attribute vocabulary.
-    _REGISTRY_WORDS = ("listener",)
-    #: Weakref constructor tails that make a registration safe.
-    _WEAK_TAILS = frozenset({"WeakMethod", "ref", "proxy", "WeakSet"})
-
-    def check(self, module: ModuleInfo,
-              project: ProjectContext) -> Iterable[Finding]:
-        """Yield strong registrations into listener collections."""
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                continue
-            weak_locals = self._weak_locals(node, module)
-            for call in ast.walk(node):
-                if not (isinstance(call, ast.Call)
-                        and isinstance(call.func, ast.Attribute)
-                        and call.func.attr in ("append", "add")
-                        and len(call.args) == 1):
-                    continue
-                receiver = self._receiver_name(call.func.value)
-                if receiver is None or not any(
-                        word in receiver.lower()
-                        for word in self._REGISTRY_WORDS):
-                    continue
-                if self._is_weak(call.args[0], module, weak_locals):
-                    continue
-                yield module.finding(
-                    self.id, call,
-                    f"{node.name}() appends a strong reference into "
-                    f"{receiver!r}; a listener registry must hold "
-                    f"weakref.WeakMethod (bound methods) or "
-                    f"weakref.ref so registrants can die (grid.py "
-                    f"pattern), and prune dead refs on notify")
-
-    @staticmethod
-    def _receiver_name(node: ast.expr) -> Optional[str]:
-        if isinstance(node, ast.Attribute):
-            return node.attr
-        if isinstance(node, ast.Name):
-            return node.id
-        return None
-
-    def _weak_locals(self, func: FuncDef,
-                     module: ModuleInfo) -> Set[str]:
-        names: Set[str] = set()
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) \
-                    and len(node.targets) == 1 \
-                    and isinstance(node.targets[0], ast.Name) \
-                    and self._is_weak_call(node.value, module):
-                names.add(node.targets[0].id)
-        return names
-
-    def _is_weak(self, expr: ast.expr, module: ModuleInfo,
-                 weak_locals: Set[str]) -> bool:
-        if isinstance(expr, ast.Name) and expr.id in weak_locals:
-            return True
-        return self._is_weak_call(expr, module)
-
-    def _is_weak_call(self, expr: ast.expr, module: ModuleInfo) -> bool:
-        return (isinstance(expr, ast.Call)
-                and tail_name(call_name(expr, module))
-                in self._WEAK_TAILS)

@@ -34,10 +34,11 @@ All per-satellite state the compiled walk gathers from -- runtime
 (alpha, gamma) coordinates, sub-satellite points, the ``(N, 4)`` +Grid
 neighbour table, ISL hop lengths and liveness masks -- is materialised
 once per ``(epoch, fault_epoch)`` into a :class:`NextHopTable`, kept
-in a small LRU.  Fault injection both re-keys the cache (the key
-embeds ``fault_epoch``) and actively drops entries through the
-topology's fault listeners, so chaos scenarios can never read a stale
-liveness mask.
+in a small LRU.  The key is the whole invalidation story: every fault
+mutation bumps ``fault_epoch``, so a table built before a fault can
+never be looked up after it, and chaos scenarios can never read a
+stale liveness mask.  The epoch only grows, so a miss also drops the
+tables of older epochs, which can never hit again.
 
 Epoch sweeps
 ============
@@ -286,13 +287,8 @@ class BatchGeoRouter:
         #: explicit per-step revisit check.
         self._full_torus = math.isclose(
             c.delta_raan * c.num_planes, TWO_PI, rel_tol=1e-9)
-        topology.add_fault_listener(self.invalidate)
 
     # -- table cache ---------------------------------------------------------
-
-    def invalidate(self) -> None:
-        """Drop every cached next-hop table (fault listeners call this)."""
-        self._tables.clear()
 
     def table_cache_size(self) -> int:
         """Number of next-hop tables currently cached (diagnostics)."""
@@ -303,12 +299,15 @@ class BatchGeoRouter:
             self.metrics.counter(name, **labels).inc(amount)
 
     def _table(self, t: float) -> NextHopTable:
-        key = (float(t), self.topology.fault_epoch)
+        fault_epoch = self.topology.fault_epoch
+        key = (float(t), fault_epoch)
         table = self._tables.get(key)
         if table is not None:
             self._tables.move_to_end(key)
             self._count("routing.table_cache_hits")
             return table
+        for stale in [k for k in self._tables if k[1] < fault_epoch]:
+            del self._tables[stale]
         self._count("routing.table_cache_misses")
         self._count("routing.table_builds")
         snapshot = snapshot_for(self.topology.propagator, t)

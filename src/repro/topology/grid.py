@@ -5,12 +5,16 @@ neighbours and two to the same slot of the adjacent planes -- the
 "standard grid satellite network topology [6, 79]" the paper assumes.
 Ground stations attach to whatever satellite is overhead at a given
 time (a ground-space link).
+
+Failure injection marks satellites, ISLs and ground stations down in
+place and bumps :attr:`GridTopology.fault_epoch`.  A cache that
+depends on liveness carries that epoch in its key, so nothing has to
+notify it when the fault state moves.
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -52,74 +56,63 @@ class GridTopology:
         #: tables) can key on it.  Pure-geometry snapshots never depend
         #: on it.
         self._fault_epoch = 0
-        #: Weak references to zero-argument callbacks fired after every
-        #: fault-epoch bump; routers register their ``invalidate`` here
-        #: so liveness caches are dropped the moment chaos injection
-        #: changes the topology (not merely aged out by key mismatch).
-        self._fault_listeners: List[weakref.ref] = []
 
     # -- failure injection ---------------------------------------------------
 
     @property
     def fault_epoch(self) -> int:
-        """Version of the failure state; changes invalidate liveness caches."""
+        """Version of the failure state; liveness caches key on it."""
         return self._fault_epoch
 
-    def add_fault_listener(self, listener: Callable[[], None]) -> None:
-        """Register a callback fired after every failure-state change.
+    def _check_satellite(self, sat: int) -> int:
+        """``sat`` as a plain int, or ``ValueError``.
 
-        Held weakly (``WeakMethod`` for bound methods), so registering
-        a router's ``invalidate`` does not keep the router alive; dead
-        references are pruned on notification.
+        A satellite is an integer flat index in ``[0, N)``: a negative
+        index must not wrap to satellite N - 1 on the array planes, and
+        a float or bool is not an index.
         """
-        ref: weakref.ref
-        if hasattr(listener, "__self__"):
-            ref = weakref.WeakMethod(listener)  # type: ignore[arg-type]
-        else:
-            ref = weakref.ref(listener)
-        self._fault_listeners.append(ref)
+        if isinstance(sat, (bool, np.bool_)) \
+                or not isinstance(sat, (int, np.integer)) \
+                or not 0 <= sat < self.constellation.total_satellites:
+            raise ValueError(f"no satellite with index {sat!r}")
+        return int(sat)
 
-    def _bump_fault_epoch(self) -> None:
-        self._fault_epoch += 1
-        if not self._fault_listeners:
-            return
-        live = []
-        for ref in self._fault_listeners:
-            callback = ref()
-            if callback is not None:
-                live.append(ref)
-                callback()
-        self._fault_listeners = live
+    def _isl_key(self, sat_a: int, sat_b: int) -> FrozenSet[int]:
+        return frozenset((self._check_satellite(sat_a),
+                          self._check_satellite(sat_b)))
 
     def fail_satellite(self, sat: int) -> None:
         """Remove a satellite (radiation/debris failure, S3.3).
 
-        Idempotent: failing an already-failed satellite neither bumps
-        the fault epoch nor invalidates liveness caches.
+        Idempotent: failing an already-failed satellite does not bump
+        the fault epoch.  Raises ``ValueError`` unless ``sat`` is an
+        integer in ``[0, N)``.
         """
+        sat = self._check_satellite(sat)
         if sat not in self._failed_sats:
             self._failed_sats.add(sat)
-            self._bump_fault_epoch()
+            self._fault_epoch += 1
 
     def recover_satellite(self, sat: int) -> None:
         """Bring a failed satellite back into the topology."""
+        sat = self._check_satellite(sat)
         if sat in self._failed_sats:
             self._failed_sats.discard(sat)
-            self._bump_fault_epoch()
+            self._fault_epoch += 1
 
     def fail_isl(self, sat_a: int, sat_b: int) -> None:
         """Take one ISL down (laser misalignment, S3.3). Idempotent."""
-        key = frozenset((sat_a, sat_b))
+        key = self._isl_key(sat_a, sat_b)
         if key not in self._failed_isls:
             self._failed_isls.add(key)
-            self._bump_fault_epoch()
+            self._fault_epoch += 1
 
     def recover_isl(self, sat_a: int, sat_b: int) -> None:
         """Restore a failed inter-satellite link. Idempotent."""
-        key = frozenset((sat_a, sat_b))
+        key = self._isl_key(sat_a, sat_b)
         if key in self._failed_isls:
             self._failed_isls.discard(key)
-            self._bump_fault_epoch()
+            self._fault_epoch += 1
 
     def fail_ground_station(self, station: int) -> None:
         """Take one ground station offline (regional outage). Idempotent."""
@@ -127,13 +120,13 @@ class GridTopology:
             raise ValueError(f"no ground station with index {station}")
         if station not in self._failed_stations:
             self._failed_stations.add(station)
-            self._bump_fault_epoch()
+            self._fault_epoch += 1
 
     def recover_ground_station(self, station: int) -> None:
         """Bring a downed ground station back. Idempotent."""
         if station in self._failed_stations:
             self._failed_stations.discard(station)
-            self._bump_fault_epoch()
+            self._fault_epoch += 1
 
     def failed_satellites(self) -> FrozenSet[int]:
         """The currently-failed satellite set (immutable view)."""
@@ -195,13 +188,10 @@ class GridTopology:
         :meth:`delay_adjacency` and :meth:`snapshot_graph`.
         """
         neighbors = grid_neighbor_table(self.constellation)
-        total = self.constellation.total_satellites
         sat_up = self.satellite_liveness()
         edge_up = sat_up[:, None] & sat_up[neighbors]
         for link in self._failed_isls:
             a, b = min(link), max(link)
-            if not (0 <= a and b < total):
-                continue
             edge_up[a, neighbors[a] == b] = False
             edge_up[b, neighbors[b] == a] = False
         return edge_up

@@ -12,10 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import SHARD_IMPURE_EFFECTS, analyze_effects, build_callgraph
-from repro.analysis.effects import (
-    READS_WALLCLOCK,
-    REGISTERS_FAULT_LISTENER,
-)
+from repro.analysis.effects import READS_WALLCLOCK
 from repro.analysis.runner import collect_files, default_target, load_module
 
 
@@ -162,16 +159,6 @@ class TestRealPackage:
                 modules.append(module)
         graph = build_callgraph(modules)
         return graph, analyze_effects(graph)
-
-    def test_router_invalidation_is_a_node(self, analysis):
-        graph, _ = analysis
-        assert "repro.topology.batch_routing.BatchGeoRouter.invalidate" \
-            in graph.nodes
-
-    def test_router_init_registers_fault_listener(self, analysis):
-        _, effects = analysis
-        assert REGISTERS_FAULT_LISTENER in effects.direct[
-            "repro.topology.batch_routing.BatchGeoRouter.__init__"]
 
     def test_every_shipped_shard_worker_is_pure(self, analysis):
         # The acceptance invariant behind the shard-purity rule: the

@@ -188,6 +188,16 @@ class TestFrameworkPlumbing:
                 "cache-mutable-global", "frozen-mutation",
                 "implicit-optional"} <= ids
 
+    def test_every_rule_and_every_fixture_fires(self):
+        """The fixture corpus and the registry stay in step: each rule
+        fires on some fixture, and each fixture draws some finding, so
+        deleting a rule or a fixture leaves no orphan behind."""
+        result = analyze([FIXTURE_ROOT / "src"], root=FIXTURE_ROOT)
+        fired = {f.rule for f in result.findings}
+        assert {rule.id for rule in get_rules()} - fired == set()
+        assert set(result.files) - {f.path for f in result.findings} \
+            == set()
+
     def test_unknown_rule_id_raises(self):
         with pytest.raises(KeyError):
             get_rules(["no-such-rule"])
@@ -259,28 +269,6 @@ class TestShardPurityRule:
                    for f in self.hits)
 
 
-class TestStaleCacheRule:
-    def setup_method(self):
-        self.findings = findings_for("topology/bad_stale_cache.py")
-        self.hits = by_rule(self.findings, "stale-cache")
-
-    def test_pre_pr8_router_shape_is_caught(self):
-        # Acceptance fixture: fault_epoch-keyed LRU with no
-        # add_fault_listener registration anywhere in the class.
-        assert any("StaleRouter._graph_cache" in f.message
-                   for f in self.hits), messages(self.findings)
-
-    def test_memoized_topology_param_is_caught(self):
-        assert any("mean_path_length" in f.message
-                   and "topology" in f.message for f in self.hits)
-
-    def test_listener_registering_router_is_not_flagged(self):
-        assert not any("ListenerRouter" in f.message for f in self.hits)
-
-    def test_fault_state_free_store_is_not_flagged(self):
-        assert not any("EpochFreeStore" in f.message for f in self.hits)
-
-
 class TestUnorderedIterationRule:
     def setup_method(self):
         self.findings = findings_for("obs/bad_unordered.py")
@@ -324,28 +312,6 @@ class TestFloatReductionOrderRule:
     def test_sorted_and_list_reductions_are_not_flagged(self):
         assert not any("sorted_total" in f.message for f in self.hits)
         assert not any("list_total" in f.message for f in self.hits)
-
-
-class TestListenerLeakRule:
-    def setup_method(self):
-        self.findings = findings_for("topology/bad_listener_leak.py")
-        self.hits = by_rule(self.findings, "listener-leak")
-
-    def test_strong_append_into_listener_list_is_caught(self):
-        assert any("_fault_listeners" in f.message for f in self.hits), \
-            messages(self.findings)
-
-    def test_strong_add_into_listener_set_is_caught(self):
-        assert any("subscribe" in f.message for f in self.hits)
-
-    def test_weakref_pattern_is_not_flagged(self):
-        leaky = [f for f in self.hits if "add_direct" in f.message
-                 or ("add_fault_listener" in f.message
-                     and f.line > 30)]
-        assert not leaky
-
-    def test_non_listener_collection_is_not_flagged(self):
-        assert not any("record" in f.message for f in self.hits)
 
 
 class TestBareSuppressionRule:

@@ -9,6 +9,8 @@ skipped by not running the lint CLI.
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import Baseline, analyze
 from repro.analysis.baseline import BASELINE_FILENAME
 from repro.runtime.memo import MEMO_DECORATOR_NAMES, cached_dwell_time_s
@@ -17,10 +19,16 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = REPO_ROOT / "src" / "repro"
 
 
-def test_package_has_zero_non_baselined_findings():
+@pytest.fixture(scope="module")
+def package_result():
+    """One analyzer run over src/repro, shared by every package test."""
+    return analyze([PACKAGE], root=REPO_ROOT)
+
+
+def test_package_has_zero_non_baselined_findings(package_result):
     """Every finding over src/repro is fixed, suppressed inline with a
     justification, or explicitly baselined -- never silently present."""
-    result = analyze([PACKAGE], root=REPO_ROOT)
+    result = package_result
     baseline = Baseline.load(REPO_ROOT / BASELINE_FILENAME)
     new, _, _ = baseline.partition(result.findings)
     assert not new, "\n".join(
@@ -34,16 +42,14 @@ def test_committed_baseline_is_empty():
     assert baseline.entries == {}
 
 
-def test_committed_baseline_has_no_stale_entries():
-    result = analyze([PACKAGE], root=REPO_ROOT)
+def test_committed_baseline_has_no_stale_entries(package_result):
     baseline = Baseline.load(REPO_ROOT / BASELINE_FILENAME)
-    _, _, stale = baseline.partition(result.findings)
+    _, _, stale = baseline.partition(package_result.findings)
     assert stale == []
 
 
-def test_analyzer_covers_the_whole_package():
-    result = analyze([PACKAGE], root=REPO_ROOT)
-    checked = set(result.files)
+def test_analyzer_covers_the_whole_package(package_result):
+    checked = set(package_result.files)
     assert "src/repro/core/spacecore.py" in checked
     assert "src/repro/runtime/parallel.py" in checked
     assert "src/repro/sim/engine.py" in checked
@@ -75,19 +81,18 @@ def test_suite_itself_lints_clean():
         f"{f.path}:{f.line}: [{f.rule}] {f.message}" for f in new)
 
 
-def test_every_package_suppression_is_justified():
+def test_every_package_suppression_is_justified(package_result):
     """ISSUE 9 acceptance: new suppressions only land with a
     '-- why' trailer, enforced by bare-suppression staying quiet."""
-    result = analyze([PACKAGE], root=REPO_ROOT)
-    bare = [f for f in result.findings if f.rule == "bare-suppression"]
+    bare = [f for f in package_result.findings
+            if f.rule == "bare-suppression"]
     assert bare == []
 
 
-def test_inline_suppressions_are_counted_not_hidden():
+def test_inline_suppressions_are_counted_not_hidden(package_result):
     """The three justified ephemeral-state tables stay visible as
     suppressions in the result (reviewers can audit the count)."""
-    result = analyze([PACKAGE], root=REPO_ROOT)
-    assert result.suppressed >= 3
+    assert package_result.suppressed >= 3
 
 
 def test_memo_decorator_metadata_is_exposed():

@@ -290,21 +290,38 @@ class TestBatchRouterMechanics:
             assert list(buffer[i, :n]) == batch.path(i)
 
     def test_table_cache_invalidated_by_fault_events(self):
+        """The cache is correct by its ``(t, fault_epoch)`` key alone.
+
+        Route, fail, route, recover, route at one epoch ``t``: every
+        wave equals the scalar walk, each fault state builds its own
+        table, and a lookup leaves no table of an older fault epoch
+        resident.
+        """
+        from repro.obs.metrics import MetricsRegistry
         topo = _topology("square")
-        router = BatchGeoRouter(topo)
+        metrics = MetricsRegistry()
+        router = BatchGeoRouter(topo, metrics=metrics)
         src, lats, lons = _wave(topo.constellation, 8, seed=4)
-        before = router.route_batch(src, lats, lons, 0.0)
+
+        def wave():
+            batch = router.route_batch(src, lats, lons, 0.0)
+            assert_bit_equal(batch, router.scalar, src, lats, lons, 0.0)
+            assert router.table_cache_size() == 1
+            return batch
+
+        before = wave()
         victim = max((p for i in range(len(before))
                       for p in before.path(i)[:-1]),
                      key=lambda s: sum(s in before.path(i)
                                        for i in range(len(before))))
-        # No manual invalidate: the fault listener must drop the
-        # epoch-keyed table so the next batch sees the dead satellite.
         topo.fail_satellite(victim)
-        after = router.route_batch(src, lats, lons, 0.0)
-        assert_bit_equal(after, router.scalar, src, lats, lons, 0.0)
+        after = wave()
         for i in range(len(after)):
             assert victim not in after.path(i)[1:]
+        topo.recover_satellite(victim)
+        assert wave().results() == before.results()
+        counters = metrics.snapshot()["counters"]
+        assert counters["routing.table_builds"] == 3
 
     def test_routing_metrics_counters(self):
         from repro.obs.metrics import MetricsRegistry, merge_snapshots
@@ -652,9 +669,8 @@ class TestDijkstraBatchAndInvalidation:
     def test_route_cache_invalidated_by_fault_events(self):
         """Regression: cached graphs must not survive fault injection.
 
-        Before the fault-listener wiring, DijkstraRouter cached its
-        per-epoch graph and kept routing through satellites that had
-        since died unless callers remembered to invalidate() manually.
+        DijkstraRouter once cached its per-epoch graph and kept routing
+        through satellites that had since died; it now caches nothing.
         """
         topo = _topology("square")
         router = DijkstraRouter(topo)

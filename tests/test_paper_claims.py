@@ -26,6 +26,9 @@ import pytest
 #: ``python -m repro report --output artifacts/report.md``.
 GOLDEN = Path(__file__).resolve().parents[1] / "artifacts" / "report.md"
 
+#: The prose write-up that quotes the golden's measured values.
+EXPERIMENTS = GOLDEN.parents[1] / "EXPERIMENTS.md"
+
 #: The paper's Table 2 message totals per dataset.
 PAPER_TABLE2 = {
     "inmarsat-explorer-710": 971_120,
@@ -711,3 +714,23 @@ def test_a_broken_ordering_fails_its_claim() -> None:
         f"{num(rows['5G NTN']['satellite']) + 1:,.0f}/s")
     with pytest.raises(AssertionError):
         CLAIMS["fig20-spacecore-lowest-satellite-load"](report)
+
+
+def test_experiments_table4_is_the_pinned_table4(report: Report) -> None:
+    """EXPERIMENTS.md's Table 4 cells read ``measured (paper)``: the 16
+    measured cells are the golden's bytes and the paper cells are
+    ``PAPER_TABLE4``, so a re-blessed report fails here until the
+    write-up follows it."""
+    doc = parse_report(EXPERIMENTS.read_text(encoding="utf-8"))
+    (key,) = [name for name in doc if name.startswith("Table 4 ")]
+    rows = table(doc, key)
+    measured = {row["Constellation"]: {base: row[base].split(" (")[0]
+                                       for base in BASELINES}
+                for row in rows}
+    pinned = {row["shell"]: {base: row[base] for base in BASELINES}
+              for row in table(report, "Table 4")}
+    assert measured == pinned
+    paper = {row["Constellation"]: {base: num(row[base].split(" (")[1])
+                                    for base in BASELINES}
+             for row in rows}
+    assert paper == PAPER_TABLE4

@@ -127,6 +127,30 @@ class TestGridTopology:
         topo.recover_isl(50, nbr)
         assert nbr in topo.isl_neighbors(50)
 
+    @pytest.mark.parametrize("method", ["fail_satellite",
+                                        "recover_satellite",
+                                        "fail_isl", "recover_isl"])
+    @pytest.mark.parametrize("bad", [-1, "N", 2.5, True])
+    def test_fault_ingress_refuses_non_index(self, method, bad):
+        """-1 must not wrap to satellite N - 1 on the array planes, N
+        must not surface later as an IndexError, and a float or bool
+        is not a satellite index."""
+        topo = GridTopology(IdealPropagator(starlink()), [])
+        total = topo.constellation.total_satellites
+        sat = total if bad == "N" else bad
+        args = (sat,) if method.endswith("satellite") else (0, sat)
+        with pytest.raises(ValueError):
+            getattr(topo, method)(*args)
+        assert topo.fault_epoch == 0
+        assert topo.satellite_liveness().all()
+        assert topo.edge_liveness().all()
+
+    def test_fault_ingress_accepts_numpy_index(self):
+        topo = GridTopology(IdealPropagator(starlink()), [])
+        topo.fail_satellite(np.int64(7))
+        assert topo.failed_satellites() == {7}
+        assert not topo.satellite_liveness()[7]
+
     def test_station_access_satellite(self, topo):
         gs = topo.ground_stations[0]
         sat = topo.station_access_satellite(gs, 0.0)
