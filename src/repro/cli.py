@@ -9,7 +9,8 @@ Regenerate any table/figure::
 
 ``report`` prints every paper artifact; each artifact is also its own
 command (``table4``, ``fig18b``, ...) that prints exactly its section
-of that report (``report_sections.SECTION_TITLES``).  See
+of that report (``report_sections.SECTION_TITLES``).  ``report
+--check`` holds the report to the pinned ``artifacts/report.md``.  See
 EXPERIMENTS.md for the paper-vs-measured notes.
 """
 
@@ -228,12 +229,39 @@ def _cmd_lint(args) -> int:
 
 def _cmd_report(args) -> int:
     from .experiments.report import generate_report, write_report
+    if args.check:
+        if args.full or args.output:
+            print("repro report: --check compares the fast report and "
+                  "takes no --full or --output", file=sys.stderr)
+            return 2
+        return _check_report()
     if args.output:
         write_report(args.output, fast=not args.full)
         print(f"report written to {args.output}")
     else:
         sys.stdout.write(generate_report(fast=not args.full))
     return 0
+
+
+def _check_report() -> int:
+    """Exit 0 when the fast report is byte-identical to its golden, else
+    1 with a unified diff on stderr."""
+    from .experiments.report import generate_report
+    from .scenarios.golden import diff_lines, report_golden_path
+    path = report_golden_path()
+    if not path.exists():
+        print(f"no pinned report at {path}", file=sys.stderr)
+        return 1
+    expected = path.read_text(encoding="utf-8")
+    actual = generate_report(fast=True)
+    if actual == expected:
+        print(f"report matches {path.name} "
+              f"({len(actual.encode('utf-8'))} bytes)")
+        return 0
+    print(f"report drifted from {path}:", file=sys.stderr)
+    for line in diff_lines(expected, actual, path.name, limit=200):
+        print(line, file=sys.stderr)
+    return 1
 
 
 def _scenario_specs(args) -> Dict[str, object]:
@@ -329,7 +357,7 @@ def _cmd_scenario(args) -> int:
                   f"({len(actual.encode('utf-8'))} bytes)")
             continue
         print(f"{name}: artifacts differ")
-        for line in diff_lines(expected, actual, name, limit=80):
+        for line in diff_lines(expected, actual, f"{name}.json", limit=80):
             print(f"  {line}")
         exit_code = 1
     return exit_code
@@ -391,6 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "report":
             sub.add_argument("--output", default=None)
             sub.add_argument("--full", action="store_true")
+            sub.add_argument("--check", action="store_true",
+                             help="compare with artifacts/report.md byte "
+                                  "for byte; exit 1 with a diff on drift")
         if name == "emulate":
             sub.add_argument("--constellation", default="Starlink")
             sub.add_argument("--ues", type=_positive_int, default=15)

@@ -7,7 +7,8 @@ fault log, a shifted latency, a new metric series -- fails loudly with
 a unified diff, exactly like a golden-file test.  Because artifacts
 contain nothing about the execution medium, the same check passing at
 ``REPRO_WORKERS=1`` and ``2`` certifies the sharded runtime's
-bit-reproducibility contract end to end.
+bit-reproducibility contract end to end.  ``repro report --check``
+holds the report to ``artifacts/report.md`` the same way.
 
 ``REPRO_SCENARIO_GOLDEN_DIR`` points checks at an alternate directory
 (tests use a tmpdir; CI uses the committed tree).
@@ -29,12 +30,21 @@ from .spec import ScenarioSpec
 GOLDEN_DIR_ENV = "REPRO_SCENARIO_GOLDEN_DIR"
 
 
+#: The committed artifacts tree: scenario goldens and the pinned report.
+ARTIFACTS_DIR = Path(__file__).resolve().parents[3] / "artifacts"
+
+
 def golden_dir() -> Path:
     """Where golden artifacts live (env-overridable for tests)."""
     override = os.environ.get(GOLDEN_DIR_ENV)
     if override:
         return Path(override)
-    return Path(__file__).resolve().parents[3] / "artifacts" / "scenarios"
+    return ARTIFACTS_DIR / "scenarios"
+
+
+def report_golden_path() -> Path:
+    """The pinned ``repro report`` output (``repro report --check``)."""
+    return ARTIFACTS_DIR / "report.md"
 
 
 def golden_path(name: str) -> Path:
@@ -50,12 +60,12 @@ def write_golden(result: ScenarioResult) -> Path:
     return path
 
 
-def diff_lines(expected: str, actual: str, name: str,
+def diff_lines(expected: str, actual: str, filename: str,
                limit: int = 40) -> List[str]:
     """A truncated unified diff of golden vs freshly-run artifact."""
     lines = list(difflib.unified_diff(
         expected.splitlines(), actual.splitlines(),
-        fromfile=f"golden/{name}.json", tofile=f"run/{name}.json",
+        fromfile=f"golden/{filename}", tofile=f"run/{filename}",
         lineterm=""))
     if len(lines) > limit:
         lines = lines[:limit] + [f"... ({len(lines) - limit} more lines)"]
@@ -106,7 +116,8 @@ def check_scenario(spec: ScenarioSpec,
     if expected == actual:
         return CheckOutcome(spec.name, verdict, drift=False, result=result)
     return CheckOutcome(spec.name, verdict, drift=True,
-                        diff=diff_lines(expected, actual, spec.name),
+                        diff=diff_lines(expected, actual,
+                                        f"{spec.name}.json"),
                         result=result)
 
 

@@ -5,7 +5,10 @@ costs on the order of a hundred microseconds per packet in the
 interpreter (~11 k packets/s on Starlink).  This module compiles the
 *same* walk -- operation-for-operation the same float64 arithmetic --
 as a per-packet C loop over the shared :class:`NextHopTable` arrays,
-which brings a hop down to a few dozen nanoseconds (~1.5 M packets/s).
+which brings a hop down to a few dozen nanoseconds (~1.1-1.5 M
+packets/s per core).  The call releases the GIL, so
+:meth:`~repro.topology.batch_routing.BatchGeoRouter.route_batch` runs
+the chunks of a large wave on every core.
 It models Algorithm 1's preferred-direction walk only; a packet that
 needs anything else (deflection, seam revisit, a path longer than the
 caller's buffer) is flagged, with the prefix walked so far (path

@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis import SHARD_IMPURE_EFFECTS, analyze_effects, build_callgraph
 from repro.analysis.effects import READS_WALLCLOCK
-from repro.analysis.runner import collect_files, default_target, load_module
+from repro.analysis.runner import collect_files, load_module
 
 
 def _build(tmp_path, files):
@@ -149,16 +149,10 @@ class TestEffectInference:
 
 
 class TestRealPackage:
-    @pytest.fixture(scope="class")
-    def analysis(self):
-        targets, root = default_target()
-        modules = []
-        for path in collect_files(targets):
-            module, error = load_module(path, root)
-            if module is not None:
-                modules.append(module)
-        graph = build_callgraph(modules)
-        return graph, analyze_effects(graph)
+    @pytest.fixture
+    def analysis(self, package_analysis):
+        project = package_analysis.project
+        return project.callgraph(), project.effects()
 
     def test_every_shipped_shard_worker_is_pure(self, analysis):
         # The acceptance invariant behind the shard-purity rule: the

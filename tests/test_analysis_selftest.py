@@ -16,13 +16,12 @@ from repro.analysis.baseline import BASELINE_FILENAME
 from repro.runtime.memo import MEMO_DECORATOR_NAMES, cached_dwell_time_s
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = REPO_ROOT / "src" / "repro"
 
 
-@pytest.fixture(scope="module")
-def package_result():
-    """One analyzer run over src/repro, shared by every package test."""
-    return analyze([PACKAGE], root=REPO_ROOT)
+@pytest.fixture
+def package_result(package_analysis):
+    """The session's one analyzer run over src/repro."""
+    return package_analysis
 
 
 def test_package_has_zero_non_baselined_findings(package_result):

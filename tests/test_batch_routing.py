@@ -267,16 +267,57 @@ class TestBatchScalarEquivalence:
 
 
 class TestBatchRouterMechanics:
-    def test_chunked_equals_single_batch(self, monkeypatch):
-        topo = _topology("square")
-        router = BatchGeoRouter(topo)
+    @both_engines
+    @pytest.mark.parametrize("chunk", [32, 7])
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_chunked_equals_single_batch(self, cores, chunk, engine,
+                                         monkeypatch):
+        """Any chunking on any number of threads: every output array,
+        the path buffer and the ``routing.*`` counters equal one
+        unchunked walk of the same faulted wave."""
+        from repro.obs.metrics import MetricsRegistry
+        from repro.runtime import planner
+        pools = []
+
+        class RecordingPool(batch_routing.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(batch_routing, "ThreadPoolExecutor",
+                            RecordingPool)
+        monkeypatch.setattr(planner, "usable_cores", lambda: cores)
+        topo = _faulted(starlink(), 3, 40, 25)
         src, lats, lons = _wave(topo.constellation, 101, seed=9)
-        b = router.route_batch(src, lats, lons, 10.0)
-        monkeypatch.setattr(batch_routing, "_CHUNK_PACKETS", 32)
-        a = router.route_batch(src, lats, lons, 10.0)
-        assert np.array_equal(a.delay_s, b.delay_s)
-        assert [a.path(i) for i in range(len(a))] \
-            == [b.path(i) for i in range(len(b))]
+
+        def run():
+            metrics = MetricsRegistry()
+            batch = BatchGeoRouter(topo, metrics=metrics).route_batch(
+                src, lats, lons, 10.0)
+            return batch, metrics.snapshot()["counters"]
+
+        b, b_counters = run()
+        assert pools == []
+        monkeypatch.setattr(batch_routing, "_CHUNK_PACKETS", chunk)
+        # Switch threads as often as the interpreter allows, so the
+        # chunks' Python steps interleave as finely as they can.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            a, a_counters = run()
+        finally:
+            sys.setswitchinterval(interval)
+        chunks = -(-len(src) // chunk)
+        threaded = engine == "kernel" and cores > 1
+        assert pools == ([min(chunks, cores)] if threaded else [])
+        assert b.fallback.any()
+        for field in ("delivered", "degraded", "delay_s", "distance_km",
+                      "path_len", "fallback"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), \
+                field
+        assert np.array_equal(a.path_buffer, b.path_buffer)
+        assert a_counters == b_counters
+        assert all(key.startswith("routing.") for key in a_counters)
 
     def test_path_buffer_is_minus_one_padded(self):
         topo = _topology("square")
@@ -601,7 +642,19 @@ _walk_kernel._CFLAGS = _walk_kernel._CFLAGS + [
 assert _walk_kernel.load_kernel() is not None, "sanitized build failed"
 from tests.test_batch_routing import _faulted, _stretched_star, _wave
 from repro.orbits.constellation import starlink
+from repro.runtime import planner
+from repro.topology import batch_routing
 from repro.topology.batch_routing import BatchGeoRouter
+# The 400-packet Starlink wave runs as 7 chunks on 2 threads, so the
+# sanitizers also watch concurrent writes at chunk boundaries.
+batch_routing._CHUNK_PACKETS = 64
+planner.usable_cores = lambda: 2
+threads = []
+class CountingPool(batch_routing.ThreadPoolExecutor):
+    def __init__(self, max_workers):
+        threads.append(max_workers)
+        super().__init__(max_workers=max_workers)
+batch_routing.ThreadPoolExecutor = CountingPool
 flagged = longest = 0
 for shell, dead, torn, packets, wave in [(starlink(), 40, 25, 400, 400),
                                          (_stretched_star(), 0, 0, 40, 1)]:
@@ -617,7 +670,7 @@ for shell, dead, torn, packets, wave in [(starlink(), 40, 25, 400, 400),
                 90.0), lo + i
         flagged += int(batch.fallback.sum())
         longest = max(longest, int(batch.path_len.max()))
-print(flagged, longest)
+print(flagged, longest, max(threads))
 """
 
 
@@ -645,8 +698,9 @@ class TestKernelUnderSanitizers:
     def test_sanitized_kernel_matches_reference_walk(self, tmp_path):
         """The compiled walk built with -fsanitize=address,undefined
         writes every flag site's prefix, fills the path buffer and
-        routes a faulted wave exactly like the reference walk, with no
-        out-of-bounds access and no undefined behaviour."""
+        routes a faulted wave, chunked across two threads, exactly like
+        the reference walk, with no out-of-bounds access and no
+        undefined behaviour."""
         libasan = _sanitizer_runtimes()
         if libasan is None:
             pytest.skip("no C compiler or no ASan/UBSan runtime")
@@ -661,8 +715,8 @@ class TestKernelUnderSanitizers:
             [sys.executable, "-c", _SANITIZED_CHILD], cwd=repo, env=env,
             capture_output=True, text=True, timeout=120)
         assert child.returncode == 0, child.stderr[-3000:]
-        flagged, longest = map(int, child.stdout.split())
-        assert flagged > 0 and longest > 64
+        flagged, longest, threads = map(int, child.stdout.split())
+        assert flagged > 0 and longest > 64 and threads >= 2
 
 
 class TestDijkstraBatchAndInvalidation:

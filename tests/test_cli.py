@@ -38,6 +38,32 @@ class TestReportCommands:
         assert main([name]) == 0
         assert capsys.readouterr().out == expected
 
+    def test_check_passes_on_the_golden(self, capsys):
+        assert main(["report", "--check"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("report matches report.md")
+        assert captured.err == ""
+
+    def test_check_fails_on_drift_with_a_diff(self, monkeypatch, capsys):
+        from repro.experiments import report
+        golden = GOLDEN.read_text(encoding="utf-8")
+        drifted = golden.replace("| Starlink |", "| Starlonk |", 1)
+        assert drifted != golden
+        monkeypatch.setattr(report, "generate_report",
+                            lambda fast=True: drifted)
+        assert main(["report", "--check"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--- golden/report.md" in captured.err
+        assert "+++ run/report.md" in captured.err
+        assert "\n-| Starlink |" in captured.err
+        assert "\n+| Starlonk |" in captured.err
+
+    @pytest.mark.parametrize("extra", [["--full"], ["--output", "x.md"]])
+    def test_check_takes_no_other_option(self, extra, capsys):
+        assert main(["report", "--check", *extra]) == 2
+        assert "--check" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["table3", "--samples", "2000"],
         ["fig18b", "--samples", "4"],
