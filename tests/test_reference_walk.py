@@ -26,7 +26,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.constants import HALF_PI, SPEED_OF_LIGHT_KM_S, TWO_PI
@@ -252,6 +252,9 @@ class TestParentWalkOracle:
            seed=st.integers(0, 2**32 - 1),
            dead=st.integers(0, 40), torn=st.integers(0, 25),
            t=st.sampled_from(EPOCHS), avoid=st.booleans())
+    # Two slots per plane (up == down): the compiled walk must still
+    # check for revisits, or it bounces between the two slots.
+    @example(name="two-slot", seed=3, dead=0, torn=0, t=0.0, avoid=False)
     def test_route_is_bit_identical_to_the_parent_walk(
             self, name, seed, dead, torn, t, avoid):
         topology = GridTopology(PROPAGATORS[name], [])
