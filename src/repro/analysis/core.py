@@ -34,7 +34,6 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterable,
     List,
@@ -44,10 +43,6 @@ from typing import (
     Tuple,
     Union,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .callgraph import CallGraph
-    from .effects import EffectAnalysis
 
 #: A function definition node, sync or async.
 FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
@@ -183,13 +178,7 @@ class ModuleInfo:
 
 
 class ProjectContext:
-    """Facts collected over the whole analyzed file set (pass 1).
-
-    The interprocedural layer (ISSUE 9) hangs off this object too:
-    :meth:`callgraph` and :meth:`effects` build the whole-program call
-    graph and its effect summaries lazily, once per analyzer run, and
-    every interprocedural rule shares the same instance.
-    """
+    """Facts collected over the whole analyzed file set (pass 1)."""
 
     #: Immutable-by-contract classes that are not frozen dataclasses
     #: (arrays marked read-only, documented snapshot semantics).
@@ -199,27 +188,11 @@ class ProjectContext:
         self.root = root
         self.modules: List[ModuleInfo] = list(modules)
         self.frozen_classes: Set[str] = set(self.EXTRA_FROZEN_CLASSES)
-        self._callgraph: Optional["CallGraph"] = None
-        self._effects: Optional["EffectAnalysis"] = None
         for module in self.modules:
             for node in ast.walk(module.tree):
                 if (isinstance(node, ast.ClassDef)
                         and is_frozen_dataclass(node)):
                     self.frozen_classes.add(node.name)
-
-    def callgraph(self) -> "CallGraph":
-        """The project call graph, built on first use (cached)."""
-        if self._callgraph is None:
-            from .callgraph import build_callgraph
-            self._callgraph = build_callgraph(self.modules)
-        return self._callgraph
-
-    def effects(self) -> "EffectAnalysis":
-        """Whole-program effect summaries, built on first use."""
-        if self._effects is None:
-            from .effects import analyze_effects
-            self._effects = analyze_effects(self.callgraph())
-        return self._effects
 
 
 class Rule:

@@ -22,7 +22,6 @@ RULE_MODULES = (
     "repro.analysis.rules_cachekeys",
     "repro.analysis.rules_frozen",
     "repro.analysis.rules_typing",
-    "repro.analysis.rules_interprocedural",
     "repro.analysis.rules_suppressions",
 )
 

@@ -8,9 +8,11 @@ exception still holds.  Two forms are accepted::
     x = time.time()  # repro: ignore[wallclock-time] -- operator log only
     y = foo()        # repro: ignore -- prototype, tracked in #123
 
-and two are findings: a bracketed ignore with no ``--`` trailer, and a
+and three are findings: a bracketed ignore with no ``--`` trailer, a
 bare ``# repro: ignore`` with neither rule list nor trailer (which
-silences *every* rule on the line with no record of intent).
+silences *every* rule on the line with no record of intent), and a
+bracketed ignore naming a rule id the registry does not know (a typo,
+or a waiver that outlived its rule: it silences nothing).
 
 This rule sets ``suppressible = False``: a hygiene finding cannot be
 silenced by the very mechanism it audits.
@@ -24,7 +26,7 @@ import tokenize
 from typing import Iterable, Iterator, Tuple
 
 from .core import Finding, ModuleInfo, ProjectContext, Rule
-from .registry import register
+from .registry import all_rules, register
 
 #: A suppression *comment* (anchored: the comment must begin with the
 #: marker, so prose mentions in ``#:`` doc comments don't count), with
@@ -59,20 +61,31 @@ class BareSuppressionRule(Rule):
     family = "hygiene"
     severity = "warning"
     suppressible = False
-    description = ("every '# repro: ignore' must name the rules it "
-                   "waives and justify itself with '-- <why>'; an "
+    description = ("every '# repro: ignore' must name known rules "
+                   "and justify itself with '-- <why>'; an "
                    "unexplained suppression is an unreviewed "
                    "exception to a determinism contract")
 
     def check(self, module: ModuleInfo,
               project: ProjectContext) -> Iterable[Finding]:
-        """Yield suppression comments missing rules or justification."""
+        """Yield suppression comments missing rules or justification,
+        or naming rules that do not exist."""
+        known = {rule.id for rule in all_rules()}
         for lineno, comment in _comments(module):
             match = _SUPPRESSION_RE.match(comment)
             if match is None:
                 continue
             rules = match.group("rules")
             has_why = bool(_WHY_RE.match(match.group("trailer")))
+            unknown = sorted({r.strip() for r in (rules or "").split(",")
+                              if r.strip()} - known)
+            if unknown:
+                yield Finding(
+                    rule=self.id, path=module.relpath, line=lineno,
+                    message=(f"suppression names unknown rule id(s) "
+                             f"[{', '.join(unknown)}]; it waives "
+                             f"nothing -- fix the id or delete the "
+                             f"waiver"))
             if rules is None and not has_why:
                 yield Finding(
                     rule=self.id, path=module.relpath, line=lineno,

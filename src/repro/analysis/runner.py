@@ -33,10 +33,6 @@ class AnalysisResult:
     files: List[str] = field(default_factory=list)
     findings: List[Finding] = field(default_factory=list)
     suppressed: int = 0
-    #: The project context the rules ran against -- kept so callers
-    #: (``--graph``) can export the call graph and effect summaries
-    #: without re-parsing.
-    project: Optional[ProjectContext] = None
 
     @property
     def files_checked(self) -> int:
@@ -139,7 +135,6 @@ def analyze(paths: Sequence[Path], root: Optional[Path] = None,
         result.files.append(module.relpath)
         modules.append(module)
     project = ProjectContext(root, modules)
-    result.project = project
     for module in modules:
         for rule in rules:
             if not rule.applies_to(module.relpath):
@@ -155,46 +150,6 @@ def analyze(paths: Sequence[Path], root: Optional[Path] = None,
     return result
 
 
-#: Schema version of the ``--graph`` export document.
-GRAPH_SCHEMA_VERSION = 1
-
-
-def render_graph(result: AnalysisResult) -> str:
-    """The call graph + effect summaries as a JSON document.
-
-    One artifact per lint run (CI uploads it): every project function
-    with its resolved callees, direct effects, transitive summary, and
-    the concrete source occurrences each effect traces back to.
-    """
-    import json
-
-    assert result.project is not None
-    graph = result.project.callgraph()
-    effects = result.project.effects()
-    functions = {}
-    for node_id in sorted(graph.nodes):
-        fnode = graph.nodes[node_id]
-        functions[node_id] = {
-            "path": fnode.module.relpath,
-            "line": fnode.lineno,
-            "calls": sorted(graph.edges.get(node_id, ())),
-            "direct_effects": sorted(effects.direct.get(node_id, ())),
-            "effects": sorted(effects.effects_of(node_id)),
-        }
-    occurrences = [
-        occ.to_dict()
-        for node_id in sorted(effects.occurrences)
-        for occ in effects.occurrences[node_id]]
-    document = {
-        "version": GRAPH_SCHEMA_VERSION,
-        "root": str(result.root),
-        "files_checked": result.files_checked,
-        "functions": functions,
-        "effect_sources": occurrences,
-    }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # The ``repro lint`` subcommand
 # ---------------------------------------------------------------------------
@@ -206,8 +161,7 @@ def lint_main(paths: Sequence[str], *,
               no_baseline: bool = False,
               write_baseline: bool = False,
               rule_ids: Optional[Sequence[str]] = None,
-              list_rules: bool = False,
-              graph_output: Optional[str] = None) -> int:
+              list_rules: bool = False) -> int:
     """Everything behind ``repro lint``; returns the exit code."""
     if list_rules:
         for rule in get_rules():
@@ -229,10 +183,6 @@ def lint_main(paths: Sequence[str], *,
         targets, root = default_target()
 
     result = analyze(targets, root=root, rules=rules)
-
-    if graph_output:
-        Path(graph_output).write_text(render_graph(result))
-        print(f"wrote {graph_output}")
 
     baseline_file = (Path(baseline_path) if baseline_path
                      else result.root / BASELINE_FILENAME)

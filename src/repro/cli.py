@@ -223,7 +223,6 @@ def _cmd_lint(args) -> int:
         write_baseline=args.write_baseline,
         rule_ids=(args.rules.split(",") if args.rules else None),
         list_rules=args.list_rules,
-        graph_output=args.graph,
     )
 
 
@@ -435,10 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--ues", type=_positive_int, default=24)
             sub.add_argument("--horizon", type=_positive_float, default=3600.0)
             sub.add_argument("--seed", type=int, default=0)
-            sub.add_argument("--trials", type=int, default=1,
+            sub.add_argument("--trials", type=_positive_int, default=1,
                              help="Monte Carlo trials with derived "
                                   "per-trial seeds")
-            sub.add_argument("--workers", type=int, default=None,
+            sub.add_argument("--workers", type=_positive_int, default=None,
                              help="shard trials across N worker "
                                   "processes (default: REPRO_WORKERS "
                                   "or serial)")
@@ -458,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--ues", type=_positive_int, default=24)
             sub.add_argument("--horizon", type=_positive_float, default=3600.0)
             sub.add_argument("--seed", type=int, default=0)
-            sub.add_argument("--trials", type=int, default=1)
-            sub.add_argument("--workers", type=int, default=None,
+            sub.add_argument("--trials", type=_positive_int, default=1)
+            sub.add_argument("--workers", type=_positive_int, default=None,
                              help="shard across N worker processes "
                                   "(default: REPRO_WORKERS or serial); "
                                   "the artifact is identical for any "
@@ -485,11 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--rules", default=None,
                              help="comma-separated rule ids to run")
             sub.add_argument("--list-rules", action="store_true")
-            sub.add_argument("--graph", default=None, metavar="PATH",
-                             help="also export the resolved call "
-                                  "graph and per-function effect "
-                                  "summaries as JSON (CI uploads "
-                                  "this artifact)")
         if name == "scenario":
             sub.add_argument("action",
                              choices=("list", "run", "check", "diff"),
@@ -502,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--all", action="store_true",
                              dest="all_scenarios",
                              help="address the whole catalog explicitly")
-            sub.add_argument("--workers", type=int, default=None,
+            sub.add_argument("--workers", type=_positive_int, default=None,
                              help="shard trials across N workers "
                                   "(default: REPRO_WORKERS or serial); "
                                   "artifacts are identical for any value")

@@ -754,44 +754,3 @@ def write_monte_carlo_report(path: str, result: ChaosMonteCarlo) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(result.to_json(), fh, indent=2, sort_keys=True)
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Stand-alone entry point: run the default scenario, write JSON."""
-    import argparse
-    parser = argparse.ArgumentParser(
-        description="chaos availability: session survival under churn")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--ues", type=int, default=24)
-    parser.add_argument("--horizon", type=float, default=3600.0)
-    parser.add_argument("--trials", type=int, default=1)
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--output", default="CHAOS_availability.json")
-    args = parser.parse_args(argv)
-    scenario = ChaosScenario(seed=args.seed, n_ues=args.ues,
-                             horizon_s=args.horizon)
-    if args.trials > 1:
-        mc = run_chaos_trials(n_trials=args.trials, base_seed=args.seed,
-                              scenario=scenario, workers=args.workers)
-        write_monte_carlo_report(args.output, mc)
-        summary = mc.summary()
-        print(f"monte carlo: {args.trials} trials, "
-              f"{summary['faults_injected']} faults injected")
-        print(f"mean survival: SpaceCore "
-              f"{summary['spacecore_mean_survival']:.3f} vs baseline "
-              f"{summary['baseline_mean_survival']:.3f}")
-        print(f"wrote {args.output}")
-        return 0
-    result = run_chaos_availability(scenario=scenario)
-    write_chaos_report(args.output, result)
-    print(f"faults injected: {len(result.fault_log)}")
-    print(f"final survival: SpaceCore "
-          f"{result.final_spacecore_survival:.3f} vs baseline "
-          f"{result.final_baseline_survival:.3f}")
-    print(f"lost sessions: SpaceCore {result.spacecore_lost}, "
-          f"baseline {result.baseline_lost}")
-    print(f"wrote {args.output}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

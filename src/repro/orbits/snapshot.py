@@ -301,7 +301,7 @@ def snapshot_for(propagator: IdealPropagator,
     Geometry depends only on the propagator and the epoch -- never on
     failure injection -- so the cache needs no invalidation hooks.
     """
-    global _hits, _misses  # repro: ignore[shard-purity] -- hit/miss stats are observability-only, never read by results
+    global _hits, _misses
     key = (id(propagator), float(t))
     snap = _cache.get(key)
     if snap is not None and snap.propagator is propagator:
@@ -328,7 +328,7 @@ def snapshots_for(propagator: IdealPropagator,
     evict the epochs it is about to revisit.  The capacity only grows
     (snapshots are ~60 KB; a sweep-sized cache is a few MB at worst).
     """
-    global _capacity  # repro: ignore[shard-purity] -- monotone capacity bump; cache contents stay bit-identical
+    global _capacity
     if len(times) > _capacity:
         _capacity = len(times)
     return [snapshot_for(propagator, t) for t in times]
@@ -336,7 +336,7 @@ def snapshots_for(propagator: IdealPropagator,
 
 def clear_snapshot_cache() -> None:
     """Drop every cached snapshot (mainly for tests and benchmarks)."""
-    global _hits, _misses, _capacity  # repro: ignore[shard-purity] -- hit/miss stats are observability-only, never read by results
+    global _hits, _misses, _capacity
     _cache.clear()
     _hits = 0
     _misses = 0

@@ -377,7 +377,7 @@ def load_kernel() -> Optional[ctypes.CDLL]:
     with the reference walk in every case.  The outcome (either way)
     is memoised.
     """
-    global _cached, _load_attempted  # repro: ignore[shard-purity] -- once-only lazy compile; kernel is bit-exact vs the reference walk
+    global _cached, _load_attempted
     if os.environ.get("REPRO_NO_CKERNEL"):
         return None
     with _lock:

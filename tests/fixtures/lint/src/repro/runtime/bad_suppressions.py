@@ -24,3 +24,8 @@ def self_suppression_attempt() -> float:
 def justified() -> float:
     # Negative control: a justified waiver may not be flagged.
     return time.time()  # repro: ignore[wallclock-time] -- operator-facing log stamp only
+
+
+def outlived_rule() -> float:
+    # bare-suppression: justified, but the named rule no longer exists.
+    return 0.0  # repro: ignore[shard-purity] -- waiver that outlived its rule

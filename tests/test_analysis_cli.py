@@ -107,27 +107,6 @@ class TestJsonFormat:
         report = json.loads(report_path.read_text())
         assert report["summary"]["new"] == 1
 
-    def test_graph_export(self, tree, capsys):
-        source = ("import time\n"
-                  "def leaf():\n"
-                  "    return time.time()\n"
-                  "def trial():\n"
-                  "    return leaf()\n")
-        path = write(tree, "mod.py", source)
-        graph_path = tree / "callgraph.json"
-        code, _ = run_lint(capsys, str(path),
-                           "--graph", str(graph_path))
-        assert graph_path.exists()
-        doc = json.loads(graph_path.read_text())
-        assert doc["version"] == 1
-        trial = doc["functions"]["mod.trial"]
-        assert trial["calls"] == ["mod.leaf"]
-        assert trial["effects"] == ["reads-wallclock"]
-        assert trial["direct_effects"] == []
-        assert any(o["effect"] == "reads-wallclock"
-                   and o["function"] == "mod.leaf"
-                   for o in doc["effect_sources"])
-
 
 class TestBaselineRoundTrip:
     def test_add_then_expire(self, tree, capsys):

@@ -234,86 +234,6 @@ class TestFrameworkPlumbing:
         assert "ConstellationSnapshot" in context.frozen_classes
 
 
-class TestShardPurityRule:
-    def setup_method(self):
-        self.findings = findings_for("experiments/bad_shard_purity.py")
-        self.hits = by_rule(self.findings, "shard-purity")
-
-    def test_wallclock_two_hops_deep_is_caught(self):
-        # Acceptance fixture: time.time() sits two call-hops below
-        # the dispatched worker.
-        timed = [f for f in self.hits if "_timed_trial" in f.message]
-        assert timed, messages(self.findings)
-        assert "wall clock" in timed[0].message
-        # The message names the full call chain down to the source.
-        assert "_timed_step" in timed[0].message
-        assert "_elapsed_s" in timed[0].message
-        assert "time.time" in timed[0].message
-
-    def test_unseeded_draw_in_worker_is_caught(self):
-        assert any("_sampling_trial" in f.message
-                   and "unseeded" in f.message for f in self.hits)
-
-    def test_global_mutation_in_worker_is_caught(self):
-        assert any("_recording_trial" in f.message
-                   and "module global" in f.message for f in self.hits)
-
-    def test_pure_worker_is_not_flagged(self):
-        assert not any("_pure_trial" in f.message for f in self.hits)
-
-    def test_findings_sit_at_the_dispatch_site(self):
-        assert all("run_sharded" in
-                   "".join(open("tests/fixtures/lint/src/repro/"
-                                "experiments/bad_shard_purity.py")
-                           .readlines()[f.line - 1])
-                   for f in self.hits)
-
-
-class TestUnorderedIterationRule:
-    def setup_method(self):
-        self.findings = findings_for("obs/bad_unordered.py")
-        self.hits = by_rule(self.findings, "unordered-iteration")
-
-    def test_set_iteration_feeding_json_is_caught(self):
-        assert any("export_failed" in f.message for f in self.hits), \
-            messages(self.findings)
-
-    def test_sink_one_hop_below_is_caught(self):
-        assert any("snapshot_names" in f.message for f in self.hits)
-
-    def test_sorted_iteration_is_not_flagged(self):
-        assert not any("sorted_export" in f.message for f in self.hits)
-
-    def test_iteration_without_sink_is_not_flagged(self):
-        assert not any("count_only" in f.message for f in self.hits)
-
-    def test_severity_is_warning(self):
-        assert all(f.severity == "warning" for f in self.hits)
-
-
-class TestFloatReductionOrderRule:
-    def setup_method(self):
-        self.findings = findings_for("obs/bad_float_reduction.py")
-        self.hits = by_rule(self.findings, "float-reduction-order")
-
-    def test_sum_over_set_is_caught(self):
-        assert any("total_latency" in f.message for f in self.hits), \
-            messages(self.findings)
-
-    def test_sum_over_dict_values_is_caught(self):
-        assert any("merge_counters" in f.message for f in self.hits)
-
-    def test_generator_over_set_is_caught(self):
-        assert any("weighted_total" in f.message for f in self.hits)
-
-    def test_loop_accumulation_over_set_is_caught(self):
-        assert any("accumulate" in f.message for f in self.hits)
-
-    def test_sorted_and_list_reductions_are_not_flagged(self):
-        assert not any("sorted_total" in f.message for f in self.hits)
-        assert not any("list_total" in f.message for f in self.hits)
-
-
 class TestBareSuppressionRule:
     def setup_method(self):
         self.findings = findings_for("runtime/bad_suppressions.py")
@@ -333,6 +253,11 @@ class TestBareSuppressionRule:
 
     def test_justified_waiver_is_not_flagged(self):
         assert not any(f.line == 26 for f in self.hits)
+
+    def test_waiver_naming_an_unknown_rule_is_caught(self):
+        # Line 31 is justified but waives a rule the registry lacks.
+        assert any(f.line == 31 and "unknown rule id(s) [shard-purity]"
+                   in f.message for f in self.hits)
 
     def test_the_waived_findings_still_count_as_suppressed(self):
         result = analyze(

@@ -18,10 +18,10 @@ from repro.runtime.memo import MEMO_DECORATOR_NAMES, cached_dwell_time_s
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.fixture
-def package_result(package_analysis):
-    """The session's one analyzer run over src/repro."""
-    return package_analysis
+@pytest.fixture(scope="module")
+def package_result():
+    """One analyzer run over src/repro, shared by this module."""
+    return analyze([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
 
 
 def test_package_has_zero_non_baselined_findings(package_result):

@@ -97,8 +97,15 @@ class TestNumericArguments:
         ["loadpoint", "--duration", "inf"],
         ["loadpoint", "--ues", "many"],
         ["chaos", "--horizon", "-1"],
+        ["chaos", "--trials", "0"],
+        ["chaos", "--workers", "-3"],
         ["metrics", "--cohorts", "0"],
+        ["metrics", "--trials", "-1"],
+        ["metrics", "--workers", "0"],
         ["trace", "--horizon", "nan"],
+        ["trace", "--trials", "0"],
+        ["trace", "--workers", "two"],
+        ["scenario", "--workers", "0"],
     ])
     def test_bad_value_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -5,6 +5,13 @@ seed, every experiment artifact is bit-for-bit identical whether it
 ran serially (``workers=1``, today's behaviour) or sharded across any
 number of worker processes, in any shard completion order.
 
+Every ``run_sharded`` worker in ``src/repro`` has a case here:
+``TestEveryWorkerHasACase`` collects the dispatch sites from the
+source and fails on a worker that no test byte-compares.  This is the
+dynamic form of the serial-equals-sharded contract -- a worker that
+reads the wall clock, draws unseeded randomness or leaks state through
+a module global fails its case here.
+
 Every ``workers > 1`` call here runs under ``REPRO_PLANNER=sharded``
 (module-wide fixture below): the auto planner would finish most of
 these deliberately small workloads inside its serial budget, which
@@ -14,8 +21,10 @@ safe precisely because of the property under test: the planner may
 only ever change *where* shards run, never what they produce.
 """
 
+import ast
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +33,7 @@ from repro.experiments.chaos_availability import (
     ChaosScenario,
     run_chaos_trials,
 )
-from repro.experiments.cpu import fig8_latency_sweep
+from repro.experiments.cpu import fig7_cpu_breakdown, fig8_latency_sweep
 from repro.experiments.observability import (
     chaos_observability,
     cohort_observability,
@@ -34,8 +43,14 @@ from repro.experiments.sensitivity import (
     sensitivity_sweep,
 )
 from repro.experiments.signaling import sweep
+from repro.hardware.model import PLATFORMS
 from repro.orbits import iridium, oneweb
 from repro.runtime import PLANNER_ENV_VAR, shutdown_worker_pools
+from repro.scenarios import run_scenario
+
+from .test_scenarios import TINY
+
+SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
 
 #: Small but non-trivial chaos scenario so a 3-trial Monte Carlo stays
 #: test-suite friendly while still injecting dozens of faults.
@@ -158,6 +173,17 @@ class TestSweepEquivalence:
         assert fig8_latency_sweep(rates=(10, 100, 300),
                                   workers=2) == serial
 
+    def test_fig7_cpu_identical(self):
+        for platform in PLATFORMS:
+            serial = fig7_cpu_breakdown(platform, workers=1)
+            assert fig7_cpu_breakdown(platform, workers=2) == serial
+
+
+class TestScenarioEquivalence:
+    def test_scenario_artifact_bit_identical(self):
+        serial = run_scenario(TINY, workers=1).artifact_json()
+        assert run_scenario(TINY, workers=2).artifact_json() == serial
+
 
 class TestPlannerAutoEquivalence:
     """With no forced mode the planner picks the medium itself; the
@@ -176,3 +202,66 @@ class TestPlannerAutoEquivalence:
         sharded = run_chaos_trials(n_trials=2, base_seed=5,
                                    scenario=_SCENARIO, workers=2)
         assert sharded.to_json() == serial.to_json()
+
+
+#: Every ``run_sharded`` worker in ``src/repro`` -> the test above
+#: that byte-compares its serial and sharded output.
+EQUIVALENCE_CASES = {
+    "repro.experiments.chaos_availability._chaos_trial":
+        "TestChaosEquivalence.test_sharded_artifact_bit_identical",
+    "repro.experiments.cpu._fig7_point":
+        "TestSweepEquivalence.test_fig7_cpu_identical",
+    "repro.experiments.cpu._fig8_point":
+        "TestSweepEquivalence.test_fig8_latency_identical",
+    "repro.experiments.observability._observed_chaos_trial":
+        "TestMetricsEquivalence.test_chaos_snapshot_bit_identical",
+    "repro.experiments.observability._observed_cohort_point":
+        "TestMetricsEquivalence.test_cohort_snapshot_bit_identical",
+    "repro.experiments.sensitivity._scaling_cell":
+        "TestSweepEquivalence.test_constellation_scaling_identical",
+    "repro.experiments.sensitivity._sensitivity_cell":
+        "TestSweepEquivalence.test_sensitivity_grid_identical",
+    "repro.experiments.signaling._sweep_point":
+        "TestSweepEquivalence."
+        "test_signaling_sweep_identical_across_worker_counts",
+    "repro.scenarios.engine._scenario_trial":
+        "TestScenarioEquivalence.test_scenario_artifact_bit_identical",
+}
+
+
+def shipped_shard_workers():
+    """Dotted name of the worker at every ``run_sharded(<worker>, ...)``
+    call under ``src/repro``, read from the source."""
+    workers = set()
+    for path in sorted((SRC_ROOT / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(SRC_ROOT).with_suffix("")
+                          .parts)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else (
+                func.attr if isinstance(func, ast.Attribute) else "")
+            if name != "run_sharded":
+                continue
+            worker = node.args[0] if node.args else None
+            assert isinstance(worker, ast.Name), (
+                f"{path}:{node.lineno}: run_sharded needs a module-level "
+                f"worker named by its first argument")
+            workers.add(f"{module}.{worker.id}")
+    return workers
+
+
+class TestEveryWorkerHasACase:
+    def test_every_worker_has_a_case(self):
+        workers = shipped_shard_workers()
+        assert workers, "found no run_sharded call sites"
+        missing = sorted(workers - set(EQUIVALENCE_CASES))
+        assert not missing, (
+            f"run_sharded workers with no serial-vs-sharded case: "
+            f"{missing}; add one to {__name__}")
+        stale = sorted(set(EQUIVALENCE_CASES) - workers)
+        assert not stale, f"cases for workers no code dispatches: {stale}"
+        for case in EQUIVALENCE_CASES.values():
+            cls, test = case.split(".")
+            assert callable(getattr(globals()[cls], test, None)), case

@@ -5,7 +5,7 @@ The roots are what a user or a measurement actually runs: the CLI
 every paper artifact's module), ``examples/``, ``bench/`` and the lint
 rule modules that ``registry.RULE_MODULES`` loads by name.  From them the walk follows
 ``import`` / ``from ... import`` statements (function-local ones too),
-resolved by the call graph's relative-aware import map.
+resolved by a relative-aware import map.
 
 A name imported from a package ``__init__`` credits the submodule that
 defines it, not every submodule the ``__init__`` re-exports; otherwise
@@ -24,7 +24,6 @@ from typing import Dict, Set
 
 import pytest
 
-from repro.analysis.callgraph import CallGraph, module_name
 from repro.analysis.registry import RULE_MODULES
 from repro.analysis.runner import collect_files, load_module
 
@@ -39,9 +38,45 @@ def _load(path: Path):
     return module
 
 
+def module_name(relpath: str) -> str:
+    """Dotted module path of a (posix) relative file path.
+
+    ``src/repro/experiments/cpu.py`` -> ``repro.experiments.cpu``;
+    package ``__init__.py`` files name the package itself.
+    """
+    parts = relpath[:-3].split("/")
+    if parts[0] == "src":
+        parts = parts[1:]
+    if parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(parts)
+
+
 def _imports(module) -> Dict[str, str]:
-    """The call graph's import map: local name -> absolute origin."""
-    return CallGraph._absolute_imports(module, module_name(module.relpath))
+    """Local name -> absolute dotted origin, relative-aware."""
+    modname = module_name(module.relpath)
+    parts = modname.split(".")
+    package = parts if module.relpath.endswith("__init__.py") \
+        else parts[:-1]
+    imports: Dict[str, str] = {}
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                imports[alias.asname or top] = \
+                    alias.name if alias.asname else top
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                base = node.module or ""
+            else:
+                anchor = package[:len(package) - (node.level - 1)] \
+                    if node.level - 1 <= len(package) else []
+                base = ".".join(anchor + (node.module.split(".")
+                                          if node.module else []))
+            for alias in node.names:
+                imports[alias.asname or alias.name] = (
+                    f"{base}.{alias.name}" if base else alias.name)
+    return imports
 
 
 def _toplevel_names(tree: ast.Module) -> Set[str]:

@@ -1,6 +1,10 @@
 """Tests for the reproduction report generator."""
 
 import difflib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,8 @@ from repro.experiments.report import RENDERERS, _exact, generate_report
 from repro.report_sections import SECTION_TITLES
 
 from .test_paper_claims import CLAIMS, GOLDEN, parse_report
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +89,17 @@ class TestReport:
             except AssertionError as exc:
                 failed.append(f"{claim_id}: {exc}")
         assert not failed, "\n".join(failed)
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_report_check_passes_under_hash_seed(hash_seed):
+    """Two interpreters with different ``str`` hash salts both
+    reproduce the golden, so no set iteration order reaches the
+    report's bytes."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join([str(SRC)] + ([path] if path else [])))
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "report", "--check"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr[-4000:]
