@@ -79,7 +79,6 @@ def _cmd_chaos(args) -> int:
         run_chaos_availability,
         run_chaos_trials,
         write_chaos_report,
-        write_monte_carlo_report,
     )
     scenario = ChaosScenario(seed=args.seed, n_ues=args.ues,
                              horizon_s=args.horizon)
@@ -100,7 +99,7 @@ def _cmd_chaos(args) -> int:
               f"{summary['spacecore_lost']}, baseline "
               f"{summary['baseline_lost']}")
         if args.output:
-            write_monte_carlo_report(args.output, mc)
+            write_chaos_report(args.output, mc)
             print(f"  wrote {args.output}")
         return 0
     result = run_chaos_availability(scenario=scenario)

@@ -25,7 +25,6 @@ from .chaos_availability import (
     run_chaos_availability,
     run_chaos_trials,
     write_chaos_report,
-    write_monte_carlo_report,
 )
 from .cpu import (
     FIG7_RATES,
@@ -110,7 +109,7 @@ __all__ = [
     "gateway_concentration", "registration_delay_cdf",
     "ChaosAvailabilityResult", "ChaosMonteCarlo", "ChaosScenario",
     "SurvivalSample", "run_chaos_availability", "run_chaos_trials",
-    "write_chaos_report", "write_monte_carlo_report",
+    "write_chaos_report",
     "FIG7_RATES", "FIG8_RATES", "LatencyPoint", "fig7_cpu_breakdown",
     "fig7_saturation_rate", "fig8_latency_sweep",
     "LeakageStudy", "fig19_study", "final_hijack_leaks",

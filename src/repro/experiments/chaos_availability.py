@@ -3,9 +3,13 @@
 The offline availability sweep (:mod:`.availability`) multiplies
 analytic survival probabilities; this experiment instead *runs* a
 day-in-the-life segment on the event engine with a
-:class:`~repro.faults.chaos.ChaosController` injecting satellite
-deaths, Gilbert-Elliott link bursts, and a regional jamming window,
-and measures what actually happens to established sessions:
+:class:`~repro.faults.chaos.ChaosController` injecting the faults a
+:class:`ChaosSpec` declares -- by default (:data:`STOCK_CHURN`)
+satellite deaths, Gilbert-Elliott link bursts, and a regional jamming
+window; the scenario catalog (:mod:`repro.scenarios`) adds storms,
+gateway outages and compute derating through the same
+:func:`build_schedule` -- and measures what actually happens to
+established sessions:
 
 * **SpaceCore**: every fault is survived by the real recovery path --
   RLF detection, NAS-timed retries, re-attach with the UE-held state
@@ -30,7 +34,7 @@ import math
 import numbers
 import random
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import networkx as nx
 
@@ -50,6 +54,7 @@ from ..fiveg.messages import ProcedureKind
 from ..fiveg.ue import UserEquipment
 from ..hardware.model import RASPBERRY_PI_4
 from ..hardware.queueing import procedure_latency
+from ..obs import MetricsRegistry, Tracer
 from ..orbits.constellation import Constellation, starlink
 from ..runtime.parallel import get_shared, run_sharded, seed_for
 from ..sim.engine import Simulator
@@ -115,55 +120,86 @@ def _require_sites(spec, name: str) -> None:
 
 
 @dataclass(frozen=True)
-class ChaosScenario:
-    """Knobs of the default churn scenario (all seeded).
+class ChaosSpec:
+    """Which fault processes run, composed from seeded primitives.
 
-    Validated on construction, like the scenario specs that build it:
-    a NaN horizon, a loss probability above 1 or a zero sample
-    interval raises ``ValueError`` naming the field.
+    Every window is ``[start_s, stop_s)`` in simulated seconds; a
+    degenerate window (``stop <= start``) disables that fault source,
+    so the zero-valued default spec injects nothing.
     """
 
-    horizon_s: float = 3600.0
-    sample_interval_s: float = 120.0
-    n_ues: int = 24
-    #: Hazard compression so simulation-scale horizons see Fig. 13a
-    #: scale churn; the default kills roughly half the targeted
-    #: satellites over one hour.
-    decay_acceleration: float = 5.0e5
-    #: Failed satellites come back after this long (None = permanent).
+    # -- background decay churn (Fig. 13a hazard, accelerated) -------------
+    decay_acceleration: float = 0.0      # 0 = no decay process
     repair_delay_s: Optional[float] = 1500.0
-    #: Regional jamming window over the UE cluster centroid.
-    jam_start_s: float = 600.0
-    jam_stop_s: float = 1500.0
-    jam_radius_km: float = 1200.0
-    #: Per-wireless-hop message loss for the stateful baseline's
-    #: home-routed flows, outside and inside the jamming window.
-    per_link_loss: float = 0.02
-    jam_link_loss: float = 0.5
-    #: ISL hops a home-routed message crosses to reach the gateway.
-    path_hops: float = 6.0
-    #: UE placement: (lat, lon) degree sites cycled over, jittered.
-    #: None = the default hemisphere-ish spread below.
-    ue_sites: Optional[Tuple[Tuple[float, float], ...]] = None
-    ue_jitter_deg: float = 2.0
-    #: Signaling arrival rate (procedures/s) the serving satellite's
-    #: processor sees during recovery churn -- the load point at which
-    #: COMPUTE_DEGRADE events stretch procedure latency (Fig. 8 made
-    #: live on a derated platform).
-    compute_load_per_s: float = 150.0
-    seed: int = 0
+
+    # -- Gilbert-Elliott ISL weather (Fig. 13b) ----------------------------
+    link_bursts: bool = False
+    link_p_good_to_bad: float = 0.01
+    link_p_bad_to_good: float = 0.2
+
+    # -- regional jamming --------------------------------------------------
+    jam_start_s: float = 0.0
+    jam_stop_s: float = 0.0
+    jam_radius_km: float = 0.0
+
+    # -- mass handover storm (terminator crossing) -------------------------
+    storm_start_s: float = 0.0
+    storm_stop_s: float = 0.0
+    storm_repair_delay_s: float = 120.0
+
+    # -- regional ground-station outage ------------------------------------
+    gs_outage_start_s: float = 0.0
+    gs_outage_stop_s: float = 0.0
+    gs_outage_fraction: float = 0.0      # fraction of gateways, by proximity
+
+    # -- onboard-compute degradation ---------------------------------------
+    compute_start_s: float = 0.0
+    compute_stop_s: float = 0.0
+    compute_factor: float = 1.0          # remaining capacity (1.0 = none)
+    compute_fraction: float = 1.0        # fraction of serving satellites
 
     def __post_init__(self) -> None:
         _require_finite(self)
-        _require_positive(self, "horizon_s", "sample_interval_s")
-        _require_count(self, "n_ues", 1)
         _require_non_negative(
             self, "decay_acceleration", "repair_delay_s", "jam_start_s",
-            "jam_stop_s", "jam_radius_km", "path_hops", "ue_jitter_deg",
-            "compute_load_per_s")
-        _require_probability(self, "per_link_loss", "jam_link_loss")
-        _require_sites(self, "ue_sites")
-        _require_count(self, "seed", 0)
+            "jam_stop_s", "jam_radius_km", "storm_start_s", "storm_stop_s",
+            "storm_repair_delay_s", "gs_outage_start_s", "gs_outage_stop_s",
+            "compute_start_s", "compute_stop_s")
+        _require_probability(self, "link_p_good_to_bad",
+                             "link_p_bad_to_good")
+        if not 0.0 <= self.gs_outage_fraction <= 1.0:
+            raise ValueError("gs outage fraction must be in [0, 1]")
+        if not 0.0 < self.compute_factor <= 1.0:
+            raise ValueError("compute factor must be in (0, 1]")
+        if not 0.0 < self.compute_fraction <= 1.0:
+            raise ValueError("compute fraction must be in (0, 1]")
+
+    @property
+    def storms(self) -> bool:
+        return self.storm_stop_s > self.storm_start_s
+
+    @property
+    def jams(self) -> bool:
+        return self.jam_radius_km > 0 and self.jam_stop_s > self.jam_start_s
+
+    @property
+    def downs_ground_stations(self) -> bool:
+        return (self.gs_outage_fraction > 0
+                and self.gs_outage_stop_s > self.gs_outage_start_s)
+
+    @property
+    def degrades_compute(self) -> bool:
+        return (self.compute_factor < 1.0
+                and self.compute_stop_s > self.compute_start_s)
+
+
+#: The stock churn mix of ``repro chaos``: blast-radius decay compressed
+#: so one hour kills roughly half the targeted satellites, repaired
+#: after 1500 s, GE link bursts, and a regional jamming window over the
+#: UE cluster centroid.
+STOCK_CHURN = ChaosSpec(decay_acceleration=5e5, repair_delay_s=1500.0,
+                        link_bursts=True, jam_start_s=600.0,
+                        jam_stop_s=1500.0, jam_radius_km=1200.0)
 
 
 @dataclass(frozen=True)
@@ -190,6 +226,50 @@ class PacketProbeSpec:
         _require_count(self, "packets", 1)
         _require_finite(self)
         _require_non_negative(self, "t_s")
+        _require_count(self, "seed", 0)
+
+
+@dataclass(frozen=True)
+class ChaosScenario:
+    """Knobs of one seeded churn run.
+
+    Validated on construction, like the scenario specs that build it:
+    a NaN horizon, a loss probability above 1 or a zero sample
+    interval raises ``ValueError`` naming the field.
+    """
+
+    horizon_s: float = 3600.0
+    sample_interval_s: float = 120.0
+    n_ues: int = 24
+    #: The fault processes :func:`build_schedule` composes.
+    chaos: ChaosSpec = STOCK_CHURN
+    #: Per-wireless-hop message loss for the stateful baseline's
+    #: home-routed flows, outside and inside the jamming window.
+    per_link_loss: float = 0.02
+    jam_link_loss: float = 0.5
+    #: ISL hops a home-routed message crosses to reach the gateway.
+    path_hops: float = 6.0
+    #: UE placement: (lat, lon) degree sites cycled over, jittered.
+    #: None = the default hemisphere-ish spread below.
+    ue_sites: Optional[Tuple[Tuple[float, float], ...]] = None
+    ue_jitter_deg: float = 2.0
+    #: Signaling arrival rate (procedures/s) the serving satellite's
+    #: processor sees during recovery churn -- the load point at which
+    #: COMPUTE_DEGRADE events stretch procedure latency (Fig. 8 made
+    #: live on a derated platform).
+    compute_load_per_s: float = 150.0
+    seed: int = 0
+    #: Post-churn routability probe (None = no probe runs).
+    packet_probe: Optional[PacketProbeSpec] = None
+
+    def __post_init__(self) -> None:
+        _require_finite(self)
+        _require_positive(self, "horizon_s", "sample_interval_s")
+        _require_count(self, "n_ues", 1)
+        _require_non_negative(self, "path_hops", "ue_jitter_deg",
+                              "compute_load_per_s")
+        _require_probability(self, "per_link_loss", "jam_link_loss")
+        _require_sites(self, "ue_sites")
         _require_count(self, "seed", 0)
 
 
@@ -255,6 +335,10 @@ class ChaosAvailabilityResult:
     n_sessions: int = 0
     #: Post-churn routability probe payload (None = no probe ran).
     packet_probe: Optional[Dict] = None
+    #: The run's own metrics snapshot and sim-time spans, as plain
+    #: data; neither is part of :meth:`to_json`.
+    metrics_snapshot: Dict = field(default_factory=dict)
+    spans: List[Dict] = field(default_factory=list)
 
     @property
     def final_spacecore_survival(self) -> float:
@@ -281,8 +365,8 @@ class ChaosAvailabilityResult:
                 "horizon_s": self.scenario.horizon_s,
                 "n_ues": self.scenario.n_ues,
                 "seed": self.scenario.seed,
-                "jam_window_s": [self.scenario.jam_start_s,
-                                 self.scenario.jam_stop_s],
+                "jam_window_s": [self.scenario.chaos.jam_start_s,
+                                 self.scenario.chaos.jam_stop_s],
             },
             "fault_log": [list(key) for key in self.fault_log],
             "curves": {
@@ -525,70 +609,108 @@ def serving_blast_radius(system: SpaceCoreSystem, ues) -> Tuple[set, set]:
     return serving, blast_radius
 
 
-def default_chaos_schedule(system: SpaceCoreSystem, ues,
-                           scenario: ChaosScenario) -> FaultSchedule:
-    """The stock churn mix: blast-radius decay + bursts + jamming.
+def _central_angle(lat1: float, lon1: float,
+                   lat2: float, lon2: float) -> float:
+    """Great-circle angle between two (radian) terrestrial points."""
+    cosine = (math.sin(lat1) * math.sin(lat2)
+              + math.cos(lat1) * math.cos(lat2) * math.cos(lon1 - lon2))
+    return math.acos(min(1.0, max(-1.0, cosine)))
 
-    The scenario catalog (:mod:`repro.scenarios`) swaps this builder
-    for scenario-specific compositions via the ``schedule_builder``
-    hook of :func:`run_chaos_availability`.
+
+def build_schedule(chaos: ChaosSpec, system: SpaceCoreSystem, ues,
+                   horizon_s: float, seed: int) -> FaultSchedule:
+    """Compose the spec's declared fault processes into one schedule.
+
+    Deterministic in (chaos, horizon_s, seed): target selection uses
+    only sorted topology-derived sets and the seed, never iteration
+    order of hashes.  The :class:`~repro.faults.chaos.ChaosController`
+    dedupes by event key, so overlapping windows compose safely.
     """
     serving, blast_radius = serving_blast_radius(system, ues)
+    targets = sorted(serving)
     schedule = FaultSchedule()
-    schedule.add_satellite_decay(
-        sorted(blast_radius), scenario.horizon_s,
-        acceleration=scenario.decay_acceleration,
-        repair_delay_s=scenario.repair_delay_s, seed=scenario.seed)
-    links = {frozenset((sat, nbr)) for sat in serving
-             for nbr in system.topology.directional_neighbors(
-                 sat).values()}
-    schedule.add_link_bursts(
-        [tuple(sorted(link)) for link in sorted(links, key=sorted)],
-        scenario.horizon_s, seed=scenario.seed + 1)
-    if (scenario.jam_radius_km > 0
-            and scenario.jam_stop_s > scenario.jam_start_s):
-        ue_lats = [ue.lat for ue in ues]
-        ue_lons = [ue.lon for ue in ues]
+
+    if chaos.decay_acceleration > 0:
+        schedule.add_satellite_decay(
+            sorted(blast_radius), horizon_s,
+            acceleration=chaos.decay_acceleration,
+            repair_delay_s=chaos.repair_delay_s, seed=seed)
+
+    if chaos.link_bursts:
+        links = {frozenset((sat, nbr)) for sat in serving
+                 for nbr in system.topology.directional_neighbors(
+                     sat).values()}
+        schedule.add_link_bursts(
+            [tuple(sorted(link)) for link in sorted(links, key=sorted)],
+            horizon_s,
+            p_good_to_bad=chaos.link_p_good_to_bad,
+            p_bad_to_good=chaos.link_p_bad_to_good,
+            seed=seed + 1)
+
+    if chaos.storms and targets:
+        schedule.add_handover_storm(
+            targets, chaos.storm_start_s,
+            min(chaos.storm_stop_s, horizon_s),
+            repair_delay_s=chaos.storm_repair_delay_s)
+
+    if chaos.jams:
         from ..faults.attacks import JammingAttack
         jammer = JammingAttack(
-            sum(ue_lats) / len(ue_lats),
-            sum(ue_lons) / len(ue_lons),
-            radius_km=scenario.jam_radius_km)
-        schedule.add_jamming_window(jammer, scenario.jam_start_s,
-                                    scenario.jam_stop_s)
+            sum(ue.lat for ue in ues) / len(ues),
+            sum(ue.lon for ue in ues) / len(ues),
+            radius_km=chaos.jam_radius_km)
+        schedule.add_jamming_window(jammer, chaos.jam_start_s,
+                                    chaos.jam_stop_s)
+
+    if chaos.downs_ground_stations:
+        lat = sum(ue.lat for ue in ues) / len(ues)
+        lon = sum(ue.lon for ue in ues) / len(ues)
+        stations = system.topology.ground_stations
+        by_proximity = sorted(
+            range(len(stations)),
+            key=lambda i: (_central_angle(lat, lon, stations[i].lat,
+                                          stations[i].lon), i))
+        count = max(1, math.ceil(chaos.gs_outage_fraction * len(stations)))
+        schedule.add_ground_station_outage(
+            sorted(by_proximity[:count]),
+            chaos.gs_outage_start_s, chaos.gs_outage_stop_s)
+
+    if chaos.degrades_compute and targets:
+        count = max(1, math.ceil(chaos.compute_fraction * len(targets)))
+        schedule.add_compute_degradation(
+            targets[:count], chaos.compute_start_s,
+            min(chaos.compute_stop_s, horizon_s),
+            factor=chaos.compute_factor)
+
     return schedule
 
 
 def run_chaos_availability(
         constellation: Optional[Constellation] = None,
         scenario: Optional[ChaosScenario] = None,
-        metrics=None, tracer=None,
-        schedule_builder=None,
-        packet_probe: Optional[PacketProbeSpec] = None,
         ) -> ChaosAvailabilityResult:
     """One seeded churn run: SpaceCore vs the stateful baseline.
 
-    ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) and
-    ``tracer`` (a :class:`~repro.obs.tracing.Tracer`, which gets the
-    simulator's clock injected) instrument the run without changing
-    its behaviour: the engine, chaos controller and recovery machinery
-    all share the same sinks.  ``schedule_builder`` --
-    ``(system, ues, scenario) -> FaultSchedule`` -- replaces the
-    default churn mix (:func:`default_chaos_schedule`) with a
-    scenario-specific fault composition.  ``packet_probe`` routes a
-    seeded bulk wave through whatever topology the churn left behind
-    (see :class:`PacketProbeSpec`); it runs after the horizon drains
-    and its router keeps its own metrics out of ``metrics`` so probed
-    and unprobed runs share identical metric registries.
+    :func:`build_schedule` turns ``scenario.chaos`` into the fault
+    schedule.  The run always records into its own
+    :class:`~repro.obs.metrics.MetricsRegistry` and sim-clocked
+    :class:`~repro.obs.tracing.Tracer`, shared by the engine, the
+    chaos controller and the recovery machinery; the result carries
+    them as plain data (``metrics_snapshot``, ``spans``) outside
+    :meth:`ChaosAvailabilityResult.to_json`, and recording changes no
+    outcome.  ``scenario.packet_probe`` routes a seeded bulk wave
+    through whatever topology the churn left behind (see
+    :class:`PacketProbeSpec`) after the horizon drains; its router
+    keeps its own metrics, so probed and unprobed runs record the same
+    snapshot.
     """
     scenario = scenario if scenario is not None else ChaosScenario()
     system = SpaceCoreSystem(constellation
                              if constellation is not None else starlink())
     sim = Simulator()
-    if metrics is not None:
-        sim.attach_metrics(metrics)
-    if tracer is not None:
-        tracer.set_clock(lambda: sim.now)
+    metrics = MetricsRegistry()
+    tracer = Tracer(lambda: sim.now)
+    sim.attach_metrics(metrics)
     controller = ChaosController(sim, system.topology, metrics=metrics,
                                  tracer=tracer)
     resilient = ResilientSpaceCore(system, metrics=metrics,
@@ -604,10 +726,8 @@ def run_chaos_availability(
     baseline.establish_all(ues, 0.0)
 
     # -- fault schedule -----------------------------------------------------------
-    if schedule_builder is None:
-        schedule = default_chaos_schedule(system, ues, scenario)
-    else:
-        schedule = schedule_builder(system, ues, scenario)
+    schedule = build_schedule(scenario.chaos, system, ues,
+                              scenario.horizon_s, scenario.seed)
 
     resilient.attach_chaos(controller)
     controller.subscribe(baseline.on_fault)
@@ -641,28 +761,23 @@ def run_chaos_availability(
     result.baseline_recovery_latencies = baseline.recovery_latencies
     result.spacecore_lost = len(resilient.lost_sessions)
     result.baseline_lost = baseline.lost
-    if packet_probe is not None:
+    if scenario.packet_probe is not None:
         result.packet_probe = _run_packet_probe(system, scenario,
-                                                packet_probe)
+                                                scenario.packet_probe)
+    result.metrics_snapshot = metrics.snapshot()
+    result.spans = tracer.to_dicts()
     return result
-
-
-def write_chaos_report(path: str,
-                       result: ChaosAvailabilityResult) -> None:
-    """Emit the JSON artifact the report layer consumes."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_json(), fh, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
 # Sharded Monte Carlo over seeds
 # ---------------------------------------------------------------------------
 
-def _chaos_trial(work) -> Dict:
-    """One Monte Carlo shard: a fully seeded churn run, JSON payload.
+def _chaos_trial(work) -> Tuple[Dict, Dict, List[Dict]]:
+    """One Monte Carlo shard: (JSON payload, metrics snapshot, spans).
 
     Module-level so worker processes can unpickle it; returns plain
-    dicts so the parent never needs live simulator objects back.  The
+    data so the parent never needs live simulator objects back.  The
     scenario and constellation ship once per worker via the shared
     registry, so a task pickles two integers, not a topology.
     """
@@ -671,11 +786,10 @@ def _chaos_trial(work) -> Dict:
     constellation = get_shared("chaos:constellation")
     trial_scenario = replace(
         scenario, seed=seed_for(base_seed, f"chaos-trial:{trial}"))
-    result = run_chaos_availability(constellation=constellation,
-                                    scenario=trial_scenario)
+    result = run_chaos_availability(constellation, trial_scenario)
     payload = result.to_json()
     payload["trial"] = trial
-    return payload
+    return payload, result.metrics_snapshot, result.spans
 
 
 @dataclass
@@ -684,11 +798,14 @@ class ChaosMonteCarlo:
 
     The JSON form contains nothing about the execution medium (worker
     count, timing), so ``--workers 1`` and ``--workers N`` artifacts
-    compare bit-for-bit.
+    compare bit-for-bit.  Each trial's metrics snapshot and sim-time
+    spans ride alongside, in trial order, outside :meth:`to_json`.
     """
 
     base_seed: int
     trials: List[Dict] = field(default_factory=list)
+    snapshots: List[Dict] = field(default_factory=list)
+    spans: List[List[Dict]] = field(default_factory=list)
 
     @property
     def n_trials(self) -> int:
@@ -741,16 +858,17 @@ def run_chaos_trials(n_trials: int = 8, base_seed: int = 0,
         raise ValueError("need at least one trial")
     scenario = scenario if scenario is not None else ChaosScenario()
     work = [(trial, base_seed) for trial in range(n_trials)]
-    return ChaosMonteCarlo(
-        base_seed=base_seed,
-        trials=run_sharded(_chaos_trial, work, workers=workers,
-                           shared={"chaos:scenario": scenario,
-                                   "chaos:constellation": constellation},
-                           label="chaos.monte_carlo"))
+    shards = run_sharded(_chaos_trial, work, workers=workers,
+                         shared={"chaos:scenario": scenario,
+                                 "chaos:constellation": constellation},
+                         label="chaos.monte_carlo")
+    trials, snapshots, spans = (list(column) for column in zip(*shards))
+    return ChaosMonteCarlo(base_seed, trials, snapshots, spans)
 
 
-def write_monte_carlo_report(path: str, result: ChaosMonteCarlo) -> None:
-    """Emit the Monte Carlo JSON artifact (bit-stable across workers)."""
+def write_chaos_report(
+        path: str,
+        result: Union[ChaosAvailabilityResult, ChaosMonteCarlo]) -> None:
+    """Emit a run's or a Monte Carlo's ``to_json()`` as sorted JSON."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(result.to_json(), fh, indent=2, sort_keys=True)
-

@@ -1,14 +1,13 @@
 """Instrumented experiment runs: metrics snapshots and sim-time traces.
 
-The observability subsystem (:mod:`repro.obs`) is deliberately inert
-until an experiment hands its registry and tracer to the layers it
-wants watched.  This module is that glue: it runs the chaos-churn
-experiment and the population-scale cohort sweep with per-shard
-:class:`~repro.obs.metrics.MetricsRegistry` instances, then folds the
-per-shard snapshots with
-:func:`~repro.obs.metrics.merge_snapshots` **in shard-index order** --
-the same order whether the shards ran serially or across a process
-pool -- so the merged artifact is bit-identical for any worker count.
+The chaos-churn Monte Carlo records its own per-trial metrics and
+spans (:func:`~.chaos_availability.run_chaos_trials`); the
+population-scale cohort sweep runs here with a per-shard
+:class:`~repro.obs.metrics.MetricsRegistry`.  Either way the per-shard
+snapshots fold with :func:`~repro.obs.metrics.merge_snapshots` **in
+shard-index order** -- the same order whether the shards ran serially
+or across a process pool -- so the merged artifact is bit-identical
+for any worker count.
 
 Nothing about the execution medium (worker count, wall time, host)
 appears in any payload; every timestamp is simulated time.
@@ -17,14 +16,14 @@ appears in any payload; every timestamp is simulated time.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from ..obs import MetricsRegistry, Tracer, merge_snapshots
+from ..baselines import solution_by_name
+from ..obs import MetricsRegistry, merge_snapshots
 from ..orbits.constellation import Constellation
 from ..runtime.cohort import UECohortEngine
 from ..runtime.parallel import get_shared, run_sharded, seed_for
-from .chaos_availability import ChaosScenario, run_chaos_availability
+from .chaos_availability import ChaosScenario, run_chaos_trials
 
 __all__ = [
     "chaos_observability",
@@ -38,78 +37,37 @@ __all__ = [
 # Chaos Monte Carlo, instrumented
 # ---------------------------------------------------------------------------
 
-def _observed_chaos_trial(work) -> Dict:
-    """One instrumented churn trial (module-level: must pickle).
-
-    Each trial gets a *fresh* registry and tracer, so per-trial
-    snapshots are independent of sharding; the parent does the only
-    cross-trial arithmetic (the merge), in trial order.
-    """
-    trial, base_seed = work
-    scenario = get_shared("obs:scenario")
-    constellation = get_shared("obs:constellation")
-    trial_scenario = replace(
-        scenario, seed=seed_for(base_seed, f"chaos-trial:{trial}"))
-    metrics = MetricsRegistry()
-    tracer = Tracer()
-    result = run_chaos_availability(constellation=constellation,
-                                    scenario=trial_scenario,
-                                    metrics=metrics, tracer=tracer)
-    spans = tracer.to_dicts()
-    for span in spans:
-        span["attrs"]["trial"] = trial
-    return {
-        "trial": trial,
-        "snapshot": metrics.snapshot(),
-        "trace": spans,
-        "final_spacecore_survival": result.final_spacecore_survival,
-        "final_baseline_survival": result.final_baseline_survival,
-    }
-
-
 def chaos_observability(n_trials: int = 1, base_seed: int = 0,
                         scenario: Optional[ChaosScenario] = None,
                         constellation: Optional[Constellation] = None,
                         workers: Optional[int] = None) -> Dict:
     """Instrumented chaos Monte Carlo: merged metrics + full trace.
 
-    Trial ``k`` is seeded ``seed_for(base_seed, "chaos-trial:k")`` and
-    instrumented with its own registry/tracer; snapshots merge in
-    trial order and traces concatenate in trial order, so the payload
-    is bit-identical for any ``workers`` value.
+    A projection of :func:`run_chaos_trials` (trial ``k`` is seeded
+    ``seed_for(base_seed, "chaos-trial:k")`` and records into its own
+    registry and tracer): snapshots merge in trial order and traces
+    concatenate in trial order, each span tagged with its trial, so
+    the payload is bit-identical for any ``workers`` value.
     """
-    if n_trials < 1:
-        raise ValueError("need at least one trial")
-    scenario = scenario if scenario is not None else ChaosScenario()
-    work = [(trial, base_seed) for trial in range(n_trials)]
-    shards = run_sharded(_observed_chaos_trial, work, workers=workers,
-                         shared={"obs:scenario": scenario,
-                                 "obs:constellation": constellation},
-                         label="obs.chaos")
+    mc = run_chaos_trials(n_trials=n_trials, base_seed=base_seed,
+                          scenario=scenario, constellation=constellation,
+                          workers=workers)
     return {
         "experiment": "chaos",
         "base_seed": base_seed,
         "n_trials": n_trials,
-        "snapshot": merge_snapshots([s["snapshot"] for s in shards]),
-        "per_trial": [{"trial": s["trial"], "snapshot": s["snapshot"]}
-                      for s in shards],
-        "trace": [span for s in shards for span in s["trace"]],
+        "snapshot": merge_snapshots(mc.snapshots),
+        "per_trial": [{"trial": trial, "snapshot": snapshot}
+                      for trial, snapshot in enumerate(mc.snapshots)],
+        "trace": [{**span, "attrs": {**span["attrs"], "trial": trial}}
+                  for trial, spans in enumerate(mc.spans)
+                  for span in spans],
     }
 
 
 # ---------------------------------------------------------------------------
 # Cohort-engine sweep, instrumented
 # ---------------------------------------------------------------------------
-
-def _solution_by_name(name: str):
-    """Resolve a solution factory by display name inside a shard."""
-    from ..baselines import ALL_SOLUTIONS
-    for factory in ALL_SOLUTIONS:
-        solution = factory()
-        if solution.name == name:
-            return solution
-    raise KeyError(f"unknown solution {name!r}")
-
 
 def _observed_cohort_point(work) -> Dict:
     """One instrumented cohort design point (module-level: must pickle)."""
@@ -119,7 +77,7 @@ def _observed_cohort_point(work) -> Dict:
     metrics = MetricsRegistry()
     engine = UECohortEngine(
         constellation, n_ues=n_ues,
-        solution=_solution_by_name(solution_name),
+        solution=solution_by_name(solution_name),
         seed=seed_for(base_seed, f"cohort-point:{solution_name}"),
         n_cohorts=n_cohorts, metrics=metrics)
     stats = engine.run(duration_s)

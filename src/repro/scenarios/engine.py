@@ -18,19 +18,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..experiments.chaos_availability import (
-    ChaosScenario,
+    build_schedule,
     run_chaos_availability,
-    serving_blast_radius,
 )
-from ..core import SpaceCoreSystem
-from ..faults.chaos import FaultSchedule
-from ..fiveg.ue import UserEquipment
-from ..obs import MetricsRegistry, merge_snapshots
+from ..obs import merge_snapshots
 from ..orbits.constellation import by_name
 from ..runtime.parallel import get_shared, run_sharded, seed_for
 from .slo import SLOReport, evaluate_slos, percentile
@@ -41,84 +36,6 @@ __all__ = [
     "build_schedule",
     "run_scenario",
 ]
-
-
-def _central_angle(lat1: float, lon1: float,
-                   lat2: float, lon2: float) -> float:
-    """Great-circle angle between two (radian) terrestrial points."""
-    cosine = (math.sin(lat1) * math.sin(lat2)
-              + math.cos(lat1) * math.cos(lat2) * math.cos(lon1 - lon2))
-    return math.acos(min(1.0, max(-1.0, cosine)))
-
-
-def build_schedule(spec: ScenarioSpec, system: SpaceCoreSystem,
-                   ues: Sequence[UserEquipment],
-                   scenario: ChaosScenario) -> FaultSchedule:
-    """Compose the spec's declared fault processes into one schedule.
-
-    Deterministic in (spec, scenario.seed): target selection uses only
-    sorted topology-derived sets and the trial seed, never iteration
-    order of hashes.  The :class:`~repro.faults.chaos.ChaosController`
-    dedupes by event key, so overlapping windows compose safely.
-    """
-    chaos = spec.chaos
-    serving, blast_radius = serving_blast_radius(system, ues)
-    targets = sorted(serving)
-    schedule = FaultSchedule()
-
-    if chaos.decay_acceleration > 0:
-        schedule.add_satellite_decay(
-            sorted(blast_radius), scenario.horizon_s,
-            acceleration=chaos.decay_acceleration,
-            repair_delay_s=chaos.repair_delay_s, seed=scenario.seed)
-
-    if chaos.link_bursts:
-        links = {frozenset((sat, nbr)) for sat in serving
-                 for nbr in system.topology.directional_neighbors(
-                     sat).values()}
-        schedule.add_link_bursts(
-            [tuple(sorted(link)) for link in sorted(links, key=sorted)],
-            scenario.horizon_s,
-            p_good_to_bad=chaos.link_p_good_to_bad,
-            p_bad_to_good=chaos.link_p_bad_to_good,
-            seed=scenario.seed + 1)
-
-    if chaos.storms and targets:
-        schedule.add_handover_storm(
-            targets, chaos.storm_start_s,
-            min(chaos.storm_stop_s, scenario.horizon_s),
-            repair_delay_s=chaos.storm_repair_delay_s)
-
-    if chaos.jams:
-        from ..faults.attacks import JammingAttack
-        jammer = JammingAttack(
-            sum(ue.lat for ue in ues) / len(ues),
-            sum(ue.lon for ue in ues) / len(ues),
-            radius_km=chaos.jam_radius_km)
-        schedule.add_jamming_window(jammer, chaos.jam_start_s,
-                                    chaos.jam_stop_s)
-
-    if chaos.downs_ground_stations:
-        lat = sum(ue.lat for ue in ues) / len(ues)
-        lon = sum(ue.lon for ue in ues) / len(ues)
-        stations = system.topology.ground_stations
-        by_proximity = sorted(
-            range(len(stations)),
-            key=lambda i: (_central_angle(lat, lon, stations[i].lat,
-                                          stations[i].lon), i))
-        count = max(1, math.ceil(chaos.gs_outage_fraction * len(stations)))
-        schedule.add_ground_station_outage(
-            sorted(by_proximity[:count]),
-            chaos.gs_outage_start_s, chaos.gs_outage_stop_s)
-
-    if chaos.degrades_compute and targets:
-        count = max(1, math.ceil(chaos.compute_fraction * len(targets)))
-        schedule.add_compute_degradation(
-            targets[:count], chaos.compute_start_s,
-            min(chaos.compute_stop_s, scenario.horizon_s),
-            factor=chaos.compute_factor)
-
-    return schedule
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +60,8 @@ def _scenario_trial(work: int) -> Dict:
     spec: ScenarioSpec = get_shared("scenario:spec")
     constellation = get_shared("scenario:constellation")
     seed = seed_for(spec.base_seed, f"scenario:{spec.name}:trial:{trial}")
-    trial_scenario = spec.chaos_scenario(seed)
-    metrics = MetricsRegistry()
-    result = run_chaos_availability(
-        constellation=constellation, scenario=trial_scenario,
-        metrics=metrics,
-        schedule_builder=lambda system, ues, scn: build_schedule(
-            spec, system, ues, scn),
-        packet_probe=spec.packet_probe)
+    result = run_chaos_availability(constellation,
+                                    spec.chaos_scenario(seed))
 
     fault_kinds: Dict[str, int] = {}
     for key in result.fault_log:
@@ -185,7 +96,7 @@ def _scenario_trial(work: int) -> Dict:
             "by_kind": fault_kinds,
             "digest": _fault_digest(result.fault_log),
         },
-        "snapshot": metrics.snapshot(),
+        "snapshot": result.metrics_snapshot,
     }
     # Conditional so probe-free scenarios (every committed golden)
     # keep their artifact bytes.

@@ -1,13 +1,15 @@
 """Declarative resilience scenarios: what to stress, never how to run.
 
 A :class:`ScenarioSpec` names one reproducible resilience run: a
-constellation, a subscriber population, a seeded chaos composition,
-and the SLO budget the run is held to.  Specs are frozen, purely
-declarative data -- the execution engine (:mod:`.engine`) turns one
-into seeded :class:`~repro.experiments.chaos_availability.ChaosScenario`
-trials and a :class:`~repro.faults.chaos.FaultSchedule`, and nothing
-about the execution medium (worker count, host, wall time) can leak
-back into the spec or its artifact.
+constellation, a subscriber population, a seeded chaos composition
+(:class:`~repro.experiments.chaos_availability.ChaosSpec`), and the
+SLO budget the run is held to.  Specs are frozen, purely declarative
+data -- the execution engine (:mod:`.engine`) turns one into seeded
+:class:`~repro.experiments.chaos_availability.ChaosScenario` trials,
+whose run builds the :class:`~repro.faults.chaos.FaultSchedule` from
+the spec's ``ChaosSpec``, and nothing about the execution medium
+(worker count, host, wall time) can leak back into the spec or its
+artifact.
 
 The declarative split mirrors chaos-engineering practice: the catalog
 (:mod:`.catalog`) is a reviewable inventory of *named* failure
@@ -22,11 +24,11 @@ from typing import Dict, Optional, Tuple
 
 from ..experiments.chaos_availability import (
     ChaosScenario,
+    ChaosSpec,
     PacketProbeSpec,
     _require_finite,
     _require_non_negative,
     _require_positive,
-    _require_probability,
     _require_sites,
 )
 from .slo import SLOBudget
@@ -51,80 +53,6 @@ class PopulationSpec:
             raise ValueError("population needs at least one UE")
         _require_non_negative(self, "jitter_deg", "compute_load_per_s")
         _require_sites(self, "sites")
-
-
-@dataclass(frozen=True)
-class ChaosSpec:
-    """Which fault processes run, composed from seeded primitives.
-
-    Every window is ``[start_s, stop_s)`` in simulated seconds; a
-    degenerate window (``stop <= start``) disables that fault source,
-    so the zero-valued default spec injects nothing.
-    """
-
-    # -- background decay churn (Fig. 13a hazard, accelerated) -------------
-    decay_acceleration: float = 0.0      # 0 = no decay process
-    repair_delay_s: Optional[float] = 1500.0
-
-    # -- Gilbert-Elliott ISL weather (Fig. 13b) ----------------------------
-    link_bursts: bool = False
-    link_p_good_to_bad: float = 0.01
-    link_p_bad_to_good: float = 0.2
-
-    # -- regional jamming --------------------------------------------------
-    jam_start_s: float = 0.0
-    jam_stop_s: float = 0.0
-    jam_radius_km: float = 0.0
-
-    # -- mass handover storm (terminator crossing) -------------------------
-    storm_start_s: float = 0.0
-    storm_stop_s: float = 0.0
-    storm_repair_delay_s: float = 120.0
-
-    # -- regional ground-station outage ------------------------------------
-    gs_outage_start_s: float = 0.0
-    gs_outage_stop_s: float = 0.0
-    gs_outage_fraction: float = 0.0      # fraction of gateways, by proximity
-
-    # -- onboard-compute degradation ---------------------------------------
-    compute_start_s: float = 0.0
-    compute_stop_s: float = 0.0
-    compute_factor: float = 1.0          # remaining capacity (1.0 = none)
-    compute_fraction: float = 1.0        # fraction of serving satellites
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        _require_non_negative(
-            self, "decay_acceleration", "repair_delay_s", "jam_start_s",
-            "jam_stop_s", "jam_radius_km", "storm_start_s", "storm_stop_s",
-            "storm_repair_delay_s", "gs_outage_start_s", "gs_outage_stop_s",
-            "compute_start_s", "compute_stop_s")
-        _require_probability(self, "link_p_good_to_bad",
-                             "link_p_bad_to_good")
-        if not 0.0 <= self.gs_outage_fraction <= 1.0:
-            raise ValueError("gs outage fraction must be in [0, 1]")
-        if not 0.0 < self.compute_factor <= 1.0:
-            raise ValueError("compute factor must be in (0, 1]")
-        if not 0.0 < self.compute_fraction <= 1.0:
-            raise ValueError("compute fraction must be in (0, 1]")
-
-    @property
-    def storms(self) -> bool:
-        return self.storm_stop_s > self.storm_start_s
-
-    @property
-    def jams(self) -> bool:
-        return self.jam_radius_km > 0 and self.jam_stop_s > self.jam_start_s
-
-    @property
-    def downs_ground_stations(self) -> bool:
-        return (self.gs_outage_fraction > 0
-                and self.gs_outage_stop_s > self.gs_outage_start_s)
-
-    @property
-    def degrades_compute(self) -> bool:
-        return (self.compute_factor < 1.0
-                and self.compute_stop_s > self.compute_start_s)
 
 
 @dataclass(frozen=True)
@@ -159,24 +87,21 @@ class ScenarioSpec:
     def chaos_scenario(self, seed: int) -> ChaosScenario:
         """The seeded per-trial knob set the chaos experiment runs.
 
-        Fault *composition* does not ride here -- the engine builds the
-        :class:`~repro.faults.chaos.FaultSchedule` from :attr:`chaos`
-        via its ``schedule_builder`` hook -- but the baseline's loss
-        model reacts to the jamming window, so those knobs carry over.
+        :attr:`chaos` rides along unchanged: the run's one
+        :func:`~repro.experiments.chaos_availability.build_schedule`
+        composes the :class:`~repro.faults.chaos.FaultSchedule` from
+        it, and the baseline's loss model reacts to its jamming window.
         """
         return ChaosScenario(
             horizon_s=self.horizon_s,
             sample_interval_s=self.sample_interval_s,
             n_ues=self.population.n_ues,
-            decay_acceleration=self.chaos.decay_acceleration,
-            repair_delay_s=self.chaos.repair_delay_s,
-            jam_start_s=self.chaos.jam_start_s,
-            jam_stop_s=self.chaos.jam_stop_s,
-            jam_radius_km=self.chaos.jam_radius_km,
+            chaos=self.chaos,
             ue_sites=self.population.sites,
             ue_jitter_deg=self.population.jitter_deg,
             compute_load_per_s=self.population.compute_load_per_s,
-            seed=seed)
+            seed=seed,
+            packet_probe=self.packet_probe)
 
     def describe(self) -> Dict:
         """The spec echo embedded in artifacts (pure data, sortable)."""

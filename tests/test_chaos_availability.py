@@ -6,9 +6,11 @@ records), and SpaceCore's session survival strictly dominates the
 stateful baseline under the default churn scenario.
 """
 
+import hashlib
 import json
 import os
 import random
+from dataclasses import fields, replace
 
 import networkx as nx
 import pytest
@@ -19,6 +21,7 @@ from repro.experiments import (
     run_chaos_availability,
     write_chaos_report,
 )
+from repro.experiments.chaos_availability import STOCK_CHURN, ChaosSpec
 from repro.faults import FaultKind
 from repro.topology import GridTopology
 
@@ -106,20 +109,19 @@ class _PerAttemptBaseline(chaos_availability._StatefulBaseline):
         return _has_path_reachable(self.system.topology, sat, t)
 
 
-def _ground_outage_schedule(system, ues, scenario):
-    """The stock churn plus every other gateway down mid-run."""
-    stations = range(0, len(system.topology.ground_stations), 2)
-    return chaos_availability.default_chaos_schedule(
-        system, ues, scenario).add_ground_station_outage(
-            stations, 300.0, 1500.0)
-
-
-#: (ChaosScenario overrides, schedule_builder) per fault flavour.
+#: The fault mix per flavour: the stock churn, a full-horizon jam, the
+#: stock churn plus the nearest half of the gateways down mid-run, and
+#: no decay process at all (0 = off, so no satellite fails).
 HOIST_CASES = {
-    "stock": ({}, None),
-    "jammed": ({"jam_start_s": 0.0, "jam_stop_s": 1800.0}, None),
-    "ground-outage": ({}, _ground_outage_schedule),
+    "stock": STOCK_CHURN,
+    "jammed": replace(STOCK_CHURN, jam_start_s=0.0, jam_stop_s=1800.0),
+    "ground-outage": replace(STOCK_CHURN, gs_outage_start_s=300.0,
+                             gs_outage_stop_s=1500.0,
+                             gs_outage_fraction=0.5),
+    "no-decay": replace(STOCK_CHURN, decay_acceleration=0.0),
 }
+DECAY_CASES = sorted(case for case, chaos in HOIST_CASES.items()
+                     if chaos.decay_acceleration > 0)
 
 
 class TestBaselineGraphHoist:
@@ -129,7 +131,6 @@ class TestBaselineGraphHoist:
     def _run(monkeypatch, baseline_cls, seed, case):
         """Run one trial; returns (baseline, [(event, had_victims,
         snapshot_graph calls inside on_fault), ...])."""
-        overrides, builder = HOIST_CASES[case]
         made, builds, per_event = [], [0], []
         real_snapshot_graph = GridTopology.snapshot_graph
 
@@ -158,8 +159,7 @@ class TestBaselineGraphHoist:
         run_chaos_availability(
             scenario=ChaosScenario(horizon_s=1800.0,
                                    sample_interval_s=300.0, n_ues=16,
-                                   seed=seed, **overrides),
-            schedule_builder=builder)
+                                   seed=seed, chaos=HOIST_CASES[case]))
         (baseline,) = made
         return baseline, per_event
 
@@ -174,12 +174,14 @@ class TestBaselineGraphHoist:
             monkeypatch, _PerAttemptBaseline, seed, case)
         assert ([e.key() for e, _, _ in events]
                 == [e.key() for e, _, _ in oracle_events])
+        assert (any(e.kind is FaultKind.SAT_FAIL for e, _, _ in events)
+                == (HOIST_CASES[case].decay_acceleration > 0))
         assert hoisted.recovery_latencies == oracle.recovery_latencies
         assert hoisted.lost == oracle.lost
         assert hoisted.alive == oracle.alive
         assert hoisted.assignments == oracle.assignments
 
-    @pytest.mark.parametrize("case", sorted(HOIST_CASES))
+    @pytest.mark.parametrize("case", DECAY_CASES)
     def test_one_graph_per_sat_fail_with_victims(self, monkeypatch, case):
         _, events = self._run(
             monkeypatch, chaos_availability._StatefulBaseline, SEED + 1,
@@ -305,6 +307,10 @@ class TestGatewayReachableOnPartitions:
 
 
 class TestReportArtifact:
+    def test_run_records_its_own_metrics_and_spans(self, small_result):
+        assert small_result.metrics_snapshot["counters"]
+        assert small_result.spans
+
     def test_json_payload_structure(self, small_result):
         payload = small_result.to_json()
         assert sorted(payload.keys()) == [
@@ -327,7 +333,32 @@ class TestReportArtifact:
         assert payload["fault_log"] == normalised
 
 
+#: sha256 of each chaos CLI artifact at the default seed; the bytes do
+#: not depend on the worker count.
+CLI_ARTIFACTS = {
+    "chaos": (["chaos", "--ues", "8", "--horizon", "600"],
+              "275cc339460749537ec8172f70ebd83d5ab5022bde9f5ecd2ce0d63ddf9831b9"),
+    "chaos-trials": (["chaos", "--ues", "8", "--horizon", "600",
+                      "--trials", "3"],
+                     "0f6c08777f75a73fd2f3e39e5df09ae15a7eefb0a16ec95f11b64d52d7500dbf"),
+    "metrics": (["metrics", "--ues", "6", "--horizon", "600",
+                 "--trials", "2"],
+                "252e0b867622dc1d8358f4e24133483e304c5563d9197f73e816fddf511c48f8"),
+    "trace": (["trace", "--ues", "6", "--horizon", "600"],
+              "976a030a3512cbb9d6af0d6067c000c3402728f3bf970734feaf25fb71591ca2"),
+}
+
+
 class TestCli:
+    @pytest.mark.parametrize("case", sorted(CLI_ARTIFACTS))
+    def test_artifact_bytes_pinned(self, case, tmp_path, monkeypatch):
+        from repro.cli import main
+        argv, digest = CLI_ARTIFACTS[case]
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        out = tmp_path / "artifact"
+        assert main(argv + ["--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_chaos_subcommand_runs(self, tmp_path, capsys):
         from repro.cli import main
         out = tmp_path / "cli_chaos.json"
@@ -343,11 +374,10 @@ class TestPacketProbe:
         assert small_result.packet_probe is None
         assert "packet_probe" not in small_result.to_json()
 
-    def test_probe_routes_the_post_churn_topology(self):
+    def test_probe_routes_the_post_churn_topology(self, small_result):
         from repro.experiments.chaos_availability import PacketProbeSpec
-        probe = PacketProbeSpec(packets=96)
-        result = run_chaos_availability(
-            scenario=SMALL, packet_probe=probe)
+        probed = replace(SMALL, packet_probe=PacketProbeSpec(packets=96))
+        result = run_chaos_availability(scenario=probed)
         payload = result.packet_probe
         assert payload is not None
         assert payload["packets"] == 96
@@ -356,9 +386,10 @@ class TestPacketProbe:
         assert result.to_json()["packet_probe"] == payload
         # Same seed, same probe -> byte-stable payload (the golden
         # contract the scenario engine relies on).
-        again = run_chaos_availability(scenario=SMALL,
-                                       packet_probe=probe)
+        again = run_chaos_availability(scenario=probed)
         assert again.packet_probe == payload
+        # The probe's router keeps its own metrics.
+        assert result.metrics_snapshot == small_result.metrics_snapshot
 
     def test_probe_rejects_empty_wave(self):
         from repro.experiments.chaos_availability import PacketProbeSpec
@@ -396,8 +427,13 @@ class TestSpecValidation:
         ("seed", 2.5),
     ])
     def test_chaos_scenario_rejects(self, field, value):
+        # Fault knobs live on the scenario's ChaosSpec.
+        chaos_knobs = {f.name for f in fields(ChaosSpec)}
         with pytest.raises(ValueError, match=field):
-            ChaosScenario(**{field: value})
+            if field in chaos_knobs:
+                ChaosScenario(chaos=replace(STOCK_CHURN, **{field: value}))
+            else:
+                ChaosScenario(**{field: value})
 
     @pytest.mark.parametrize("field,value", [
         ("packets", 0),
@@ -419,8 +455,9 @@ class TestSpecValidation:
 
         from repro.experiments.chaos_availability import PacketProbeSpec
         from repro.scenarios import CATALOG
-        assert ChaosScenario(repair_delay_s=None, per_link_loss=1.0,
-                             jam_radius_km=0.0, seed=np.int64(3)).seed == 3
+        calm = replace(STOCK_CHURN, repair_delay_s=None, jam_radius_km=0.0)
+        assert ChaosScenario(chaos=calm, per_link_loss=1.0,
+                             seed=np.int64(3)).seed == 3
         assert PacketProbeSpec(packets=np.int64(5), t_s=0.0).packets == 5
         for spec in CATALOG.values():
             spec.chaos_scenario(spec.base_seed)

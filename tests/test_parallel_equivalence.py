@@ -24,12 +24,14 @@ only ever change *where* shards run, never what they produce.
 import ast
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.baselines.solutions import ALL_SOLUTIONS
 from repro.experiments.chaos_availability import (
+    STOCK_CHURN,
     ChaosScenario,
     run_chaos_trials,
 )
@@ -55,7 +57,8 @@ SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
 #: Small but non-trivial chaos scenario so a 3-trial Monte Carlo stays
 #: test-suite friendly while still injecting dozens of faults.
 _SCENARIO = ChaosScenario(horizon_s=600.0, n_ues=6,
-                          jam_start_s=120.0, jam_stop_s=300.0)
+                          chaos=replace(STOCK_CHURN, jam_start_s=120.0,
+                                        jam_stop_s=300.0))
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -213,8 +216,6 @@ EQUIVALENCE_CASES = {
         "TestSweepEquivalence.test_fig7_cpu_identical",
     "repro.experiments.cpu._fig8_point":
         "TestSweepEquivalence.test_fig8_latency_identical",
-    "repro.experiments.observability._observed_chaos_trial":
-        "TestMetricsEquivalence.test_chaos_snapshot_bit_identical",
     "repro.experiments.observability._observed_cohort_point":
         "TestMetricsEquivalence.test_cohort_snapshot_bit_identical",
     "repro.experiments.sensitivity._scaling_cell":

@@ -19,7 +19,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments.chaos_availability import ChaosScenario
 from repro.orbits import starlink
 from repro.scenarios import (
     CATALOG,
@@ -143,18 +142,23 @@ class TestScheduleComposition:
         scenario = spec.chaos_scenario(seed)
         return system, _place_ues(system, scenario), scenario
 
+    @staticmethod
+    def _build(spec, system, ues, scenario):
+        return build_schedule(spec.chaos, system, ues, scenario.horizon_s,
+                              scenario.seed)
+
     def test_empty_chaos_spec_builds_empty_schedule(self):
         spec = ScenarioSpec(name="calm", title="t", description="d")
         system, ues, scenario = self._system_and_ues(spec)
-        assert len(build_schedule(spec, system, ues, scenario)) == 0
+        assert len(self._build(spec, system, ues, scenario)) == 0
 
     def test_build_is_deterministic(self):
         spec = CATALOG["ground-outage"]
         system, ues, scenario = self._system_and_ues(spec, seed=3)
         keys_a = [e.key() for e in
-                  build_schedule(spec, system, ues, scenario).events()]
+                  self._build(spec, system, ues, scenario).events()]
         keys_b = [e.key() for e in
-                  build_schedule(spec, system, ues, scenario).events()]
+                  self._build(spec, system, ues, scenario).events()]
         assert keys_a == keys_b
 
     def test_storm_targets_every_serving_satellite(self):
@@ -165,7 +169,7 @@ class TestScheduleComposition:
         spec = CATALOG["handover-storm"]
         system, ues, scenario = self._system_and_ues(spec)
         serving, _ = serving_blast_radius(system, ues)
-        schedule = build_schedule(spec, system, ues, scenario)
+        schedule = self._build(spec, system, ues, scenario)
         stormed = {e.target[0] for e in schedule.events()
                    if e.kind is FaultKind.SAT_FAIL}
         assert stormed == serving
