@@ -17,53 +17,44 @@ deterministic structures:
 This is a *reproduction-grade* parameterisation: the algebra and the
 protocol flows are real, the key sizes are scaled for simulation.
 
+``SchnorrGroup.power`` is a compiled modexp: one ``modexp`` in the C
+source :mod:`repro.topology._walk_kernel` builds beside the walk
+kernel (fixed-width Montgomery arithmetic over 8 x 64-bit limbs, a
+fixed 5-bit window; ~0.13-0.18x a builtin ``pow`` on a 512-bit
+modulus).  It answers integer inputs with ``0 <= exponent < 2**512``
+and a modulus of at most 512 bits, the base reduced ``% p`` first;
+every other input, and every call on a host without the compiled
+object (no compiler, a failed build, ``REPRO_NO_CKERNEL=1``), is
+builtin ``pow``.  So ``power == pow`` for every input, errors
+included.  The kernel is not constant-time: fine for a simulator,
+wrong for real keys.
+
 ``SchnorrGroup.generate`` is table-driven: the base ``g`` is the same
 for every signature, key pair, STS share and SUCI ephemeral, so
 ``g^x`` is a product of at most one precomputed entry per byte of
 ``x mod q`` (fixed-base windowing, one table per group per process)
-instead of a square-and-multiply ladder.
-
-``power`` earns a table per *base*, by use count.  Of the 1,524 calls
-in one ``scenario-check`` job, 640 raise one of 12 per-trial home keys
-(bundle and certificate ``verify``, ``Suci.conceal``: ~53 uses per
-key); satellite keys are one-shot (168 keys for 244 verifies, 153 used
-once) and so is every STS/SUCI ephemeral.  A base gets a table on its
-``_TABLE_AFTER_USES``-th use; first sights, out-of-window exponents and
-evicted bases are builtin ``pow`` (0.66 ms).  Window bits: build ms /
-evaluation ms / break-even uses, one 512-bit base, reference host --
-8: 18.7/0.07/33, 6: 6.2/0.10/12, 5: 3.7/0.12/7.0, 4: 2.4/0.14/4.8,
-3: 1.4/0.18/3.1, 2: 1.05/0.23/2.6.  Four bits is cheapest in total for
-~53 uses (11.4 ms; 11.7 at 5 bits, 12.4 at 3, 24 at 8), and the
-threshold sits just under its break-even.
-``_HOT_BASES`` = 8 is a memory bound: a table is ~200 KB, and 64 of
-them took ``scenario-check`` ``peak_rss_mb`` 73.4 -> 86.4 (+18 %; the
-ledger allows 15 %).  ``generate`` keeps its 8-bit table (thousands of
-uses per process).
+instead of a square-and-multiply ladder.  It is at parity with the
+compiled ``power`` and ~9x cheaper than ``pow`` without it.
 
 ``is_element`` is the Legendre symbol: for ``p = 2q + 1`` (enforced at
 construction) ``x^q = 1`` iff ``(x|p) = 1``, and a binary Jacobi loop
 costs 0.07 ms against 0.70 ms for ``pow(x, q, p)``.  All 488 checks per
 job are on distinct ephemerals, so there is nothing to memoise.
-
-Measured and not built (DESIGN.md): Straus/Shamir for ``g^s * y^-e`` (a
-Python ladder step is 1.1-1.3 us; ~900 steps lose to one C ``pow``), a
-``Certificate.verify`` memo (168 of 244 pairs distinct, ~0.02 s/job),
-tables for satellite keys (~1.5 uses each, under break-even).
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import hashlib
 import secrets
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
-#: ``power`` tables: window (half a byte: two digits per exponent byte),
-#: uses of a base before one is built, bases tracked (so tables alive).
-_POWER_WINDOW_BITS = 4
-_TABLE_AFTER_USES = 4
-_HOT_BASES = 8
+#: The compiled ``modexp`` takes 64-byte operands, so ``power`` hands it
+#: exponents and moduli below ``2**512``.
+_MODEXP_BYTES = 64
+_MODEXP_LIMIT = 1 << 8 * _MODEXP_BYTES
 
 #: 512-bit safe prime p = 2q + 1.
 _P = int(
@@ -100,27 +91,25 @@ class SchnorrGroup:
     def power(self, base: int, exponent: int) -> int:
         """``base ** exponent mod p``, exactly as builtin ``pow``.
 
-        Table-driven from the ``_TABLE_AFTER_USES``-th use of a base on,
-        with no reduction modulo ``q``: the base may lie outside the
-        subgroup.
+        Compiled for integer inputs with ``0 <= exponent < 2**512``
+        (module docstring), with no reduction modulo ``q``: the base
+        may lie outside the subgroup.
         """
         p = self.p
-        slot = _base_slot(p, base)
-        slot[0] += 1
-        if slot[0] < _TABLE_AFTER_USES:
-            return pow(base, exponent, p)
-        table = slot[1]
-        if table is None:
-            rows = _window_rows(base, p, _POWER_WINDOW_BITS,
-                                2 * ((p.bit_length() + 7) // 8))
-            table = slot[1] = tuple(zip(rows[0::2], rows[1::2]))
-        if not 0 <= exponent < 1 << 8 * len(table):
-            return pow(base, exponent, p)
-        acc = 1
-        for (low, high), digit in zip(
-                table, exponent.to_bytes(len(table), "little")):
-            acc = acc * low[digit & 15] % p * high[digit >> 4] % p
-        return acc
+        if (type(base) is int and type(exponent) is int
+                and 0 <= exponent < _MODEXP_LIMIT and p < _MODEXP_LIMIT):
+            # Function-local: the kernel module's package pulls numpy and
+            # networkx, which ``import repro.crypto`` does not need.
+            from repro.topology._walk_kernel import load_kernel
+            kernel = load_kernel()
+            if kernel is not None:
+                width = _MODEXP_BYTES
+                out = ctypes.create_string_buffer(width)
+                if kernel.modexp(out, (base % p).to_bytes(width, "little"),
+                                 exponent.to_bytes(width, "little"),
+                                 p.to_bytes(width, "little")) == 0:
+                    return int.from_bytes(out.raw, "little")
+        return pow(base, exponent, p)
 
     def generate(self, exponent: int) -> int:
         """g^exponent mod p, for any integer exponent.
@@ -174,31 +163,15 @@ def _fixed_base_table(group: SchnorrGroup) -> Tuple[Tuple[int, ...], ...]:
     the table never rides along when keys carrying their group are
     pickled into pool workers.
     """
-    return _window_rows(group.g, group.p, 8, (group.q.bit_length() + 7) // 8)
-
-
-def _window_rows(base: int, p: int, bits: int,
-                 count: int) -> Tuple[Tuple[int, ...], ...]:
-    """``rows[i][d] = base^(d * 2^(bits*i)) mod p`` for ``count`` rows."""
     rows = []
-    base %= p
-    for _ in range(count):
+    p, base = group.p, group.g
+    for _ in range((group.q.bit_length() + 7) // 8):
         row = [1]
-        for _ in range((1 << bits) - 1):
+        for _ in range(255):
             row.append(row[-1] * base % p)
         rows.append(tuple(row))
         base = row[-1] * base % p
     return tuple(rows)
-
-
-@functools.lru_cache(maxsize=_HOT_BASES)
-def _base_slot(p: int, base: int) -> List:
-    """``[uses, table or None]`` of one recently raised base.
-
-    An evicted slot takes its count with its table, so more hot bases
-    than slots degrade to ``pow``, not to a rebuild per call.
-    """
-    return [0, None]
 
 
 SCHNORR_GROUP = SchnorrGroup(p=_P, q=_Q, g=_G)

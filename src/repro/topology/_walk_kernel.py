@@ -1,4 +1,5 @@
-"""Optional compiled hop-walk kernel for the batch routing plane.
+"""The one optional compiled object: the batch routing plane's hop
+walk and ``SchnorrGroup.power``'s modexp.
 
 The reference walk (:meth:`repro.topology.routing.GeospatialRouter.route`)
 costs on the order of a hundred microseconds per packet in the
@@ -31,13 +32,20 @@ The C source mirrors the scalar reference precisely:
   module binds, and the build passes ``-ffp-contract=off`` so no FMA
   contraction re-associates a sum the interpreter rounds twice.
 
+The same source holds ``modexp``, ``base^exp mod m`` over 64-byte
+little-endian operands (fixed-width Montgomery arithmetic, a fixed
+5-bit window, not constant-time), which
+:meth:`repro.crypto.group.SchnorrGroup.power` calls for exponents and
+moduli below ``2**512``.
+
 The build is lazy and entirely optional: no C compiler, a failed
 compile, or ``REPRO_NO_CKERNEL=1`` all degrade silently to the
 reference walk for the whole wave, with identical results and an
-identical ``fallback`` mask (the equivalence suite runs on both
-lanes).  Compiled objects are cached by source hash under
-``$REPRO_KERNEL_CACHE`` (default: a ``repro-kernels`` directory in the
-system temp dir), so each source revision compiles once per machine.
+identical ``fallback`` mask, and ``power`` to builtin ``pow`` (the
+equivalence suites run on both lanes).  Compiled objects are cached
+by source hash under ``$REPRO_KERNEL_CACHE`` (default: a
+``repro-kernels`` directory in the system temp dir), so each source
+revision compiles once per machine.
 """
 
 from __future__ import annotations
@@ -283,6 +291,138 @@ void walk_chunk(
         path_len[i] = (int32_t)(step + 1);
     }
 }
+
+/* ---- modexp: base^exp mod m for SchnorrGroup.power ------------------
+ * Fixed-width Montgomery arithmetic, R = 2^512 over 8 x 64-bit limbs,
+ * CIOS multiplication and a fixed 5-bit window.  Not constant-time:
+ * the window digits pick table rows and the final subtraction is a
+ * branch, which is fine for a simulator and wrong for real keys. */
+#define NL 8
+#define WINDOW 5
+typedef unsigned __int128 u128;
+
+/* x -= m when top * 2^512 + x >= m: the one reduction step that
+ * brings a value below 2m back below m. */
+static void reduce_once(uint64_t *x, uint64_t top, const uint64_t *m) {
+    int ge = top != 0;
+    if (!ge) {
+        ge = 1;
+        for (int j = NL - 1; j >= 0; j--) {
+            if (x[j] != m[j]) { ge = x[j] > m[j]; break; }
+        }
+    }
+    if (!ge) return;
+    uint64_t borrow = 0;
+    for (int j = 0; j < NL; j++) {
+        u128 d = (u128)x[j] - m[j] - borrow;
+        x[j] = (uint64_t)d;
+        borrow = (uint64_t)(d >> 64) & 1;
+    }
+}
+
+/* out = a * b / R mod m, for a, b < m; out may alias a or b. */
+static void mont_mul(uint64_t *out, const uint64_t *a, const uint64_t *b,
+                     const uint64_t *m, uint64_t m_inv) {
+    uint64_t t[NL + 2] = {0};
+    for (int i = 0; i < NL; i++) {
+        u128 c = 0;
+        for (int j = 0; j < NL; j++) {
+            c = (u128)a[j] * b[i] + t[j] + (uint64_t)(c >> 64);
+            t[j] = (uint64_t)c;
+        }
+        c = (u128)t[NL] + (uint64_t)(c >> 64);
+        t[NL] = (uint64_t)c;
+        t[NL + 1] = (uint64_t)(c >> 64);
+        uint64_t mu = t[0] * m_inv;
+        c = (u128)mu * m[0] + t[0];
+        for (int j = 1; j < NL; j++) {
+            c = (u128)mu * m[j] + t[j] + (uint64_t)(c >> 64);
+            t[j - 1] = (uint64_t)c;
+        }
+        c = (u128)t[NL] + (uint64_t)(c >> 64);
+        t[NL - 1] = (uint64_t)c;
+        t[NL] = t[NL + 1] + (uint64_t)(c >> 64);
+    }
+    reduce_once(t, t[NL], m);  /* t < 2m */
+    for (int j = 0; j < NL; j++) out[j] = t[j];
+}
+
+/* x = 2x mod m, for x < m. */
+static void mod_double(uint64_t *x, const uint64_t *m) {
+    uint64_t carry = 0;
+    for (int j = 0; j < NL; j++) {
+        uint64_t next = x[j] >> 63;
+        x[j] = (x[j] << 1) | carry;
+        carry = next;
+    }
+    reduce_once(x, carry, m);
+}
+
+static int bit_length(const uint64_t *x) {
+    for (int j = NL - 1; j >= 0; j--)
+        if (x[j]) return 64 * j + 64 - __builtin_clzll(x[j]);
+    return 0;
+}
+
+/* Bits [WINDOW * w, WINDOW * (w + 1)) of x. */
+static unsigned digit_at(const uint64_t *x, int w) {
+    int lo = w * WINDOW, limb = lo / 64, shift = lo % 64;
+    uint64_t bits = x[limb] >> shift;
+    if (shift > 64 - WINDOW && limb + 1 < NL)
+        bits |= x[limb + 1] << (64 - shift);
+    return (unsigned)(bits & ((1u << WINDOW) - 1));
+}
+
+static void load_limbs(uint64_t *x, const uint8_t *bytes) {
+    for (int j = 0; j < NL; j++) {
+        uint64_t v = 0;
+        for (int k = 7; k >= 0; k--) v = (v << 8) | bytes[8 * j + k];
+        x[j] = v;
+    }
+}
+
+/* out = base^exp mod m; all four are 64-byte little-endian buffers,
+ * base < m.  Returns -1 (out untouched) unless m is odd and > 1, as
+ * Montgomery reduction needs. */
+int modexp(uint8_t *out, const uint8_t *base_le, const uint8_t *exp_le,
+           const uint8_t *mod_le) {
+    uint64_t m[NL], e[NL], acc[NL];
+    load_limbs(m, mod_le);
+    load_limbs(e, exp_le);
+    int mbits = bit_length(m);
+    if (!(m[0] & 1) || mbits < 2) return -1;
+    /* -m^-1 mod 2^64 by Newton's iteration (m odd: 3 bits to 96). */
+    uint64_t inv = m[0];
+    for (int k = 0; k < 5; k++) inv *= 2 - m[0] * inv;
+    const uint64_t m_inv = (uint64_t)0 - inv;
+    /* R^2 mod m: double 2^(mbits-1) < m up to 2^513 = Mont(2), then
+     * square nine times to Mont(2^512) = R^2 mod m. */
+    uint64_t r2[NL] = {0};
+    r2[(mbits - 1) / 64] = (uint64_t)1 << ((mbits - 1) % 64);
+    for (int k = mbits - 1; k < 513; k++) mod_double(r2, m);
+    for (int k = 0; k < 9; k++) mont_mul(r2, r2, r2, m, m_inv);
+    uint64_t table[1 << WINDOW][NL];
+    uint64_t one[NL] = {1};
+    mont_mul(table[0], one, r2, m, m_inv);
+    load_limbs(acc, base_le);
+    mont_mul(table[1], acc, r2, m, m_inv);
+    for (int d = 2; d < (1 << WINDOW); d++)
+        mont_mul(table[d], table[d - 1], table[1], m, m_inv);
+    int ebits = bit_length(e);
+    int w = ebits ? (ebits - 1) / WINDOW : 0;
+    for (int j = 0; j < NL; j++) acc[j] = table[digit_at(e, w)][j];
+    while (w-- > 0) {
+        for (int k = 0; k < WINDOW; k++)
+            mont_mul(acc, acc, acc, m, m_inv);
+        unsigned digit = digit_at(e, w);
+        if (digit) mont_mul(acc, acc, table[digit], m, m_inv);
+    }
+    mont_mul(acc, acc, one, m, m_inv);
+    for (int j = 0; j < NL; j++)
+        for (int k = 0; k < 8; k++)
+            out[8 * j + k] = (uint8_t)(acc[j] >> (8 * k));
+    return 0;
+}
 """
 
 #: -O2 without fast-math; contraction off so a*b+c never fuses into an
@@ -328,6 +468,8 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_double, ctypes.c_double, ctypes.c_double,
     ] + pointer_args
     lib.walk_chunk.restype = None
+    lib.modexp.argtypes = [ctypes.c_void_p] * 4
+    lib.modexp.restype = ctypes.c_int
     return lib
 
 
@@ -370,12 +512,12 @@ def _compile() -> Optional[ctypes.CDLL]:
 
 
 def load_kernel() -> Optional[ctypes.CDLL]:
-    """The compiled walk kernel, or ``None`` when unavailable.
+    """The compiled object (``walk_chunk``, ``modexp``), or ``None``.
 
     ``None`` means: disabled via ``REPRO_NO_CKERNEL``, no C compiler
     on PATH, or the build failed -- the caller routes the whole wave
-    with the reference walk in every case.  The outcome (either way)
-    is memoised.
+    with the reference walk, and ``power`` calls builtin ``pow``, in
+    every case.  The outcome (either way) is memoised.
     """
     global _cached, _load_attempted
     if os.environ.get("REPRO_NO_CKERNEL"):

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import SPEED_OF_LIGHT_KM_S
+from repro.crypto import SCHNORR_GROUP
 from repro.orbits.constellation import Constellation, iridium, starlink
 from repro.orbits.propagator import make_propagator
 from repro.orbits.snapshot import grid_neighbor_table, snapshot_for
@@ -470,9 +471,21 @@ class TestBatchRouterMechanics:
         assert batch.result(0) == router.scalar.route(5, 0.3, 1.0, -30.0)
 
 
+def _assert_power_is_pow():
+    """``SchnorrGroup.power``, which shares the compiled object, still
+    answers exactly as builtin ``pow``, window edges included."""
+    group = SCHNORR_GROUP
+    p = group.p
+    for base, exponent in [(group.g, group.q), (p - 1, 2 ** 512 - 1),
+                           (group.generate(7), p - 1), (p + 5, 2 ** 512),
+                           (0, 0), (3, -1)]:
+        assert group.power(base, exponent) == pow(base, exponent, p)
+
+
 class TestKernelBuildFailureModes:
-    """Every way the compiled walk can be missing, exercised: the
-    plane keeps working and answers exactly as the reference walk."""
+    """Every way the compiled object can be missing, exercised: the
+    plane keeps working and answers exactly as the reference walk, and
+    ``SchnorrGroup.power`` exactly as builtin ``pow``."""
 
     @pytest.fixture
     def cache_dir(self, monkeypatch, tmp_path):
@@ -496,6 +509,7 @@ class TestKernelBuildFailureModes:
                      for s, la, lo in zip(src, lats, lons)]
         assert batch.fallback.tolist() == deflected
         assert any(deflected)
+        _assert_power_is_pow()
 
     def test_no_compiler(self, cache_dir, monkeypatch):
         monkeypatch.setattr(_walk_kernel, "_find_compiler", lambda: None)
@@ -635,6 +649,7 @@ class TestKernelHandOff:
 #: fill the 64-node buffer) to the reference walk.  Each star packet is
 #: its own one-packet wave, so its buffer row ends where the heap block
 #: does and a write past the row cannot land in a neighbour's row.
+#: Then hold the same object's ``modexp`` to ``pow``.
 _SANITIZED_CHILD = r"""
 from repro.topology import _walk_kernel
 _walk_kernel._CFLAGS = _walk_kernel._CFLAGS + [
@@ -670,7 +685,26 @@ for shell, dead, torn, packets, wave in [(starlink(), 40, 25, 400, 400),
                 90.0), lo + i
         flagged += int(batch.fallback.sum())
         longest = max(longest, int(batch.path_len.max()))
-print(flagged, longest, max(threads))
+# The same object's modexp, held to pow on random inputs and the
+# compiled window's edges, on both groups the crypto tests use.
+import random
+from repro.crypto import SCHNORR_GROUP
+from repro.crypto.group import SchnorrGroup
+rng = random.Random(34)
+checked = 0
+for group in (SCHNORR_GROUP, SchnorrGroup(p=23, q=11, g=4)):
+    p = group.p
+    bases = [0, 1, 2, p - 1, p, p + 1, 2 ** 512 - 1]
+    bases += [rng.randrange(2 ** 512) for _ in range(20)]
+    exponents = [0, 1, 31, 32, group.q, p - 1, 2 ** 511, 2 ** 512 - 1]
+    exponents += [rng.randrange(2 ** rng.randrange(1, 513))
+                  for _ in range(12)]
+    for base in bases:
+        for exponent in exponents:
+            assert group.power(base, exponent) == pow(base, exponent, p), (
+                base, exponent, p)
+            checked += 1
+print(flagged, longest, max(threads), checked)
 """
 
 
@@ -699,8 +733,8 @@ class TestKernelUnderSanitizers:
         """The compiled walk built with -fsanitize=address,undefined
         writes every flag site's prefix, fills the path buffer and
         routes a faulted wave, chunked across two threads, exactly like
-        the reference walk, with no out-of-bounds access and no
-        undefined behaviour."""
+        the reference walk, and its modexp answers like ``pow``, with
+        no out-of-bounds access and no undefined behaviour."""
         libasan = _sanitizer_runtimes()
         if libasan is None:
             pytest.skip("no C compiler or no ASan/UBSan runtime")
@@ -715,8 +749,9 @@ class TestKernelUnderSanitizers:
             [sys.executable, "-c", _SANITIZED_CHILD], cwd=repo, env=env,
             capture_output=True, text=True, timeout=120)
         assert child.returncode == 0, child.stderr[-3000:]
-        flagged, longest, threads = map(int, child.stdout.split())
+        flagged, longest, threads, powers = map(int, child.stdout.split())
         assert flagged > 0 and longest > 64 and threads >= 2
+        assert powers >= 500
 
 
 class TestDijkstraBatchAndInvalidation:
@@ -777,6 +812,7 @@ class TestEpochSweepEquivalence:
                                           epochs=5, seed=32)
         swept = router.route_sweep(src, lats, lons, ts)
         assert_sweep_bit_equal(swept, router.scalar, src, lats, lons, ts)
+        _assert_power_is_pow()
 
     @both_engines
     def test_sweep_shuffled_epochs(self, engine):

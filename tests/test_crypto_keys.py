@@ -1,8 +1,10 @@
 """Tests for the Schnorr group, signatures, and station-to-station DH."""
 
+import contextlib
 import dataclasses
 import pickle
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,15 +20,10 @@ from repro.crypto import (
     generate_keypair,
     issue_certificate,
 )
-from repro.crypto.group import (
-    _HOT_BASES,
-    _TABLE_AFTER_USES,
-    SchnorrGroup,
-    _base_slot,
-    _fixed_base_table,
-)
+from repro.crypto.group import SchnorrGroup, _fixed_base_table
 from repro.crypto.signatures import Certificate, SigningKey, VerifyKey
 from repro.crypto.sts import ResponderReply
+from repro.topology import _walk_kernel
 
 #: 4 has order 11 in Z_23^*: a one-row table next to the 64-row one.
 TOY_GROUP = SchnorrGroup(p=23, q=11, g=4)
@@ -152,99 +149,75 @@ class TestFixedBaseGenerate:
         clone = pickle.loads(pickle.dumps(vk))
         assert clone == vk and clone.verify(b"m", signature)
 
-        # ... nor does the per-base table ``power`` builds for a key
-        # that keeps verifying.
-        for _ in range(_TABLE_AFTER_USES + 1):
+        # ... nor does a key that keeps verifying on the compiled lane
+        # (builtin ``pow`` on a host without one).
+        for _ in range(10):
             assert vk.verify(b"m", signature)
-        assert _base_slot(group.p, vk.y)[1] is not None
         assert [len(pickle.dumps(obj)) for obj in (sk, vk, cert)] == fresh
 
 
+@contextlib.contextmanager
+def _lane(lane):
+    """Run ``power`` on one lane: the compiled ``modexp``, or what a
+    host without a compiler gets (``load_kernel`` answers ``None``)."""
+    if lane == "no-compiler":
+        with mock.patch.object(_walk_kernel, "load_kernel",
+                               lambda: None):
+            yield
+    elif _walk_kernel.load_kernel() is None:
+        pytest.skip("no compiled kernel on this host")
+    else:
+        yield
+
+
 def _bases(group):
-    """Members, non-residues, the degenerate residues and values that
-    ``pow`` reduces first."""
+    """Members, non-residues, the degenerate residues, values that
+    ``pow`` reduces first and values it refuses."""
     p = group.p
     member = st.integers(min_value=0, max_value=2 ** 520).map(group.generate)
     return st.one_of(
         member,
         member.map(lambda y: p - y),  # -1 is a non-residue mod p = 3 (4)
-        st.sampled_from([0, 1, 2, p - 1, p, p + 1, 2 * p - 1, -1, -p]),
+        st.sampled_from([0, 1, 2, p - 1, p, p + 1, 2 * p - 1, 2 ** 512,
+                         -1, -p, True, 2.0, None, "2"]),
         st.integers(min_value=-2 ** 520, max_value=2 ** 520))
 
 
 def _exponents(group):
     p, q = group.p, group.q
-    window = 1 << 8 * ((p.bit_length() + 7) // 8)
     return st.one_of(
-        st.sampled_from([0, 1, 2, q - 1, q, q + 1, p - 1, p,
-                         window - 1, window, 2 ** 600, -1, -q]),
+        st.sampled_from([0, 1, 2, 31, 32, q - 1, q, q + 1, p - 1, p,
+                         2 ** 512 - 1, 2 ** 512, 2 ** 600, -1, -q,
+                         1.0, None]),
         st.integers(min_value=-2 ** 600, max_value=2 ** 600))
 
 
-class TestCountedPowerTables:
-    """``power`` builds a table for a base it keeps seeing; builtin
-    ``pow`` is the oracle, errors included."""
+class TestCompiledPower:
+    """``power`` is builtin ``pow`` on both lanes, errors included."""
 
-    @staticmethod
-    def _assert_power_is_pow(group, base, exponent):
+    @pytest.mark.parametrize("group", [SCHNORR_GROUP, TOY_GROUP],
+                             ids=["schnorr", "toy"])
+    @pytest.mark.parametrize("lane", ["compiled", "no-compiler"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_power_is_pow(self, lane, group, data):
+        base = data.draw(_bases(group), label="base")
+        exponent = data.draw(_exponents(group), label="exponent")
         try:
             expected = pow(base, exponent, group.p)
-        except ValueError:  # negative power of a non-invertible base
-            with pytest.raises(ValueError):
+        except (TypeError, ValueError) as error:
+            # TypeError for a non-integer, ValueError for a negative
+            # power of a base with no inverse.
+            with _lane(lane), pytest.raises(type(error)):
                 group.power(base, exponent)
-        else:
+            return
+        with _lane(lane), mock.patch("repro.crypto.group.pow", create=True,
+                                     wraps=pow) as builtin:
             assert group.power(base, exponent) == expected
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_matches_pow_across_the_build_on_two_interleaved_groups(
-            self, data):
-        _base_slot.cache_clear()
-        groups = (SCHNORR_GROUP, TOY_GROUP)
-        bases = {group: data.draw(st.lists(_bases(group), min_size=1,
-                                           max_size=3)) for group in groups}
-        exponents = {group: _exponents(group) for group in groups}
-        for _ in range(_TABLE_AFTER_USES + 2):
-            for group in groups:
-                for base in bases[group]:
-                    self._assert_power_is_pow(
-                        group, base, data.draw(exponents[group]))
-        for group in groups:
-            assert _base_slot(group.p, bases[group][-1])[1] is not None
-
-    def test_one_shot_bases_never_build(self):
-        _base_slot.cache_clear()
-        group = SCHNORR_GROUP
-        for k in range(1, 40):
-            base = group.generate(k)
-            for e in range(_TABLE_AFTER_USES - 1):
-                self._assert_power_is_pow(group, base, group.q - e)
-            assert _base_slot(group.p, base) == [_TABLE_AFTER_USES - 1, None]
-        assert _base_slot.cache_info().currsize == _HOT_BASES
-
-    def test_more_hot_bases_than_slots_evict_and_rebuild(self):
-        _base_slot.cache_clear()
-        group = SCHNORR_GROUP
-        rng = random.Random(16)
-        hot = [group.generate(rng.randrange(group.q))
-               for _ in range(_HOT_BASES + 3)]
-        for sweep in range(2):
-            for base in hot:
-                # Evicted with its count: the second sweep starts over.
-                assert _base_slot(group.p, base) == [0, None]
-                for _ in range(_TABLE_AFTER_USES + 2):
-                    self._assert_power_is_pow(group, base,
-                                              rng.randrange(group.p))
-                assert _base_slot(group.p, base)[1] is not None
-        assert _base_slot.cache_info().currsize == _HOT_BASES
-        # Round-robin over more bases than slots: no base is ever seen
-        # twice inside the LRU, so nothing is built and all of it is pow.
-        _base_slot.cache_clear()
-        for _ in range(_TABLE_AFTER_USES + 2):
-            for base in hot:
-                self._assert_power_is_pow(group, base,
-                                          rng.randrange(group.p))
-        assert all(_base_slot(group.p, base)[1] is None for base in hot)
+        # The compiled window, exactly: integers, 0 <= exponent < 2**512.
+        compiled = (lane == "compiled" and type(base) is int
+                    and type(exponent) is int and 0 <= exponent < 2 ** 512)
+        assert builtin.called is not compiled
 
 
 class TestShareField:
