@@ -92,6 +92,14 @@ NAS_RETRY_BACKOFF_CAP_S = 30.0
 #: satellite dying and the UE declaring RLF and re-attaching (T310-ish).
 RLF_DETECTION_S = 1.0
 
+#: Per-wireless-hop message loss of the stateful baseline's home-routed
+#: flows, outside and inside a jamming window.
+PER_LINK_LOSS = 0.02
+JAMMED_LINK_LOSS = 0.5
+
+#: ISL hops a home-routed message crosses to reach the gateway.
+GATEWAY_PATH_HOPS = 6.0
+
 #: Satellite user-capacity sweep used throughout the evaluation (Fig. 10/20).
 SATELLITE_CAPACITIES = (2_000, 10_000, 20_000, 30_000)
 

@@ -22,7 +22,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..baselines.solutions import fiveg_ntn, spacecore
-from ..faults.failures import procedure_success_probability
+from ..constants import PER_LINK_LOSS
+from ..faults.failures import crossing_loss, procedure_success_probability
 from ..fiveg.messages import ProcedureKind
 from ..orbits.constellation import Constellation
 from ..orbits.groundstations import default_ground_stations
@@ -70,13 +71,12 @@ def gateway_reachability(constellation: Constellation,
 def availability_sweep(constellation: Constellation,
                        failure_fractions: Tuple[float, ...] = (
                            0.0, 0.025, 0.05, 0.1, 0.2),
-                       per_link_loss: float = 0.02,
-                       path_hops: float = 6.0,
                        seed: int = 0) -> List[AvailabilityPoint]:
     """Compare SpaceCore vs 5G NTN availability as failures mount.
 
-    ``per_link_loss`` is the per-wireless-hop message loss; messages
-    crossing to the ground traverse ``path_hops`` links.
+    Every wireless hop loses :data:`~repro.constants.PER_LINK_LOSS` of
+    messages; messages crossing to the ground ride the ISL path too
+    (:func:`~repro.faults.failures.crossing_loss`).
     """
     points: List[AvailabilityPoint] = []
     for fraction in failure_fractions:
@@ -87,11 +87,9 @@ def availability_sweep(constellation: Constellation,
             local = len(flow) - crossing
             # Local messages ride one radio hop; crossing messages ride
             # the radio hop plus the ISL path.
-            crossing_loss = 1.0 - (1.0 - per_link_loss) ** path_hops
-            survival = (procedure_success_probability(local,
-                                                      per_link_loss)
-                        * procedure_success_probability(crossing,
-                                                        crossing_loss))
+            survival = (procedure_success_probability(local, PER_LINK_LOSS)
+                        * procedure_success_probability(
+                            crossing, crossing_loss(PER_LINK_LOSS)))
             needs_gateway = crossing > 0
             availability = survival * (reach if needs_gateway else 1.0)
             points.append(AvailabilityPoint(

@@ -41,21 +41,24 @@ import networkx as nx
 from ..baselines.solutions import fiveg_ntn
 from ..constants import (
     INMARSAT_REGISTRATION_DELAY_S,
+    JAMMED_LINK_LOSS,
     NAS_MAX_ATTEMPTS,
     NAS_RETRY_BACKOFF_BASE_S,
     NAS_RETRY_BACKOFF_CAP_S,
     NAS_T3510_S,
+    PER_LINK_LOSS,
     RLF_DETECTION_S,
 )
 from ..core import ResilientSpaceCore, SpaceCoreSystem
 from ..faults.chaos import ChaosController, FaultKind, FaultSchedule
-from ..faults.failures import procedure_success_probability
+from ..faults.failures import crossing_loss, procedure_success_probability
 from ..fiveg.messages import ProcedureKind
 from ..fiveg.ue import UserEquipment
 from ..hardware.model import RASPBERRY_PI_4
 from ..hardware.queueing import procedure_latency
 from ..obs import MetricsRegistry, Tracer
 from ..orbits.constellation import Constellation, starlink
+from ..orbits.coordinates import central_angle
 from ..runtime.parallel import get_shared, run_sharded, seed_for
 from ..sim.engine import Simulator
 
@@ -94,11 +97,16 @@ def _require_positive(spec, *names: str) -> None:
 
 def _require_count(spec, name: str, minimum: int) -> None:
     """Reject a count or seed that is not an integer >= ``minimum``."""
-    value = getattr(spec, name)
+    _require_integer(f"{type(spec).__name__}.{name}", getattr(spec, name),
+                     minimum)
+
+
+def _require_integer(label: str, value, minimum: int) -> None:
+    """:func:`_require_count` for a value that is not a spec field."""
     if not (isinstance(value, numbers.Integral)
             and not isinstance(value, bool) and value >= minimum):
-        raise ValueError(f"{type(spec).__name__}.{name} must be an "
-                         f"integer >= {minimum}, got {value!r}")
+        raise ValueError(f"{label} must be an integer >= {minimum}, "
+                         f"got {value!r}")
 
 
 def _require_probability(spec, *names: str) -> None:
@@ -234,8 +242,8 @@ class ChaosScenario:
     """Knobs of one seeded churn run.
 
     Validated on construction, like the scenario specs that build it:
-    a NaN horizon, a loss probability above 1 or a zero sample
-    interval raises ``ValueError`` naming the field.
+    a NaN horizon, a negative seed or a zero sample interval raises
+    ``ValueError`` naming the field.
     """
 
     horizon_s: float = 3600.0
@@ -243,12 +251,6 @@ class ChaosScenario:
     n_ues: int = 24
     #: The fault processes :func:`build_schedule` composes.
     chaos: ChaosSpec = STOCK_CHURN
-    #: Per-wireless-hop message loss for the stateful baseline's
-    #: home-routed flows, outside and inside the jamming window.
-    per_link_loss: float = 0.02
-    jam_link_loss: float = 0.5
-    #: ISL hops a home-routed message crosses to reach the gateway.
-    path_hops: float = 6.0
     #: UE placement: (lat, lon) degree sites cycled over, jittered.
     #: None = the default hemisphere-ish spread below.
     ue_sites: Optional[Tuple[Tuple[float, float], ...]] = None
@@ -266,9 +268,7 @@ class ChaosScenario:
         _require_finite(self)
         _require_positive(self, "horizon_s", "sample_interval_s")
         _require_count(self, "n_ues", 1)
-        _require_non_negative(self, "path_hops", "ue_jitter_deg",
-                              "compute_load_per_s")
-        _require_probability(self, "per_link_loss", "jam_link_loss")
+        _require_non_negative(self, "ue_jitter_deg", "compute_load_per_s")
         _require_sites(self, "ue_sites")
         _require_count(self, "seed", 0)
 
@@ -522,12 +522,6 @@ class _StatefulBaseline:
         for supi in victims:
             self._reattach(supi, t, labels)
 
-    def _crossing_loss(self) -> float:
-        per_hop = (self.scenario.jam_link_loss
-                   if self.controller.jamming_active()
-                   else self.scenario.per_link_loss)
-        return 1.0 - (1.0 - per_hop) ** self.scenario.path_hops
-
     def _gateway_reachable(self, sat: int, t: float,
                            labels: Dict[int, int]) -> bool:
         """Whether ``sat`` shares a live-ISL component with a gateway.
@@ -554,11 +548,13 @@ class _StatefulBaseline:
         for attempt in range(NAS_MAX_ATTEMPTS):
             now = t + elapsed
             sat = self._serving_at(supi, now)
+            per_hop = (JAMMED_LINK_LOSS if self.controller.jamming_active()
+                       else PER_LINK_LOSS)
             survival = (
                 procedure_success_probability(self.local_messages,
-                                              self.scenario.per_link_loss)
+                                              PER_LINK_LOSS)
                 * procedure_success_probability(self.crossing_messages,
-                                                self._crossing_loss()))
+                                                crossing_loss(per_hop)))
             if (self._gateway_reachable(sat, now, labels)
                     and self.rng.random() < survival):
                 self.assignments[supi] = sat
@@ -607,14 +603,6 @@ def serving_blast_radius(system: SpaceCoreSystem, ues) -> Tuple[set, set]:
         blast_radius.update(system.topology.directional_neighbors(
             sat).values())
     return serving, blast_radius
-
-
-def _central_angle(lat1: float, lon1: float,
-                   lat2: float, lon2: float) -> float:
-    """Great-circle angle between two (radian) terrestrial points."""
-    cosine = (math.sin(lat1) * math.sin(lat2)
-              + math.cos(lat1) * math.cos(lat2) * math.cos(lon1 - lon2))
-    return math.acos(min(1.0, max(-1.0, cosine)))
 
 
 def build_schedule(chaos: ChaosSpec, system: SpaceCoreSystem, ues,
@@ -668,8 +656,8 @@ def build_schedule(chaos: ChaosSpec, system: SpaceCoreSystem, ues,
         stations = system.topology.ground_stations
         by_proximity = sorted(
             range(len(stations)),
-            key=lambda i: (_central_angle(lat, lon, stations[i].lat,
-                                          stations[i].lon), i))
+            key=lambda i: (central_angle(lat, lon, stations[i].lat,
+                                         stations[i].lon), i))
         count = max(1, math.ceil(chaos.gs_outage_fraction * len(stations)))
         schedule.add_ground_station_outage(
             sorted(by_proximity[:count]),
@@ -773,51 +761,53 @@ def run_chaos_availability(
 # Sharded Monte Carlo over seeds
 # ---------------------------------------------------------------------------
 
-def _chaos_trial(work) -> Tuple[Dict, Dict, List[Dict]]:
-    """One Monte Carlo shard: (JSON payload, metrics snapshot, spans).
+def _chaos_trial(scenario: ChaosScenario) -> ChaosAvailabilityResult:
+    """One Monte Carlo shard: an already-seeded run.
 
-    Module-level so worker processes can unpickle it; returns plain
-    data so the parent never needs live simulator objects back.  The
-    scenario and constellation ship once per worker via the shared
-    registry, so a task pickles two integers, not a topology.
+    Module-level so worker processes can unpickle it; the result is
+    plain data.  The constellation ships once per worker via the shared
+    registry, so a task pickles one small frozen scenario.
     """
-    trial, base_seed = work
-    scenario = get_shared("chaos:scenario")
-    constellation = get_shared("chaos:constellation")
-    trial_scenario = replace(
-        scenario, seed=seed_for(base_seed, f"chaos-trial:{trial}"))
-    result = run_chaos_availability(constellation, trial_scenario)
-    payload = result.to_json()
-    payload["trial"] = trial
-    return payload, result.metrics_snapshot, result.spans
+    return run_chaos_availability(get_shared("chaos:constellation"),
+                                  scenario)
+
+
+def run_seeded_trials(scenarios: List[ChaosScenario],
+                      constellation: Optional[Constellation], *,
+                      workers: Optional[int],
+                      label: str) -> List[ChaosAvailabilityResult]:
+    """Run already-seeded scenarios on the sharded runtime, in order.
+
+    The one dispatch of every chaos and scenario Monte Carlo: results
+    come back by list index, so the caller's artifact is identical for
+    any worker count.
+    """
+    return run_sharded(_chaos_trial, scenarios, workers=workers,
+                       shared={"chaos:constellation": constellation},
+                       label=label)
 
 
 @dataclass
 class ChaosMonteCarlo:
-    """Per-trial payloads plus the aggregate survival summary.
+    """Every trial's run plus the aggregate survival summary.
 
     The JSON form contains nothing about the execution medium (worker
     count, timing), so ``--workers 1`` and ``--workers N`` artifacts
-    compare bit-for-bit.  Each trial's metrics snapshot and sim-time
-    spans ride alongside, in trial order, outside :meth:`to_json`.
+    compare bit-for-bit.  Each run's metrics snapshot and sim-time
+    spans stay on its result, outside :meth:`to_json`.
     """
 
     base_seed: int
-    trials: List[Dict] = field(default_factory=list)
-    snapshots: List[Dict] = field(default_factory=list)
-    spans: List[List[Dict]] = field(default_factory=list)
+    results: List[ChaosAvailabilityResult] = field(default_factory=list)
 
     @property
     def n_trials(self) -> int:
-        return len(self.trials)
-
-    def _finals(self, system: str) -> List[float]:
-        return [t["curves"][f"{system}_survival"][-1]
-                for t in self.trials if t["curves"][f"{system}_survival"]]
+        return len(self.results)
 
     def summary(self) -> Dict:
         """Across-trial aggregates of the survival story."""
-        sc, base = self._finals("spacecore"), self._finals("baseline")
+        sc = [r.final_spacecore_survival for r in self.results]
+        base = [r.final_baseline_survival for r in self.results]
         return {
             "n_trials": self.n_trials,
             "spacecore_mean_survival": sum(sc) / len(sc) if sc else 0.0,
@@ -825,12 +815,9 @@ class ChaosMonteCarlo:
             "baseline_mean_survival": (sum(base) / len(base)
                                        if base else 0.0),
             "baseline_min_survival": min(base) if base else 0.0,
-            "spacecore_lost": sum(t["lost_sessions"]["spacecore"]
-                                  for t in self.trials),
-            "baseline_lost": sum(t["lost_sessions"]["baseline"]
-                                 for t in self.trials),
-            "faults_injected": sum(len(t["fault_log"])
-                                   for t in self.trials),
+            "spacecore_lost": sum(r.spacecore_lost for r in self.results),
+            "baseline_lost": sum(r.baseline_lost for r in self.results),
+            "faults_injected": sum(len(r.fault_log) for r in self.results),
         }
 
     def to_json(self) -> Dict:
@@ -838,7 +825,8 @@ class ChaosMonteCarlo:
         return {
             "base_seed": self.base_seed,
             "summary": self.summary(),
-            "trials": self.trials,
+            "trials": [{**result.to_json(), "trial": trial}
+                       for trial, result in enumerate(self.results)],
         }
 
 
@@ -849,21 +837,18 @@ def run_chaos_trials(n_trials: int = 8, base_seed: int = 0,
     """Monte Carlo churn: ``n_trials`` independent seeded runs.
 
     Trial ``k`` runs the scenario with seed
-    ``seed_for(base_seed, "chaos-trial:k")`` -- derivation happens
-    identically whether the trials execute serially or sharded across
-    a process pool, and results are assembled by trial index, so the
+    ``seed_for(base_seed, "chaos-trial:k")``, derived in the parent
+    before dispatch, and results are assembled by trial index, so the
     artifact is bit-identical for any worker count.
     """
-    if n_trials < 1:
-        raise ValueError("need at least one trial")
+    _require_integer("n_trials", n_trials, 1)
     scenario = scenario if scenario is not None else ChaosScenario()
-    work = [(trial, base_seed) for trial in range(n_trials)]
-    shards = run_sharded(_chaos_trial, work, workers=workers,
-                         shared={"chaos:scenario": scenario,
-                                 "chaos:constellation": constellation},
-                         label="chaos.monte_carlo")
-    trials, snapshots, spans = (list(column) for column in zip(*shards))
-    return ChaosMonteCarlo(base_seed, trials, snapshots, spans)
+    scenarios = [replace(scenario,
+                         seed=seed_for(base_seed, f"chaos-trial:{trial}"))
+                 for trial in range(n_trials)]
+    return ChaosMonteCarlo(base_seed, run_seeded_trials(
+        scenarios, constellation, workers=workers,
+        label="chaos.monte_carlo"))
 
 
 def write_chaos_report(

@@ -56,12 +56,13 @@ def chaos_observability(n_trials: int = 1, base_seed: int = 0,
         "experiment": "chaos",
         "base_seed": base_seed,
         "n_trials": n_trials,
-        "snapshot": merge_snapshots(mc.snapshots),
-        "per_trial": [{"trial": trial, "snapshot": snapshot}
-                      for trial, snapshot in enumerate(mc.snapshots)],
+        "snapshot": merge_snapshots([r.metrics_snapshot
+                                     for r in mc.results]),
+        "per_trial": [{"trial": trial, "snapshot": r.metrics_snapshot}
+                      for trial, r in enumerate(mc.results)],
         "trace": [{**span, "attrs": {**span["attrs"], "trial": trial}}
-                  for trial, spans in enumerate(mc.spans)
-                  for span in spans],
+                  for trial, r in enumerate(mc.results)
+                  for span in r.spans],
     }
 
 

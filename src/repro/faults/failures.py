@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..constants import STARLINK_FAILURE_FRACTION
+from ..constants import GATEWAY_PATH_HOPS, STARLINK_FAILURE_FRACTION
 
 
 @dataclass(frozen=True)
@@ -122,3 +122,9 @@ def procedure_success_probability(message_count: int,
         raise ValueError("counts must be non-negative")
     p_message = 1.0 - per_message_loss ** (retries + 1)
     return p_message ** message_count
+
+
+def crossing_loss(per_hop_loss: float) -> float:
+    """Loss of one message crossing the ISL path to the gateway: it
+    must survive all :data:`~repro.constants.GATEWAY_PATH_HOPS` hops."""
+    return 1.0 - (1.0 - per_hop_loss) ** GATEWAY_PATH_HOPS

@@ -1,12 +1,15 @@
 """Scenario execution: spec -> sharded trials -> canonical artifact.
 
 One :class:`~repro.scenarios.spec.ScenarioSpec` runs as a seeded
-Monte Carlo on the sharded runtime: trial ``k`` derives its seed with
-:func:`~repro.runtime.parallel.seed_for` from the spec's base seed, so
-the derivation is identical whether trials execute serially or across
-a process pool.  Each trial carries its own
-:class:`~repro.obs.metrics.MetricsRegistry`; the parent merges the
-per-trial snapshots **in trial order** with
+Monte Carlo through the chaos experiment's one trial worker
+(:func:`~repro.experiments.chaos_availability.run_seeded_trials`):
+the parent derives trial ``k``'s seed with
+:func:`~repro.runtime.parallel.seed_for` from the spec's base seed
+before dispatch, so the derivation cannot depend on the execution
+medium.  Each trial carries its own
+:class:`~repro.obs.metrics.MetricsRegistry`; the parent projects each
+run onto its artifact payload and merges the per-trial snapshots
+**in trial order** with
 :func:`~repro.obs.metrics.merge_snapshots` and evaluates the SLO
 budget over across-trial aggregates.  The resulting artifact is
 canonical sorted JSON with no trace of the execution medium -- the
@@ -22,12 +25,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..experiments.chaos_availability import (
+    ChaosAvailabilityResult,
     build_schedule,
-    run_chaos_availability,
+    run_seeded_trials,
 )
 from ..obs import merge_snapshots
 from ..orbits.constellation import by_name
-from ..runtime.parallel import get_shared, run_sharded, seed_for
+from ..runtime.parallel import seed_for
 from .slo import SLOReport, evaluate_slos, percentile
 from .spec import ScenarioSpec
 
@@ -39,7 +43,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Sharded trial execution
+# Trial payloads
 # ---------------------------------------------------------------------------
 
 def _fault_digest(fault_keys: List[Tuple]) -> str:
@@ -50,19 +54,8 @@ def _fault_digest(fault_keys: List[Tuple]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _scenario_trial(work: int) -> Dict:
-    """One seeded scenario trial (module-level: workers unpickle it).
-
-    The spec and pre-built constellation ship once per worker through
-    the shared-object registry; the task itself pickles one integer.
-    """
-    trial = work
-    spec: ScenarioSpec = get_shared("scenario:spec")
-    constellation = get_shared("scenario:constellation")
-    seed = seed_for(spec.base_seed, f"scenario:{spec.name}:trial:{trial}")
-    result = run_chaos_availability(constellation,
-                                    spec.chaos_scenario(seed))
-
+def _scenario_trial(trial: int, result: ChaosAvailabilityResult) -> Dict:
+    """Trial ``trial``'s artifact payload, projected from its run."""
     fault_kinds: Dict[str, int] = {}
     for key in result.fault_log:
         kind = key[1]
@@ -74,7 +67,7 @@ def _scenario_trial(work: int) -> Dict:
 
     payload = {
         "trial": trial,
-        "seed": seed,
+        "seed": result.scenario.seed,
         "final_survival": {
             "spacecore": result.final_spacecore_survival,
             "baseline": result.final_baseline_survival,
@@ -175,10 +168,12 @@ def run_scenario(spec: ScenarioSpec,
     count, so ``run_scenario(spec, 1)`` and ``run_scenario(spec, 8)``
     produce byte-identical artifacts.
     """
-    constellation = by_name(spec.constellation)
-    trials = run_sharded(
-        _scenario_trial, list(range(spec.n_trials)), workers=workers,
-        shared={"scenario:spec": spec,
-                "scenario:constellation": constellation},
-        label=f"scenario.{spec.name}")
-    return ScenarioResult(spec=spec, trials=trials)
+    scenarios = [spec.chaos_scenario(seed_for(
+        spec.base_seed, f"scenario:{spec.name}:trial:{trial}"))
+        for trial in range(spec.n_trials)]
+    results = run_seeded_trials(scenarios, by_name(spec.constellation),
+                                workers=workers,
+                                label=f"scenario.{spec.name}")
+    return ScenarioResult(spec=spec, trials=[
+        _scenario_trial(trial, result)
+        for trial, result in enumerate(results)])

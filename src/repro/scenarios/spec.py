@@ -27,6 +27,7 @@ from ..experiments.chaos_availability import (
     ChaosSpec,
     PacketProbeSpec,
     _require_finite,
+    _require_count,
     _require_non_negative,
     _require_positive,
     _require_sites,
@@ -49,8 +50,7 @@ class PopulationSpec:
 
     def __post_init__(self) -> None:
         _require_finite(self)
-        if self.n_ues < 1:
-            raise ValueError("population needs at least one UE")
+        _require_count(self, "n_ues", 1)
         _require_non_negative(self, "jitter_deg", "compute_load_per_s")
         _require_sites(self, "sites")
 
@@ -81,8 +81,8 @@ class ScenarioSpec:
             raise ValueError("scenario name must be a non-empty slug")
         _require_finite(self)
         _require_positive(self, "horizon_s", "sample_interval_s")
-        if self.n_trials < 1:
-            raise ValueError("scenario needs at least one trial")
+        _require_count(self, "n_trials", 1)
+        _require_count(self, "base_seed", 0)
 
     def chaos_scenario(self, seed: int) -> ChaosScenario:
         """The seeded per-trial knob set the chaos experiment runs.

@@ -415,16 +415,12 @@ class TestSpecValidation:
         ("jam_start_s", -1.0),
         ("jam_stop_s", float("inf")),
         ("jam_radius_km", -1.0),
-        ("per_link_loss", 1.5),
-        ("per_link_loss", float("nan")),
-        ("jam_link_loss", -0.1),
-        ("path_hops", -6.0),
-        ("ue_sites", ((95.0, 0.0),)),
-        ("ue_sites", ((0.0, float("nan")),)),
         ("ue_jitter_deg", float("-inf")),
         ("compute_load_per_s", -150.0),
         ("seed", -1),
         ("seed", 2.5),
+        ("ue_sites", ((95.0, 0.0),)),
+        ("ue_sites", ((0.0, float("nan")),)),
     ])
     def test_chaos_scenario_rejects(self, field, value):
         # Fault knobs live on the scenario's ChaosSpec.
@@ -456,8 +452,7 @@ class TestSpecValidation:
         from repro.experiments.chaos_availability import PacketProbeSpec
         from repro.scenarios import CATALOG
         calm = replace(STOCK_CHURN, repair_delay_s=None, jam_radius_km=0.0)
-        assert ChaosScenario(chaos=calm, per_link_loss=1.0,
-                             seed=np.int64(3)).seed == 3
+        assert ChaosScenario(chaos=calm, seed=np.int64(3)).seed == 3
         assert PacketProbeSpec(packets=np.int64(5), t_s=0.0).packets == 5
         for spec in CATALOG.values():
             spec.chaos_scenario(spec.base_seed)

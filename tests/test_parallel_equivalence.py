@@ -33,6 +33,7 @@ from repro.baselines.solutions import ALL_SOLUTIONS
 from repro.experiments.chaos_availability import (
     STOCK_CHURN,
     ChaosScenario,
+    PacketProbeSpec,
     run_chaos_trials,
 )
 from repro.experiments.cpu import fig7_cpu_breakdown, fig8_latency_sweep
@@ -97,11 +98,11 @@ class TestChaosEquivalence:
     def test_fault_logs_identical_per_trial(self, serial_monte_carlo):
         sharded = run_chaos_trials(n_trials=3, base_seed=5,
                                    scenario=_SCENARIO, workers=3)
-        for serial_trial, sharded_trial in zip(serial_monte_carlo.trials,
-                                               sharded.trials):
-            assert serial_trial["fault_log"] == sharded_trial["fault_log"]
-            assert serial_trial["spacecore_outcomes"] == \
-                sharded_trial["spacecore_outcomes"]
+        for serial_trial, sharded_trial in zip(serial_monte_carlo.results,
+                                               sharded.results):
+            assert serial_trial.fault_log == sharded_trial.fault_log
+            assert serial_trial.spacecore_outcomes == \
+                sharded_trial.spacecore_outcomes
 
     def test_distinct_base_seeds_diverge(self, serial_monte_carlo):
         other = run_chaos_trials(n_trials=3, base_seed=6,
@@ -110,8 +111,7 @@ class TestChaosEquivalence:
 
     def test_trial_seeds_are_derived_not_sequential(self,
                                                     serial_monte_carlo):
-        seeds = [t["scenario"]["seed"]
-                 for t in serial_monte_carlo.trials]
+        seeds = [r.scenario.seed for r in serial_monte_carlo.results]
         assert len(set(seeds)) == 3
         assert seeds != [5, 6, 7]
 
@@ -183,9 +183,16 @@ class TestSweepEquivalence:
 
 
 class TestScenarioEquivalence:
-    def test_scenario_artifact_bit_identical(self):
-        serial = run_scenario(TINY, workers=1).artifact_json()
-        assert run_scenario(TINY, workers=2).artifact_json() == serial
+    @pytest.mark.parametrize("spec", [
+        TINY,
+        replace(TINY, packet_probe=PacketProbeSpec(packets=64)),
+    ], ids=["tiny", "tiny-probe"])
+    def test_scenario_artifact_bit_identical(self, spec):
+        serial = run_scenario(spec, workers=1).artifact_json()
+        assert run_scenario(spec, workers=2).artifact_json() == serial
+        shipped = [("packet_probe" in trial)
+                   for trial in json.loads(serial)["trials"]]
+        assert shipped == [spec.packet_probe is not None] * spec.n_trials
 
 
 class TestPlannerAutoEquivalence:
@@ -225,8 +232,6 @@ EQUIVALENCE_CASES = {
     "repro.experiments.signaling._sweep_point":
         "TestSweepEquivalence."
         "test_signaling_sweep_identical_across_worker_counts",
-    "repro.scenarios.engine._scenario_trial":
-        "TestScenarioEquivalence.test_scenario_artifact_bit_identical",
 }
 
 

@@ -19,6 +19,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.experiments import run_chaos_trials
 from repro.orbits import starlink
 from repro.scenarios import (
     CATALOG,
@@ -125,6 +126,13 @@ class TestCatalogIntegrity:
         (ChaosSpec, "compute_stop_s", float("inf")),
         (ChaosSpec, "compute_factor", float("nan")),
         (ChaosSpec, "compute_fraction", float("nan")),
+        (ScenarioSpec, "n_trials", 2.5),
+        (ScenarioSpec, "n_trials", True),
+        (ScenarioSpec, "base_seed", 1.5),
+        (ScenarioSpec, "base_seed", -1),
+        (PopulationSpec, "n_ues", 2.5),
+        (run_chaos_trials, "n_trials", True),
+        (run_chaos_trials, "n_trials", 2.5),
     ])
     def test_spec_rejects_non_finite_and_impossible(self, cls, field,
                                                     value):
