@@ -20,7 +20,6 @@ See DESIGN.md "Static analysis & invariants" for the rule catalogue,
 suppression syntax, and how to add a rule.
 """
 
-from .baseline import BASELINE_FILENAME, Baseline
 from .core import Finding, ModuleInfo, ProjectContext, Rule
 from .registry import all_rules, get_rules, register
 from .reporting import JSON_SCHEMA_VERSION, build_report
@@ -28,8 +27,6 @@ from .runner import AnalysisResult, analyze, default_target, lint_main
 
 __all__ = [
     "AnalysisResult",
-    "BASELINE_FILENAME",
-    "Baseline",
     "Finding",
     "JSON_SCHEMA_VERSION",
     "ModuleInfo",

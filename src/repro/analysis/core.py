@@ -61,22 +61,13 @@ MUTABLE_CONSTRUCTOR_TAILS = frozenset({
 
 @dataclass
 class Finding:
-    """One rule violation at one source location.
-
-    ``fingerprint`` is content-addressed (rule, relative path,
-    message, and an occurrence ordinal) so baselines survive unrelated
-    line drift; it is filled in by the runner after all rules have
-    reported.
-    """
+    """One rule violation at one source location."""
 
     rule: str
     path: str
     line: int
     message: str
-    fingerprint: str = ""
-    baselined: bool = False
-    #: Filled by the runner from the producing rule; not part of the
-    #: fingerprint, so re-tagging a rule never churns baselines.
+    #: Filled by the runner from the producing rule.
     severity: str = "error"
 
     def to_dict(self) -> Dict[str, object]:
@@ -86,8 +77,6 @@ class Finding:
             "path": self.path,
             "line": self.line,
             "message": self.message,
-            "fingerprint": self.fingerprint,
-            "baselined": self.baselined,
             "severity": self.severity,
         }
 

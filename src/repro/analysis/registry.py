@@ -4,8 +4,8 @@ Adding a rule is three steps (see DESIGN.md "Static analysis &
 invariants"): subclass :class:`~repro.analysis.core.Rule` in one of
 the ``rules_*`` modules (or a new one), decorate it with
 :func:`register`, and -- if you created a new module -- import it from
-:data:`RULE_MODULES` below.  The CLI, the baseline machinery, and the
-self-test all discover rules exclusively through this registry.
+:data:`RULE_MODULES` below.  The CLI and the self-test discover rules
+exclusively through this registry.
 """
 
 from __future__ import annotations

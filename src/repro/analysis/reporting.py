@@ -5,23 +5,20 @@ uploads it as an artifact so a failing gate can be diagnosed without
 re-running the analyzer::
 
     {
-      "version": 2,
+      "version": 3,
       "root": "<analysis root>",
       "files_checked": 103,
       "rules": ["cache-key-unhashable", ...],
       "findings": [
         {"rule": "...", "path": "...", "line": 1, "message": "...",
-         "fingerprint": "...", "baselined": false,
          "severity": "error"},
         ...
       ],
-      "stale_baseline": [<baseline entries that matched nothing>],
-      "summary": {"total": 0, "new": 0, "baselined": 0,
-                  "suppressed": 0, "stale_baseline": 0}
+      "summary": {"total": 0, "suppressed": 0}
     }
 
 Exit-code contract (tested in ``tests/test_analysis_cli.py``): 0 when
-no *new* findings, 1 otherwise.
+there are no findings, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -31,32 +28,26 @@ from typing import Dict, List, Sequence
 
 from .core import Finding
 
-#: v2 added per-finding ``severity`` (error | warning).
-JSON_SCHEMA_VERSION = 2
+#: v2 added per-finding ``severity`` (error | warning); v3 dropped the
+#: baseline (``fingerprint``, ``baselined``, ``stale_baseline``).
+JSON_SCHEMA_VERSION = 3
 
 
 def build_report(root: str, files_checked: int,
                  rule_ids: Sequence[str],
-                 new: Sequence[Finding],
-                 baselined: Sequence[Finding],
-                 suppressed: int,
-                 stale: Sequence[Dict[str, object]]
-                 ) -> Dict[str, object]:
+                 findings: Sequence[Finding],
+                 suppressed: int) -> Dict[str, object]:
     """The canonical result document both reporters render."""
-    findings = sorted(list(new) + list(baselined), key=Finding.sort_key)
+    ordered = sorted(findings, key=Finding.sort_key)
     return {
         "version": JSON_SCHEMA_VERSION,
         "root": root,
         "files_checked": files_checked,
         "rules": list(rule_ids),
-        "findings": [f.to_dict() for f in findings],
-        "stale_baseline": list(stale),
+        "findings": [f.to_dict() for f in ordered],
         "summary": {
-            "total": len(findings),
-            "new": len(new),
-            "baselined": len(baselined),
+            "total": len(ordered),
             "suppressed": suppressed,
-            "stale_baseline": len(stale),
         },
     }
 
@@ -73,21 +64,12 @@ def render_text(report: Dict[str, object]) -> str:
     findings = report["findings"]
     assert isinstance(findings, list)
     for entry in findings:
-        tag = " (baselined)" if entry["baselined"] else ""
         lines.append(f"{entry['path']}:{entry['line']}: "
-                     f"[{entry['rule']}]{tag} {entry['message']}")
-    stale = report["stale_baseline"]
-    assert isinstance(stale, list)
-    for entry in stale:
-        lines.append(f"stale baseline entry: {entry['path']}:"
-                     f"{entry['line']} [{entry['rule']}] -- fixed? "
-                     f"run --write-baseline to expire it")
+                     f"[{entry['rule']}] {entry['message']}")
     summary = report["summary"]
     assert isinstance(summary, dict)
     lines.append(
         f"{report['files_checked']} files checked: "
-        f"{summary['new']} new finding(s), "
-        f"{summary['baselined']} baselined, "
-        f"{summary['suppressed']} suppressed inline, "
-        f"{summary['stale_baseline']} stale baseline entr(ies)")
+        f"{summary['total']} finding(s), "
+        f"{summary['suppressed']} suppressed inline")
     return "\n".join(lines) + "\n"

@@ -63,7 +63,7 @@ SEEDABLE_CONSTRUCTORS = frozenset({
 #: the PYTHONHASHSEED reproducibility bug.
 SEED_SINK_TAILS = frozenset({
     "Random", "RandomState", "default_rng", "SeedSequence", "seed",
-    "seed_for", "shard_seeds",
+    "seed_for",
 })
 
 #: Wall-clock reads that must not appear in simulated code.  The

@@ -36,7 +36,7 @@ from .registry import register
 
 #: Legacy NFs modelling the stateful baseline (Fig. 9 left-hand side).
 STATEFUL_BASELINE_CLASSES = frozenset({
-    "Amf", "Ausf", "Smf", "Udm", "Udsf", "Upf", "Pcf",
+    "Amf", "Ausf", "Smf", "Udm", "Upf", "Pcf",
 })
 
 #: Attribute or annotation vocabulary that marks state as per-UE.

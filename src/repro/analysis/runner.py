@@ -1,22 +1,20 @@
-"""Analyzer driver: collect files, run rules, gate on the baseline.
+"""Analyzer driver: collect files, run rules, gate on any finding.
 
 ``analyze`` is the library entry point (the self-test calls it
 directly); ``lint_main`` is the ``repro lint`` subcommand.  The root
 against which paths are reported is found by walking up from the
 first analyzed path to the directory holding ``pyproject.toml`` (or
-``.git``), so fingerprints and scopes are stable no matter where the
-command is invoked from.
+``.git``), so reported paths and rule scopes are stable no matter
+where the command is invoked from.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .baseline import BASELINE_FILENAME, Baseline
 from .core import Finding, ModuleInfo, ProjectContext, Rule
 from .registry import get_rules
 from .reporting import build_report, render_json, render_text
@@ -97,23 +95,6 @@ def load_module(path: Path, root: Path) -> Tuple[Optional[ModuleInfo],
     return ModuleInfo(path, relpath, source, tree), None
 
 
-def _finalize(findings: List[Finding]) -> List[Finding]:
-    """Sort and fingerprint findings (content-addressed, drift-proof)."""
-    findings.sort(key=Finding.sort_key)
-    seen: Dict[Tuple[str, str, str], int] = {}
-    for finding in findings:
-        # Keyed on (rule, path, message, ordinal) -- not the line
-        # number -- so a baseline survives edits elsewhere in the file.
-        key = (finding.rule, finding.path, finding.message)
-        ordinal = seen.get(key, 0)
-        seen[key] = ordinal + 1
-        digest = hashlib.sha256(
-            f"{finding.rule}|{finding.path}|{finding.message}|{ordinal}"
-            .encode()).hexdigest()
-        finding.fingerprint = digest[:16]
-    return findings
-
-
 def analyze(paths: Sequence[Path], root: Optional[Path] = None,
             rules: Optional[Sequence[Rule]] = None) -> AnalysisResult:
     """Run the rule set over the given files/directories."""
@@ -146,7 +127,7 @@ def analyze(paths: Sequence[Path], root: Optional[Path] = None,
                     result.suppressed += 1
                 else:
                     findings.append(finding)
-    result.findings = _finalize(findings)
+    result.findings = sorted(findings, key=Finding.sort_key)
     return result
 
 
@@ -157,9 +138,6 @@ def analyze(paths: Sequence[Path], root: Optional[Path] = None,
 def lint_main(paths: Sequence[str], *,
               format: str = "text",
               output: Optional[str] = None,
-              baseline_path: Optional[str] = None,
-              no_baseline: bool = False,
-              write_baseline: bool = False,
               rule_ids: Optional[Sequence[str]] = None,
               list_rules: bool = False) -> int:
     """Everything behind ``repro lint``; returns the exit code."""
@@ -183,22 +161,10 @@ def lint_main(paths: Sequence[str], *,
         targets, root = default_target()
 
     result = analyze(targets, root=root, rules=rules)
-
-    baseline_file = (Path(baseline_path) if baseline_path
-                     else result.root / BASELINE_FILENAME)
-    baseline = Baseline(path=baseline_file) if no_baseline \
-        else Baseline.load(baseline_file)
-
-    if write_baseline:
-        written = baseline.write(result.findings, baseline_file)
-        print(f"wrote {len(result.findings)} finding(s) to {written}")
-        return 0
-
-    new, baselined, stale = baseline.partition(result.findings)
     report = build_report(
         root=str(result.root), files_checked=result.files_checked,
-        rule_ids=[rule.id for rule in rules], new=new,
-        baselined=baselined, suppressed=result.suppressed, stale=stale)
+        rule_ids=[rule.id for rule in rules], findings=result.findings,
+        suppressed=result.suppressed)
     rendered = render_json(report) if format == "json" \
         else render_text(report)
     if output:
@@ -206,4 +172,4 @@ def lint_main(paths: Sequence[str], *,
         print(f"wrote {output}")
     else:
         print(rendered, end="")
-    return 1 if new else 0
+    return 1 if result.findings else 0

@@ -217,9 +217,6 @@ def _cmd_lint(args) -> int:
         args.paths,
         format=args.format,
         output=args.output,
-        baseline_path=args.baseline,
-        no_baseline=args.no_baseline,
-        write_baseline=args.write_baseline,
         rule_ids=(args.rules.split(",") if args.rules else None),
         list_rules=args.list_rules,
     )
@@ -472,14 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--output", default=None,
                              help="write the report here instead of "
                                   "stdout (CI uploads this artifact)")
-            sub.add_argument("--baseline", default=None,
-                             help="baseline file (default: "
-                                  "lint-baseline.json at the repo root)")
-            sub.add_argument("--no-baseline", action="store_true",
-                             help="report every finding as new")
-            sub.add_argument("--write-baseline", action="store_true",
-                             help="accept current findings into the "
-                                  "baseline (stale entries expire)")
             sub.add_argument("--rules", default=None,
                              help="comma-separated rule ids to run")
             sub.add_argument("--list-rules", action="store_true")

@@ -1,8 +1,7 @@
 """SpaceCore: the paper's primary contribution (S4-S5).
 
 Stateless satellite core proxies, the terrestrial home state
-authority, geospatial mobility management, and the assembled
-:class:`SpaceCoreSystem`.
+authority, and the assembled :class:`SpaceCoreSystem`.
 """
 
 from .edge import EdgeRequestResult, OrbitalEdgeService
@@ -12,12 +11,6 @@ from .integration import (
     AccessDomain,
     IntegratedAccessManager,
     TerrestrialBaseStation,
-)
-from .mobility import (
-    GeospatialMobilityManager,
-    MobilityAction,
-    MobilityDecision,
-    MobilityEvent,
 )
 from .robustness import ProcedureOutcome, ResilientSpaceCore
 from .satellite import (
@@ -32,8 +25,6 @@ __all__ = [
     "SpaceCoreHome",
     "AccessDecision", "AccessDomain", "IntegratedAccessManager",
     "TerrestrialBaseStation",
-    "GeospatialMobilityManager", "MobilityAction", "MobilityDecision",
-    "MobilityEvent",
     "ProcedureOutcome", "ResilientSpaceCore",
     "FallbackRequired", "ServedSession", "SpaceCoreSatellite",
     "DownlinkResult", "SpaceCoreSystem",

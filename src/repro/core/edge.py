@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..geo.population import PopulationGrid
 from ..orbits.coverage import footprint_radius_km, serving_satellite
@@ -98,14 +98,6 @@ class OrbitalEdgeService:
                 chosen.append(sat)
         self._replicas = set(chosen)
         return chosen
-
-    def place_on(self, satellites: Sequence[int]) -> None:
-        """Pin replicas to an explicit satellite set."""
-        self._replicas = set(satellites)
-
-    @property
-    def replicas(self) -> List[int]:
-        return sorted(self._replicas)
 
     # -- serving -----------------------------------------------------------------------
 

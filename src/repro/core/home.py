@@ -97,11 +97,6 @@ class SpaceCoreHome:
         ue.replica = self._wrap(bundle, ue, now)
         return session
 
-    def ue_abe_key(self, ue: UserEquipment) -> abe.AbePrivateKey:
-        """The UE's own attribute key (pre-stored in the SIM)."""
-        return abe.keygen(self.core.abe_master,
-                          ("role:ue", f"supi:{ue.supi}"))
-
     def _wrap(self, bundle: SessionState, ue: UserEquipment,
               now: float) -> StateReplica:
         serialized = bundle.to_bytes()
@@ -129,28 +124,6 @@ class SpaceCoreHome:
         ue.store_replica(self._wrap(updated, ue, now))
         self.state_updates_pushed += 1
         return updated
-
-    def handle_cell_crossing(self, ue: UserEquipment, session_id: int,
-                             new_cell: CellId,
-                             now: float = 0.0) -> SessionState:
-        """The *rare* UE-driven mobility registration (S4.3).
-
-        The home re-allocates the geospatial address for the new cell,
-        possibly updates QoS/billing for the new location's policies,
-        and re-delegates the refreshed bundle.
-        """
-        session = self.core.smf.reallocate_address(session_id, new_cell)
-        ue.ip_address = session.address.to_ipv6()
-        context = self.core.amf.update_tracking_area(ue.supi, new_cell)
-        bundle = build_state_bundle(session, context,
-                                    new_cell).bump_version()
-        # Keep the version monotonic past any earlier updates.
-        if ue.replica is not None and bundle.version <= ue.replica.version:
-            bundle = dataclasses.replace(
-                bundle, version=ue.replica.version + 1)
-        ue.store_replica(self._wrap(bundle, ue, now))
-        self.state_updates_pushed += 1
-        return bundle
 
     # -- pass-through helpers -----------------------------------------------------------
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from ..geo.cells import GeospatialCellGrid
 from ..orbits.coverage import footprint_area_km2
@@ -27,36 +26,6 @@ DEFAULT_DRX_CYCLE_S = 1.28
 
 #: Paging occasions per DRX cycle.
 OCCASIONS_PER_CYCLE = 4
-
-
-@dataclass(frozen=True)
-class PagingOccasion:
-    """When a given UE listens for pages."""
-
-    cycle_s: float
-    offset_s: float
-
-    def next_after(self, now_s: float) -> float:
-        """The first listening instant at or after ``now_s``."""
-        if now_s <= self.offset_s:
-            return self.offset_s
-        cycles = math.ceil((now_s - self.offset_s) / self.cycle_s)
-        return self.offset_s + cycles * self.cycle_s
-
-
-def occasion_for(ue_suffix: int,
-                 drx_cycle_s: float = DEFAULT_DRX_CYCLE_S
-                 ) -> PagingOccasion:
-    """Derive a UE's paging occasion from its identity (TS 38.304).
-
-    Deterministic hashing of the UE suffix spreads UEs across the
-    cycle's occasions, exactly like the standard's UE_ID mod N rule.
-    """
-    if ue_suffix < 0:
-        raise ValueError("UE suffix must be non-negative")
-    slot = ue_suffix % OCCASIONS_PER_CYCLE
-    offset = slot * (drx_cycle_s / OCCASIONS_PER_CYCLE)
-    return PagingOccasion(drx_cycle_s, offset)
 
 
 @dataclass(frozen=True)
@@ -102,27 +71,3 @@ def geospatial_cell_cost(grid: GeospatialCellGrid) -> PagingCost:
     satellites = max(1.0, avg_cell / footprint)
     return PagingCost("geospatial-cell", satellites,
                       min(avg_cell, footprint * satellites))
-
-
-class PagingTransaction:
-    """One network-initiated reach attempt for an idle UE."""
-
-    def __init__(self, ue_suffix: int,
-                 drx_cycle_s: float = DEFAULT_DRX_CYCLE_S):
-        self.occasion = occasion_for(ue_suffix, drx_cycle_s)
-        self.attempts = 0
-        self.answered_at: Optional[float] = None
-
-    def page(self, now_s: float, ue_reachable: bool,
-             response_delay_s: float = 0.02) -> Optional[float]:
-        """Page at ``now_s``; returns the answer time or None.
-
-        The page is transmitted at the UE's next occasion; a reachable
-        UE answers one radio round trip later.
-        """
-        self.attempts += 1
-        if not ue_reachable:
-            return None
-        listen_at = self.occasion.next_after(now_s)
-        self.answered_at = listen_at + response_delay_s
-        return self.answered_at

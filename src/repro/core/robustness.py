@@ -59,21 +59,25 @@ class ProcedureOutcome:
                 self.completed, self.abandoned)
 
 
+def nas_backoff_s(attempt: int) -> float:
+    """Bounded exponential backoff after failed NAS attempt ``attempt``.
+
+    The one retry schedule of both cores: SpaceCore's
+    :class:`ResilientSpaceCore` and the stateful baseline of the chaos
+    experiments wait the same, so their comparison is fair by
+    construction.
+    """
+    return min(NAS_RETRY_BACKOFF_BASE_S * (2.0 ** attempt),
+               NAS_RETRY_BACKOFF_CAP_S)
+
+
 class ResilientSpaceCore:
     """Timer-and-retry front end over a :class:`SpaceCoreSystem`."""
 
     def __init__(self, system: SpaceCoreSystem,
-                 max_attempts: int = NAS_MAX_ATTEMPTS,
-                 backoff_base_s: float = NAS_RETRY_BACKOFF_BASE_S,
-                 backoff_cap_s: float = NAS_RETRY_BACKOFF_CAP_S,
                  metrics: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None):
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
         self.system = system
-        self.max_attempts = max_attempts
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
         #: Optional observability: per-procedure attempt/latency series
         #: and one trace span per timed procedure, all on simulated
         #: time (``started_at`` .. ``started_at + total_delay_s``).
@@ -90,10 +94,6 @@ class ResilientSpaceCore:
         """Make the wrapper responsible for this UE's recovery."""
         self._ues[str(ue.supi)] = ue
 
-    def _backoff(self, attempt: int) -> float:
-        return min(self.backoff_base_s * (2.0 ** attempt),
-                   self.backoff_cap_s)
-
     # -- the retry loop -----------------------------------------------------------
 
     def _run_with_retries(self, procedure: str, supi: str, t: float,
@@ -108,12 +108,12 @@ class ResilientSpaceCore:
         """
         elapsed = 0.0
         detail = ""
-        for attempt in range(self.max_attempts):
+        for attempt in range(NAS_MAX_ATTEMPTS):
             try:
                 result = attempt_fn(t + elapsed)
             except (FallbackRequired, ProcedureError) as exc:
                 detail = str(exc)
-                elapsed += guard_timer_s + self._backoff(attempt)
+                elapsed += guard_timer_s + nas_backoff_s(attempt)
                 continue
             outcome = ProcedureOutcome(
                 procedure, supi, t, attempt + 1, elapsed,
@@ -121,7 +121,7 @@ class ResilientSpaceCore:
             self._record_outcome(outcome)
             return result, outcome
         outcome = ProcedureOutcome(
-            procedure, supi, t, self.max_attempts, elapsed,
+            procedure, supi, t, NAS_MAX_ATTEMPTS, elapsed,
             completed=False, abandoned=True, detail=detail)
         self._record_outcome(outcome)
         return None, outcome
@@ -196,7 +196,7 @@ class ResilientSpaceCore:
         ``recover_from_satellite_failure`` returning None (nothing
         live covers the UE right now) is a retriable condition -- the
         constellation moves, so a later attempt may see coverage.
-        Abandonment after ``max_attempts`` is a lost session.
+        Abandonment after ``NAS_MAX_ATTEMPTS`` is a lost session.
         """
         self.track(ue)
 
@@ -239,10 +239,6 @@ class ResilientSpaceCore:
     def outcome_keys(self) -> List[Tuple]:
         """Serialisable outcome log (the reproducibility contract)."""
         return [outcome.key() for outcome in self.outcomes]
-
-    def abandoned_count(self) -> int:
-        """Procedures given up after exhausting the retry budget."""
-        return sum(1 for o in self.outcomes if o.abandoned)
 
     def session_alive(self, ue: UserEquipment) -> bool:
         """Whether the UE currently holds a served session somewhere."""

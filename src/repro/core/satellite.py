@@ -165,15 +165,6 @@ class SpaceCoreSatellite:
         if served is not None:
             self.upf.remove_rule(served.state.identifiers.tunnel_id)
 
-    def release_all(self) -> None:
-        """Drop every served session (e.g. on decommission)."""
-        for supi in list(self._served):
-            self.release_session(supi)
-
-    def is_serving(self, supi: str) -> bool:
-        """Whether this satellite currently serves the subscriber."""
-        return supi in self._served
-
     @property
     def served_count(self) -> int:
         return len(self._served)

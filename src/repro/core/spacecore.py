@@ -30,7 +30,6 @@ from ..orbits.propagator import make_propagator
 from ..topology.grid import GridTopology
 from ..topology.routing import GeospatialRouter, RouteResult
 from .home import SpaceCoreHome
-from .mobility import GeospatialMobilityManager, MobilityDecision
 from .satellite import FallbackRequired, ServedSession, SpaceCoreSatellite
 
 CellId = Tuple[int, int]
@@ -61,7 +60,6 @@ class SpaceCoreSystem:
         self.router = GeospatialRouter(self.topology)
         self.grid = GeospatialCellGrid(constellation)
         self.home = SpaceCoreHome(plmn=plmn)
-        self.mobility = GeospatialMobilityManager(self.grid)
         self.bus = SignalingBus()
         self._satellites: Dict[int, SpaceCoreSatellite] = {}
         # Radio-layer attachment bookkeeping: which satellite a UE is
@@ -69,9 +67,6 @@ class SpaceCoreSystem:
         # with the radio session and is rebuilt from coverage geometry
         # on re-attach, never migrated (S4.3).
         self._ue_serving_sat: Dict[str, int] = {}  # repro: ignore[stateful-nf] -- ephemeral RAN attachment, rebuilt from geometry
-        # The *terrestrial home's* session registry (Fig. 14: the home
-        # is stateful by design; only satellites are stateless).
-        self._ue_session_bundle: Dict[str, int] = {}  # repro: ignore[stateful-nf] -- home-side registry; the home is terrestrial and stateful
         self._next_msin = 1
 
     # -- construction helpers ---------------------------------------------------------
@@ -129,9 +124,7 @@ class SpaceCoreSystem:
                  home_cell: Optional[CellId] = None):
         """C1: authenticate with the home and receive the state replica."""
         ue_cell = self.cell_of(ue)
-        session = self.home.register(ue, home_cell or ue_cell, ue_cell, t)
-        self._ue_session_bundle[str(ue.supi)] = session.session_id
-        return session
+        return self.home.register(ue, home_cell or ue_cell, ue_cell, t)
 
     def establish_session(self, ue: UserEquipment, t: float = 0.0,
                           allow_fallback: bool = False) -> ServedSession:
@@ -275,19 +268,3 @@ class SpaceCoreSystem:
                 return sat
         ue.connected = False
         return None
-
-    # -- mobility events ---------------------------------------------------------------------
-
-    def ue_moved(self, ue: UserEquipment, new_lat_deg: float,
-                 new_lon_deg: float, t: float = 0.0) -> MobilityDecision:
-        """Handle UE motion; runs the home registration on cell crossing."""
-        new_lat = math.radians(new_lat_deg)
-        new_lon = math.radians(new_lon_deg)
-        decision = self.mobility.on_ue_move(ue.lat, ue.lon, new_lat,
-                                            new_lon)
-        ue.move_to(new_lat, new_lon)
-        if decision.action.value == "home-mobility-registration":
-            session_id = self._ue_session_bundle[str(ue.supi)]
-            self.home.handle_cell_crossing(
-                ue, session_id, self.grid.cell_of(new_lat, new_lon), t)
-        return decision

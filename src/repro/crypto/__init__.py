@@ -12,7 +12,6 @@ from .abe import (
     AbeMasterKey,
     AbePrivateKey,
     AbePublicParams,
-    can_decrypt,
     decrypt,
     encrypt,
     keygen,
@@ -23,9 +22,7 @@ from .access_tree import (
     Leaf,
     and_,
     attr,
-    k_of,
     or_,
-    policy_attributes,
     satisfies,
     serving_satellite_policy,
 )
@@ -47,10 +44,10 @@ from .sts import (
 
 __all__ = [
     "AbeCiphertext", "AbeDecryptionError", "AbeError", "AbeMasterKey",
-    "AbePrivateKey", "AbePublicParams", "can_decrypt", "decrypt", "encrypt",
+    "AbePrivateKey", "AbePublicParams", "decrypt", "encrypt",
     "keygen", "setup",
-    "Gate", "Leaf", "and_", "attr", "k_of", "or_", "policy_attributes",
-    "satisfies", "serving_satellite_policy",
+    "Gate", "Leaf", "and_", "attr", "or_", "satisfies",
+    "serving_satellite_policy",
     "SCHNORR_GROUP", "SchnorrGroup", "ShareField",
     "Certificate", "SigningKey", "VerifyKey", "generate_keypair",
     "issue_certificate",

@@ -252,8 +252,3 @@ def decrypt(key: AbePrivateKey, ciphertext: AbeCiphertext) -> bytes:
         raise AbeDecryptionError("integrity check failed")
     return _xor(ciphertext.payload,
                 _keystream(payload_key, b"payload", len(ciphertext.payload)))
-
-
-def can_decrypt(key: AbePrivateKey, ciphertext: AbeCiphertext) -> bool:
-    """Policy check without touching the payload."""
-    return ciphertext.policy.satisfies(key.attributes)

@@ -15,7 +15,7 @@ inside the ABE ciphertext.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Set, Union
+from typing import FrozenSet, Iterable, Union
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,6 @@ class Leaf:
     def satisfies(self, attributes: FrozenSet[str]) -> bool:
         """Whether the attribute set meets this node."""
         return self.attribute in attributes
-
-    def leaves(self) -> List["Leaf"]:
-        """All attribute leaves under this node."""
-        return [self]
 
     def describe(self) -> str:
         """Human-readable rendering of the (sub)policy."""
@@ -56,13 +52,6 @@ class Gate:
         """Whether the attribute set meets this node."""
         hits = sum(child.satisfies(attributes) for child in self.children)
         return hits >= self.threshold
-
-    def leaves(self) -> List[Leaf]:
-        """All attribute leaves under this node."""
-        found: List[Leaf] = []
-        for child in self.children:
-            found.extend(child.leaves())
-        return found
 
     def describe(self) -> str:
         """Human-readable rendering of the (sub)policy."""
@@ -92,19 +81,9 @@ def or_(*children: PolicyNode) -> Gate:
     return Gate(1, tuple(children))
 
 
-def k_of(k: int, *children: PolicyNode) -> Gate:
-    """At least ``k`` children must be satisfied."""
-    return Gate(k, tuple(children))
-
-
 def satisfies(policy: PolicyNode, attributes: Iterable[str]) -> bool:
     """Whether an attribute set satisfies a policy tree."""
     return policy.satisfies(frozenset(attributes))
-
-
-def policy_attributes(policy: PolicyNode) -> Set[str]:
-    """All attribute names mentioned by the policy."""
-    return {leaf.attribute for leaf in policy.leaves()}
 
 
 def policy_to_json(policy: PolicyNode):

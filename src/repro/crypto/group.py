@@ -230,10 +230,6 @@ class ShareField:
         return (a + b) % cls.prime
 
     @classmethod
-    def mul(cls, a: int, b: int) -> int:
-        return (a * b) % cls.prime
-
-    @classmethod
     def inv(cls, a: int) -> int:
         if a % cls.prime == 0:
             raise ZeroDivisionError("no inverse of zero")

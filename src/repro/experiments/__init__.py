@@ -7,7 +7,6 @@ artifact to its module and its report section.
 
 from .availability import (
     AvailabilityPoint,
-    availability_gap,
     availability_sweep,
     gateway_reachability,
 )
@@ -31,7 +30,6 @@ from .cpu import (
     FIG8_RATES,
     LatencyPoint,
     fig7_cpu_breakdown,
-    fig7_saturation_rate,
     fig8_latency_sweep,
 )
 from .leakage import LeakageStudy, fig19_study, final_hijack_leaks
@@ -51,7 +49,6 @@ from .prototype import (
     FIG17_RATES,
     PrototypePoint,
     fig17_sweep,
-    session_latency_comparison,
     solution_cpu_percent,
     solution_latency_s,
 )
@@ -69,7 +66,6 @@ from .report import generate_report, write_report
 from .sensitivity import (
     ScalingPoint,
     SensitivityPoint,
-    by_parameter,
     constellation_scaling,
     sensitivity_sweep,
     worst_case_reduction,
@@ -90,7 +86,6 @@ from .temporal import (
 )
 from .state_footprint import (
     StateFootprint,
-    durable_vs_ephemeral,
     footprint_comparison,
     satellite_state_footprint,
 )
@@ -98,12 +93,11 @@ from .userlevel import (
     StallResult,
     fig21_comparison,
     satellite_pass_impact,
-    stall_summary,
     tcp_recovery_time_s,
 )
 
 __all__ = [
-    "AvailabilityPoint", "availability_gap", "availability_sweep",
+    "AvailabilityPoint", "availability_sweep",
     "gateway_reachability",
     "GatewayConcentration", "deadline_violation_factor",
     "gateway_concentration", "registration_delay_cdf",
@@ -111,10 +105,10 @@ __all__ = [
     "SurvivalSample", "run_chaos_availability", "run_chaos_trials",
     "write_chaos_report",
     "FIG7_RATES", "FIG8_RATES", "LatencyPoint", "fig7_cpu_breakdown",
-    "fig7_saturation_rate", "fig8_latency_sweep",
+    "fig8_latency_sweep",
     "LeakageStudy", "fig19_study", "final_hijack_leaks",
     "FIG17_RATES", "PrototypePoint", "fig17_sweep",
-    "session_latency_comparison", "solution_cpu_percent",
+    "solution_cpu_percent",
     "solution_latency_s",
     "RelayComparison", "RelaySweepStats", "RelayTrial",
     "compare_ideal_vs_j4", "relay_router",
@@ -123,15 +117,15 @@ __all__ = [
     "mean_hops_to_ground", "reduction_factors", "signaling_load", "sweep",
     "TemporalSample", "load_variation", "satellite_ground_track_load",
     "StallResult", "fig21_comparison", "satellite_pass_impact",
-    "stall_summary", "tcp_recovery_time_s",
+    "tcp_recovery_time_s",
     "chaos_observability", "cohort_observability",
     "write_metrics_snapshot", "write_trace_jsonl",
     "generate_report", "write_report",
     "ServiceAreaChurn", "fig11_comparison", "geospatial_area_churn",
     "logical_area_churn",
-    "ScalingPoint", "SensitivityPoint", "by_parameter",
+    "ScalingPoint", "SensitivityPoint",
     "constellation_scaling", "sensitivity_sweep",
     "worst_case_reduction",
-    "StateFootprint", "durable_vs_ephemeral", "footprint_comparison",
+    "StateFootprint", "footprint_comparison",
     "satellite_state_footprint",
 ]

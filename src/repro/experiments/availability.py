@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -100,14 +100,3 @@ def availability_sweep(constellation: Constellation,
                 availability=availability,
             ))
     return points
-
-
-def availability_gap(points: List[AvailabilityPoint]
-                     ) -> Dict[float, float]:
-    """SpaceCore's availability advantage at each failure level."""
-    by_level: Dict[float, Dict[str, float]] = {}
-    for point in points:
-        by_level.setdefault(point.failure_fraction, {})[
-            point.solution] = point.availability
-    return {level: values["SpaceCore"] - values["5G NTN"]
-            for level, values in by_level.items()}

@@ -43,13 +43,12 @@ from ..constants import (
     INMARSAT_REGISTRATION_DELAY_S,
     JAMMED_LINK_LOSS,
     NAS_MAX_ATTEMPTS,
-    NAS_RETRY_BACKOFF_BASE_S,
-    NAS_RETRY_BACKOFF_CAP_S,
     NAS_T3510_S,
     PER_LINK_LOSS,
     RLF_DETECTION_S,
 )
 from ..core import ResilientSpaceCore, SpaceCoreSystem
+from ..core.robustness import nas_backoff_s
 from ..faults.chaos import ChaosController, FaultKind, FaultSchedule
 from ..faults.failures import crossing_loss, procedure_success_probability
 from ..fiveg.messages import ProcedureKind
@@ -565,9 +564,7 @@ class _StatefulBaseline:
                         "baseline", self.controller.min_compute_factor(),
                         self.scenario.compute_load_per_s))
                 return
-            backoff = min(NAS_RETRY_BACKOFF_BASE_S * (2.0 ** attempt),
-                          NAS_RETRY_BACKOFF_CAP_S)
-            elapsed += NAS_T3510_S + backoff
+            elapsed += NAS_T3510_S + nas_backoff_s(attempt)
         self.alive[supi] = False
         self.assignments.pop(supi, None)
         self.lost += 1

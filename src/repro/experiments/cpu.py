@@ -58,18 +58,6 @@ def fig7_cpu_breakdown(platform: HardwarePlatform,
                        label="cpu.fig7")
 
 
-def fig7_saturation_rate(platform: HardwarePlatform,
-                         max_rate: int = 2000) -> int:
-    """The registration rate at which the platform saturates."""
-    option = option4_all_functions()
-    for rate in range(10, max_rate + 1, 10):
-        breakdown = cpu_breakdown(platform, rate / 2.0,
-                                  _REGISTRATION_FLOW, option.on_board)
-        if breakdown.saturated:
-            return rate
-    return max_rate
-
-
 @dataclass(frozen=True)
 class LatencyPoint:
     """One Fig. 8 sample."""

@@ -17,7 +17,7 @@ Latency composes three M/M/1-style stages:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..baselines.base import Solution
 from ..baselines.solutions import ALL_SOLUTIONS
@@ -145,14 +145,3 @@ def fig17_sweep(rates: Sequence[int] = FIG17_RATES,
                 points.append(PrototypePoint(
                     solution.name, kind, rate, latency, cpu, saturated))
     return points
-
-
-def session_latency_comparison(rate_per_s: int = 300
-                               ) -> Dict[str, float]:
-    """The S6.2 headline: per-solution session-establishment latency."""
-    return {
-        factory().name: solution_latency_s(
-            factory(), ProcedureKind.SESSION_ESTABLISHMENT,
-            rate_per_s)[0]
-        for factory in ALL_SOLUTIONS
-    }

@@ -58,15 +58,6 @@ class RelayComparison:
     mean_delay_j4_ms: Optional[float]
     max_extra_delay_ms: float
 
-    @property
-    def delays_similar(self) -> bool:
-        """The paper's headline: J4 tracks ideal closely on average."""
-        if self.mean_delay_ideal_ms is None \
-                or self.mean_delay_j4_ms is None:
-            return False
-        return abs(self.mean_delay_j4_ms
-                   - self.mean_delay_ideal_ms) < 25.0
-
 
 def relay_times(samples: int, horizon_s: float = 5700.0) -> List[float]:
     """The exact departure epochs the relay pipeline samples.

@@ -92,15 +92,6 @@ def worst_case_reduction(points: Sequence[SensitivityPoint]) -> float:
     return min(p.reduction_vs_ntn for p in points)
 
 
-def by_parameter(points: Sequence[SensitivityPoint]
-                 ) -> Dict[str, List[SensitivityPoint]]:
-    """Group sensitivity points by the perturbed parameter."""
-    grouped: Dict[str, List[SensitivityPoint]] = {}
-    for point in points:
-        grouped.setdefault(point.parameter, []).append(point)
-    return grouped
-
-
 # ---------------------------------------------------------------------------
 # Constellation-size scaling
 # ---------------------------------------------------------------------------

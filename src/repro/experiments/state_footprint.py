@@ -13,7 +13,7 @@ authentication vector), not guesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..baselines.base import ACTIVE_FRACTION, Solution, StateResidency
 from ..baselines.solutions import ALL_SOLUTIONS
@@ -78,21 +78,3 @@ def footprint_comparison(capacity: int = 30_000,
     return [satellite_state_footprint(factory(), capacity,
                                       total_subscribers)
             for factory in ALL_SOLUTIONS]
-
-
-def durable_vs_ephemeral(capacity: int = 30_000,
-                         total_subscribers: int = 100_000_000
-                         ) -> Dict[str, str]:
-    """Classify each design's storage as durable or ephemeral.
-
-    Durable state survives the radio session and is what a hijacker
-    harvests; ephemeral state evaporates on release.
-    """
-    classes = {}
-    for factory in ALL_SOLUTIONS:
-        solution = factory()
-        if solution.state_residency is StateResidency.NONE:
-            classes[solution.name] = "ephemeral"
-        else:
-            classes[solution.name] = "durable"
-    return classes

@@ -19,7 +19,7 @@ at the first retransmission after connectivity returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..baselines.base import Solution
 from ..baselines.solutions import ALL_SOLUTIONS
@@ -104,10 +104,3 @@ def fig21_comparison(rate_per_s: int = 100) -> List[StallResult]:
     """All five solutions' user-level stalls (Fig. 21a)."""
     return [satellite_pass_impact(factory(), rate_per_s)
             for factory in ALL_SOLUTIONS]
-
-
-def stall_summary(results: List[StallResult]) -> Dict[str, Dict[str, float]]:
-    """Per-solution stall metrics as a plain nested dict."""
-    return {r.solution: {"tcp": r.tcp_stall_s, "ping": r.ping_stall_s,
-                         "reset": float(r.connection_reset)}
-            for r in results}

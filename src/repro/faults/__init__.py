@@ -5,7 +5,6 @@ from .chaos import (
     FaultEvent,
     FaultKind,
     FaultSchedule,
-    LinkChannelModel,
 )
 from .attacks import (
     HijackScenario,
@@ -25,7 +24,6 @@ from .failures import (
 
 __all__ = [
     "ChaosController", "FaultEvent", "FaultKind", "FaultSchedule",
-    "LinkChannelModel",
     "HijackScenario", "JammingAttack", "hijack_initial_leak",
     "hijack_leak_rate",
     "hijack_leak_series", "mitm_comparison", "mitm_leak_rate",

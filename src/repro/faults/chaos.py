@@ -13,9 +13,7 @@ the SpaceCore control plane) must survive them live:
 * :class:`ChaosController` registers the schedule on a simulator,
   applies each event to a :class:`~repro.topology.grid.GridTopology`
   (bumping its ``fault_epoch``), keeps an append-only fault log, and
-  notifies subscribers (e.g. the SpaceCore recovery machinery);
-* :class:`LinkChannelModel` gives the packet layer an independent
-  Gilbert-Elliott channel per ISL with deterministic per-link seeds.
+  notifies subscribers (e.g. the SpaceCore recovery machinery).
 
 Everything is seeded: the same (schedule parameters, seed) pair yields
 a bit-identical fault log on every run -- the property the chaos
@@ -31,7 +29,6 @@ from enum import Enum
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -435,46 +432,3 @@ class ChaosController:
         if not active:
             return 1.0
         return min(active.values())
-
-
-class LinkChannelModel:
-    """Per-ISL Gilbert-Elliott channels for the packet layer.
-
-    Channels are created lazily with deterministic per-link seeds, so
-    loss patterns are reproducible regardless of which links a workload
-    happens to exercise first.  Every :meth:`frame_lost` call advances
-    that link's burst process by one sample step.
-    """
-
-    def __init__(self, seed: int = 0, p_good_to_bad: float = 0.01,
-                 p_bad_to_good: float = 0.2, fer_good: float = 0.001,
-                 fer_bad: float = 0.35):
-        self.seed = seed
-        self.p_good_to_bad = p_good_to_bad
-        self.p_bad_to_good = p_bad_to_good
-        self.fer_good = fer_good
-        self.fer_bad = fer_bad
-        self._channels: Dict[FrozenSet[int], GilbertElliottChannel] = {}
-
-    def channel(self, sat_a: int, sat_b: int) -> GilbertElliottChannel:
-        """The (lazily created) burst channel of one undirected link."""
-        key = frozenset((sat_a, sat_b))
-        chan = self._channels.get(key)
-        if chan is None:
-            chan = GilbertElliottChannel(
-                p_good_to_bad=self.p_good_to_bad,
-                p_bad_to_good=self.p_bad_to_good,
-                fer_good=self.fer_good, fer_bad=self.fer_bad,
-                seed=_link_seed(self.seed, sat_a, sat_b))
-            self._channels[key] = chan
-        return chan
-
-    def frame_lost(self, sat_a: int, sat_b: int) -> bool:
-        """Advance the link's burst process one step and sample a frame."""
-        chan = self.channel(sat_a, sat_b)
-        chan.step()
-        return chan.frame_lost()
-
-    def in_burst(self, sat_a: int, sat_b: int) -> bool:
-        """Whether the link is currently inside a bad-state burst."""
-        return self.channel(sat_a, sat_b).in_bad_state

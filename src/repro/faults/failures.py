@@ -91,11 +91,6 @@ class GilbertElliottChannel:
                 self.in_bad_state = True
         return self.fer_bad if self.in_bad_state else self.fer_good
 
-    def frame_lost(self) -> bool:
-        """Sample one frame at the current state."""
-        fer = self.fer_bad if self.in_bad_state else self.fer_good
-        return self._rng.random() < fer
-
     def series(self, steps: int) -> List[float]:
         """A FER time series (the Fig. 13b trace)."""
         return [self.step() for _ in range(steps)]

@@ -19,8 +19,6 @@ from .messages import (
     Role,
     SESSION_ESTABLISHMENT_FLOW,
     SPACECORE_FLOWS,
-    flow_size_bytes,
-    security_carrying_messages,
 )
 from .procedures import (
     ProcedureError,
@@ -45,7 +43,7 @@ __all__ = [
     "CoreNetwork", "SatelliteCredentials",
     "Guti", "GutiAllocator", "Plmn", "Suci", "Supi",
     "LEGACY_FLOWS", "SPACECORE_FLOWS", "MessageTemplate", "ProcedureKind",
-    "Role", "flow_size_bytes", "security_carrying_messages",
+    "Role",
     "INITIAL_REGISTRATION_FLOW", "SESSION_ESTABLISHMENT_FLOW",
     "HANDOVER_FLOW", "MOBILITY_REGISTRATION_FLOW",
     "ProcedureError", "ProcedureRunner", "SpaceCoreRegistrar",

@@ -60,8 +60,3 @@ class SignalingBus:
         if procedure is None:
             return len(self.messages)
         return sum(1 for m in self.messages if m.procedure == procedure)
-
-    def reset(self) -> None:
-        """Clear the message log and the accumulated latency."""
-        self.messages.clear()
-        self.elapsed_s = 0.0

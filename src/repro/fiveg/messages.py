@@ -260,14 +260,3 @@ SPACECORE_FLOWS: Dict[ProcedureKind, List[MessageTemplate]] = {
     ProcedureKind.MOBILITY_REGISTRATION:
         SPACECORE_MOBILITY_REGISTRATION_FLOW,
 }
-
-
-def flow_size_bytes(flow: List[MessageTemplate]) -> int:
-    """Total bytes a procedure moves."""
-    return sum(m.size_bytes for m in flow)
-
-
-def security_carrying_messages(flow: List[MessageTemplate]
-                               ) -> List[MessageTemplate]:
-    """Messages exposing S5 in flight (Fig. 19's MITM vector)."""
-    return [m for m in flow if m.carries_security]

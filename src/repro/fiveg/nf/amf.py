@@ -39,9 +39,7 @@ class Amf:
         self.ausf = ausf
         self._guti_allocator = GutiAllocator(plmn, amf_id, rng)
         self._contexts: Dict[str, UeContext] = {}
-        self._by_tmsi: Dict[int, str] = {}
         self.registrations = 0
-        self.mobility_updates = 0
         self.paging_requests = 0
 
     # -- registration (C1) ---------------------------------------------------
@@ -58,60 +56,14 @@ class Amf:
         )
         old = self._contexts.get(str(supi))
         if old is not None:
-            self._by_tmsi.pop(old.guti.tmsi, None)
             self._guti_allocator.release(old.guti)
         self._contexts[str(supi)] = context
-        self._by_tmsi[guti.tmsi] = str(supi)
         self.registrations += 1
         return context
-
-    def deregister(self, supi: Supi) -> None:
-        """Drop a UE's registration context and recycle its GUTI."""
-        context = self._contexts.pop(str(supi), None)
-        if context is not None:
-            self._by_tmsi.pop(context.guti.tmsi, None)
-            self._guti_allocator.release(context.guti)
 
     def context(self, supi: Supi) -> Optional[UeContext]:
         """The registration context for a SUPI, if registered."""
         return self._contexts.get(str(supi))
-
-    def context_by_tmsi(self, tmsi: int) -> Optional[UeContext]:
-        """Resolve a 5G-TMSI to its registration context."""
-        supi_str = self._by_tmsi.get(tmsi)
-        return self._contexts.get(supi_str) if supi_str else None
-
-    @property
-    def registered_count(self) -> int:
-        return len(self._contexts)
-
-    # -- mobility (C3/C4) ----------------------------------------------------------
-
-    def update_tracking_area(self, supi: Supi,
-                             tracking_area: Tuple[int, int]) -> UeContext:
-        """C4: mobility registration update into this AMF's area."""
-        context = self._require(supi)
-        context.tracking_area = tracking_area
-        self.mobility_updates += 1
-        return context
-
-    def transfer_context_from(self, other: "Amf", supi: Supi) -> UeContext:
-        """P16: pull the UE context from the old AMF, which deletes it."""
-        source = other.context(supi)
-        if source is None:
-            raise KeyError(f"{other.name} has no context for {supi}")
-        migrated = UeContext(
-            supi=source.supi,
-            guti=self._guti_allocator.allocate(),
-            tracking_area=source.tracking_area,
-            k_amf=source.k_amf,
-            session_ids=list(source.session_ids),
-        )
-        other.deregister(supi)
-        self._contexts[str(supi)] = migrated
-        self._by_tmsi[migrated.guti.tmsi] = str(supi)
-        self.mobility_updates += 1
-        return migrated
 
     # -- connection management -------------------------------------------------------
 

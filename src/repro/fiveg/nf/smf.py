@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ...geo.addressing import AddressAllocator, GeospatialAddress
 from ..identifiers import Supi
@@ -95,11 +95,6 @@ class Smf:
         """The session context by id, if it exists."""
         return self._sessions.get(session_id)
 
-    def sessions_for(self, supi: Supi) -> List[SessionContext]:
-        """All live sessions belonging to one subscriber."""
-        return [s for s in self._sessions.values()
-                if str(s.supi) == str(supi)]
-
     @property
     def session_count(self) -> int:
         return len(self._sessions)
@@ -121,25 +116,4 @@ class Smf:
         new_upf.install_rule(context.tunnel_id, context.address.to_ipv6(),
                              context.qos)
         context.upf_name = new_upf_name
-        return context
-
-    def reallocate_address(self, session_id: int,
-                           new_cell: Tuple[int, int]) -> SessionContext:
-        """C4 with logical addressing: the IP changes with the area.
-
-        This is the operation that kills TCP connections in the
-        baselines (Fig. 21); SpaceCore avoids it for satellite
-        mobility because geospatial cells never move.
-        """
-        context = self._sessions.get(session_id)
-        if context is None:
-            raise KeyError(f"unknown session {session_id}")
-        upf = self._upfs.get(context.upf_name)
-        if upf is not None:
-            upf.remove_rule(context.tunnel_id)
-        context.address = self._allocator.reallocate(context.address,
-                                                     new_cell)
-        if upf is not None:
-            upf.install_rule(context.tunnel_id, context.address.to_ipv6(),
-                             context.qos)
         return context

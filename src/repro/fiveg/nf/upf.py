@@ -41,7 +41,6 @@ class Upf:
         self.is_anchor = is_anchor
         self.enforce_qos = enforce_qos
         self._entries: Dict[int, ForwardingEntry] = {}
-        self._by_address: Dict[str, int] = {}
         self.packets_forwarded = 0
         self.packets_dropped = 0
 
@@ -54,33 +53,11 @@ class Upf:
         entry = ForwardingEntry(tunnel_id, ue_address, qos,
                                 shaper=shaper)
         self._entries[tunnel_id] = entry
-        self._by_address[ue_address] = tunnel_id
         return entry
-
-    def update_qos(self, tunnel_id: int, qos: QosState) -> None:
-        """Apply a home-pushed QoS change (S4.4 session modification)."""
-        entry = self._entries.get(tunnel_id)
-        if entry is None:
-            raise KeyError(f"no rule for tunnel {tunnel_id}")
-        entry.qos = qos
-        if entry.shaper is not None:
-            entry.shaper.reconfigure(qos)
 
     def remove_rule(self, tunnel_id: int) -> None:
         """Tear down a session's forwarding rule (no-op if absent)."""
-        entry = self._entries.pop(tunnel_id, None)
-        if entry is not None:
-            self._by_address.pop(entry.ue_address, None)
-
-    def has_rule(self, tunnel_id: int) -> bool:
-        """Whether a tunnel has an installed rule."""
-        return tunnel_id in self._entries
-
-    def rule_for_address(self, ue_address: str
-                         ) -> Optional[ForwardingEntry]:
-        """The forwarding entry serving a UE address, if any."""
-        tunnel = self._by_address.get(ue_address)
-        return self._entries.get(tunnel) if tunnel is not None else None
+        self._entries.pop(tunnel_id, None)
 
     @property
     def session_count(self) -> int:
@@ -104,21 +81,6 @@ class Upf:
             self.packets_dropped += 1
             return False
         entry.bytes_up += size_bytes
-        self.packets_forwarded += 1
-        return True
-
-    def forward_downlink(self, ue_address: str, size_bytes: int,
-                         now_s: Optional[float] = None) -> bool:
-        """Forward one downlink packet addressed to a UE."""
-        entry = self.rule_for_address(ue_address)
-        if entry is None:
-            self.packets_dropped += 1
-            return False
-        if (entry.shaper is not None and now_s is not None
-                and not entry.shaper.admit_downlink(size_bytes, now_s)):
-            self.packets_dropped += 1
-            return False
-        entry.bytes_down += size_bytes
         self.packets_forwarded += 1
         return True
 

@@ -17,7 +17,6 @@ from .core import CoreNetwork
 from .messages import (
     HANDOVER_FLOW,
     INITIAL_REGISTRATION_FLOW,
-    MOBILITY_REGISTRATION_FLOW,
     SESSION_ESTABLISHMENT_FLOW,
     SPACECORE_INITIAL_REGISTRATION_FLOW,
     ProcedureKind,
@@ -108,29 +107,6 @@ class ProcedureRunner:
         moved = self.core.smf.switch_path(session_id, target_upf_name)
         self._emit(HANDOVER_FLOW, ProcedureKind.HANDOVER)
         return moved
-
-    # -- C4: mobility registration update (Fig. 9d) -----------------------------------------
-
-    def mobility_registration(self, ue: UserEquipment,
-                              new_tracking_area: CellId,
-                              reallocate_ip: bool = True) -> UeContext:
-        """The UE reports arrival in a new tracking area.
-
-        With logical addressing the IP follows the area, which resets
-        transport connections (Fig. 21); SpaceCore never invokes this
-        for satellite mobility.
-        """
-        core = self.core
-        context = core.amf.update_tracking_area(ue.supi, new_tracking_area)
-        if reallocate_ip:
-            for session in core.smf.sessions_for(ue.supi):
-                updated = core.smf.reallocate_address(session.session_id,
-                                                      new_tracking_area)
-                ue.ip_address = updated.address.to_ipv6()
-        self._emit(MOBILITY_REGISTRATION_FLOW,
-                   ProcedureKind.MOBILITY_REGISTRATION)
-        return context
-
 
 class SpaceCoreRegistrar(ProcedureRunner):
     """C1 as SpaceCore extends it: same flow, plus state delegation.

@@ -1,10 +1,10 @@
 """QoS enforcement: token-bucket rate limiting per session (S3).
 
 The S3 QoS state is not just bookkeeping -- the UPF must *enforce* it.
-This module implements the enforcement path: a token bucket per
-direction, parameterised from :class:`~repro.fiveg.state.QosState`,
-so the paper's "throttled to 128Kbps afterward" policy actually slows
-packets down when the home pushes the updated state (S4.4).
+This module implements the enforcement path: a token bucket
+parameterised from :class:`~repro.fiveg.state.QosState`, so the
+paper's "throttled to 128Kbps afterward" policy actually slows packets
+down under the updated state the home pushes (S4.4).
 """
 
 from __future__ import annotations
@@ -44,11 +44,6 @@ class TokenBucket:
             return True
         return False
 
-    def available_tokens(self, now_s: float) -> float:
-        """Tokens in the bucket after refilling to ``now_s``."""
-        self._refill(now_s)
-        return self._tokens
-
 
 @dataclass
 class ShaperCounters:
@@ -56,14 +51,9 @@ class ShaperCounters:
     dropped: int = 0
     admitted_bytes: int = 0
 
-    @property
-    def drop_ratio(self) -> float:
-        total = self.admitted + self.dropped
-        return self.dropped / total if total else 0.0
-
 
 class QosShaper:
-    """Bidirectional per-session shaper derived from a QosState.
+    """Per-session uplink shaper derived from a QosState.
 
     The burst allowance is one second of line rate (a common default),
     floored at one MTU so a single full-size packet always fits.
@@ -75,10 +65,7 @@ class QosShaper:
         self.qos = qos
         self._up = TokenBucket(*self._bucket_params(
             qos.max_bitrate_up_kbps))
-        self._down = TokenBucket(*self._bucket_params(
-            qos.max_bitrate_down_kbps))
         self.uplink = ShaperCounters()
-        self.downlink = ShaperCounters()
 
     @classmethod
     def _bucket_params(cls, kbps: int) -> Tuple[float, float]:
@@ -92,12 +79,6 @@ class QosShaper:
         self._count(self.uplink, ok, size_bytes)
         return ok
 
-    def admit_downlink(self, size_bytes: int, now_s: float) -> bool:
-        """Shape one downlink packet; True when admitted."""
-        ok = self._down.admit(size_bytes, now_s)
-        self._count(self.downlink, ok, size_bytes)
-        return ok
-
     @staticmethod
     def _count(counters: ShaperCounters, admitted: bool,
                size_bytes: int) -> None:
@@ -106,18 +87,6 @@ class QosShaper:
             counters.admitted_bytes += size_bytes
         else:
             counters.dropped += 1
-
-    def reconfigure(self, qos: QosState) -> None:
-        """Apply a home-pushed QoS update (e.g. the 128 Kbps throttle).
-
-        Buckets are rebuilt so the new rate takes effect immediately;
-        accumulated counters survive for billing.
-        """
-        self.qos = qos
-        self._up = TokenBucket(*self._bucket_params(
-            qos.max_bitrate_up_kbps))
-        self._down = TokenBucket(*self._bucket_params(
-            qos.max_bitrate_down_kbps))
 
     def achievable_throughput_kbps(self, direction: str,
                                    duration_s: float,

@@ -105,18 +105,6 @@ class SessionState:
     version: int = 1
     ttl_s: float = 86400.0
 
-    # -- category access ---------------------------------------------------------
-
-    def category(self, which: StateCategory):
-        """Access one of the S1-S5 sub-states by category."""
-        return {
-            StateCategory.IDENTIFIERS: self.identifiers,
-            StateCategory.LOCATION: self.location,
-            StateCategory.QOS: self.qos,
-            StateCategory.BILLING: self.billing,
-            StateCategory.SECURITY: self.security,
-        }[which]
-
     def bump_version(self) -> "SessionState":
         """A home-controlled update produces a strictly newer version."""
         return replace(self, version=self.version + 1)

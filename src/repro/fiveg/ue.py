@@ -117,10 +117,6 @@ class UserEquipment:
                 f"{self.supi} holds no state replica; register first")
         return self.replica
 
-    @property
-    def has_replica(self) -> bool:
-        return self.replica is not None
-
     def move_to(self, lat: float, lon: float) -> None:
         """UE mobility (rare cell crossings are handled by the home)."""
         self.lat = lat

@@ -24,7 +24,7 @@ the stateless relaying in Algorithm 1.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 CellId = Tuple[int, int]
@@ -100,39 +100,6 @@ class GeospatialAddress:
     def from_ipv6(cls, literal: str) -> "GeospatialAddress":
         return cls.from_int(int(ipaddress.IPv6Address(literal)))
 
-    # -- semantics ----------------------------------------------------------------
-
-    def with_ue_cell(self, cell: CellId) -> "GeospatialAddress":
-        """The re-allocated address after a (rare) UE cell crossing.
-
-        Only the embedded cell changes; identity (suffix) and home stay,
-        mirroring the home-controlled re-allocation of S4.3.
-        """
-        return replace(self, ue_cell=cell)
-
-    def same_cell(self, other: "GeospatialAddress") -> bool:
-        """Whether both UEs sit in the same geospatial cell."""
-        return self.ue_cell == other.ue_cell
-
-    def is_roaming(self) -> bool:
-        """True when the UE has left its home cell."""
-        return self.ue_cell != self.home_cell
-
-    def cell_prefix(self) -> str:
-        """The /96 IPv6 prefix shared by every UE in the same cell.
-
-        The suffix occupies the low 32 bits (Fig. 15c), so a cell is
-        one /96: external networks can aggregate routes per cell, and
-        satellites can match a whole cell with one prefix rule.
-        """
-        network_bits = self.to_int() >> 32 << 32
-        base = ipaddress.IPv6Address(network_bits)
-        return f"{base}/96"
-
-    def in_same_prefix(self, other: "GeospatialAddress") -> bool:
-        """Whether two addresses aggregate under one cell prefix."""
-        return self.cell_prefix() == other.cell_prefix()
-
 
 class AddressAllocator:
     """Per-cell suffix allocation, as the home network would perform it.
@@ -155,13 +122,3 @@ class AddressAllocator:
             raise RuntimeError(f"cell {ue_cell} exhausted its suffix space")
         self._next_suffix[ue_cell] = suffix + 1
         return GeospatialAddress(self.plmn_id, home_cell, ue_cell, suffix)
-
-    def reallocate(self, address: GeospatialAddress,
-                   new_cell: CellId) -> GeospatialAddress:
-        """Move an existing UE to a new cell with a fresh suffix."""
-        fresh = self.allocate(address.home_cell, new_cell)
-        return replace(fresh, plmn_id=address.plmn_id)
-
-    def allocated_in(self, cell: CellId) -> int:
-        """How many suffixes have been handed out in ``cell``."""
-        return self._next_suffix.get(cell, 0)

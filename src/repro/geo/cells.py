@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from ..constants import EARTH_RADIUS_KM, TWO_PI
 from ..orbits.constellation import Constellation
@@ -62,23 +62,6 @@ class GeospatialCellGrid:
     @property
     def num_cells(self) -> int:
         return self.num_columns * self.num_rows
-
-    def cells(self) -> Iterator[CellId]:
-        """Iterate every (column, row) cell id."""
-        for col in range(self.num_columns):
-            for row in range(self.num_rows):
-                yield (col, row)
-
-    def cell_index(self, cell: CellId) -> int:
-        """Flat integer id of a cell (used by the address encoding)."""
-        col, row = cell
-        return (col % self.num_columns) * self.num_rows + (
-            row % self.num_rows)
-
-    def cell_from_index(self, index: int) -> CellId:
-        """Inverse of :meth:`cell_index`."""
-        index %= self.num_cells
-        return index // self.num_rows, index % self.num_rows
 
     # -- point -> cell ----------------------------------------------------------
 
@@ -128,10 +111,6 @@ class GeospatialCellGrid:
         if not desc_virtual:
             return desc_cell
         return asc_cell if asc_dist <= desc_dist else desc_cell
-
-    def cell_of_degrees(self, lat_deg: float, lon_deg: float) -> CellId:
-        """Convenience wrapper taking degrees."""
-        return self.cell_of(math.radians(lat_deg), math.radians(lon_deg))
 
     # -- cell -> geometry --------------------------------------------------------
 

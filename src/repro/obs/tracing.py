@@ -82,10 +82,6 @@ class Tracer:
         """What the injected clock currently reads."""
         return self._clock()
 
-    def set_clock(self, clock: Callable[[], float]) -> None:
-        """Rebind the clock (e.g. to a freshly built simulator)."""
-        self._clock = clock
-
     # -- recording ----------------------------------------------------------------
 
     def event(self, name: str, **attrs: Any) -> SpanRecord:

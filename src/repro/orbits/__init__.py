@@ -20,7 +20,6 @@ from .coverage import (
     coverage_half_angle,
     footprint_area_km2,
     footprint_radius_km,
-    handover_rate_per_user,
     mean_dwell_time_s,
     serving_satellite,
     visible_satellites,
@@ -43,7 +42,6 @@ from .snapshot import (
     serving_satellites,
     snapshot_cache_info,
     snapshot_for,
-    visible_counts,
 )
 
 __all__ = [
@@ -61,7 +59,6 @@ __all__ = [
     "footprint_radius_km",
     "footprint_area_km2",
     "mean_dwell_time_s",
-    "handover_rate_per_user",
     "serving_satellite",
     "visible_satellites",
     "GroundStation",
@@ -76,6 +73,5 @@ __all__ = [
     "clear_snapshot_cache",
     "snapshot_cache_info",
     "serving_satellites",
-    "visible_counts",
     "serving_over_times",
 ]

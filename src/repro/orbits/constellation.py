@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 from ..constants import (
     EARTH_RADIUS_KM,
@@ -132,12 +132,6 @@ class Constellation:
         """Inverse of :meth:`sat_index`."""
         index %= self.total_satellites
         return divmod(index, self.sats_per_plane)[0], index % self.sats_per_plane
-
-    def satellites(self) -> Iterator[Tuple[int, int]]:
-        """Iterate all ``(plane, slot)`` pairs in flat-index order."""
-        for plane in range(self.num_planes):
-            for slot in range(self.sats_per_plane):
-                yield plane, slot
 
     # -- grid neighbourhood (the +Grid ISL topology, §3/§6) -----------------
 

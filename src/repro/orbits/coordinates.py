@@ -79,14 +79,6 @@ def eci_to_ecef(position: Vec3, t: float) -> Vec3:
     return (cos_t * x + sin_t * y, -sin_t * x + cos_t * y, z)
 
 
-def ecef_to_eci(position: Vec3, t: float) -> Vec3:
-    """Inverse of :func:`eci_to_ecef`."""
-    theta = EARTH_ROTATION_RAD_S * t
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    x, y, z = position
-    return (cos_t * x - sin_t * y, sin_t * x + cos_t * y, z)
-
-
 def ecef_to_geodetic(position: Vec3) -> Tuple[float, float]:
     """Earth-fixed Cartesian -> (latitude, longitude) in radians.
 
@@ -107,13 +99,6 @@ def geodetic_to_ecef(lat: float, lon: float, radius: float) -> Vec3:
         radius * cos_lat * math.sin(lon),
         radius * math.sin(lat),
     )
-
-
-def great_circle_distance(lat1: float, lon1: float, lat2: float, lon2: float,
-                          radius: float) -> float:
-    """Great-circle distance between two (lat, lon) points (radians in)."""
-    central = central_angle(lat1, lon1, lat2, lon2)
-    return radius * central
 
 
 def central_angle(lat1: float, lon1: float, lat2: float, lon2: float) -> float:

@@ -14,12 +14,12 @@ coverage figure (S3.2).
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..constants import EARTH_RADIUS_KM
 from .constellation import Constellation
 from .propagator import IdealPropagator
-from .snapshot import sample_times, serving_over_times, snapshot_for
+from .snapshot import snapshot_for
 
 
 def coverage_half_angle(altitude_km: float, min_elevation_deg: float) -> float:
@@ -39,24 +39,6 @@ def footprint_area_km2(altitude_km: float, min_elevation_deg: float) -> float:
     """Spherical-cap area of one satellite footprint (km^2)."""
     theta = coverage_half_angle(altitude_km, min_elevation_deg)
     return 2.0 * math.pi * EARTH_RADIUS_KM**2 * (1.0 - math.cos(theta))
-
-
-def slant_range_km(altitude_km: float, elevation_rad: float) -> float:
-    """Distance from a ground user to the satellite at a given elevation."""
-    re = EARTH_RADIUS_KM
-    r = re + altitude_km
-    return (math.sqrt(r * r - (re * math.cos(elevation_rad)) ** 2)
-            - re * math.sin(elevation_rad))
-
-
-def elevation_angle(sat_distance_km: float, altitude_km: float) -> float:
-    """Elevation (radians) of a satellite given its slant range."""
-    re = EARTH_RADIUS_KM
-    r = re + altitude_km
-    cos_zenith = (sat_distance_km**2 + re**2 - r**2) / (
-        2.0 * sat_distance_km * re)
-    cos_zenith = max(-1.0, min(1.0, cos_zenith))
-    return math.acos(cos_zenith) - math.pi / 2.0
 
 
 def mean_dwell_time_s(constellation: Constellation,
@@ -94,45 +76,3 @@ def serving_satellite(propagator: IdealPropagator, t: float,
     """The closest covering satellite, or -1 when none covers the UE."""
     return snapshot_for(propagator, t).serving_satellite(
         ue_lat, ue_lon, min_elevation_deg)
-
-
-def pass_schedule(propagator: IdealPropagator, ue_lat: float, ue_lon: float,
-                  t_start: float, t_end: float, step_s: float = 5.0,
-                  min_elevation_deg: Optional[float] = None
-                  ) -> List[Tuple[float, float, int]]:
-    """Serving-satellite passes over a static UE.
-
-    Returns ``[(t_acquire, t_lose, sat_index), ...]`` covering
-    ``[t_start, t_end]``, by sampling the best server every ``step_s``
-    seconds and merging runs.  Gaps (no coverage) are omitted.  The
-    whole (timesteps x satellites) sweep runs as one vectorised
-    time-grid kernel instead of a per-step constellation scan.
-    """
-    times = sample_times(t_start, t_end, step_s)
-    servers = serving_over_times(propagator, times, ue_lat, ue_lon,
-                                 min_elevation_deg)
-    passes: List[Tuple[float, float, int]] = []
-    current_sat = -2
-    run_start = t_start
-    for i, sat in enumerate(servers):
-        sat = int(sat)
-        if sat != current_sat:
-            if current_sat >= 0:
-                passes.append((run_start, times[i], current_sat))
-            current_sat = sat
-            run_start = times[i]
-    if current_sat >= 0:
-        t_past_end = (times[-1] + step_s) if times else t_start
-        passes.append((run_start, min(t_past_end, t_end), current_sat))
-    return passes
-
-
-def handover_rate_per_user(constellation: Constellation,
-                           min_elevation_deg: Optional[float] = None
-                           ) -> float:
-    """Expected serving-satellite changes per second for a static user.
-
-    The inverse of the mean dwell time: each pass ends in exactly one
-    inter-satellite handover (or idle reselection).
-    """
-    return 1.0 / mean_dwell_time_s(constellation, min_elevation_deg)

@@ -50,7 +50,6 @@ __all__ = [
     "clear_snapshot_cache",
     "snapshot_cache_info",
     "serving_satellites",
-    "visible_counts",
     "central_angles",
     "serving_over_times",
     "grid_neighbor_table",
@@ -191,14 +190,6 @@ class ConstellationSnapshot:
         best = np.argmin(ang, axis=1)
         covered = ang[np.arange(ang.shape[0]), best] <= theta
         return np.where(covered, best, -1)
-
-    def visible_counts(self, lats: np.ndarray, lons: np.ndarray,
-                       min_elevation_deg: Optional[float] = None
-                       ) -> np.ndarray:
-        """Simultaneously visible satellites per user, shape ``(M,)``."""
-        theta = _cap_angle(self.constellation, min_elevation_deg)
-        ang = self.central_angle_matrix(lats, lons)
-        return (ang <= theta).sum(axis=1)
 
     # -- +Grid edge geometry -------------------------------------------------
 
@@ -365,14 +356,6 @@ def serving_satellites(propagator: IdealPropagator, t: float,
         lats, lons, min_elevation_deg)
 
 
-def visible_counts(propagator: IdealPropagator, t: float,
-                   lats: np.ndarray, lons: np.ndarray,
-                   min_elevation_deg: Optional[float] = None) -> np.ndarray:
-    """Visible-satellite counts for a batch of users at one epoch."""
-    return snapshot_for(propagator, t).visible_counts(
-        lats, lons, min_elevation_deg)
-
-
 # ---------------------------------------------------------------------------
 # Time-grid kernels (T timesteps x N satellites in one pass)
 # ---------------------------------------------------------------------------
@@ -448,8 +431,7 @@ def serving_over_times(propagator: IdealPropagator,
                        ) -> np.ndarray:
     """Serving satellite (or -1) at each sampled time, shape ``(T,)``.
 
-    The vectorised core of :func:`repro.orbits.coverage.pass_schedule`
-    and the moving-service-area sweeps.
+    The vectorised core of the moving-service-area sweeps.
     """
     theta = _cap_angle(propagator.constellation, min_elevation_deg)
     dots = _cos_angles_over_times(propagator, times, lat, lon)

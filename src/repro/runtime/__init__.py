@@ -23,7 +23,7 @@ work units across workers.  This package is that spine:
   a 1M-UE load point O(cohorts) instead of O(users).
 """
 
-from .cohort import CohortStats, OfferedLoadProbe, UECohortEngine
+from .cohort import CohortStats, UECohortEngine
 from .memo import (
     MEMO_DECORATOR_NAMES,
     cached_dwell_time_s,
@@ -38,14 +38,12 @@ from .parallel import (
     run_sharded,
     seed_for,
     shutdown_worker_pools,
-    warm_pool_info,
 )
 from .planner import PLANNER_ENV_VAR, planner_decisions, reset_planner
 
 __all__ = [
     "CohortStats",
     "MEMO_DECORATOR_NAMES",
-    "OfferedLoadProbe",
     "PLANNER_ENV_VAR",
     "UECohortEngine",
     "WORKERS_ENV_VAR",
@@ -60,5 +58,4 @@ __all__ = [
     "seed_for",
     "shard_memoized",
     "shutdown_worker_pools",
-    "warm_pool_info",
 ]

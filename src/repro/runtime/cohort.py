@@ -21,7 +21,6 @@ bit-reproducible for a fixed (seed, n_cohorts) pair.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -30,40 +29,12 @@ import numpy as np
 from ..constants import RRC_INACTIVITY_TIMEOUT_S, SESSION_INTERARRIVAL_S
 from ..fiveg.messages import ProcedureKind
 from ..obs.metrics import MetricsRegistry
-from ..orbits.snapshot import snapshots_for
-from ..topology.batch_routing import BatchGeoRouter
 from .memo import cached_dwell_time_s
 from .parallel import seed_for
 
 #: Default cohort count: fine enough that Poisson sampling noise per
 #: cohort stays realistic, coarse enough that 1M UEs stay trivial.
 DEFAULT_COHORTS = 256
-
-
-@dataclass(frozen=True)
-class OfferedLoadProbe:
-    """Routability of one load point's offered session traffic.
-
-    A sampled subset of the sessions the population offers over the
-    horizon, each routed at its own departure epoch through the batch
-    plane's epoch sweep.  ``mean_delay_ms`` is ``None`` when nothing
-    was delivered (it serialises as JSON ``null``, never ``Infinity``).
-    """
-
-    duration_s: float
-    epochs: int
-    offered_sessions: int
-    packets: int
-    routed: int
-    delivered: int
-    mean_delay_ms: Optional[float]
-    mean_hops: float
-    table_builds: int
-
-    @property
-    def delivery_fraction(self) -> float:
-        """Delivered fraction of the *routed* packets (0.0 if none)."""
-        return self.delivered / self.routed if self.routed else 0.0
 
 
 @dataclass
@@ -149,12 +120,6 @@ class UECohortEngine:
         sizes = np.full(self.n_cohorts, base, dtype=np.int64)
         sizes[:extra] += 1
         self._sizes = sizes
-        # Offered-load probe plumbing, built on first use: the batch
-        # router (relay hop budget) and its private metrics registry
-        # so ``routing.table_builds`` deltas stay attributable to the
-        # probe regardless of what the caller's registry collects.
-        self._probe_router: Optional[BatchGeoRouter] = None
-        self._probe_metrics: Optional[MetricsRegistry] = None
 
     # -- arrival sampling --------------------------------------------------------
 
@@ -250,100 +215,6 @@ class UECohortEngine:
                                  stats.sessions_established)
         self.metrics.counter("cohort.releases",
                              solution=solution).inc(stats.releases)
-
-    # -- offered-load probe ------------------------------------------------------
-
-    def _offered_router(self) -> BatchGeoRouter:
-        """The probe's batch router (relay hop budget), built once."""
-        if self._probe_router is None:
-            from ..orbits.propagator import make_propagator
-            from ..topology.grid import GridTopology
-            from ..topology.routing import RELAY_MAX_HOPS
-            if self.constellation is None:
-                raise ValueError(
-                    "offered-load probe needs a constellation")
-            self._probe_metrics = MetricsRegistry()
-            propagator = make_propagator(self.constellation, "ideal")
-            self._probe_router = BatchGeoRouter(
-                GridTopology(propagator, []), max_hops=RELAY_MAX_HOPS,
-                metrics=self._probe_metrics)
-        return self._probe_router
-
-    def probe_offered_load(self, duration_s: float, epochs: int = 12,
-                           max_packets: int = 1024) -> OfferedLoadProbe:
-        """Route a sample of the offered session load across the horizon.
-
-        The load point says how much signaling the population *offers*;
-        this probe asks whether the constellation can actually carry
-        it: one Poisson draw of the horizon's session arrivals, a
-        deterministic sample of at most ``max_packets`` of them, each
-        assigned a departure epoch on the ``epochs``-point grid and a
-        ground source/destination in the served latitude band, all
-        routed in one :meth:`BatchGeoRouter.route_sweep` call.  Seeded
-        from the engine seed, so a fixed ``(seed, epochs,
-        max_packets)`` probe is bit-reproducible.
-        """
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        if epochs < 1:
-            raise ValueError("need at least one epoch")
-        router = self._offered_router()
-        assert self.constellation is not None
-        assert self._probe_metrics is not None
-        rng = np.random.default_rng(
-            seed_for(self.seed, "cohort:offered-load"))
-        offered = int(rng.poisson(
-            self.n_ues * duration_s / self.session_interval_s))
-        packets = min(offered, max_packets)
-        if packets == 0:
-            return OfferedLoadProbe(
-                duration_s=duration_s, epochs=epochs,
-                offered_sessions=offered, packets=0, routed=0,
-                delivered=0, mean_delay_ms=None, mean_hops=0.0,
-                table_builds=0)
-        ts_grid = [duration_s * i / epochs for i in range(epochs)]
-        t_idx = rng.integers(0, epochs, packets)
-        inclination = self.constellation.inclination_deg
-        lat_band = math.radians(
-            min(inclination, 180.0 - inclination)) - 0.02
-        src_lats = rng.uniform(-lat_band, lat_band, packets)
-        src_lons = rng.uniform(-math.pi, math.pi, packets)
-        dst_lats = rng.uniform(-lat_band, lat_band, packets)
-        dst_lons = rng.uniform(-math.pi, math.pi, packets)
-        snaps = snapshots_for(router.topology.propagator, ts_grid)
-        src_sats = np.fromiter(
-            (snaps[int(k)].serving_satellite(float(lat), float(lon))
-             for k, lat, lon in zip(t_idx, src_lats, src_lons)),
-            dtype=np.int64, count=packets)
-        covered = np.nonzero(src_sats >= 0)[0]
-        builds_before = int(
-            self._probe_metrics.counter_value("routing.table_builds"))
-        ts = np.asarray(ts_grid, dtype=float)[t_idx]
-        wave = router.route_sweep(src_sats[covered], dst_lats[covered],
-                                  dst_lons[covered], ts[covered])
-        builds = int(self._probe_metrics.counter_value(
-            "routing.table_builds")) - builds_before
-        delivered_mask = wave.delivered
-        n_ok = int(delivered_mask.sum())
-        probe = OfferedLoadProbe(
-            duration_s=duration_s, epochs=epochs,
-            offered_sessions=offered, packets=packets,
-            routed=int(covered.size), delivered=n_ok,
-            mean_delay_ms=(
-                float(wave.delay_s[delivered_mask].mean()) * 1000.0
-                if n_ok else None),
-            mean_hops=(float(wave.hops[delivered_mask].mean())
-                       if n_ok else 0.0),
-            table_builds=builds)
-        if self.metrics is not None:
-            solution = self.solution.name
-            self.metrics.counter("cohort.offered_probes",
-                                 solution=solution).inc()
-            self.metrics.counter("cohort.offered_packets",
-                                 solution=solution).inc(probe.packets)
-            self.metrics.counter("cohort.offered_delivered",
-                                 solution=solution).inc(probe.delivered)
-        return probe
 
     # -- cross-validation --------------------------------------------------------
 

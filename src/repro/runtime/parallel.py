@@ -189,14 +189,6 @@ def _shared_equiv(a: Dict[str, Any], b: Dict[str, Any]) -> bool:
             and all(_values_equiv(a[k], b[k]) for k in a))
 
 
-def warm_pool_info() -> Optional[Dict[str, Any]]:
-    """The live warm pool's (workers, shared keys), or None."""
-    if _POOL is None:
-        return None
-    return {"workers": _POOL_WORKERS,
-            "shared_keys": sorted(_POOL_SHARED)}
-
-
 def pools_created() -> int:
     """How many pools this process has created (warm hits don't count)."""
     return _POOLS_CREATED
@@ -333,16 +325,8 @@ def run_sharded(fn: Callable[[T], R], items: Iterable[T], *,
                     f"worker pool broke during {fan_label!r}; recycling "
                     "the pool and recomputing the sharded region",
                     RuntimeWarning, stacklevel=2)
-                planner.note_pool_recycled(fan_label)
                 shutdown_worker_pools()
                 compute_s = _dispatch_batches(_acquire_pool(workers), fn,
                                               items, done, chunk, results)
         planner.note_cost(fan_label, spent_s + compute_s)
         return results
-
-
-def shard_seeds(base_seed: int, n_shards: int) -> List[int]:
-    """The derived seed of every shard of an ``n_shards``-way fan-out."""
-    if n_shards < 0:
-        raise ValueError("shard count cannot be negative")
-    return [seed_for(base_seed, shard) for shard in range(n_shards)]

@@ -28,7 +28,6 @@ __all__ = [
     "TASKS_PER_WORKER",
     "forced_mode",
     "planner_decisions",
-    "pool_recycles",
     "reset_planner",
     "usable_cores",
 ]
@@ -50,7 +49,6 @@ TASKS_PER_WORKER = 4
 # Per-process state, like the shard memo caches.
 _heavy: Set[str] = set()
 _decisions: List[Dict[str, Any]] = []
-_recycles: Dict[str, int] = {}
 
 
 def usable_cores() -> int:
@@ -113,18 +111,7 @@ def planner_decisions() -> List[Dict[str, Any]]:
     return [dict(entry) for entry in _decisions]
 
 
-def note_pool_recycled(label: str) -> None:
-    """Count one worker-death recycle-and-retry, so it stays visible."""
-    _recycles[label] = _recycles.get(label, 0) + 1
-
-
-def pool_recycles() -> Dict[str, int]:
-    """Recycle-and-retry count per fan-out label (a copy)."""
-    return dict(_recycles)
-
-
 def reset_planner() -> None:
     """Test/benchmark hook: return planner state to process-start."""
     _heavy.clear()
     _decisions.clear()
-    _recycles.clear()

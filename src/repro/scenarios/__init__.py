@@ -10,7 +10,6 @@ from .catalog import CATALOG, get_scenario, scenario_names
 from .engine import ScenarioResult, build_schedule, run_scenario
 from .golden import (
     CheckOutcome,
-    check_catalog,
     check_scenario,
     golden_dir,
     golden_path,
@@ -32,7 +31,6 @@ __all__ = [
     "ScenarioResult",
     "ScenarioSpec",
     "build_schedule",
-    "check_catalog",
     "check_scenario",
     "evaluate_slos",
     "get_scenario",

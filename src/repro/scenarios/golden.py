@@ -20,7 +20,7 @@ import difflib
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .engine import ScenarioResult, run_scenario
 from .slo import FAIL
@@ -119,11 +119,3 @@ def check_scenario(spec: ScenarioSpec,
                         diff=diff_lines(expected, actual,
                                         f"{spec.name}.json"),
                         result=result)
-
-
-def check_catalog(specs: Dict[str, ScenarioSpec],
-                  workers: Optional[int] = None,
-                  update: bool = False) -> List[CheckOutcome]:
-    """Check every given scenario, in sorted-name order."""
-    return [check_scenario(specs[name], workers=workers, update=update)
-            for name in sorted(specs)]

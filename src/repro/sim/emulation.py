@@ -59,12 +59,6 @@ class EmulationStats:
         return self.sessions_established / (self.duration_s
                                             * self.ue_count)
 
-    @property
-    def success_ratio(self) -> float:
-        if not self.sessions_attempted:
-            return 1.0
-        return self.sessions_established / self.sessions_attempted
-
 
 class NeighborhoodEmulation:
     """One geographic neighbourhood of UEs under live SpaceCore."""

@@ -42,32 +42,8 @@ class EventHandle:
         if self.cancelled or self.fired:
             return
         self.cancelled = True
-        if self._sim is not None:
-            self._sim._live -= 1
-            if self._sim._metrics is not None:
-                self._sim._metrics.counter("sim.events_cancelled").inc()
-
-
-class PeriodicHandle:
-    """Cancellation handle for a periodic event chain."""
-
-    __slots__ = ("current", "cancelled")
-
-    def __init__(self):
-        self.current: Optional[EventHandle] = None
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Stop the periodic chain (no-op when never armed).
-
-        Safe to call from inside the periodic callback itself: the
-        currently-firing event has already fired (so cancelling it is
-        a no-op), but the chain-level flag stops ``fire`` from
-        re-arming afterwards.
-        """
-        self.cancelled = True
-        if self.current is not None:
-            self.current.cancel()
+        if self._sim is not None and self._sim._metrics is not None:
+            self._sim._metrics.counter("sim.events_cancelled").inc()
 
 
 class Simulator:
@@ -88,9 +64,6 @@ class Simulator:
         self._seq = itertools.count()
         self._running = False
         self.events_processed = 0
-        # Live (scheduled, not yet fired or cancelled) event count,
-        # maintained incrementally so pending() is O(1).
-        self._live = 0
         # Optional observability sink; None keeps the hot loop free of
         # instrumentation overhead.
         self._metrics: Optional[MetricsRegistry] = None
@@ -128,36 +101,9 @@ class Simulator:
         handle = EventHandle(time, callback, args, self)
         heapq.heappush(self._queue,
                        _QueuedEvent(time, next(self._seq), handle))
-        self._live += 1
         if self._metrics is not None:
             self._metrics.counter("sim.events_scheduled").inc()
         return handle
-
-    def schedule_periodic(self, interval: float, callback: Callable,
-                          *args: Any,
-                          jitter: Optional[Callable[[], float]] = None,
-                          first_delay: Optional[float] = None
-                          ) -> "PeriodicHandle":
-        """Re-arm ``callback`` every ``interval`` (+ optional jitter()).
-
-        ``jitter`` is a zero-argument callable added to each interval,
-        letting callers model Poisson-ish processes.  Cancel the
-        returned handle to stop the chain.
-        """
-        if interval <= 0:
-            raise ValueError("periodic interval must be positive")
-        chain = PeriodicHandle()
-
-        def fire():
-            callback(*args)
-            if chain.cancelled:
-                return
-            delay = interval + (jitter() if jitter else 0.0)
-            chain.current = self.schedule(max(1e-9, delay), fire)
-
-        delay0 = first_delay if first_delay is not None else interval
-        chain.current = self.schedule(delay0, fire)
-        return chain
 
     # -- execution ---------------------------------------------------------------
 
@@ -168,7 +114,6 @@ class Simulator:
             if entry.handle.cancelled:
                 continue
             entry.handle.fired = True
-            self._live -= 1
             self._now = entry.time
             entry.handle.callback(*entry.handle.args)
             self.events_processed += 1
@@ -183,7 +128,7 @@ class Simulator:
         """Run until the queue drains, ``until`` passes, or the budget ends.
 
         A NaN ``until`` raises ``ValueError``: no event time compares
-        greater than NaN, so a periodic chain would run forever.
+        greater than NaN, so a self-rescheduling callback would run forever.
         """
         if until is not None and math.isnan(until):
             raise ValueError("run(until=nan) would never stop")
@@ -203,7 +148,3 @@ class Simulator:
             processed += 1
         if until is not None and self._now < until:
             self._now = until
-
-    def pending(self) -> int:
-        """Number of not-yet-cancelled queued events (O(1))."""
-        return self._live

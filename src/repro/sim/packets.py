@@ -34,10 +34,7 @@ class PacketRecord:
     delivered_at_s: Optional[float] = None
     dropped: bool = False
     hops: int = 0
-    #: Frames re-sent after Gilbert-Elliott losses (bounded by the
-    #: simulation's max_retransmits).
-    retransmits: int = 0
-    #: Mid-flight path recomputations after a dead or hopeless link.
+    #: Mid-flight path recomputations after a dead link.
     reroutes: int = 0
 
     @property
@@ -61,19 +58,14 @@ class PacketSimulation:
                  link_rate_mbps: float = 1000.0,
                  loss_probability: float = 0.0,
                  seed: int = 0,
-                 channel_model=None,
-                 max_retransmits: int = 2,
                  max_reroutes: int = 0,
-                 retransmit_timeout_s: float = 0.03,
                  metrics: Optional[MetricsRegistry] = None):
         if link_rate_mbps <= 0:
             raise ValueError("link rate must be positive")
         if not 0.0 <= loss_probability < 1.0:
             raise ValueError("loss probability must be in [0, 1)")
-        if max_retransmits < 0 or max_reroutes < 0:
-            raise ValueError("retry caps must be non-negative")
-        if retransmit_timeout_s <= 0:
-            raise ValueError("retransmit timeout must be positive")
+        if max_reroutes < 0:
+            raise ValueError("reroute cap must be non-negative")
         self.topology = topology
         #: The batch routing plane.  Single-packet sends delegate to
         #: its scalar reference walk (identical results); bulk
@@ -83,19 +75,12 @@ class PacketSimulation:
         self.sim = Simulator()
         self.link_rate_mbps = link_rate_mbps
         self.loss_probability = loss_probability
-        #: Optional :class:`repro.faults.chaos.LinkChannelModel`; when
-        #: set, every hop samples the link's Gilbert-Elliott burst
-        #: process and lost frames are re-queued (bounded) instead of
-        #: silently vanishing.
-        self.channel_model = channel_model
-        self.max_retransmits = max_retransmits
-        #: Mid-flight reroutes around dead/hopeless links; 0 keeps the
+        #: Mid-flight reroutes around dead links; 0 keeps the
         #: legacy drop-on-failure behaviour.
         self.max_reroutes = max_reroutes
-        self.retransmit_timeout_s = retransmit_timeout_s
         self._rng = random.Random(seed)
         #: Optional observability sink; per-link queueing histograms
-        #: plus retransmit/reroute/drop counters land here, and the
+        #: plus reroute/drop counters land here, and the
         #: event engine itself is instrumented through it.
         self.metrics = metrics
         if metrics is not None:
@@ -197,28 +182,6 @@ class PacketSimulation:
                 and self._rng.random() < self.loss_probability):
             self._drop(record, "random-loss")
             return
-        if (self.channel_model is not None
-                and self.channel_model.frame_lost(current, nxt)):
-            if record.retransmits < self.max_retransmits:
-                # Re-queue the frame on the same link after an ARQ
-                # timeout; the burst process keeps advancing, so a
-                # short burst usually clears before the cap.
-                record.retransmits += 1
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "packet.retransmits",
-                        link=f"{current}-{nxt}").inc()
-                self.sim.schedule_at(
-                    self.sim.now + self.retransmit_timeout_s,
-                    self._hop, record, path, index, size_bytes, route_t,
-                    dest)
-                return
-            # Retransmit budget exhausted: treat the link as hopeless
-            # for this packet and route around it.
-            self._reroute_or_drop(record, current, size_bytes, route_t,
-                                  dest,
-                                  avoid={frozenset((current, nxt))})
-            return
         link = (current, nxt)
         serialization = self._serialization_s(size_bytes)
         start = max(self.sim.now, self._link_free_at.get(link,
@@ -238,8 +201,7 @@ class PacketSimulation:
 
     def _reroute_or_drop(self, record: PacketRecord, current: int,
                          size_bytes: int, route_t: float,
-                         dest: Optional[Tuple[float, float]],
-                         avoid=None) -> None:
+                         dest: Optional[Tuple[float, float]]) -> None:
         """Graceful degradation: recompute the path from here, bounded.
 
         With ``max_reroutes=0`` (the default) this preserves the
@@ -252,8 +214,7 @@ class PacketSimulation:
         if self.metrics is not None:
             self.metrics.counter("packet.reroutes",
                                  at_sat=current).inc()
-        route = self.router.route(current, dest[0], dest[1], route_t,
-                                  avoid_links=avoid)
+        route = self.router.route(current, dest[0], dest[1], route_t)
         if not route.delivered:
             self._drop(record, "no-alternate-route")
             return
@@ -269,10 +230,6 @@ class PacketSimulation:
     def delivered(self) -> List[PacketRecord]:
         """All delivered packets."""
         return [r for r in self.records if r.delivered_at_s is not None]
-
-    def drop_count(self) -> int:
-        """Packets lost to failed links or random loss."""
-        return sum(1 for r in self.records if r.dropped)
 
     def latency_stats(self) -> Tuple[float, float, float]:
         """(min, mean, max) delivered latency in seconds."""

@@ -1,8 +1,8 @@
 """Satellite network substrate: +Grid topology, links, routing."""
 
 from .grid import GridTopology
-from .links import Link, LinkBudget, line_of_sight_clear, propagation_delay_s
-from .routing import DijkstraRouter, GeospatialRouter, RouteResult, path_stretch
+from .links import propagation_delay_s
+from .routing import DijkstraRouter, GeospatialRouter, RouteResult
 from .traffic import (
     ConcentrationComparison,
     TrafficLoad,
@@ -14,14 +14,10 @@ from .traffic import (
 
 __all__ = [
     "GridTopology",
-    "Link",
-    "LinkBudget",
-    "line_of_sight_clear",
     "propagation_delay_s",
     "DijkstraRouter",
     "GeospatialRouter",
     "RouteResult",
-    "path_stretch",
     "ConcentrationComparison",
     "TrafficLoad",
     "compare_concentration",

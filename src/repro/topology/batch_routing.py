@@ -304,10 +304,6 @@ class BatchGeoRouter:
 
     # -- table cache ---------------------------------------------------------
 
-    def table_cache_size(self) -> int:
-        """Number of next-hop tables currently cached (diagnostics)."""
-        return len(self._tables)
-
     def _count(self, name: str, amount: int = 1, **labels: object) -> None:
         if self.metrics is not None and amount:
             self.metrics.counter(name, **labels).inc(amount)

@@ -77,6 +77,19 @@ class GridTopology:
             raise ValueError(f"no satellite with index {sat!r}")
         return int(sat)
 
+    def _check_station(self, station: int) -> int:
+        """``station`` as a plain int, or ``ValueError``.
+
+        The :meth:`_check_satellite` contract over ground stations: an
+        integer index in ``[0, len(ground_stations))``, never a bool or
+        a float.
+        """
+        if isinstance(station, (bool, np.bool_)) \
+                or not isinstance(station, (int, np.integer)) \
+                or not 0 <= station < len(self.ground_stations):
+            raise ValueError(f"no ground station with index {station!r}")
+        return int(station)
+
     def _isl_key(self, sat_a: int, sat_b: int) -> FrozenSet[int]:
         return frozenset((self._check_satellite(sat_a),
                           self._check_satellite(sat_b)))
@@ -116,14 +129,14 @@ class GridTopology:
 
     def fail_ground_station(self, station: int) -> None:
         """Take one ground station offline (regional outage). Idempotent."""
-        if not 0 <= station < len(self.ground_stations):
-            raise ValueError(f"no ground station with index {station}")
+        station = self._check_station(station)
         if station not in self._failed_stations:
             self._failed_stations.add(station)
             self._fault_epoch += 1
 
     def recover_ground_station(self, station: int) -> None:
         """Bring a downed ground station back. Idempotent."""
+        station = self._check_station(station)
         if station in self._failed_stations:
             self._failed_stations.discard(station)
             self._fault_epoch += 1
@@ -136,10 +149,6 @@ class GridTopology:
     def has_topology_faults(self) -> bool:
         """Whether any satellite or ISL failure mark is active."""
         return bool(self._failed_sats or self._failed_isls)
-
-    def ground_station_up(self, station: int) -> bool:
-        """Whether the ground station at this index is online."""
-        return station not in self._failed_stations
 
     def live_ground_stations(self) -> List[Tuple[int, GroundStation]]:
         """(index, station) pairs of every currently-online station."""
@@ -259,19 +268,6 @@ class GridTopology:
         return distance3(self.sat_position(sat_a, t),
                          self.sat_position(sat_b, t))
 
-    def isl_feasible(self, sat_a: int, sat_b: int, t: float,
-                     atmosphere_km: float = 80.0) -> bool:
-        """Geometric feasibility of a laser link at time t.
-
-        The chord must clear the Earth plus an atmospheric margin;
-        grid neighbours in LEO shells always do, but arbitrary pairs
-        (e.g. candidate shortcut links) may not.
-        """
-        from .links import line_of_sight_clear
-        return line_of_sight_clear(
-            self.sat_position(sat_a, t), self.sat_position(sat_b, t),
-            EARTH_RADIUS_KM + atmosphere_km)
-
     def isl_delay_s(self, sat_a: int, sat_b: int, t: float) -> float:
         """One-way propagation delay over an ISL (s)."""
         return propagation_delay_s(self.isl_distance_km(sat_a, sat_b, t))
@@ -282,13 +278,6 @@ class GridTopology:
         sat_pos = self.sat_position(sat, t)
         gs_pos = geodetic_to_ecef(station.lat, station.lon, EARTH_RADIUS_KM)
         return propagation_delay_s(distance3(sat_pos, gs_pos))
-
-    def uplink_delay_s(self, sat: int, ue_lat: float, ue_lon: float,
-                       t: float) -> float:
-        """UE-to-satellite radio propagation delay."""
-        sat_pos = self.sat_position(sat, t)
-        ue_pos = geodetic_to_ecef(ue_lat, ue_lon, EARTH_RADIUS_KM)
-        return propagation_delay_s(distance3(sat_pos, ue_pos))
 
     # -- ground-station attachment -----------------------------------------------
 

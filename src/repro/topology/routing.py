@@ -137,19 +137,6 @@ class GeospatialRouter:
                               dest_lat, dest_lon)
                 <= self.coverage_angle)
 
-    def _hop_offsets(self, sat: int, dest_lat: float, dest_lon: float,
-                     t: float) -> Tuple[float, float]:
-        """Remaining (alpha, gamma) offsets in units of grid hops.
-
-        Considers both torus representations of the destination and
-        keeps the closer one, since a satellite on its descending arc
-        covers the same ground as an ascending satellite of a mirrored
-        plane.
-        """
-        return self._hop_offsets_snap(
-            self._snapshot(t), sat,
-            self.system.both_representations(dest_lat, dest_lon))
-
     def _hop_offsets_snap(self, snap: ConstellationSnapshot, sat: int,
                           dest_reps: Sequence[Tuple[float, float]]
                           ) -> Tuple[float, float]:
@@ -166,17 +153,6 @@ class GeospatialRouter:
                 best = (da, dg)
         assert best is not None
         return best
-
-    def next_hop(self, sat: int, dest_lat: float, dest_lon: float,
-                 t: float) -> Optional[int]:
-        """Lines 3-10 of Algorithm 1: pick the forwarding direction.
-
-        Returns the neighbour's flat index, or None when this satellite
-        is already the best grid position (deliver here).
-        """
-        return self._next_hop_snap(
-            self._snapshot(t), sat,
-            self.system.both_representations(dest_lat, dest_lon))
 
     def _next_hop_snap(self, snap: ConstellationSnapshot, sat: int,
                        dest_reps: Sequence[Tuple[float, float]]
@@ -396,12 +372,3 @@ class DijkstraRouter:
             results.append(RouteResult(True, path,
                                        float(dist[row, d]), distance))
         return results
-
-
-def path_stretch(geo: RouteResult, baseline: RouteResult) -> float:
-    """Delay stretch of the stateless route over the stateful optimum."""
-    if not (geo.delivered and baseline.delivered):
-        raise ValueError("both routes must be delivered to compare")
-    if baseline.delay_s == 0:
-        return 1.0
-    return geo.delay_s / baseline.delay_s

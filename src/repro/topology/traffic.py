@@ -53,12 +53,6 @@ class TrafficLoad:
 
     # -- statistics ---------------------------------------------------------------
 
-    def busiest_links(self, count: int = 5) -> List[Tuple[LinkKey,
-                                                          float]]:
-        """The ``count`` most loaded links, descending."""
-        return sorted(self.link_load.items(), key=lambda kv: -kv[1])[
-            :count]
-
     def peak_to_mean_link_ratio(self) -> float:
         """The concentration metric: 1.0 is perfectly even."""
         if not self.link_load:
@@ -177,13 +171,6 @@ class ConcentrationComparison:
     peer_peak_to_mean: float
     gateway_gini: float
     peer_gini: float
-
-    @property
-    def asymmetry_removed(self) -> bool:
-        """SpaceCore's claim: pushing the data plane to the edge
-        removes the gateway funnels."""
-        return (self.peer_peak_to_mean < self.gateway_peak_to_mean
-                and self.peer_gini <= self.gateway_gini + 0.05)
 
 
 def compare_concentration(topology: GridTopology, t: float = 0.0,

@@ -1,4 +1,4 @@
-"""``repro lint`` CLI contract: exit codes, JSON schema, baselines.
+"""``repro lint`` CLI contract: exit codes and JSON schema.
 
 Everything here drives the real argparse entry point
 (``repro.cli.main``) the way CI does, against small temporary trees,
@@ -49,7 +49,7 @@ class TestExitCodes:
         path = write(tree, "clean.py", CLEAN_SOURCE)
         code, out = run_lint(capsys, str(path))
         assert code == 0
-        assert "0 new finding(s)" in out
+        assert "0 finding(s)" in out
 
     def test_findings_exit_nonzero(self, tree, capsys):
         path = write(tree, "bad.py", BAD_SOURCE)
@@ -83,20 +83,18 @@ class TestJsonFormat:
         code, out = run_lint(capsys, str(path), "--format", "json")
         assert code == 1
         report = json.loads(out)
-        assert report["version"] == 2
+        assert report["version"] == 3
         assert report["files_checked"] == 1
-        assert set(report["summary"]) == {
-            "total", "new", "baselined", "suppressed",
-            "stale_baseline"}
+        assert set(report) == {"version", "root", "files_checked",
+                               "rules", "findings", "summary"}
+        assert report["summary"] == {"total": 1, "suppressed": 0}
         (finding,) = report["findings"]
         assert set(finding) == {"rule", "path", "line", "message",
-                                "fingerprint", "baselined", "severity"}
+                                "severity"}
         assert finding["rule"] == "implicit-optional"
         assert finding["path"] == "bad.py"
         assert finding["line"] == 1
-        assert finding["baselined"] is False
         assert finding["severity"] == "error"
-        assert len(finding["fingerprint"]) == 16
 
     def test_output_file(self, tree, capsys):
         path = write(tree, "bad.py", BAD_SOURCE)
@@ -105,66 +103,7 @@ class TestJsonFormat:
                            "--output", str(report_path))
         assert code == 1
         report = json.loads(report_path.read_text())
-        assert report["summary"]["new"] == 1
-
-
-class TestBaselineRoundTrip:
-    def test_add_then_expire(self, tree, capsys):
-        """The full ratchet: findings -> baselined -> fixed -> stale
-        -> expired on rewrite."""
-        path = write(tree, "bad.py", BAD_SOURCE)
-        baseline = tree / "lint-baseline.json"
-
-        # 1. New finding fails the gate.
-        assert run_lint(capsys, str(path))[0] == 1
-
-        # 2. Accept it into the baseline; the gate passes.
-        code, out = run_lint(capsys, str(path), "--write-baseline")
-        assert code == 0
-        assert baseline.exists()
-        entries = json.loads(baseline.read_text())["findings"]
-        assert len(entries) == 1
-        code, out = run_lint(capsys, str(path))
-        assert code == 0
-        assert "1 baselined" in out
-
-        # 3. Fix the code: the entry goes stale (still exit 0).
-        write(tree, "bad.py", CLEAN_SOURCE)
-        code, out = run_lint(capsys, str(path))
-        assert code == 0
-        assert "stale baseline entry" in out
-
-        # 4. Rewrite: the stale entry expires.
-        assert run_lint(capsys, str(path), "--write-baseline")[0] == 0
-        assert json.loads(baseline.read_text())["findings"] == []
-
-    def test_baseline_notes_survive_rewrite(self, tree, capsys):
-        path = write(tree, "bad.py", BAD_SOURCE)
-        baseline = tree / "lint-baseline.json"
-        run_lint(capsys, str(path), "--write-baseline")
-        data = json.loads(baseline.read_text())
-        data["findings"][0]["note"] = "accepted: justified fixture"
-        baseline.write_text(json.dumps(data))
-        run_lint(capsys, str(path), "--write-baseline")
-        rewritten = json.loads(baseline.read_text())
-        assert rewritten["findings"][0]["note"] == \
-            "accepted: justified fixture"
-
-    def test_no_baseline_flag_reports_everything(self, tree, capsys):
-        path = write(tree, "bad.py", BAD_SOURCE)
-        run_lint(capsys, str(path), "--write-baseline")
-        code, _ = run_lint(capsys, str(path), "--no-baseline")
-        assert code == 1
-
-    def test_explicit_baseline_path(self, tree, capsys):
-        path = write(tree, "bad.py", BAD_SOURCE)
-        custom = tree / "custom-baseline.json"
-        code, _ = run_lint(capsys, str(path), "--baseline",
-                           str(custom), "--write-baseline")
-        assert code == 0
-        assert custom.exists()
-        code, _ = run_lint(capsys, str(path), "--baseline", str(custom))
-        assert code == 0
+        assert report["summary"]["total"] == 1
 
 
 class TestDefaultTarget:
@@ -173,4 +112,4 @@ class TestDefaultTarget:
         and it is clean (the CI invocation)."""
         code, out = run_lint(capsys)
         assert code == 0, out
-        assert "0 new finding(s)" in out
+        assert "0 finding(s)" in out

@@ -202,20 +202,6 @@ class TestFrameworkPlumbing:
         with pytest.raises(KeyError):
             get_rules(["no-such-rule"])
 
-    def test_fingerprints_are_stable_across_line_drift(self, tmp_path):
-        bad = "def f(count: int = None):\n    return count\n"
-        first = tmp_path / "mod.py"
-        first.write_text(bad)
-        drifted = tmp_path / "mod2.py"
-        drifted.write_text(bad)
-        one = analyze([first], root=tmp_path).findings
-        # Same content lower in the file: fingerprint must not move.
-        first.write_text("\n\n# pushed down\n" + bad)
-        two = analyze([first], root=tmp_path).findings
-        assert [f.fingerprint for f in one] == \
-            [f.fingerprint for f in two]
-        assert one[0].line != two[0].line
-
     def test_parse_error_becomes_finding(self, tmp_path):
         broken = tmp_path / "broken.py"
         broken.write_text("def f(:\n")

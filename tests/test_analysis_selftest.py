@@ -11,8 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, analyze
-from repro.analysis.baseline import BASELINE_FILENAME
+from repro.analysis import analyze
 from repro.runtime.memo import MEMO_DECORATOR_NAMES, cached_dwell_time_s
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -24,27 +23,16 @@ def package_result():
     return analyze([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
 
 
-def test_package_has_zero_non_baselined_findings(package_result):
-    """Every finding over src/repro is fixed, suppressed inline with a
-    justification, or explicitly baselined -- never silently present."""
-    result = package_result
-    baseline = Baseline.load(REPO_ROOT / BASELINE_FILENAME)
-    new, _, _ = baseline.partition(result.findings)
-    assert not new, "\n".join(
-        f"{f.path}:{f.line}: [{f.rule}] {f.message}" for f in new)
+def _render(findings):
+    return "\n".join(f"{f.path}:{f.line}: [{f.rule}] {f.message}"
+                     for f in findings)
 
 
-def test_committed_baseline_is_empty():
-    """The acceptance bar: exceptions live inline next to the code
-    they excuse (self-documenting), not in the baseline file."""
-    baseline = Baseline.load(REPO_ROOT / BASELINE_FILENAME)
-    assert baseline.entries == {}
-
-
-def test_committed_baseline_has_no_stale_entries(package_result):
-    baseline = Baseline.load(REPO_ROOT / BASELINE_FILENAME)
-    _, _, stale = baseline.partition(package_result.findings)
-    assert stale == []
+def test_package_has_zero_findings(package_result):
+    """Every finding over src/repro is fixed or suppressed inline with
+    a justification next to the code it excuses; there is no baseline
+    to park one in."""
+    assert not package_result.findings, _render(package_result.findings)
 
 
 def test_analyzer_covers_the_whole_package(package_result):
@@ -57,14 +45,11 @@ def test_analyzer_covers_the_whole_package(package_result):
 
 def test_examples_lint_clean():
     """The executable entry points around the package ride the same
-    contracts: examples must be free of non-baselined findings too
-    (they define workloads whose artifacts the golden gate compares)."""
+    contracts: examples must be free of findings too (they define
+    workloads whose artifacts the golden gate compares)."""
     result = analyze([REPO_ROOT / "examples"], root=REPO_ROOT)
     assert result.files_checked > 0
-    baseline = Baseline.load(REPO_ROOT / BASELINE_FILENAME)
-    new, _, _ = baseline.partition(result.findings)
-    assert not new, "\n".join(
-        f"{f.path}:{f.line}: [{f.rule}] {f.message}" for f in new)
+    assert not result.findings, _render(result.findings)
 
 
 def test_suite_itself_lints_clean():
@@ -74,10 +59,7 @@ def test_suite_itself_lints_clean():
     files = sorted((REPO_ROOT / "tests").glob("test_*.py"))
     result = analyze(files, root=REPO_ROOT)
     assert result.files_checked >= 50
-    baseline = Baseline.load(REPO_ROOT / BASELINE_FILENAME)
-    new, _, _ = baseline.partition(result.findings)
-    assert not new, "\n".join(
-        f"{f.path}:{f.line}: [{f.rule}] {f.message}" for f in new)
+    assert not result.findings, _render(result.findings)
 
 
 def test_every_package_suppression_is_justified(package_result):

@@ -37,7 +37,6 @@ from repro.topology.routing import (
     RELAY_MAX_HOPS,
     DijkstraRouter,
     GeospatialRouter,
-    path_stretch,
 )
 
 #: Constellation zoo: a Table-1 shell plus synthetic grids chosen to
@@ -240,32 +239,6 @@ class TestBatchScalarEquivalence:
                 field
         assert np.array_equal(a.path_buffer, b.path_buffer)
 
-    def test_path_stretch_identical_through_batch_plane(self):
-        """path_stretch computed from batch results == from scalar."""
-        topo = _topology("starlink")
-        router = BatchGeoRouter(topo)
-        base = DijkstraRouter(topo)
-        snap = snapshot_for(topo.propagator, 0.0)
-        src, lats, lons = _wave(topo.constellation, 24, seed=5,
-                                lat_slack=0.05)
-        dsts = [snap.serving_satellite(float(la), float(lo))
-                for la, lo in zip(lats, lons)]
-        keep = [k for k, d in enumerate(dsts) if d >= 0]
-        batch = router.route_batch(src[keep], lats[keep], lons[keep],
-                                   0.0)
-        checked = 0
-        for i, k in enumerate(keep):
-            scalar = router.scalar.route(int(src[k]), float(lats[k]),
-                                         float(lons[k]), 0.0)
-            baseline = base.route(int(src[k]), dsts[k], 0.0)
-            if not (scalar.delivered and baseline.delivered
-                    and baseline.delay_s > 0):
-                continue
-            assert (path_stretch(batch.result(i), baseline)
-                    == path_stretch(scalar, baseline))
-            checked += 1
-        assert checked > 0
-
 
 class TestBatchRouterMechanics:
     @both_engines
@@ -348,7 +321,7 @@ class TestBatchRouterMechanics:
         def wave():
             batch = router.route_batch(src, lats, lons, 0.0)
             assert_bit_equal(batch, router.scalar, src, lats, lons, 0.0)
-            assert router.table_cache_size() == 1
+            assert len(router._tables) == 1
             return batch
 
         before = wave()
@@ -885,7 +858,7 @@ class TestEpochSweepEquivalence:
         assert counters["routing.table_builds"] == 24
         assert counters["routing.sweeps"] == 1
         assert counters["routing.sweep_epochs"] == 24
-        assert router.table_cache_size() == 24
+        assert len(router._tables) == 24
         # Second pass: every epoch's table is still resident.
         router.route_sweep(src, lats, lons, ts)
         counters = metrics.snapshot()["counters"]

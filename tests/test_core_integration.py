@@ -91,7 +91,8 @@ class TestCrossDomainHandover:
         assert decision.domain is AccessDomain.SATELLITE
         # The satellite installed the replica locally.
         sat_index = system.serving_satellite_of(urban)
-        assert system.satellite(sat_index).is_serving(str(urban.supi))
+        assert system.satellite(sat_index).served_session(
+            str(urban.supi)) is not None
 
     def test_no_handover_within_same_domain(self, setup):
         system, manager, urban, _ = setup

@@ -13,7 +13,7 @@ from repro.fiveg.messages import (
 )
 from repro.fiveg.qos import QosShaper
 from repro.fiveg.state import QosState
-from repro.geo import AddressAllocator, GeospatialAddress
+from repro.geo import GeospatialAddress
 from repro.orbits import starlink
 
 
@@ -67,29 +67,6 @@ class TestAddressCellCoherence:
             address = GeospatialAddress.from_ipv6(ue.ip_address)
             assert address.ue_cell == system.grid.cell_of(ue.lat,
                                                           ue.lon)
-
-    def test_same_cell_ues_share_prefix(self):
-        alloc = AddressAllocator(46000)
-        a = alloc.allocate((1, 1), (5, 5))
-        b = alloc.allocate((1, 1), (5, 5))
-        c = alloc.allocate((1, 1), (6, 6))
-        assert a.in_same_prefix(b)
-        assert not a.in_same_prefix(c)
-
-    def test_prefix_parses_as_ipv6_network(self):
-        import ipaddress
-        alloc = AddressAllocator(46000)
-        address = alloc.allocate((1, 1), (5, 5))
-        network = ipaddress.IPv6Network(address.cell_prefix())
-        assert ipaddress.IPv6Address(address.to_ipv6()) in network
-
-    @given(st.tuples(st.integers(0, 1000), st.integers(0, 1000)),
-           st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
-    @settings(max_examples=50)
-    def test_prefix_independent_of_suffix(self, cell, s1, s2):
-        a = GeospatialAddress(46000, (0, 0), cell, s1)
-        b = GeospatialAddress(46000, (0, 0), cell, s2)
-        assert a.in_same_prefix(b)
 
 
 class TestShaperInvariant:

@@ -8,13 +8,10 @@ from repro.crypto import (
     AbeDecryptionError,
     and_,
     attr,
-    can_decrypt,
     decrypt,
     encrypt,
-    k_of,
     keygen,
     or_,
-    policy_attributes,
     satisfies,
     serving_satellite_policy,
     setup,
@@ -45,7 +42,7 @@ class TestAccessTree:
         assert not satisfies(policy, {"c"})
 
     def test_threshold_gate(self):
-        policy = k_of(2, attr("a"), attr("b"), attr("c"))
+        policy = Gate(2, (attr("a"), attr("b"), attr("c")))
         assert satisfies(policy, {"a", "c"})
         assert not satisfies(policy, {"a"})
 
@@ -63,13 +60,9 @@ class TestAccessTree:
         with pytest.raises(ValueError):
             Gate(1, ())
 
-    def test_policy_attributes(self):
-        policy = or_(and_(attr("a"), attr("b")), attr("c"))
-        assert policy_attributes(policy) == {"a", "b", "c"}
-
     def test_describe(self):
         policy = or_(and_(attr("a"), attr("b")),
-                     k_of(2, attr("c"), attr("d"), attr("e")))
+                     Gate(2, (attr("c"), attr("d"), attr("e"))))
         text = policy.describe()
         assert "OR" in text and "AND" in text and "2-of-3" in text
 
@@ -128,7 +121,7 @@ class TestAbeRoundtrip:
 
     def test_threshold_policy(self, authority):
         _, msk = authority
-        ct = encrypt(msk, b"z", k_of(2, attr("a"), attr("b"), attr("c")))
+        ct = encrypt(msk, b"z", Gate(2, (attr("a"), attr("b"), attr("c"))))
         assert decrypt(keygen(msk, ["b", "c"]), ct) == b"z"
         with pytest.raises(AbeDecryptionError):
             decrypt(keygen(msk, ["c"]), ct)
@@ -167,12 +160,6 @@ class TestAbeRoundtrip:
         b = encrypt(msk, b"same", attr("a"))
         assert a.payload != b.payload or a.nonce != b.nonce
 
-    def test_can_decrypt_predicate(self, authority):
-        _, msk = authority
-        ct = encrypt(msk, b"m", and_(attr("a"), attr("b")))
-        assert can_decrypt(keygen(msk, ["a", "b"]), ct)
-        assert not can_decrypt(keygen(msk, ["a"]), ct)
-
     def test_keygen_requires_attributes(self, authority):
         _, msk = authority
         with pytest.raises(ValueError):
@@ -190,7 +177,7 @@ class TestAbeRoundtrip:
         """The functional contract: decrypt succeeds iff A(S) = true."""
         _, msk = setup(b"property-test-secret")
         policy = or_(and_(attr("a"), attr("b")),
-                     k_of(2, attr("c"), attr("d"), attr("e")))
+                     Gate(2, (attr("c"), attr("d"), attr("e"))))
         ct = encrypt(msk, b"payload", policy)
         key = keygen(msk, holder_attrs)
         if satisfies(policy, holder_attrs):

@@ -6,11 +6,11 @@ import pytest
 
 from repro.core.edge import OrbitalEdgeService
 from repro.experiments.state_footprint import (
-    durable_vs_ephemeral,
     footprint_comparison,
     satellite_state_footprint,
 )
-from repro.baselines import baoyun
+from repro.baselines import ALL_SOLUTIONS, baoyun
+from repro.baselines.base import StateResidency
 from repro.orbits import IdealPropagator, default_ground_stations, starlink
 from repro.topology import GridTopology
 
@@ -32,12 +32,12 @@ def edge(topology):
 
 class TestPlacement:
     def test_places_requested_count(self, edge):
-        assert len(edge.replicas) == 5
+        assert len(edge._replicas) == 5
 
     def test_replicas_spread_apart(self, edge, topology):
         from repro.orbits.coordinates import central_angle
         subs = topology.propagator.subpoints(0.0)
-        replicas = edge.replicas
+        replicas = sorted(edge._replicas)
         for i, a in enumerate(replicas):
             for b in replicas[i + 1:]:
                 angle = central_angle(float(subs[a][0]),
@@ -56,7 +56,7 @@ class TestServing:
     def test_request_served_from_nearby_replica(self, edge):
         result = edge.serve(*BEIJING, 0.0)
         assert result.served
-        assert result.replica_sat in edge.replicas
+        assert result.replica_sat in edge._replicas
         # A replica over east Asia should be a short hop away.
         assert result.latency_s < 0.08
 
@@ -82,7 +82,7 @@ class TestServing:
 
     def test_all_replicas_dead_fails_politely(self, topology):
         service = OrbitalEdgeService(topology)
-        service.place_on([0])
+        service._replicas = {0}
         topology.fail_satellite(0)
         try:
             assert not service.serve(*BEIJING, 0.0).served
@@ -110,10 +110,12 @@ class TestStateFootprint:
             15 * small.stored_bytes)
 
     def test_durability_classes(self):
-        classes = durable_vs_ephemeral()
-        assert classes["SpaceCore"] == "ephemeral"
+        """Only SpaceCore's on-board state evaporates on release."""
+        residency = {factory().name: factory().state_residency
+                     for factory in ALL_SOLUTIONS}
+        assert residency["SpaceCore"] is StateResidency.NONE
         for name in ("SkyCore", "Baoyun", "DPCM", "5G NTN"):
-            assert classes[name] == "durable"
+            assert residency[name] is not StateResidency.NONE
 
     def test_measured_sizes_plausible(self):
         from repro.experiments.state_footprint import (

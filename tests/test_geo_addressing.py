@@ -65,29 +65,6 @@ class TestEncoding:
             GeospatialAddress.from_int(1 << 128)
 
 
-class TestSemantics:
-    def test_with_ue_cell_changes_only_cell(self):
-        addr = make_address()
-        moved = addr.with_ue_cell((5, 5))
-        assert moved.ue_cell == (5, 5)
-        assert moved.ue_suffix == addr.ue_suffix
-        assert moved.home_cell == addr.home_cell
-        assert moved.plmn_id == addr.plmn_id
-
-    def test_same_cell(self):
-        a = make_address(ue_cell=(3, 3))
-        b = make_address(ue_cell=(3, 3), ue_suffix=9)
-        c = make_address(ue_cell=(4, 3))
-        assert a.same_cell(b)
-        assert not a.same_cell(c)
-
-    def test_is_roaming(self):
-        home = make_address(home_cell=(1, 1), ue_cell=(1, 1))
-        away = make_address(home_cell=(1, 1), ue_cell=(2, 1))
-        assert not home.is_roaming()
-        assert away.is_roaming()
-
-
 class TestAllocator:
     def test_unique_addresses_within_cell(self):
         alloc = AddressAllocator(46000)
@@ -100,21 +77,6 @@ class TestAllocator:
         b = alloc.allocate((0, 0), (6, 6))
         assert a.ue_suffix == 0
         assert b.ue_suffix == 0  # independent counters
-
-    def test_allocated_in_counts(self):
-        alloc = AddressAllocator(46000)
-        for _ in range(7):
-            alloc.allocate((0, 0), (5, 5))
-        assert alloc.allocated_in((5, 5)) == 7
-        assert alloc.allocated_in((9, 9)) == 0
-
-    def test_reallocate_moves_cell_keeps_home(self):
-        alloc = AddressAllocator(46000)
-        addr = alloc.allocate((2, 2), (5, 5))
-        moved = alloc.reallocate(addr, (8, 8))
-        assert moved.ue_cell == (8, 8)
-        assert moved.home_cell == (2, 2)
-        assert moved.plmn_id == addr.plmn_id
 
     def test_rejects_bad_plmn(self):
         with pytest.raises(ValueError):

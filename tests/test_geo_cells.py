@@ -21,15 +21,6 @@ class TestGridShape:
         assert grid.num_rows == 22
         assert grid.num_cells == 1584
 
-    def test_cell_index_roundtrip(self, grid):
-        for cell in [(0, 0), (71, 21), (35, 11)]:
-            assert grid.cell_from_index(grid.cell_index(cell)) == cell
-
-    def test_cells_enumerates_all(self, grid):
-        cells = list(grid.cells())
-        assert len(cells) == grid.num_cells
-        assert len(set(cells)) == grid.num_cells
-
     def test_neighbors_wrap_torus(self, grid):
         nbrs = grid.neighbors((0, 0))
         assert (71, 0) in nbrs
@@ -40,8 +31,8 @@ class TestGridShape:
 
 class TestPointAssignment:
     def test_assignment_is_deterministic(self, grid):
-        a = grid.cell_of_degrees(39.9, 116.4)
-        b = grid.cell_of_degrees(39.9, 116.4)
+        a = grid.cell_of(math.radians(39.9), math.radians(116.4))
+        b = grid.cell_of(math.radians(39.9), math.radians(116.4))
         assert a == b
 
     def test_nearby_points_often_share_cells(self, grid):
@@ -50,14 +41,14 @@ class TestPointAssignment:
         same = 0
         for k in range(50):
             lat = -50 + 2 * k
-            a = grid.cell_of_degrees(lat, 30.0)
-            b = grid.cell_of_degrees(lat + 0.05, 30.0)
+            a = grid.cell_of(math.radians(lat), math.radians(30.0))
+            b = grid.cell_of(math.radians(lat + 0.05), math.radians(30.0))
             same += a == b
         assert same >= 45
 
     def test_antipodal_points_differ(self, grid):
-        assert (grid.cell_of_degrees(40.0, 116.0)
-                != grid.cell_of_degrees(-40.0, -64.0))
+        assert (grid.cell_of(math.radians(40.0), math.radians(116.0))
+                != grid.cell_of(math.radians(-40.0), math.radians(-64.0)))
 
     @given(
         st.floats(min_value=-math.radians(80), max_value=math.radians(80)),
@@ -99,9 +90,9 @@ class TestPointAssignment:
 
     def test_static_point_cell_never_changes(self, grid):
         """The defining property: cells are frozen at t=0 (S4.1)."""
-        cell = grid.cell_of_degrees(48.8, 2.3)
+        cell = grid.cell_of(math.radians(48.8), math.radians(2.3))
         for _ in range(10):
-            assert grid.cell_of_degrees(48.8, 2.3) == cell
+            assert grid.cell_of(math.radians(48.8), math.radians(2.3)) == cell
 
 
 class TestCellAreas:

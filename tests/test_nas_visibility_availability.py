@@ -5,24 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from repro.experiments import (
-    availability_gap,
-    availability_sweep,
-    gateway_reachability,
-)
+from repro.experiments import availability_sweep, gateway_reachability
 from repro.orbits import IdealPropagator, iridium, starlink
-from repro.orbits.snapshot import ConstellationSnapshot, sample_times
+from repro.orbits.coverage import visible_satellites
+from repro.orbits.snapshot import sample_times
 
 
 def _visible_counts(constellation, lat_deg, duration_s, step_s=30.0):
     """Satellites visible from ``(lat_deg, 0)`` every ``step_s``."""
     propagator = IdealPropagator(constellation)
-    lats = np.array([math.radians(lat_deg)])
-    lons = np.zeros(1)
-    return np.array([
-        int(ConstellationSnapshot(propagator, t).visible_counts(
-            lats, lons)[0])
-        for t in sample_times(0.0, duration_s, step_s)])
+    lat = math.radians(lat_deg)
+    return np.array([len(visible_satellites(propagator, t, lat, 0.0))
+                     for t in sample_times(0.0, duration_s, step_s)])
 
 
 class TestCoverageStatistics:
@@ -64,8 +58,11 @@ class TestAvailability:
     def test_spacecore_availability_advantage(self):
         points = availability_sweep(starlink(),
                                     failure_fractions=(0.0, 0.1))
-        gaps = availability_gap(points)
-        for level, gap in gaps.items():
+        availability = {(p.failure_fraction, p.solution): p.availability
+                        for p in points}
+        for level in (0.0, 0.1):
+            gap = (availability[level, "SpaceCore"]
+                   - availability[level, "5G NTN"])
             assert gap > 0.2, f"no advantage at {level}"
 
     def test_spacecore_immune_to_gateway_partition(self):

@@ -185,16 +185,6 @@ class TestTracer:
         assert span.start_s == span.end_s == 12.5
         assert span.attrs == {"target": [3]}
 
-    def test_set_clock_rebinds(self):
-        from repro.sim.engine import Simulator
-
-        sim = Simulator()
-        tracer = Tracer()
-        tracer.set_clock(lambda: sim.now)
-        sim.schedule_at(4.0, lambda: tracer.event("tick"))
-        sim.run()
-        assert tracer.records[0].start_s == 4.0
-
     def test_span_brackets_simulated_time(self):
         t = {"now": 1.0}
         tracer = Tracer(clock=lambda: t["now"])

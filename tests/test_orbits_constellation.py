@@ -100,12 +100,6 @@ class TestIndexing:
         assert c.sat_index(0, 7) == c.sat_index(0, 0)
         assert c.sat_index(-1, -1) == c.sat_index(4, 6)
 
-    def test_satellites_enumerates_all(self):
-        c = Constellation("t", 3, 4, 550.0, 53.0)
-        sats = list(c.satellites())
-        assert len(sats) == 12
-        assert len(set(sats)) == 12
-
     def test_neighbors_are_adjacent(self):
         c = Constellation("t", 7, 5, 550.0, 53.0)
         up, down = c.intra_plane_neighbors(2, 3)

@@ -21,12 +21,8 @@ from repro.orbits import (
 )
 from repro.orbits.coverage import (
     coverage_half_angle,
-    elevation_angle,
     footprint_area_km2,
     footprint_radius_km,
-    handover_rate_per_user,
-    pass_schedule,
-    slant_range_km,
 )
 from repro.orbits.groundstations import station_load_shares
 
@@ -128,27 +124,10 @@ class TestCoverage:
         # cap area exceeds pi*r_chord^2 but is close to pi*(R*theta)^2.
         assert area == pytest.approx(flat, rel=0.05)
 
-    def test_slant_range_bounds(self):
-        # At zenith the slant range equals the altitude.
-        assert slant_range_km(550, math.pi / 2) == pytest.approx(550.0)
-        # At lower elevations it grows.
-        assert slant_range_km(550, math.radians(25)) > 550.0
-
-    def test_elevation_angle_inverts_slant_range(self):
-        for el_deg in (10, 25, 45, 80):
-            el = math.radians(el_deg)
-            d = slant_range_km(550, el)
-            assert elevation_angle(d, 550) == pytest.approx(el, abs=1e-9)
-
     def test_starlink_dwell_matches_paper(self):
         """S3.2: ~165.8 s transient coverage per Starlink satellite."""
         dwell = mean_dwell_time_s(starlink())
         assert dwell == pytest.approx(STARLINK_DWELL_S, rel=0.05)
-
-    def test_handover_rate_is_inverse_dwell(self):
-        c = starlink()
-        assert handover_rate_per_user(c) == pytest.approx(
-            1.0 / mean_dwell_time_s(c))
 
     def test_visible_satellites_nonempty_midlatitude(self):
         prop = IdealPropagator(starlink())
@@ -165,19 +144,6 @@ class TestCoverage:
     def test_no_server_over_pole_for_inclined_shell(self):
         prop = IdealPropagator(starlink())
         assert serving_satellite(prop, 0.0, math.radians(89), 0.0) == -1
-
-    def test_pass_schedule_produces_consecutive_passes(self):
-        prop = IdealPropagator(starlink())
-        lat, lon = math.radians(30), math.radians(10)
-        passes = pass_schedule(prop, lat, lon, 0.0, 1800.0, step_s=10.0)
-        assert passes, "expected at least one pass in 30 minutes"
-        for start, end, sat in passes:
-            assert end > start
-            assert 0 <= sat < starlink().total_satellites
-        # Pass durations should be near the analytic dwell time.
-        durations = [end - start for start, end, _ in passes[1:-1]]
-        if durations:
-            assert max(durations) < 4 * STARLINK_DWELL_S
 
 
 class TestGroundStations:

@@ -89,7 +89,7 @@ class TestLossAndFailures:
         for _ in range(40):
             sim.send(src_sat, *NEW_YORK)
         sim.run()
-        assert sim.drop_count() > 0
+        assert any(r.dropped for r in sim.records)
         assert len(sim.delivered()) > 0
 
     def test_mid_flight_link_failure_drops(self, topology, src_sat):

@@ -7,10 +7,10 @@ before its per-hop reads became ``ndarray.item()`` Python floats:
 ``route`` and every helper it reaches, copied verbatim.  The
 differential asserts ``==`` on every ``RouteResult`` field -- delay and
 distance as float bits, ``deflected`` by name because
-``RouteResult.__eq__`` skips it -- and on ``covers`` / ``next_hop`` /
-``_hop_offsets`` at every hop, over generated packets on full-torus,
-seam and degenerate shells under fault cocktails, with and without
-``avoid_links``.  The same packets through ``route_batch`` must match
+``RouteResult.__eq__`` skips it -- and on ``covers`` /
+``_next_hop_snap`` / ``_hop_offsets_snap`` at every hop, over generated
+packets on full-torus, seam and degenerate shells under fault
+cocktails, with and without ``avoid_links``.  The same packets through ``route_batch`` must match
 the oracle on whichever lane this host runs (the compiled walk, or the
 reference walk under ``REPRO_NO_CKERNEL=1``).
 
@@ -52,8 +52,8 @@ class _ParentWalk(GeospatialRouter):
 
     Construction (coverage angle, degraded slack, coordinate system,
     hop budget) is inherited; ``route`` and every per-hop helper it
-    reaches are the old code, so ``covers`` / ``next_hop`` /
-    ``_hop_offsets`` answer the old way too.  It has no source check:
+    reaches are the old code, so ``covers`` / ``_next_hop_snap`` /
+    ``_hop_offsets_snap`` answer the old way too.  It has no source check:
     that is one of the things the new walk changed.
     """
 
@@ -286,13 +286,15 @@ class TestParentWalkOracle:
             want = old.route(s, lat, lon, t, avoid_links=avoid_links)
             got = new.route(s, lat, lon, t, avoid_links=avoid_links)
             assert _bits(got) == _bits(want)
+            snap = new._snapshot(t)
+            reps = new.system.both_representations(lat, lon)
             for node in want.path:
                 assert (new.covers(node, lat, lon, t)
                         == old.covers(node, lat, lon, t))
-                assert (new.next_hop(node, lat, lon, t)
-                        == old.next_hop(node, lat, lon, t))
-                assert (new._hop_offsets(node, lat, lon, t)
-                        == old._hop_offsets(node, lat, lon, t))
+                assert (new._next_hop_snap(snap, node, reps)
+                        == old._next_hop_snap(snap, node, reps))
+                assert (new._hop_offsets_snap(snap, node, reps)
+                        == old._hop_offsets_snap(snap, node, reps))
             expected.append(want)
 
         # The batch plane, on this host's lane, against the same oracle.

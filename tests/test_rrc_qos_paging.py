@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.core.paging import (
-    DEFAULT_DRX_CYCLE_S,
-    PagingTransaction,
-    geospatial_cell_cost,
-    legacy_tracking_area_cost,
-    occasion_for,
-)
+from repro.core.paging import geospatial_cell_cost, legacy_tracking_area_cost
 from repro.fiveg.qos import QosShaper, TokenBucket
 from repro.fiveg.state import QosState
 from repro.geo import GeospatialCellGrid
@@ -30,7 +24,9 @@ class TestTokenBucket:
 
     def test_burst_capped(self):
         bucket = TokenBucket(rate_bytes_s=1000.0, burst_bytes=1000.0)
-        assert bucket.available_tokens(100.0) == 1000.0
+        # A long idle refills to the burst size, never past it.
+        assert bucket.admit(1000, 100.0)
+        assert not bucket.admit(1, 100.0)
 
     def test_time_backwards_rejected(self):
         bucket = TokenBucket(1000.0, 1000.0)
@@ -58,11 +54,8 @@ class TestQosShaper:
         """The paper's 128 Kbps throttle actually slows the session."""
         shaper = QosShaper(QosState(max_bitrate_down_kbps=100_000))
         fast = shaper.achievable_throughput_kbps("down", 2.0)
-        import dataclasses
-        shaper.reconfigure(dataclasses.replace(
-            shaper.qos, max_bitrate_down_kbps=128,
-            max_bitrate_up_kbps=128))
-        slow = shaper.achievable_throughput_kbps("down", 2.0)
+        throttled = QosShaper(QosState(max_bitrate_down_kbps=128))
+        slow = throttled.achievable_throughput_kbps("down", 2.0)
         assert slow < fast / 100
         assert slow == pytest.approx(128, rel=0.5)
 
@@ -72,13 +65,6 @@ class TestQosShaper:
         assert not shaper.admit_uplink(1500, 0.1)
         assert shaper.uplink.admitted == 1
         assert shaper.uplink.dropped == 1
-        assert 0 < shaper.uplink.drop_ratio < 1
-
-    def test_directions_independent(self):
-        shaper = QosShaper(QosState(max_bitrate_up_kbps=8,
-                                    max_bitrate_down_kbps=8000))
-        assert shaper.admit_downlink(100_000, 0.0) or True
-        assert shaper.admit_uplink(1000, 0.0)
 
 
 class TestEnforcingUpf:
@@ -102,21 +88,6 @@ class TestEnforcingUpf:
         for _ in range(5):
             assert upf.forward_uplink(1, 1500)
 
-    def test_home_pushed_throttle_applies(self):
-        """S4.4: the home's session modification reconfigures shaping."""
-        upf = self.make_upf(kbps=100_000)
-        assert upf.forward_downlink("2001:db8::1", 100_000, now_s=0.0)
-        upf.update_qos(1, QosState(max_bitrate_up_kbps=128,
-                                   max_bitrate_down_kbps=128))
-        # 100 kB exceeds a 128 Kbps bucket's burst: dropped.
-        assert not upf.forward_downlink("2001:db8::1", 100_000,
-                                        now_s=1.0)
-
-    def test_update_qos_unknown_tunnel(self):
-        upf = self.make_upf()
-        with pytest.raises(KeyError):
-            upf.update_qos(99, QosState())
-
     def test_non_enforcing_upf_has_no_shaper(self):
         from repro.fiveg.nf import Upf
         upf = Upf("plain")
@@ -125,33 +96,6 @@ class TestEnforcingUpf:
 
 
 class TestPaging:
-    def test_occasions_spread_by_identity(self):
-        offsets = {occasion_for(suffix).offset_s
-                   for suffix in range(16)}
-        assert len(offsets) == 4  # OCCASIONS_PER_CYCLE buckets
-
-    def test_next_after(self):
-        occasion = occasion_for(1)
-        first = occasion.next_after(0.0)
-        assert first >= 0.0
-        later = occasion.next_after(first + 0.001)
-        assert later == pytest.approx(first + DEFAULT_DRX_CYCLE_S)
-
-    def test_negative_suffix_rejected(self):
-        with pytest.raises(ValueError):
-            occasion_for(-1)
-
-    def test_transaction_answers_at_occasion(self):
-        txn = PagingTransaction(ue_suffix=5)
-        answered = txn.page(0.0, ue_reachable=True)
-        assert answered is not None
-        assert answered >= 0.0
-        assert txn.attempts == 1
-
-    def test_unreachable_ue_unanswered(self):
-        txn = PagingTransaction(ue_suffix=5)
-        assert txn.page(0.0, ue_reachable=False) is None
-
     def test_geospatial_paging_cheaper_than_tracking_area(self):
         """SpaceCore pages one footprint; legacy pages a whole area."""
         constellation = starlink()

@@ -5,7 +5,7 @@ import pytest
 from repro.baselines.solutions import fiveg_ntn, spacecore
 from repro.constants import SESSION_INTERARRIVAL_S
 from repro.orbits import starlink
-from repro.runtime import OfferedLoadProbe, UECohortEngine
+from repro.runtime import UECohortEngine
 from repro.sim import CohortEmulation, NeighborhoodEmulation
 
 
@@ -107,68 +107,6 @@ class TestScaling:
             UECohortEngine(dwell_s=None, n_ues=10)
         with pytest.raises(ValueError):
             UECohortEngine(starlink(), n_ues=10).run(0.0)
-
-
-class TestOfferedLoadProbe:
-    """The engine's offered-load routability probe (epoch sweep)."""
-
-    def test_same_seed_bit_identical(self):
-        probes = [
-            UECohortEngine(starlink(), n_ues=5_000, seed=9)
-            .probe_offered_load(600.0, epochs=6, max_packets=48)
-            for _ in range(2)
-        ]
-        assert probes[0] == probes[1]
-        assert isinstance(probes[0], OfferedLoadProbe)
-
-    def test_bounds_and_table_reuse(self):
-        engine = UECohortEngine(starlink(), n_ues=5_000, seed=2)
-        probe = engine.probe_offered_load(600.0, epochs=6,
-                                          max_packets=48)
-        assert probe.packets == min(probe.offered_sessions, 48)
-        assert 0 <= probe.delivered <= probe.routed <= probe.packets
-        assert 0.0 <= probe.delivery_fraction <= 1.0
-        # One next-hop table per epoch, no rebuilds inside the sweep.
-        assert probe.table_builds == probe.epochs
-        # A second probe reuses every table the first one built.
-        again = engine.probe_offered_load(600.0, epochs=6,
-                                          max_packets=48)
-        assert again.table_builds == 0
-
-    def test_matches_scalar_walk(self):
-        """Probe packets route bit-identically to the scalar walk."""
-        from repro.topology.routing import RELAY_MAX_HOPS
-        engine = UECohortEngine(starlink(), n_ues=2_000, seed=5)
-        probe = engine.probe_offered_load(600.0, epochs=4,
-                                          max_packets=16)
-        router = engine._offered_router()
-        assert router.max_hops == RELAY_MAX_HOPS
-        assert probe.delivered > 0
-
-    def test_requires_constellation(self):
-        engine = UECohortEngine(dwell_s=300.0, n_ues=100)
-        with pytest.raises(ValueError):
-            engine.probe_offered_load(600.0)
-
-    def test_validation(self):
-        engine = UECohortEngine(starlink(), n_ues=100)
-        with pytest.raises(ValueError):
-            engine.probe_offered_load(0.0)
-        with pytest.raises(ValueError):
-            engine.probe_offered_load(600.0, epochs=0)
-
-    def test_metrics_exported(self):
-        from repro.obs.metrics import MetricsRegistry
-        metrics = MetricsRegistry()
-        engine = UECohortEngine(starlink(), n_ues=2_000, seed=1,
-                                metrics=metrics)
-        probe = engine.probe_offered_load(600.0, epochs=4,
-                                          max_packets=32)
-        assert metrics.counter_value(
-            "cohort.offered_probes", solution="SpaceCore") == 1
-        assert metrics.counter_value(
-            "cohort.offered_packets",
-            solution="SpaceCore") == probe.packets
 
 
 class TestCohortEmulation:

@@ -15,8 +15,6 @@ from repro.runtime import (
     shard_memoized,
     shutdown_worker_pools,
 )
-from repro.runtime.parallel import shard_seeds
-from repro.runtime.planner import pool_recycles
 
 
 def _square(x):
@@ -58,10 +56,6 @@ class TestSeedDerivation:
         for shard in range(100):
             seed = seed_for(0, shard)
             assert 0 <= seed < 2 ** 63
-
-    def test_shard_seeds_enumerates(self):
-        assert shard_seeds(3, 4) == [seed_for(3, k) for k in range(4)]
-        assert shard_seeds(3, 0) == []
 
 
 class TestResolveWorkers:
@@ -158,8 +152,8 @@ class TestShardMemoized:
 
 
 class TestBrokenPoolRecycle:
-    """A worker death must be visible: a RuntimeWarning plus a planner
-    recycle count under the fan-out's label, not a silent restart.
+    """A worker death must be visible: a RuntimeWarning naming the
+    fan-out's label, not a silent restart.
     """
 
     @pytest.fixture
@@ -183,28 +177,23 @@ class TestBrokenPoolRecycle:
         yield crashes
         shutdown_worker_pools()
 
-    def test_recycle_warns_counts_and_still_completes(self, flaky_dispatch):
-        before = sum(pool_recycles().values())
+    def test_recycle_warns_and_still_completes(self, flaky_dispatch):
         with pytest.warns(RuntimeWarning, match="recycling"):
             values = run_sharded(_square, range(6), workers=2,
                                  label="recycle-test")
         assert values == [x * x for x in range(6)]
         assert flaky_dispatch["remaining"] == 0
-        assert sum(pool_recycles().values()) == before + 1
 
-    def test_recycle_counter_carries_fan_label(self, flaky_dispatch):
-        before = pool_recycles().get("labelled-recycle", 0)
-        with pytest.warns(RuntimeWarning):
+    def test_recycle_warning_carries_fan_label(self, flaky_dispatch):
+        with pytest.warns(RuntimeWarning, match="'labelled-recycle'"):
             run_sharded(_square, range(4), workers=2,
                         label="labelled-recycle")
-        assert pool_recycles()["labelled-recycle"] == before + 1
 
-    def test_killed_worker_warns_counts_and_matches_serial(
+    def test_killed_worker_warns_and_matches_serial(
             self, monkeypatch, tmp_path):
         """A real death mid-shard: the worker SIGKILLs itself on item 5."""
         monkeypatch.setenv(PLANNER_ENV_VAR, "sharded")
         work = [(x, 5, str(tmp_path / "died")) for x in range(12)]
-        before = pool_recycles().get("killed-worker", 0)
         try:
             with pytest.warns(RuntimeWarning, match="recycling"):
                 values = run_sharded(_square_or_die_once, work, workers=2,
@@ -212,4 +201,3 @@ class TestBrokenPoolRecycle:
         finally:
             shutdown_worker_pools()
         assert values == [x * x for x, *_ in work]
-        assert pool_recycles()["killed-worker"] == before + 1

@@ -22,7 +22,6 @@ from repro.runtime import (
     run_sharded,
     seed_for,
     shutdown_worker_pools,
-    warm_pool_info,
 )
 from repro.runtime import planner
 from repro.runtime.planner import (
@@ -276,17 +275,16 @@ class TestPoolIntegration:
         run_sharded(_double, range(8), workers=2)
         run_sharded(_double, range(8), workers=2)
         assert pools_created() == before + 1
-        assert warm_pool_info() == {"workers": 2, "shared_keys": []}
 
     def test_shutdown_tears_down_cleanly(self, monkeypatch):
         monkeypatch.setenv(PLANNER_ENV_VAR, "sharded")
         run_sharded(_double, range(4), workers=2)
-        assert warm_pool_info() is not None
         shutdown_worker_pools()
-        assert warm_pool_info() is None
-        # And the next call simply builds a fresh pool.
+        before = pools_created()
+        # The next call simply builds a fresh pool.
         assert run_sharded(_double, range(4), workers=2) == \
             [0, 2, 4, 6]
+        assert pools_created() == before + 1
 
     def test_worker_count_change_recycles_pool(self, monkeypatch):
         monkeypatch.setenv(PLANNER_ENV_VAR, "sharded")

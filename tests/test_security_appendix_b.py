@@ -81,7 +81,8 @@ class TestAuthorization:
         home, _, ue = deployment
         other = home.provision_subscriber(3)
         home.register(other, (1, 1), (1, 1))
-        own_key = home.ue_abe_key(ue)
+        own_key = keygen(home.core.abe_master,
+                         ("role:ue", f"supi:{ue.supi}"))
         assert decrypt(own_key, ue.replica.ciphertext)
         with pytest.raises(AbeDecryptionError):
             decrypt(own_key, other.replica.ciphertext)
@@ -148,10 +149,9 @@ class TestReplayAndFreshness:
     def test_version_downgrade_refused_by_ue(self, deployment):
         home, _, ue = deployment
         from repro.fiveg.procedures import build_state_bundle
-        session = home.core.smf.sessions_for(ue.supi)[0]
-        bundle = build_state_bundle(session,
-                                    home.core.amf.context(ue.supi),
-                                    (1, 1))
+        context = home.core.amf.context(ue.supi)
+        session = home.core.smf.session(context.session_ids[0])
+        bundle = build_state_bundle(session, context, (1, 1))
         old = ue.replica
         home.apply_usage_report(ue, bundle, 1000, 1000)
         with pytest.raises(ValueError):
@@ -175,7 +175,8 @@ class TestUeManipulation:
         no authority key, so its forgery cannot carry a valid home
         signature."""
         home, satellite, ue = deployment
-        own_key = home.ue_abe_key(ue)
+        own_key = keygen(home.core.abe_master,
+                         ("role:ue", f"supi:{ue.supi}"))
         blob = decrypt(own_key, ue.replica.ciphertext)
         state = SessionState.from_bytes(blob)
         upgraded = dataclasses.replace(

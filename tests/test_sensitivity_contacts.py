@@ -1,15 +1,15 @@
 """Tests for sensitivity analysis and contact plans.
 
 A contact plan is the schedule of which satellite serves a fixed
-ground point (a gateway, or a geospatial cell's centre) when:
-``pass_schedule`` for the healthy shell, ``GridTopology``'s live
-access satellite once satellites fail.
+ground point (here a geospatial cell's centre): ``GridTopology``'s
+live access satellite once satellites fail.
 """
+
+import math
 
 import pytest
 
 from repro.experiments import (
-    by_parameter,
     constellation_scaling,
     sensitivity_sweep,
     worst_case_reduction,
@@ -18,10 +18,9 @@ from repro.geo import GeospatialCellGrid
 from repro.orbits import (
     IdealPropagator,
     default_ground_stations,
-    mean_dwell_time_s,
+    serving_satellite,
     starlink,
 )
-from repro.orbits.coverage import pass_schedule
 from repro.orbits.snapshot import sample_times
 from repro.topology import GridTopology
 
@@ -33,23 +32,24 @@ def sensitivity_points():
 
 class TestSensitivity:
     def test_sweep_covers_three_parameters(self, sensitivity_points):
-        grouped = by_parameter(sensitivity_points)
-        assert set(grouped) == {"mean_hops", "gateways", "capacity"}
+        assert {p.parameter for p in sensitivity_points} == {
+            "mean_hops", "gateways", "capacity"}
 
     def test_conclusion_robust(self, sensitivity_points):
         """Across every perturbation SpaceCore keeps a large margin."""
         assert worst_case_reduction(sensitivity_points) > 5.0
 
     def test_more_hops_bigger_reduction(self, sensitivity_points):
-        hops_points = sorted(by_parameter(sensitivity_points)
-                             ["mean_hops"], key=lambda p: p.value)
+        hops_points = sorted((p for p in sensitivity_points
+                              if p.parameter == "mean_hops"),
+                             key=lambda p: p.value)
         reductions = [p.reduction_vs_ntn for p in hops_points]
         assert reductions == sorted(reductions)
 
     def test_capacity_invariance(self, sensitivity_points):
         """Both loads scale linearly in capacity: the ratio holds."""
-        cap_points = by_parameter(sensitivity_points)["capacity"]
-        values = [p.reduction_vs_ntn for p in cap_points]
+        values = [p.reduction_vs_ntn for p in sensitivity_points
+                  if p.parameter == "capacity"]
         assert max(values) / min(values) < 1.5
 
 
@@ -73,59 +73,13 @@ def topology():
                         default_ground_stations())
 
 
-def _covered_fraction(plan, t_start, t_end):
-    return sum(end - start for start, end, _ in plan) / (t_end - t_start)
-
-
 class TestContactPlans:
-    def test_gateway_plan_structure(self, topology):
-        station = topology.ground_stations[0]
-        plan = pass_schedule(topology.propagator, station.lat,
-                             station.lon, 0.0, 1800.0, step_s=30.0)
-        assert plan, "a mid-latitude gateway is never uncovered"
-        for start, end, sat in plan:
-            assert end > start
-            assert 0 <= sat < 1584
-        # Contacts are time-ordered and non-overlapping.
-        for (_, a_end, _), (b_start, _, _) in zip(plan, plan[1:]):
-            assert a_end <= b_start
-
-    def test_gateway_hands_over_repeatedly(self, topology):
-        """The Fig. 11 effect seen from the ground: servers rotate."""
-        station = topology.ground_stations[0]
-        plan = pass_schedule(topology.propagator, station.lat,
-                             station.lon, 0.0, 1800.0, step_s=30.0)
-        assert len(plan) >= 3
-        assert len({sat for _, _, sat in plan}) >= 3
-        assert _covered_fraction(plan, 0.0, 1800.0) > 0.95
-
-    def test_contact_durations_bounded_by_dwell(self, topology):
-        """Closest-server contacts are shorter than the full pass:
-        with Starlink's dense multi-coverage a *different* satellite
-        becomes closest well before the current one sets."""
-        station = topology.ground_stations[0]
-        plan = pass_schedule(topology.propagator, station.lat,
-                             station.lon, 0.0, 3600.0, step_s=15.0)
-        mean_duration = sum(end - start for start, end, _ in plan) \
-            / len(plan)
-        dwell = mean_dwell_time_s(topology.constellation)
-        assert 15.0 < mean_duration <= dwell * 1.2
-
-    def test_cell_plan_rotates_servers(self, topology):
-        """The cell is fixed; the satellite covering it changes."""
-        grid = GeospatialCellGrid(topology.constellation)
-        lat, lon = grid.cell_center(grid.cell_of_degrees(39.9, 116.4))
-        plan = pass_schedule(topology.propagator, lat, lon, 0.0, 1200.0,
-                             step_s=30.0)
-        assert len({sat for _, _, sat in plan}) >= 2
-        assert _covered_fraction(plan, 0.0, 1200.0) > 0.9
-
     def test_failed_satellite_leaves_gap(self, topology):
         grid = GeospatialCellGrid(topology.constellation)
-        lat, lon = grid.cell_center(grid.cell_of_degrees(39.9, 116.4))
+        lat, lon = grid.cell_center(grid.cell_of(math.radians(39.9),
+                                                 math.radians(116.4)))
         times = sample_times(0.0, 600.0, 30.0)
-        victim = pass_schedule(topology.propagator, lat, lon, 0.0, 600.0,
-                               step_s=30.0)[0][2]
+        victim = serving_satellite(topology.propagator, 0.0, lat, lon)
         local = GridTopology(topology.propagator, [])
         local.fail_satellite(victim)
         servers = {local.live_access_satellite(lat, lon, t)

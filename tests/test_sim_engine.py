@@ -75,15 +75,6 @@ class TestCancellation:
         handle.cancel()
         sim.run()
 
-    def test_pending_ignores_cancelled(self):
-        sim = Simulator()
-        keep = sim.schedule(1.0, lambda: None)
-        drop = sim.schedule(2.0, lambda: None)
-        drop.cancel()
-        assert sim.pending() == 1
-        keep.cancel()
-        assert sim.pending() == 0
-
 
 class TestRunControl:
     def test_run_until_stops_clock(self):
@@ -121,10 +112,9 @@ class TestRunControl:
         sim.run(max_events=1)
         assert fired == ["b"]
         assert sim.now == 2.0
-        assert sim.pending() == 1
         sim.run(max_events=1)
         assert fired == ["b", "c"]
-        assert sim.pending() == 0
+        assert sim.step() is False
 
     def test_max_events_with_all_heads_cancelled(self):
         """Budgeted run over a fully cancelled queue fires nothing."""
@@ -136,7 +126,7 @@ class TestRunControl:
             handle.cancel()
         sim.run(max_events=5)
         assert fired == []
-        assert sim.pending() == 0
+        assert sim.step() is False
 
     def test_until_with_cancelled_head_past_deadline(self):
         """A cancelled event beyond ``until`` must not stall the clock."""
@@ -150,16 +140,17 @@ class TestRunControl:
         assert sim.now == 5.0
 
     def test_nan_until_rejected_before_any_event(self):
-        """``head.time > nan`` is always False, so a periodic chain
-        under ``until=nan`` would never return."""
+        """``head.time > nan`` is always False, so a self-rescheduling
+        callback under ``until=nan`` would never return."""
         sim = Simulator()
         ticks = []
-        sim.schedule_periodic(1.0, ticks.append, "tick")
+        sim.schedule(1.0, ticks.append, "tick")
         with pytest.raises(ValueError):
             sim.run(until=float("nan"))
         assert ticks == []
         assert sim.now == 0.0
-        assert sim.pending() == 1
+        sim.run()
+        assert ticks == ["tick"]
 
     def test_step_returns_false_when_empty(self):
         sim = Simulator()
@@ -171,78 +162,3 @@ class TestRunControl:
             sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.events_processed == 4
-
-
-class TestPeriodic:
-    def test_periodic_fires_repeatedly(self):
-        sim = Simulator()
-        ticks = []
-        sim.schedule_periodic(1.0, lambda: ticks.append(sim.now))
-        sim.run(until=5.5)
-        assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
-
-    def test_periodic_first_delay(self):
-        sim = Simulator()
-        ticks = []
-        sim.schedule_periodic(10.0, lambda: ticks.append(sim.now),
-                              first_delay=0.5)
-        sim.run(until=21.0)
-        assert ticks == [0.5, 10.5, 20.5]
-
-    def test_periodic_cancel_stops_chain(self):
-        sim = Simulator()
-        ticks = []
-        handle = sim.schedule_periodic(1.0, lambda: ticks.append(sim.now))
-        sim.run(until=2.5)
-        handle.cancel()
-        sim.run(until=10.0)
-        assert ticks == [1.0, 2.0]
-
-    def test_periodic_with_jitter(self):
-        sim = Simulator()
-        ticks = []
-        sim.schedule_periodic(1.0, lambda: ticks.append(sim.now),
-                              jitter=lambda: 0.25)
-        sim.run(until=4.0)
-        assert ticks == pytest.approx([1.0, 2.25, 3.5])
-
-    def test_zero_interval_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            sim.schedule_periodic(0.0, lambda: None)
-
-    def test_cancel_from_inside_callback_stops_chain(self):
-        """ISSUE 5 regression: self-cancellation must not be a no-op.
-
-        The currently-firing handle has ``fired=True`` so cancelling
-        *it* does nothing; the chain flag has to stop the re-arm or
-        the periodic runs forever.
-        """
-        sim = Simulator()
-        ticks = []
-        chain = {}
-
-        def tick():
-            ticks.append(sim.now)
-            if len(ticks) == 3:
-                chain["handle"].cancel()
-
-        chain["handle"] = sim.schedule_periodic(1.0, tick)
-        sim.run(until=10.0)
-        assert ticks == [1.0, 2.0, 3.0]
-        assert sim.pending() == 0
-
-    def test_cancel_inside_callback_then_outside_is_idempotent(self):
-        sim = Simulator()
-        ticks = []
-        chain = {}
-
-        def tick():
-            ticks.append(sim.now)
-            chain["handle"].cancel()
-
-        chain["handle"] = sim.schedule_periodic(2.0, tick)
-        sim.run(until=20.0)
-        chain["handle"].cancel()
-        sim.run(until=40.0)
-        assert ticks == [2.0]

@@ -24,14 +24,12 @@ from repro.orbits import (
 from repro.orbits.coordinates import central_angle, wrap_signed
 from repro.orbits.coverage import (
     coverage_half_angle,
-    pass_schedule,
     serving_satellite,
     visible_satellites,
 )
 from repro.orbits.snapshot import (
     serving_over_times,
     serving_satellites,
-    visible_counts,
 )
 from repro.topology.grid import GridTopology
 from repro.topology.routing import GeospatialRouter, RouteResult
@@ -75,27 +73,6 @@ def _scalar_serving(propagator, t, ue_lat, ue_lon, min_elevation_deg=None):
     if ang[best] > theta:
         return -1
     return best
-
-
-def _scalar_pass_schedule(propagator, ue_lat, ue_lon, t_start, t_end,
-                          step_s=5.0, min_elevation_deg=None):
-    """Pre-refactor coverage.pass_schedule (per-step serving scan)."""
-    passes = []
-    current_sat = -2
-    run_start = t_start
-    t = t_start
-    while t <= t_end:
-        sat = _scalar_serving(propagator, t, ue_lat, ue_lon,
-                              min_elevation_deg)
-        if sat != current_sat:
-            if current_sat >= 0:
-                passes.append((run_start, t, current_sat))
-            current_sat = sat
-            run_start = t
-        t += step_s
-    if current_sat >= 0:
-        passes.append((run_start, min(t, t_end), current_sat))
-    return passes
 
 
 class _ScalarRouter(GeospatialRouter):
@@ -265,17 +242,6 @@ class TestBatchEquivalence:
             assert int(batch[i]) == _scalar_serving(
                 prop, t, float(lats[i]), float(lons[i]))
 
-    @pytest.mark.parametrize("kind", PROPAGATOR_KINDS)
-    def test_visible_counts_batch(self, kind):
-        prop = make_propagator(starlink(), kind)
-        rng = np.random.default_rng(5)
-        lats, lons = _sample_points(rng, 100)
-        t = 987.0
-        batch = visible_counts(prop, t, lats, lons)
-        for i in range(len(lats)):
-            assert int(batch[i]) == len(_scalar_visible(
-                prop, t, float(lats[i]), float(lons[i])))
-
 
 class TestTimeGridEquivalence:
     """The O(T + N)-trig time-grid kernels pick the same satellites."""
@@ -290,15 +256,6 @@ class TestTimeGridEquivalence:
         fast = serving_over_times(prop, times, lat, lon)
         for t, sat in zip(times, fast):
             assert int(sat) == _scalar_serving(prop, t, lat, lon)
-
-    @pytest.mark.parametrize("kind", PROPAGATOR_KINDS)
-    def test_pass_schedule_equivalence(self, kind):
-        prop = make_propagator(starlink(), kind)
-        lat, lon = BEIJING
-        got = pass_schedule(prop, lat, lon, 0.0, 3000.0, step_s=5.0)
-        want = _scalar_pass_schedule(prop, lat, lon, 0.0, 3000.0,
-                                     step_s=5.0)
-        assert got == want
 
 
 class TestRouterEquivalence:
@@ -339,9 +296,11 @@ class TestRouterEquivalence:
             lon = float(np.radians(rng.uniform(-180, 180)))
             assert (fast.covers(sat, lat, lon, t)
                     == slow.covers(sat, lat, lon, t))
-            assert (fast.next_hop(sat, lat, lon, t)
+            snap = fast._snapshot(t)
+            reps = fast.system.both_representations(lat, lon)
+            assert (fast._next_hop_snap(snap, sat, reps)
                     == slow.next_hop(sat, lat, lon, t))
-            fa, fg = fast._hop_offsets(sat, lat, lon, t)
+            fa, fg = fast._hop_offsets_snap(snap, sat, reps)
             sa, sg = slow._hop_offsets(sat, lat, lon, t)
             assert fa == sa and fg == sg
 

@@ -24,8 +24,6 @@ from repro.topology import (
     DijkstraRouter,
     GeospatialRouter,
     GridTopology,
-    Link,
-    path_stretch,
     propagation_delay_s,
 )
 
@@ -52,37 +50,6 @@ class TestLinks:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             propagation_delay_s(-1.0)
-
-    def test_link_other_endpoint(self):
-        link = Link("a", "b")
-        assert link.other("a") == "b"
-        assert link.other("b") == "a"
-        with pytest.raises(ValueError):
-            link.other("c")
-
-    def test_link_failure_cycle(self):
-        link = Link("a", "b")
-        assert link.delivers()
-        link.fail()
-        assert not link.delivers()
-        link.recover()
-        assert link.delivers()
-
-    def test_frame_error_rate(self):
-        link = Link("a", "b", frame_error_rate=1.0)
-        assert not link.delivers(random.Random(0))
-
-    def test_link_validation(self):
-        with pytest.raises(ValueError):
-            Link("a", "b", kind="fiber")
-        with pytest.raises(ValueError):
-            Link("a", "b", frame_error_rate=1.5)
-        with pytest.raises(ValueError):
-            Link("a", "b", bandwidth_mbps=0)
-
-    def test_transmission_delay(self):
-        link = Link("a", "b", bandwidth_mbps=8.0)
-        assert link.transmission_delay_s(1000) == pytest.approx(1e-3)
 
 
 class TestGridTopology:
@@ -169,11 +136,10 @@ class TestGridTopology:
         present = names.intersection(graph.nodes)
         assert len(present) > len(names) * 0.6
 
-    def test_gsl_and_uplink_delay_positive(self, topo):
+    def test_gsl_delay_positive(self, topo):
         gs = topo.ground_stations[0]
         sat = topo.station_access_satellite(gs, 0.0)
         assert topo.gsl_delay_s(sat, gs, 0.0) > 0
-        assert topo.uplink_delay_s(sat, *BEIJING, 0.0) > 0
 
 
 class TestAlgorithm1:
@@ -219,7 +185,7 @@ class TestAlgorithm1:
         geo = router.route(src, *NEW_YORK, 0.0)
         base = DijkstraRouter(topo).route(src, dst, 0.0)
         assert base.delivered
-        assert path_stretch(geo, base) < 1.6
+        assert geo.delay_s < 1.6 * base.delay_s
 
     def test_j4_orbits_still_deliver(self):
         """Fig. 18b: runtime coordinates self-calibrate perturbations."""
@@ -261,11 +227,6 @@ class TestAlgorithm1:
         src = serving_satellite(topo.propagator, 0.0, *BEIJING)
         result = router.route(src, *NEW_YORK, 0.0)
         assert result.hops == len(result.path) - 1
-
-    def test_path_stretch_requires_delivery(self):
-        from repro.topology.routing import RouteResult
-        with pytest.raises(ValueError):
-            path_stretch(RouteResult(False), RouteResult(True))
 
 
 class TestStarConstellations:

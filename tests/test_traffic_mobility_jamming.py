@@ -60,15 +60,9 @@ class TestTrafficConcentration:
         """S3.1/S4.2: pushing the data plane to the edge de-funnels."""
         comparison = compare_concentration(topology,
                                            top_satellites=12)
-        assert comparison.asymmetry_removed
+        assert (comparison.peer_peak_to_mean
+                < comparison.gateway_peak_to_mean)
         assert comparison.peer_gini < comparison.gateway_gini
-
-    def test_busiest_links_sorted(self, topology):
-        demands = gravity_demand(topology, 0.0, top_satellites=8)
-        load = load_to_gateways(topology, 0.0, demands)
-        busiest = load.busiest_links(3)
-        values = [v for _, v in busiest]
-        assert values == sorted(values, reverse=True)
 
     def test_gini_bounds(self, topology):
         demands = gravity_demand(topology, 0.0, top_satellites=8)

@@ -2,62 +2,12 @@
 
 import pytest
 
-from repro.fiveg.nf.udsf import (
-    ConflictError,
-    UDSF_ACCESS_LATENCY_S,
-    Udsf,
-    compare_state_retrieval,
-)
+from repro.fiveg.nf.udsf import compare_state_retrieval
 from repro.orbits import starlink
 from repro.sim import NeighborhoodEmulation
 
 
 class TestUdsf:
-    def test_put_get_roundtrip(self):
-        store = Udsf("home-udsf")
-        store.put("ue-1", b"state blob")
-        record = store.get("ue-1")
-        assert record is not None
-        assert record.blob == b"state blob"
-        assert record.version == 1
-
-    def test_versions_increment(self):
-        store = Udsf("home-udsf")
-        store.put("k", b"v1")
-        record = store.put("k", b"v2")
-        assert record.version == 2
-
-    def test_optimistic_concurrency(self):
-        store = Udsf("home-udsf")
-        store.put("k", b"v1")
-        with pytest.raises(ConflictError):
-            store.put("k", b"v2", expected_version=7)
-        assert store.conflicts == 1
-        store.put("k", b"v2", expected_version=1)
-
-    def test_delete(self):
-        store = Udsf("home-udsf")
-        store.put("k", b"v")
-        assert store.delete("k")
-        assert not store.delete("k")
-        assert store.get("k") is None
-
-    def test_counters(self):
-        store = Udsf("home-udsf")
-        store.put("a", b"1")
-        store.get("a")
-        store.get("missing")
-        assert store.writes == 1
-        assert store.reads == 2
-        assert store.record_count == 1
-
-    def test_latency_includes_rtt(self):
-        remote = Udsf("ground-udsf", location_rtt_s=0.060)
-        local = Udsf("onboard-udsf", location_rtt_s=0.0)
-        assert remote.read_latency_s() == pytest.approx(
-            0.060 + UDSF_ACCESS_LATENCY_S)
-        assert remote.read_latency_s() > local.read_latency_s()
-
     def test_footnote3_comparison(self):
         """Device-as-repository beats a ground UDSF by the whole RTT."""
         udsf_latency, device_latency = compare_state_retrieval(
@@ -78,7 +28,7 @@ class TestNeighborhoodEmulation:
 
     def test_sessions_succeed(self, stats):
         assert stats.sessions_attempted > 0
-        assert stats.success_ratio == 1.0
+        assert stats.sessions_established == stats.sessions_attempted
         assert stats.fallbacks == 0
 
     def test_measured_rate_matches_analytic(self, stats):
@@ -129,13 +79,14 @@ class TestNeighborhoodEmulation:
 
     def test_billing_accumulates_across_sessions(self, stats):
         """Charged megabytes survive establishment cycles."""
-        from repro.crypto import decrypt
+        from repro.crypto import decrypt, keygen
         from repro.fiveg import SessionState
         emulation = stats.emulation
         home = emulation.system.home
         charged = []
         for ue in emulation.ues:
-            key = home.ue_abe_key(ue)
+            key = keygen(home.core.abe_master,
+                         ("role:ue", f"supi:{ue.supi}"))
             state = SessionState.from_bytes(
                 decrypt(key, ue.replica.ciphertext))
             charged.append(state.billing.used_mb)

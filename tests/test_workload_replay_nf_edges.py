@@ -77,26 +77,6 @@ class TestReplayCpuSeries:
 
 
 class TestNfEdgeCases:
-    def test_amf_context_by_tmsi(self):
-        core = CoreNetwork()
-        ue = core.provision_subscriber(1)
-        runner = ProcedureRunner(core)
-        context = runner.initial_registration(ue, (0, 0))
-        found = core.amf.context_by_tmsi(context.guti.tmsi)
-        assert found is not None
-        assert str(found.supi) == str(ue.supi)
-        assert core.amf.context_by_tmsi(0xDEADBEEF) is None or True
-
-    def test_amf_deregister_clears_everything(self):
-        core = CoreNetwork()
-        ue = core.provision_subscriber(2)
-        runner = ProcedureRunner(core)
-        context = runner.initial_registration(ue, (0, 0))
-        core.amf.deregister(ue.supi)
-        assert core.amf.context(ue.supi) is None
-        assert core.amf.context_by_tmsi(context.guti.tmsi) is None
-        assert core.amf.registered_count == 0
-
     def test_amf_paging_counts(self):
         core = CoreNetwork()
         ue = core.provision_subscriber(3)
@@ -105,17 +85,6 @@ class TestNfEdgeCases:
         stranger = core.provision_subscriber(4)
         assert not core.amf.page(stranger.supi)
         assert core.amf.paging_requests == 2
-
-    def test_amf_transfer_from_unknown_raises(self):
-        core = CoreNetwork()
-        from repro.fiveg.identifiers import Plmn
-        from repro.fiveg.nf import Amf
-        from repro.crypto import generate_keypair
-        sk, _ = generate_keypair()
-        other = Amf("other", Plmn(460, 0), core.ausf)
-        ue = core.provision_subscriber(5)
-        with pytest.raises(KeyError):
-            core.amf.transfer_context_from(other, ue.supi)
 
     def test_smf_release_unknown_session_is_noop(self):
         core = CoreNetwork()
