@@ -34,9 +34,7 @@ import math
 import numbers
 import random
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Tuple, Union
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from ..baselines.solutions import fiveg_ntn
 from ..constants import (
@@ -60,6 +58,9 @@ from ..orbits.constellation import Constellation, starlink
 from ..orbits.coordinates import central_angle
 from ..runtime.parallel import get_shared, run_sharded, seed_for
 from ..sim.engine import Simulator
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Four radio messages of the localized Fig. 16a exchange at LEO
 #: one-way latency: SpaceCore's re-attach cost once a live satellite
@@ -458,6 +459,8 @@ def compute_degradation_penalty_s(system_kind: str, factor: float,
 
 def _component_labels(graph: nx.Graph) -> Dict[int, int]:
     """``node -> label``: equal labels iff same connected component."""
+    # Function-local, like ``GridTopology.snapshot_graph``'s.
+    import networkx as nx
     return {node: label for label, component
             in enumerate(nx.connected_components(graph))
             for node in component}

@@ -12,11 +12,13 @@ packets/s per core).  The call releases the GIL, so
 the chunks of a large wave on every core.
 It models Algorithm 1's preferred-direction walk only; a packet that
 needs anything else (deflection, seam revisit, a path longer than the
-caller's buffer) is flagged, with the prefix walked so far (path
-cells, delay, distance, length) written out, and the reference walk
-*continues* it from the node where the flag was raised.  The prefix is
-the one the reference walk would have walked itself, bit for bit, so
-continuing it equals recomputing it.
+caller's per-packet cap) is flagged, with the prefix walked so far
+(path cells, delay, distance, length) written out, and the reference
+walk *continues* it from the node where the flag was raised.  The
+prefix is the one the reference walk would have walked itself, bit for
+bit, so continuing it equals recomputing it.  Paths are written
+compactly, each packet's cells right after the previous packet's, so a
+chunk's paths take 4 bytes per node walked, not per node of capacity.
 
 Bit-exactness
 =============
@@ -185,7 +187,12 @@ static int hop_decision(double wa0, double wg0, double wa1, double wg1,
  * fallback flags.  Every exit -- delivery, a flag, or the hop budget
  * spent -- writes the walked prefix: path cells 0..step, its delay and
  * distance, and path_len = step + 1, so a flagged packet's reference
- * walk continues from there instead of starting over. */
+ * walk continues from there instead of starting over.
+ *
+ * Paths are compact: packet i's cells start where packet i - 1's
+ * ended, so packet i starts at the sum of path_len[0..i) and the
+ * caller's region needs n * path_cap cells only in the worst case.
+ * Cells past the last packet's path are never written. */
 void walk_chunk(
     int64_t n, int64_t max_hops, int64_t path_cap,
     int32_t full_torus, int32_t healthy,
@@ -207,6 +214,7 @@ void walk_chunk(
 {
     const double half_dr = 0.5 * delta_raan;   /* exact */
     const double half_dp = 0.5 * delta_phase;  /* exact */
+    int64_t cursor = 0;
     for (int64_t i = 0; i < n; i++) {
         int64_t cur = src[i];
         const double A0 = a0[i], G0 = g0[i];
@@ -214,7 +222,7 @@ void walk_chunk(
         const double DLAT = dest_lat[i], DLON = dest_lon[i];
         const double UX = ux[i], UY = uy[i], UZ = uz[i];
         double delay = 0.0, dist = 0.0;
-        int32_t *path = paths + i * path_cap;
+        int32_t *path = paths + cursor;
         path[0] = (int32_t)cur;
         int64_t step;
         for (step = 0; step < max_hops; step++) {
@@ -269,9 +277,8 @@ void walk_chunk(
                 }
             }
             if (step + 1 >= path_cap) {
-                /* Path buffer exhausted (the caller trades capacity
-                 * for allocation cost); the scalar walk that continues
-                 * from here has no such limit. */
+                /* Per-packet path capacity reached; the scalar walk
+                 * that continues from here has no such limit. */
                 fallback[i] = 1;
                 break;
             }
@@ -289,6 +296,7 @@ void walk_chunk(
         delay_out[i] = delay;
         dist_out[i] = dist;
         path_len[i] = (int32_t)(step + 1);
+        cursor += step + 1;
     }
 }
 

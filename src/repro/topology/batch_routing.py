@@ -25,8 +25,8 @@ equivalence suite asserts on both lanes.
 dead preferred edge, seam revisit) -- the compiled walk's flag, and
 ``RouteResult.deflected`` of the reference walk.  Two flags stay
 engine-specific: ``avoid_links`` flags the whole wave on either lane,
-and a path longer than the compiled walk's 64-node buffer is flagged
-by the compiled walk only.
+and a path longer than the compiled walk's 64-node cap is flagged by
+the compiled walk only.
 
 Per-epoch next-hop tables
 =========================
@@ -44,8 +44,9 @@ Chunks on threads
 =================
 A wave larger than ``_CHUNK_PACKETS`` is cut into chunks, and the
 chunks run on up to ``usable_cores()`` threads: the ctypes call and
-the NumPy prep release the GIL, and each chunk writes disjoint rows of
-the outputs, so the result is the same at any thread count.  The
+the NumPy prep release the GIL, and each chunk writes disjoint slices
+of the outputs (its rows, and its own region of the flat path array),
+so the result is the same at any thread count.  The
 reference walk (``_finish``) and every metrics call stay on the
 calling thread.
 
@@ -66,6 +67,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+from array import array
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -178,72 +180,55 @@ class BatchRouteResult:
     than the routing itself, and bulk consumers (benchmarks, sweeps,
     the packet layer) only need the arrays.
 
-    The dense path matrix is lazy for the same reason: the compiled
-    walk writes only the first ``path_len[i]`` cells of each row, and
-    normalising the rest to -1 is a couple hundred megabytes of memory
-    traffic per million packets that verdict/delay consumers never
-    need.  Row reads (:meth:`path`) slice by ``path_len`` and are
-    always exact; :attr:`path_buffer` trims and normalises the matrix
-    on first access.
+    Paths are ragged: packet ``i``'s ``path_len[i]`` nodes sit back to
+    back in one flat int32 array from ``_offsets[i]`` on, 4 bytes per
+    path node.  How packets share the flat array is the writer's
+    business (the compiled walk packs each chunk from the chunk's
+    region start, a continued packet's path moves to the tail, a sweep
+    appends its waves), and cells no packet claims hold garbage, so
+    :meth:`path` is the one read API.
     """
 
     __slots__ = ("delivered", "degraded", "delay_s", "distance_km",
-                 "path_len", "fallback", "_paths", "_normalized")
+                 "path_len", "fallback", "_offsets", "_flat", "_used")
 
-    def __init__(self, n: int, paths: Optional[np.ndarray] = None,
-                 path_len: int = 1):
-        """``n`` undelivered, unflagged packets for a router to fill.
-
-        ``paths`` is a raw ``(n, width)`` buffer whose cells beyond
-        each ``path_len`` are normalised lazily; the default is one
-        column of -1.
-        """
+    def __init__(self, n: int, capacity: int = 0):
+        """``n`` undelivered, unflagged packets with empty paths, and
+        room for ``capacity`` path nodes, for a router to fill."""
         self.delivered = np.zeros(n, dtype=bool)
         self.degraded = np.zeros(n, dtype=bool)
         self.fallback = np.zeros(n, dtype=bool)
         self.delay_s = np.zeros(n, dtype=float)
         self.distance_km = np.zeros(n, dtype=float)
-        self.path_len = np.full(n, path_len, dtype=np.int32)
-        self._normalized = paths is None
-        self._paths = (np.full((n, 1), -1, dtype=np.int32)
-                       if paths is None else paths)
+        self.path_len = np.zeros(n, dtype=np.int32)
+        self._offsets = np.zeros(n, dtype=np.int64)
+        self._flat = np.empty(capacity, dtype=np.int32)
+        #: Cells ``[0, _used)`` may be claimed; appends go after them.
+        self._used = 0
 
     def __len__(self) -> int:
         return int(self.delivered.shape[0])
 
-    @property
-    def path_buffer(self) -> np.ndarray:
-        """The dense ``(N, width)`` path matrix, -1 beyond each path.
-
-        Materialised on first access (see the class docstring); the
-        trimmed, normalised matrix is cached.
-        """
-        if not self._normalized:
-            paths = self._paths
-            width = max(int(self.path_len.max()), 1)
-            if width < paths.shape[1]:
-                paths = np.ascontiguousarray(paths[:, :width])
-            paths[np.arange(width)[None, :]
-                  >= self.path_len[:, None]] = -1
-            self._paths = paths
-            self._normalized = True
-        return self._paths
-
-    def _widen(self, width: int) -> None:
-        """Grow the path matrix to ``width`` columns of -1."""
-        have = self._paths.shape[1]
-        if width > have:
-            wider = np.full((len(self), width), -1, dtype=np.int32)
-            wider[:, :have] = self._paths
-            self._paths = wider
+    def _append(self, sel: np.ndarray, cells: np.ndarray,
+                starts: np.ndarray, lengths: np.ndarray) -> None:
+        """Give packet ``sel[k]`` the path ``cells[starts[k]:][:lengths[k]]``,
+        copying ``cells`` to the tail of the flat array."""
+        end = self._used + cells.size
+        if end > self._flat.size:
+            grown = np.empty(max(end, 2 * self._flat.size), dtype=np.int32)
+            grown[:self._used] = self._flat[:self._used]
+            self._flat = grown
+        self._flat[self._used:end] = cells
+        self._offsets[sel] = starts + self._used
+        self.path_len[sel] = lengths
+        self._used = end
 
     def _scatter(self, sel: np.ndarray, wave: "BatchRouteResult") -> None:
         """Store ``wave``'s packets at the indices ``sel``."""
-        rows = wave.path_buffer if self._normalized else wave._paths
-        self._widen(rows.shape[1])
-        self._paths[sel, :rows.shape[1]] = rows
+        self._append(sel, wave._flat[:wave._used], wave._offsets,
+                     wave.path_len)
         for name in ("delivered", "degraded", "fallback", "delay_s",
-                     "distance_km", "path_len"):
+                     "distance_km"):
             getattr(self, name)[sel] = getattr(wave, name)
 
     @property
@@ -253,8 +238,8 @@ class BatchRouteResult:
 
     def path(self, index: int) -> List[int]:
         """The node path of packet ``index`` as a plain list."""
-        n = int(self.path_len[index])
-        return [int(v) for v in self._paths[index, :n]]
+        start = int(self._offsets[index])
+        return self._flat[start:start + int(self.path_len[index])].tolist()
 
     def result(self, index: int) -> RouteResult:
         """Materialise packet ``index`` as a scalar RouteResult."""
@@ -364,7 +349,7 @@ class BatchGeoRouter:
 
         The compiled walk routes the wave against the epoch's next-hop
         table; the reference walk continues each packet it flags
-        (deflection, seam revisit, path longer than its buffer) from
+        (deflection, seam revisit, path longer than its cap) from
         the prefix the compiled walk handed over, and routes every
         packet of an ``avoid_links`` wave from its source.  Without a
         compiled walk the reference walk routes the whole wave, with
@@ -409,30 +394,21 @@ class BatchGeoRouter:
         if kernel is None:
             return self._finish(BatchRouteResult(n), src, dlat, dlon, t,
                                 whole_wave=True)
-        # One raw path buffer for the whole batch; each chunk's rows
-        # are a contiguous slice the kernel writes in place, so there
-        # is no per-chunk stitch copy at all.  -1 normalisation of
-        # never-written cells happens lazily on first path_buffer
-        # access (see BatchRouteResult).
-        #
-        # The capacity is deliberately small: an uninitialised
-        # 64-column buffer costs far less than a -1-filled
-        # (max_hops + 1)-column one, and the kernel flags the rare
-        # longer walk for the reference walk to continue (it has no
-        # capacity limit).  +Grid shortest-metric walks on the
-        # paper's shells stay well under 64 hops; only fault
+        # Each chunk's paths are packed from its region start, a
+        # region of ``cap`` cells per packet (the most a packet can
+        # write).  The array is left uninitialised, so the cells no path
+        # reaches are address space, not memory.  The kernel flags the
+        # rare walk longer than ``cap`` nodes for the reference walk to
+        # continue (it has no capacity limit); +Grid walks on the
+        # paper's shells stay well under 64 nodes, and only fault
         # deflections ever exceed it.
         cap = min(self.max_hops + 1, 64)
-        paths = np.empty((n, cap), dtype=np.int32)
-        out = BatchRouteResult(n, paths)
+        out = BatchRouteResult(n, n * cap)
         self._count("routing.kernel_packets", n)
 
         def walk(part: slice) -> None:
-            self._route_chunk_kernel(
-                kernel, table, src[part], dlat[part], dlon[part],
-                out.delivered[part], out.degraded[part],
-                out.delay_s[part], out.distance_km[part],
-                out.path_len[part], out.fallback[part], paths[part])
+            self._route_chunk_kernel(kernel, table, src, dlat, dlon, out,
+                                     part, cap)
 
         parts = [slice(lo, lo + _CHUNK_PACKETS)
                  for lo in range(0, n, _CHUNK_PACKETS)]
@@ -449,6 +425,7 @@ class BatchGeoRouter:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 for _ in pool.map(walk, parts):
                     pass
+        out._used = int(out._offsets[-1]) + int(out.path_len[-1])
         return self._finish(out, src, dlat, dlon, t)
 
     # -- the epoch sweep -------------------------------------------------------
@@ -494,7 +471,7 @@ class BatchGeoRouter:
         n = src.shape[0]
         self._count("routing.sweeps")
         if n == 0:
-            return BatchRouteResult(0, path_len=0)
+            return BatchRouteResult(0)
         epochs, inverse = np.unique(t_arr, return_inverse=True)
         self._count("routing.sweep_epochs", int(epochs.size))
         if int(epochs.size) > self._table_cache_size:
@@ -506,22 +483,12 @@ class BatchGeoRouter:
         snapshots_for(self.topology.propagator,
                       [float(t) for t in epochs])
 
-        out: Optional[BatchRouteResult] = None
+        out = BatchRouteResult(n)
         for k in range(epochs.size):
             sel = np.nonzero(inverse == k)[0]
-            wave = self.route_batch(src[sel], dlat[sel], dlon[sel],
-                                    float(epochs[k]),
-                                    avoid_links=avoid_links)
-            if out is None:
-                # Merge the *raw* per-wave path buffers: only the
-                # first ``path_len`` cells of a row are meaningful
-                # either way, and -1 padding of everything else waits
-                # for first path_buffer access (exactly the
-                # route_batch kernel-lane policy).
-                out = BatchRouteResult(n, np.empty(
-                    (n, wave._paths.shape[1]), dtype=np.int32))
-            out._scatter(sel, wave)
-        assert out is not None
+            out._scatter(sel, self.route_batch(
+                src[sel], dlat[sel], dlon[sel], float(epochs[k]),
+                avoid_links=avoid_links))
         return out
 
     def sweep_trials(self, src: Tuple[float, float],
@@ -557,28 +524,25 @@ class BatchGeoRouter:
             np.asarray(ts_list, dtype=float)[routed])
         if routed.size == n:
             return src_sats, wave
-        out = BatchRouteResult(n, path_len=0)
+        out = BatchRouteResult(n)
         out._scatter(routed, wave)
         return src_sats, out
 
     def _route_chunk_kernel(self, kernel: ctypes.CDLL,
                             table: NextHopTable, src: np.ndarray,
                             dlat: np.ndarray, dlon: np.ndarray,
-                            delivered: np.ndarray, degraded: np.ndarray,
-                            delay: np.ndarray, distance: np.ndarray,
-                            path_len: np.ndarray, fallback: np.ndarray,
-                            paths: np.ndarray) -> None:
-        """One chunk through the compiled per-packet walk.
+                            out: BatchRouteResult, part: slice,
+                            cap: int) -> None:
+        """The packets ``part`` through the compiled per-packet walk.
 
         Same decision structure and float64 arithmetic as the
-        reference walk (see ``_walk_kernel``); scatters into the
-        output views and writes each packet's path into its row of
-        ``paths`` (a contiguous row-slice of the batch buffer; only
-        the first ``path_len`` cells of a row are touched).  May run on
-        a worker thread, so it reads shared state only and touches no
-        metrics registry.
+        reference walk (see ``_walk_kernel``); writes the chunk's rows
+        of ``out`` and packs its paths, at most ``cap`` nodes each,
+        from cell ``part.start * cap`` of the flat array on.  May run
+        on a worker thread, so it writes only the chunk's share of
+        ``out`` and touches no metrics registry.
         """
-        n = src.shape[0]
+        src, dlat, dlon = src[part], dlat[part], dlon[part]
         theta = self.scalar.coverage_angle
         c = self.topology.constellation
         a0, g0, a1, g1 = self.scalar.system.both_representations_batch(
@@ -587,14 +551,14 @@ class BatchGeoRouter:
         unit_x = cos_dlat * np.cos(dlon)
         unit_y = cos_dlat * np.sin(dlon)
         unit_z = np.sin(dlat)
-        cap = paths.shape[1]
         edge = table.edge_up
+        path_len = out.path_len[part]
 
         def ptr(array: np.ndarray) -> ctypes.c_void_p:
             return ctypes.c_void_p(array.ctypes.data)
 
         kernel.walk_chunk(
-            n, self.max_hops, cap,
+            src.shape[0], self.max_hops, cap,
             1 if self._full_torus else 0,
             1 if table.healthy else 0,
             theta, theta * self.scalar.degraded_slack,
@@ -610,8 +574,15 @@ class BatchGeoRouter:
             ptr(table.neighbors), ptr(table.hop_km),
             ptr(table.hop_delay_s),
             ptr(edge) if edge is not None else None,
-            ptr(delivered), ptr(degraded), ptr(fallback),
-            ptr(delay), ptr(distance), ptr(path_len), ptr(paths))
+            ptr(out.delivered[part]), ptr(out.degraded[part]),
+            ptr(out.fallback[part]), ptr(out.delay_s[part]),
+            ptr(out.distance_km[part]), ptr(path_len),
+            ptr(out._flat[part.start * cap:]))
+        # Packet i of the chunk starts where packet i - 1 ended.
+        offsets = out._offsets[part]
+        offsets[0] = part.start * cap
+        np.cumsum(path_len[:-1], dtype=np.int64, out=offsets[1:])
+        offsets[1:] += offsets[0]
 
     def _finish(self, out: BatchRouteResult, src: np.ndarray,
                 dlat: np.ndarray, dlon: np.ndarray, t: float,
@@ -633,12 +604,12 @@ class BatchGeoRouter:
         flagged = (np.arange(len(out)) if whole_wave
                    else np.nonzero(out.fallback)[0])
         resume = not (whole_wave or avoid_links)
+        cells, lengths = array("i"), array("i")
         for index in flagged:
             walked = None
             if resume:
                 walked = RouteResult(
-                    False, out._paths[index, :out.path_len[index]].tolist(),
-                    float(out.delay_s[index]),
+                    False, out.path(index), float(out.delay_s[index]),
                     float(out.distance_km[index]))
             result = self.scalar.route(
                 int(src[index]), float(dlat[index]), float(dlon[index]),
@@ -649,11 +620,13 @@ class BatchGeoRouter:
             out.distance_km[index] = result.distance_km
             if whole_wave:
                 out.fallback[index] = result.deflected
-            node_count = len(result.path)
-            out._widen(node_count)
-            out._paths[index, :node_count] = result.path
-            out._paths[index, node_count:] = -1
-            out.path_len[index] = node_count
+            cells.extend(result.path)
+            lengths.append(len(result.path))
+        # The reference walk's paths go to the tail in one copy; a
+        # continued packet's compiled-walk slot is left unclaimed.
+        counts = np.frombuffer(lengths, dtype=np.intc)
+        out._append(flagged, np.frombuffer(cells, dtype=np.intc),
+                    np.cumsum(counts, dtype=np.int64) - counts, counts)
         self._count("routing.scalar_fallbacks",
                     int(np.count_nonzero(out.fallback)))
         return out

@@ -14,9 +14,8 @@ notify it when the fault state moves.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..constants import EARTH_RADIUS_KM, SPEED_OF_LIGHT_KM_S
@@ -31,6 +30,9 @@ from ..orbits.snapshot import (
     snapshot_for,
 )
 from .links import propagation_delay_s
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class GridTopology:
@@ -331,6 +333,9 @@ class GridTopology:
         carry the ``hop_lengths_km`` lengths, computed for live edges
         only and memoised nowhere.
         """
+        # Function-local: a process that never builds a graph does not
+        # pay for importing networkx.
+        import networkx as nx
         graph = nx.Graph()
         total = self.constellation.total_satellites
         graph.add_nodes_from(sorted(set(range(total)) - self._failed_sats))

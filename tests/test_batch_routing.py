@@ -116,6 +116,12 @@ def assert_bit_equal(batch, scalar_router, src, lats, lons, t,
         assert batch.path(i) == expected.path, i
 
 
+def _paths(batch):
+    """Every packet's path: the one read the lanes must agree on, as
+    they may lay the flat path array out differently."""
+    return [batch.path(i) for i in range(len(batch))]
+
+
 def assert_sweep_bit_equal(swept, scalar_router, src, lats, lons, ts):
     """Every sweep packet must equal the scalar walk *at its epoch*."""
     for i in range(len(src)):
@@ -237,7 +243,7 @@ class TestBatchScalarEquivalence:
                       "path_len", "fallback"):
             assert np.array_equal(getattr(a, field), getattr(b, field)), \
                 field
-        assert np.array_equal(a.path_buffer, b.path_buffer)
+        assert _paths(a) == _paths(b)
 
 
 class TestBatchRouterMechanics:
@@ -247,7 +253,7 @@ class TestBatchRouterMechanics:
     def test_chunked_equals_single_batch(self, cores, chunk, engine,
                                          monkeypatch):
         """Any chunking on any number of threads: every output array,
-        the path buffer and the ``routing.*`` counters equal one
+        every path and the ``routing.*`` counters equal one
         unchunked walk of the same faulted wave."""
         from repro.obs.metrics import MetricsRegistry
         from repro.runtime import planner
@@ -289,20 +295,25 @@ class TestBatchRouterMechanics:
                       "path_len", "fallback"):
             assert np.array_equal(getattr(a, field), getattr(b, field)), \
                 field
-        assert np.array_equal(a.path_buffer, b.path_buffer)
+        assert _paths(a) == _paths(b)
         assert a_counters == b_counters
         assert all(key.startswith("routing.") for key in a_counters)
 
-    def test_path_buffer_is_minus_one_padded(self):
-        topo = _topology("square")
+    @both_engines
+    def test_paths_are_packed_back_to_back(self, engine):
+        """A wave's paths share one flat array, each packet's nodes
+        right after the previous packet's: 4 bytes per path node."""
+        topo = _topology("starlink")
         router = BatchGeoRouter(topo)
         src, lats, lons = _wave(topo.constellation, 32, seed=2)
         batch = router.route_batch(src, lats, lons, 0.0)
-        buffer = batch.path_buffer
+        ends = np.cumsum(batch.path_len)
+        assert not batch.fallback.any()
+        assert np.array_equal(batch._offsets, ends - batch.path_len)
+        assert batch._used == ends[-1]
         for i in range(len(batch)):
-            n = int(batch.path_len[i])
-            assert np.all(buffer[i, n:] == -1)
-            assert list(buffer[i, :n]) == batch.path(i)
+            assert batch.path(i) == router.scalar.route(
+                int(src[i]), float(lats[i]), float(lons[i]), 0.0).path
 
     def test_table_cache_invalidated_by_fault_events(self):
         """The cache is correct by its ``(t, fault_epoch)`` key alone.
@@ -514,7 +525,7 @@ class TestKernelBuildFailureModes:
 def _stretched_star():
     """An Iridium-style star shell (two pi-spread planes, 86.4 deg)
     stretched in-plane: its preferred-direction walks outgrow the
-    compiled walk's 64-node buffer, centre on coverage gaps and revisit
+    compiled walk's 64-node path cap, centre on coverage gaps and revisit
     across the seam."""
     return Constellation(
         name="iridium-stretched", num_planes=2, sats_per_plane=600,
@@ -556,7 +567,7 @@ class TestKernelHandOff:
         if preferred in walked.path:
             return "seam revisit"
         assert len(walked.path) == 64
-        return "path buffer full"
+        return "path cap reached"
 
     def test_flagged_prefix_is_the_reference_walks_prefix(self):
         kinds = set()
@@ -600,8 +611,77 @@ class TestKernelHandOff:
             longest = max(longest, int(batch.path_len.max()))
         assert kinds == {"centred, not nearly covered",
                          "dead preferred edge", "seam revisit",
-                         "path buffer full"}
+                         "path cap reached"}
         assert longest > 64
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_no_packet_writes_past_its_compact_slot(self, cores,
+                                                    monkeypatch):
+        """The flat path array starts out filled with a sentinel.  When
+        the compiled walk returns, each chunk's packets claim back-to-back
+        slots from the chunk's region start, and every cell outside the
+        claimed slots still holds the sentinel: no packet wrote past its
+        slot, on one thread or two.  The faulted Starlink wave has
+        hand-offs and a continued walk longer than 64 nodes, the
+        stretched star fills 64-node slots, and every path read back
+        after the continuations equals the reference walk."""
+        from repro.runtime import planner
+        sentinel = np.iinfo(np.int32).min
+        chunk, cap = 64, 64
+        pools, walked = [], []
+
+        class Filled(batch_routing.BatchRouteResult):
+            __slots__ = ()
+
+            def __init__(self, n, capacity=0):
+                super().__init__(n, capacity)
+                self._flat.fill(sentinel)
+
+        class RecordingPool(batch_routing.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        finish = BatchGeoRouter._finish
+
+        def spy(router, out, *args, **kwargs):
+            walked.append((out._flat.copy(), out._offsets.copy(),
+                           out.path_len.copy()))
+            return finish(router, out, *args, **kwargs)
+
+        monkeypatch.setattr(batch_routing, "BatchRouteResult", Filled)
+        monkeypatch.setattr(batch_routing, "ThreadPoolExecutor",
+                            RecordingPool)
+        monkeypatch.setattr(BatchGeoRouter, "_finish", spy)
+        monkeypatch.setattr(batch_routing, "_CHUNK_PACKETS", chunk)
+        monkeypatch.setattr(planner, "usable_cores", lambda: cores)
+        longest = full = 0
+        for shell, dead, torn, packets in [(starlink(), 40, 25, 400),
+                                           (_stretched_star(), 0, 0, 150)]:
+            topo = _faulted(shell, 1, dead, torn)
+            router = BatchGeoRouter(topo)
+            src, lats, lons = _wave(shell, packets, 1)
+            batch = router.route_batch(src, lats, lons, 90.0)
+            flat, offsets, lengths = walked.pop()
+            assert flat.size == packets * cap
+            claimed = np.zeros(flat.size, dtype=bool)
+            for lo in range(0, packets, chunk):
+                part = slice(lo, lo + chunk)
+                ends = lo * cap + np.cumsum(lengths[part])
+                assert np.array_equal(offsets[part], ends - lengths[part])
+            for start, length in zip(offsets, lengths):
+                claimed[start:start + length] = True
+            assert claimed.sum() == lengths.sum()
+            assert np.all(flat[~claimed] == sentinel)
+            assert np.all(flat[claimed] != sentinel)
+            assert batch.fallback.any()
+            for i in range(packets):
+                assert batch.result(i) == router.scalar.route(
+                    int(src[i]), float(lats[i]), float(lons[i]), 90.0), i
+            full += int(np.count_nonzero(lengths == cap))
+            longest = max(longest, int(batch.path_len.max()))
+        assert pools == ([] if cores == 1 else [2, 2])
+        assert full > 0 and longest > cap
 
     def test_avoid_links_waves_walk_from_the_source(self):
         topo = _topology("square")
@@ -619,9 +699,9 @@ class TestKernelHandOff:
 #: The sanitizer leg's child: build the kernel under ASan/UBSan into a
 #: fresh cache, then hold a faulted Starlink wave (flagged packets, one
 #: path longer than 64 nodes) and stretched star packets (walks that
-#: fill the 64-node buffer) to the reference walk.  Each star packet is
-#: its own one-packet wave, so its buffer row ends where the heap block
-#: does and a write past the row cannot land in a neighbour's row.
+#: fill a 64-node slot) to the reference walk.  Each star packet is its
+#: own one-packet wave, so its 64-cell path region ends where the heap
+#: block does and a write past it cannot land in a neighbour's slot.
 #: Then hold the same object's ``modexp`` to ``pow``.
 _SANITIZED_CHILD = r"""
 from repro.topology import _walk_kernel
@@ -704,7 +784,7 @@ def _sanitizer_runtimes():
 class TestKernelUnderSanitizers:
     def test_sanitized_kernel_matches_reference_walk(self, tmp_path):
         """The compiled walk built with -fsanitize=address,undefined
-        writes every flag site's prefix, fills the path buffer and
+        writes every flag site's prefix, fills a 64-node slot and
         routes a faulted wave, chunked across two threads, exactly like
         the reference walk, and its modexp answers like ``pow``, with
         no out-of-bounds access and no undefined behaviour."""
@@ -725,6 +805,25 @@ class TestKernelUnderSanitizers:
         flagged, longest, threads, powers = map(int, child.stdout.split())
         assert flagged > 0 and longest > 64 and threads >= 2
         assert powers >= 500
+
+
+class TestKernelSourceWarnings:
+    def test_kernel_source_compiles_without_warnings(self, tmp_path):
+        """The kernel source, built with its own flags plus ``-Wall
+        -Wextra -Wconversion -Werror``, compiles clean: a sign or width
+        slip (say, the walk's int64 path cursor narrowed to int32)
+        fails here instead of landing silently."""
+        compiler = _walk_kernel._find_compiler()
+        if compiler is None:
+            pytest.skip("no C compiler")
+        source = tmp_path / "walk.c"
+        source.write_text(_walk_kernel._KERNEL_SOURCE)
+        build = subprocess.run(
+            [compiler] + _walk_kernel._CFLAGS
+            + ["-Wall", "-Wextra", "-Wconversion", "-Werror", str(source),
+               "-o", str(tmp_path / "walk.so"), "-lm"],
+            capture_output=True, text=True, timeout=120)
+        assert build.returncode == 0, build.stderr[-3000:]
 
 
 class TestDijkstraBatchAndInvalidation:

@@ -16,7 +16,11 @@ consumers (``DijkstraRouter``, ``mean_hops_to_ground``,
 the networkx code they replaced gave, degenerate shells included.
 """
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import networkx as nx
 import numpy as np
@@ -275,6 +279,74 @@ def test_dijkstra_router_matches_networkx(shell, data):
 @given(data=st.data())
 def test_csr_components_partition_live_satellites_like_networkx(shell, data):
     topology, t = faulted_topology(shell, data)
+    graph = topology.snapshot_graph(t, include_ground=False)
+    _, label = connected_components(topology.delay_adjacency(t),
+                                    directed=False)
+    by_label = {}
+    for sat in graph.nodes:
+        by_label.setdefault(int(label[sat]), set()).add(sat)
+    assert (sorted(map(sorted, by_label.values()))
+            == sorted(map(sorted, nx.connected_components(graph))))
+
+
+def test_networkx_is_imported_only_where_a_graph_is_built():
+    """The batch plane and the scenario catalog import without
+    networkx: ``snapshot_graph`` and the chaos baseline's component
+    labelling import it when they build a graph."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([path] if path else [])))
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.topology.batch_routing, repro.scenarios; "
+         "print('networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert probe.returncode == 0, probe.stderr[-3000:]
+    assert probe.stdout.split() == ["False"]
+
+
+@st.composite
+def walker_shells(draw):
+    """A Walker shell of a kind the Table 1 presets leave out: polar
+    (i = 90 deg), retrograde (i > 90 deg) or star (RAANs over pi, with a
+    seam where the first and last planes counter-rotate)."""
+    kind = draw(st.sampled_from(["polar", "retrograde", "star"]))
+    if kind == "polar":
+        inclination = 90.0
+    elif kind == "retrograde":
+        inclination = draw(st.floats(91.0, 110.0))
+    else:
+        inclination = draw(st.floats(70.0, 90.0))
+    return Constellation(
+        name=f"drawn-{kind}",
+        num_planes=draw(st.integers(1, 12)),
+        sats_per_plane=draw(st.integers(1, 14)),
+        altitude_km=draw(st.floats(450.0, 1500.0)),
+        inclination_deg=inclination,
+        raan_spread=np.pi if kind == "star" else 2 * np.pi,
+        phasing_factor=draw(st.integers(0, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(constellation=walker_shells(), data=st.data())
+def test_csr_components_match_networkx_on_generated_shells(constellation,
+                                                           data):
+    """The CSR labelling ``connected_components(delay_adjacency(t))``
+    partitions the live satellites exactly as ``nx.connected_components``
+    over ``snapshot_graph`` does, on drawn polar, retrograde and star
+    shells with satellite and ISL faults."""
+    topology = GridTopology(IdealPropagator(constellation))
+    total = constellation.total_satellites
+    neighbors = grid_neighbor_table(constellation)
+    for sat in data.draw(st.lists(st.integers(0, total - 1),
+                                  max_size=total // 3, unique=True)):
+        topology.fail_satellite(sat)
+    for sat, column in data.draw(st.lists(
+            st.tuples(st.integers(0, total - 1), st.integers(0, 3)),
+            max_size=total)):
+        topology.fail_isl(sat, int(neighbors[sat, column]))
+    t = data.draw(st.floats(0.0, 2 * constellation.period_s))
     graph = topology.snapshot_graph(t, include_ground=False)
     _, label = connected_components(topology.delay_adjacency(t),
                                     directed=False)
