@@ -5,8 +5,8 @@ the home's state signatures, the ABE secret sharing) runs over two
 deterministic structures:
 
 * ``SCHNORR_GROUP``: a 512-bit safe-prime group (p = 2q + 1) with a
-  generator of prime order q.  512 bits keeps the pure-Python modular
-  exponentiation fast enough for the latency micro-benchmarks while
+  generator of prime order q.  512 bits keeps the group arithmetic
+  fast enough for the latency micro-benchmarks, compiled or not, while
   preserving the real protocol structure.  The constants were produced
   once by a seeded Miller-Rabin search (seed 20220822, the paper's
   conference date) and are fixed here.
@@ -17,29 +17,33 @@ deterministic structures:
 This is a *reproduction-grade* parameterisation: the algebra and the
 protocol flows are real, the key sizes are scaled for simulation.
 
-``SchnorrGroup.power`` is a compiled modexp: one ``modexp`` in the C
-source :mod:`repro.topology._walk_kernel` builds beside the walk
-kernel (fixed-width Montgomery arithmetic over 8 x 64-bit limbs, a
-fixed 5-bit window; ~0.13-0.18x a builtin ``pow`` on a 512-bit
-modulus).  It answers integer inputs with ``0 <= exponent < 2**512``
-and a modulus of at most 512 bits, the base reduced ``% p`` first;
-every other input, and every call on a host without the compiled
-object (no compiler, a failed build, ``REPRO_NO_CKERNEL=1``), is
-builtin ``pow``.  So ``power == pow`` for every input, errors
-included.  The kernel is not constant-time: fine for a simulator,
-wrong for real keys.
+The three group operations run compiled, in the C source
+:mod:`repro.topology._walk_kernel` builds beside the walk kernel
+(fixed-width Montgomery arithmetic over 8 x 64-bit limbs, for a
+modulus of at most 512 bits), on a host that has the object; on one
+without it (no compiler, a failed build, ``REPRO_NO_CKERNEL=1``) and
+for every input outside the compiled window they run the Python forms
+below, so both lanes give the same values and raise the same errors.
+The kernel is not constant-time: fine for a simulator, wrong for real
+keys.  Per call on a 2-core x86-64 host, compiled vs Python:
 
-``SchnorrGroup.generate`` is table-driven: the base ``g`` is the same
-for every signature, key pair, STS share and SUCI ephemeral, so
-``g^x`` is a product of at most one precomputed entry per byte of
-``x mod q`` (fixed-base windowing, one table per group per process)
-instead of a square-and-multiply ladder.  It is at parity with the
-compiled ``power`` and ~9x cheaper than ``pow`` without it.
-
-``is_element`` is the Legendre symbol: for ``p = 2q + 1`` (enforced at
-construction) ``x^q = 1`` iff ``(x|p) = 1``, and a binary Jacobi loop
-costs 0.07 ms against 0.70 ms for ``pow(x, q, p)``.  All 488 checks per
-job are on distinct ephemerals, so there is nothing to memoise.
+* ``power`` is ``modexp`` (a fixed 5-bit window) for integer inputs
+  with ``0 <= exponent < 2**512``, the base reduced ``% p`` first,
+  else builtin ``pow``: ~0.1 ms against ~0.6 ms.  ``power == pow``
+  for every input, errors included.
+* ``generate`` is a fixed-base comb: the base ``g`` is the same for
+  every signature, key pair, STS share and SUCI ephemeral, so ``g^x``
+  is a product of one precomputed entry per non-zero byte of
+  ``x mod q`` instead of a square-and-multiply ladder.  The compiled
+  lane (``int`` exponents) multiplies Montgomery-form entries of a
+  1 MiB table built in C once per group and process; the Python lane
+  multiplies rows of Python ints: ~0.015 ms against ~0.11 ms.
+* ``is_element`` is the Legendre symbol: for ``p = 2q + 1`` (enforced
+  at construction) ``x^q = 1`` iff ``(x|p) = 1``.  A binary Jacobi
+  symbol in C for ``int`` inputs with ``0 < x < p``, else a Python
+  Jacobi loop: ~0.013 ms against ~0.085 ms, and ~0.7 ms for
+  ``pow(x, q, p)``.  The checks are on distinct ephemerals, so there
+  is nothing to memoise.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ import functools
 import hashlib
 import secrets
 from dataclasses import dataclass
-from typing import Tuple
 
 #: The compiled ``modexp`` takes 64-byte operands, so ``power`` hands it
 #: exponents and moduli below ``2**512``.
@@ -98,10 +101,7 @@ class SchnorrGroup:
         p = self.p
         if (type(base) is int and type(exponent) is int
                 and 0 <= exponent < _MODEXP_LIMIT and p < _MODEXP_LIMIT):
-            # Function-local: the kernel module's package pulls numpy and
-            # networkx, which ``import repro.crypto`` does not need.
-            from repro.topology._walk_kernel import load_kernel
-            kernel = load_kernel()
+            kernel = _load_kernel()
             if kernel is not None:
                 width = _MODEXP_BYTES
                 out = ctypes.create_string_buffer(width)
@@ -116,13 +116,23 @@ class SchnorrGroup:
 
         ``g`` has order ``q``, so the exponent is reduced modulo ``q``
         first and the result is the product of one table entry per
-        byte of it.
+        non-zero byte of it: compiled for ``int`` exponents (module
+        docstring), else a Python row product.
         """
-        rows = _fixed_base_table(self)
-        digits = (exponent % self.q).to_bytes(len(rows), "little")
         p = self.p
+        kernel = (_load_kernel() if type(exponent) is int
+                  and p < _MODEXP_LIMIT else None)
+        table = _fixed_base_table(self, kernel)
+        digits = (exponent % self.q).to_bytes(_rows(self), "little")
+        if type(table) is not tuple:
+            # The comb was built, so the modulus is one fixed_base takes.
+            width = _MODEXP_BYTES
+            out = ctypes.create_string_buffer(width)
+            kernel.fixed_base(out, table, digits, len(digits),
+                              p.to_bytes(width, "little"))
+            return int.from_bytes(out.raw, "little")
         acc = 1
-        for row, digit in zip(rows, digits):
+        for row, digit in zip(table, digits):
             acc = acc * row[digit] % p
         return acc
 
@@ -131,6 +141,12 @@ class SchnorrGroup:
         n = self.p
         if not 0 < x < n:
             return False
+        if type(x) is int and n < _MODEXP_LIMIT:
+            kernel = _load_kernel()
+            if kernel is not None:
+                width = _MODEXP_BYTES
+                return kernel.jacobi(x.to_bytes(width, "little"),
+                                     n.to_bytes(width, "little")) == 1
         positive = True
         while x:
             twos = (x & -x).bit_length() - 1
@@ -155,23 +171,48 @@ class SchnorrGroup:
         return x.to_bytes((self.p.bit_length() + 7) // 8, "big")
 
 
+def _load_kernel():
+    """The compiled object, or ``None`` for the Python forms.
+
+    Imported at call time: the kernel module's package pulls numpy and
+    networkx, which ``import repro.crypto`` does not need.
+    """
+    from repro.topology._walk_kernel import load_kernel
+    return load_kernel()
+
+
+def _rows(group: SchnorrGroup) -> int:
+    """Bytes of ``q``: one comb row per byte of a reduced exponent."""
+    return (group.q.bit_length() + 7) // 8
+
+
 @functools.lru_cache(maxsize=8)
-def _fixed_base_table(group: SchnorrGroup) -> Tuple[Tuple[int, ...], ...]:
-    """``rows[i][d] = g^(d * 256^i) mod p``, one row per byte of ``q``.
+def _fixed_base_table(group: SchnorrGroup, kernel):
+    """The comb ``rows[i][d] = g^(d * 256^i) mod p``, one row per byte
+    of ``q``: built in C in Montgomery form into one buffer when
+    ``kernel`` is the compiled object, else a tuple of Python rows.
 
     A module-level memo rather than a field on the (frozen) group, so
     the table never rides along when keys carrying their group are
     pickled into pool workers.
     """
-    rows = []
+    rows = _rows(group)
     p, base = group.p, group.g
-    for _ in range((group.q.bit_length() + 7) // 8):
+    if kernel is not None:
+        width = _MODEXP_BYTES
+        table = ctypes.create_string_buffer(rows * 256 * width)
+        if kernel.fixed_base_table(table, base.to_bytes(width, "little"),
+                                   rows, p.to_bytes(width, "little")) == 0:
+            return table
+        return _fixed_base_table(group, None)
+    table = []
+    for _ in range(rows):
         row = [1]
         for _ in range(255):
             row.append(row[-1] * base % p)
-        rows.append(tuple(row))
+        table.append(tuple(row))
         base = row[-1] * base % p
-    return tuple(rows)
+    return tuple(table)
 
 
 SCHNORR_GROUP = SchnorrGroup(p=_P, q=_Q, g=_G)
@@ -233,7 +274,7 @@ class ShareField:
     def inv(cls, a: int) -> int:
         if a % cls.prime == 0:
             raise ZeroDivisionError("no inverse of zero")
-        return pow(a, cls.prime - 2, cls.prime)
+        return pow(a, -1, cls.prime)
 
     @classmethod
     def eval_poly(cls, coefficients, x: int) -> int:

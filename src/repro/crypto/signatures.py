@@ -46,12 +46,15 @@ class VerifyKey:
         e, s = signature
         if not (0 <= e < self.group.q and 0 <= s < self.group.q):
             return False
-        # g^s = r * y^e  =>  r = g^s * y^(-e)
+        # g^s = r * y^e  =>  r = g^s * y^(-e) = g^s * y^(p - 1 - e) by
+        # Fermat, for every y != 0 (mod p); p - 1 - e > 0, so the power
+        # is 0 exactly when y = 0 (mod p): no inverse, signs nothing.
+        p = self.group.p
         gs = self.group.generate(s)
-        ye = self.group.power(self.y, e)
-        if ye == 0:  # y = 0 mod p: no inverse (p is prime), signs nothing
+        y_inv_e = self.group.power(self.y, p - 1 - e)
+        if y_inv_e == 0:
             return False
-        r = gs * pow(ye, -1, self.group.p) % self.group.p
+        r = gs * y_inv_e % p
         expected = self.group.hash_to_scalar(self.group.element_bytes(r),
                                              message)
         return expected == e

@@ -1,5 +1,6 @@
 """The one optional compiled object: the batch routing plane's hop
-walk and ``SchnorrGroup.power``'s modexp.
+walk and the Schnorr group's arithmetic (``power``'s modexp,
+``generate``'s fixed-base comb, ``is_element``'s Jacobi symbol).
 
 The reference walk (:meth:`repro.topology.routing.GeospatialRouter.route`)
 costs on the order of a hundred microseconds per packet in the
@@ -34,18 +35,27 @@ The C source mirrors the scalar reference precisely:
   module binds, and the build passes ``-ffp-contract=off`` so no FMA
   contraction re-associates a sum the interpreter rounds twice.
 
-The same source holds ``modexp``, ``base^exp mod m`` over 64-byte
-little-endian operands (fixed-width Montgomery arithmetic, a fixed
-5-bit window, not constant-time), which
-:meth:`repro.crypto.group.SchnorrGroup.power` calls for exponents and
-moduli below ``2**512``.
+The same source holds the arithmetic of
+:class:`repro.crypto.group.SchnorrGroup` over 64-byte little-endian
+operands (not constant-time).  ``modexp`` and the comb share one
+fixed-width Montgomery multiplication over 8 x 64-bit limbs:
+
+* ``modexp``, ``base^exp mod m`` with a fixed 5-bit window, for
+  ``power``;
+* ``fixed_base_table`` / ``fixed_base``, an 8-bit comb of the group's
+  generator (one 256-entry Montgomery-form row per byte of ``q``, 1 MiB
+  for the 512-bit group, built in C into a caller-owned buffer) and
+  ``g^e`` as one multiplication per non-zero byte of ``e``, for
+  ``generate``;
+* ``jacobi``, the binary Jacobi symbol (shift, subtract, swap), for
+  ``is_element``.
 
 The build is lazy and entirely optional: no C compiler, a failed
 compile, or ``REPRO_NO_CKERNEL=1`` all degrade silently to the
 reference walk for the whole wave, with identical results and an
-identical ``fallback`` mask, and ``power`` to builtin ``pow`` (the
-equivalence suites run on both lanes).  Compiled objects are cached
-by source hash under ``$REPRO_KERNEL_CACHE`` (default: a
+identical ``fallback`` mask, and the group operations to their Python
+forms (the equivalence suites run on both lanes).  Compiled objects
+are cached by source hash under ``$REPRO_KERNEL_CACHE`` (default: a
 ``repro-kernels`` directory in the system temp dir), so each source
 revision compiles once per machine.
 """
@@ -389,26 +399,42 @@ static void load_limbs(uint64_t *x, const uint8_t *bytes) {
     }
 }
 
-/* out = base^exp mod m; all four are 64-byte little-endian buffers,
- * base < m.  Returns -1 (out untouched) unless m is odd and > 1, as
- * Montgomery reduction needs. */
-int modexp(uint8_t *out, const uint8_t *base_le, const uint8_t *exp_le,
-           const uint8_t *mod_le) {
-    uint64_t m[NL], e[NL], acc[NL];
+static void store_limbs(uint8_t *bytes, const uint64_t *x) {
+    for (int j = 0; j < NL; j++)
+        for (int k = 0; k < 8; k++)
+            bytes[8 * j + k] = (uint8_t)(x[j] >> (8 * k));
+}
+
+/* Loads the modulus and sets -m^-1 mod 2^64; returns -1 unless m is
+ * odd and > 1, as Montgomery reduction needs. */
+static int mont_modulus(uint64_t *m, uint64_t *m_inv, const uint8_t *mod_le) {
     load_limbs(m, mod_le);
-    load_limbs(e, exp_le);
-    int mbits = bit_length(m);
-    if (!(m[0] & 1) || mbits < 2) return -1;
-    /* -m^-1 mod 2^64 by Newton's iteration (m odd: 3 bits to 96). */
+    if (!(m[0] & 1) || bit_length(m) < 2) return -1;
+    /* Newton's iteration (m odd: 3 correct bits to 96). */
     uint64_t inv = m[0];
     for (int k = 0; k < 5; k++) inv *= 2 - m[0] * inv;
-    const uint64_t m_inv = (uint64_t)0 - inv;
-    /* R^2 mod m: double 2^(mbits-1) < m up to 2^513 = Mont(2), then
-     * square nine times to Mont(2^512) = R^2 mod m. */
-    uint64_t r2[NL] = {0};
+    *m_inv = (uint64_t)0 - inv;
+    return 0;
+}
+
+/* R^2 mod m: double 2^(mbits-1) < m up to 2^513 = Mont(2), then square
+ * nine times to Mont(2^512) = R^2 mod m. */
+static void mont_r2(uint64_t *r2, const uint64_t *m, uint64_t m_inv) {
+    int mbits = bit_length(m);
+    for (int j = 0; j < NL; j++) r2[j] = 0;
     r2[(mbits - 1) / 64] = (uint64_t)1 << ((mbits - 1) % 64);
     for (int k = mbits - 1; k < 513; k++) mod_double(r2, m);
     for (int k = 0; k < 9; k++) mont_mul(r2, r2, r2, m, m_inv);
+}
+
+/* out = base^exp mod m; all four are 64-byte little-endian buffers,
+ * base < m.  Returns -1 (out untouched) unless m is odd and > 1. */
+int modexp(uint8_t *out, const uint8_t *base_le, const uint8_t *exp_le,
+           const uint8_t *mod_le) {
+    uint64_t m[NL], e[NL], acc[NL], r2[NL], m_inv;
+    if (mont_modulus(m, &m_inv, mod_le)) return -1;
+    load_limbs(e, exp_le);
+    mont_r2(r2, m, m_inv);
     uint64_t table[1 << WINDOW][NL];
     uint64_t one[NL] = {1};
     mont_mul(table[0], one, r2, m, m_inv);
@@ -426,10 +452,112 @@ int modexp(uint8_t *out, const uint8_t *base_le, const uint8_t *exp_le,
         if (digit) mont_mul(acc, acc, table[digit], m, m_inv);
     }
     mont_mul(acc, acc, one, m, m_inv);
-    for (int j = 0; j < NL; j++)
-        for (int k = 0; k < 8; k++)
-            out[8 * j + k] = (uint8_t)(acc[j] >> (8 * k));
+    store_limbs(out, acc);
     return 0;
+}
+
+/* ---- fixed_base: g^e mod m for SchnorrGroup.generate ----------------
+ * A comb over 8-bit digits: entry (i, d) of the table is
+ * Mont(base^(d * 256^i)), 256 entries of NL limbs per row, so g^e is
+ * one mont_mul per non-zero byte of e and one conversion out. */
+#define COMB 256
+
+/* Fills the caller's rows * COMB * NL limbs with the comb of base < m.
+ * Returns -1 (table untouched) unless m is odd and > 1. */
+int fixed_base_table(uint64_t *table, const uint8_t *base_le, int64_t rows,
+                     const uint8_t *mod_le) {
+    uint64_t m[NL], b[NL], r2[NL], m_inv;
+    uint64_t one[NL] = {1};
+    if (mont_modulus(m, &m_inv, mod_le)) return -1;
+    mont_r2(r2, m, m_inv);
+    load_limbs(b, base_le);
+    mont_mul(b, b, r2, m, m_inv);  /* Mont(base^(256^i)) for row i */
+    for (int64_t i = 0; i < rows; i++) {
+        uint64_t *row = table + i * COMB * NL;
+        mont_mul(row, one, r2, m, m_inv);
+        for (int d = 1; d < COMB; d++)
+            mont_mul(row + d * NL, row + (d - 1) * NL, b, m, m_inv);
+        mont_mul(b, row + (COMB - 1) * NL, b, m, m_inv);
+    }
+    return 0;
+}
+
+/* out = base^e mod m, e given as its rows little-endian bytes (digits),
+ * from fixed_base_table's comb of base.  Returns -1 (out untouched)
+ * unless m is odd and > 1. */
+int fixed_base(uint8_t *out, const uint64_t *table, const uint8_t *digits,
+               int64_t rows, const uint8_t *mod_le) {
+    uint64_t m[NL], acc[NL], m_inv;
+    uint64_t one[NL] = {1};
+    if (mont_modulus(m, &m_inv, mod_le)) return -1;
+    int started = 0;
+    for (int64_t i = 0; i < rows; i++) {
+        if (!digits[i]) continue;
+        const uint64_t *entry = table + (i * COMB + digits[i]) * NL;
+        if (started) {
+            mont_mul(acc, acc, entry, m, m_inv);
+        } else {
+            for (int j = 0; j < NL; j++) acc[j] = entry[j];
+            started = 1;
+        }
+    }
+    if (started) {
+        mont_mul(acc, acc, one, m, m_inv);
+    } else {
+        for (int j = 0; j < NL; j++) acc[j] = one[j];  /* e = 0, m > 1 */
+    }
+    store_limbs(out, acc);
+    return 0;
+}
+
+/* ---- jacobi: the Jacobi symbol (a | n) for SchnorrGroup.is_element --
+ * The binary algorithm: shifts, subtractions and swaps only, over the
+ * limbs both operands still occupy.  Returns 1, -1, or 0 when
+ * gcd(a, n) > 1; -2 unless n is odd. */
+int jacobi(const uint8_t *a_le, const uint8_t *n_le) {
+    uint64_t a[NL], n[NL];
+    load_limbs(a, a_le);
+    load_limbs(n, n_le);
+    if (!(n[0] & 1)) return -2;
+    int sign = 1, len = NL;
+    for (;;) {
+        while (len > 1 && !a[len - 1] && !n[len - 1]) len--;
+        int low = 0;
+        while (low < len && !a[low]) low++;
+        if (low == len) break;  /* a = 0: n is gcd(a, n) */
+        /* a >>= twos; (2 | n) = -1 iff n = 3, 5 (mod 8). */
+        int bits = __builtin_ctzll(a[low]);
+        int twos = 64 * low + bits;
+        for (int j = 0; twos && j < len; j++) {
+            uint64_t v = j + low < len ? a[j + low] : 0;
+            uint64_t w = j + low + 1 < len ? a[j + low + 1] : 0;
+            a[j] = bits ? (v >> bits) | (w << (64 - bits)) : v;
+        }
+        if ((twos & 1) && ((n[0] & 7) == 3 || (n[0] & 7) == 5))
+            sign = -sign;
+        /* Both odd: swap so a >= n, flipping by reciprocity when both
+         * are 3 (mod 4), then a -= n, which leaves a even. */
+        int less = 0;
+        for (int j = len - 1; j >= 0; j--) {
+            if (a[j] != n[j]) { less = a[j] < n[j]; break; }
+        }
+        if (less) {
+            for (int j = 0; j < len; j++) {
+                uint64_t t = a[j]; a[j] = n[j]; n[j] = t;
+            }
+            if ((a[0] & 3) == 3 && (n[0] & 3) == 3) sign = -sign;
+        }
+        uint64_t borrow = 0;
+        for (int j = 0; j < len; j++) {
+            u128 d = (u128)a[j] - n[j] - borrow;
+            a[j] = (uint64_t)d;
+            borrow = (uint64_t)(d >> 64) & 1;
+        }
+    }
+    if (n[0] != 1) return 0;
+    for (int j = 1; j < len; j++)
+        if (n[j]) return 0;
+    return sign;
 }
 """
 
@@ -478,6 +606,14 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.walk_chunk.restype = None
     lib.modexp.argtypes = [ctypes.c_void_p] * 4
     lib.modexp.restype = ctypes.c_int
+    lib.fixed_base_table.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
+                                     ctypes.c_int64, ctypes.c_void_p]
+    lib.fixed_base_table.restype = ctypes.c_int
+    lib.fixed_base.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64,
+                                                       ctypes.c_void_p]
+    lib.fixed_base.restype = ctypes.c_int
+    lib.jacobi.argtypes = [ctypes.c_void_p] * 2
+    lib.jacobi.restype = ctypes.c_int
     return lib
 
 
@@ -520,12 +656,13 @@ def _compile() -> Optional[ctypes.CDLL]:
 
 
 def load_kernel() -> Optional[ctypes.CDLL]:
-    """The compiled object (``walk_chunk``, ``modexp``), or ``None``.
+    """The compiled object (``walk_chunk``, ``modexp``,
+    ``fixed_base_table``/``fixed_base`` and ``jacobi``), or ``None``.
 
     ``None`` means: disabled via ``REPRO_NO_CKERNEL``, no C compiler
     on PATH, or the build failed -- the caller routes the whole wave
-    with the reference walk, and ``power`` calls builtin ``pow``, in
-    every case.  The outcome (either way) is memoised.
+    with the reference walk, and the group operations run their Python
+    forms, in every case.  The outcome (either way) is memoised.
     """
     global _cached, _load_attempted
     if os.environ.get("REPRO_NO_CKERNEL"):

@@ -702,7 +702,8 @@ class TestKernelHandOff:
 #: fill a 64-node slot) to the reference walk.  Each star packet is its
 #: own one-packet wave, so its 64-cell path region ends where the heap
 #: block does and a write past it cannot land in a neighbour's slot.
-#: Then hold the same object's ``modexp`` to ``pow``.
+#: Then hold the same object's group arithmetic (``modexp``, the
+#: ``fixed_base`` comb, ``jacobi``) to ``pow``.
 _SANITIZED_CHILD = r"""
 from repro.topology import _walk_kernel
 _walk_kernel._CFLAGS = _walk_kernel._CFLAGS + [
@@ -757,6 +758,17 @@ for group in (SCHNORR_GROUP, SchnorrGroup(p=23, q=11, g=4)):
             assert group.power(base, exponent) == pow(base, exponent, p), (
                 base, exponent, p)
             checked += 1
+    # fixed_base (the comb built under the sanitizers too) and jacobi,
+    # each held to pow on the same edges and random draws.
+    q = group.q
+    for exponent in ([0, 1, 255, 256, q - 1, q, q + 1, -1, -q, 2 ** 512,
+                      2 ** 600 + 3] + exponents):
+        member = group.generate(exponent)
+        assert member == pow(group.g, exponent % q, p), (exponent, p)
+        for x in (member, p - member, 1, p - 1, p, 0, exponent % p):
+            assert group.is_element(x) is (
+                0 < x < p and pow(x, q, p) == 1), (x, p)
+            checked += 1
 print(flagged, longest, max(threads), checked)
 """
 
@@ -786,8 +798,9 @@ class TestKernelUnderSanitizers:
         """The compiled walk built with -fsanitize=address,undefined
         writes every flag site's prefix, fills a 64-node slot and
         routes a faulted wave, chunked across two threads, exactly like
-        the reference walk, and its modexp answers like ``pow``, with
-        no out-of-bounds access and no undefined behaviour."""
+        the reference walk, and its group arithmetic answers like
+        ``pow``, with no out-of-bounds access and no undefined
+        behaviour."""
         libasan = _sanitizer_runtimes()
         if libasan is None:
             pytest.skip("no C compiler or no ASan/UBSan runtime")
@@ -802,9 +815,9 @@ class TestKernelUnderSanitizers:
             [sys.executable, "-c", _SANITIZED_CHILD], cwd=repo, env=env,
             capture_output=True, text=True, timeout=120)
         assert child.returncode == 0, child.stderr[-3000:]
-        flagged, longest, threads, powers = map(int, child.stdout.split())
+        flagged, longest, threads, checked = map(int, child.stdout.split())
         assert flagged > 0 and longest > 64 and threads >= 2
-        assert powers >= 500
+        assert checked >= 1000
 
 
 class TestKernelSourceWarnings:

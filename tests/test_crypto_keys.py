@@ -29,6 +29,29 @@ from repro.topology import _walk_kernel
 TOY_GROUP = SchnorrGroup(p=23, q=11, g=4)
 
 
+@contextlib.contextmanager
+def _lane(lane):
+    """Run the group operations on one lane: the compiled object, or
+    what a host without a compiler gets (``load_kernel`` answers
+    ``None``)."""
+    if lane == "no-compiler":
+        with mock.patch.object(_walk_kernel, "load_kernel",
+                               lambda: None):
+            yield
+    elif _walk_kernel.load_kernel() is None:
+        pytest.skip("no compiled kernel on this host")
+    else:
+        yield
+
+
+#: Both lanes, for ``pytest.mark.parametrize``.
+LANES = ["compiled", "no-compiler"]
+
+#: Both groups the equivalence suites run on.
+GROUPS = pytest.mark.parametrize("group", [SCHNORR_GROUP, TOY_GROUP],
+                                 ids=["schnorr", "toy"])
+
+
 class TestSchnorrGroup:
     def test_generator_has_order_q(self):
         g = SCHNORR_GROUP
@@ -73,62 +96,121 @@ class TestSchnorrGroup:
         with pytest.raises(ValueError):
             SchnorrGroup(p=p, q=q, g=g)
 
+    @GROUPS
+    @pytest.mark.parametrize("lane", LANES)
     @given(st.integers(min_value=-2 ** 520, max_value=2 ** 520))
     @settings(max_examples=200, deadline=None)
-    def test_is_element_matches_x_to_the_q(self, x):
-        g = SCHNORR_GROUP
-        member = g.generate(x)
-        for y in (x, member, g.p - member, member + g.p):
-            assert g.is_element(y) is (0 < y < g.p
-                                       and pow(y, g.q, g.p) == 1)
+    def test_is_element_matches_x_to_the_q(self, lane, group, x):
+        g = group
+        member = pow(g.g, x % g.q, g.p)
+        edges = (0, 1, g.p - 1, g.p, g.p + 1, -1)
+        with _lane(lane):
+            for y in (x, x % g.p, member, g.p - member, member + g.p,
+                      *edges):
+                assert g.is_element(y) is (0 < y < g.p
+                                           and pow(y, g.q, g.p) == 1)
 
-    def test_is_element_exhaustive_on_the_toy_group(self):
+    @pytest.mark.parametrize("lane", LANES)
+    def test_is_element_exhaustive_on_the_toy_group(self, lane):
         g = TOY_GROUP
         members = {pow(g.g, k, g.p) for k in range(g.q)}
         assert len(members) == g.q
-        for x in range(-g.p, 3 * g.p):
-            assert g.is_element(x) is (x in members)
-            assert g.is_element(x) is (0 < x < g.p
-                                       and pow(x, g.q, g.p) == 1)
+        with _lane(lane):
+            for x in range(-g.p, 3 * g.p):
+                assert g.is_element(x) is (x in members)
+                assert g.is_element(x) is (0 < x < g.p
+                                           and pow(x, g.q, g.p) == 1)
+
+    def test_compiled_lane_takes_exactly_the_int_inputs(self):
+        """``jacobi`` answers every ``int`` with ``0 < x < p`` and
+        nothing else: a ``bool`` takes the Python form, and anything
+        out of range the early ``False``."""
+        g = SCHNORR_GROUP
+        member = g.generate(5)
+        with _lane("compiled"):
+            kernel = _walk_kernel.load_kernel()
+            with mock.patch.object(kernel, "jacobi",
+                                   wraps=kernel.jacobi) as spy:
+                for x in (member, g.p - member, 1, g.p - 1):
+                    g.is_element(x)
+                assert spy.call_count == 4
+                for x in (0, g.p, -member, True, False):
+                    g.is_element(x)
+                assert spy.call_count == 4
 
 
 class TestFixedBaseGenerate:
-    """``generate`` is table-driven; builtin ``pow`` is the oracle."""
+    """``generate`` is a fixed-base comb; builtin ``pow`` is the oracle."""
 
     @staticmethod
     def _reference(group, x):
         return pow(group.g, x % group.q, group.p)
 
-    def test_edge_exponents_match_pow(self):
+    @pytest.mark.parametrize("lane", LANES)
+    def test_edge_exponents_match_pow(self, lane):
         q = SCHNORR_GROUP.q
-        for x in (0, 1, q - 1, q, q + 1, 2 ** 520, -1, -q):
+        edges = (0, 1, 255, 256, q - 1, q, q + 1, 2 ** 512, 2 ** 520,
+                 -1, -q, True, False)
+        with _lane(lane):
+            for x in edges:
+                for group in (SCHNORR_GROUP, TOY_GROUP):
+                    assert group.generate(x) == self._reference(group, x)
+                    # Any integer exponent, as pow itself defines it
+                    # (negative = power of the inverse of g).
+                    assert group.generate(x) == pow(group.g, x, group.p)
             for group in (SCHNORR_GROUP, TOY_GROUP):
-                assert group.generate(x) == self._reference(group, x)
-                # Any integer exponent, as pow itself defines it
-                # (negative = power of the inverse of g).
-                assert group.generate(x) == pow(group.g, x, group.p)
+                with pytest.raises(AttributeError):
+                    group.generate(2.0)  # reduced, then to_bytes: no
+                with pytest.raises(TypeError):
+                    group.generate(None)
 
+    @pytest.mark.parametrize("lane", LANES)
     @given(st.lists(st.integers(min_value=-2 ** 600, max_value=2 ** 600),
                     min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)
-    def test_matches_pow_on_two_interleaved_groups(self, exponents):
-        for x in exponents:
-            for group in (SCHNORR_GROUP, TOY_GROUP):
-                assert group.generate(x) == self._reference(group, x)
+    def test_matches_pow_on_two_interleaved_groups(self, lane, exponents):
+        with _lane(lane):
+            for x in exponents:
+                for group in (SCHNORR_GROUP, TOY_GROUP):
+                    assert group.generate(x) == self._reference(group, x)
 
-    def test_alternating_groups_share_the_memo_without_rebuilds(self):
-        for group in (SCHNORR_GROUP, TOY_GROUP):
-            group.generate(1)
-        assert len(_fixed_base_table(TOY_GROUP)) == 1
-        assert len(_fixed_base_table(SCHNORR_GROUP)) == 64
-        misses = _fixed_base_table.cache_info().misses
-        for x in range(2, 40):
+    @GROUPS
+    def test_compiled_lane_takes_exactly_the_int_exponents(self, group):
+        with _lane("compiled"):
+            kernel = _walk_kernel.load_kernel()
+            with mock.patch.object(kernel, "fixed_base",
+                                   wraps=kernel.fixed_base) as spy:
+                for x in (0, 1, -1, group.q, 2 ** 600):
+                    assert group.generate(x) == self._reference(group, x)
+                assert spy.call_count == 5
+                assert group.generate(True) == group.g
+                assert spy.call_count == 5
+
+    @pytest.mark.parametrize("lane", LANES)
+    def test_alternating_groups_share_the_memo_without_rebuilds(self, lane):
+        """One comb per group and lane: the compiled lane's is one
+        buffer of 256 Montgomery-form entries of 64 bytes per byte of
+        ``q`` (1 MiB for the 512-bit group), the Python lane's a row of
+        256 ints per byte."""
+        with _lane(lane):
+            kernel = _walk_kernel.load_kernel()
             for group in (SCHNORR_GROUP, TOY_GROUP):
-                assert group.generate(x) == self._reference(group, x)
-        assert _fixed_base_table.cache_info().misses == misses
-        # Keyed on the group's value, not its identity.
-        SchnorrGroup(p=23, q=11, g=4).generate(7)
-        assert _fixed_base_table.cache_info().misses == misses
+                group.generate(1)
+            toy = _fixed_base_table(TOY_GROUP, kernel)
+            big = _fixed_base_table(SCHNORR_GROUP, kernel)
+            if kernel is None:
+                assert [len(toy), len(big)] == [1, 64]
+                assert {len(row) for row in big} == {256}
+            else:
+                assert [len(toy), len(big)] == [256 * 64, 64 * 256 * 64]
+            misses = _fixed_base_table.cache_info().misses
+            for x in range(2, 40):
+                for group in (SCHNORR_GROUP, TOY_GROUP):
+                    assert group.generate(x) == self._reference(group, x)
+            assert _fixed_base_table.cache_info().misses == misses
+            # Keyed on the group's value, not its identity.
+            SchnorrGroup(p=23, q=11, g=4).generate(7)
+            assert _fixed_base_table.cache_info().misses == misses
 
     def test_used_keys_pickle_no_larger_than_fresh_ones(self):
         """The table lives beside the group, never inside a key that is
@@ -156,20 +238,6 @@ class TestFixedBaseGenerate:
         assert [len(pickle.dumps(obj)) for obj in (sk, vk, cert)] == fresh
 
 
-@contextlib.contextmanager
-def _lane(lane):
-    """Run ``power`` on one lane: the compiled ``modexp``, or what a
-    host without a compiler gets (``load_kernel`` answers ``None``)."""
-    if lane == "no-compiler":
-        with mock.patch.object(_walk_kernel, "load_kernel",
-                               lambda: None):
-            yield
-    elif _walk_kernel.load_kernel() is None:
-        pytest.skip("no compiled kernel on this host")
-    else:
-        yield
-
-
 def _bases(group):
     """Members, non-residues, the degenerate residues, values that
     ``pow`` reduces first and values it refuses."""
@@ -195,9 +263,8 @@ def _exponents(group):
 class TestCompiledPower:
     """``power`` is builtin ``pow`` on both lanes, errors included."""
 
-    @pytest.mark.parametrize("group", [SCHNORR_GROUP, TOY_GROUP],
-                             ids=["schnorr", "toy"])
-    @pytest.mark.parametrize("lane", ["compiled", "no-compiler"])
+    @GROUPS
+    @pytest.mark.parametrize("lane", LANES)
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_power_is_pow(self, lane, group, data):
@@ -228,6 +295,19 @@ class TestShareField:
     def test_inverse_of_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
             ShareField.inv(0)
+
+    @given(st.integers(min_value=-2 ** 260, max_value=2 ** 260))
+    @settings(max_examples=200, deadline=None)
+    def test_inverse_matches_fermat(self, a):
+        """Extended Euclid gives Fermat's ``a^(prime - 2)``, and zero
+        (modulo the prime) still has no inverse."""
+        prime = ShareField.prime
+        for x in (a, a * prime, prime - a):
+            if x % prime == 0:
+                with pytest.raises(ZeroDivisionError):
+                    ShareField.inv(x)
+            else:
+                assert ShareField.inv(x) == pow(x, prime - 2, prime)
 
     def test_poly_eval(self):
         # 3 + 2x + x^2 at x=2 -> 11
@@ -305,6 +385,43 @@ class TestSignatures:
         forged = (group.hash_to_scalar(group.element_bytes(0), b"m"), 1)
         assert fermat_verify(0, b"m", forged)
         assert not VerifyKey(0).verify(b"m", forged)
+
+    @given(st.integers(min_value=0, max_value=2 ** 64))
+    @settings(max_examples=20, deadline=None)
+    def test_verify_matches_two_step_inverse_reference(self, seed):
+        """``r = g^s * y^(p - 1 - e)`` (one ``power``) gives the booleans
+        of ``power(y, e)`` followed by ``pow(ye, -1, p)``, on members,
+        the residues of a member, non-members and ``y = 0 (mod p)``,
+        for valid, tampered and ``e = 0`` signatures."""
+        group = SCHNORR_GROUP
+        p = group.p
+
+        def two_step_verify(y, message, signature):
+            e, s = signature
+            if not (0 <= e < group.q and 0 <= s < group.q):
+                return False
+            ye = pow(y, e, p)
+            if ye == 0:
+                return False
+            r = pow(group.g, s, p) * pow(ye, -1, p) % p
+            return group.hash_to_scalar(group.element_bytes(r),
+                                        message) == e
+
+        rng = random.Random(seed)
+        sk, vk = generate_keypair(rng)
+        e, s = sk.sign(b"message")
+        y = vk.y
+        non_member = p - group.generate(group.random_scalar(rng))
+        signatures = [(e, s), (e, (s + 1) % group.q), (0, s)]
+        accepted = 0
+        for key in (y, 0, p, y + p, p - y, -y, non_member):
+            for signature in signatures:
+                got = VerifyKey(key).verify(b"message", signature)
+                assert got is two_step_verify(key, b"message", signature)
+                accepted += got
+        # Only the untampered signature, under y and y + p, and under
+        # p - y and -y too when e is even: (-y)^e = y^e.
+        assert accepted == (4 if e % 2 == 0 else 2)
 
     def test_certificate_chain(self):
         home_sk, home_vk = generate_keypair(random.Random(1))

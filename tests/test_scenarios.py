@@ -223,12 +223,13 @@ class TestRunDeterminism:
     def test_host_crypto_speed_never_reaches_the_artifact(self, monkeypatch):
         """Fig. 18a's crypto costs are *modelled*: simulated latency and
         CPU-seconds come from the cost model, so an equal but several
-        times slower ``power``/``is_element`` (a Python square-and-multiply
-        ladder) changes no byte."""
+        times slower ``power``/``generate``/``is_element`` -- every
+        operation the compiled object serves, swapped for a Python
+        square-and-multiply ladder -- changes no byte."""
         from repro.crypto.group import SchnorrGroup
         spec = CATALOG["compute-degradation"]
         fast = run_scenario(spec, workers=1)
-        calls = {"power": 0, "is_element": 0}
+        calls = {"power": 0, "generate": 0, "is_element": 0}
 
         def ladder(base, exponent, p):
             acc = 1
@@ -242,14 +243,20 @@ class TestRunDeterminism:
             calls["power"] += 1
             return ladder(base, exponent, self.p)
 
+        def ladder_generate(self, exponent):
+            calls["generate"] += 1
+            return ladder(self.g, exponent % self.q, self.p)
+
         def ladder_is_element(self, x):
             calls["is_element"] += 1
             return 0 < x < self.p and ladder(x, self.q, self.p) == 1
 
         monkeypatch.setattr(SchnorrGroup, "power", ladder_power)
+        monkeypatch.setattr(SchnorrGroup, "generate", ladder_generate)
         monkeypatch.setattr(SchnorrGroup, "is_element", ladder_is_element)
         slow = run_scenario(spec, workers=1)
-        assert calls["power"] > 100 and calls["is_element"] > 30
+        assert (calls["power"] > 100 and calls["generate"] > 100
+                and calls["is_element"] > 30), calls
         assert slow.artifact_json() == fast.artifact_json()
         assert (json.dumps(slow.merged_snapshot, sort_keys=True)
                 == json.dumps(fast.merged_snapshot, sort_keys=True))
