@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ..constants import EARTH_RADIUS_KM
 from ..geo.population import PopulationGrid
 from ..orbits.coverage import footprint_radius_km, serving_satellite
 from ..topology.grid import GridTopology
@@ -85,7 +86,7 @@ class OrbitalEdgeService:
         chosen: List[int] = []
         # Several footprints of separation: popularity alone would put
         # every replica over Asia; spacing forces continental spread.
-        min_separation = 6.0 * radius / 6371.0
+        min_separation = 6.0 * radius / EARTH_RADIUS_KM
         from ..orbits.coordinates import central_angle
         for _, sat in scored:
             if len(chosen) >= replica_count:

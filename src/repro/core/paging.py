@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..constants import EARTH_RADIUS_KM
 from ..geo.cells import GeospatialCellGrid
 from ..orbits.coverage import footprint_area_km2
 from ..orbits.constellation import Constellation
@@ -63,7 +64,7 @@ def geospatial_cell_cost(grid: GeospatialCellGrid) -> PagingCost:
     constellation = grid.constellation
     footprint = footprint_area_km2(constellation.altitude_km,
                                    constellation.min_elevation_deg)
-    avg_cell = (4.0 * math.pi * 6371.0**2
+    avg_cell = (4.0 * math.pi * EARTH_RADIUS_KM**2
                 * math.sin(constellation.inclination_rad)
                 / grid.num_cells)
     # One satellite covers an average cell; big Iridium-class cells

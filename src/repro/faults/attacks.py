@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..baselines.base import ACTIVE_FRACTION, Solution, StateResidency
+from ..constants import EARTH_RADIUS_KM
 from ..fiveg.messages import ProcedureKind
 
 
@@ -171,19 +172,10 @@ class JammingAttack:
         import numpy as np
 
         from ..orbits.snapshot import snapshot_for
-        threshold = self.radius_km / 6371.0
+        threshold = self.radius_km / EARTH_RADIUS_KM
         ang = snapshot_for(topology.propagator, t).central_angles(
             self.lat, self.lon)
         return [int(sat) for sat in np.nonzero(ang <= threshold)[0]]
-
-    def _grid_links(self, topology, sat: int) -> List[FrozenSet[int]]:
-        plane, slot = topology.constellation.plane_slot(sat)
-        up, down = topology.constellation.intra_plane_neighbors(
-            plane, slot)
-        left, right = topology.constellation.inter_plane_neighbors(
-            plane, slot)
-        return [frozenset((sat, neighbor))
-                for neighbor in (up, down, left, right)]
 
     def apply(self, topology, t: float) -> int:
         """Take down every ISL touching an affected satellite.
@@ -196,11 +188,12 @@ class JammingAttack:
         """
         affected = self.affected_satellites(topology, t)
         for sat in affected:
-            for link in self._grid_links(topology, sat):
-                a, b = tuple(link)
-                if link in self._downed or topology.isl_marked_failed(a, b):
+            for neighbor in topology.grid_neighbors(sat):
+                link = frozenset((sat, neighbor))
+                if (link in self._downed
+                        or topology.isl_marked_failed(sat, neighbor)):
                     continue
-                topology.fail_isl(a, b)
+                topology.fail_isl(sat, neighbor)
                 self._downed.add(link)
         return len(affected)
 

@@ -133,20 +133,6 @@ class Constellation:
         index %= self.total_satellites
         return divmod(index, self.sats_per_plane)[0], index % self.sats_per_plane
 
-    # -- grid neighbourhood (the +Grid ISL topology, §3/§6) -----------------
-
-    def intra_plane_neighbors(self, plane: int, slot: int) -> Tuple[int, int]:
-        """Flat indices of the up/down neighbours in the same orbit."""
-        up = self.sat_index(plane, slot + 1)
-        down = self.sat_index(plane, slot - 1)
-        return up, down
-
-    def inter_plane_neighbors(self, plane: int, slot: int) -> Tuple[int, int]:
-        """Flat indices of the left/right neighbours in adjacent planes."""
-        right = self.sat_index(plane + 1, slot)
-        left = self.sat_index(plane - 1, slot)
-        return left, right
-
 
 # ---------------------------------------------------------------------------
 # Table 1 presets

@@ -215,10 +215,9 @@ def chord_lengths_km(positions: np.ndarray, a: np.ndarray,
     """Straight-line km between ``positions[a]`` and ``positions[b]``.
 
     ``a``/``b`` are broadcastable satellite index arrays.  Each element
-    is ``sqrt(dx*dx + dy*dy + dz*dz)`` in that order, exactly like the
-    scalar per-edge memo in the geospatial router; the hop-length
-    tables and the snapshot graph both call this, so batched, scalar
-    and graph delays agree bit for bit.
+    is ``sqrt(dx*dx + dy*dy + dz*dz)`` in that order.  The formula
+    behind :meth:`ConstellationSnapshot.hop_lengths_km`, the one ISL
+    length both routing walks, the CSR and the graph read.
     """
     px, py, pz = positions[:, 0], positions[:, 1], positions[:, 2]
     dx = px[a] - px[b]

@@ -30,15 +30,17 @@ the compiled walk only.
 
 Per-epoch next-hop tables
 =========================
-All per-satellite state the compiled walk gathers from -- runtime
-(alpha, gamma) coordinates, sub-satellite points, the ``(N, 4)`` +Grid
-neighbour table, ISL hop lengths and liveness masks -- is materialised
-once per ``(epoch, fault_epoch)`` into a :class:`NextHopTable`, kept
-in a small LRU.  The key is the whole invalidation story: every fault
-mutation bumps ``fault_epoch``, so a table built before a fault can
-never be looked up after it, and chaos scenarios can never read a
-stale liveness mask.  The epoch only grows, so a miss also drops the
-tables of older epochs, which can never hit again.
+The compiled walk gathers from the same arrays the reference walk
+reads, one copy per fact: the ``(N, 4)`` wiring
+(``grid_neighbor_table``, per shell shape), ISL lengths
+(``hop_lengths_km()``, per snapshot) and the edge mask
+(``GridTopology.edge_liveness()``, per fault epoch).  A
+:class:`NextHopTable` holds those by reference, plus the few arrays
+only the compiled walk wants (unit vectors, per-edge delays), for one
+``(epoch, fault_epoch)`` in a small LRU.  Every fault mutation bumps
+``fault_epoch``, so a table built before a fault is never looked up
+after it; the epoch only grows, so a miss also drops the tables of
+older epochs, which can never hit again.
 
 Chunks on threads
 =================
@@ -125,11 +127,9 @@ _COVERAGE_GUARD = 1e-9
 class NextHopTable:
     """Everything one epoch of batch forwarding gathers from.
 
-    Pure-geometry arrays (coordinates, neighbour wiring, hop lengths)
-    come straight from the epoch snapshot and the constellation shape;
-    liveness (``healthy`` / ``edge_up``) is sampled from the topology's
-    failure marks at build time, which is why the cache key includes
-    the fault epoch.
+    Coordinates, wiring and hop lengths come from the epoch snapshot
+    and the shell shape; ``edge_up`` is the fault epoch's mask, held by
+    reference, which is why the cache key includes the fault epoch.
     """
 
     __slots__ = ("snapshot", "fault_epoch", "neighbors", "hop_km",
@@ -165,10 +165,7 @@ class NextHopTable:
         self.unit_y = pos[:, 1] / norm
         self.unit_z = pos[:, 2] / norm
         self.healthy = not topology.has_topology_faults
-        if self.healthy:
-            self.edge_up = None
-        else:
-            self.edge_up = topology.edge_liveness()
+        self.edge_up = topology.edge_liveness()
 
 
 class BatchRouteResult:
@@ -551,7 +548,6 @@ class BatchGeoRouter:
         unit_x = cos_dlat * np.cos(dlon)
         unit_y = cos_dlat * np.sin(dlon)
         unit_z = np.sin(dlat)
-        edge = table.edge_up
         path_len = out.path_len[part]
 
         def ptr(array: np.ndarray) -> ctypes.c_void_p:
@@ -572,8 +568,7 @@ class BatchGeoRouter:
             ptr(table.sub_lat), ptr(table.sub_lon),
             ptr(table.unit_x), ptr(table.unit_y), ptr(table.unit_z),
             ptr(table.neighbors), ptr(table.hop_km),
-            ptr(table.hop_delay_s),
-            ptr(edge) if edge is not None else None,
+            ptr(table.hop_delay_s), ptr(table.edge_up),
             ptr(out.delivered[part]), ptr(out.degraded[part]),
             ptr(out.fallback[part]), ptr(out.delay_s[part]),
             ptr(out.distance_km[part]), ptr(path_len),

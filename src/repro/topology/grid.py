@@ -6,15 +6,17 @@ neighbours and two to the same slot of the adjacent planes -- the
 Ground stations attach to whatever satellite is overhead at a given
 time (a ground-space link).
 
-Failure injection marks satellites, ISLs and ground stations down in
-place and bumps :attr:`GridTopology.fault_epoch`.  A cache that
-depends on liveness carries that epoch in its key, so nothing has to
-notify it when the fault state moves.
+Each +Grid fact has one copy: the wiring is ``grid_neighbor_table``
+(per shell shape), ISL lengths are ``hop_lengths_km()`` (per
+snapshot), and liveness is one read-only ``(N,)`` satellite mask and
+one ``(N, 4)`` edge mask per :attr:`GridTopology.fault_epoch`, which
+every change of the fault sets bumps.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, FrozenSet, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from ..orbits.coverage import coverage_half_angle
 from ..orbits.groundstations import GroundStation
 from ..orbits.propagator import IdealPropagator
 from ..orbits.snapshot import (
-    chord_lengths_km,
+    GRID_DIRECTIONS,
     grid_neighbor_table,
     snapshot_for,
 )
@@ -50,14 +52,13 @@ class GridTopology:
         self._failed_sats: set = set()
         self._failed_isls: set = set()
         self._failed_stations: set = set()
-        # The +Grid wiring is static; memoise each satellite's four
-        # neighbours so per-hop routing does no plane/slot arithmetic.
-        self._neighbor_cache: Dict[int, Tuple[int, int, int, int]] = {}
         #: Monotonic counter bumped on every failure-state change, so
-        #: liveness-dependent caches (the batch router's next-hop
-        #: tables) can key on it.  Pure-geometry snapshots never depend
-        #: on it.
+        #: liveness-dependent caches (the liveness masks, the batch
+        #: router's next-hop tables) can key on it.  Pure-geometry
+        #: snapshots never depend on it.
         self._fault_epoch = 0
+        #: ``(fault_epoch, sat_up, edge_up)`` of the last mask build.
+        self._masks: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
 
     # -- failure injection ---------------------------------------------------
 
@@ -71,77 +72,60 @@ class GridTopology:
 
         A satellite is an integer flat index in ``[0, N)``: a negative
         index must not wrap to satellite N - 1 on the array planes, and
-        a float or bool is not an index.
+        a float or bool is not an index.  Every read and write that
+        takes a satellite index goes through this check.
         """
-        if isinstance(sat, (bool, np.bool_)) \
-                or not isinstance(sat, (int, np.integer)) \
-                or not 0 <= sat < self.constellation.total_satellites:
-            raise ValueError(f"no satellite with index {sat!r}")
-        return int(sat)
-
-    def _check_station(self, station: int) -> int:
-        """``station`` as a plain int, or ``ValueError``.
-
-        The :meth:`_check_satellite` contract over ground stations: an
-        integer index in ``[0, len(ground_stations))``, never a bool or
-        a float.
-        """
-        if isinstance(station, (bool, np.bool_)) \
-                or not isinstance(station, (int, np.integer)) \
-                or not 0 <= station < len(self.ground_stations):
-            raise ValueError(f"no ground station with index {station!r}")
-        return int(station)
+        return _check_index(sat, self.constellation.total_satellites,
+                            "satellite")
 
     def _isl_key(self, sat_a: int, sat_b: int) -> FrozenSet[int]:
         return frozenset((self._check_satellite(sat_a),
                           self._check_satellite(sat_b)))
 
+    def _mark(self, marks: set, key, failed: bool) -> None:
+        """Add (``failed``) or drop one failure mark; only a change
+        bumps the fault epoch, so every ``fail_*``/``recover_*`` is
+        idempotent."""
+        if (key in marks) != failed:
+            if failed:
+                marks.add(key)
+            else:
+                marks.discard(key)
+            self._fault_epoch += 1
+
     def fail_satellite(self, sat: int) -> None:
         """Remove a satellite (radiation/debris failure, S3.3).
 
-        Idempotent: failing an already-failed satellite does not bump
-        the fault epoch.  Raises ``ValueError`` unless ``sat`` is an
-        integer in ``[0, N)``.
+        Idempotent.  Raises ``ValueError`` unless ``sat`` is an integer
+        in ``[0, N)``.
         """
-        sat = self._check_satellite(sat)
-        if sat not in self._failed_sats:
-            self._failed_sats.add(sat)
-            self._fault_epoch += 1
+        self._mark(self._failed_sats, self._check_satellite(sat), True)
 
     def recover_satellite(self, sat: int) -> None:
         """Bring a failed satellite back into the topology."""
-        sat = self._check_satellite(sat)
-        if sat in self._failed_sats:
-            self._failed_sats.discard(sat)
-            self._fault_epoch += 1
+        self._mark(self._failed_sats, self._check_satellite(sat), False)
 
     def fail_isl(self, sat_a: int, sat_b: int) -> None:
         """Take one ISL down (laser misalignment, S3.3). Idempotent."""
-        key = self._isl_key(sat_a, sat_b)
-        if key not in self._failed_isls:
-            self._failed_isls.add(key)
-            self._fault_epoch += 1
+        self._mark(self._failed_isls, self._isl_key(sat_a, sat_b), True)
 
     def recover_isl(self, sat_a: int, sat_b: int) -> None:
         """Restore a failed inter-satellite link. Idempotent."""
-        key = self._isl_key(sat_a, sat_b)
-        if key in self._failed_isls:
-            self._failed_isls.discard(key)
-            self._fault_epoch += 1
+        self._mark(self._failed_isls, self._isl_key(sat_a, sat_b), False)
 
     def fail_ground_station(self, station: int) -> None:
-        """Take one ground station offline (regional outage). Idempotent."""
-        station = self._check_station(station)
-        if station not in self._failed_stations:
-            self._failed_stations.add(station)
-            self._fault_epoch += 1
+        """Take one ground station offline (regional outage).
+
+        Idempotent.  Raises ``ValueError`` unless ``station`` is an integer in
+        ``[0, len(ground_stations))``.
+        """
+        self._mark(self._failed_stations, _check_index(
+            station, len(self.ground_stations), "ground station"), True)
 
     def recover_ground_station(self, station: int) -> None:
         """Bring a downed ground station back. Idempotent."""
-        station = self._check_station(station)
-        if station in self._failed_stations:
-            self._failed_stations.discard(station)
-            self._fault_epoch += 1
+        self._mark(self._failed_stations, _check_index(
+            station, len(self.ground_stations), "ground station"), False)
 
     def failed_satellites(self) -> FrozenSet[int]:
         """The currently-failed satellite set (immutable view)."""
@@ -159,19 +143,18 @@ class GridTopology:
                 if index not in self._failed_stations]
 
     def is_up(self, sat: int) -> bool:
-        """Whether a satellite is alive."""
-        return sat not in self._failed_sats
+        """Whether a satellite is alive (a fault-set query)."""
+        return self._check_satellite(sat) not in self._failed_sats
 
     def isl_up(self, sat_a: int, sat_b: int) -> bool:
         """Whether the link between two satellites is usable.
 
-        On the reference walk's per-hop path: the ``frozenset`` key is
-        built only when some ISL carries a failure mark.
+        A fault-set query: both endpoints alive and no failure mark on
+        the link.  The walks read the same fact from :meth:`edge_liveness`.
         """
-        failed = self._failed_sats
-        return (sat_a not in failed and sat_b not in failed
-                and not (self._failed_isls
-                         and frozenset((sat_a, sat_b)) in self._failed_isls))
+        key = self._isl_key(sat_a, sat_b)
+        return key.isdisjoint(self._failed_sats) \
+            and key not in self._failed_isls
 
     def isl_marked_failed(self, sat_a: int, sat_b: int) -> bool:
         """Whether the link itself carries a failure mark.
@@ -181,31 +164,56 @@ class GridTopology:
         endpoints recover.  Fault injectors use this to restore only
         the marks they themselves placed.
         """
-        return frozenset((sat_a, sat_b)) in self._failed_isls
+        return self._isl_key(sat_a, sat_b) in self._failed_isls
+
+    def _liveness(self) -> Tuple[int, np.ndarray, np.ndarray]:
+        """``(fault_epoch, sat_up, edge_up)``: the one build of the
+        liveness masks from the fault sets, once per fault epoch.  Both
+        masks are read-only; a fault makes the next read build new ones.
+        """
+        masks = self._masks
+        if masks is None or masks[0] != self._fault_epoch:
+            neighbors = grid_neighbor_table(self.constellation)
+            sat_up = np.ones(len(neighbors), dtype=bool)
+            sat_up[list(self._failed_sats)] = False
+            edge_up = sat_up[:, None] & sat_up[neighbors]
+            for link in self._failed_isls:
+                a, b = min(link), max(link)
+                edge_up[a, neighbors[a] == b] = False
+                edge_up[b, neighbors[b] == a] = False
+            sat_up.setflags(write=False)
+            edge_up.setflags(write=False)
+            masks = self._masks = (self._fault_epoch, sat_up, edge_up)
+        return masks
 
     def satellite_liveness(self) -> np.ndarray:
-        """``(N,)`` bool: entry ``s`` is ``is_up(s)`` under current faults."""
-        sat_up = np.ones(self.constellation.total_satellites, dtype=bool)
-        if self._failed_sats:
-            sat_up[sorted(self._failed_sats)] = False
-        return sat_up
+        """Read-only ``(N,)`` bool: entry ``s`` is ``is_up(s)``."""
+        return self._liveness()[1]
 
     def edge_liveness(self) -> np.ndarray:
-        """``(N, 4)`` liveness of every +Grid edge under current faults.
+        """Read-only ``(N, 4)`` liveness of every +Grid edge.
 
-        Entry ``[s, d]`` is ``isl_up(s, grid_neighbor_table[s, d])``:
-        both endpoints alive and no failure mark on the ISL.  The one
-        mask behind the batch router's next-hop tables,
-        :meth:`delay_adjacency` and :meth:`snapshot_graph`.
+        Entry ``[s, d]`` is ``isl_up(s, grid_neighbor_table[s, d])``.
+        The one mask behind both routing walks, the batch router's
+        next-hop tables, :meth:`delay_adjacency` and
+        :meth:`snapshot_graph`.
         """
-        neighbors = grid_neighbor_table(self.constellation)
-        sat_up = self.satellite_liveness()
-        edge_up = sat_up[:, None] & sat_up[neighbors]
-        for link in self._failed_isls:
-            a, b = min(link), max(link)
-            edge_up[a, neighbors[a] == b] = False
-            edge_up[b, neighbors[b] == a] = False
-        return edge_up
+        return self._liveness()[2]
+
+    def _live_grid_edges(self, t: float
+                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(src, dst, km)`` of every live ``(up, right)`` ISL at t.
+
+        Satellites ascending, ``up`` first; lengths are the snapshot's
+        ``hop_lengths_km``.  The edge list :meth:`delay_adjacency` and
+        :meth:`snapshot_graph` share.
+        """
+        columns = [0, 3]  # up, right (GRID_DIRECTIONS)
+        live = self.edge_liveness()[:, columns]
+        src = np.nonzero(live)[0]
+        dst = grid_neighbor_table(self.constellation)[:, columns][live]
+        hop_km = snapshot_for(self.propagator, t).hop_lengths_km()
+        return src, dst, hop_km[:, columns][live]
 
     def delay_adjacency(self, t: float):
         """Symmetric CSR of one-way ISL delays (s) over the live +Grid at t.
@@ -213,8 +221,8 @@ class GridTopology:
         The one adjacency of the stateful side: the Dijkstra baseline,
         mean hops to a gateway, gateway-routed traffic load and
         gateway reachability all search this matrix through
-        ``scipy.sparse.csgraph``.  Built from the ``(up, right)``
-        columns :meth:`snapshot_graph` uses and mirrored with
+        ``scipy.sparse.csgraph``.  Built from the live ``(up, right)``
+        edges :meth:`snapshot_graph` uses and mirrored with
         ``maximum``, so an ISL that the wiring names twice (2 planes:
         ``left == right``; 2 slots: ``up == down``) keeps one copy of
         its delay; a failed satellite is an isolated row, and the
@@ -225,38 +233,26 @@ class GridTopology:
         """
         from scipy.sparse import csr_matrix
         total = self.constellation.total_satellites
-        columns = [0, 3]  # up, right (GRID_DIRECTIONS)
-        live = self.edge_liveness()[:, columns]
-        src = np.nonzero(live)[0]
-        dst = grid_neighbor_table(self.constellation)[:, columns][live]
-        hop_km = snapshot_for(self.propagator, t).hop_lengths_km()
-        half = csr_matrix(
-            (hop_km[:, columns][live] / SPEED_OF_LIGHT_KM_S, (src, dst)),
-            shape=(total, total))
+        src, dst, km = self._live_grid_edges(t)
+        half = csr_matrix((km / SPEED_OF_LIGHT_KM_S, (src, dst)),
+                          shape=(total, total))
         return half.maximum(half.T)
 
     # -- neighbourhood ---------------------------------------------------------
 
-    def grid_neighbors(self, sat: int) -> Tuple[int, int, int, int]:
-        """(up, down, left, right) neighbours of ``sat``, memoised."""
-        cached = self._neighbor_cache.get(sat)
-        if cached is None:
-            c = self.constellation
-            plane, slot = c.plane_slot(sat)
-            up, down = c.intra_plane_neighbors(plane, slot)
-            left, right = c.inter_plane_neighbors(plane, slot)
-            cached = (up, down, left, right)
-            self._neighbor_cache[sat] = cached
-        return cached
+    def grid_neighbors(self, sat: int) -> Tuple[int, ...]:
+        """(up, down, left, right) neighbours of ``sat``: its table row."""
+        table = grid_neighbor_table(self.constellation)
+        return tuple(table[self._check_satellite(sat)].tolist())
 
     def isl_neighbors(self, sat: int) -> List[int]:
         """The up-to-four live grid neighbours of ``sat``."""
-        return [n for n in self.grid_neighbors(sat) if self.isl_up(sat, n)]
+        live = self.edge_liveness()[self._check_satellite(sat)].tolist()
+        return [n for n, up in zip(self.grid_neighbors(sat), live) if up]
 
     def directional_neighbors(self, sat: int) -> Dict[str, int]:
         """Neighbours keyed by the Algorithm 1 direction names."""
-        up, down, left, right = self.grid_neighbors(sat)
-        return {"up": up, "down": down, "left": left, "right": right}
+        return dict(zip(GRID_DIRECTIONS, self.grid_neighbors(sat)))
 
     # -- geometry ---------------------------------------------------------------
 
@@ -328,23 +324,16 @@ class GridTopology:
         Used by the chaos experiment's stateful baseline (reachability
         under failure injection) and, in the tests, as the networkx
         oracle for :meth:`delay_adjacency`.  A view of the arrays the
-        batch plane routes on: edges are the ``(up, right)`` columns of
-        :meth:`edge_liveness` (satellites ascending, ``up`` first) and
-        carry the ``hop_lengths_km`` lengths, computed for live edges
-        only and memoised nowhere.
+        batch plane routes on: the live ``(up, right)`` edge list of
+        :meth:`delay_adjacency`, with its ``hop_lengths_km`` lengths.
         """
         # Function-local: a process that never builds a graph does not
         # pay for importing networkx.
         import networkx as nx
         graph = nx.Graph()
-        total = self.constellation.total_satellites
-        graph.add_nodes_from(sorted(set(range(total)) - self._failed_sats))
-        columns = [0, 3]  # up, right (GRID_DIRECTIONS)
-        live = self.edge_liveness()[:, columns]
-        src = np.nonzero(live)[0]
-        dst = grid_neighbor_table(self.constellation)[:, columns][live]
-        dist = chord_lengths_km(
-            snapshot_for(self.propagator, t).positions_ecef, src, dst)
+        graph.add_nodes_from(
+            np.nonzero(self.satellite_liveness())[0].tolist())
+        src, dst, dist = self._live_grid_edges(t)
         graph.add_edges_from(
             (a, b, {"weight": w, "distance_km": d})
             for a, b, w, d in zip(src.tolist(), dst.tolist(),
@@ -356,3 +345,13 @@ class GridTopology:
                 graph.add_edge(gs.name, access, weight=delay,
                                distance_km=delay * SPEED_OF_LIGHT_KM_S)
         return graph
+
+
+def _check_index(index: int, bound: int, what: str) -> int:
+    """``index`` as a plain int if it is an integer in ``[0, bound)``
+    (never a bool or a float), else ``ValueError``."""
+    if isinstance(index, (bool, np.bool_)) \
+            or not isinstance(index, (int, np.integer)) \
+            or not 0 <= index < bound:
+        raise ValueError(f"no {what} with index {index!r}")
+    return int(index)

@@ -105,10 +105,7 @@ class GeospatialRouter:
         #: oscillating between two near-covering satellites.
         self.degraded_slack = 1.6
         self.max_hops = max_hops
-        # Per-snapshot memo of ISL lengths: packets routed at the same
-        # epoch traverse the same few hundred grid edges over and over.
-        self._edge_snap: Optional[ConstellationSnapshot] = None
-        self._edge_km: dict = {}
+        self._neighbors = grid_neighbor_table(c)
 
     # -- per-hop decision (the Algorithm 1 listing) ------------------------------
 
@@ -154,16 +151,17 @@ class GeospatialRouter:
         assert best is not None
         return best
 
-    def _next_hop_snap(self, snap: ConstellationSnapshot, sat: int,
-                       dest_reps: Sequence[Tuple[float, float]]
-                       ) -> Optional[int]:
+    def _preferred_column(self, snap: ConstellationSnapshot, sat: int,
+                          dest_reps: Sequence[Tuple[float, float]]
+                          ) -> Optional[int]:
+        """Algorithm 1's direction as a ``grid_neighbor_table`` column
+        (up, down, left, right), or None when ``sat`` is centred."""
         da, dg = self._hop_offsets_snap(snap, sat, dest_reps)
         if abs(da) < 0.5 and abs(dg) < 0.5:
             return None
-        up, down, left, right = self.topology.grid_neighbors(sat)
         if abs(da) > abs(dg):
-            return right if da > 0 else left
-        return up if dg > 0 else down
+            return 3 if da > 0 else 2
+        return 0 if dg > 0 else 1
 
     # -- end-to-end ---------------------------------------------------------------
 
@@ -209,11 +207,14 @@ class GeospatialRouter:
         if not path or path[0] != src_sat or len(path) - 1 > self.max_hops:
             raise ValueError("walked must be a prefix of this route: "
                              "a path from src_sat within max_hops")
-        topo = self.topology
-        # One cached snapshot and one destination (alpha, gamma)
-        # conversion serve every hop of this packet.
+        # One cached snapshot, one destination (alpha, gamma)
+        # conversion and the fault epoch's edge mask serve every hop:
+        # the compiled walk reads the same wiring, mask and lengths.
         snap = self._snapshot(t)
         dest_reps = self.system.both_representations(dest_lat, dest_lon)
+        neighbors = self._neighbors
+        edge_up = self.topology.edge_liveness()
+        hop_km = snap.hop_lengths_km()
         delay = walked.delay_s
         distance = walked.distance_km
         deflected = walked.deflected
@@ -223,52 +224,37 @@ class GeospatialRouter:
             if self._covers(snap, current, dest_lat, dest_lon):
                 return RouteResult(True, path, delay, distance,
                                    deflected=deflected)
-            preferred = self._next_hop_snap(snap, current, dest_reps)
-            if preferred is None:
+            column = self._preferred_column(snap, current, dest_reps)
+            if column is None:
                 # Closest grid position, but the footprint misses D
                 # (low elevation); deliver degraded rather than loop.
                 if self._nearly_covers_snap(snap, current, dest_lat,
                                             dest_lon):
                     return RouteResult(True, path, delay, distance,
                                        degraded=True, deflected=deflected)
+            else:
+                preferred = neighbors.item(current, column)
+                if (preferred in visited
+                        or not edge_up.item(current, column)
+                        or (avoid_links
+                            and frozenset((current, preferred))
+                            in avoid_links)):
+                    column = None
+            if column is None:
                 deflected = True
-                preferred = self._best_live_neighbor_snap(
+                column = self._best_live_column(
                     snap, current, dest_reps, visited, avoid_links)
-            if (preferred is None or preferred in visited
-                    or not topo.isl_up(current, preferred)
-                    or (avoid_links
-                        and frozenset((current, preferred))
-                        in avoid_links)):
-                deflected = True
-                preferred = self._best_live_neighbor_snap(
-                    snap, current, dest_reps, visited, avoid_links)
-            if preferred is None:
-                return RouteResult(False, path, delay, distance,
-                                   deflected=deflected)
-            hop_km = self._hop_km(snap, current, preferred)
-            delay += hop_km / SPEED_OF_LIGHT_KM_S
-            distance += hop_km
-            current = preferred
+                if column is None:
+                    return RouteResult(False, path, delay, distance,
+                                       deflected=deflected)
+            length = hop_km.item(current, column)
+            delay += length / SPEED_OF_LIGHT_KM_S
+            distance += length
+            current = neighbors.item(current, column)
             path.append(current)
             visited.add(current)
         return RouteResult(False, path, delay, distance,
                            deflected=deflected)
-
-    def _hop_km(self, snap: ConstellationSnapshot, a: int, b: int) -> float:
-        """Length of the a--b ISL at this epoch, memoised per snapshot."""
-        if self._edge_snap is not snap:
-            self._edge_snap = snap
-            self._edge_km = {}
-        key = (a, b) if a < b else (b, a)
-        d = self._edge_km.get(key)
-        if d is None:
-            item = snap.positions_ecef.item
-            dx = item(a, 0) - item(b, 0)
-            dy = item(a, 1) - item(b, 1)
-            dz = item(a, 2) - item(b, 2)
-            d = math.sqrt(dx * dx + dy * dy + dz * dz)
-            self._edge_km[key] = d
-        return d
 
     def _nearly_covers_snap(self, snap: ConstellationSnapshot, sat: int,
                             dest_lat: float, dest_lon: float) -> bool:
@@ -277,18 +263,19 @@ class GeospatialRouter:
                               dest_lat, dest_lon)
                 <= self.coverage_angle * self.degraded_slack)
 
-    def _best_live_neighbor_snap(self, snap: ConstellationSnapshot,
-                                 sat: int,
-                                 dest_reps: Sequence[Tuple[float, float]],
-                                 visited: set,
-                                 avoid_links: Optional[
-                                     Set[FrozenSet[int]]] = None
-                                 ) -> Optional[int]:
-        """Greedy deflection: live unvisited neighbour nearest the goal."""
+    def _best_live_column(self, snap: ConstellationSnapshot, sat: int,
+                          dest_reps: Sequence[Tuple[float, float]],
+                          visited: set,
+                          avoid_links: Optional[Set[FrozenSet[int]]]
+                          ) -> Optional[int]:
+        """Greedy deflection: the column of the live unvisited
+        neighbour nearest the goal (the first of equals), or None."""
         best = None
         best_metric = math.inf
-        for nbr in self.topology.isl_neighbors(sat):
-            if nbr in visited:
+        edge_up = self.topology.edge_liveness()
+        for column in range(4):
+            nbr = self._neighbors.item(sat, column)
+            if not edge_up.item(sat, column) or nbr in visited:
                 continue
             if avoid_links and frozenset((sat, nbr)) in avoid_links:
                 continue
@@ -296,7 +283,7 @@ class GeospatialRouter:
             metric = abs(da) + abs(dg)
             if metric < best_metric:
                 best_metric = metric
-                best = nbr
+                best = column
         return best
 
 
@@ -326,7 +313,7 @@ class DijkstraRouter:
         from the predecessor matrix, so pairs sharing a source share
         the search.  Dead and out-of-range endpoints are undelivered.
         ``delay_s`` equals a textbook Dijkstra over ``snapshot_graph``
-        bit for bit (same ``chord_lengths_km`` / c weights, summed
+        bit for bit (same ``hop_lengths_km`` / c weights, summed
         source to destination); between routes tied in exact arithmetic
         the path, and with it the last ulp of ``distance_km``, may
         differ from another implementation's.
@@ -342,7 +329,7 @@ class DijkstraRouter:
         neighbors = grid_neighbor_table(self.topology.constellation)
         hop_km = snapshot_for(self.topology.propagator, t).hop_lengths_km()
         total = matrix.shape[0]
-        failed = self.topology.failed_satellites()
+        sat_up = self.topology.satellite_liveness()
         unique = sorted({s for s in srcs if 0 <= s < total})
         index_of = {s: k for k, s in enumerate(unique)}
         if unique:
@@ -352,7 +339,7 @@ class DijkstraRouter:
         results: List[RouteResult] = []
         for s, d in zip(srcs, dsts):
             if (s not in index_of or not 0 <= d < total
-                    or s in failed or d in failed):
+                    or not (sat_up[s] and sat_up[d])):
                 results.append(RouteResult(False))
                 continue
             row = index_of[s]

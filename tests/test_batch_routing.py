@@ -557,11 +557,13 @@ class TestKernelHandOff:
         """Which of the compiled walk's four flags stopped ``walked``."""
         scalar = router.scalar
         node = walked.path[-1]
-        preferred = scalar._next_hop_snap(
+        column = scalar._preferred_column(
             scalar._snapshot(t), node,
             scalar.system.both_representations(lat, lon))
-        if preferred is None:
+        if column is None:
             return "centred, not nearly covered"
+        preferred = int(
+            grid_neighbor_table(topo.constellation)[node, column])
         if not topo.isl_up(node, preferred):
             return "dead preferred edge"
         if preferred in walked.path:
@@ -592,6 +594,8 @@ class TestKernelHandOff:
             assert len(handed) == flagged.size > 0
             reference = GeospatialRouter(topo)
             snap = snapshot_for(topo.propagator, t)
+            wiring = grid_neighbor_table(shell)
+            lengths = snap.hop_lengths_km()
             for i, walked in zip(flagged, handed):
                 lat, lon = float(lats[i]), float(lons[i])
                 expected = reference.route(int(src[i]), lat, lon, t)
@@ -599,7 +603,7 @@ class TestKernelHandOff:
                 assert walked.path == expected.path[:hops + 1]
                 delay = distance = 0.0
                 for a, b in zip(walked.path, walked.path[1:]):
-                    hop_km = reference._hop_km(snap, a, b)
+                    hop_km = float(lengths[a][wiring[a] == b][0])
                     delay += hop_km / SPEED_OF_LIGHT_KM_S
                     distance += hop_km
                 assert walked.delay_s.hex() == delay.hex()

@@ -5,11 +5,14 @@ walks the entire package and fails on any undocumented public module,
 class, function, or method.
 
 The prose docs are held to the code too: every ``REPRO_*`` variable
-they name is read by ``src/``, a bench script or a CI workflow, and
-every backticked ``repro.x.y`` name they cite imports.
+they name is read by ``src/``, a bench script or a CI workflow, every
+backticked ``repro.x.y`` name they cite imports, and every backticked
+CamelCase or UPPER_SNAKE name is defined or imported in ``src/``,
+``bench/`` or ``tests/``, a builtin, or an environment variable.
 """
 
 import ast
+import builtins
 import importlib
 import inspect
 import pkgutil
@@ -27,6 +30,13 @@ DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "examples/README.md")
 
 _ENV_VAR = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
 _DOTTED = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)")
+#: A CamelCase (``NextHopTable``) or UPPER_SNAKE (``RELAY_MAX_HOPS``)
+#: name inside a backticked span.
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_CODE_NAME = re.compile(r"\b(?:[A-Z][a-z0-9]+[A-Z][A-Za-z0-9]*"
+                        r"|[A-Z][A-Z0-9]*_[A-Z0-9_]*[A-Z0-9])\b")
+#: A variable a CI workflow sets (``  CHAOS_SEED: ...``).
+_CI_ENV = re.compile(r"^\s+([A-Z][A-Z0-9_]+):", re.MULTILINE)
 
 
 def _iter_modules():
@@ -110,13 +120,62 @@ def code_env_vars():
     return {name for text in strings for name in _ENV_VAR.findall(text)}
 
 
+@pytest.fixture(scope="module")
+def workflows():
+    return "".join(path.read_text(encoding="utf-8") for path in
+                   (REPO_ROOT / ".github" / "workflows").glob("*.yml"))
+
+
 @pytest.mark.parametrize("name", _doc_matches(_ENV_VAR))
-def test_documented_env_var_is_read(name, code_env_vars):
-    workflows = "".join(path.read_text(encoding="utf-8") for path in
-                        (REPO_ROOT / ".github" / "workflows").glob("*.yml"))
+def test_documented_env_var_is_read(name, code_env_vars, workflows):
     assert name in code_env_vars or name in _ENV_VAR.findall(workflows), (
         f"{name} is documented but nothing in src/, bench/*.py or CI "
         f"reads it")
+
+
+def _code_names():
+    """Backticked CamelCase / UPPER_SNAKE names of the prose docs, each
+    with the ``doc:line`` it first appears at."""
+    names = {}
+    for doc in DOCS:
+        text = (REPO_ROOT / doc).read_text(encoding="utf-8")
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for span in _CODE_SPAN.findall(line):
+                for name in _CODE_NAME.findall(span):
+                    names.setdefault(name, f"{doc}:{lineno}")
+    return sorted(names.items())
+
+
+@pytest.fixture(scope="module")
+def defined_names():
+    """Every class, function, assigned or imported name in src/,
+    bench/ and tests/."""
+    names = set()
+    for root in ("src", "bench", "tests"):
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                     ast.AsyncFunctionDef)):
+                    names.add(node.name)
+                elif isinstance(node, ast.Name) \
+                        and isinstance(node.ctx, ast.Store):
+                    names.add(node.id)
+                elif isinstance(node, ast.alias):
+                    names.add(node.asname or node.name.split(".")[-1])
+    return names
+
+
+@pytest.mark.parametrize("name,where", _code_names())
+def test_documented_code_name_exists(name, where, defined_names,
+                                     code_env_vars, workflows):
+    """A doc that names a class or constant the code no longer has
+    describes a design that is gone."""
+    assert (name in defined_names or hasattr(builtins, name)
+            or name in code_env_vars or name in _CI_ENV.findall(workflows)
+            or name in _ENV_VAR.findall(workflows)), (
+        f"{where} names `{name}`, which nothing in src/, bench/ or tests/ "
+        f"defines or imports, and which is no builtin or read env var")
 
 
 @pytest.mark.parametrize("dotted", _doc_matches(_DOTTED))

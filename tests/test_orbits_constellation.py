@@ -7,6 +7,7 @@ import pytest
 from repro.constants import TWO_PI
 from repro.orbits import TABLE1, Constellation, by_name, starlink, oneweb
 from repro.orbits import iridium, kuiper
+from repro.orbits.snapshot import grid_neighbor_table
 
 
 class TestTable1Presets:
@@ -102,19 +103,26 @@ class TestIndexing:
 
     def test_neighbors_are_adjacent(self):
         c = Constellation("t", 7, 5, 550.0, 53.0)
-        up, down = c.intra_plane_neighbors(2, 3)
-        assert up == c.sat_index(2, 4)
-        assert down == c.sat_index(2, 2)
-        left, right = c.inter_plane_neighbors(2, 3)
-        assert left == c.sat_index(1, 3)
-        assert right == c.sat_index(3, 3)
+        table = grid_neighbor_table(c)
+        for index in range(c.total_satellites):
+            plane, slot = c.plane_slot(index)
+            up, down, left, right = table[index].tolist()
+            assert up == c.sat_index(plane, slot + 1)
+            assert down == c.sat_index(plane, slot - 1)
+            assert left == c.sat_index(plane - 1, slot)
+            assert right == c.sat_index(plane + 1, slot)
 
     def test_neighbors_wrap_at_seams(self):
         c = Constellation("t", 7, 5, 550.0, 53.0)
-        up, down = c.intra_plane_neighbors(0, 6)
+        table = grid_neighbor_table(c)
+        up, down, _, _ = table[c.sat_index(0, 6)].tolist()
         assert up == c.sat_index(0, 0)
-        left, right = c.inter_plane_neighbors(4, 0)
+        assert down == c.sat_index(0, 5)
+        _, _, left, right = table[c.sat_index(4, 0)].tolist()
         assert right == c.sat_index(0, 0)
+        assert left == c.sat_index(3, 0)
+        _, _, left, _ = table[c.sat_index(0, 2)].tolist()
+        assert left == c.sat_index(4, 2)
 
 
 class TestValidation:

@@ -72,9 +72,20 @@ ALLOWLIST: Dict[str, str] = {
         "paper claim: test_geo_cells's test_pedestrian_crossings_are_rare "
         "pins S4.3's rare UE-driven cell crossings (Table 3 cell sizes) "
         "through it",
+    "repro.orbits.constellation.Constellation.plane_slot":
+        "oracle: test_orbits_constellation's test_neighbors_are_adjacent "
+        "and test_snapshot_graph_differential's oracle_graph hold "
+        "grid_neighbor_table's rows to (plane, slot) indexing",
+    "repro.orbits.constellation.Constellation.sat_index":
+        "oracle: the same two tests name each table row's expected "
+        "neighbours as sat_index(plane, slot +- 1) / (plane +- 1, slot)",
     "repro.runtime.cohort.UECohortEngine.predicted_events_per_ue_s":
         "oracle: test_runtime_cohort's test_event_rate_matches_prediction "
         "holds the sampled event rate of UECohortEngine.run to it",
+    "repro.topology.grid.GridTopology.isl_neighbors":
+        "oracle: test_reference_walk's _ParentWalk and "
+        "test_snapshot_equivalence's _ScalarRouter deflect over it, the "
+        "per-satellite form of the edge mask the walks read",
 }
 
 

@@ -7,8 +7,8 @@ before its per-hop reads became ``ndarray.item()`` Python floats:
 ``route`` and every helper it reaches, copied verbatim.  The
 differential asserts ``==`` on every ``RouteResult`` field -- delay and
 distance as float bits, ``deflected`` by name because
-``RouteResult.__eq__`` skips it -- and on ``covers`` /
-``_next_hop_snap`` / ``_hop_offsets_snap`` at every hop, over generated
+``RouteResult.__eq__`` skips it -- and on ``covers``, the next hop
+and ``_hop_offsets_snap`` at every hop, over generated
 packets on full-torus, seam and degenerate shells under fault
 cocktails, with and without ``avoid_links``.  The same packets through ``route_batch`` must match
 the oracle on whichever lane this host runs (the compiled walk, or the
@@ -54,8 +54,12 @@ class _ParentWalk(GeospatialRouter):
     hop budget) is inherited; ``route`` and every per-hop helper it
     reaches are the old code, so ``covers`` / ``_next_hop_snap`` /
     ``_hop_offsets_snap`` answer the old way too.  It has no source check:
-    that is one of the things the new walk changed.
+    that is one of the things the new walk changed.  The per-snapshot
+    ISL length memo starts empty, as the old constructor left it.
     """
+
+    _edge_snap: Optional[ConstellationSnapshot] = None
+    _edge_km: dict = {}
 
     def _covers(self, snap: ConstellationSnapshot, sat: int,
                 dest_lat: float, dest_lon: float) -> bool:
@@ -267,11 +271,14 @@ class TestParentWalkOracle:
             avoid_links = {frozenset((int(a), int(wiring[a, column])))
                            for a, column in zip(rng.integers(0, total, 6),
                                                 rng.integers(0, 4, 6))}
-        # The walk reads isl_up, which is not part of the copy: hold it
-        # to the old formula on every wired edge.
+        # The old walk reads isl_up and the new one the edge mask,
+        # neither part of the copy: hold both to the old formula on
+        # every wired edge.
+        wiring = grid_neighbor_table(topology.constellation)
+        edge_up = topology.edge_liveness()
         for a in range(total):
-            for b in topology.grid_neighbors(a):
-                assert topology.isl_up(a, b) == (
+            for column, b in enumerate(wiring[a].tolist()):
+                assert topology.isl_up(a, b) == edge_up[a, column] == (
                     topology.is_up(a) and topology.is_up(b)
                     and not topology.isl_marked_failed(a, b))
 
@@ -291,8 +298,10 @@ class TestParentWalkOracle:
             for node in want.path:
                 assert (new.covers(node, lat, lon, t)
                         == old.covers(node, lat, lon, t))
-                assert (new._next_hop_snap(snap, node, reps)
-                        == old._next_hop_snap(snap, node, reps))
+                column = new._preferred_column(snap, node, reps)
+                assert (old._next_hop_snap(snap, node, reps)
+                        == (None if column is None
+                            else int(wiring[node, column])))
                 assert (new._hop_offsets_snap(snap, node, reps)
                         == old._hop_offsets_snap(snap, node, reps))
             expected.append(want)

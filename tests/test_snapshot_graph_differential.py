@@ -92,8 +92,7 @@ def oracle_graph(topology: GridTopology, t: float,
         if not topology.is_up(sat):
             continue
         plane, slot = c.plane_slot(sat)
-        up, _ = c.intra_plane_neighbors(plane, slot)
-        _, right = c.inter_plane_neighbors(plane, slot)
+        up, right = c.sat_index(plane, slot + 1), c.sat_index(plane + 1, slot)
         for nbr, column in ((up, UP), (right, RIGHT)):
             if topology.isl_up(sat, nbr):
                 dist = float(hop_km[sat, column])
@@ -355,6 +354,50 @@ def test_csr_components_match_networkx_on_generated_shells(constellation,
         by_label.setdefault(int(label[sat]), set()).add(sat)
     assert (sorted(map(sorted, by_label.values()))
             == sorted(map(sorted, nx.connected_components(graph))))
+
+
+
+@st.composite
+def liveness_shells(draw):
+    """A drawn polar, retrograde or star shell, or one of the wirings
+    that name an ISL twice (two slots per plane, two planes)."""
+    return draw(st.one_of(walker_shells(), st.sampled_from([
+        PROPAGATORS[name].constellation
+        for name in ("two-slot", "two-plane")])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(constellation=liveness_shells(), data=st.data())
+def test_liveness_masks_are_the_fault_log_per_fault_epoch(constellation,
+                                                          data):
+    """The one cache-key test for liveness.  After every op of a drawn
+    fail/recover sequence the masks equal the fault-log queries
+    (``sat_up[s] == is_up(s)``, ``edge_up[s, d] == isl_up(s,
+    neighbors[s, d])``) and are read-only.  They are rebuilt exactly
+    when the fault epoch moved: no read after a fault returns the
+    pre-fault array, and the pre-fault arrays, which next-hop tables
+    hold by reference, keep the pre-fault state."""
+    topology = GridTopology(IdealPropagator(constellation), STATIONS)
+    total = constellation.total_satellites
+    neighbors = grid_neighbor_table(constellation).tolist()
+    epoch = topology.fault_epoch
+    masks = (topology.satellite_liveness(), topology.edge_liveness())
+    for op in data.draw(fault_cocktails(total, len(STATIONS))):
+        kept = [mask.copy() for mask in masks]
+        apply_ops(topology, [op])
+        fresh = (topology.satellite_liveness(), topology.edge_liveness())
+        for old, new, content in zip(masks, fresh, kept):
+            assert (new is old) == (topology.fault_epoch == epoch)
+            assert np.array_equal(old, content)
+            assert not new.flags.writeable
+            with pytest.raises(ValueError):
+                new.flat[0] = not new.flat[0]
+        sat_up, edge_up = fresh
+        assert sat_up.tolist() == [topology.is_up(s) for s in range(total)]
+        assert edge_up.tolist() == [
+            [topology.isl_up(s, d) for d in row]
+            for s, row in enumerate(neighbors)]
+        epoch, masks = topology.fault_epoch, fresh
 
 
 # -- the consumers, re-computed the way they were before they left networkx ---

@@ -71,7 +71,7 @@ class TestGridTopology:
     def test_intra_plane_spacing_constant(self, topo):
         c = topo.constellation
         plane, slot = c.plane_slot(300)
-        up, _ = c.intra_plane_neighbors(plane, slot)
+        up = c.sat_index(plane, slot + 1)
         d0 = topo.isl_distance_km(300, up, 0.0)
         d1 = topo.isl_distance_km(300, up, 500.0)
         assert d0 == pytest.approx(d1, rel=1e-6)
@@ -94,18 +94,21 @@ class TestGridTopology:
         topo.recover_isl(50, nbr)
         assert nbr in topo.isl_neighbors(50)
 
-    @pytest.mark.parametrize("method", ["fail_satellite",
-                                        "recover_satellite",
-                                        "fail_isl", "recover_isl"])
+    @pytest.mark.parametrize("method", [
+        "fail_satellite", "recover_satellite", "fail_isl", "recover_isl",
+        "is_up", "isl_up", "isl_marked_failed", "grid_neighbors",
+        "isl_neighbors", "directional_neighbors"])
     @pytest.mark.parametrize("bad", [-1, "N", 2.5, True])
     def test_fault_ingress_refuses_non_index(self, method, bad):
         """-1 must not wrap to satellite N - 1 on the array planes, N
         must not surface later as an IndexError, and a float or bool
-        is not a satellite index."""
+        is not a satellite index.  Reads take the same contract as
+        writes, so ``is_up(-1)`` never answers for satellite N - 1."""
         topo = GridTopology(IdealPropagator(starlink()), [])
         total = topo.constellation.total_satellites
         sat = total if bad == "N" else bad
-        args = (sat,) if method.endswith("satellite") else (0, sat)
+        pair = {"fail_isl", "recover_isl", "isl_up", "isl_marked_failed"}
+        args = (0, sat) if method in pair else (sat,)
         with pytest.raises(ValueError):
             getattr(topo, method)(*args)
         assert topo.fault_epoch == 0
