@@ -14,20 +14,27 @@ the chunks of a large wave on every core.
 It models Algorithm 1's preferred-direction walk only; a packet that
 needs anything else (deflection, seam revisit, a path longer than the
 caller's per-packet cap) is flagged, with the prefix walked so far
-(path cells, delay, distance, length) written out, and the reference
-walk *continues* it from the node where the flag was raised.  The
-prefix is the one the reference walk would have walked itself, bit for
-bit, so continuing it equals recomputing it.  Paths are written
-compactly, each packet's cells right after the previous packet's, so a
-chunk's paths take 4 bytes per node walked, not per node of capacity.
+(moves, delay, distance, length) written out, and the reference walk
+*continues* it from the node where the flag was raised.  The prefix is
+the one the reference walk would have walked itself, bit for bit, so
+continuing it equals recomputing it.  A path is written as its moves:
+one byte per hop, the ``grid_neighbor_table`` column taken, each
+packet's moves right after the previous packet's, so a chunk's paths
+take one byte per hop walked, not per hop of capacity.  The source
+node is the packet's own input, and the nodes the seam-revisit check
+reads live in a per-packet buffer on the stack.  ``decode_paths``
+turns the flagged packets' moves back into node paths, all of them in
+one call, for the reference walk to continue.
 
 Bit-exactness
 =============
 The C source mirrors the scalar reference precisely:
 
-* ``wrap_signed`` uses ``fmod`` with CPython's ``%`` sign adjustment
-  (including the ``copysign(0.0, divisor)`` normalisation of a zero
-  remainder), then the same ``> pi`` conditional subtract.
+* ``wrap_signed_diff`` replays CPython's ``%`` (and
+  ``wrap_signed``'s ``> pi`` conditional subtract) over the range of
+  angle differences the walk can form, with one or two conditional
+  ``+ 2*pi`` adds instead of ``fmod`` (the range argument is beside
+  the function).
 * The exact haversine replays the operand order of the scalar
   ``central_angle`` (``x * x`` squares, ``(cos * cos) * s2``, clip to
   ``[0, 1]``).
@@ -81,35 +88,18 @@ _KERNEL_SOURCE = r"""
 static const double K_PI     = 0x1.921fb54442d18p+1;
 static const double K_TWO_PI = 0x1.921fb54442d18p+2;
 
-/* CPython float % TWO_PI: fmod, shifted into the divisor's sign; a
- * zero remainder is normalised to the divisor's (positive) zero. */
-static double pymod_two_pi(double a) {
-    double r = fmod(a, K_TWO_PI);
-    if (r != 0.0) {
-        if (r < 0.0) r += K_TWO_PI;
-    } else {
-        r = 0.0;
-    }
-    return r;
-}
-
-/* repro.orbits.coordinates.wrap_signed */
-static double wrap_signed(double a) {
-    double w = pymod_two_pi(a);
-    if (w > K_PI) w -= K_TWO_PI;
-    return w;
-}
-
-/* wrap_signed for angle *differences* in (-4*pi, 2*pi) without the
- * fmod: for |d| < 2*pi the fmod inside Python's % returns d exactly,
- * so the modulo is one rounded +2*pi when negative; for d in
- * (-4*pi, -2*pi] the first +2*pi is exact (Sterbenz lemma), so a
- * second conditional add reproduces % bit-for-bit.  Every (alpha,
- * gamma) difference the walk forms lies in that range: minuends are
- * >= -pi/2 (wrap_angle / asin / pi - asin), subtrahends < 2*pi. */
+/* repro.orbits.coordinates.wrap_signed for the angle differences
+ * the walk forms, without the fmod.  Every minuend is a destination
+ * alpha in [0, 2*pi) or gamma in [-pi/2, 3*pi/2]
+ * (both_representations_batch: a wrapped longitude, an asin, pi minus
+ * an asin); every subtrahend is a snapshot raan_ecef or arg_latitude
+ * in [0, 2*pi) (_wrap_array in ConstellationSnapshot).  So every d
+ * lies in (-2.5*pi, 2*pi).  For |d| < 2*pi the fmod inside Python's %
+ * returns d exactly, so the modulo is one rounded +2*pi when d is
+ * negative; for d in (-2.5*pi, -2*pi] the first +2*pi is exact
+ * (Sterbenz lemma) and is what fmod returns, so a second conditional
+ * add reproduces % bit for bit (a zero sum is +0.0, as % gives). */
 static double wrap_signed_diff(double d) {
-    if (d <= -2.0 * K_TWO_PI || d >= K_TWO_PI)
-        return wrap_signed(d);  /* out of proven range: exact path */
     double w = d < 0.0 ? d + K_TWO_PI : d;
     if (w < 0.0) w += K_TWO_PI;
     if (w > K_PI) w -= K_TWO_PI;
@@ -189,21 +179,26 @@ static int hop_decision(double wa0, double wg0, double wa1, double wg1,
     return 0;
 }
 
+/* The most nodes a packet's path may hold here: the size of the
+ * on-stack node buffer the seam-revisit check reads. */
+#define PATH_CAP_MAX 64
+
 /* One Algorithm 1 walk per packet, identical decision structure to
  * GeospatialRouter.route: coverage screen (dot product against
  * the destination radial, guard-banded exact re-test), both-
  * representation hop offsets, strict-< representation pick, dominant-
  * dimension direction, liveness / seam-revisit / path-capacity
  * fallback flags.  Every exit -- delivery, a flag, or the hop budget
- * spent -- writes the walked prefix: path cells 0..step, its delay and
- * distance, and path_len = step + 1, so a flagged packet's reference
- * walk continues from there instead of starting over.
+ * spent -- writes the walked prefix: moves 0..step-1 (the neighbour
+ * table column of each hop), its delay and distance, and path_len =
+ * step + 1 nodes, so a flagged packet's reference walk continues from
+ * there instead of starting over.
  *
- * Paths are compact: packet i's cells start where packet i - 1's
- * ended, so packet i starts at the sum of path_len[0..i) and the
- * caller's region needs n * path_cap cells only in the worst case.
- * Cells past the last packet's path are never written. */
-void walk_chunk(
+ * Moves are compact: packet i's moves start where packet i - 1's
+ * ended, at the sum of path_len[j] - 1 over j < i, so the caller's
+ * region needs n * (path_cap - 1) bytes only in the worst case.  Bytes past the last packet's moves are never written.
+ * Returns -1, writing nothing, unless 1 <= path_cap <= PATH_CAP_MAX. */
+int walk_chunk(
     int64_t n, int64_t max_hops, int64_t path_cap,
     int32_t full_torus, int32_t healthy,
     double theta, double slack_theta, double cos_in, double cos_out,
@@ -220,11 +215,13 @@ void walk_chunk(
     const uint8_t *t_edge,
     uint8_t *delivered, uint8_t *degraded, uint8_t *fallback,
     double *delay_out, double *dist_out,
-    int32_t *path_len, int32_t *paths)
+    int32_t *path_len, uint8_t *moves)
 {
+    if (path_cap < 1 || path_cap > PATH_CAP_MAX) return -1;
     const double half_dr = 0.5 * delta_raan;   /* exact */
     const double half_dp = 0.5 * delta_phase;  /* exact */
     int64_t cursor = 0;
+    int32_t path[PATH_CAP_MAX];
     for (int64_t i = 0; i < n; i++) {
         int64_t cur = src[i];
         const double A0 = a0[i], G0 = g0[i];
@@ -232,7 +229,7 @@ void walk_chunk(
         const double DLAT = dest_lat[i], DLON = dest_lon[i];
         const double UX = ux[i], UY = uy[i], UZ = uz[i];
         double delay = 0.0, dist = 0.0;
-        int32_t *path = paths + cursor;
+        uint8_t *move = moves + cursor;
         path[0] = (int32_t)cur;
         int64_t step;
         for (step = 0; step < max_hops; step++) {
@@ -298,6 +295,7 @@ void walk_chunk(
              * per-hop division. */
             delay += t_delay[off];
             dist += t_hop[off];
+            move[step] = (uint8_t)dir;
             path[step + 1] = nxt;
             cur = (int64_t)nxt;
         }
@@ -306,7 +304,28 @@ void walk_chunk(
         delay_out[i] = delay;
         dist_out[i] = dist;
         path_len[i] = (int32_t)(step + 1);
-        cursor += step + 1;
+        cursor += step;
+    }
+    return 0;
+}
+
+/* The node paths of packets sel[0..n), back to back into nodes: each
+ * packet's source, then one wiring step per move -- the hand-off
+ * prefixes walk_chunk left, decoded for the reference walk. */
+void decode_paths(int64_t n, const int64_t *sel, const int32_t *source,
+                  const int64_t *offsets, const int32_t *path_len,
+                  const uint8_t *moves, const int32_t *t_nbr,
+                  int32_t *nodes)
+{
+    for (int64_t k = 0; k < n; k++) {
+        const int64_t i = sel[k];
+        const uint8_t *move = moves + offsets[i];
+        int32_t cur = source[i];
+        if (path_len[i] > 0) *nodes++ = cur;
+        for (int32_t h = 1; h < path_len[i]; h++) {
+            cur = t_nbr[(int64_t)cur * 4 + move[h - 1]];
+            *nodes++ = cur;
+        }
     }
 }
 
@@ -603,7 +622,9 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_double, ctypes.c_double, ctypes.c_double,
         ctypes.c_double, ctypes.c_double, ctypes.c_double,
     ] + pointer_args
-    lib.walk_chunk.restype = None
+    lib.walk_chunk.restype = ctypes.c_int
+    lib.decode_paths.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 7
+    lib.decode_paths.restype = None
     lib.modexp.argtypes = [ctypes.c_void_p] * 4
     lib.modexp.restype = ctypes.c_int
     lib.fixed_base_table.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
@@ -656,7 +677,7 @@ def _compile() -> Optional[ctypes.CDLL]:
 
 
 def load_kernel() -> Optional[ctypes.CDLL]:
-    """The compiled object (``walk_chunk``, ``modexp``,
+    """The compiled object (``walk_chunk``/``decode_paths``, ``modexp``,
     ``fixed_base_table``/``fixed_base`` and ``jacobi``), or ``None``.
 
     ``None`` means: disabled via ``REPRO_NO_CKERNEL``, no C compiler

@@ -10,7 +10,7 @@ arithmetic operation for operation and *flags* any packet that needs
 a path it does not model.  :meth:`BatchGeoRouter.route_batch` runs the
 compiled walk over the wave, and the reference walk *continues* each
 flagged packet from where the compiled walk stopped: the compiled walk
-hands over the prefix it walked (path, delay, distance), which is the
+hands over the prefix it walked (moves, delay, distance), which is the
 reference walk's own prefix bit for bit, so only the hops from the
 flag on run in Python.  On a host without the compiled walk (no C
 compiler, failed build, ``REPRO_NO_CKERNEL``) the whole wave takes the
@@ -27,6 +27,17 @@ dead preferred edge, seam revisit) -- the compiled walk's flag, and
 engine-specific: ``avoid_links`` flags the whole wave on either lane,
 and a path longer than the compiled walk's 64-node cap is flagged by
 the compiled walk only.
+
+Paths as moves
+==============
+A hop of Algorithm 1 takes one of the four ``grid_neighbor_table``
+columns, so a packet's path is its source and the columns it took.
+:class:`BatchRouteResult` stores exactly that -- an ``int32`` source
+per packet and one byte per hop in one flat array -- and
+:meth:`BatchRouteResult.path` decodes a path by walking the wiring
+from the source.  The compiled walk writes the columns directly; the
+reference walk's node paths are encoded in one vectorised pass per
+wave (:func:`_encode_moves`).
 
 Per-epoch next-hop tables
 =========================
@@ -47,7 +58,7 @@ Chunks on threads
 A wave larger than ``_CHUNK_PACKETS`` is cut into chunks, and the
 chunks run on up to ``usable_cores()`` threads: the ctypes call and
 the NumPy prep release the GIL, and each chunk writes disjoint slices
-of the outputs (its rows, and its own region of the flat path array),
+of the outputs (its rows, and its own region of the flat move array),
 so the result is the same at any thread count.  The
 reference walk (``_finish``) and every metrics call stay on the
 calling thread.
@@ -68,11 +79,14 @@ serves the whole sweep and every repeat of it.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
+import mmap
 from array import array
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (FrozenSet, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 import numpy as np
 
@@ -111,6 +125,10 @@ BATCH_SIZE_BUCKETS = (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0,
 #: run on up to ``usable_cores()`` threads.  Results are independent per
 #: packet, so any chunking and any thread count is bitwise neutral.
 _CHUNK_PACKETS = 65536
+
+#: The array size from which NumPy asks the kernel for transparent
+#: huge pages (its allocator's threshold).
+_HUGE_PAGE_ARRAY = 1 << 22
 
 #: Next-hop tables kept per router until a sweep asks for more.
 _TABLE_CACHE_SIZE = 8
@@ -177,55 +195,63 @@ class BatchRouteResult:
     than the routing itself, and bulk consumers (benchmarks, sweeps,
     the packet layer) only need the arrays.
 
-    Paths are ragged: packet ``i``'s ``path_len[i]`` nodes sit back to
-    back in one flat int32 array from ``_offsets[i]`` on, 4 bytes per
-    path node.  How packets share the flat array is the writer's
-    business (the compiled walk packs each chunk from the chunk's
-    region start, a continued packet's path moves to the tail, a sweep
-    appends its waves), and cells no packet claims hold garbage, so
-    :meth:`path` is the one read API.
+    A path is its source and its moves.  Every hop of Algorithm 1
+    takes one of the four ``grid_neighbor_table`` columns, so packet
+    ``i``'s ``path_len[i]`` nodes are its ``int32`` source followed by
+    ``path_len[i] - 1`` one-byte columns, back to back in one flat
+    ``uint8`` array from ``_offsets[i]`` on.  How packets share the
+    flat array is the writer's business (the compiled walk packs each
+    chunk from the chunk's region start, a continued packet's moves go
+    to the tail, a sweep appends its waves), and bytes no packet claims
+    hold garbage, so :meth:`path`, which walks the wiring from the
+    source, is the one read API.
     """
 
     __slots__ = ("delivered", "degraded", "delay_s", "distance_km",
-                 "path_len", "fallback", "_offsets", "_flat", "_used")
+                 "path_len", "fallback", "_source", "_offsets", "_moves",
+                 "_used", "_wiring")
 
-    def __init__(self, n: int, capacity: int = 0):
-        """``n`` undelivered, unflagged packets with empty paths, and
-        room for ``capacity`` path nodes, for a router to fill."""
+    def __init__(self, n: int, wiring: np.ndarray, capacity: int = 0):
+        """``n`` undelivered, unflagged packets with empty paths over
+        the ``(N, 4)`` wiring, and room for ``capacity`` moves, for a
+        router to fill."""
         self.delivered = np.zeros(n, dtype=bool)
         self.degraded = np.zeros(n, dtype=bool)
         self.fallback = np.zeros(n, dtype=bool)
         self.delay_s = np.zeros(n, dtype=float)
         self.distance_km = np.zeros(n, dtype=float)
         self.path_len = np.zeros(n, dtype=np.int32)
+        self._source = np.zeros(n, dtype=np.int32)
         self._offsets = np.zeros(n, dtype=np.int64)
-        self._flat = np.empty(capacity, dtype=np.int32)
-        #: Cells ``[0, _used)`` may be claimed; appends go after them.
+        self._moves = _address_space(capacity)
+        #: Bytes ``[0, _used)`` may be claimed; appends go after them.
         self._used = 0
+        self._wiring = wiring
 
     def __len__(self) -> int:
         return int(self.delivered.shape[0])
 
-    def _append(self, sel: np.ndarray, cells: np.ndarray,
+    def _append(self, sel: np.ndarray, moves: np.ndarray,
                 starts: np.ndarray, lengths: np.ndarray) -> None:
-        """Give packet ``sel[k]`` the path ``cells[starts[k]:][:lengths[k]]``,
-        copying ``cells`` to the tail of the flat array."""
-        end = self._used + cells.size
-        if end > self._flat.size:
-            grown = np.empty(max(end, 2 * self._flat.size), dtype=np.int32)
-            grown[:self._used] = self._flat[:self._used]
-            self._flat = grown
-        self._flat[self._used:end] = cells
+        """Give packet ``sel[k]`` the ``lengths[k]``-node path whose
+        moves are ``moves[starts[k]:]``, copying ``moves`` to the tail
+        of the flat array (the sources are the caller's to set)."""
+        end = self._used + moves.size
+        if end > self._moves.size:
+            grown = np.empty(max(end, 2 * self._moves.size), dtype=np.uint8)
+            grown[:self._used] = self._moves[:self._used]
+            self._moves = grown
+        self._moves[self._used:end] = moves
         self._offsets[sel] = starts + self._used
         self.path_len[sel] = lengths
         self._used = end
 
     def _scatter(self, sel: np.ndarray, wave: "BatchRouteResult") -> None:
         """Store ``wave``'s packets at the indices ``sel``."""
-        self._append(sel, wave._flat[:wave._used], wave._offsets,
+        self._append(sel, wave._moves[:wave._used], wave._offsets,
                      wave.path_len)
         for name in ("delivered", "degraded", "fallback", "delay_s",
-                     "distance_km"):
+                     "distance_km", "_source"):
             getattr(self, name)[sel] = getattr(wave, name)
 
     @property
@@ -235,8 +261,17 @@ class BatchRouteResult:
 
     def path(self, index: int) -> List[int]:
         """The node path of packet ``index`` as a plain list."""
+        length = int(self.path_len[index])
+        if length == 0:
+            return []
         start = int(self._offsets[index])
-        return self._flat[start:start + int(self.path_len[index])].tolist()
+        wiring = self._wiring
+        node = int(self._source[index])
+        path = [node]
+        for move in self._moves[start:start + length - 1].tolist():
+            node = int(wiring[node, move])
+            path.append(node)
+        return path
 
     def result(self, index: int) -> RouteResult:
         """Materialise packet ``index`` as a scalar RouteResult."""
@@ -250,6 +285,50 @@ class BatchRouteResult:
     def results(self) -> List[RouteResult]:
         """Materialise the whole batch (equivalence tests, small runs)."""
         return [self.result(i) for i in range(len(self))]
+
+
+def _ptr(array: np.ndarray) -> ctypes.c_void_p:
+    """The data pointer of a contiguous array, for the compiled walk."""
+    return ctypes.c_void_p(array.ctypes.data)
+
+
+def _address_space(size: int) -> np.ndarray:
+    """``size`` uninitialised bytes whose untouched pages cost nothing.
+
+    The compiled walk touches only the start of each chunk's region.
+    NumPy asks for transparent huge pages on arrays of
+    ``_HUGE_PAGE_ARRAY`` bytes and up, which would make each of those
+    starts cost whole 2 MiB pages, more or fewer by where the region
+    happens to be aligned.  A region that large is a private anonymous
+    mapping that refuses huge pages, so it costs exactly the 4 KiB
+    pages the walk writes; a smaller one is an ordinary array, which
+    keeps it on the heap where a sanitizer sees its bounds.
+    """
+    if size < _HUGE_PAGE_ARRAY:
+        return np.empty(size, dtype=np.uint8)
+    region = mmap.mmap(-1, size)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        region.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(region, dtype=np.uint8)
+
+
+def _encode_moves(wiring: np.ndarray, nodes: np.ndarray,
+                  lengths: np.ndarray) -> np.ndarray:
+    """The moves of the node paths laid back to back in ``nodes``
+    (``lengths[k]`` nodes each), laid out the same way: for each hop
+    ``a -> b`` the first column ``j`` with ``wiring[a, j] == b``.  Where
+    two columns name one node (2-plane and 2-slot shells) either
+    decodes to the same path.  Raises ``ValueError`` on a hop between
+    satellites that are not +Grid neighbours."""
+    hop = np.ones(nodes.size, dtype=bool)
+    hop[np.cumsum(lengths[lengths > 0]) - 1] = False
+    tails = np.nonzero(hop)[0]
+    a, b = nodes[tails], nodes[tails + 1]
+    moves = (np.take(wiring, a, axis=0) == b[:, None]).argmax(axis=1)
+    if not np.array_equal(np.take(wiring.ravel(), 4 * a + moves), b):
+        raise ValueError("a path hop joins satellites that are not "
+                         "+Grid neighbours")
+    return moves.astype(np.uint8)
 
 
 class BatchGeoRouter:
@@ -268,6 +347,7 @@ class BatchGeoRouter:
         self.scalar = GeospatialRouter(topology, max_hops=max_hops)
         self.max_hops = max_hops
         self.metrics = metrics
+        self._wiring = grid_neighbor_table(topology.constellation)
         self._table_cache_size = _TABLE_CACHE_SIZE
         self._tables: "OrderedDict[Tuple[float, int], NextHopTable]" = (
             OrderedDict())
@@ -379,7 +459,7 @@ class BatchGeoRouter:
             # set inside the reference walk; rare (mid-flight
             # reroutes), so those waves take it wholesale, flagged as
             # a whole, and build no table.
-            out = BatchRouteResult(n)
+            out = self._result(src)
             out.fallback[:] = True
             return self._finish(out, src, dlat, dlon, t, avoid_links)
 
@@ -389,18 +469,18 @@ class BatchGeoRouter:
         table = self._table(t)
         kernel = load_kernel()
         if kernel is None:
-            return self._finish(BatchRouteResult(n), src, dlat, dlon, t,
+            return self._finish(self._result(src), src, dlat, dlon, t,
                                 whole_wave=True)
-        # Each chunk's paths are packed from its region start, a
-        # region of ``cap`` cells per packet (the most a packet can
-        # write).  The array is left uninitialised, so the cells no path
-        # reaches are address space, not memory.  The kernel flags the
-        # rare walk longer than ``cap`` nodes for the reference walk to
-        # continue (it has no capacity limit); +Grid walks on the
-        # paper's shells stay well under 64 nodes, and only fault
-        # deflections ever exceed it.
+        # Each chunk's moves are packed from its region start, a
+        # region of ``cap`` bytes per packet (more than the ``cap - 1``
+        # moves a packet can write).  The array is left uninitialised,
+        # so the bytes no path reaches are address space, not memory.
+        # The kernel flags the rare walk longer than ``cap`` nodes for
+        # the reference walk to continue (it has no capacity limit);
+        # +Grid walks on the paper's shells stay well under 64 nodes,
+        # and only fault deflections ever exceed it.
         cap = min(self.max_hops + 1, 64)
-        out = BatchRouteResult(n, n * cap)
+        out = self._result(src, n * cap)
         self._count("routing.kernel_packets", n)
 
         def walk(part: slice) -> None:
@@ -422,8 +502,8 @@ class BatchGeoRouter:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 for _ in pool.map(walk, parts):
                     pass
-        out._used = int(out._offsets[-1]) + int(out.path_len[-1])
-        return self._finish(out, src, dlat, dlon, t)
+        out._used = int(out._offsets[-1]) + int(out.path_len[-1]) - 1
+        return self._finish(out, src, dlat, dlon, t, kernel=kernel)
 
     # -- the epoch sweep -------------------------------------------------------
 
@@ -468,7 +548,7 @@ class BatchGeoRouter:
         n = src.shape[0]
         self._count("routing.sweeps")
         if n == 0:
-            return BatchRouteResult(0)
+            return BatchRouteResult(0, self._wiring)
         epochs, inverse = np.unique(t_arr, return_inverse=True)
         self._count("routing.sweep_epochs", int(epochs.size))
         if int(epochs.size) > self._table_cache_size:
@@ -480,7 +560,7 @@ class BatchGeoRouter:
         snapshots_for(self.topology.propagator,
                       [float(t) for t in epochs])
 
-        out = BatchRouteResult(n)
+        out = BatchRouteResult(n, self._wiring)
         for k in range(epochs.size):
             sel = np.nonzero(inverse == k)[0]
             out._scatter(sel, self.route_batch(
@@ -521,9 +601,17 @@ class BatchGeoRouter:
             np.asarray(ts_list, dtype=float)[routed])
         if routed.size == n:
             return src_sats, wave
-        out = BatchRouteResult(n)
+        out = BatchRouteResult(n, self._wiring)
         out._scatter(routed, wave)
         return src_sats, out
+
+    def _result(self, src: np.ndarray,
+                capacity: int = 0) -> BatchRouteResult:
+        """An empty result for the wave ``src``: its sources set, room
+        for ``capacity`` moves."""
+        out = BatchRouteResult(len(src), self._wiring, capacity)
+        out._source[:] = src
+        return out
 
     def _route_chunk_kernel(self, kernel: ctypes.CDLL,
                             table: NextHopTable, src: np.ndarray,
@@ -534,10 +622,10 @@ class BatchGeoRouter:
 
         Same decision structure and float64 arithmetic as the
         reference walk (see ``_walk_kernel``); writes the chunk's rows
-        of ``out`` and packs its paths, at most ``cap`` nodes each,
-        from cell ``part.start * cap`` of the flat array on.  May run
-        on a worker thread, so it writes only the chunk's share of
-        ``out`` and touches no metrics registry.
+        of ``out`` and packs its moves, at most ``cap - 1`` each, from
+        byte ``part.start * cap`` of the flat array on.  May run on a
+        worker thread, so it writes only the chunk's share of ``out``
+        and touches no metrics registry.
         """
         src, dlat, dlon = src[part], dlat[part], dlon[part]
         theta = self.scalar.coverage_angle
@@ -549,11 +637,7 @@ class BatchGeoRouter:
         unit_y = cos_dlat * np.sin(dlon)
         unit_z = np.sin(dlat)
         path_len = out.path_len[part]
-
-        def ptr(array: np.ndarray) -> ctypes.c_void_p:
-            return ctypes.c_void_p(array.ctypes.data)
-
-        kernel.walk_chunk(
+        status = kernel.walk_chunk(
             src.shape[0], self.max_hops, cap,
             1 if self._full_torus else 0,
             1 if table.healthy else 0,
@@ -561,67 +645,98 @@ class BatchGeoRouter:
             math.cos(theta) + _COVERAGE_GUARD,
             math.cos(theta) - _COVERAGE_GUARD,
             c.delta_raan, c.delta_phase,
-            ptr(src), ptr(a0), ptr(g0), ptr(a1), ptr(g1),
-            ptr(dlat), ptr(dlon),
-            ptr(unit_x), ptr(unit_y), ptr(unit_z),
-            ptr(table.alpha), ptr(table.gamma),
-            ptr(table.sub_lat), ptr(table.sub_lon),
-            ptr(table.unit_x), ptr(table.unit_y), ptr(table.unit_z),
-            ptr(table.neighbors), ptr(table.hop_km),
-            ptr(table.hop_delay_s), ptr(table.edge_up),
-            ptr(out.delivered[part]), ptr(out.degraded[part]),
-            ptr(out.fallback[part]), ptr(out.delay_s[part]),
-            ptr(out.distance_km[part]), ptr(path_len),
-            ptr(out._flat[part.start * cap:]))
+            _ptr(src), _ptr(a0), _ptr(g0), _ptr(a1), _ptr(g1),
+            _ptr(dlat), _ptr(dlon),
+            _ptr(unit_x), _ptr(unit_y), _ptr(unit_z),
+            _ptr(table.alpha), _ptr(table.gamma),
+            _ptr(table.sub_lat), _ptr(table.sub_lon),
+            _ptr(table.unit_x), _ptr(table.unit_y), _ptr(table.unit_z),
+            _ptr(table.neighbors), _ptr(table.hop_km),
+            _ptr(table.hop_delay_s), _ptr(table.edge_up),
+            _ptr(out.delivered[part]), _ptr(out.degraded[part]),
+            _ptr(out.fallback[part]), _ptr(out.delay_s[part]),
+            _ptr(out.distance_km[part]), _ptr(path_len),
+            _ptr(out._moves[part.start * cap:]))
+        if status != 0:
+            raise ValueError(f"path cap {cap} is outside the compiled "
+                             "walk's node buffer")
         # Packet i of the chunk starts where packet i - 1 ended.
         offsets = out._offsets[part]
         offsets[0] = part.start * cap
-        np.cumsum(path_len[:-1], dtype=np.int64, out=offsets[1:])
+        np.cumsum(path_len[:-1] - 1, dtype=np.int64, out=offsets[1:])
         offsets[1:] += offsets[0]
+
+    def _prefixes(self, kernel: Optional[ctypes.CDLL],
+                  out: BatchRouteResult, part: np.ndarray
+                  ) -> Iterable[Optional[RouteResult]]:
+        """The ``walked`` hand-off of each packet of ``part``: the
+        prefix the compiled walk left in ``out``, its nodes decoded for
+        all of ``part`` in one ``decode_paths`` call, or ``None`` for
+        every packet when there is no compiled walk to continue.  Reads
+        all of ``out`` it needs before returning, so the caller may
+        overwrite those packets' fields while it iterates."""
+        if kernel is None:
+            return itertools.repeat(None)
+        lengths = out.path_len[part]
+        nodes = np.empty(int(lengths.sum()), dtype=np.int32)
+        kernel.decode_paths(
+            part.size, _ptr(part), _ptr(out._source), _ptr(out._offsets),
+            _ptr(out.path_len), _ptr(out._moves), _ptr(self._wiring),
+            _ptr(nodes))
+        return (RouteResult(False, nodes[end - length:end].tolist(),
+                            delay, distance)
+                for end, length, delay, distance in zip(
+                    np.cumsum(lengths).tolist(), lengths.tolist(),
+                    out.delay_s[part].tolist(),
+                    out.distance_km[part].tolist()))
 
     def _finish(self, out: BatchRouteResult, src: np.ndarray,
                 dlat: np.ndarray, dlon: np.ndarray, t: float,
                 avoid_links: Optional[Set[FrozenSet[int]]] = None,
-                whole_wave: bool = False) -> BatchRouteResult:
+                whole_wave: bool = False,
+                kernel: Optional[ctypes.CDLL] = None) -> BatchRouteResult:
         """Route the flagged packets of ``out`` with the reference walk.
 
-        On the compiled-walk lane each flagged packet's reference walk
-        continues the prefix the compiled walk left in ``out`` (its
-        first ``path_len`` path cells, ``delay_s`` and
-        ``distance_km``).  ``avoid_links`` waves and ``whole_wave``
-        walk from the source.  ``whole_wave`` is the lane without a
-        compiled walk: every packet takes the reference walk and
-        ``fallback`` reports its ``deflected`` bit, which is what the
-        compiled walk's flags mean -- so the mask (and
+        On the compiled-walk lane (``kernel`` given) each flagged
+        packet's reference walk continues the prefix the compiled walk
+        left in ``out``: its ``path_len``-node path (see
+        :meth:`_prefixes`), its ``delay_s`` and its ``distance_km``.  ``avoid_links`` waves
+        and ``whole_wave`` walk from the source.  ``whole_wave`` is the
+        lane without a compiled walk: every packet takes the reference
+        walk and ``fallback`` reports its ``deflected`` bit, which is
+        what the compiled walk's flags mean -- so the mask (and
         ``routing.scalar_fallbacks``) does not depend on whether this
         host could build the kernel.
         """
         flagged = (np.arange(len(out)) if whole_wave
                    else np.nonzero(out.fallback)[0])
-        resume = not (whole_wave or avoid_links)
-        cells, lengths = array("i"), array("i")
-        for index in flagged:
-            walked = None
-            if resume:
-                walked = RouteResult(
-                    False, out.path(index), float(out.delay_s[index]),
-                    float(out.distance_km[index]))
-            result = self.scalar.route(
-                int(src[index]), float(dlat[index]), float(dlon[index]),
-                t, avoid_links=avoid_links, walked=walked)
-            out.delivered[index] = result.delivered
-            out.degraded[index] = result.degraded
-            out.delay_s[index] = result.delay_s
-            out.distance_km[index] = result.distance_km
-            if whole_wave:
-                out.fallback[index] = result.deflected
-            cells.extend(result.path)
-            lengths.append(len(result.path))
-        # The reference walk's paths go to the tail in one copy; a
-        # continued packet's compiled-walk slot is left unclaimed.
+        nodes, lengths = array("i"), array("i")
+        # A chunk of flagged packets at a time: their inputs are read
+        # as Python lists, which bounds those lists' memory.
+        for lo in range(0, flagged.size, _CHUNK_PACKETS):
+            part = flagged[lo:lo + _CHUNK_PACKETS]
+            for index, source, lat, lon, walked in zip(
+                    part.tolist(), src[part].tolist(), dlat[part].tolist(),
+                    dlon[part].tolist(), self._prefixes(kernel, out, part)):
+                result = self.scalar.route(source, lat, lon, t,
+                                           avoid_links=avoid_links,
+                                           walked=walked)
+                out.delivered[index] = result.delivered
+                out.degraded[index] = result.degraded
+                out.delay_s[index] = result.delay_s
+                out.distance_km[index] = result.distance_km
+                if whole_wave:
+                    out.fallback[index] = result.deflected
+                nodes.extend(result.path)
+                lengths.append(len(result.path))
+        # The reference walk's paths are encoded in one pass and go to
+        # the tail in one copy; a continued packet's compiled-walk
+        # slot is left unclaimed.
         counts = np.frombuffer(lengths, dtype=np.intc)
-        out._append(flagged, np.frombuffer(cells, dtype=np.intc),
-                    np.cumsum(counts, dtype=np.int64) - counts, counts)
+        hops = np.maximum(counts - 1, 0)
+        out._append(flagged, _encode_moves(
+            self._wiring, np.frombuffer(nodes, dtype=np.intc), counts),
+            np.cumsum(hops, dtype=np.int64) - hops, counts)
         self._count("routing.scalar_fallbacks",
                     int(np.count_nonzero(out.fallback)))
         return out

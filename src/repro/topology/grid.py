@@ -262,9 +262,22 @@ class GridTopology:
         return (float(pos[0]), float(pos[1]), float(pos[2]))
 
     def isl_distance_km(self, sat_a: int, sat_b: int, t: float) -> float:
-        """Geometric length of the link between two satellites (km)."""
-        return distance3(self.sat_position(sat_a, t),
-                         self.sat_position(sat_b, t))
+        """Length (km) of the ISL between two +Grid neighbours at t.
+
+        The snapshot's ``hop_lengths_km`` entry both walks read; the
+        reverse direction only negates the coordinate differences, so
+        both orders give the same bits.  ``ValueError`` unless ``sat_b``
+        is a grid neighbour of ``sat_a``.
+        """
+        a = self._check_satellite(sat_a)
+        b = self._check_satellite(sat_b)
+        columns = np.flatnonzero(
+            grid_neighbor_table(self.constellation)[a] == b)
+        if not columns.size:
+            raise ValueError(
+                f"satellites {a} and {b} are not +Grid neighbours")
+        hop_km = snapshot_for(self.propagator, t).hop_lengths_km()
+        return float(hop_km[a, columns[0]])
 
     def isl_delay_s(self, sat_a: int, sat_b: int, t: float) -> float:
         """One-way propagation delay over an ISL (s)."""

@@ -301,15 +301,15 @@ class TestBatchRouterMechanics:
 
     @both_engines
     def test_paths_are_packed_back_to_back(self, engine):
-        """A wave's paths share one flat array, each packet's nodes
-        right after the previous packet's: 4 bytes per path node."""
+        """A wave's moves share one flat array, each packet's moves
+        right after the previous packet's: one byte per hop."""
         topo = _topology("starlink")
         router = BatchGeoRouter(topo)
         src, lats, lons = _wave(topo.constellation, 32, seed=2)
         batch = router.route_batch(src, lats, lons, 0.0)
-        ends = np.cumsum(batch.path_len)
+        ends = np.cumsum(batch.hops)
         assert not batch.fallback.any()
-        assert np.array_equal(batch._offsets, ends - batch.path_len)
+        assert np.array_equal(batch._offsets, ends - batch.hops)
         assert batch._used == ends[-1]
         for i in range(len(batch)):
             assert batch.path(i) == router.scalar.route(
@@ -621,25 +621,27 @@ class TestKernelHandOff:
     @pytest.mark.parametrize("cores", [1, 2])
     def test_no_packet_writes_past_its_compact_slot(self, cores,
                                                     monkeypatch):
-        """The flat path array starts out filled with a sentinel.  When
-        the compiled walk returns, each chunk's packets claim back-to-back
-        slots from the chunk's region start, and every cell outside the
-        claimed slots still holds the sentinel: no packet wrote past its
-        slot, on one thread or two.  The faulted Starlink wave has
-        hand-offs and a continued walk longer than 64 nodes, the
-        stretched star fills 64-node slots, and every path read back
-        after the continuations equals the reference walk."""
+        """The flat move array starts out filled with 0xFF, which is no
+        neighbour-table column.  When the compiled walk returns, each
+        chunk's packets claim back-to-back slots of one byte per hop
+        from the chunk's region start, every claimed byte is a column
+        and every byte outside the claimed slots still holds the
+        sentinel: no packet wrote past its slot, on one thread or two.
+        The faulted Starlink wave has hand-offs and a continued walk
+        longer than 64 nodes, the stretched star fills 64-node slots,
+        and every path read back after the continuations equals the
+        reference walk."""
         from repro.runtime import planner
-        sentinel = np.iinfo(np.int32).min
+        sentinel = 0xFF
         chunk, cap = 64, 64
         pools, walked = [], []
 
         class Filled(batch_routing.BatchRouteResult):
             __slots__ = ()
 
-            def __init__(self, n, capacity=0):
-                super().__init__(n, capacity)
-                self._flat.fill(sentinel)
+            def __init__(self, n, wiring, capacity=0):
+                super().__init__(n, wiring, capacity)
+                self._moves.fill(sentinel)
 
         class RecordingPool(batch_routing.ThreadPoolExecutor):
             def __init__(self, max_workers):
@@ -649,7 +651,7 @@ class TestKernelHandOff:
         finish = BatchGeoRouter._finish
 
         def spy(router, out, *args, **kwargs):
-            walked.append((out._flat.copy(), out._offsets.copy(),
+            walked.append((out._moves.copy(), out._offsets.copy(),
                            out.path_len.copy()))
             return finish(router, out, *args, **kwargs)
 
@@ -667,17 +669,18 @@ class TestKernelHandOff:
             src, lats, lons = _wave(shell, packets, 1)
             batch = router.route_batch(src, lats, lons, 90.0)
             flat, offsets, lengths = walked.pop()
+            moves = lengths - 1
             assert flat.size == packets * cap
             claimed = np.zeros(flat.size, dtype=bool)
             for lo in range(0, packets, chunk):
                 part = slice(lo, lo + chunk)
-                ends = lo * cap + np.cumsum(lengths[part])
-                assert np.array_equal(offsets[part], ends - lengths[part])
-            for start, length in zip(offsets, lengths):
+                ends = lo * cap + np.cumsum(moves[part])
+                assert np.array_equal(offsets[part], ends - moves[part])
+            for start, length in zip(offsets, moves):
                 claimed[start:start + length] = True
-            assert claimed.sum() == lengths.sum()
+            assert claimed.sum() == moves.sum()
             assert np.all(flat[~claimed] == sentinel)
-            assert np.all(flat[claimed] != sentinel)
+            assert np.all(flat[claimed] < 4)
             assert batch.fallback.any()
             for i in range(packets):
                 assert batch.result(i) == router.scalar.route(
@@ -703,9 +706,11 @@ class TestKernelHandOff:
 #: The sanitizer leg's child: build the kernel under ASan/UBSan into a
 #: fresh cache, then hold a faulted Starlink wave (flagged packets, one
 #: path longer than 64 nodes) and stretched star packets (walks that
-#: fill a 64-node slot) to the reference walk.  Each star packet is its
-#: own one-packet wave, so its 64-cell path region ends where the heap
-#: block does and a write past it cannot land in a neighbour's slot.
+#: fill a 64-node slot, seam-revisit checks over the on-stack node
+#: buffer) to the reference walk, counting the 64-node hand-offs.  Each
+#: star packet is its own one-packet wave, so its 64-byte move region
+#: ends where the heap block does and a write past it cannot land in a
+#: neighbour's slot.
 #: Then hold the same object's group arithmetic (``modexp``, the
 #: ``fixed_base`` comb, ``jacobi``) to ``pow``.
 _SANITIZED_CHILD = r"""
@@ -728,6 +733,12 @@ class CountingPool(batch_routing.ThreadPoolExecutor):
         threads.append(max_workers)
         super().__init__(max_workers=max_workers)
 batch_routing.ThreadPoolExecutor = CountingPool
+full = []
+finish = BatchGeoRouter._finish
+def spy(router, out, *args, **kwargs):
+    full.append(int((out.path_len[out.fallback] == 64).sum()))
+    return finish(router, out, *args, **kwargs)
+BatchGeoRouter._finish = spy
 flagged = longest = 0
 for shell, dead, torn, packets, wave in [(starlink(), 40, 25, 400, 400),
                                          (_stretched_star(), 0, 0, 40, 1)]:
@@ -773,7 +784,7 @@ for group in (SCHNORR_GROUP, SchnorrGroup(p=23, q=11, g=4)):
             assert group.is_element(x) is (
                 0 < x < p and pow(x, q, p) == 1), (x, p)
             checked += 1
-print(flagged, longest, max(threads), checked)
+print(flagged, longest, max(threads), checked, sum(full))
 """
 
 
@@ -819,9 +830,10 @@ class TestKernelUnderSanitizers:
             [sys.executable, "-c", _SANITIZED_CHILD], cwd=repo, env=env,
             capture_output=True, text=True, timeout=120)
         assert child.returncode == 0, child.stderr[-3000:]
-        flagged, longest, threads, checked = map(int, child.stdout.split())
+        flagged, longest, threads, checked, full = map(
+            int, child.stdout.split())
         assert flagged > 0 and longest > 64 and threads >= 2
-        assert checked >= 1000
+        assert checked >= 1000 and full > 0
 
 
 class TestKernelSourceWarnings:
@@ -1011,6 +1023,226 @@ class TestEpochSweepEquivalence:
             assert int(wave.hops[i]) == expected.hops
             assert wave.path(i) == expected.path
         assert seen_uncovered, "pick a source that is sometimes uncovered"
+
+
+class TestSweepAcrossAFault:
+    @both_engines
+    def test_fault_between_two_sweeps_rebuilds_every_epoch(self, engine):
+        """Sweep E epochs, fail a satellite on a packet's path, sweep the
+        same epochs again: exactly E more table builds, every resident
+        table is of the new fault epoch, and every element equals the
+        reference walk under the new fault state."""
+        from repro.obs.metrics import MetricsRegistry
+        topo = _topology("starlink")
+        metrics = MetricsRegistry()
+        router = BatchGeoRouter(topo, metrics=metrics)
+        epochs = 4
+        src, lats, lons, ts = _sweep_wave(topo.constellation, 64,
+                                          epochs=epochs, seed=41)
+        before = router.route_sweep(src, lats, lons, ts)
+        builds = metrics.snapshot()["counters"]["routing.table_builds"]
+        assert builds == epochs
+        victim = max(_paths(before), key=len)[1]
+        topo.fail_satellite(victim)
+        after = router.route_sweep(src, lats, lons, ts)
+        counters = metrics.snapshot()["counters"]
+        assert counters["routing.table_builds"] == builds + epochs
+        assert len(router._tables) == epochs
+        assert all(table.fault_epoch == topo.fault_epoch
+                   for table in router._tables.values())
+        assert_sweep_bit_equal(after, GeospatialRouter(topo), src, lats,
+                               lons, ts)
+        assert all(victim not in path for path in _paths(after))
+
+
+class TestHopBudgetRunsOut:
+    @both_engines
+    @pytest.mark.parametrize("budget", [0, 1, 5])
+    def test_walk_stops_at_max_hops(self, budget, engine):
+        """``max_hops=k`` cuts every walk longer than k hops: the packet
+        is undelivered with k + 1 nodes, exactly as the reference walk
+        with the same budget, on both lanes.  A zero budget leaves even
+        a packet whose source covers its destination undelivered at its
+        source."""
+        topo = _topology("starlink")
+        src, lats, lons = _wave(topo.constellation, 60, seed=23)
+        # Packet 0's destination is its source's own subpoint.
+        snap = snapshot_for(topo.propagator, 30.0)
+        lats[0], lons[0] = snap.subpoints[int(src[0])]
+        unlimited = GeospatialRouter(topo)
+        scalar = GeospatialRouter(topo, max_hops=budget)
+        batch = BatchGeoRouter(topo, max_hops=budget).route_batch(
+            src, lats, lons, 30.0)
+        cut = 0
+        for i in range(len(src)):
+            args = (int(src[i]), float(lats[i]), float(lons[i]), 30.0)
+            assert batch.result(i) == scalar.route(*args), i
+            if unlimited.route(*args).hops > budget:
+                cut += 1
+                assert not batch.delivered[i], i
+                assert int(batch.path_len[i]) == budget + 1, i
+        assert unlimited.route(*(int(src[0]), float(lats[0]),
+                                 float(lons[0]), 30.0)).delivered
+        assert cut >= 10
+        if budget == 0:
+            assert not batch.delivered.any()
+            assert np.all(batch.path_len == 1)
+
+
+#: Shells the move encoding must round-trip on: one plane (left ==
+#: right == the satellite itself), two planes (left == right), two
+#: slots (up == down), a star with its seam, and faulted Starlink
+#: (deflected walks).
+ROUND_TRIP_SHELLS = {
+    "one-plane": lambda: Constellation(
+        name="one-plane", num_planes=1, sats_per_plane=12,
+        altitude_km=550.0, inclination_deg=53.0),
+    "two-plane": lambda: Constellation(
+        name="two-plane", num_planes=2, sats_per_plane=6,
+        altitude_km=1200.0, inclination_deg=87.9, raan_spread=np.pi),
+    "two-slot": lambda: Constellation(
+        name="two-slot", num_planes=5, sats_per_plane=2,
+        altitude_km=550.0, inclination_deg=53.0),
+    "star": iridium,
+    "faulted-starlink": starlink,
+}
+
+
+class TestPathIsSourceAndMoves:
+    @pytest.mark.parametrize("name", sorted(ROUND_TRIP_SHELLS))
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 6000.0))
+    def test_encoding_round_trips_reference_paths(self, name, seed, t):
+        """Any reference-walk path, encoded as moves and decoded from
+        its source, is the same node list, read one packet at a time
+        (``path``) or, where the compiled walk is present, all together
+        (``decode_paths``, which decodes the hand-off prefixes)."""
+        shell = ROUND_TRIP_SHELLS[name]()
+        faults = (30, 20) if name == "faulted-starlink" else (0, 0)
+        topo = _faulted(shell, seed, *faults)
+        scalar = GeospatialRouter(topo)
+        src, lats, lons = _wave(shell, 24, seed)
+        expected = [scalar.route(int(s), float(a), float(b), t).path
+                    for s, a, b in zip(src, lats, lons)]
+        lengths = np.array([len(p) for p in expected], dtype=np.int32)
+        nodes = np.array([n for p in expected for n in p], dtype=np.int32)
+        wiring = grid_neighbor_table(shell)
+        moves = batch_routing._encode_moves(wiring, nodes, lengths)
+        assert moves.dtype == np.uint8
+        assert moves.size == int(lengths.sum()) - len(expected)
+        out = batch_routing.BatchRouteResult(len(expected), wiring)
+        out._source[:] = src
+        hops = lengths - 1
+        out._append(np.arange(len(expected)), moves,
+                    np.cumsum(hops) - hops, lengths)
+        assert [out.path(i) for i in range(len(out))] == expected
+        kernel = load_kernel()
+        if kernel is not None:
+            decoded = np.empty(nodes.size, dtype=np.int32)
+            sel = np.arange(len(out), dtype=np.int64)
+            kernel.decode_paths(len(out), *(
+                batch_routing._ptr(array) for array in (
+                    sel, out._source, out._offsets, out.path_len,
+                    out._moves, wiring, decoded)))
+            assert np.array_equal(decoded, nodes)
+
+    def test_a_hop_off_the_grid_raises(self):
+        wiring = grid_neighbor_table(starlink())
+        a = 0
+        b = next(n for n in range(1, len(wiring)) if n not in wiring[a])
+        with pytest.raises(ValueError, match="not \\+Grid neighbours"):
+            batch_routing._encode_moves(
+                wiring, np.array([a, b], dtype=np.int32),
+                np.array([2], dtype=np.int32))
+
+    @needs_kernel
+    def test_kernel_refuses_a_path_cap_past_its_node_buffer(self):
+        """The compiled walk's revisit check reads an on-stack buffer of
+        64 nodes, so a chunk asking for a larger (or empty) path cap is
+        refused before any packet is written."""
+        topo = _topology("starlink")
+        router = BatchGeoRouter(topo)
+        src, lats, lons = _wave(topo.constellation, 4, seed=1)
+        src = router._check_sources(src)
+        out = router._result(src, 4 * 65)
+        out._moves[:] = 0xFF
+        for cap in (0, 65):
+            with pytest.raises(ValueError, match="node buffer"):
+                router._route_chunk_kernel(load_kernel(), router._table(0.0),
+                                           src, lats, lons, out,
+                                           slice(0, 4), cap)
+        assert np.all(out._moves == 0xFF)
+        assert not out.path_len.any() and not out.delivered.any()
+
+    @both_engines
+    def test_a_path_costs_one_byte_per_hop_plus_its_source(self, engine):
+        """The memory claim, without measuring RSS: over a faulted
+        Starlink wave (hand-offs included) the path cells packets claim
+        total exactly ``hops.sum()`` bytes, plus 4 bytes of source per
+        packet; a healthy wave claims the flat array's bytes 0 to
+        ``hops.sum()`` and nothing else."""
+        topo = _faulted(starlink(), 5, 40, 25)
+        router = BatchGeoRouter(topo)
+        src, lats, lons = _wave(topo.constellation, 400, seed=5)
+        batch = router.route_batch(src, lats, lons, 90.0)
+        assert batch.fallback.any()
+        claimed = np.zeros(batch._moves.size, dtype=bool)
+        for start, hops in zip(batch._offsets, batch.hops):
+            assert not claimed[start:start + hops].any()
+            claimed[start:start + hops] = True
+        assert (int(claimed.sum()) * batch._moves.itemsize
+                == int(batch.hops.sum()))
+        assert batch._source.nbytes == 4 * len(batch)
+        healthy = BatchGeoRouter(_topology("starlink")).route_batch(
+            src, lats, lons, 90.0)
+        assert not healthy.fallback.any()
+        assert healthy._used == int(healthy.hops.sum())
+
+    @needs_kernel
+    def test_a_wave_past_one_chunk_maps_its_move_region(self):
+        """A move region of 4 MiB or more (a wave of two chunks at the
+        64-node cap) is an anonymous mapping rather than a NumPy
+        allocation, so no huge page backs it; its paths read back like
+        the reference walk's."""
+        import mmap
+        topo = _topology("starlink")
+        router = BatchGeoRouter(topo)
+        packets = batch_routing._CHUNK_PACKETS + 100
+        src, lats, lons = _wave(topo.constellation, packets, seed=8)
+        batch = router.route_batch(src, lats, lons, 60.0)
+        assert isinstance(batch._moves.base.obj, mmap.mmap)
+        assert batch._moves.size == 64 * packets
+        for i in range(0, packets, 997):
+            assert batch.result(i) == router.scalar.route(
+                int(src[i]), float(lats[i]), float(lons[i]), 60.0), i
+
+
+class TestWrapRangeArgument:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(ROUND_TRIP_SHELLS)),
+           t=st.floats(-1e6, 1e6),
+           lat=st.floats(-math.pi / 2, math.pi / 2),
+           lon=st.floats(-1e3, 1e3))
+    def test_angle_ranges_the_compiled_wrap_relies_on(self, name, t, lat,
+                                                     lon):
+        """The compiled walk's ``wrap_signed_diff`` has no exact
+        fallback: it is bit-exact only for differences in (-2.5 pi,
+        2 pi).  That holds because every snapshot alpha / gamma lies in
+        [0, 2 pi) and every destination alpha in [0, 2 pi) and gamma in
+        [-pi/2, 3 pi/2]."""
+        shell = ROUND_TRIP_SHELLS[name]()
+        snap = snapshot_for(make_propagator(shell, "ideal"), t)
+        for angles in (snap.raan_ecef, snap.arg_latitude):
+            assert angles.min() >= 0.0 and angles.max() < 2 * math.pi
+        system = GeospatialRouter(GridTopology(
+            make_propagator(shell, "ideal"), [])).system
+        a0, g0, a1, g1 = system.both_representations_batch(
+            np.array([lat, -lat, 0.0]), np.array([lon, -lon, lon]))
+        for alpha in (a0, a1):
+            assert alpha.min() >= 0.0 and alpha.max() < 2 * math.pi
+        for gamma in (g0, g1):
+            assert (gamma.min() >= -math.pi / 2
+                    and gamma.max() <= 3 * math.pi / 2)
 
 
 class TestRelayHopBudgetParity:

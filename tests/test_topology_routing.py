@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.orbits import (
@@ -18,8 +18,13 @@ from repro.orbits import (
     serving_satellite,
     starlink,
 )
+from repro.orbits.constellation import Constellation
 from repro.orbits.coverage import coverage_half_angle
-from repro.orbits.snapshot import ConstellationSnapshot, snapshot_for
+from repro.orbits.snapshot import (
+    ConstellationSnapshot,
+    grid_neighbor_table,
+    snapshot_for,
+)
 from repro.topology import (
     DijkstraRouter,
     GeospatialRouter,
@@ -67,6 +72,39 @@ class TestGridTopology:
         a, b = 100, topo.isl_neighbors(100)[0]
         assert topo.isl_distance_km(a, b, 0.0) == pytest.approx(
             topo.isl_distance_km(b, a, 0.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(planes=st.integers(1, 8), slots=st.integers(1, 10),
+           star=st.booleans(), t=st.floats(0.0, 6000.0),
+           sat=st.integers(0, 10**6), pick=st.integers(0, 10**6))
+    @example(planes=2, slots=6, star=True, t=300.0, sat=7, pick=3)
+    @example(planes=5, slots=2, star=False, t=300.0, sat=4, pick=1)
+    def test_isl_distance_is_the_snapshot_hop_length(self, planes, slots,
+                                                    star, t, sat, pick):
+        """On drawn shells (2-plane and 2-slot wirings, which name an
+        ISL twice, included) ``isl_distance_km`` is the snapshot's
+        ``hop_lengths_km`` entry bit for bit in both directions, and a
+        pair that is not a +Grid edge raises."""
+        constellation = Constellation(
+            name="drawn", num_planes=planes, sats_per_plane=slots,
+            altitude_km=550.0, inclination_deg=53.0,
+            raan_spread=math.pi if star else 2 * math.pi)
+        topo = GridTopology(IdealPropagator(constellation), [])
+        wiring = grid_neighbor_table(constellation)
+        hop_km = snapshot_for(topo.propagator, t).hop_lengths_km()
+        total = constellation.total_satellites
+        a = sat % total
+        for column in range(4):
+            b = int(wiring[a, column])
+            assert topo.isl_distance_km(a, b, t).hex() == \
+                float(hop_km[a, column]).hex()
+            assert topo.isl_distance_km(b, a, t).hex() == \
+                float(hop_km[a, column]).hex()
+        strangers = [s for s in range(total) if s not in wiring[a]]
+        if strangers:
+            with pytest.raises(ValueError, match="not \\+Grid neighbours"):
+                topo.isl_distance_km(a, strangers[pick % len(strangers)],
+                                     t)
 
     def test_intra_plane_spacing_constant(self, topo):
         c = topo.constellation
