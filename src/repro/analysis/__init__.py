@@ -1,41 +1,33 @@
-"""Invariant-enforcing static analysis for the reproduction.
+"""Static checks for what no test can see by running the code.
 
-``repro lint`` (and the tier-1 self-test) run file-local AST rules
-that encode the two architectural contracts tests cannot see until
-they break:
+``repro lint`` (and the tier-1 self-test) run file-local AST rules.
+The central one is the paper's **statelessness** contract: SpaceCore-
+path NFs hold no per-UE durable state (Fig. 9).  The others catch an
+annotation that denies ``None`` to a ``None`` default, and waivers
+that do not say why.
 
-* the paper's **statelessness** contract -- SpaceCore-path NFs hold no
-  per-UE durable state (Fig. 9);
-* the runtime's **determinism** contract -- seeded randomness only,
-  no salted ``hash()`` in seed/key derivation, no wall-clock reads in
-  simulated code, sound cache keys, no mutation of frozen snapshots.
-
-The contract those rules serve -- a sharded run gives the same bytes
-as a serial one -- is checked by running it, not by inferring it:
+The determinism contract -- a sharded run gives the same bytes as a
+serial one -- is checked by running it, not by inferring it:
 ``tests/test_parallel_equivalence.py`` byte-compares every
-``run_sharded`` worker serial vs sharded, and ``tests/test_report.py``
-replays ``repro report --check`` under two ``PYTHONHASHSEED`` values.
+``run_sharded`` worker serial vs sharded, ``tests/test_report.py``
+replays ``repro report --check`` under two ``PYTHONHASHSEED`` values,
+and the scenario goldens and chaos sha256 pins hold the artifacts.
 
 See DESIGN.md "Static analysis & invariants" for the rule catalogue,
 suppression syntax, and how to add a rule.
 """
 
-from .core import Finding, ModuleInfo, ProjectContext, Rule
-from .registry import all_rules, get_rules, register
-from .reporting import JSON_SCHEMA_VERSION, build_report
-from .runner import AnalysisResult, analyze, default_target, lint_main
+from .core import Finding, ModuleInfo, Rule
+from .registry import all_rules, register
+from .runner import AnalysisResult, analyze, lint_main
 
 __all__ = [
     "AnalysisResult",
     "Finding",
-    "JSON_SCHEMA_VERSION",
     "ModuleInfo",
-    "ProjectContext",
     "Rule",
     "all_rules",
     "analyze",
-    "build_report",
-    "default_target",
     "lint_main",
     "register",
 ]

@@ -24,14 +24,7 @@ import ast
 import re
 from typing import Iterable, Optional
 
-from .core import (
-    Finding,
-    ModuleInfo,
-    ProjectContext,
-    Rule,
-    annotation_source,
-    is_mutable_container,
-)
+from .core import Finding, ModuleInfo, Rule, annotation_source, tail_name
 from .registry import register
 
 #: Legacy NFs modelling the stateful baseline (Fig. 9 left-hand side).
@@ -45,39 +38,41 @@ _PER_UE_RE = re.compile(
     r"served|serving|paging|registration",
     re.IGNORECASE)
 
-#: Annotation roots that denote mutable containers.
-_MUTABLE_ANNOTATION_TAILS = frozenset({
+#: Annotation roots and constructors that denote mutable containers.
+_MUTABLE_TAILS = frozenset({
     "Dict", "dict", "List", "list", "Set", "set", "DefaultDict",
-    "defaultdict", "OrderedDict", "Counter", "deque",
+    "defaultdict", "OrderedDict", "Counter", "deque", "bytearray",
     "MutableMapping", "MutableSequence", "MutableSet",
 })
 
 
-def _annotation_is_mutable(node: Optional[ast.expr]) -> bool:
-    if node is None:
-        return False
-    base = node.value if isinstance(node, ast.Subscript) else node
-    if isinstance(base, ast.Name):
-        return base.id in _MUTABLE_ANNOTATION_TAILS
-    if isinstance(base, ast.Attribute):
-        return base.attr in _MUTABLE_ANNOTATION_TAILS
-    return False
+def _is_mutable(value: Optional[ast.expr],
+                annotation: Optional[ast.expr]) -> bool:
+    """Whether an assignment binds a mutable container: a display or
+    comprehension, a container constructor call, or a container
+    annotation."""
+    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.ListComp,
+                          ast.SetComp, ast.DictComp)):
+        return True
+    if isinstance(value, ast.Call) and tail_name(value.func) in _MUTABLE_TAILS:
+        return True
+    return annotation is not None and tail_name(annotation) in _MUTABLE_TAILS
 
 
 @register
 class StatefulNfRule(Rule):
-    """Flag per-UE mutable containers on SpaceCore-path classes."""
+    """Flag per-UE mutable containers on SpaceCore-path classes.
+
+    The defect: a satellite NF that keeps a per-UE table on ``self``
+    (``self._sessions = {}``) re-creates the stateful core the paper
+    argues against (Fig. 9).  No test fails on it -- the table works --
+    so only this rule stands between such a field and the tree.
+    """
 
     id = "stateful-nf"
-    family = "statelessness"
-    description = ("SpaceCore-path NF classes must not hold per-UE "
-                   "mutable state on self (Fig. 9: the UE carries its "
-                   "session state); allowlist covers the stateful "
-                   "baseline NFs")
     scope = ("fiveg/nf/", "core/spacecore.py", "core/satellite.py")
 
-    def check(self, module: ModuleInfo,
-              project: ProjectContext) -> Iterable[Finding]:
+    def check(self, module: ModuleInfo) -> Iterable[Finding]:
         """Yield per-UE ``self.<x> = {}``-style assigns off-allowlist."""
         for class_node in ast.walk(module.tree):
             if not isinstance(class_node, ast.ClassDef):
@@ -119,10 +114,7 @@ class StatefulNfRule(Rule):
                     and isinstance(target.value, ast.Name)
                     and target.value.id == self_name):
                 continue
-            mutable = (_annotation_is_mutable(annotation)
-                       or (value is not None
-                           and is_mutable_container(value, module)))
-            if not mutable:
+            if not _is_mutable(value, annotation):
                 continue
             per_ue = bool(_PER_UE_RE.search(target.attr)
                           or _PER_UE_RE.search(

@@ -1,12 +1,12 @@
 """Suppression hygiene: every ``# repro: ignore`` must say why.
 
-An inline suppression is a reviewed exception to a determinism
-contract, and the justification *is* the review artifact: six months
-later the ``-- why`` clause is the only record of whether the
-exception still holds.  Two forms are accepted::
+An inline suppression is a reviewed exception to a rule, and the
+justification *is* the review artifact: later, the ``-- why`` clause is
+the only record of whether the exception still holds.  Two forms are
+accepted::
 
-    x = time.time()  # repro: ignore[wallclock-time] -- operator log only
-    y = foo()        # repro: ignore -- prototype, tracked in #123
+    self._served = {}  # repro: ignore[stateful-nf] -- ephemeral radio state
+    y = foo()          # repro: ignore -- prototype, see the design note
 
 and three are findings: a bracketed ignore with no ``--`` trailer, a
 bare ``# repro: ignore`` with neither rule list nor trailer (which
@@ -25,7 +25,7 @@ import re
 import tokenize
 from typing import Iterable, Iterator, Tuple
 
-from .core import Finding, ModuleInfo, ProjectContext, Rule
+from .core import Finding, ModuleInfo, Rule
 from .registry import all_rules, register
 
 #: A suppression *comment* (anchored: the comment must begin with the
@@ -55,19 +55,17 @@ def _comments(module: ModuleInfo) -> Iterator[Tuple[int, str]]:
 
 @register
 class BareSuppressionRule(Rule):
-    """Flag suppressions that carry no ``-- why`` justification."""
+    """Flag suppressions that carry no ``-- why`` justification.
+
+    The defect: a waiver nobody can audit -- no reason, a blanket
+    ignore of every rule, or a rule id that no longer exists (a waiver
+    that outlived its rule).  Comments never run, so no test sees them.
+    """
 
     id = "bare-suppression"
-    family = "hygiene"
-    severity = "warning"
     suppressible = False
-    description = ("every '# repro: ignore' must name known rules "
-                   "and justify itself with '-- <why>'; an "
-                   "unexplained suppression is an unreviewed "
-                   "exception to a determinism contract")
 
-    def check(self, module: ModuleInfo,
-              project: ProjectContext) -> Iterable[Finding]:
+    def check(self, module: ModuleInfo) -> Iterable[Finding]:
         """Yield suppression comments missing rules or justification,
         or naming rules that do not exist."""
         known = {rule.id for rule in all_rules()}

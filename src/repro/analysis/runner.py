@@ -1,8 +1,9 @@
 """Analyzer driver: collect files, run rules, gate on any finding.
 
 ``analyze`` is the library entry point (the self-test calls it
-directly); ``lint_main`` is the ``repro lint`` subcommand.  The root
-against which paths are reported is found by walking up from the
+directly); ``lint_main`` is the ``repro lint`` subcommand, which prints
+one ``path:line: [rule] message`` per finding and exits 1 on any.  The
+root against which paths are reported is found by walking up from the
 first analyzed path to the directory holding ``pyproject.toml`` (or
 ``.git``), so reported paths and rule scopes are stable no matter
 where the command is invoked from.
@@ -15,9 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .core import Finding, ModuleInfo, ProjectContext, Rule
-from .registry import get_rules
-from .reporting import build_report, render_json, render_text
+from .core import Finding, ModuleInfo
+from .registry import all_rules
 
 #: Rule id reserved for files the analyzer cannot parse.
 PARSE_ERROR_RULE = "parse-error"
@@ -32,40 +32,32 @@ class AnalysisResult:
     findings: List[Finding] = field(default_factory=list)
     suppressed: int = 0
 
-    @property
-    def files_checked(self) -> int:
-        return len(self.files)
-
 
 def find_project_root(start: Path) -> Path:
     """Nearest ancestor with pyproject.toml or .git, else ``start``."""
     start = start.resolve()
-    candidates = [start] if start.is_dir() else [start.parent]
-    for ancestor in [candidates[0]] + list(candidates[0].parents):
+    first = start if start.is_dir() else start.parent
+    for ancestor in [first] + list(first.parents):
         if (ancestor / "pyproject.toml").exists() \
                 or (ancestor / ".git").exists():
             return ancestor
-    return candidates[0]
-
-
-def default_target() -> Tuple[List[Path], Path]:
-    """The package's own source tree and its repo root.
-
-    Used when ``repro lint`` is invoked with no paths: analyze the
-    installed ``repro`` package sources, rooted at the repo checkout.
-    """
-    package_dir = Path(__file__).resolve().parents[1]
-    return [package_dir], find_project_root(package_dir)
+    return first
 
 
 def collect_files(paths: Sequence[Path]) -> List[Path]:
-    """Expand files/directories into a sorted list of ``.py`` files."""
+    """Expand files/directories into a sorted list of ``.py`` files.
+
+    A ``fixtures`` directory below a given directory holds known-bad
+    lint corpus (``tests/fixtures/lint``) and is skipped; name it, or
+    a directory inside it, to analyze it.
+    """
     files: List[Path] = []
     for path in paths:
         path = path.resolve()
         if path.is_dir():
             files.extend(p for p in path.rglob("*.py")
-                         if "__pycache__" not in p.parts)
+                         if not {"__pycache__", "fixtures"}
+                         & set(p.relative_to(path).parts))
         elif path.suffix == ".py":
             files.append(path)
         else:
@@ -73,103 +65,62 @@ def collect_files(paths: Sequence[Path]) -> List[Path]:
     return sorted(set(files))
 
 
-def _relpath(path: Path, root: Path) -> str:
-    try:
-        return path.resolve().relative_to(root).as_posix()
-    except ValueError:
-        return path.resolve().as_posix()
-
-
 def load_module(path: Path, root: Path) -> Tuple[Optional[ModuleInfo],
                                                  Optional[Finding]]:
     """Parse one file; on syntax errors return a parse-error finding."""
-    relpath = _relpath(path, root)
+    try:
+        relpath = path.resolve().relative_to(root).as_posix()
+    except ValueError:
+        relpath = path.resolve().as_posix()
     source = path.read_text(encoding="utf-8")
     try:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as error:
-        return None, Finding(
-            rule=PARSE_ERROR_RULE, path=relpath,
-            line=error.lineno or 0,
-            message=f"cannot parse: {error.msg}")
-    return ModuleInfo(path, relpath, source, tree), None
+        return None, Finding(rule=PARSE_ERROR_RULE, path=relpath,
+                             line=error.lineno or 0,
+                             message=f"cannot parse: {error.msg}")
+    return ModuleInfo(relpath, source, tree), None
 
 
-def analyze(paths: Sequence[Path], root: Optional[Path] = None,
-            rules: Optional[Sequence[Rule]] = None) -> AnalysisResult:
-    """Run the rule set over the given files/directories."""
-    if root is None:
-        root = find_project_root(Path(paths[0]))
-    root = root.resolve()
-    if rules is None:
-        rules = get_rules()
+def analyze(paths: Sequence[Path],
+            root: Optional[Path] = None) -> AnalysisResult:
+    """Run every registered rule over the given files/directories."""
+    root = (root or find_project_root(Path(paths[0]))).resolve()
+    rules = all_rules()
     result = AnalysisResult(root=root)
-    modules: List[ModuleInfo] = []
-    findings: List[Finding] = []
     for path in collect_files(paths):
         module, parse_error = load_module(path, root)
-        if parse_error is not None:
+        if module is None:
+            assert parse_error is not None
             result.files.append(parse_error.path)
-            findings.append(parse_error)
+            result.findings.append(parse_error)
             continue
-        assert module is not None
         result.files.append(module.relpath)
-        modules.append(module)
-    project = ProjectContext(root, modules)
-    for module in modules:
         for rule in rules:
             if not rule.applies_to(module.relpath):
                 continue
-            for finding in rule.check(module, project):
-                finding.severity = rule.severity
+            for finding in rule.check(module):
                 if rule.suppressible and module.is_suppressed(
                         finding.line, finding.rule):
                     result.suppressed += 1
                 else:
-                    findings.append(finding)
-    result.findings = sorted(findings, key=Finding.sort_key)
+                    result.findings.append(finding)
+    result.findings.sort(key=Finding.sort_key)
     return result
 
 
-# ---------------------------------------------------------------------------
-# The ``repro lint`` subcommand
-# ---------------------------------------------------------------------------
+def lint_main(paths: Sequence[str]) -> int:
+    """Everything behind ``repro lint``; returns the exit code.
 
-def lint_main(paths: Sequence[str], *,
-              format: str = "text",
-              output: Optional[str] = None,
-              rule_ids: Optional[Sequence[str]] = None,
-              list_rules: bool = False) -> int:
-    """Everything behind ``repro lint``; returns the exit code."""
-    if list_rules:
-        for rule in get_rules():
-            scope = ", ".join(rule.scope) if rule.scope else "all files"
-            print(f"{rule.id:22s} [{rule.family}] ({scope})")
-            print(f"{'':22s} {rule.description}")
-        return 0
-
-    try:
-        rules = get_rules(rule_ids)
-    except KeyError as error:
-        print(error.args[0])
-        return 2
-
-    if paths:
-        targets = [Path(p) for p in paths]
-        root = find_project_root(targets[0])
-    else:
-        targets, root = default_target()
-
-    result = analyze(targets, root=root, rules=rules)
-    report = build_report(
-        root=str(result.root), files_checked=result.files_checked,
-        rule_ids=[rule.id for rule in rules], findings=result.findings,
-        suppressed=result.suppressed)
-    rendered = render_json(report) if format == "json" \
-        else render_text(report)
-    if output:
-        Path(output).write_text(rendered)
-        print(f"wrote {output}")
-    else:
-        print(rendered, end="")
+    No paths means the installed ``repro`` package, rooted at its
+    checkout.  The rule catalogue is DESIGN.md's.
+    """
+    package_dir = Path(__file__).resolve().parents[1]
+    targets = [Path(p) for p in paths] or [package_dir]
+    result = analyze(targets)
+    for f in result.findings:
+        print(f"{f.path}:{f.line}: [{f.rule}] {f.message}")
+    print(f"{len(result.files)} files checked: "
+          f"{len(result.findings)} finding(s), "
+          f"{result.suppressed} suppressed inline")
     return 1 if result.findings else 0

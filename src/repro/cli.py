@@ -213,13 +213,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_lint(args) -> int:
     from .analysis import lint_main
-    return lint_main(
-        args.paths,
-        format=args.format,
-        output=args.output,
-        rule_ids=(args.rules.split(",") if args.rules else None),
-        list_rules=args.list_rules,
-    )
+    return lint_main(args.paths)
 
 
 def _cmd_report(args) -> int:
@@ -464,14 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("paths", nargs="*",
                              help="files/directories to analyze "
                                   "(default: the repro package)")
-            sub.add_argument("--format", choices=("text", "json"),
-                             default="text")
-            sub.add_argument("--output", default=None,
-                             help="write the report here instead of "
-                                  "stdout (CI uploads this artifact)")
-            sub.add_argument("--rules", default=None,
-                             help="comma-separated rule ids to run")
-            sub.add_argument("--list-rules", action="store_true")
         if name == "scenario":
             sub.add_argument("action",
                              choices=("list", "run", "check", "diff"),

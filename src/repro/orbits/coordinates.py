@@ -210,36 +210,6 @@ class InclinedCoordinateSystem:
         return [self.from_geodetic(lat, lon),
                 self.descending_representation(lat, lon)]
 
-    def both_representations_batch(self, lats, lons):
-        """Vectorised :meth:`both_representations` for ``(M,)`` arrays.
-
-        Returns ``(alpha_asc, gamma_asc, alpha_desc, gamma_desc)`` as
-        four ``(M,)`` float arrays.  Element-for-element this replays
-        the scalar arithmetic of :meth:`from_geodetic` and
-        :meth:`descending_representation` (same operations, same
-        order), so batch routing sees bit-identical coordinates.
-        """
-        import numpy as np
-        lats = np.asarray(lats, dtype=float)
-        lons = np.asarray(lons, dtype=float)
-        band = min(self.inclination, math.pi - self.inclination)
-        clamped = np.minimum(band, lats)
-        clamped = np.maximum(-band, clamped)
-        sin_ratio = np.sin(clamped) / self._sin_i
-        sin_ratio = np.minimum(1.0, sin_ratio)
-        sin_ratio = np.maximum(-1.0, sin_ratio)
-        gamma_asc = np.arcsin(sin_ratio)
-        dlon = np.arctan2(self._cos_i * np.sin(gamma_asc),
-                          np.cos(gamma_asc))
-        alpha_asc = (lons - dlon) % TWO_PI
-        alpha_asc[alpha_asc >= TWO_PI] = 0.0
-        gamma_desc = math.pi - gamma_asc
-        dlon_d = np.arctan2(self._cos_i * np.sin(gamma_desc),
-                            np.cos(gamma_desc))
-        alpha_desc = (lons - dlon_d) % TWO_PI
-        alpha_desc[alpha_desc >= TWO_PI] = 0.0
-        return alpha_asc, gamma_asc, alpha_desc, gamma_desc
-
     def angular_cell_area(self, alpha_width: float, gamma_width: float,
                           gamma_center: float, radius: float) -> float:
         """Spherical area of an (alpha, gamma) cell centred at gamma.

@@ -25,7 +25,6 @@ work units across workers.  This package is that spine:
 
 from .cohort import CohortStats, UECohortEngine
 from .memo import (
-    MEMO_DECORATOR_NAMES,
     cached_dwell_time_s,
     clear_shard_caches,
     shard_memoized,
@@ -43,7 +42,6 @@ from .planner import PLANNER_ENV_VAR, planner_decisions, reset_planner
 
 __all__ = [
     "CohortStats",
-    "MEMO_DECORATOR_NAMES",
     "PLANNER_ENV_VAR",
     "UECohortEngine",
     "WORKERS_ENV_VAR",

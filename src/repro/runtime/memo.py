@@ -14,17 +14,10 @@ free on fork platforms).
 from __future__ import annotations
 
 import functools
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 #: Every function wrapped by :func:`shard_memoized`, for global clearing.
 _MEMOIZED: List[Callable] = []
-
-#: Decorator names whose presence marks a function as memoized.  The
-#: static analyzer (``repro.analysis.rules_cachekeys``) imports this
-#: as its single source of truth, so adding a memoizer here extends
-#: the cache-key soundness checks automatically.
-MEMO_DECORATOR_NAMES: Tuple[str, ...] = ("shard_memoized", "lru_cache",
-                                         "cache")
 
 
 def shard_memoized(fn: Callable) -> Callable:

@@ -242,9 +242,9 @@ def _run_batch(payload: Tuple[Callable[[Any], Any], List[Any]]
     planner's heavy/light bit never books dispatch cost as item cost.
     """
     fn, batch = payload
-    t0 = time.perf_counter()  # repro: ignore[wallclock-time] -- execution policy; never enters artifacts
+    t0 = time.perf_counter()
     values = [fn(item) for item in batch]
-    return values, time.perf_counter() - t0  # repro: ignore[wallclock-time] -- execution policy; never enters artifacts
+    return values, time.perf_counter() - t0
 
 
 def _dispatch_batches(pool: ProcessPoolExecutor, fn: Callable[[T], R],
@@ -304,11 +304,11 @@ def run_sharded(fn: Callable[[T], R], items: Iterable[T], *,
         spent_s = 0.0
         # The serial loop is the estimator: results are kept (fn is pure
         # per item), and a lone leftover item is not worth a dispatch.
-        t0 = time.perf_counter()  # repro: ignore[wallclock-time] -- execution policy; never enters artifacts
+        t0 = time.perf_counter()
         while done < n and (spent_s < budget_s or done == n - 1):
             results[done] = fn(items[done])
             done += 1
-            spent_s = time.perf_counter() - t0  # repro: ignore[wallclock-time] -- execution policy; never enters artifacts
+            spent_s = time.perf_counter() - t0
         chunk = planner.chunk_size(n - done, workers)
         planner.record_decision(fan_label, reason, n_items=n, workers=workers,
                                 in_process=done, chunk_size=chunk)

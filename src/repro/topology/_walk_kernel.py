@@ -30,6 +30,11 @@ Bit-exactness
 =============
 The C source mirrors the scalar reference precisely:
 
+* ``destination_reps`` converts each destination to both
+  ``(alpha, gamma)`` representations with the scalar
+  ``from_geodetic`` / ``descending_representation`` operations, and
+  ``wrap_angle`` replays CPython's float ``%`` (``fmod``, then the
+  sign fix) for any finite longitude.
 * ``wrap_signed_diff`` replays CPython's ``%`` (and
   ``wrap_signed``'s ``> pi`` conditional subtract) over the range of
   angle differences the walk can form, with one or two conditional
@@ -76,7 +81,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
-from typing import List, Optional
+from typing import Optional
 
 __all__ = ["load_kernel", "kernel_source_hash"]
 
@@ -88,10 +93,44 @@ _KERNEL_SOURCE = r"""
 static const double K_PI     = 0x1.921fb54442d18p+1;
 static const double K_TWO_PI = 0x1.921fb54442d18p+2;
 
+/* repro.orbits.coordinates.wrap_angle: CPython's x % (2*pi) -- fmod,
+ * then the sign fix, a zero remainder being +0.0 -- and the ">= 2*pi
+ * is 0.0" guard.  DESTINATION_CONTRACT admits any finite longitude,
+ * so unlike wrap_signed_diff below this needs the fmod. */
+static double wrap_angle(double x) {
+    double w = fmod(x, K_TWO_PI);
+    if (w != 0.0) {
+        if (w < 0.0) w += K_TWO_PI;
+    } else {
+        w = 0.0;
+    }
+    return w >= K_TWO_PI ? 0.0 : w;
+}
+
+/* InclinedCoordinateSystem.both_representations of one destination,
+ * operation for operation (from_geodetic, then
+ * descending_representation; Python's min/max picks spelled out), with
+ * band = min(i, pi - i): reps = {alpha_asc, gamma_asc, alpha_desc,
+ * gamma_desc}. */
+void destination_reps(double lat, double lon, double band,
+                      double sin_i, double cos_i, double *reps) {
+    double clamped = lat < band ? lat : band;
+    clamped = clamped > -band ? clamped : -band;
+    double ratio = sin(clamped) / sin_i;
+    ratio = ratio < 1.0 ? ratio : 1.0;
+    ratio = ratio > -1.0 ? ratio : -1.0;
+    const double gamma = asin(ratio);
+    reps[0] = wrap_angle(lon - atan2(cos_i * sin(gamma), cos(gamma)));
+    reps[1] = gamma;
+    const double gamma_d = K_PI - gamma;
+    reps[2] = wrap_angle(lon - atan2(cos_i * sin(gamma_d), cos(gamma_d)));
+    reps[3] = gamma_d;
+}
+
 /* repro.orbits.coordinates.wrap_signed for the angle differences
  * the walk forms, without the fmod.  Every minuend is a destination
  * alpha in [0, 2*pi) or gamma in [-pi/2, 3*pi/2]
- * (both_representations_batch: a wrapped longitude, an asin, pi minus
+ * (destination_reps: a wrapped longitude, an asin, pi minus
  * an asin); every subtrahend is a snapshot raan_ecef or arg_latitude
  * in [0, 2*pi) (_wrap_array in ConstellationSnapshot).  So every d
  * lies in (-2.5*pi, 2*pi).  For |d| < 2*pi the fmod inside Python's %
@@ -203,11 +242,9 @@ int walk_chunk(
     int32_t full_torus, int32_t healthy,
     double theta, double slack_theta, double cos_in, double cos_out,
     double delta_raan, double delta_phase,
+    double band, double sin_i, double cos_i,
     const int64_t *src,
-    const double *a0, const double *g0,
-    const double *a1, const double *g1,
     const double *dest_lat, const double *dest_lon,
-    const double *ux, const double *uy, const double *uz,
     const double *t_alpha, const double *t_gamma,
     const double *t_slat, const double *t_slon,
     const double *t_ux, const double *t_uy, const double *t_uz,
@@ -224,10 +261,15 @@ int walk_chunk(
     int32_t path[PATH_CAP_MAX];
     for (int64_t i = 0; i < n; i++) {
         int64_t cur = src[i];
-        const double A0 = a0[i], G0 = g0[i];
-        const double A1 = a1[i], G1 = g1[i];
         const double DLAT = dest_lat[i], DLON = dest_lon[i];
-        const double UX = ux[i], UY = uy[i], UZ = uz[i];
+        double reps[4];
+        destination_reps(DLAT, DLON, band, sin_i, cos_i, reps);
+        const double A0 = reps[0], G0 = reps[1];
+        const double A1 = reps[2], G1 = reps[3];
+        /* The destination radial the coverage screen dots against. */
+        const double COS_LAT = cos(DLAT);
+        const double UX = COS_LAT * cos(DLON), UY = COS_LAT * sin(DLON);
+        const double UZ = sin(DLAT);
         double delay = 0.0, dist = 0.0;
         uint8_t *move = moves + cursor;
         path[0] = (int32_t)cur;
@@ -615,14 +657,14 @@ def _find_compiler() -> Optional[str]:
 
 
 def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
-    pointer_args: List[type] = [ctypes.c_void_p] * 28
     lib.walk_chunk.argtypes = [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_int32, ctypes.c_int32,
-        ctypes.c_double, ctypes.c_double, ctypes.c_double,
-        ctypes.c_double, ctypes.c_double, ctypes.c_double,
-    ] + pointer_args
+    ] + [ctypes.c_double] * 9 + [ctypes.c_void_p] * 21
     lib.walk_chunk.restype = ctypes.c_int
+    lib.destination_reps.argtypes = [ctypes.c_double] * 5 + [
+        ctypes.c_void_p]
+    lib.destination_reps.restype = None
     lib.decode_paths.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 7
     lib.decode_paths.restype = None
     lib.modexp.argtypes = [ctypes.c_void_p] * 4

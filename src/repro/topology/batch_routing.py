@@ -363,6 +363,13 @@ class BatchGeoRouter:
         self._full_torus = (
             math.isclose(c.delta_raan * c.num_planes, TWO_PI, rel_tol=1e-9)
             and min(c.num_planes, c.sats_per_plane) > 2)
+        #: What the compiled walk's ``destination_reps`` reads of the
+        #: inclination: ``InclinedCoordinateSystem``'s band, sine and
+        #: cosine, by the same expressions.
+        inclination = self.scalar.system.inclination
+        self._inclination_terms = (
+            min(inclination, math.pi - inclination),
+            math.sin(inclination), math.cos(inclination))
 
     # -- table cache ---------------------------------------------------------
 
@@ -630,12 +637,6 @@ class BatchGeoRouter:
         src, dlat, dlon = src[part], dlat[part], dlon[part]
         theta = self.scalar.coverage_angle
         c = self.topology.constellation
-        a0, g0, a1, g1 = self.scalar.system.both_representations_batch(
-            dlat, dlon)
-        cos_dlat = np.cos(dlat)
-        unit_x = cos_dlat * np.cos(dlon)
-        unit_y = cos_dlat * np.sin(dlon)
-        unit_z = np.sin(dlat)
         path_len = out.path_len[part]
         status = kernel.walk_chunk(
             src.shape[0], self.max_hops, cap,
@@ -645,9 +646,8 @@ class BatchGeoRouter:
             math.cos(theta) + _COVERAGE_GUARD,
             math.cos(theta) - _COVERAGE_GUARD,
             c.delta_raan, c.delta_phase,
-            _ptr(src), _ptr(a0), _ptr(g0), _ptr(a1), _ptr(g1),
-            _ptr(dlat), _ptr(dlon),
-            _ptr(unit_x), _ptr(unit_y), _ptr(unit_z),
+            *self._inclination_terms,
+            _ptr(src), _ptr(dlat), _ptr(dlon),
             _ptr(table.alpha), _ptr(table.gamma),
             _ptr(table.sub_lat), _ptr(table.sub_lon),
             _ptr(table.unit_x), _ptr(table.unit_y), _ptr(table.unit_z),

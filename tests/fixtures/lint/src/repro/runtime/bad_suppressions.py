@@ -3,29 +3,30 @@
 Parsed by the analyzer tests, never imported or executed.
 """
 
-import time
+
+# Each function below draws an implicit-optional finding on its def
+# line, which the comment on that line tries to waive.
+
+# bare-suppression: names the rule but records no reason.
+def unjustified_bracketed(count: int = None) -> int:  # repro: ignore[implicit-optional]
+    return count or 0
 
 
-def unjustified_bracketed() -> float:
-    # bare-suppression: names the rule but records no reason.
-    return time.time()  # repro: ignore[wallclock-time]
+# bare-suppression: silences everything, says nothing.
+def bare_blanket(count: int = None) -> int:  # repro: ignore
+    return count or 0
 
 
-def bare_blanket() -> dict:
-    # bare-suppression: silences everything, says nothing.
-    return {"b": 1, "a": 2}  # repro: ignore
+# bare-suppression is not suppressible: this still fires.
+def self_suppression_attempt(count: int = None) -> int:  # repro: ignore[implicit-optional, bare-suppression]
+    return count or 0
 
 
-def self_suppression_attempt() -> float:
-    # bare-suppression is not suppressible: this still fires.
-    return time.time()  # repro: ignore[wallclock-time, bare-suppression]
+# Negative control: a justified waiver may not be flagged.
+def justified(count: int = None) -> int:  # repro: ignore[implicit-optional] -- fixture control
+    return count or 0
 
 
-def justified() -> float:
-    # Negative control: a justified waiver may not be flagged.
-    return time.time()  # repro: ignore[wallclock-time] -- operator-facing log stamp only
-
-
-def outlived_rule() -> float:
-    # bare-suppression: justified, but the named rule no longer exists.
-    return 0.0  # repro: ignore[shard-purity] -- waiver that outlived its rule
+# bare-suppression: justified, but the named rule no longer exists.
+def outlived_rule() -> float:  # repro: ignore[shard-purity] -- waiver that outlived its rule
+    return 0.0

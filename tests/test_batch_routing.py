@@ -11,6 +11,7 @@ walk a host without a compiler gets.  Any `==` here is deliberate.
 """
 
 import contextlib
+import ctypes
 import math
 import os
 import pathlib
@@ -1217,7 +1218,46 @@ class TestPathIsSourceAndMoves:
                 int(src[i]), float(lats[i]), float(lons[i]), 60.0), i
 
 
-class TestWrapRangeArgument:
+def _kernel_reps(router, lat, lon):
+    """The compiled walk's ``destination_reps`` of one destination."""
+    reps = (ctypes.c_double * 4)()
+    load_kernel().destination_reps(lat, lon, *router._inclination_terms,
+                                   reps)
+    return tuple(reps)
+
+
+def _scalar_reps(router, lat, lon):
+    (a0, g0), (a1, g1) = router.scalar.system.both_representations(lat,
+                                                                    lon)
+    return a0, g0, a1, g1
+
+
+@needs_kernel
+class TestDestinationConversion:
+    """The compiled walk converts each destination itself, with the
+    libm the ``math`` module binds: NumPy's vectorised ``arcsin`` /
+    ``arctan2`` round differently from ``math.asin`` / ``math.atan2``
+    on some hosts, and only decisions inside ``hop_decision``'s guard
+    band would have shown it."""
+
+    @pytest.mark.parametrize("name", sorted(CONSTELLATIONS))
+    def test_coordinates_are_the_reference_bits(self, name):
+        router = BatchGeoRouter(_topology(name))
+        rng = np.random.default_rng(17)
+        lats = list(rng.uniform(-math.pi / 2, math.pi / 2, 3000))
+        lons = list(rng.uniform(-math.pi, math.pi, 2000)) + list(
+            rng.uniform(-1e3, 1e3, 1000))
+        # Poles, the equator, the antimeridian and signed zeros.
+        edges = [(lat, lon)
+                 for lat in (-math.pi / 2, -0.0, 0.0, math.pi / 2)
+                 for lon in (-math.pi, -0.0, 0.0, math.pi, 2 * math.pi,
+                             -2 * math.pi, 1e300)]
+        for lat, lon in list(zip(lats, lons)) + edges:
+            kernel = _kernel_reps(router, lat, lon)
+            scalar = _scalar_reps(router, lat, lon)
+            assert ([x.hex() for x in kernel]
+                    == [x.hex() for x in scalar]), (lat, lon)
+
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(sorted(ROUND_TRIP_SHELLS)),
            t=st.floats(-1e6, 1e6),
@@ -1234,15 +1274,15 @@ class TestWrapRangeArgument:
         snap = snapshot_for(make_propagator(shell, "ideal"), t)
         for angles in (snap.raan_ecef, snap.arg_latitude):
             assert angles.min() >= 0.0 and angles.max() < 2 * math.pi
-        system = GeospatialRouter(GridTopology(
-            make_propagator(shell, "ideal"), [])).system
-        a0, g0, a1, g1 = system.both_representations_batch(
-            np.array([lat, -lat, 0.0]), np.array([lon, -lon, lon]))
-        for alpha in (a0, a1):
-            assert alpha.min() >= 0.0 and alpha.max() < 2 * math.pi
-        for gamma in (g0, g1):
-            assert (gamma.min() >= -math.pi / 2
-                    and gamma.max() <= 3 * math.pi / 2)
+        router = BatchGeoRouter(GridTopology(
+            make_propagator(shell, "ideal"), []))
+        for point in ((lat, lon), (-lat, -lon), (0.0, lon)):
+            a0, g0, a1, g1 = _kernel_reps(router, *point)
+            assert _scalar_reps(router, *point) == (a0, g0, a1, g1)
+            for alpha in (a0, a1):
+                assert 0.0 <= alpha < 2 * math.pi
+            for gamma in (g0, g1):
+                assert -math.pi / 2 <= gamma <= 3 * math.pi / 2
 
 
 class TestRelayHopBudgetParity:

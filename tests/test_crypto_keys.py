@@ -1,6 +1,7 @@
 """Tests for the Schnorr group, signatures, and station-to-station DH."""
 
 import contextlib
+import ctypes
 import dataclasses
 import pickle
 import random
@@ -285,6 +286,41 @@ class TestCompiledPower:
         compiled = (lane == "compiled" and type(base) is int
                     and type(exponent) is int and 0 <= exponent < 2 ** 512)
         assert builtin.called is not compiled
+
+
+class TestKernelModulusGuards:
+    """The compiled group arithmetic refuses a modulus Montgomery
+    reduction cannot use, even though ``SchnorrGroup`` never passes
+    one: -1 with the output untouched, and -2 from ``jacobi`` for an
+    even ``n``."""
+
+    #: 0, 1, 2 and an even 512-bit value, 64 bytes little-endian.
+    BAD_MODULI = [m.to_bytes(64, "little")
+                  for m in (0, 1, 2, 2 ** 511 + 2 ** 100)]
+
+    @pytest.fixture
+    def kernel(self):
+        kernel = _walk_kernel.load_kernel()
+        if kernel is None:
+            pytest.skip("no compiled kernel on this host")
+        return kernel
+
+    @pytest.mark.parametrize("modulus", BAD_MODULI)
+    def test_modexp_and_comb_refuse_a_bad_modulus(self, kernel, modulus):
+        operand = (3).to_bytes(64, "little")
+        out = ctypes.create_string_buffer(b"\xa5" * 64, 64)
+        assert kernel.modexp(out, operand, operand, modulus) == -1
+        assert out.raw == b"\xa5" * 64
+        table = (ctypes.c_uint64 * (256 * 8))(*([7] * (256 * 8)))
+        assert kernel.fixed_base_table(table, operand, 1, modulus) == -1
+        assert list(table) == [7] * (256 * 8)
+        assert kernel.fixed_base(out, table, b"\x03", 1, modulus) == -1
+        assert out.raw == b"\xa5" * 64
+
+    def test_jacobi_refuses_an_even_n(self, kernel):
+        for n in (0, 2, 2 ** 511 + 2 ** 100):
+            assert kernel.jacobi((3).to_bytes(64, "little"),
+                                 n.to_bytes(64, "little")) == -2
 
 
 class TestShareField:

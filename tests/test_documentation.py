@@ -191,3 +191,65 @@ def test_documented_repro_name_imports(dotted):
             target = getattr(target, attr)
         return
     pytest.fail(f"{dotted} does not import")
+
+
+#: A backticked kebab-case name (``stateful-nf``, ``urban-hotspot``).
+_KEBAB = re.compile(r"`([a-z][a-z0-9]*(?:-[a-z][a-z0-9]*)+)`")
+#: A rule count in prose ("Its three rules").
+_RULE_COUNT = re.compile(r"\b(one|two|three|four|five|six|seven|eight|"
+                         r"nine|ten|eleven|twelve) (?:lint )?rules\b")
+_COUNT_WORDS = ("zero one two three four five six seven eight nine ten "
+                "eleven twelve").split()
+
+
+def _kebab_names():
+    """Backticked kebab-case names of README.md and DESIGN.md, each
+    with the ``doc:line`` it first appears at."""
+    names = {}
+    for doc in ("README.md", "DESIGN.md"):
+        text = (REPO_ROOT / doc).read_text(encoding="utf-8")
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for name in _KEBAB.findall(line):
+                names.setdefault(name, f"{doc}:{lineno}")
+    return sorted(names.items())
+
+
+@pytest.fixture(scope="module")
+def rule_ids():
+    from repro.analysis import all_rules
+    return {rule.id for rule in all_rules()}
+
+
+@pytest.fixture(scope="module")
+def other_kebab_names(workflows):
+    """Kebab-case names that are not lint rules: catalog scenarios,
+    paper-claim ids, CI jobs, and the analyzer's parse-error id."""
+    from repro.analysis.runner import PARSE_ERROR_RULE
+    from repro.scenarios import scenario_names
+    claims = re.findall(r'@claim\("([^"]+)"\)', (
+        REPO_ROOT / "tests" / "test_paper_claims.py").read_text())
+    jobs = re.findall(r"^  ([a-z][a-z0-9-]*):$", workflows, re.MULTILINE)
+    return set(scenario_names()) | set(claims) | set(jobs) | {
+        PARSE_ERROR_RULE}
+
+
+@pytest.mark.parametrize("name,where", _kebab_names())
+def test_documented_rule_id_is_registered(name, where, rule_ids,
+                                          other_kebab_names):
+    """A doc that names a lint rule the registry no longer has
+    describes a check that no longer runs."""
+    assert name in rule_ids or name in other_kebab_names, (
+        f"{where} names `{name}`, which is no registered lint rule, "
+        f"catalog scenario, paper claim or CI job")
+
+
+def test_every_rule_has_a_catalogue_entry_and_the_count_holds(rule_ids):
+    design = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    assert {rule_id for rule_id in rule_ids
+            if f"| `{rule_id}` |" not in design} == set(), (
+        "DESIGN.md's rule catalogue lacks these registered rules")
+    for doc in ("README.md", "DESIGN.md"):
+        text = (REPO_ROOT / doc).read_text(encoding="utf-8")
+        for word in _RULE_COUNT.findall(text):
+            assert _COUNT_WORDS.index(word) == len(rule_ids), (
+                f"{doc} says {word} rules; {len(rule_ids)} are registered")

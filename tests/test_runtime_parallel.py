@@ -150,6 +150,22 @@ class TestShardMemoized:
         assert first == second
         assert _cached_mean_hops.cache_info().currsize == size_after_first
 
+    def test_hops_cache_keys_on_the_station_set(self):
+        """A second station set for the same shell and epoch misses the
+        memo and gets its own answer: a memo whose result read anything
+        outside its key (a module-level station table) would serve the
+        first set's hops here."""
+        from repro.experiments.signaling import mean_hops_to_ground
+        from repro.orbits import default_ground_stations, iridium
+        constellation = iridium()
+        few, many = default_ground_stations(2), default_ground_stations(12)
+        clear_shard_caches()
+        fresh = mean_hops_to_ground(constellation, many)
+        clear_shard_caches()
+        mean_hops_to_ground(constellation, few)
+        assert mean_hops_to_ground(constellation, many) == fresh
+        assert fresh != mean_hops_to_ground(constellation, few)
+
 
 class TestBrokenPoolRecycle:
     """A worker death must be visible: a RuntimeWarning naming the
