@@ -33,10 +33,27 @@ STATEFUL_BASELINE_CLASSES = frozenset({
 })
 
 #: Attribute or annotation vocabulary that marks state as per-UE.
-_PER_UE_RE = re.compile(
-    r"ue|supi|imsi|guti|tmsi|session|subscriber|context|bearer|"
-    r"served|serving|paging|registration",
-    re.IGNORECASE)
+_PER_UE_WORDS = frozenset({
+    "ue", "supi", "imsi", "guti", "tmsi", "session", "subscriber",
+    "context", "bearer", "served", "serving", "paging", "registration",
+})
+
+#: One identifier token: an acronym, a (capitalised) word or a number,
+#: so ``_ue_ctx`` is ``ue``, ``ctx`` and ``UEContext`` is ``UE``,
+#: ``Context``; underscores and brackets separate tokens.
+_TOKEN_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z]?[a-z]+|[0-9]+")
+
+
+def _is_per_ue(text: str) -> bool:
+    """Whether an attribute name or annotation has a per-UE token: a
+    vocabulary word or its plural, whole (``ue`` names ``_served_ues``
+    but not ``_queue``, ``Deque`` or ``unique_values``)."""
+    for token in _TOKEN_RE.findall(text):
+        word = token.lower()
+        if word in _PER_UE_WORDS or (word.endswith("s")
+                                     and word[:-1] in _PER_UE_WORDS):
+            return True
+    return False
 
 #: Annotation roots and constructors that denote mutable containers.
 _MUTABLE_TAILS = frozenset({
@@ -116,10 +133,8 @@ class StatefulNfRule(Rule):
                 continue
             if not _is_mutable(value, annotation):
                 continue
-            per_ue = bool(_PER_UE_RE.search(target.attr)
-                          or _PER_UE_RE.search(
-                              annotation_source(annotation)))
-            if not per_ue:
+            if not (_is_per_ue(target.attr)
+                    or _is_per_ue(annotation_source(annotation))):
                 continue
             return module.finding(
                 self.id, node,

@@ -321,6 +321,8 @@ class ChaosController:
         self.metrics = metrics
         self.tracer = tracer
         self.log: List[FaultEvent] = []
+        #: Jamming windows opened minus closed in :attr:`log`.
+        self._open_jams = 0
         self._subscribers: List[Callable[[FaultEvent], None]] = []
         self.events_armed = 0
         self._armed_keys: set = set()
@@ -369,8 +371,10 @@ class ChaosController:
             self.topology.recover_isl(*event.target)
         elif kind is FaultKind.JAM_START:
             event.attack.apply(self.topology, self.sim.now)
+            self._open_jams += 1
         elif kind is FaultKind.JAM_STOP:
             event.attack.lift(self.topology, self.sim.now)
+            self._open_jams -= 1
         elif kind is FaultKind.GS_FAIL:
             self.topology.fail_ground_station(event.target[0])
         elif kind is FaultKind.GS_RECOVER:
@@ -400,13 +404,7 @@ class ChaosController:
 
     def jamming_active(self) -> bool:
         """Whether any armed jamming window is currently open."""
-        open_jams = 0
-        for event in self.log:
-            if event.kind is FaultKind.JAM_START:
-                open_jams += 1
-            elif event.kind is FaultKind.JAM_STOP:
-                open_jams -= 1
-        return open_jams > 0
+        return self._open_jams > 0
 
     def min_compute_factor(self) -> float:
         """The worst live compute derating (1.0 = nothing degraded)."""

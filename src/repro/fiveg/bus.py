@@ -2,14 +2,14 @@
 
 Procedures send all signaling through a bus so experiments can count
 messages, bytes, and S5 exposure without instrumenting each NF.  The
-optional per-hop latency callback lets the emulation charge
-propagation delays for messages that cross the space-ground boundary.
+bus records what was sent and in which order, not when: nothing here
+charges latency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from .messages import MessageTemplate, Role
 
@@ -20,7 +20,6 @@ class SentMessage:
 
     template: MessageTemplate
     procedure: str
-    timestamp: float
 
     @property
     def src(self) -> Role:
@@ -40,20 +39,14 @@ class SentMessage:
 
 
 class SignalingBus:
-    """Collects :class:`SentMessage` records and accumulates latency."""
+    """Collects :class:`SentMessage` records in send order."""
 
-    def __init__(self, latency_fn: Optional[Callable[[Role, Role], float]]
-                 = None):
+    def __init__(self):
         self.messages: List[SentMessage] = []
-        self._latency_fn = latency_fn
-        self.elapsed_s = 0.0
 
     def send(self, template: MessageTemplate, procedure: str) -> None:
-        """Record one message and charge its path latency."""
-        self.messages.append(SentMessage(template, procedure,
-                                         self.elapsed_s))
-        if self._latency_fn is not None:
-            self.elapsed_s += self._latency_fn(template.src, template.dst)
+        """Record one message."""
+        self.messages.append(SentMessage(template, procedure))
 
     def count(self, procedure: Optional[str] = None) -> int:
         """Messages observed, optionally filtered by procedure id."""

@@ -185,30 +185,24 @@ class InclinedCoordinateSystem:
 
     # -- ascending and descending branches -----------------------------------
 
-    def descending_representation(
-            self, lat: float, lon: float) -> Tuple[float, float]:
-        """Map (lat, lon) to the *descending*-branch ``(alpha, gamma)``.
+    def both_representations(self, lat: float, lon: float):
+        """Both torus representations of a ground point.
 
         Every point inside the inclination band lies on exactly two
         inclined great circles: one crossing it while ascending
         (``gamma`` in ``[-pi/2, pi/2]``, see :meth:`from_geodetic`) and
-        one while descending (``gamma`` in ``[pi/2, 3*pi/2]``).  Both
-        representations matter to routing: a satellite on the
-        descending half of its orbit covers the point too.
-        """
-        _, gamma_asc = self.from_geodetic(lat, lon)
-        gamma = math.pi - gamma_asc
-        dlon = math.atan2(self._cos_i * math.sin(gamma), math.cos(gamma))
-        alpha = wrap_angle(lon - dlon)
-        return alpha, gamma
-
-    def both_representations(self, lat: float, lon: float):
-        """Both torus representations of a ground point.
+        one while descending (``gamma = pi - gamma_asc``, in
+        ``[pi/2, 3*pi/2]``).  Both matter to routing: a satellite on
+        the descending half of its orbit covers the point too.  The
+        descending ``alpha`` is ``from_geodetic``'s node offset taken
+        at the descending ``gamma``.
 
         Returns ``[(alpha_asc, gamma_asc), (alpha_desc, gamma_desc)]``.
         """
-        return [self.from_geodetic(lat, lon),
-                self.descending_representation(lat, lon)]
+        ascending = self.from_geodetic(lat, lon)
+        gamma = math.pi - ascending[1]
+        dlon = math.atan2(self._cos_i * math.sin(gamma), math.cos(gamma))
+        return [ascending, (wrap_angle(lon - dlon), gamma)]
 
     def angular_cell_area(self, alpha_width: float, gamma_width: float,
                           gamma_center: float, radius: float) -> float:

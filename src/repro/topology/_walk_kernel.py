@@ -32,7 +32,7 @@ The C source mirrors the scalar reference precisely:
 
 * ``destination_reps`` converts each destination to both
   ``(alpha, gamma)`` representations with the scalar
-  ``from_geodetic`` / ``descending_representation`` operations, and
+  ``both_representations`` operations, and
   ``wrap_angle`` replays CPython's float ``%`` (``fmod``, then the
   sign fix) for any finite longitude.
 * ``wrap_signed_diff`` replays CPython's ``%`` (and
@@ -108,8 +108,8 @@ static double wrap_angle(double x) {
 }
 
 /* InclinedCoordinateSystem.both_representations of one destination,
- * operation for operation (from_geodetic, then
- * descending_representation; Python's min/max picks spelled out), with
+ * operation for operation (one from_geodetic, then the descending
+ * branch from its gamma; Python's min/max picks spelled out), with
  * band = min(i, pi - i): reps = {alpha_asc, gamma_asc, alpha_desc,
  * gamma_desc}. */
 void destination_reps(double lat, double lon, double band,

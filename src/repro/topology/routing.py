@@ -22,12 +22,8 @@ from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..constants import HALF_PI, SPEED_OF_LIGHT_KM_S
-from ..orbits.coordinates import (
-    InclinedCoordinateSystem,
-    central_angle,
-    wrap_signed,
-)
+from ..constants import HALF_PI, SPEED_OF_LIGHT_KM_S, TWO_PI
+from ..orbits.coordinates import InclinedCoordinateSystem, central_angle
 from ..orbits.coverage import coverage_half_angle
 from ..orbits.snapshot import (
     ConstellationSnapshot,
@@ -116,52 +112,10 @@ class GeospatialRouter:
     def covers(self, sat: int, dest_lat: float, dest_lon: float,
                t: float) -> bool:
         """Line 1-2 of Algorithm 1: does this satellite cover D?"""
-        return self._covers(self._snapshot(t), sat, dest_lat, dest_lon)
-
-    # Per-hop reads go through ``ndarray.item()``, so the arithmetic
-    # runs on Python floats: the same IEEE operations as on numpy
-    # scalars (float64 ``%`` and float ``%`` are both fmod plus the
-    # same sign fix), minus the numpy-scalar overhead.  ``.item()``
-    # wraps negative indices like ``[]`` does, hence the source check
-    # in ``route``.  There is deliberately no per-snapshot ``tolist()``
-    # view: converting the arrays costs several routes, which callers
-    # that alternate epochs would pay on every packet.
-
-    def _covers(self, snap: ConstellationSnapshot, sat: int,
-                dest_lat: float, dest_lon: float) -> bool:
-        sub = snap.subpoints
+        sub = self._snapshot(t).subpoints
         return (central_angle(sub.item(sat, 0), sub.item(sat, 1),
                               dest_lat, dest_lon)
                 <= self.coverage_angle)
-
-    def _hop_offsets_snap(self, snap: ConstellationSnapshot, sat: int,
-                          dest_reps: Sequence[Tuple[float, float]]
-                          ) -> Tuple[float, float]:
-        alpha_s = snap.raan_ecef.item(sat)
-        gamma_s = snap.arg_latitude.item(sat)
-        best: Optional[Tuple[float, float]] = None
-        best_metric = math.inf
-        for alpha_d, gamma_d in dest_reps:
-            da = wrap_signed(alpha_d - alpha_s) / self._delta_raan
-            dg = wrap_signed(gamma_d - gamma_s) / self._delta_phase
-            metric = abs(da) + abs(dg)
-            if metric < best_metric:
-                best_metric = metric
-                best = (da, dg)
-        assert best is not None
-        return best
-
-    def _preferred_column(self, snap: ConstellationSnapshot, sat: int,
-                          dest_reps: Sequence[Tuple[float, float]]
-                          ) -> Optional[int]:
-        """Algorithm 1's direction as a ``grid_neighbor_table`` column
-        (up, down, left, right), or None when ``sat`` is centred."""
-        da, dg = self._hop_offsets_snap(snap, sat, dest_reps)
-        if abs(da) < 0.5 and abs(dg) < 0.5:
-            return None
-        if abs(da) > abs(dg):
-            return 3 if da > 0 else 2
-        return 0 if dg > 0 else 1
 
     # -- end-to-end ---------------------------------------------------------------
 
@@ -210,81 +164,134 @@ class GeospatialRouter:
         # One cached snapshot, one destination (alpha, gamma)
         # conversion and the fault epoch's edge mask serve every hop:
         # the compiled walk reads the same wiring, mask and lengths.
+        # Every per-hop read is a bound ``ndarray.item``, so the
+        # arithmetic runs on Python floats: the same IEEE operations
+        # as on numpy scalars (float64 ``%`` and float ``%`` are both
+        # fmod plus the same sign fix).  ``.item()`` wraps negative
+        # indices like ``[]`` does, hence the source check above.
+        # There are no per-snapshot ``tolist()`` views: ``wave-churn``
+        # routes 100 fresh snapshots, and a list view of each would
+        # raise its peak RSS for what a bound ``.item`` already saves.
         snap = self._snapshot(t)
-        dest_reps = self.system.both_representations(dest_lat, dest_lon)
-        neighbors = self._neighbors
-        edge_up = self.topology.edge_liveness()
-        hop_km = snap.hop_lengths_km()
+        (alpha_a, gamma_a), (alpha_d, gamma_d) = (
+            self.system.both_representations(dest_lat, dest_lon))
+        sub = snap.subpoints.item
+        raan = snap.raan_ecef.item
+        arg_lat = snap.arg_latitude.item
+        wiring = self._neighbors.item
+        edge_up = self.topology.edge_liveness().item
+        hop_km = snap.hop_lengths_km().item
+        d_raan = self._delta_raan
+        d_phase = self._delta_phase
+        cos_dest = math.cos(dest_lat)
+        coverage = self.coverage_angle
+        nearly = coverage * self.degraded_slack
+        sin, cos, asin, sqrt = math.sin, math.cos, math.asin, math.sqrt
+        pi = math.pi
+
+        def offsets(sat: int) -> Tuple[float, float]:
+            """``(d_alpha, d_gamma)`` in grid steps from ``sat`` to the
+            nearer destination representation (the ascending one on
+            ties): ``wrap_signed`` of each difference, divided by the
+            spacing."""
+            alpha_s = raan(sat)
+            gamma_s = arg_lat(sat)
+            w = (alpha_a - alpha_s) % TWO_PI
+            da = (w - TWO_PI if w > pi else w) / d_raan
+            w = (gamma_a - gamma_s) % TWO_PI
+            dg = (w - TWO_PI if w > pi else w) / d_phase
+            w = (alpha_d - alpha_s) % TWO_PI
+            da_d = (w - TWO_PI if w > pi else w) / d_raan
+            w = (gamma_d - gamma_s) % TWO_PI
+            dg_d = (w - TWO_PI if w > pi else w) / d_phase
+            if abs(da_d) + abs(dg_d) < abs(da) + abs(dg):
+                return da_d, dg_d
+            return da, dg
+
         delay = walked.delay_s
         distance = walked.distance_km
         deflected = walked.deflected
         visited = set(path)
         current = path[-1]
         for _ in range(self.max_hops - (len(path) - 1)):
-            if self._covers(snap, current, dest_lat, dest_lon):
+            # Lines 1-2: central_angle(satellite, D), operand for
+            # operand; the one angle also decides degraded delivery.
+            lat = sub(current, 0)
+            h = (sin((dest_lat - lat) / 2.0) ** 2
+                 + cos(lat) * cos_dest
+                 * sin((dest_lon - sub(current, 1)) / 2.0) ** 2)
+            if not 0.0 <= h <= 1.0:
+                h = min(1.0, max(0.0, h))
+            angle = 2.0 * asin(sqrt(h))
+            if angle <= coverage:
                 return RouteResult(True, path, delay, distance,
                                    deflected=deflected)
-            column = self._preferred_column(snap, current, dest_reps)
-            if column is None:
+            # Algorithm 1's direction: the larger offset picks the
+            # dimension, its sign the way round (up, down, left, right
+            # columns).  The offsets are ``offsets(current)`` spelled
+            # out: every hop pays for them, and the call alone measured
+            # about 6 % of the walk.
+            alpha_s = raan(current)
+            gamma_s = arg_lat(current)
+            w = (alpha_a - alpha_s) % TWO_PI
+            da = (w - TWO_PI if w > pi else w) / d_raan
+            w = (gamma_a - gamma_s) % TWO_PI
+            dg = (w - TWO_PI if w > pi else w) / d_phase
+            w = (alpha_d - alpha_s) % TWO_PI
+            da_d = (w - TWO_PI if w > pi else w) / d_raan
+            w = (gamma_d - gamma_s) % TWO_PI
+            dg_d = (w - TWO_PI if w > pi else w) / d_phase
+            if abs(da_d) + abs(dg_d) < abs(da) + abs(dg):
+                da = da_d
+                dg = dg_d
+            column = None
+            if abs(da) < 0.5 and abs(dg) < 0.5:
                 # Closest grid position, but the footprint misses D
                 # (low elevation); deliver degraded rather than loop.
-                if self._nearly_covers_snap(snap, current, dest_lat,
-                                            dest_lon):
+                if angle <= nearly:
                     return RouteResult(True, path, delay, distance,
                                        degraded=True, deflected=deflected)
             else:
-                preferred = neighbors.item(current, column)
+                if abs(da) > abs(dg):
+                    column = 3 if da > 0 else 2
+                else:
+                    column = 0 if dg > 0 else 1
+                preferred = wiring(current, column)
                 if (preferred in visited
-                        or not edge_up.item(current, column)
+                        or not edge_up(current, column)
                         or (avoid_links
                             and frozenset((current, preferred))
                             in avoid_links)):
                     column = None
             if column is None:
+                # Greedy deflection: the live unvisited neighbour
+                # nearest the goal (the first of equals), or give up.
                 deflected = True
-                column = self._best_live_column(
-                    snap, current, dest_reps, visited, avoid_links)
+                best_metric = math.inf
+                for candidate in range(4):
+                    nbr = wiring(current, candidate)
+                    if not edge_up(current, candidate) or nbr in visited:
+                        continue
+                    if (avoid_links
+                            and frozenset((current, nbr)) in avoid_links):
+                        continue
+                    da, dg = offsets(nbr)
+                    metric = abs(da) + abs(dg)
+                    if metric < best_metric:
+                        best_metric = metric
+                        column = candidate
+                        preferred = nbr
                 if column is None:
                     return RouteResult(False, path, delay, distance,
                                        deflected=deflected)
-            length = hop_km.item(current, column)
+            length = hop_km(current, column)
             delay += length / SPEED_OF_LIGHT_KM_S
             distance += length
-            current = neighbors.item(current, column)
+            current = preferred
             path.append(current)
             visited.add(current)
         return RouteResult(False, path, delay, distance,
                            deflected=deflected)
-
-    def _nearly_covers_snap(self, snap: ConstellationSnapshot, sat: int,
-                            dest_lat: float, dest_lon: float) -> bool:
-        sub = snap.subpoints
-        return (central_angle(sub.item(sat, 0), sub.item(sat, 1),
-                              dest_lat, dest_lon)
-                <= self.coverage_angle * self.degraded_slack)
-
-    def _best_live_column(self, snap: ConstellationSnapshot, sat: int,
-                          dest_reps: Sequence[Tuple[float, float]],
-                          visited: set,
-                          avoid_links: Optional[Set[FrozenSet[int]]]
-                          ) -> Optional[int]:
-        """Greedy deflection: the column of the live unvisited
-        neighbour nearest the goal (the first of equals), or None."""
-        best = None
-        best_metric = math.inf
-        edge_up = self.topology.edge_liveness()
-        for column in range(4):
-            nbr = self._neighbors.item(sat, column)
-            if not edge_up.item(sat, column) or nbr in visited:
-                continue
-            if avoid_links and frozenset((sat, nbr)) in avoid_links:
-                continue
-            da, dg = self._hop_offsets_snap(snap, nbr, dest_reps)
-            metric = abs(da) + abs(dg)
-            if metric < best_metric:
-                best_metric = metric
-                best = column
-        return best
 
 
 class DijkstraRouter:

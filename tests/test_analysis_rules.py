@@ -72,7 +72,13 @@ class TestStatelessnessRule:
         ("self._contexts = [c for c in peer]", True),
         ("self._paging: List[int] = peer.pages()", True),
         ("self.table: Dict[Supi, int] = peer.table()", True),
+        ("self._ue_ctx = {}", True),
+        ("self._paging = collections.deque()", True),
+        ("self._UEContexts: Dict[int, int] = {}", True),
         ("self._link_budgets = {}", False),
+        ("self._queue = collections.deque()", False),
+        ("self._backlog: Deque[int] = collections.deque()", False),
+        ("self._unique_values = set()", False),
         ("self._sessions = None", False),
         ("self._sessions = frozenset()", False),
         ("self._sessions = peer.sessions", False),
@@ -85,7 +91,7 @@ class TestStatelessnessRule:
         hits = by_rule(lint_source(tmp_path, "src/repro/fiveg/nf/probe.py",
                                    f"""\
             import collections
-            from typing import Dict, List
+            from typing import Deque, Dict, List
 
             class ProbeNf:
                 def __init__(self, peer):

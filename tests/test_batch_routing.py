@@ -554,17 +554,19 @@ class TestKernelHandOff:
     path cells and float bits alike, at all four flag sites."""
 
     @staticmethod
-    def _flag_kind(topo, router, walked, lat, lon, t):
-        """Which of the compiled walk's four flags stopped ``walked``."""
-        scalar = router.scalar
+    def _flag_kind(topo, walked, lat, lon, t):
+        """Which of the compiled walk's four flags stopped ``walked``.
+
+        On the same shell without faults, one hop of the reference walk
+        from the last node takes Algorithm 1's preferred hop, or
+        deflects when that node is centred on an uncovered D."""
         node = walked.path[-1]
-        column = scalar._preferred_column(
-            scalar._snapshot(t), node,
-            scalar.system.both_representations(lat, lon))
-        if column is None:
+        clean = GridTopology(topo.propagator, [])
+        step = GeospatialRouter(clean, max_hops=1).route(node, lat, lon, t)
+        assert not step.delivered
+        if step.deflected:
             return "centred, not nearly covered"
-        preferred = int(
-            grid_neighbor_table(topo.constellation)[node, column])
+        preferred = step.path[1]
         if not topo.isl_up(node, preferred):
             return "dead preferred edge"
         if preferred in walked.path:
@@ -611,8 +613,7 @@ class TestKernelHandOff:
                 assert walked.distance_km.hex() == distance.hex()
                 assert not (walked.delivered or walked.deflected)
                 assert batch.result(int(i)) == expected
-                kinds.add(self._flag_kind(topo, router, walked, lat, lon,
-                                          t))
+                kinds.add(self._flag_kind(topo, walked, lat, lon, t))
             longest = max(longest, int(batch.path_len.max()))
         assert kinds == {"centred, not nearly covered",
                          "dead preferred edge", "seam revisit",

@@ -3,10 +3,10 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.constants import EARTH_RADIUS_KM, TWO_PI
+from repro.constants import EARTH_RADIUS_KM, HALF_PI, TWO_PI
 from repro.orbits.coordinates import (
     InclinedCoordinateSystem,
     central_angle,
@@ -75,6 +75,21 @@ class TestFrames:
         assert a == pytest.approx(b)
 
 
+def _two_conversions(system, lat, lon):
+    """``both_representations`` as it read with a separate
+    ``descending_representation``: ``from_geodetic`` twice, then the
+    descending branch from the second ``gamma``."""
+    _, gamma_asc = system.from_geodetic(lat, lon)
+    gamma = math.pi - gamma_asc
+    dlon = math.atan2(system._cos_i * math.sin(gamma), math.cos(gamma))
+    alpha = wrap_angle(lon - dlon)
+    return [system.from_geodetic(lat, lon), (alpha, gamma)]
+
+
+def _rep_bits(reps):
+    return [tuple(value.hex() for value in rep) for rep in reps]
+
+
 class TestInclinedSystem:
     def setup_method(self):
         self.system = InclinedCoordinateSystem(math.radians(53.0))
@@ -116,7 +131,7 @@ class TestInclinedSystem:
     )
     @settings(max_examples=200)
     def test_descending_branch_also_roundtrips(self, lat, lon):
-        alpha, gamma = self.system.descending_representation(lat, lon)
+        alpha, gamma = self.system.both_representations(lat, lon)[1]
         assert math.pi / 2 <= gamma <= 3 * math.pi / 2 + 1e-12
         lat2, lon2 = self.system.to_geodetic(alpha, gamma)
         assert math.isclose(lat2, lat, abs_tol=1e-9)
@@ -132,6 +147,32 @@ class TestInclinedSystem:
         assert len(reps) == 2
         (a1, g1), (a2, g2) = reps
         assert g1 != pytest.approx(g2)
+
+    @pytest.mark.parametrize("inclination_deg",
+                             [53.0, 86.4, 90.0, 97.6, 127.0])
+    @pytest.mark.parametrize("lon", [-math.pi, math.pi, 0.0, 2.5])
+    def test_one_conversion_on_the_edges(self, inclination_deg, lon):
+        system = InclinedCoordinateSystem(math.radians(inclination_deg))
+        band = min(system.inclination, math.pi - system.inclination)
+        for lat in (HALF_PI, -HALF_PI, band, -band,
+                    math.nextafter(band, 0.0), math.nextafter(band, 2.0),
+                    math.nextafter(-band, 0.0), 0.0, -0.0):
+            assert (_rep_bits(system.both_representations(lat, lon))
+                    == _rep_bits(_two_conversions(system, lat, lon)))
+
+    @given(inclination=st.floats(min_value=0.01, max_value=math.pi),
+           lat=st.floats(min_value=-HALF_PI, max_value=HALF_PI),
+           lon=st.floats(min_value=-4 * math.pi, max_value=4 * math.pi))
+    @example(inclination=math.radians(53.0), lat=HALF_PI, lon=math.pi)
+    @example(inclination=math.radians(53.0), lat=-HALF_PI, lon=-math.pi)
+    @settings(max_examples=300)
+    def test_one_conversion_is_the_two_conversion_bits(self, inclination,
+                                                       lat, lon):
+        """The descending branch derived from the one ``from_geodetic``
+        is the old second conversion, bit for bit."""
+        system = InclinedCoordinateSystem(inclination)
+        assert (_rep_bits(system.both_representations(lat, lon))
+                == _rep_bits(_two_conversions(system, lat, lon)))
 
     def test_turn_point_has_gamma_pi_over_2(self):
         # A point at exactly the inclination latitude is a turn point.

@@ -7,12 +7,16 @@ before its per-hop reads became ``ndarray.item()`` Python floats:
 ``route`` and every helper it reaches, copied verbatim.  The
 differential asserts ``==`` on every ``RouteResult`` field -- delay and
 distance as float bits, ``deflected`` by name because
-``RouteResult.__eq__`` skips it -- and on ``covers``, the next hop
-and ``_hop_offsets_snap`` at every hop, over generated
-packets on full-torus, seam and degenerate shells under fault
-cocktails, with and without ``avoid_links``.  The same packets through ``route_batch`` must match
-the oracle on whichever lane this host runs (the compiled walk, or the
-reference walk under ``REPRO_NO_CKERNEL=1``).
+``RouteResult.__eq__`` skips it -- and on the one-hop route from every
+node the packet visits (cover, degraded delivery, next hop or
+deflection, hop length), over generated packets on full-torus, seam
+and degenerate shells under fault cocktails, with and without
+``avoid_links``.  The walk makes those per-hop decisions inline, so
+the one-hop route is how a test reads them; the oracle inherits
+``covers`` rather than copying it.  The same
+packets through ``route_batch`` must match the oracle on whichever
+lane this host runs (the compiled walk, or the reference walk under
+``REPRO_NO_CKERNEL=1``).
 
 Below that: the one source contract of every routing entry point, and
 metamorphic relations between the walk and the graph it walks, which
@@ -250,17 +254,62 @@ def _fault_cocktail(topology: GridTopology, rng, dead: int, torn: int):
         topology.fail_isl(int(a), int(wiring[a, column]))
 
 
+def _degraded_boundary_packet(router: GeospatialRouter, t: float,
+                              inside: bool) -> Tuple[int, float, float]:
+    """A packet whose source is centred on its destination at an angle
+    next to ``coverage_angle * degraded_slack``: at or just inside it
+    (delivered degraded where it stands), or just outside (deflects).
+
+    The destination sits on the source's own orbit, ``theta`` ahead of
+    it in ``gamma``, so it stays centred while ``theta`` is under half
+    a slot; ``theta`` is bisected until the subpoint-to-destination
+    angle, computed as the walk computes it, brackets the bound.
+    """
+    snap = router._snapshot(t)
+    src = int(np.argmin(np.abs(np.cos(snap.arg_latitude) - 1.0)))
+    alpha = float(snap.raan_ecef[src])
+    gamma = float(snap.arg_latitude[src])
+    sat_lat, sat_lon = (float(x) for x in snap.subpoints[src])
+    bound = router.coverage_angle * router.degraded_slack
+
+    def destination(theta):
+        return router.system.to_geodetic(alpha, gamma + theta)
+
+    lo, hi = 0.5 * bound, 1.5 * bound
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if central_angle(sat_lat, sat_lon, *destination(mid)) <= bound:
+            lo = mid
+        else:
+            hi = mid
+    lat, lon = destination(lo if inside else hi)
+    angle = central_angle(sat_lat, sat_lon, lat, lon)
+    assert (angle <= bound) == inside
+    assert abs(angle - bound) < 1e-12
+    return src, lat, lon
+
+
 class TestParentWalkOracle:
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(sorted(PROPAGATORS)),
            seed=st.integers(0, 2**32 - 1),
            dead=st.integers(0, 40), torn=st.integers(0, 25),
-           t=st.sampled_from(EPOCHS), avoid=st.booleans())
+           t=st.sampled_from(EPOCHS), avoid=st.booleans(),
+           probe=st.none())
     # Two slots per plane (up == down): the compiled walk must still
     # check for revisits, or it bounces between the two slots.
-    @example(name="two-slot", seed=3, dead=0, torn=0, t=0.0, avoid=False)
+    @example(name="two-slot", seed=3, dead=0, torn=0, t=0.0, avoid=False,
+             probe=None)
+    # A centred hop one bisection step either side of the degraded
+    # bound: the one haversine per hop decides both coverage tests.
+    @example(name="two-slot", seed=5, dead=0, torn=0, t=615.0,
+             avoid=False, probe="inside")
+    @example(name="two-slot", seed=5, dead=0, torn=0, t=615.0,
+             avoid=False, probe="outside")
     def test_route_is_bit_identical_to_the_parent_walk(
-            self, name, seed, dead, torn, t, avoid):
+            self, name, seed, dead, torn, t, avoid, probe):
         topology = GridTopology(PROPAGATORS[name], [])
         total = topology.constellation.total_satellites
         rng = np.random.default_rng(seed)
@@ -284,27 +333,37 @@ class TestParentWalkOracle:
 
         new = GeospatialRouter(topology)
         old = _ParentWalk(topology)
+        one_hop_new = GeospatialRouter(topology, max_hops=1)
+        one_hop_old = _ParentWalk(topology, max_hops=1)
         packets = 16
         src = rng.integers(0, total, packets)
         lats = rng.uniform(-HALF_PI, HALF_PI, packets)
         lons = rng.uniform(-math.pi, math.pi, packets)
+        if probe is not None:
+            s, lat, lon = _degraded_boundary_packet(new, t,
+                                                    probe == "inside")
+            src = np.append(src, s)
+            lats = np.append(lats, lat)
+            lons = np.append(lons, lon)
         expected = []
         for s, lat, lon in zip(src.tolist(), lats.tolist(), lons.tolist()):
             want = old.route(s, lat, lon, t, avoid_links=avoid_links)
             got = new.route(s, lat, lon, t, avoid_links=avoid_links)
             assert _bits(got) == _bits(want)
-            snap = new._snapshot(t)
-            reps = new.system.both_representations(lat, lon)
             for node in want.path:
-                assert (new.covers(node, lat, lon, t)
-                        == old.covers(node, lat, lon, t))
-                column = new._preferred_column(snap, node, reps)
-                assert (old._next_hop_snap(snap, node, reps)
-                        == (None if column is None
-                            else int(wiring[node, column])))
-                assert (new._hop_offsets_snap(snap, node, reps)
-                        == old._hop_offsets_snap(snap, node, reps))
+                assert _bits(one_hop_new.route(
+                    node, lat, lon, t, avoid_links=avoid_links)) == _bits(
+                    one_hop_old.route(node, lat, lon, t,
+                                      avoid_links=avoid_links))
             expected.append(want)
+        if probe is not None:
+            snap = old._snapshot(t)
+            reps = old.system.both_representations(lat, lon)
+            assert old._next_hop_snap(snap, s, reps) is None
+            assert not old.covers(s, lat, lon, t)
+            degraded_here = RouteResult(True, [s], 0.0, 0.0, degraded=True)
+            assert (want == degraded_here) == (probe == "inside")
+            assert want.deflected == (probe == "outside")
 
         # The batch plane, on this host's lane, against the same oracle.
         batch = BatchGeoRouter(topology).route_batch(

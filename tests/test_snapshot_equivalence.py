@@ -27,11 +27,7 @@ from repro.orbits.coverage import (
     serving_satellite,
     visible_satellites,
 )
-from repro.orbits.snapshot import (
-    GRID_DIRECTIONS,
-    serving_over_times,
-    serving_satellites,
-)
+from repro.orbits.snapshot import serving_over_times, serving_satellites
 from repro.topology.grid import GridTopology
 from repro.topology.routing import GeospatialRouter, RouteResult
 
@@ -288,6 +284,10 @@ class TestRouterEquivalence:
         topology = GridTopology(prop, [])
         fast = GeospatialRouter(topology)
         slow = _ScalarRouter(topology)
+        # The walk decides each hop inline; a one-hop route reads one
+        # decision (cover, degraded delivery, next hop or deflection).
+        fast_hop = GeospatialRouter(topology, max_hops=1)
+        slow_hop = _ScalarRouter(topology, max_hops=1)
         rng = np.random.default_rng(9)
         c = prop.constellation
         for _ in range(60):
@@ -295,17 +295,16 @@ class TestRouterEquivalence:
             sat = int(rng.integers(0, c.total_satellites))
             lat = float(np.radians(rng.uniform(-55, 55)))
             lon = float(np.radians(rng.uniform(-180, 180)))
-            assert (fast.covers(sat, lat, lon, t)
-                    == slow.covers(sat, lat, lon, t))
-            snap = fast._snapshot(t)
-            reps = fast.system.both_representations(lat, lon)
-            column = fast._preferred_column(snap, sat, reps)
-            assert slow.next_hop(sat, lat, lon, t) == (
-                None if column is None else
-                topology.directional_neighbors(sat)[GRID_DIRECTIONS[column]])
-            fa, fg = fast._hop_offsets_snap(snap, sat, reps)
-            sa, sg = slow._hop_offsets(sat, lat, lon, t)
-            assert fa == sa and fg == sg
+            covered = fast.covers(sat, lat, lon, t)
+            assert covered == slow.covers(sat, lat, lon, t)
+            a = fast_hop.route(sat, lat, lon, t)
+            b = slow_hop.route(sat, lat, lon, t)
+            assert (a.delivered, a.path, a.degraded) == (
+                b.delivered, b.path, b.degraded)
+            preferred = slow.next_hop(sat, lat, lon, t)
+            if not covered and preferred is not None:
+                # No faults: the preferred hop is always taken.
+                assert a.path == [sat, preferred]
 
     def test_routes_under_failures_match(self):
         prop = make_propagator(starlink(), "ideal")
