@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Set, Tuple
 
 #: ``# repro: ignore[rule-a, rule-b]`` -- suppress the named rules.
 _SUPPRESS_RULES_RE = re.compile(r"#\s*repro:\s*ignore\[([A-Za-z0-9_\-, ]+)\]")
@@ -74,7 +74,7 @@ class ModuleInfo:
 
 class Rule:
     """One invariant check.  Subclasses set the class attributes and
-    implement :meth:`check`; registration happens via
+    define ``check``; registration happens via
     :func:`repro.analysis.registry.register`."""
 
     id: str = ""
@@ -85,14 +85,12 @@ class Rule:
     #: Path scope: ``"dir/"`` entries match a directory component,
     #: other entries match a path suffix.  Empty means every file.
     scope: Tuple[str, ...] = ()
+    #: Yields every violation of this rule in one module.
+    check: Callable[[ModuleInfo], Iterable[Finding]]
 
     def applies_to(self, relpath: str) -> bool:
         """Whether this rule runs on the given (relative) path."""
         return path_in_scope(relpath, self.scope)
-
-    def check(self, module: ModuleInfo) -> Iterable[Finding]:
-        """Yield every violation of this rule in one module."""
-        raise NotImplementedError
 
 
 def path_in_scope(relpath: str, patterns: Sequence[str]) -> bool:

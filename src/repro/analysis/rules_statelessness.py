@@ -58,7 +58,7 @@ def _is_per_ue(text: str) -> bool:
 #: Annotation roots and constructors that denote mutable containers.
 _MUTABLE_TAILS = frozenset({
     "Dict", "dict", "List", "list", "Set", "set", "DefaultDict",
-    "defaultdict", "OrderedDict", "Counter", "deque", "bytearray",
+    "defaultdict", "OrderedDict", "Counter", "Deque", "deque", "bytearray",
     "MutableMapping", "MutableSequence", "MutableSet",
 })
 

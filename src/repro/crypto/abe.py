@@ -93,37 +93,6 @@ class AbeCiphertext:
         return len(self.nonce) + share_bytes + len(self.payload) + len(
             self.tag)
 
-    def to_bytes(self) -> bytes:
-        """Wire encoding: what the UE actually stores and piggybacks."""
-        import json
-        from .access_tree import policy_to_json
-        document = {
-            "policy": policy_to_json(self.policy),
-            "nonce": self.nonce.hex(),
-            "shares": [[index, attribute, wrapped.hex()]
-                       for index, attribute, wrapped
-                       in self.wrapped_shares],
-            "payload": self.payload.hex(),
-            "tag": self.tag.hex(),
-        }
-        return json.dumps(document, sort_keys=True,
-                          separators=(",", ":")).encode()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "AbeCiphertext":
-        import json
-        from .access_tree import policy_from_json
-        document = json.loads(data.decode())
-        return cls(
-            policy=policy_from_json(document["policy"]),
-            nonce=bytes.fromhex(document["nonce"]),
-            wrapped_shares=tuple(
-                (index, attribute, bytes.fromhex(wrapped))
-                for index, attribute, wrapped in document["shares"]),
-            payload=bytes.fromhex(document["payload"]),
-            tag=bytes.fromhex(document["tag"]),
-        )
-
 
 def setup(rng_seed: Optional[bytes] = None
           ) -> Tuple[AbePublicParams, AbeMasterKey]:

@@ -15,7 +15,7 @@ inside the ABE ciphertext.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Union
+from typing import Iterable, Union
 
 
 @dataclass(frozen=True)
@@ -23,14 +23,6 @@ class Leaf:
     """A single required attribute, e.g. ``"role:satellite"``."""
 
     attribute: str
-
-    def satisfies(self, attributes: FrozenSet[str]) -> bool:
-        """Whether the attribute set meets this node."""
-        return self.attribute in attributes
-
-    def describe(self) -> str:
-        """Human-readable rendering of the (sub)policy."""
-        return self.attribute
 
 
 @dataclass(frozen=True)
@@ -47,20 +39,6 @@ class Gate:
             raise ValueError(
                 f"threshold {self.threshold} out of range for "
                 f"{len(self.children)} children")
-
-    def satisfies(self, attributes: FrozenSet[str]) -> bool:
-        """Whether the attribute set meets this node."""
-        hits = sum(child.satisfies(attributes) for child in self.children)
-        return hits >= self.threshold
-
-    def describe(self) -> str:
-        """Human-readable rendering of the (sub)policy."""
-        inner = ", ".join(child.describe() for child in self.children)
-        if self.threshold == len(self.children):
-            return f"AND({inner})"
-        if self.threshold == 1:
-            return f"OR({inner})"
-        return f"{self.threshold}-of-{len(self.children)}({inner})"
 
 
 PolicyNode = Union[Leaf, Gate]
@@ -83,25 +61,15 @@ def or_(*children: PolicyNode) -> Gate:
 
 def satisfies(policy: PolicyNode, attributes: Iterable[str]) -> bool:
     """Whether an attribute set satisfies a policy tree."""
-    return policy.satisfies(frozenset(attributes))
+    held = frozenset(attributes)
 
+    def meets(node: PolicyNode) -> bool:
+        if isinstance(node, Leaf):
+            return node.attribute in held
+        return sum(meets(child) for child in node.children) \
+            >= node.threshold
 
-def policy_to_json(policy: PolicyNode):
-    """JSON-compatible encoding of a policy tree (wire format)."""
-    if isinstance(policy, Leaf):
-        return {"attr": policy.attribute}
-    return {"k": policy.threshold,
-            "children": [policy_to_json(child)
-                         for child in policy.children]}
-
-
-def policy_from_json(data) -> PolicyNode:
-    """Inverse of :func:`policy_to_json`."""
-    if "attr" in data:
-        return Leaf(data["attr"])
-    children = tuple(policy_from_json(child)
-                     for child in data["children"])
-    return Gate(data["k"], children)
+    return meets(policy)
 
 
 def serving_satellite_policy(min_bandwidth_gbps: int = 10) -> Gate:

@@ -267,10 +267,6 @@ class ShareField:
         return secrets.randbelow(cls.prime)
 
     @classmethod
-    def add(cls, a: int, b: int) -> int:
-        return (a + b) % cls.prime
-
-    @classmethod
     def inv(cls, a: int) -> int:
         if a % cls.prime == 0:
             raise ZeroDivisionError("no inverse of zero")

@@ -519,7 +519,7 @@ class _StatefulBaseline:
         # fixed for every victim and every NAS retry.  Label it once;
         # each attempt then asks only which gateways are covered at its
         # own retry time, the one thing that moves.
-        graph = self.system.topology.snapshot_graph(t, include_ground=False)
+        graph = self.system.topology.snapshot_graph(t)
         labels = _component_labels(graph)
         for supi in victims:
             self._reattach(supi, t, labels)

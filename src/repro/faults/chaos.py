@@ -118,7 +118,8 @@ class FaultSchedule:
     # -- direct entry -----------------------------------------------------------
 
     def add(self, event: FaultEvent) -> "FaultSchedule":
-        """Append one hand-placed event (chainable)."""
+        """Append one event (chainable); every builder below adds
+        through it."""
         if event.time < 0:
             raise ValueError("fault events cannot fire at negative time")
         self._events.append(event)
@@ -157,12 +158,11 @@ class FaultSchedule:
             t_fail = rng.expovariate(rate)
             if t_fail > horizon_s:
                 continue
-            self._events.append(FaultEvent(t_fail, FaultKind.SAT_FAIL,
-                                           (int(sat),)))
+            self.add(FaultEvent(t_fail, FaultKind.SAT_FAIL, (int(sat),)))
             if repair_delay_s is not None:
                 t_up = t_fail + repair_delay_s
                 if t_up <= horizon_s:
-                    self._events.append(FaultEvent(
+                    self.add(FaultEvent(
                         t_up, FaultKind.SAT_RECOVER, (int(sat),)))
         return self
 
@@ -198,9 +198,9 @@ class FaultSchedule:
                 in_bad = channel.in_bad_state
                 kind = (FaultKind.ISL_FAIL if in_bad
                         else FaultKind.ISL_RECOVER)
-                self._events.append(FaultEvent(i * step_s, kind, target))
+                self.add(FaultEvent(i * step_s, kind, target))
             if in_bad:
-                self._events.append(FaultEvent(
+                self.add(FaultEvent(
                     steps * step_s, FaultKind.ISL_RECOVER, target))
         return self
 
@@ -211,10 +211,8 @@ class FaultSchedule:
         """One regional-jammer on/off window."""
         if start_s < 0 or stop_s < start_s:
             raise ValueError("jamming window must satisfy 0 <= start <= stop")
-        self._events.append(FaultEvent(start_s, FaultKind.JAM_START,
-                                       attack=attack))
-        self._events.append(FaultEvent(stop_s, FaultKind.JAM_STOP,
-                                       attack=attack))
+        self.add(FaultEvent(start_s, FaultKind.JAM_START, attack=attack))
+        self.add(FaultEvent(stop_s, FaultKind.JAM_STOP, attack=attack))
         return self
 
     # -- handover storms (terminator-crossing churn) ----------------------------
@@ -241,10 +239,9 @@ class FaultSchedule:
         spacing = (stop_s - start_s) / len(sats)
         for index, sat in enumerate(sats):
             t_fail = start_s + index * spacing
-            self._events.append(FaultEvent(t_fail, FaultKind.SAT_FAIL,
-                                           (sat,)))
-            self._events.append(FaultEvent(t_fail + repair_delay_s,
-                                           FaultKind.SAT_RECOVER, (sat,)))
+            self.add(FaultEvent(t_fail, FaultKind.SAT_FAIL, (sat,)))
+            self.add(FaultEvent(t_fail + repair_delay_s,
+                                FaultKind.SAT_RECOVER, (sat,)))
         return self
 
     # -- regional ground-station outages ----------------------------------------
@@ -256,10 +253,8 @@ class FaultSchedule:
         if start_s < 0 or stop_s <= start_s:
             raise ValueError("outage window must satisfy 0 <= start < stop")
         for station in stations:
-            self._events.append(FaultEvent(start_s, FaultKind.GS_FAIL,
-                                           (int(station),)))
-            self._events.append(FaultEvent(stop_s, FaultKind.GS_RECOVER,
-                                           (int(station),)))
+            self.add(FaultEvent(start_s, FaultKind.GS_FAIL, (int(station),)))
+            self.add(FaultEvent(stop_s, FaultKind.GS_RECOVER, (int(station),)))
         return self
 
     # -- onboard-compute degradation ("From Earth to Space") ---------------------
@@ -281,10 +276,10 @@ class FaultSchedule:
         if not 0.0 < factor < 1.0:
             raise ValueError("capacity factor must be in (0, 1)")
         for sat in satellites:
-            self._events.append(FaultEvent(
+            self.add(FaultEvent(
                 start_s, FaultKind.COMPUTE_DEGRADE, (int(sat),),
                 factor=factor))
-            self._events.append(FaultEvent(
+            self.add(FaultEvent(
                 stop_s, FaultKind.COMPUTE_RESTORE, (int(sat),)))
         return self
 
@@ -294,9 +289,6 @@ class FaultSchedule:
         """All events in deterministic firing order."""
         return sorted(self._events,
                       key=lambda e: (e.time, e.kind.value, e.target))
-
-    def __len__(self) -> int:
-        return len(self._events)
 
 
 class ChaosController:

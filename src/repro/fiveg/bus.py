@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .messages import MessageTemplate, Role
+from .messages import MessageTemplate
 
 
 @dataclass(frozen=True)
@@ -20,22 +20,6 @@ class SentMessage:
 
     template: MessageTemplate
     procedure: str
-
-    @property
-    def src(self) -> Role:
-        return self.template.src
-
-    @property
-    def dst(self) -> Role:
-        return self.template.dst
-
-    @property
-    def size_bytes(self) -> int:
-        return self.template.size_bytes
-
-    @property
-    def carries_security(self) -> bool:
-        return self.template.carries_security
 
 
 class SignalingBus:

@@ -33,10 +33,6 @@ class Plmn:
         """32-bit encoding used as the address prefix (Fig. 15c)."""
         return self.mcc * 1000 + self.mnc
 
-    @classmethod
-    def decode(cls, value: int) -> "Plmn":
-        return cls(value // 1000, value % 1000)
-
 
 @dataclass(frozen=True)
 class Supi:

@@ -1,7 +1,7 @@
 """AMF: access and mobility management function.
 
 Owns UE registration contexts: identity, current tracking area, the
-NAS security context, and paging.  In the legacy architecture the AMF
+NAS security context.  In the legacy architecture the AMF
 also anchors the logical tracking area -- which is exactly what breaks
 when the AMF rides a satellite (S3.2, "moving service areas").
 """
@@ -25,7 +25,6 @@ class UeContext:
     tracking_area: Tuple[int, int]
     k_amf: bytes
     registered: bool = True
-    connected: bool = False
     session_ids: List[int] = field(default_factory=list)
 
 
@@ -40,7 +39,6 @@ class Amf:
         self._guti_allocator = GutiAllocator(plmn, amf_id, rng)
         self._contexts: Dict[str, UeContext] = {}
         self.registrations = 0
-        self.paging_requests = 0
 
     # -- registration (C1) ---------------------------------------------------
 
@@ -64,26 +62,3 @@ class Amf:
     def context(self, supi: Supi) -> Optional[UeContext]:
         """The registration context for a SUPI, if registered."""
         return self._contexts.get(str(supi))
-
-    # -- connection management -------------------------------------------------------
-
-    def connect(self, supi: Supi) -> None:
-        """Mark the UE's signaling connection active."""
-        self._require(supi).connected = True
-
-    def release(self, supi: Supi) -> None:
-        """Mark the UE's signaling connection idle."""
-        context = self._contexts.get(str(supi))
-        if context is not None:
-            context.connected = False
-
-    def page(self, supi: Supi) -> bool:
-        """Downlink-data paging trigger; True when the UE is known."""
-        self.paging_requests += 1
-        return str(supi) in self._contexts
-
-    def _require(self, supi: Supi) -> UeContext:
-        context = self._contexts.get(str(supi))
-        if context is None:
-            raise KeyError(f"no registered context for {supi}")
-        return context

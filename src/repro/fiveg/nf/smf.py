@@ -1,15 +1,14 @@
 """SMF: session management function.
 
 Creates PDU sessions: selects a UPF, allocates the UE's (geospatial)
-IP address, installs forwarding rules, and keeps the session context
-that handovers and mobility registrations update.
+IP address, installs forwarding rules, and keeps the session context.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ...geo.addressing import AddressAllocator, GeospatialAddress
 from ..identifiers import Supi
@@ -80,40 +79,4 @@ class Smf:
         upf.install_rule(context.tunnel_id, address.to_ipv6(), qos)
         self._sessions[context.session_id] = context
         self.sessions_created += 1
-        return context
-
-    def release_session(self, session_id: int) -> None:
-        """Release a PDU session and its forwarding rule (idempotent)."""
-        context = self._sessions.pop(session_id, None)
-        if context is None:
-            return
-        upf = self._upfs.get(context.upf_name)
-        if upf is not None:
-            upf.remove_rule(context.tunnel_id)
-
-    def session(self, session_id: int) -> Optional[SessionContext]:
-        """The session context by id, if it exists."""
-        return self._sessions.get(session_id)
-
-    @property
-    def session_count(self) -> int:
-        return len(self._sessions)
-
-    # -- mobility support (C3/C4) ---------------------------------------------------
-
-    def switch_path(self, session_id: int, new_upf_name: str
-                    ) -> SessionContext:
-        """P10: move a session's user plane to another UPF."""
-        context = self._sessions.get(session_id)
-        if context is None:
-            raise KeyError(f"unknown session {session_id}")
-        old_upf = self._upfs.get(context.upf_name)
-        new_upf = self._upfs.get(new_upf_name)
-        if new_upf is None:
-            raise KeyError(f"unknown UPF {new_upf_name}")
-        if old_upf is not None:
-            old_upf.remove_rule(context.tunnel_id)
-        new_upf.install_rule(context.tunnel_id, context.address.to_ipv6(),
-                             context.qos)
-        context.upf_name = new_upf_name
         return context

@@ -1,4 +1,4 @@
-"""Executable signaling procedures: C1-C4 of Fig. 9, plus SpaceCore C1.
+"""Executable signaling procedures: the legacy C1 of Fig. 9 and SpaceCore C1.
 
 Each procedure both *performs* the state operations on live network
 functions (so functional tests can verify carrier-grade behaviour) and
@@ -15,9 +15,7 @@ from ..crypto.group import SCHNORR_GROUP
 from .bus import SignalingBus
 from .core import CoreNetwork
 from .messages import (
-    HANDOVER_FLOW,
     INITIAL_REGISTRATION_FLOW,
-    SESSION_ESTABLISHMENT_FLOW,
     SPACECORE_INITIAL_REGISTRATION_FLOW,
     ProcedureKind,
 )
@@ -74,39 +72,6 @@ class ProcedureRunner:
                    ProcedureKind.INITIAL_REGISTRATION)
         return context
 
-    # -- C2: session establishment (Fig. 9b) -----------------------------------------
-
-    def establish_session(self, ue: UserEquipment, home_cell: CellId,
-                          ue_cell: CellId,
-                          prefer_anchor: bool = True) -> SessionContext:
-        """Create a PDU session through the (remote) home core."""
-        core = self.core
-        context = core.amf.context(ue.supi)
-        if context is None or not context.registered:
-            raise ProcedureError(f"{ue.supi} is not registered")
-        qos, billing = core.pcf.establish(core.udm.profile(ue.supi))
-        session = core.smf.create_session(ue.supi, home_cell, ue_cell,
-                                          qos, billing,
-                                          prefer_anchor=prefer_anchor)
-        context.session_ids.append(session.session_id)
-        core.amf.connect(ue.supi)
-        ue.ip_address = session.address.to_ipv6()
-        ue.connected = True
-        self._emit(SESSION_ESTABLISHMENT_FLOW,
-                   ProcedureKind.SESSION_ESTABLISHMENT)
-        return session
-
-    # -- C3: handover (Fig. 9c) ---------------------------------------------------------
-
-    def handover(self, ue: UserEquipment, session_id: int,
-                 target_upf_name: str) -> SessionContext:
-        """Move the user plane of one session to the target node."""
-        session = self.core.smf.session(session_id)
-        if session is None:
-            raise ProcedureError(f"unknown session {session_id}")
-        moved = self.core.smf.switch_path(session_id, target_upf_name)
-        self._emit(HANDOVER_FLOW, ProcedureKind.HANDOVER)
-        return moved
 
 class SpaceCoreRegistrar(ProcedureRunner):
     """C1 as SpaceCore extends it: same flow, plus state delegation.

@@ -152,7 +152,3 @@ class SessionState:
             version=raw["version"],
             ttl_s=raw["ttl_s"],
         )
-
-    def size_bytes(self) -> int:
-        """Serialized size of the bundle (wire/pigback accounting)."""
-        return len(self.to_bytes())

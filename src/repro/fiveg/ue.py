@@ -35,31 +35,6 @@ class StateReplica:
         """Approximate wire size of the replica blob."""
         return self.ciphertext.size_bytes() + 128
 
-    def to_bytes(self) -> bytes:
-        """Wire encoding for piggybacking over AT commands / GTP-U."""
-        import json
-        document = {
-            "ciphertext": self.ciphertext.to_bytes().hex(),
-            "signature": list(self.signature),
-            "version": self.version,
-            "issued_at": self.issued_at,
-        }
-        return json.dumps(document, sort_keys=True,
-                          separators=(",", ":")).encode()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "StateReplica":
-        import json
-        from ..crypto.abe import AbeCiphertext
-        document = json.loads(data.decode())
-        return cls(
-            ciphertext=AbeCiphertext.from_bytes(
-                bytes.fromhex(document["ciphertext"])),
-            signature=tuple(document["signature"]),
-            version=document["version"],
-            issued_at=document["issued_at"],
-        )
-
 
 class UserEquipment:
     """A terminal with a SIM and an optional SpaceCore proxy."""

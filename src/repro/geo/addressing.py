@@ -71,10 +71,6 @@ class GeospatialAddress:
                 | (_pack_cell(self.ue_cell) << 32)
                 | self.ue_suffix)
 
-    def to_bytes(self) -> bytes:
-        """The address as 16 big-endian bytes."""
-        return self.to_int().to_bytes(16, "big")
-
     def to_ipv6(self) -> str:
         """Render as an IPv6 literal (the natural deployment vehicle)."""
         return str(ipaddress.IPv6Address(self.to_int()))
@@ -89,12 +85,6 @@ class GeospatialAddress:
             ue_cell=_unpack_cell((value >> 32) & _WORD_MAX),
             ue_suffix=value & _WORD_MAX,
         )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "GeospatialAddress":
-        if len(data) != 16:
-            raise ValueError("address must be exactly 16 bytes")
-        return cls.from_int(int.from_bytes(data, "big"))
 
     @classmethod
     def from_ipv6(cls, literal: str) -> "GeospatialAddress":

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from ..constants import EARTH_RADIUS_KM, TWO_PI
 from ..orbits.constellation import Constellation
@@ -121,16 +121,6 @@ class GeospatialCellGrid:
         gamma = (row % self.num_rows) * self.delta_gamma
         return self.system.to_geodetic(alpha, gamma)
 
-    def neighbors(self, cell: CellId) -> List[CellId]:
-        """The four torus neighbours of a cell."""
-        col, row = cell
-        return [
-            ((col + 1) % self.num_columns, row),
-            ((col - 1) % self.num_columns, row),
-            (col, (row + 1) % self.num_rows),
-            (col, (row - 1) % self.num_rows),
-        ]
-
     def analytic_cell_area_km2(self, cell: CellId) -> float:
         """First-order area of one cell from the coordinate Jacobian.
 
@@ -143,8 +133,9 @@ class GeospatialCellGrid:
         """
         _, row = cell
         gamma = (row % self.num_rows) * self.delta_gamma
-        return self.system.angular_cell_area(
-            self.delta_alpha, self.delta_gamma, gamma, EARTH_RADIUS_KM)
+        jacobian = math.sin(self.system.inclination) * abs(math.cos(gamma))
+        return (EARTH_RADIUS_KM * EARTH_RADIUS_KM * jacobian
+                * self.delta_alpha * self.delta_gamma)
 
     def cell_size_statistics(self, samples: int = 40000,
                              seed: int = 7) -> CellStatistics:

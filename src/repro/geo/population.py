@@ -7,20 +7,16 @@ regions: each region is a (latitude, longitude) box carrying a share of
 the global subscriber base proportional to the World Bank 2019 totals
 (Asia dominates, then Africa/Europe/Americas, oceans empty).
 
-The model answers the two questions the experiments ask:
-
-* sample N UE positions (for emulation), and
-* how many users fall inside a satellite footprint at a given
-  sub-satellite point (for analytic signaling loads and the Fig. 12
-  temporal sweep).
+The model answers the question the experiments ask: how many users
+fall inside a satellite footprint at a given sub-satellite point (for
+analytic signaling loads and the Fig. 12 temporal sweep).
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..constants import EARTH_RADIUS_KM
 
@@ -85,37 +81,6 @@ class PopulationGrid:
         self.regions: List[Region] = list(regions)
         self.total_subscribers = total_subscribers
         self._normalized = [r.weight / total_weight for r in self.regions]
-
-    # -- sampling ----------------------------------------------------------------
-
-    def sample(self, count: int,
-               rng: Optional[random.Random] = None
-               ) -> List[Tuple[float, float]]:
-        """Draw ``count`` UE positions (lat, lon in radians)."""
-        rng = rng or random.Random(0)
-        positions = []
-        for _ in range(count):
-            region = rng.choices(self.regions, weights=self._normalized)[0]
-            positions.append(self._sample_in_region(region, rng))
-        return positions
-
-    @staticmethod
-    def _sample_in_region(region: Region,
-                          rng: random.Random) -> Tuple[float, float]:
-        """Area-uniform sample inside one box (sin-latitude uniform)."""
-        s1 = math.sin(math.radians(region.lat_min_deg))
-        s2 = math.sin(math.radians(region.lat_max_deg))
-        lat = math.asin(rng.uniform(s1, s2))
-        if region.lon_min_deg <= region.lon_max_deg:
-            lon = math.radians(rng.uniform(region.lon_min_deg,
-                                           region.lon_max_deg))
-        else:
-            span = 360.0 - region.lon_min_deg + region.lon_max_deg
-            lon_deg = region.lon_min_deg + rng.uniform(0.0, span)
-            if lon_deg > 180.0:
-                lon_deg -= 360.0
-            lon = math.radians(lon_deg)
-        return lat, lon
 
     # -- density -----------------------------------------------------------------
 

@@ -121,10 +121,6 @@ class CpuBreakdown:
     def total_percent(self) -> float:
         return min(100.0, sum(self.by_function.values()))
 
-    @property
-    def saturated(self) -> bool:
-        return sum(self.by_function.values()) >= 100.0
-
 
 def cpu_breakdown(platform: HardwarePlatform, rate_per_s: float,
                   flow: Iterable[MessageTemplate],

@@ -97,10 +97,6 @@ class Gauge:
         """Replace the current level."""
         self.value = value
 
-    def add(self, delta: Scalar) -> None:
-        """Shift the current level by ``delta`` (either sign)."""
-        self.value += delta
-
 
 class Histogram:
     """Fixed-bucket distribution: counts per bound plus sum/count.

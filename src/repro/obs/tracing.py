@@ -6,11 +6,9 @@ this repo always ``lambda: sim.now`` of a
 trace is as reproducible as the run that produced it: the same seeded
 experiment yields a byte-identical JSONL export.
 
-Three entry points cover the instrumented layers:
+Two entry points cover the instrumented layers:
 
 * :meth:`Tracer.event` -- an instantaneous mark (a fault firing);
-* :meth:`Tracer.span` -- a context manager for work bracketed in
-  simulated time (an experiment phase);
 * :meth:`Tracer.record` -- an explicit interval for procedures whose
   simulated duration is known analytically (NAS timer expiries +
   backoff) rather than by clock advance.
@@ -21,10 +19,8 @@ so the export never depends on repr() details of live objects.
 
 from __future__ import annotations
 
-import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 
 def _jsonable(value: Any) -> Any:
@@ -46,10 +42,6 @@ class SpanRecord:
     start_s: float
     end_s: float
     attrs: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
 
     def to_dict(self) -> Dict[str, Any]:
         """The JSONL line payload (plain dict, sorted attrs)."""
@@ -77,11 +69,6 @@ class Tracer:
             clock if clock is not None else (lambda: 0.0))
         self.records: List[SpanRecord] = []
 
-    @property
-    def now(self) -> float:
-        """What the injected clock currently reads."""
-        return self._clock()
-
     # -- recording ----------------------------------------------------------------
 
     def event(self, name: str, **attrs: Any) -> SpanRecord:
@@ -99,36 +86,8 @@ class Tracer:
         self.records.append(span)
         return span
 
-    @contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[SpanRecord]:
-        """Bracket a block in simulated time.
-
-        The record is appended on *entry* (trace order follows start
-        order, matching event scheduling order) and its ``end_s`` is
-        stamped on exit, after any attrs the block added.
-        """
-        span = SpanRecord(name, self._clock(), self._clock(),
-                          {k: _jsonable(v) for k, v in attrs.items()})
-        self.records.append(span)
-        try:
-            yield span
-        finally:
-            span.end_s = self._clock()
-            span.attrs = {k: _jsonable(v)
-                          for k, v in span.attrs.items()}
-
-    # -- reading / export ---------------------------------------------------------
+    # -- reading ----------------------------------------------------------------
 
     def to_dicts(self) -> List[Dict[str, Any]]:
         """Every record as a plain dict, in recording order."""
         return [span.to_dict() for span in self.records]
-
-    def export_jsonl(self) -> str:
-        """The canonical byte-stable JSONL form (one span per line)."""
-        return "".join(json.dumps(payload, sort_keys=True) + "\n"
-                       for payload in self.to_dicts())
-
-    def write_jsonl(self, path: str) -> None:
-        """Write the JSONL export to ``path``."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.export_jsonl())

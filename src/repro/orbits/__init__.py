@@ -22,7 +22,6 @@ from .coverage import (
     footprint_radius_km,
     mean_dwell_time_s,
     serving_satellite,
-    visible_satellites,
 )
 from .groundstations import (
     GroundStation,
@@ -39,7 +38,6 @@ from .snapshot import (
     ConstellationSnapshot,
     clear_snapshot_cache,
     serving_over_times,
-    serving_satellites,
     snapshot_cache_info,
     snapshot_for,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "footprint_area_km2",
     "mean_dwell_time_s",
     "serving_satellite",
-    "visible_satellites",
     "GroundStation",
     "default_ground_stations",
     "nearest_station",
@@ -72,6 +69,5 @@ __all__ = [
     "snapshot_for",
     "clear_snapshot_cache",
     "snapshot_cache_info",
-    "serving_satellites",
     "serving_over_times",
 ]

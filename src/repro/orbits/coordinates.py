@@ -91,16 +91,6 @@ def ecef_to_geodetic(position: Vec3) -> Tuple[float, float]:
     return lat, lon
 
 
-def geodetic_to_ecef(lat: float, lon: float, radius: float) -> Vec3:
-    """(latitude, longitude) in radians -> Earth-fixed Cartesian."""
-    cos_lat = math.cos(lat)
-    return (
-        radius * cos_lat * math.cos(lon),
-        radius * cos_lat * math.sin(lon),
-        radius * math.sin(lat),
-    )
-
-
 def central_angle(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Central angle between two points on the sphere (haversine form)."""
     dlat = lat2 - lat1
@@ -109,21 +99,6 @@ def central_angle(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
          + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2)
     h = min(1.0, max(0.0, h))
     return 2.0 * math.asin(math.sqrt(h))
-
-
-def norm3(v: Vec3) -> float:
-    """Norm3."""
-    return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
-
-
-def sub3(a: Vec3, b: Vec3) -> Vec3:
-    """Sub3."""
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def distance3(a: Vec3, b: Vec3) -> float:
-    """Distance3."""
-    return norm3(sub3(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -203,18 +178,3 @@ class InclinedCoordinateSystem:
         gamma = math.pi - ascending[1]
         dlon = math.atan2(self._cos_i * math.sin(gamma), math.cos(gamma))
         return [ascending, (wrap_angle(lon - dlon), gamma)]
-
-    def angular_cell_area(self, alpha_width: float, gamma_width: float,
-                          gamma_center: float, radius: float) -> float:
-        """Spherical area of an (alpha, gamma) cell centred at gamma.
-
-        The Jacobian of the (alpha, gamma) -> (lat, lon) map is
-        ``|d(lat,lon)/d(alpha,gamma)| = sin(i) * cos(gamma) / cos(lat)``
-        so the area element on the sphere,
-        ``R^2 cos(lat) dlat dlon``, becomes
-        ``dA = R^2 * sin(i) * |cos(gamma)| * dalpha dgamma``:
-        cells are largest at the equator crossings and shrink towards
-        the orbit's turn points.
-        """
-        jac = self._sin_i * abs(math.cos(gamma_center))
-        return radius * radius * jac * alpha_width * gamma_width

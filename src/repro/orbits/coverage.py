@@ -14,7 +14,7 @@ coverage figure (S3.2).
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Optional
 
 from ..constants import EARTH_RADIUS_KM
 from .constellation import Constellation
@@ -59,15 +59,6 @@ def mean_dwell_time_s(constellation: Constellation,
     track_rate = constellation.mean_motion
     max_pass = 2.0 * theta / track_rate
     return (math.pi / 4.0) * max_pass
-
-
-def visible_satellites(propagator: IdealPropagator, t: float,
-                       ue_lat: float, ue_lon: float,
-                       min_elevation_deg: Optional[float] = None
-                       ) -> List[int]:
-    """Flat indices of all satellites covering ``(ue_lat, ue_lon)`` at t."""
-    return list(snapshot_for(propagator, t).visible_satellites(
-        ue_lat, ue_lon, min_elevation_deg))
 
 
 def serving_satellite(propagator: IdealPropagator, t: float,

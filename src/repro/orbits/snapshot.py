@@ -169,9 +169,12 @@ class ConstellationSnapshot:
 
     # -- batch of ground points (M users x N satellites) ---------------------
 
-    def central_angle_matrix(self, lats: np.ndarray,
-                             lons: np.ndarray) -> np.ndarray:
-        """Haversine matrix, shape ``(M, N)``, in one broadcast."""
+    def serving_satellites(self, lats: np.ndarray, lons: np.ndarray,
+                           min_elevation_deg: Optional[float] = None
+                           ) -> np.ndarray:
+        """Serving satellite per user, shape ``(M,)`` (-1 = uncovered),
+        from one ``(M, N)`` haversine broadcast."""
+        theta = _cap_angle(self.constellation, min_elevation_deg)
         lats = np.asarray(lats, dtype=float)
         lons = np.asarray(lons, dtype=float)
         subs = self.subpoints
@@ -180,14 +183,7 @@ class ConstellationSnapshot:
         h = (np.sin(dlat / 2.0) ** 2
              + np.cos(subs[None, :, 0]) * np.cos(lats)[:, None]
              * np.sin(dlon / 2.0) ** 2)
-        return 2.0 * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
-
-    def serving_satellites(self, lats: np.ndarray, lons: np.ndarray,
-                           min_elevation_deg: Optional[float] = None
-                           ) -> np.ndarray:
-        """Serving satellite per user, shape ``(M,)`` (-1 = uncovered)."""
-        theta = _cap_angle(self.constellation, min_elevation_deg)
-        ang = self.central_angle_matrix(lats, lons)
+        ang = 2.0 * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
         best = np.argmin(ang, axis=1)
         covered = ang[np.arange(ang.shape[0]), best] <= theta
         return np.where(covered, best, -1)
@@ -337,23 +333,6 @@ def clear_snapshot_cache() -> None:
 def snapshot_cache_info() -> Tuple[int, int, int]:
     """``(hits, misses, current_size)`` of the snapshot cache."""
     return _hits, _misses, len(_cache)
-
-
-# -- module-level batch API (the issue's entry points) -----------------------
-
-def central_angles(propagator: IdealPropagator, t: float,
-                   lat: float, lon: float) -> np.ndarray:
-    """Central angles from all satellites to one ground point at t."""
-    return snapshot_for(propagator, t).central_angles(lat, lon)
-
-
-def serving_satellites(propagator: IdealPropagator, t: float,
-                       lats: np.ndarray, lons: np.ndarray,
-                       min_elevation_deg: Optional[float] = None
-                       ) -> np.ndarray:
-    """Serving satellite for a batch of users at one epoch."""
-    return snapshot_for(propagator, t).serving_satellites(
-        lats, lons, min_elevation_deg)
 
 
 # ---------------------------------------------------------------------------

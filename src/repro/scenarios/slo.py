@@ -106,14 +106,6 @@ class SLOReport:
         return max((c.verdict for c in self.checks),
                    key=lambda v: _SEVERITY[v])
 
-    @property
-    def failed(self) -> List[SLOCheck]:
-        return [c for c in self.checks if c.verdict == FAIL]
-
-    @property
-    def degraded(self) -> List[SLOCheck]:
-        return [c for c in self.checks if c.verdict == DEGRADED]
-
     def to_json(self) -> Dict:
         """JSON-ready report: overall verdict plus every check."""
         return {

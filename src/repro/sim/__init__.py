@@ -1,9 +1,9 @@
 """Discrete-event simulation: engine, live emulation, packet forwarding."""
 
 from .emulation import CohortEmulation, EmulationStats, NeighborhoodEmulation
-from .engine import EventHandle, Simulator
+from .engine import Simulator
 from .packets import PacketRecord, PacketSimulation
 
 __all__ = ["CohortEmulation", "EmulationStats", "NeighborhoodEmulation",
-           "EventHandle", "Simulator", "PacketRecord",
+           "Simulator", "PacketRecord",
            "PacketSimulation"]

@@ -20,30 +20,8 @@ from ..obs.metrics import MetricsRegistry
 class _QueuedEvent:
     time: float
     seq: int
-    handle: "EventHandle" = field(compare=False)
-
-
-class EventHandle:
-    """A scheduled event; cancellable until it fires."""
-
-    __slots__ = ("callback", "args", "cancelled", "time", "fired", "_sim")
-
-    def __init__(self, time: float, callback: Callable, args: Tuple,
-                 sim: "Optional[Simulator]" = None):
-        self.time = time
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.fired = False
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (no-op if already fired)."""
-        if self.cancelled or self.fired:
-            return
-        self.cancelled = True
-        if self._sim is not None and self._sim._metrics is not None:
-            self._sim._metrics.counter("sim.events_cancelled").inc()
+    callback: Callable = field(compare=False)
+    args: Tuple = field(compare=False)
 
 
 class Simulator:
@@ -51,8 +29,8 @@ class Simulator:
 
     >>> sim = Simulator()
     >>> fired = []
-    >>> _ = sim.schedule(5.0, fired.append, "a")
-    >>> _ = sim.schedule(1.0, fired.append, "b")
+    >>> sim.schedule(5.0, fired.append, "a")
+    >>> sim.schedule(1.0, fired.append, "b")
     >>> sim.run()
     >>> fired
     ['b', 'a']
@@ -71,7 +49,7 @@ class Simulator:
     def attach_metrics(self, registry: MetricsRegistry) -> None:
         """Instrument the event loop with ``sim.*`` series.
 
-        Counters track scheduled / processed / cancelled events and
+        Counters track scheduled / processed events and
         the ``sim.time_s`` gauge follows the simulated clock -- all
         derived from simulated quantities, never the wall clock, so
         snapshots stay bit-reproducible.
@@ -86,42 +64,37 @@ class Simulator:
     # -- scheduling --------------------------------------------------------------
 
     def schedule(self, delay: float, callback: Callable,
-                 *args: Any) -> EventHandle:
+                 *args: Any) -> None:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise ValueError("cannot schedule into the past")
-        return self.schedule_at(self._now + delay, callback, *args)
+        self.schedule_at(self._now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callable,
-                    *args: Any) -> EventHandle:
+                    *args: Any) -> None:
         """Run ``callback(*args)`` at absolute simulated ``time``."""
         if time < self._now:
             raise ValueError(
                 f"cannot schedule at {time} before now={self._now}")
-        handle = EventHandle(time, callback, args, self)
-        heapq.heappush(self._queue,
-                       _QueuedEvent(time, next(self._seq), handle))
+        heapq.heappush(self._queue, _QueuedEvent(
+            time, next(self._seq), callback, args))
         if self._metrics is not None:
             self._metrics.counter("sim.events_scheduled").inc()
-        return handle
 
     # -- execution ---------------------------------------------------------------
 
     def step(self) -> bool:
         """Process one event; returns False when the queue is empty."""
-        while self._queue:
-            entry = heapq.heappop(self._queue)
-            if entry.handle.cancelled:
-                continue
-            entry.handle.fired = True
-            self._now = entry.time
-            entry.handle.callback(*entry.handle.args)
-            self.events_processed += 1
-            if self._metrics is not None:
-                self._metrics.counter("sim.events_processed").inc()
-                self._metrics.gauge("sim.time_s").set(self._now)
-            return True
-        return False
+        if not self._queue:
+            return False
+        entry = heapq.heappop(self._queue)
+        self._now = entry.time
+        entry.callback(*entry.args)
+        self.events_processed += 1
+        if self._metrics is not None:
+            self._metrics.counter("sim.events_processed").inc()
+            self._metrics.gauge("sim.time_s").set(self._now)
+        return True
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
@@ -137,14 +110,10 @@ class Simulator:
             if max_events is not None and processed >= max_events:
                 return
             head = self._queue[0]
-            if head.handle.cancelled:
-                heapq.heappop(self._queue)
-                continue
             if until is not None and head.time > until:
                 self._now = until
                 return
-            if not self.step():
-                break
+            self.step()
             processed += 1
         if until is not None and self._now < until:
             self._now = until

@@ -14,11 +14,10 @@ hands over the prefix it walked (moves, delay, distance), which is the
 reference walk's own prefix bit for bit, so only the hops from the
 flag on run in Python.  On a host without the compiled walk (no C
 compiler, failed build, ``REPRO_NO_CKERNEL``) the whole wave takes the
-reference walk from the source.  Either way
-``route_batch(...).results()`` is
-element-for-element identical (paths, verdicts, delays, distances) to
-calling ``GeospatialRouter.route`` in a loop, which is what the
-equivalence suite asserts on both lanes.
+reference walk from the source.  Either way each packet's
+``route_batch(...).result(i)`` is identical (path, verdict, delay,
+distance) to ``GeospatialRouter.route`` on that packet, which is what
+the equivalence suite asserts on both lanes.
 
 ``BatchRouteResult.fallback[i]`` means one thing on both lanes: packet
 ``i`` left Algorithm 1's preferred direction (centered but uncovered,
@@ -106,6 +105,7 @@ from .routing import (
     SOURCE_CONTRACT,
     GeospatialRouter,
     RouteResult,
+    check_epoch,
 )
 
 __all__ = [
@@ -282,10 +282,6 @@ class BatchRouteResult:
             distance_km=float(self.distance_km[index]),
             degraded=bool(self.degraded[index]))
 
-    def results(self) -> List[RouteResult]:
-        """Materialise the whole batch (equivalence tests, small runs)."""
-        return [self.result(i) for i in range(len(self))]
-
 
 def _ptr(array: np.ndarray) -> ctypes.c_void_p:
     """The data pointer of a contiguous array, for the compiled walk."""
@@ -410,18 +406,6 @@ class BatchGeoRouter:
             raise ValueError(SOURCE_CONTRACT)
         return np.ascontiguousarray(raw, dtype=np.int64)
 
-    # -- scalar delegation ----------------------------------------------------
-
-    def route(self, src_sat: int, dest_lat: float, dest_lon: float,
-              t: float,
-              avoid_links: Optional[Set[FrozenSet[int]]] = None
-              ) -> RouteResult:
-        """Single-packet routing (delegates to the scalar reference)."""
-        result = self.scalar.route(src_sat, dest_lat, dest_lon, t,
-                                   avoid_links=avoid_links)
-        self._count("routing.packets", plane="scalar")
-        return result
-
     # -- the batch walk --------------------------------------------------------
 
     def route_batch(self, src_sats: Sequence[int],
@@ -452,8 +436,7 @@ class BatchGeoRouter:
             raise ValueError("src/dest arrays must share one (N,) shape")
         n = src.shape[0]
         _check_destinations(dlat, dlon)
-        if not math.isfinite(t):
-            raise ValueError(f"{EPOCH_CONTRACT}: got {t!r}")
+        check_epoch(t)
         self._count("routing.batches")
         self._count("routing.packets", n, plane="batch")
         if self.metrics is not None:

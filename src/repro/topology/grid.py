@@ -20,9 +20,8 @@ from typing import (TYPE_CHECKING, Dict, FrozenSet, List, Optional,
 
 import numpy as np
 
-from ..constants import EARTH_RADIUS_KM, SPEED_OF_LIGHT_KM_S
+from ..constants import SPEED_OF_LIGHT_KM_S
 from ..orbits.constellation import Constellation
-from ..orbits.coordinates import distance3, geodetic_to_ecef
 from ..orbits.coverage import coverage_half_angle
 from ..orbits.groundstations import GroundStation
 from ..orbits.propagator import IdealPropagator
@@ -256,11 +255,6 @@ class GridTopology:
 
     # -- geometry ---------------------------------------------------------------
 
-    def sat_position(self, sat: int, t: float) -> Tuple[float, float, float]:
-        """Earth-fixed Cartesian position of a satellite at t (km)."""
-        pos = snapshot_for(self.propagator, t).positions_ecef[sat]
-        return (float(pos[0]), float(pos[1]), float(pos[2]))
-
     def isl_distance_km(self, sat_a: int, sat_b: int, t: float) -> float:
         """Length (km) of the ISL between two +Grid neighbours at t.
 
@@ -282,13 +276,6 @@ class GridTopology:
     def isl_delay_s(self, sat_a: int, sat_b: int, t: float) -> float:
         """One-way propagation delay over an ISL (s)."""
         return propagation_delay_s(self.isl_distance_km(sat_a, sat_b, t))
-
-    def gsl_delay_s(self, sat: int, station: GroundStation,
-                    t: float) -> float:
-        """One-way propagation delay of a ground-space link (s)."""
-        sat_pos = self.sat_position(sat, t)
-        gs_pos = geodetic_to_ecef(station.lat, station.lon, EARTH_RADIUS_KM)
-        return propagation_delay_s(distance3(sat_pos, gs_pos))
 
     # -- ground-station attachment -----------------------------------------------
 
@@ -330,15 +317,16 @@ class GridTopology:
 
     # -- graph snapshot ------------------------------------------------------------
 
-    def snapshot_graph(self, t: float,
-                       include_ground: bool = True) -> nx.Graph:
-        """A weighted (propagation-delay) graph of the live topology at t.
+    def snapshot_graph(self, t: float) -> nx.Graph:
+        """A weighted (propagation-delay) graph of the live satellites at t.
 
         Used by the chaos experiment's stateful baseline (reachability
         under failure injection) and, in the tests, as the networkx
         oracle for :meth:`delay_adjacency`.  A view of the arrays the
         batch plane routes on: the live ``(up, right)`` edge list of
         :meth:`delay_adjacency`, with its ``hop_lengths_km`` lengths.
+        Gateways are not nodes: :meth:`gateway_access_satellites` is
+        their attachment.
         """
         # Function-local: a process that never builds a graph does not
         # pay for importing networkx.
@@ -352,19 +340,19 @@ class GridTopology:
             for a, b, w, d in zip(src.tolist(), dst.tolist(),
                                   (dist / SPEED_OF_LIGHT_KM_S).tolist(),
                                   dist.tolist()))
-        if include_ground:
-            for gs, access in self.gateway_access_satellites(t):
-                delay = self.gsl_delay_s(access, gs, t)
-                graph.add_edge(gs.name, access, weight=delay,
-                               distance_km=delay * SPEED_OF_LIGHT_KM_S)
         return graph
 
 
+def is_index(value: object) -> bool:
+    """Whether ``value`` has an index's type: an ``int`` or NumPy
+    integer, never a bool or a float."""
+    return isinstance(value, (int, np.integer)) \
+        and not isinstance(value, bool)
+
+
 def _check_index(index: int, bound: int, what: str) -> int:
-    """``index`` as a plain int if it is an integer in ``[0, bound)``
-    (never a bool or a float), else ``ValueError``."""
-    if isinstance(index, (bool, np.bool_)) \
-            or not isinstance(index, (int, np.integer)) \
-            or not 0 <= index < bound:
+    """``index`` as a plain int if it :func:`is_index` in
+    ``[0, bound)``, else ``ValueError``."""
+    if not is_index(index) or not 0 <= index < bound:
         raise ValueError(f"no {what} with index {index!r}")
     return int(index)

@@ -23,14 +23,14 @@ from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..constants import HALF_PI, SPEED_OF_LIGHT_KM_S, TWO_PI
-from ..orbits.coordinates import InclinedCoordinateSystem, central_angle
+from ..orbits.coordinates import InclinedCoordinateSystem
 from ..orbits.coverage import coverage_half_angle
 from ..orbits.snapshot import (
     ConstellationSnapshot,
     grid_neighbor_table,
     snapshot_for,
 )
-from .grid import GridTopology
+from .grid import GridTopology, is_index
 
 #: Hop budget of the relay pipeline (Fig. 18b and every consumer that
 #: routes across an orbital period).  Long detours on the large shells
@@ -57,6 +57,12 @@ SOURCE_CONTRACT = ("source satellite index out of range: need an "
 #: number of seconds (a NaN epoch would otherwise compare its way to
 #: "delivered in 0 hops").
 EPOCH_CONTRACT = "route epoch t must be finite seconds"
+
+
+def check_epoch(t: float) -> None:
+    """``ValueError`` unless ``t`` meets :data:`EPOCH_CONTRACT`."""
+    if not math.isfinite(t):
+        raise ValueError(f"{EPOCH_CONTRACT}: got {t!r}")
 
 @dataclass
 class RouteResult:
@@ -109,14 +115,6 @@ class GeospatialRouter:
         """The cached epoch snapshot every per-hop read indexes into."""
         return snapshot_for(self.topology.propagator, t)
 
-    def covers(self, sat: int, dest_lat: float, dest_lon: float,
-               t: float) -> bool:
-        """Line 1-2 of Algorithm 1: does this satellite cover D?"""
-        sub = self._snapshot(t).subpoints
-        return (central_angle(sub.item(sat, 0), sub.item(sat, 1),
-                              dest_lat, dest_lon)
-                <= self.coverage_angle)
-
     # -- end-to-end ---------------------------------------------------------------
 
     def route(self, src_sat: int, dest_lat: float, dest_lon: float,
@@ -146,14 +144,12 @@ class GeospatialRouter:
         route bit for bit.  The batch plane passes the compiled walk's
         prefix of a packet it flagged.
         """
-        if not (isinstance(src_sat, (int, np.integer))
-                and 0 <= src_sat < self._total):
+        if not (is_index(src_sat) and 0 <= src_sat < self._total):
             raise ValueError(f"{SOURCE_CONTRACT}: got {src_sat!r}")
         if not (math.isfinite(dest_lon) and abs(dest_lat) <= HALF_PI):
             raise ValueError(
                 f"{DESTINATION_CONTRACT}: got ({dest_lat!r}, {dest_lon!r})")
-        if not math.isfinite(t):
-            raise ValueError(f"{EPOCH_CONTRACT}: got {t!r}")
+        check_epoch(t)
         src_sat = int(src_sat)
         if walked is None:
             walked = RouteResult(False, [src_sat])
@@ -307,10 +303,6 @@ class DijkstraRouter:
     def __init__(self, topology: GridTopology):
         self.topology = topology
 
-    def route(self, src_sat: int, dst_sat: int, t: float) -> RouteResult:
-        """Shortest path between two satellites at ``t``."""
-        return self.route_many([src_sat], [dst_sat], t)[0]
-
     def route_many(self, src_sats: Sequence[int],
                    dst_sats: Sequence[int], t: float) -> List[RouteResult]:
         """Shortest paths for ``(src, dst)`` satellite pairs in bulk.
@@ -318,7 +310,10 @@ class DijkstraRouter:
         One multi-source ``csgraph.dijkstra`` run per unique source
         over the sparse +Grid adjacency; each pair's path is rebuilt
         from the predecessor matrix, so pairs sharing a source share
-        the search.  Dead and out-of-range endpoints are undelivered.
+        the search.  Dead and out-of-range endpoints are undelivered;
+        an endpoint that is not an integer (a float, a bool) raises
+        ``ValueError`` with :data:`SOURCE_CONTRACT`, and an epoch
+        outside :data:`EPOCH_CONTRACT` raises too.
         ``delay_s`` equals a textbook Dijkstra over ``snapshot_graph``
         bit for bit (same ``hop_lengths_km`` / c weights, summed
         source to destination); between routes tied in exact arithmetic
@@ -326,6 +321,10 @@ class DijkstraRouter:
         differ from another implementation's.
         """
         from scipy.sparse.csgraph import dijkstra
+        for sat in (*src_sats, *dst_sats):
+            if not is_index(sat):
+                raise ValueError(f"{SOURCE_CONTRACT}: got {sat!r}")
+        check_epoch(t)
         srcs = [int(s) for s in src_sats]
         dsts = [int(d) for d in dst_sats]
         if len(srcs) != len(dsts):

@@ -71,6 +71,7 @@ class TestStatelessnessRule:
         ("self._bearers = collections.defaultdict(list)", True),
         ("self._contexts = [c for c in peer]", True),
         ("self._paging: List[int] = peer.pages()", True),
+        ("self._paging: Deque[int] = peer.pages()", True),
         ("self.table: Dict[Supi, int] = peer.table()", True),
         ("self._ue_ctx = {}", True),
         ("self._paging = collections.deque()", True),

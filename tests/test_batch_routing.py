@@ -15,6 +15,7 @@ import ctypes
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -36,6 +37,7 @@ from repro.topology.grid import GridTopology
 from repro.topology.routing import (
     EPOCH_CONTRACT,
     RELAY_MAX_HOPS,
+    SOURCE_CONTRACT,
     DijkstraRouter,
     GeospatialRouter,
 )
@@ -346,7 +348,9 @@ class TestBatchRouterMechanics:
         for i in range(len(after)):
             assert victim not in after.path(i)[1:]
         topo.recover_satellite(victim)
-        assert wave().results() == before.results()
+        again = wave()
+        assert [again.result(i) for i in range(len(again))] \
+            == [before.result(i) for i in range(len(before))]
         counters = metrics.snapshot()["counters"]
         assert counters["routing.table_builds"] == 3
 
@@ -371,15 +375,6 @@ class TestBatchRouterMechanics:
         # Deterministic merge: two identical runs fold to doubled counts.
         merged = merge_snapshots([snap, run()])
         assert merged["counters"]["routing.batches"] == 4
-
-    def test_scalar_route_delegates(self):
-        topo = _topology("square")
-        router = BatchGeoRouter(topo)
-        reference = GeospatialRouter(topo)
-        result = router.route(3, 0.1, 0.2, 0.0)
-        expected = reference.route(3, 0.1, 0.2, 0.0)
-        assert result.path == expected.path
-        assert result.delay_s == expected.delay_s
 
     def test_rejects_mismatched_lengths(self):
         topo = _topology("square")
@@ -411,7 +406,6 @@ class TestBatchRouterMechanics:
         good = (3, 0.1, 0.2)
         calls = [
             lambda: router.scalar.route(5, lat, lon, 0.0),
-            lambda: router.route(5, lat, lon, 0.0),
             lambda: router.route_batch([good[0], 5], [good[1], lat],
                                        [good[2], lon], 0.0),
             lambda: router.route_sweep([good[0], 5], [good[1], lat],
@@ -441,7 +435,6 @@ class TestBatchRouterMechanics:
         router = BatchGeoRouter(topo, metrics=metrics)
         calls = [
             lambda: router.scalar.route(5, 0.3, 1.0, t),
-            lambda: router.route(5, 0.3, 1.0, t),
             lambda: router.route_batch([3, 5], [0.1, 0.3], [0.2, 1.0], t),
             lambda: router.route_sweep([3, 5], [0.1, 0.3], [0.2, 1.0],
                                        [0.0, t]),
@@ -866,11 +859,11 @@ class TestDijkstraBatchAndInvalidation:
         """
         topo = _topology("square")
         router = DijkstraRouter(topo)
-        first = router.route(0, 30, 0.0)
+        first, = router.route_many([0], [30], 0.0)
         assert first.delivered and len(first.path) > 2
         victim = first.path[1]
         topo.fail_satellite(victim)
-        rerouted = router.route(0, 30, 0.0)
+        rerouted, = router.route_many([0], [30], 0.0)
         assert rerouted.delivered
         assert victim not in rerouted.path
 
@@ -885,11 +878,39 @@ class TestDijkstraBatchAndInvalidation:
         dsts = [int(d) for d in rng.integers(0, total, 30)]
         many = router.route_many(srcs, dsts, 45.0)
         for result, s, d in zip(many, srcs, dsts):
-            single = router.route(s, d, 45.0)
+            single, = router.route_many([s], [d], 45.0)
             assert result.delivered == single.delivered
             if result.delivered:
                 assert abs(result.delay_s - single.delay_s) < 1e-12
                 assert len(result.path) == len(single.path)
+
+    @pytest.mark.parametrize("srcs, dsts, t, contract", [
+        pytest.param([2.5], [7], 0.0, SOURCE_CONTRACT, id="float-src"),
+        pytest.param([True], [7], 0.0, SOURCE_CONTRACT, id="bool-src"),
+        pytest.param([3], [7.0], 0.0, SOURCE_CONTRACT, id="float-dst"),
+        pytest.param([3], [False], 0.0, SOURCE_CONTRACT, id="bool-dst"),
+        pytest.param([3, np.float64(4.0)], [7, 8], 0.0, SOURCE_CONTRACT,
+                     id="numpy-float-src"),
+        pytest.param([3], [7], math.nan, EPOCH_CONTRACT, id="nan-t"),
+        pytest.param([3], [7], math.inf, EPOCH_CONTRACT, id="inf-t"),
+        pytest.param([], [], -math.inf, EPOCH_CONTRACT, id="empty-inf-t"),
+    ])
+    def test_route_many_refuses_what_is_not_an_index(self, srcs, dsts, t,
+                                                     contract):
+        """One ingress with the scalar walk: a float or bool endpoint
+        used to be truncated (2.5 routed from satellite 2, True from 1)
+        and a NaN epoch came back "undelivered" instead of raising."""
+        router = DijkstraRouter(_topology("square"))
+        with pytest.raises(ValueError, match=re.escape(contract)):
+            router.route_many(srcs, dsts, t)
+
+    def test_route_many_out_of_range_index_is_undelivered(self):
+        topo = _topology("square")
+        total = topo.constellation.total_satellites
+        router = DijkstraRouter(topo)
+        results = router.route_many([-1, total, 3, np.int64(3)],
+                                    [7, 7, total, 7], 0.0)
+        assert [r.delivered for r in results] == [False, False, False, True]
 
 
 class TestEpochSweepEquivalence:
@@ -960,7 +981,6 @@ class TestEpochSweepEquivalence:
         router = BatchGeoRouter(topo)
         swept = router.route_sweep([], [], [], [])
         assert len(swept) == 0
-        assert swept.results() == []
 
     def test_sweep_rejects_mismatched_ts(self):
         topo = _topology("square")

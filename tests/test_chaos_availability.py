@@ -92,7 +92,7 @@ def _has_path_reachable(topology, sat, t):
     every covered gateway's access satellite, one ``nx.has_path`` each
     -- reachability as the baseline computed it before component
     labels and the short-circuiting gateway scan."""
-    graph = topology.snapshot_graph(t, include_ground=False)
+    graph = topology.snapshot_graph(t)
     if sat < 0 or sat not in graph:
         return False
     sources = {access for _, access
@@ -204,7 +204,7 @@ def _labelled_baseline():
 
 def _labels(topology, t):
     return chaos_availability._component_labels(
-        topology.snapshot_graph(t, include_ground=False))
+        topology.snapshot_graph(t))
 
 
 def _isolate(topology, sat):
@@ -292,7 +292,7 @@ class TestGatewayReachableOnPartitions:
                 topology.fail_isl(sat, nbr)
                 cuts.append((sat, nbr))
             t = rng.uniform(0.0, 3600.0)
-            graph = topology.snapshot_graph(t, include_ground=False)
+            graph = topology.snapshot_graph(t)
             assert nx.number_connected_components(graph) >= 2
             labels = chaos_availability._component_labels(graph)
             probes = islands + rng.sample(range(total), 12) + [-1]

@@ -70,7 +70,7 @@ class TestFaultSchedule:
     def test_zero_hazard_schedules_nothing(self):
         schedule = FaultSchedule().add_satellite_decay(
             range(100), horizon_s=3600.0, monthly_hazard=0.0, seed=SEED)
-        assert len(schedule) == 0
+        assert schedule.events() == []
 
     def test_link_bursts_pair_up_and_close(self):
         links = [(0, 1), (4, 5), (100, 101)]
@@ -214,7 +214,7 @@ class TestJammingIdempotency:
         router = DijkstraRouter(topology)
         sat = attack.affected_satellites(topology, 0.0)[0]
         neighbor = next(iter(topology.isl_neighbors(sat)))
-        baseline = router.route(sat, neighbor, 0.0)
+        baseline, = router.route_many([sat], [neighbor], 0.0)
         assert baseline.path == [sat, neighbor]
         epochs = [topology.fault_epoch]
         for _ in range(3):
@@ -223,13 +223,13 @@ class TestJammingIdempotency:
             assert not topology.isl_up(sat, neighbor)
             # The router holds no liveness of its own: the post-jam
             # route must avoid the downed link, never be served stale.
-            jammed = router.route(sat, neighbor, 0.0)
+            jammed, = router.route_many([sat], [neighbor], 0.0)
             assert jammed.path != [sat, neighbor]
             assert not jammed.delivered or jammed.delay_s > baseline.delay_s
             attack.lift(topology, 0.0)
             epochs.append(topology.fault_epoch)
             assert topology.isl_up(sat, neighbor)
-            assert router.route(sat, neighbor, 0.0) == baseline
+            assert router.route_many([sat], [neighbor], 0.0) == [baseline]
         assert epochs == sorted(epochs)
 
     def test_double_apply_downs_nothing_new(self, topology):
@@ -393,11 +393,13 @@ class TestGroundStationFaults:
         assert gs_topology.fault_epoch == before
         assert _live_stations(gs_topology) == set(range(6))
 
-    def test_snapshot_graph_drops_dead_gateways(self, gs_topology):
+    def test_dead_gateway_has_no_access_satellite(self, gs_topology):
+        dead = gs_topology.ground_stations[0]
+        assert dead in {gs for gs, _ in
+                        gs_topology.gateway_access_satellites(0.0)}
         gs_topology.fail_ground_station(0)
-        name = gs_topology.ground_stations[0].name
-        graph = gs_topology.snapshot_graph(0.0, include_ground=True)
-        assert name not in graph
+        assert dead not in {gs for gs, _ in
+                            gs_topology.gateway_access_satellites(0.0)}
 
     def test_load_to_gateways_skips_dead_gateways(self, gs_topology):
         """Demand must not detour through a gateway that is offline:

@@ -60,12 +60,6 @@ class TestAccessTree:
         with pytest.raises(ValueError):
             Gate(1, ())
 
-    def test_describe(self):
-        policy = or_(and_(attr("a"), attr("b")),
-                     Gate(2, (attr("c"), attr("d"), attr("e"))))
-        text = policy.describe()
-        assert "OR" in text and "AND" in text and "2-of-3" in text
-
     def test_paper_example_policy(self):
         """S4.4's example: the UE itself, or a capable satellite."""
         policy = serving_satellite_policy()

@@ -5,7 +5,6 @@ import pytest
 from repro.fiveg import (
     MOBILITY_REGISTRATION_FLOW,
     CoreNetwork,
-    ProcedureError,
     ProcedureRunner,
     SessionState,
     SpaceCoreRegistrar,
@@ -105,43 +104,7 @@ class TestRegistration:
         assert ue.guti != first_guti
 
 
-class TestSessionEstablishment:
-    def test_session_through_anchor(self, registered):
-        core, ue, runner = registered
-        session = runner.establish_session(ue, (2, 2), (2, 2))
-        assert core.anchor_upf.session_count == 1
-        assert ue.ip_address == session.address.to_ipv6()
-
-    def test_requires_registration(self, core):
-        ue = core.provision_subscriber(2)
-        runner = ProcedureRunner(core)
-        with pytest.raises(ProcedureError):
-            runner.establish_session(ue, (0, 0), (0, 0))
-
-    def test_data_flows_after_establishment(self, registered):
-        core, ue, runner = registered
-        session = runner.establish_session(ue, (2, 2), (2, 2))
-        assert core.anchor_upf.forward_uplink(session.tunnel_id, 1200)
-
-    def test_geospatial_address_embeds_cell(self, registered):
-        from repro.geo import GeospatialAddress
-        core, ue, runner = registered
-        runner.establish_session(ue, home_cell=(2, 2), ue_cell=(7, 8))
-        address = GeospatialAddress.from_ipv6(ue.ip_address)
-        assert address.ue_cell == (7, 8)
-        assert address.home_cell == (2, 2)
-
-
-class TestHandoverAndMobility:
-    def test_handover_moves_user_plane(self, registered):
-        core, ue, runner = registered
-        edge = Upf("edge-upf")
-        core.smf.attach_upf(edge)
-        session = runner.establish_session(ue, (2, 2), (2, 2))
-        runner.handover(ue, session.session_id, "edge-upf")
-        assert edge.session_count == 1
-        assert core.anchor_upf.session_count == 0
-
+class TestMobility:
     def test_mobility_message_count(self):
         """Fig. 9d: the legacy mobility registration is 13 messages."""
         assert len(MOBILITY_REGISTRATION_FLOW) == 13

@@ -61,7 +61,7 @@ class TestSessionState:
 
     def test_serialised_size_reasonable(self):
         """The replica must fit in a piggybacked RRC message (~1 KB)."""
-        assert 200 < make_state().size_bytes() < 2000
+        assert 200 < len(make_state().to_bytes()) < 2000
 
 
 class TestLegacyFlows:

@@ -22,12 +22,6 @@ class TestEncoding:
         addr = make_address()
         assert GeospatialAddress.from_int(addr.to_int()) == addr
 
-    def test_bytes_roundtrip(self):
-        addr = make_address()
-        packed = addr.to_bytes()
-        assert len(packed) == 16
-        assert GeospatialAddress.from_bytes(packed) == addr
-
     def test_ipv6_roundtrip(self):
         addr = make_address()
         literal = addr.to_ipv6()
@@ -55,10 +49,6 @@ class TestEncoding:
             make_address(ue_suffix=-1)
         with pytest.raises(ValueError):
             make_address(ue_cell=(70000, 0))
-
-    def test_from_bytes_wrong_length(self):
-        with pytest.raises(ValueError):
-            GeospatialAddress.from_bytes(b"short")
 
     def test_from_int_range_check(self):
         with pytest.raises(ValueError):

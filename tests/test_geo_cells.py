@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.constants import EARTH_RADIUS_KM
 from repro.geo import GeospatialCellGrid
 from repro.orbits import iridium, kuiper, oneweb, starlink
 
@@ -20,14 +21,6 @@ class TestGridShape:
         assert grid.num_columns == 72
         assert grid.num_rows == 22
         assert grid.num_cells == 1584
-
-    def test_neighbors_wrap_torus(self, grid):
-        nbrs = grid.neighbors((0, 0))
-        assert (71, 0) in nbrs
-        assert (1, 0) in nbrs
-        assert (0, 21) in nbrs
-        assert (0, 1) in nbrs
-
 
 class TestPointAssignment:
     def test_assignment_is_deterministic(self, grid):
@@ -102,6 +95,25 @@ class TestCellAreas:
     def test_analytic_area_peaks_at_equator_row(self, grid):
         areas = [grid.analytic_cell_area_km2((0, r)) for r in range(22)]
         assert areas[0] == max(areas)
+
+    def test_analytic_area_scales_with_cos_gamma(self, grid):
+        """``dA = R^2 sin(i) |cos gamma| dalpha dgamma`` row by row."""
+        equator = grid.analytic_cell_area_km2((0, 0))
+        for row in range(grid.num_rows):
+            gamma = row * grid.delta_gamma
+            assert grid.analytic_cell_area_km2((0, row)) / equator \
+                == pytest.approx(abs(math.cos(gamma)))
+
+    def test_analytic_areas_cover_the_band_twice(self, grid):
+        """One ring of cells spans the whole (alpha, gamma) torus, which
+        maps onto the inclination band once per branch (ascending and
+        descending), so the areas sum to twice ``4 pi R^2 sin(i)``."""
+        ring = round(2 * math.pi / grid.delta_alpha)
+        total = ring * sum(grid.analytic_cell_area_km2((0, row))
+                           for row in range(grid.num_rows))
+        band = (4 * math.pi * EARTH_RADIUS_KM ** 2
+                * math.sin(math.radians(starlink().inclination_deg)))
+        assert total == pytest.approx(2 * band, rel=1e-2)
 
     @pytest.mark.parametrize("factory,lo,hi", [
         (starlink, 1e5, 1e6),

@@ -1,7 +1,6 @@
 """Tests for the global UE population model."""
 
 import math
-import random
 
 import pytest
 
@@ -42,27 +41,6 @@ class TestPopulationGrid:
     def test_rejects_empty_regions(self):
         with pytest.raises(ValueError):
             PopulationGrid(regions=[])
-
-    def test_sample_count(self):
-        ues = self.grid.sample(250, random.Random(1))
-        assert len(ues) == 250
-        for lat, lon in ues:
-            assert -math.pi / 2 <= lat <= math.pi / 2
-            assert -math.pi <= lon <= math.pi
-
-    def test_samples_avoid_open_ocean(self):
-        ues = self.grid.sample(300, random.Random(2))
-        on_land_boxes = sum(
-            any(r.contains(lat, lon) for r in WORLD_BANK_REGIONS)
-            for lat, lon in ues)
-        assert on_land_boxes == 300
-
-    def test_asia_dominates_samples(self):
-        ues = self.grid.sample(1000, random.Random(3))
-        asia = sum(1 for lat, lon in ues
-                   if 60 <= math.degrees(lon) <= 150
-                   and -11 <= math.degrees(lat) <= 54)
-        assert asia > 400  # Asia carries >50% of weight
 
     def test_density_zero_over_ocean(self):
         assert self.grid.density_at(0.0, math.radians(-140.0)) == 0.0

@@ -66,7 +66,6 @@ class TestCpuModel:
                                   INITIAL_REGISTRATION_FLOW,
                                   option.on_board)
         assert breakdown.total_percent == 100.0
-        assert breakdown.saturated
 
     def test_radio_only_breakdown_light(self):
         """Fig. 7 context: without core NFs the satellite idles."""

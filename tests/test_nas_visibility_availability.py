@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import availability_sweep, gateway_reachability
-from repro.orbits import IdealPropagator, iridium, starlink
-from repro.orbits.coverage import visible_satellites
+from repro.orbits import IdealPropagator, iridium, snapshot_for, starlink
 from repro.orbits.snapshot import sample_times
 
 
@@ -15,7 +14,8 @@ def _visible_counts(constellation, lat_deg, duration_s, step_s=30.0):
     """Satellites visible from ``(lat_deg, 0)`` every ``step_s``."""
     propagator = IdealPropagator(constellation)
     lat = math.radians(lat_deg)
-    return np.array([len(visible_satellites(propagator, t, lat, 0.0))
+    return np.array([len(snapshot_for(propagator, t).visible_satellites(
+                         lat, 0.0))
                      for t in sample_times(0.0, duration_s, step_s)])
 
 

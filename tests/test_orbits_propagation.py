@@ -16,8 +16,8 @@ from repro.orbits import (
     mean_dwell_time_s,
     nearest_station,
     serving_satellite,
+    snapshot_for,
     starlink,
-    visible_satellites,
 )
 from repro.orbits.coverage import (
     coverage_half_angle,
@@ -131,15 +131,15 @@ class TestCoverage:
 
     def test_visible_satellites_nonempty_midlatitude(self):
         prop = IdealPropagator(starlink())
-        sats = visible_satellites(prop, 0.0, math.radians(40),
-                                  math.radians(-74))
+        sats = snapshot_for(prop, 0.0).visible_satellites(
+            math.radians(40), math.radians(-74))
         assert len(sats) >= 1
 
     def test_serving_satellite_is_visible(self):
         prop = IdealPropagator(starlink())
         lat, lon = math.radians(40), math.radians(-74)
         best = serving_satellite(prop, 0.0, lat, lon)
-        assert best in visible_satellites(prop, 0.0, lat, lon)
+        assert best in snapshot_for(prop, 0.0).visible_satellites(lat, lon)
 
     def test_no_server_over_pole_for_inclined_shell(self):
         prop = IdealPropagator(starlink())

@@ -10,6 +10,9 @@ from repro.topology import GeospatialRouter, GridTopology
 
 BEIJING = (math.radians(39.9), math.radians(116.4))
 NEW_YORK = (math.radians(40.7), math.radians(-74.0))
+#: One-packet destination columns for ``send_batch``.
+TO_BEIJING = ([BEIJING[0]], [BEIJING[1]])
+TO_NEW_YORK = ([NEW_YORK[0]], [NEW_YORK[1]])
 
 
 @pytest.fixture()
@@ -25,7 +28,7 @@ def src_sat(topology):
 class TestDelivery:
     def test_single_packet_delivered(self, topology, src_sat):
         sim = PacketSimulation(topology)
-        record = sim.send(src_sat, *NEW_YORK)
+        record = sim.send_batch([src_sat], *TO_NEW_YORK)[0]
         sim.run()
         assert record.delivered_at_s is not None
         assert record.hops > 5
@@ -37,7 +40,7 @@ class TestDelivery:
         sim = PacketSimulation(topology, link_rate_mbps=1000.0)
         static = GeospatialRouter(topology).route(src_sat, *NEW_YORK,
                                                   0.0)
-        record = sim.send(src_sat, *NEW_YORK, size_bytes=1500)
+        record = sim.send_batch([src_sat], *TO_NEW_YORK, size_bytes=1500)[0]
         sim.run()
         serialization = static.hops * 1500 * 8 / 1e9
         assert record.latency_s == pytest.approx(
@@ -45,7 +48,7 @@ class TestDelivery:
 
     def test_local_delivery_instant(self, topology, src_sat):
         sim = PacketSimulation(topology)
-        record = sim.send(src_sat, *BEIJING)
+        record = sim.send_batch([src_sat], *TO_BEIJING)[0]
         sim.run()
         assert record.latency_s == 0.0
         assert record.hops == 0
@@ -53,7 +56,7 @@ class TestDelivery:
     def test_many_packets_statistics(self, topology, src_sat):
         sim = PacketSimulation(topology)
         for i in range(20):
-            sim.send(src_sat, *NEW_YORK, at_s=i * 0.01)
+            sim.send_batch([src_sat], *TO_NEW_YORK, at_s=i * 0.01)
         sim.run()
         low, mean, high = sim.latency_stats()
         assert 0.02 < low <= mean <= high < 0.2
@@ -64,8 +67,8 @@ class TestQueueing:
     def test_burst_into_one_link_queues(self, topology, src_sat):
         """Simultaneous packets share the first ISL: later ones wait."""
         sim = PacketSimulation(topology, link_rate_mbps=1.0)  # slow
-        records = [sim.send(src_sat, *NEW_YORK, size_bytes=1500,
-                            at_s=0.0) for _ in range(5)]
+        records = [sim.send_batch([src_sat], *TO_NEW_YORK, size_bytes=1500,
+                                  at_s=0.0)[0] for _ in range(5)]
         sim.run()
         latencies = [r.latency_s for r in records]
         assert latencies == sorted(latencies)
@@ -75,7 +78,7 @@ class TestQueueing:
 
     def test_fast_links_no_spread(self, topology, src_sat):
         sim = PacketSimulation(topology, link_rate_mbps=10_000.0)
-        records = [sim.send(src_sat, *NEW_YORK, at_s=0.0)
+        records = [sim.send_batch([src_sat], *TO_NEW_YORK, at_s=0.0)[0]
                    for _ in range(5)]
         sim.run()
         spread = (max(r.latency_s for r in records)
@@ -87,7 +90,7 @@ class TestLossAndFailures:
     def test_random_loss_drops_some(self, topology, src_sat):
         sim = PacketSimulation(topology, loss_probability=0.2, seed=1)
         for _ in range(40):
-            sim.send(src_sat, *NEW_YORK)
+            sim.send_batch([src_sat], *TO_NEW_YORK)
         sim.run()
         assert any(r.dropped for r in sim.records)
         assert len(sim.delivered()) > 0
@@ -96,7 +99,7 @@ class TestLossAndFailures:
         sim = PacketSimulation(topology)
         static = GeospatialRouter(topology).route(src_sat, *NEW_YORK,
                                                   0.0)
-        record = sim.send(src_sat, *NEW_YORK)
+        record = sim.send_batch([src_sat], *TO_NEW_YORK)[0]
         # Fail a link on the pinned path before the packet gets there.
         mid = len(static.path) // 2
         topology.fail_isl(static.path[mid], static.path[mid + 1])
@@ -109,7 +112,7 @@ class TestLossAndFailures:
         for nbr in list(topology.isl_neighbors(src_sat)):
             topology.fail_isl(src_sat, nbr)
         sim = PacketSimulation(topology)
-        record = sim.send(src_sat, *NEW_YORK)
+        record = sim.send_batch([src_sat], *TO_NEW_YORK)[0]
         sim.run()
         assert record.dropped
 
@@ -137,12 +140,12 @@ class TestInjectionClamping:
         already advanced -- poisoning ``latency_stats()``.
         """
         sim = PacketSimulation(topology)
-        reference = sim.send(src_sat, *NEW_YORK, at_s=0.0)
+        reference = sim.send_batch([src_sat], *TO_NEW_YORK, at_s=0.0)[0]
         sim.run()
         advanced_to = sim.sim.now
         assert advanced_to > 0.0
 
-        late = sim.send(src_sat, *NEW_YORK, at_s=0.0)
+        late = sim.send_batch([src_sat], *TO_NEW_YORK, at_s=0.0)[0]
         sim.run()
         assert late.sent_at_s == advanced_to
         assert late.latency_s == pytest.approx(reference.latency_s)
@@ -150,9 +153,9 @@ class TestInjectionClamping:
     def test_past_injection_keeps_latency_stats_clean(self, topology,
                                                       src_sat):
         sim = PacketSimulation(topology)
-        first = sim.send(src_sat, *NEW_YORK)
+        first = sim.send_batch([src_sat], *TO_NEW_YORK)[0]
         sim.run()
-        sim.send(src_sat, *NEW_YORK, at_s=0.0)
+        sim.send_batch([src_sat], *TO_NEW_YORK, at_s=0.0)
         sim.run()
         lo, mean, hi = sim.latency_stats()
         assert hi == pytest.approx(first.latency_s)
@@ -161,7 +164,7 @@ class TestInjectionClamping:
     def test_future_injection_waits_and_counts_from_request(
             self, topology, src_sat):
         sim = PacketSimulation(topology)
-        record = sim.send(src_sat, *NEW_YORK, at_s=5.0)
+        record = sim.send_batch([src_sat], *TO_NEW_YORK, at_s=5.0)[0]
         sim.run()
         assert record.sent_at_s == 5.0
         assert record.delivered_at_s is not None
@@ -169,7 +172,7 @@ class TestInjectionClamping:
 
 
 class TestBatchInjection:
-    def test_send_batch_matches_per_packet_sends(self, topology):
+    def test_wave_matches_one_packet_waves(self, topology):
         import numpy as np
         rng = np.random.default_rng(3)
         n = 64
@@ -183,7 +186,7 @@ class TestBatchInjection:
         batch_sim.run()
 
         scalar_sim = PacketSimulation(topology)
-        scalar = [scalar_sim.send(int(s), float(la), float(lo))
+        scalar = [scalar_sim.send_batch([int(s)], [float(la)], [float(lo)])[0]
                   for s, la, lo in zip(src, lats, lons)]
         scalar_sim.run()
 

@@ -1,57 +1,114 @@
-"""Every module and every definition under ``src/repro`` runs from a root.
+"""Every module and function under ``src/repro`` runs from a root.
 
-The roots are what a user or a measurement actually runs: the CLI
-(``repro.cli`` and ``python -m repro``, whose report sections import
-every paper artifact's module), ``examples/``, ``bench/`` and the lint
-rule modules that ``registry.RULE_MODULES`` loads by name.  From them the walk follows
-``import`` / ``from ... import`` statements (function-local ones too),
-resolved by a relative-aware import map.
+The census is *executed*, not read: a fresh interpreter installs
+``sys.setprofile`` (and ``threading.setprofile``) before anything
+imports ``repro``, runs roots in-process, and writes down every
+``src/repro`` code object that ran.  Import-time calls (a dataclass
+``__post_init__`` on a module-level constant) count, because the hook
+is in place before the first import.  Each root runs once; the roots
+are dealt out to :data:`LANES` such interpreters that run side by
+side, and the census is the union of what they ran.
 
-A name imported from a package ``__init__`` credits the submodule that
-defines it, not every submodule the ``__init__`` re-exports; otherwise
-one ``from repro.fiveg import SignalingBus`` would keep every codec in
-``fiveg/`` alive.  A plain ``import repro.x.y`` binds only ``repro``
-and so credits only the package; roots write ``from repro.x import y``.
+The roots are what a user or a measurement runs:
 
-Modules have no allowlist: a module that only ``tests/`` imports is
-shelfware, and goes.  Each module is its own test id, so a failure
-names the module.
+* every command line the docs show in a fenced block (``python -m
+  repro ...`` in README, EXPERIMENTS and DESIGN), with the flags shown
+  -- :data:`CLI_ROOTS`, held to the docs by
+  ``test_cli_roots_are_the_documented_command_lines``.  A root that
+  shards (``--workers 2``) sets ``REPRO_PLANNER=sharded`` so the pool
+  runs on a 1-core host; ``--update`` writes into a scratch golden
+  directory;
+* every script in ``examples/``;
+* one ``smoke=True`` job of each ``bench/workloads.py`` workload
+  (``run``, ``check``, ``finish``, ``extra_layer_metrics``).
 
-Definitions (top-level functions and classes, and the methods of
-top-level classes) are censused over the same import map.  A
-definition is live when a live piece of code names it outside its own
-body: a bare name resolved through the import map, an attribute of
-that name on anything (``obj.method``, ``module.func``), or, in a root
-file, a string (``bench/layers.py`` names its boundaries that way).
-Module-level code of every reached module is live, and so is the body
-of every live definition; a method lives only inside a live class.
-Dunders, ``ast.NodeVisitor`` ``visit_*`` methods and ``@register``ed
-rule classes are called by protocol, not by name.  Everything else
-that only ``tests/`` (or other dead code) calls is either on
-:data:`ALLOWLIST` with one of :data:`REASONS`, or it goes.  "Public
-API" is not a reason: everything in an ``__all__`` would qualify.
-As with modules, the census is one test id per module, so a failure
-names the module that holds the dead definition.
+The subprocess builds its environment from scratch
+(``PYTHONHASHSEED=0``, no ``REPRO_*``), so the verdict is the same in
+every CI job: the sharded-runtime matrix, the chaos job and the
+``REPRO_NO_CKERNEL=1`` legs.
+
+A definition is every ``def`` at any depth (methods, properties and
+nested functions included) plus every module.  A code object's first
+line is its first decorator's line, so that is the line a definition
+is matched on.  A nested def of an unexecuted function, and every
+function of an unexecuted module, is reported through its parent.
+
+A definition no root runs is deleted, gets a documented root, or is
+held in exactly one of these places:
+
+* :data:`ALLOWLIST`, with one of :data:`REASONS` ("public API" is not
+  one: everything in an ``__all__`` would qualify);
+* :data:`ERROR_PATHS`: runs only when something fails (a lint finding,
+  a drifted golden, a refused local establishment), held by the
+  tier-1 test named beside it; the census runs that test under the
+  hook too and fails unless the definition ran in it;
+* :data:`POOL_ONLY`: runs only inside a pool worker, where the hook
+  does not reach, held by the tier-1 test named beside it (the census
+  runs it, so a renamed or failing test shows);
+* held by ``bench/``: a ``bench/layers.py`` ``BOUNDARIES`` target
+  (``bench/tests/test_trace.py`` installs every one) or a function a
+  ``bench/*.py`` file imports by name.
+
+One test id per module, so a failure names the module and lists each
+unexecuted definition in it.
 """
 
 import ast
-from dataclasses import dataclass, field
+import contextlib
+import importlib
+import inspect
+import json
+import os
+import runpy
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
-from repro.analysis.registry import RULE_MODULES
-from repro.analysis.runner import collect_files, load_module
-
 REPO_ROOT = Path(__file__).resolve().parents[1]
-ROOT_MODULES = ("repro.cli", "repro.__main__") + RULE_MODULES
-ROOT_DIRS = ("examples", "bench")
+SRC = REPO_ROOT / "src" / "repro"
+DOCS = ("README.md", "EXPERIMENTS.md", "DESIGN.md")
+#: Census interpreters run side by side (the roots' union is the same
+#: for any count; two halve the wall time on a 2-core host).
+LANES = 2
 
-#: The only reasons a definition no root reaches may stay.
+#: ``(resolved file, first line, co_name)`` of code objects that ran.
+Ran = Set[Tuple[str, int, str]]
+#: ``(kind, target, env)``: a command line, a script, a bench workload
+#: or a list of test ids, run in-process by the census subprocess.
+Root = Tuple[str, object, Dict[str, str]]
+
+#: Every ``python -m repro`` line of a fenced block in :data:`DOCS`.
+CLI_ROOTS = (
+    "repro list",
+    "repro report",
+    "repro report --output report.md",
+    "repro report --check",
+    "repro table4",
+    "repro lint",
+    "repro emulate --ues 20 --duration 600",
+    "repro emulate --cohorts 128",
+    "repro loadpoint --ues 1000000",
+    "repro chaos --trials 2 --workers 2 --output chaos.json",
+    "repro metrics --trials 4 --workers 2 --output metrics.json",
+    "repro metrics --experiment cohort --ues 20000 --output m.json",
+    "repro trace --output trace.jsonl",
+    "repro trace --ues 24 --horizon 3600 --output trace.jsonl",
+    "repro scenario list",
+    "repro scenario run urban-hotspot",
+    "repro scenario run urban-hotspot --update",
+    "repro scenario check --all",
+)
+
+#: The only reasons a definition no root runs may stay.
 REASONS = ("oracle:", "paper claim:", "ROADMAP input:")
 
-#: Unreached definitions that stay, each with the reason it stays.
+#: Unexecuted definitions that stay, each with the reason it stays.
 ALLOWLIST: Dict[str, str] = {
     "repro.crypto.access_tree.satisfies":
         "oracle: test_crypto_abe's test_decryption_iff_satisfaction holds "
@@ -63,8 +120,8 @@ ALLOWLIST: Dict[str, str] = {
         "oracle: test_workload_faults's test_gilbert_elliott_bursty "
         "holds the Fig. 13b FER series to the chain's stationary law",
     "repro.fiveg.procedures.ProcedureRunner.initial_registration":
-        "ROADMAP input: item 5 runs the stateful C1 for the Option 3/4 "
-        "baseline through it",
+        "ROADMAP input: item 3, which now decides C1-C3, runs the "
+        "stateful C1 for the Option 3/4 baseline through it",
     "repro.geo.cells.GeospatialCellGrid.analytic_cell_area_km2":
         "ROADMAP input: item 2(a) cross-checks the exact Table 3 cell "
         "areas against it",
@@ -76,346 +133,456 @@ ALLOWLIST: Dict[str, str] = {
         "oracle: test_orbits_constellation's test_neighbors_are_adjacent "
         "and test_snapshot_graph_differential's oracle_graph hold "
         "grid_neighbor_table's rows to (plane, slot) indexing",
+    "repro.orbits.propagator.OrbitState.raan_ecef":
+        "oracle: test_snapshot_equivalence's "
+        "test_snapshot_arrays_bit_match_scalar_state holds the snapshot's "
+        "raan_ecef array to it bit for bit, and its _ScalarRouter walks "
+        "on it",
     "repro.orbits.constellation.Constellation.sat_index":
         "oracle: the same two tests name each table row's expected "
         "neighbours as sat_index(plane, slot +- 1) / (plane +- 1, slot)",
     "repro.runtime.cohort.UECohortEngine.predicted_events_per_ue_s":
         "oracle: test_runtime_cohort's test_event_rate_matches_prediction "
         "holds the sampled event rate of UECohortEngine.run to it",
+    "repro.topology.batch_routing.BatchRouteResult.result":
+        "oracle: the differential suites (test_batch_routing, "
+        "test_reference_walk) hold each packet of a wave to "
+        "GeospatialRouter.route through it",
     "repro.topology.grid.GridTopology.isl_neighbors":
         "oracle: test_reference_walk's _ParentWalk and "
         "test_snapshot_equivalence's _ScalarRouter deflect over it, the "
         "per-satellite form of the edge mask the walks read",
 }
 
+#: Definitions that run only on a failure path -> the test driving it.
+ERROR_PATHS: Dict[str, str] = {
+    "repro.analysis.core.Finding.sort_key":
+        "tests/test_analysis_cli.py::TestExitCodes"
+        "::test_findings_exit_nonzero",
+    "repro.core.spacecore.SpaceCoreSystem._legacy_fallback":
+        "tests/test_core_spacecore.py::TestLocalizedEstablishment"
+        "::test_fallback_repairs_a_garbled_replica",
+    "repro.fiveg.identifiers.GutiAllocator.release":
+        "tests/test_core_spacecore.py::TestLocalizedEstablishment"
+        "::test_fallback_repairs_a_garbled_replica",
+    "repro.scenarios.golden.diff_lines":
+        "tests/test_cli.py::TestReportCommands"
+        "::test_check_fails_on_drift_with_a_diff",
+    "repro.sim.packets.PacketSimulation._drop":
+        "tests/test_packet_simulation.py::TestLossAndFailures"
+        "::test_random_loss_drops_some",
+}
 
-def _load(path: Path):
-    module, error = load_module(path, REPO_ROOT)
-    assert error is None, error
-    return module
+#: Definitions that run only inside a pool worker -> the test driving it.
+POOL_ONLY: Dict[str, str] = {
+    "repro.runtime.parallel._init_worker":
+        "tests/test_runtime_parallel.py::TestRunSharded"
+        "::test_workers_never_nest",
+    "repro.runtime.parallel._run_batch":
+        "tests/test_runtime_parallel.py::TestRunSharded"
+        "::test_workers_never_nest",
+}
 
 
-def module_name(relpath: str) -> str:
-    """Dotted module path of a (posix) relative file path.
+# -- the census subprocess ------------------------------------------------------
 
-    ``src/repro/experiments/cpu.py`` -> ``repro.experiments.cpu``;
-    package ``__init__.py`` files name the package itself.
-    """
-    parts = relpath[:-3].split("/")
-    if parts[0] == "src":
-        parts = parts[1:]
-    if parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts)
+def _run_module(name: str, argv: List[str]) -> int:
+    """``python -m <name> <argv>`` in this process; its exit code."""
+    saved = sys.argv
+    sys.argv = [name, *argv]
+    try:
+        runpy.run_module(name, run_name="__main__", alter_sys=True)
+    except SystemExit as exit_:
+        return exit_.code or 0
+    finally:
+        sys.argv = saved
+    return 0
 
 
-def _imports(module) -> Dict[str, str]:
-    """Local name -> absolute dotted origin, relative-aware."""
-    modname = module_name(module.relpath)
-    parts = modname.split(".")
-    package = parts if module.relpath.endswith("__init__.py") \
-        else parts[:-1]
-    imports: Dict[str, str] = {}
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                top = alias.name.split(".")[0]
-                imports[alias.asname or top] = \
-                    alias.name if alias.asname else top
-        elif isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                base = node.module or ""
+def _run_root(kind: str, target, env: Dict[str, str]) -> None:
+    """Run one root in this process; raise unless it succeeds."""
+    saved = {key: os.environ.get(key) for key in env}
+    os.environ.update(env)
+    try:
+        # A test run keeps its report, so a failure shows in the log.
+        with open(os.devnull, "w") as sink, \
+                contextlib.redirect_stdout(
+                    sys.stdout if kind == "tests" else sink):
+            if kind == "cli":
+                failure = _run_module("repro", target)
+            elif kind == "tests":
+                failure = pytest.main(["-q", "-p", "no:cacheprovider",
+                                       *target])
+            elif kind == "script":
+                runpy.run_path(target, run_name="__main__")
+                failure = 0
             else:
-                anchor = package[:len(package) - (node.level - 1)] \
-                    if node.level - 1 <= len(package) else []
-                base = ".".join(anchor + (node.module.split(".")
-                                          if node.module else []))
-            for alias in node.names:
-                imports[alias.asname or alias.name] = (
-                    f"{base}.{alias.name}" if base else alias.name)
-    return imports
+                from bench.workloads import WORKLOADS
+                workload = WORKLOADS[target](0, True)
+                workload.check(workload.run())
+                failure = (workload.finish()
+                           + workload.extra_layer_metrics(1.0)[1])
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+    if failure:
+        raise SystemExit(f"root {kind} {target!r} failed: {failure!r}")
 
 
-def _toplevel_names(tree: ast.Module) -> Set[str]:
-    names: Set[str] = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, ast.Assign):
-            names.update(t.id for t in node.targets
-                         if isinstance(t, ast.Name))
-        elif isinstance(node, ast.AnnAssign) \
-                and isinstance(node.target, ast.Name):
-            names.add(node.target.id)
-    return names
+def _census_child(spec_path: str) -> None:
+    """Record every code object under ``spec["record"]`` that each
+    phase's roots run, one record per phase."""
+    codes: Dict[int, object] = {}
+
+    def record(frame, event, arg):
+        if event == "call":
+            codes.setdefault(id(frame.f_code), frame.f_code)
+
+    threading.setprofile(record)
+    sys.setprofile(record)
+    spec = json.loads(Path(spec_path).read_text(encoding="utf-8"))
+    phases = []
+    for roots in spec["phases"]:
+        codes.clear()
+        for kind, target, env in roots:
+            _run_root(kind, target, env)
+        phases.append(sorted({
+            (code.co_filename, code.co_firstlineno, code.co_name)
+            for code in list(codes.values())
+            if code.co_filename.startswith(spec["record"])}))
+    sys.setprofile(None)
+    threading.setprofile(None)
+    Path(spec["output"]).write_text(json.dumps(phases), encoding="utf-8")
 
 
-class ImportMap:
-    """The ``src/repro`` modules, their imports and package re-exports."""
-
-    def __init__(self) -> None:
-        self.src: Dict[str, Any] = {}
-        for path in collect_files([REPO_ROOT / "src" / "repro"]):
-            module = _load(path)
-            self.src[module_name(module.relpath)] = module
-        self.imports: Dict[str, Dict[str, str]] = {
-            name: _imports(module) for name, module in self.src.items()}
-        self.packages = {name for name, module in self.src.items()
-                         if module.relpath.endswith("__init__.py")}
-        self.defined = {name: _toplevel_names(self.src[name].tree)
-                        for name in self.packages}
-
-    def forward(self, origin: str) -> Optional[str]:
-        """The origin a package re-export of ``origin`` points at."""
-        package, _, attr = origin.rpartition(".")
-        if package in self.packages and attr not in self.defined[package]:
-            return self.imports[package].get(attr)
-        return None
-
-    def resolve(self, origin: str) -> str:
-        """``origin`` with every package re-export followed."""
-        seen = set()
-        while origin not in seen:
-            seen.add(origin)
-            forwarded = self.forward(origin)
-            if forwarded is None:
-                break
-            origin = forwarded
-        return origin
+def executed(record: Path, phases: Sequence[Sequence[Root]],
+             workdir: Path) -> List[Ran]:
+    """Per phase, ``(file, first line, name)`` of each code object
+    under ``record`` that its roots ran."""
+    spec = workdir / "census-spec.json"
+    output = workdir / "census-ran.json"
+    spec.write_text(json.dumps({"record": str(record), "phases": phases,
+                                "output": str(output)}), encoding="utf-8")
+    env = {key: os.environ[key] for key in ("PATH", "HOME", "TMPDIR")
+           if key in os.environ}
+    env.update(PYTHONHASHSEED="0", PYTHONPATH=os.pathsep.join(
+        [str(REPO_ROOT / "src"), str(REPO_ROOT)]))
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), str(spec)],
+        cwd=workdir, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, (proc.stdout + proc.stderr)[-4000:]
+    return [{(str(Path(path).resolve()), line, name)
+             for path, line, name in phase}
+            for phase in json.loads(output.read_text(encoding="utf-8"))]
 
 
-def reached_modules(graph: ImportMap) -> Set[str]:
-    """Dotted names of the ``src/repro`` modules the roots import."""
-    reached: Set[str] = set()
+# -- the definitions ------------------------------------------------------------
 
-    def reach_module(name: str) -> None:
-        parts = name.split(".")
-        for depth in range(1, len(parts)):
-            reached.add(".".join(parts[:depth]))   # parent __init__s
-        if name in reached:
-            return
-        reached.add(name)
-        if name not in graph.packages:
-            for origin in graph.imports[name].values():
-                reach(origin)
-
-    def reach(origin: str) -> None:
-        if origin in graph.src:
-            reach_module(origin)
-            return
-        package = origin.rpartition(".")[0]
-        if package not in graph.src:
-            return  # stdlib, third party, or a root's own sibling
-        reach_module(package)
-        forwarded = graph.forward(origin)
-        if forwarded is not None:
-            reach(forwarded)
-
-    for name in ROOT_MODULES:
-        reach_module(name)
-    for directory in ROOT_DIRS:
-        for path in collect_files([REPO_ROOT / directory]):
-            for origin in _imports(_load(path)).values():
-                reach(origin)
-    return reached
-
-
-# -- definitions ----------------------------------------------------------------
-
-_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-
-@dataclass
-class Region:
-    """The names one stretch of code uses.
-
-    ``quals`` are the definitions its bare names resolve to; ``attrs``
-    are attribute names (and, in root files, identifier strings), which
-    credit every definition of that name.
-    """
-
-    quals: Set[str] = field(default_factory=set)
-    attrs: Set[str] = field(default_factory=set)
-
-
-@dataclass
+@dataclass(frozen=True)
 class Definition:
+    """One ``def`` (or one module) and the code object it compiles to."""
+
     qualname: str
-    name: str
-    node: Any
-    owner: Optional[str]   # qualname of the enclosing class
-    region: Region
-
-    @property
-    def module(self) -> str:
-        return (self.owner or self.qualname).rpartition(".")[0]
-
-    @property
-    def lines(self) -> int:
-        first = min([self.node.lineno]
-                    + [d.lineno for d in self.node.decorator_list])
-        return self.node.end_lineno - first + 1
+    module: str
+    key: Tuple[str, int, str]   # (resolved file, first line, co_name)
+    lines: int
+    parent: Optional[str]       # enclosing function, or the module
 
 
-def _scan(nodes, module: str, imports: Dict[str, str], graph: ImportMap,
-          owner: Optional[str] = None, strings: bool = False) -> Region:
-    """The names ``nodes`` use.
+def definitions(root: Path, package: str) -> Dict[str, Definition]:
+    """Every module and ``def`` under ``root``, keyed by qualname."""
+    found: Dict[str, Definition] = {}
+    for path in sorted(root.rglob("*.py")):
+        parts = (package,) + path.relative_to(root).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        module = ".".join(parts)
+        source = path.read_text(encoding="utf-8")
+        file = str(path.resolve())
+        found[module] = Definition(module, module, (file, 1, "<module>"),
+                                   len(source.splitlines()), None)
 
-    A bare name credits ``<module>.<name>``, ``<owner>.<name>`` (so a
-    class body reaches its own methods by name) and its import-map
-    origin.
-    """
-    region = Region()
-    prefixes = [module] if owner is None else [module, owner]
-    stack = list(nodes)
-    while stack:
-        node = stack.pop()
-        stack.extend(ast.iter_child_nodes(node))
-        if isinstance(node, ast.Name) \
-                and not isinstance(node.ctx, ast.Store):
-            region.quals.update(f"{prefix}.{node.id}" for prefix in prefixes)
-            if node.id in imports:
-                region.quals.add(graph.resolve(imports[node.id]))
-        elif isinstance(node, ast.Attribute) \
-                and not isinstance(node.ctx, ast.Store):
-            region.attrs.add(node.attr)
-        elif strings and isinstance(node, ast.Constant) \
-                and isinstance(node.value, str):
-            region.attrs.update(
-                part for part in node.value.replace(":", ".").split(".")
-                if part.isidentifier())
-    return region
+        def visit(node, prefix: str, parent: str) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                    first = min([child.lineno] + [
+                        d.lineno for d in child.decorator_list])
+                    qual = f"{prefix}.{child.name}"
+                    if qual in found:   # a property setter, a redefinition
+                        qual = f"{qual}@{first}"
+                    found[qual] = Definition(
+                        qual, module, (file, first, child.name),
+                        child.end_lineno - first + 1, parent)
+                    visit(child, qual, qual)
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}.{child.name}", parent)
+                else:
+                    visit(child, prefix, parent)
+
+        visit(ast.parse(source), module, module)
+    return found
 
 
-def _is_protocol(definition: Definition) -> bool:
-    name = definition.name
-    if name.startswith("__") and name.endswith("__"):
-        return True
-    if definition.owner is not None and name.startswith("visit_"):
-        return True
-    return isinstance(definition.node, ast.ClassDef) and any(
-        isinstance(d, ast.Name) and d.id == "register"
-        for d in definition.node.decorator_list)
+def unexecuted(found: Dict[str, Definition],
+               ran: Ran) -> List[Definition]:
+    """Definitions that never ran and whose parent did."""
+    return [d for d in found.values() if d.key not in ran and (
+        d.parent is None or found[d.parent].key in ran)]
+
+
+# -- what bench/ holds ----------------------------------------------------------
+
+def _code_key(obj) -> Optional[Tuple[str, int, str]]:
+    if isinstance(obj, (staticmethod, classmethod)):
+        obj = obj.__func__
+    if isinstance(obj, property):
+        obj = obj.fget
+    code = getattr(inspect.unwrap(obj), "__code__", None)
+    if code is None:
+        return None
+    return (str(Path(code.co_filename).resolve()), code.co_firstlineno,
+            code.co_name)
+
+
+def bench_held() -> Ran:
+    """Every ``BOUNDARIES`` target, and every function ``bench/`` imports."""
+    from bench.layers import BOUNDARIES
+    held = set()
+    for boundary in BOUNDARIES:
+        owner = importlib.import_module(boundary.module)
+        if boundary.cls is not None:
+            held.add(_code_key(
+                getattr(owner, boundary.cls).__dict__[boundary.attr]))
+        else:
+            held.add(_code_key(getattr(owner, boundary.attr)))
+    for path in sorted((REPO_ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and (node.module or "").split(".")[0] == "repro":
+                module = importlib.import_module(node.module)
+                held.update(_code_key(getattr(module, alias.name))
+                            for alias in node.names)
+    held.discard(None)
+    return held
+
+
+# -- the census -----------------------------------------------------------------
+
+def _documented_command_lines() -> Set[str]:
+    lines = set()
+    for name in DOCS:
+        fenced = False
+        for line in (REPO_ROOT / name).read_text(
+                encoding="utf-8").splitlines():
+            if line.startswith("```"):
+                fenced = not fenced
+            elif fenced and line.startswith("python -m repro "):
+                command = line.split("#")[0].split()[2:]
+                lines.add(" ".join(command))
+    return lines
+
+
+def roots() -> List[Root]:
+    from bench.workloads import WORKLOADS
+    every: List[Root] = []
+    for line in CLI_ROOTS:
+        argv = line.split()[1:]
+        env = {}
+        if "--workers" in argv:
+            env["REPRO_PLANNER"] = "sharded"
+        if "--update" in argv:
+            env["REPRO_SCENARIO_GOLDEN_DIR"] = "goldens"
+        every.append(("cli", argv, env))
+    every += [("script", str(path), {})
+              for path in sorted((REPO_ROOT / "examples").glob("*.py"))]
+    return every + [("bench", name, {}) for name in sorted(WORKLOADS)]
 
 
 @dataclass
 class Census:
-    definitions: Dict[str, Definition]
-    live: Set[str]
+    found: Dict[str, Definition]
+    ran: Ran            # by the roots
+    by_tests: Ran       # by the tests ERROR_PATHS and POOL_ONLY name
+    held: Ran           # by bench/
 
-    def unreached(self) -> List[Definition]:
-        """Dead definitions whose enclosing class (if any) is live."""
-        return [d for d in self.definitions.values()
-                if d.qualname not in self.live
-                and (d.owner is None or d.owner in self.live)]
+    def dead(self) -> List[Definition]:
+        listed = set(ALLOWLIST) | set(ERROR_PATHS) | set(POOL_ONLY)
+        return [d for d in unexecuted(self.found, self.ran)
+                if d.qualname not in listed and d.key not in self.held]
 
-
-def definition_census(graph: ImportMap, reached: Set[str],
-                      allowlist: Dict[str, str]) -> Census:
-    """Least fixed point of "named from live code", seeded by the roots."""
-    definitions: Dict[str, Definition] = {}
-    roots: List[Region] = []
-
-    def define(qual, node, owner, region):
-        definitions[qual] = Definition(qual, node.name, node, owner, region)
-
-    for name in sorted(reached & set(graph.src)):
-        imports = graph.imports[name]
-        rest = []
-        for node in graph.src[name].tree.body:
-            if isinstance(node, _FUNCTIONS):
-                define(f"{name}.{node.name}", node, None,
-                       _scan([node], name, imports, graph))
-            elif isinstance(node, ast.ClassDef):
-                qual = f"{name}.{node.name}"
-                methods = [s for s in node.body
-                           if isinstance(s, _FUNCTIONS)]
-                define(qual, node, None, _scan(
-                    [s for s in node.body if s not in methods]
-                    + node.bases + node.keywords + node.decorator_list,
-                    name, imports, graph, owner=qual))
-                for sub in methods:
-                    define(f"{qual}.{sub.name}", sub, qual,
-                           _scan([sub], name, imports, graph))
-            else:
-                rest.append(node)
-        roots.append(_scan(rest, name, imports, graph))
-    for directory in ROOT_DIRS:
-        for path in collect_files([REPO_ROOT / directory]):
-            module = _load(path)
-            roots.append(_scan([module.tree], module_name(module.relpath),
-                               _imports(module), graph, strings=True))
-
-    live: Set[str] = set()
-    quals: Set[str] = set()
-    attrs: Set[str] = set()
-    for region in roots:
-        quals |= region.quals
-        attrs |= region.attrs
-    changed = True
-    while changed:
-        changed = False
-        for definition in definitions.values():
-            if definition.qualname in live or (
-                    definition.owner is not None
-                    and definition.owner not in live):
-                continue
-            if (definition.qualname in quals or definition.name in attrs
-                    or definition.qualname in allowlist
-                    or _is_protocol(definition)):
-                live.add(definition.qualname)
-                quals |= definition.region.quals
-                attrs |= definition.region.attrs
-                changed = True
-    return Census(definitions, live)
+    def never_ran(self, qualname: str) -> bool:
+        return any(d.qualname == qualname
+                   for d in unexecuted(self.found, self.ran))
 
 
-SRC_MODULES = [module_name(path.relative_to(REPO_ROOT).as_posix())
-               for path in collect_files([REPO_ROOT / "src" / "repro"])]
+SRC_MODULES = sorted(d.module for d in definitions(SRC, "repro").values()
+                     if d.parent is None)
 
 
 @pytest.fixture(scope="module")
-def graph() -> ImportMap:
-    return ImportMap()
+def census(tmp_path_factory) -> Census:
+    if str(REPO_ROOT) not in sys.path:
+        sys.path.insert(0, str(REPO_ROOT))
+    tests = sorted({str(REPO_ROOT / test_id) for test_id in
+                    {**ERROR_PATHS, **POOL_ONLY}.values()})
+    every = roots()
+    # Each root runs once; alternate roots go to LANES interpreters
+    # that run side by side.  The first lane then runs the tests.
+    lanes = [[every[lane::LANES]] for lane in range(LANES)]
+    lanes[0].append([("tests", tests, {})])
+    workdirs = [tmp_path_factory.mktemp("census") for _ in lanes]
+    with ThreadPoolExecutor(LANES) as pool:
+        runs = list(pool.map(
+            lambda phases, workdir: executed(SRC.resolve(), phases, workdir),
+            lanes, workdirs))
+    ran = set().union(*(run[0] for run in runs))
+    return Census(definitions(SRC, "repro"), ran, runs[0][1], bench_held())
 
 
-@pytest.fixture(scope="module")
-def reached(graph) -> Set[str]:
-    return reached_modules(graph)
-
-
-@pytest.fixture(scope="module")
-def census(graph, reached) -> Census:
-    return definition_census(graph, reached, ALLOWLIST)
+def test_cli_roots_are_the_documented_command_lines():
+    documented = _documented_command_lines()
+    rooted = set(CLI_ROOTS)
+    assert rooted == documented, (
+        f"in the docs but not a root: {sorted(documented - rooted)}; "
+        f"a root the docs do not show: {sorted(rooted - documented)}")
 
 
 @pytest.mark.parametrize("name", SRC_MODULES)
-def test_module_is_reached_from_a_root(name, reached):
-    assert name in reached, (
-        f"{name} is imported by no command, example, bench workload "
-        f"or lint rule; only tests/ use it")
-
-
-@pytest.mark.parametrize("name", SRC_MODULES)
-def test_definitions_are_reached_or_allowlisted(name, census):
-    dead = [d for d in census.unreached() if d.module == name]
+def test_definitions_run_from_a_root(name, census):
+    dead = [d for d in census.dead() if d.module == name]
     assert not dead, (
-        f"{name}: named by no command, example, bench workload or lint rule "
-        "(only by tests/ or by other dead code); delete it, or "
-        "allowlist it with one of " + ", ".join(REASONS) + ":\n"
+        f"{name}: run by no documented command, example or bench "
+        "workload; delete it, give it a documented root, or hold it "
+        "(ALLOWLIST with one of " + ", ".join(REASONS)
+        + ", ERROR_PATHS, POOL_ONLY):\n"
         + "\n".join(f"  {d.qualname} ({d.lines} lines)" for d in dead))
 
 
 @pytest.mark.parametrize("qualname", sorted(ALLOWLIST))
-def test_allowlist_entry_is_needed_and_justified(qualname, graph,
-                                                 reached, census):
+def test_allowlist_entry_is_needed_and_justified(qualname, census):
     assert ALLOWLIST[qualname].startswith(REASONS), (
         f"{qualname}: the reason must start with one of {REASONS}")
-    assert qualname in census.definitions, (
+    assert qualname in census.found, (
         f"{qualname} no longer exists; drop its allowlist entry")
-    without = {k: v for k, v in ALLOWLIST.items() if k != qualname}
-    assert qualname not in definition_census(graph, reached,
-                                              without).live, (
-        f"{qualname} is now reached from a root; drop its allowlist "
-        f"entry")
+    assert census.never_ran(qualname), (
+        f"{qualname} now runs from a root; drop its allowlist entry")
+
+
+def test_allowlist_stays_short():
+    assert len(ALLOWLIST) < 15
+
+
+@pytest.mark.parametrize("qualname", sorted({**ERROR_PATHS, **POOL_ONLY}))
+def test_held_definition_runs_only_off_the_roots(qualname, census):
+    """Its test passed in the census run (a missing test id fails the
+    run); a failure-path definition must also have run under it."""
+    assert qualname in census.found, (
+        f"{qualname} no longer exists; drop its entry")
+    assert census.never_ran(qualname), (
+        f"{qualname} now runs from a root; drop its entry")
+    if qualname in ERROR_PATHS:
+        assert census.found[qualname].key in census.by_tests, (
+            f"{ERROR_PATHS[qualname]} does not run {qualname}")
+
+
+# -- the bookkeeping, on a module small enough to read --------------------------
+
+SYNTHETIC = '''\
+import functools
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Point:
+    x: int
+
+    def __post_init__(self):
+        assert self.x >= 0
+
+    @property
+    def double(self):
+        return 2 * self.x
+
+    @property
+    def triple(self):
+        return 3 * self.x
+
+    def unused(self):
+        return -self.x
+
+
+ORIGIN = Point(0)
+
+
+@functools.lru_cache(maxsize=None)
+def cached(n):
+    def inner(k):
+        return k + 1
+    return inner(n)
+
+
+@functools.lru_cache(maxsize=None)
+def never(n):
+    def inner(k):
+        return k - 1
+    return inner(n)
+
+
+def outer():
+    def nested():
+        return 1
+    return 0
+'''
+
+
+@pytest.fixture(scope="module")
+def synthetic(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("synthetic")
+    package = workdir / "synth"
+    package.mkdir()
+    (package / "__init__.py").write_text("", encoding="utf-8")
+    (package / "shapes.py").write_text(SYNTHETIC, encoding="utf-8")
+    (package / "unused.py").write_text("def f():\n    return 1\n",
+                                       encoding="utf-8")
+    root = workdir / "root.py"
+    root.write_text(
+        "import sys\n"
+        f"sys.path.insert(0, {str(workdir)!r})\n"
+        "from synth.shapes import Point, cached, outer\n"
+        "assert Point(2).double == 4\n"
+        "assert cached(1) == 2\n"
+        "assert outer() == 0\n", encoding="utf-8")
+    ran, = executed(package.resolve(), [[("script", str(root), {})]],
+                    workdir)
+    return {d.qualname for d in unexecuted(
+        definitions(package, "synth"), ran)}
+
+
+@pytest.mark.parametrize("qualname,reached", [
+    ("synth.shapes.Point.__post_init__", True),   # import time
+    ("synth.shapes.Point.double", True),          # property: decorator line
+    ("synth.shapes.Point.triple", False),
+    ("synth.shapes.Point.unused", False),
+    ("synth.shapes.cached", True),                # decorated: decorator line
+    ("synth.shapes.cached.inner", True),
+    ("synth.shapes.never", False),
+    ("synth.shapes.outer", True),
+    ("synth.shapes.outer.nested", False),
+    ("synth.unused", False),                      # never imported
+    ("synth.shapes", True),
+])
+def test_census_bookkeeping(qualname, reached, synthetic):
+    assert (qualname not in synthetic) == reached
+
+
+def test_unexecuted_parent_hides_its_children(synthetic):
+    assert "synth.shapes.never.inner" not in synthetic
+    assert "synth.unused.f" not in synthetic
+
+
+if __name__ == "__main__":
+    _census_child(sys.argv[1])

@@ -2,11 +2,9 @@
 
 Covers the retry discipline of :class:`ResilientSpaceCore`, the
 edge cases of ``SpaceCoreSystem.recover_from_satellite_failure``,
-replica installs when the *source* satellite of a handover is dead,
-and the packet layer's bounded reroute degradation.
+and replica installs when the *source* satellite of a handover is
+dead.
 """
-
-import math
 
 import pytest
 
@@ -28,9 +26,8 @@ from repro.faults import (
     FaultKind,
     FaultSchedule,
 )
-from repro.orbits import IdealPropagator, starlink
-from repro.sim import PacketSimulation, Simulator
-from repro.topology import GridTopology
+from repro.orbits import starlink
+from repro.sim import Simulator
 
 BEIJING_DEG = (39.9, 116.4)
 
@@ -224,40 +221,3 @@ class TestStatefulBaselineUnbound:
         assert baseline.alive[supi] is False
         assert supi not in baseline.assignments
         assert baseline.recovery_latencies == []
-
-
-class TestPacketDegradation:
-    DEST = (math.radians(40.7), math.radians(-74.0))  # New York
-
-    @pytest.fixture()
-    def topology(self):
-        return GridTopology(IdealPropagator(starlink()), [])
-
-    def _src(self, sim):
-        from repro.orbits import serving_satellite
-        return serving_satellite(sim.topology.propagator, 0.0,
-                                 math.radians(39.9),
-                                 math.radians(116.4))
-
-    def test_reroute_survives_mid_flight_link_failure(self, topology):
-        sim = PacketSimulation(topology, max_reroutes=2)
-        src = self._src(sim)
-        path = sim.router.route(src, *self.DEST, 0.0).path
-        record = sim.send(src, *self.DEST)
-        topology.fail_isl(path[2], path[3])
-        sim.run()
-        assert record.delivered_at_s is not None
-        assert record.reroutes >= 1
-
-    def test_default_caps_preserve_drop_semantics(self, topology):
-        sim = PacketSimulation(topology)
-        src = self._src(sim)
-        path = sim.router.route(src, *self.DEST, 0.0).path
-        record = sim.send(src, *self.DEST)
-        topology.fail_isl(path[2], path[3])
-        sim.run()
-        assert record.dropped and record.reroutes == 0
-
-    def test_reroute_cap_validated(self, topology):
-        with pytest.raises(ValueError):
-            PacketSimulation(topology, max_reroutes=-1)

@@ -12,8 +12,8 @@ node the packet visits (cover, degraded delivery, next hop or
 deflection, hop length), over generated packets on full-torus, seam
 and degenerate shells under fault cocktails, with and without
 ``avoid_links``.  The walk makes those per-hop decisions inline, so
-the one-hop route is how a test reads them; the oracle inherits
-``covers`` rather than copying it.  The same
+the one-hop route is how a test reads them; the oracle keeps its
+own ``_covers``.  The same
 packets through ``route_batch`` must match the oracle on whichever
 lane this host runs (the compiled walk, or the reference walk under
 ``REPRO_NO_CKERNEL=1``).
@@ -56,7 +56,7 @@ class _ParentWalk(GeospatialRouter):
 
     Construction (coverage angle, degraded slack, coordinate system,
     hop budget) is inherited; ``route`` and every per-hop helper it
-    reaches are the old code, so ``covers`` / ``_next_hop_snap`` /
+    reaches are the old code, so ``_covers`` / ``_next_hop_snap`` /
     ``_hop_offsets_snap`` answer the old way too.  It has no source check:
     that is one of the things the new walk changed.  The per-snapshot
     ISL length memo starts empty, as the old constructor left it.
@@ -360,7 +360,7 @@ class TestParentWalkOracle:
             snap = old._snapshot(t)
             reps = old.system.both_representations(lat, lon)
             assert old._next_hop_snap(snap, s, reps) is None
-            assert not old.covers(s, lat, lon, t)
+            assert not old._covers(snap, s, lat, lon)
             degraded_here = RouteResult(True, [s], 0.0, 0.0, degraded=True)
             assert (want == degraded_here) == (probe == "inside")
             assert want.deflected == (probe == "outside")
@@ -443,7 +443,6 @@ class TestSourceIngress:
         router = BatchGeoRouter(topology, metrics=metrics)
         calls = [
             lambda: router.scalar.route(bad, 0.3, 1.0, 0.0),
-            lambda: router.route(bad, 0.3, 1.0, 0.0),
             lambda: router.route_batch([3, bad], [0.3, 0.3], [1.0, 1.0],
                                        0.0),
             lambda: router.route_sweep([3, bad], [0.3, 0.3], [1.0, 1.0],

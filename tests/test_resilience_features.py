@@ -46,9 +46,9 @@ class TestFailureRecovery:
         system.register(ue)
         system.establish_session(ue, t=0.0)
         # Kill every visible satellite.
-        from repro.orbits import visible_satellites
-        for sat in visible_satellites(system.propagator, 0.0, ue.lat,
-                                      ue.lon):
+        from repro.orbits import snapshot_for
+        for sat in snapshot_for(system.propagator, 0.0).visible_satellites(
+                ue.lat, ue.lon):
             system.topology.fail_satellite(int(sat))
         assert system.recover_from_satellite_failure(ue, 0.0) is None
         assert not ue.connected

@@ -158,7 +158,7 @@ class TestScheduleComposition:
     def test_empty_chaos_spec_builds_empty_schedule(self):
         spec = ScenarioSpec(name="calm", title="t", description="d")
         system, ues, scenario = self._system_and_ues(spec)
-        assert len(self._build(spec, system, ues, scenario)) == 0
+        assert self._build(spec, system, ues, scenario).events() == []
 
     def test_build_is_deterministic(self):
         spec = CATALOG["ground-outage"]

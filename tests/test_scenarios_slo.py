@@ -112,8 +112,8 @@ class TestVerdictAggregation:
                    "survival_margin": 0.5}
         report = evaluate_slos(budget, summary)
         assert report.verdict == FAIL
-        assert len(report.failed) == 1
-        assert report.failed[0].name == "p99_recovery_latency_s"
+        failed = [c.name for c in report.checks if c.verdict == FAIL]
+        assert failed == ["p99_recovery_latency_s"]
 
     def test_degraded_beats_pass(self):
         budget = SLOBudget(availability_floor=0.9)

@@ -104,9 +104,8 @@ class TestConfidentiality:
         """The replica on the air is ABE ciphertext: without an
         authorized key the payload is opaque."""
         home, _, ue = deployment
-        wire = ue.replica.to_bytes()
-        # The serialized S1-S5 bundle never appears in the wire blob.
-        assert b"ip_address" not in wire or b'"payload"' in wire
+        # The serialized S1-S5 bundle never appears in the payload.
+        assert b"ip_address" not in ue.replica.ciphertext.payload
 
 
 class TestStateIntegrity:
@@ -150,7 +149,7 @@ class TestReplayAndFreshness:
         home, _, ue = deployment
         from repro.fiveg.procedures import build_state_bundle
         context = home.core.amf.context(ue.supi)
-        session = home.core.smf.session(context.session_ids[0])
+        session = home.core.smf._sessions[context.session_ids[0]]
         bundle = build_state_bundle(session, context, (1, 1))
         old = ue.replica
         home.apply_usage_report(ue, bundle, 1000, 1000)

@@ -59,23 +59,6 @@ class TestScheduling:
         assert sim.now == 100.0
 
 
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule(1.0, fired.append, "x")
-        handle.cancel()
-        sim.run()
-        assert fired == []
-
-    def test_cancel_is_idempotent(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        sim.run()
-
-
 class TestRunControl:
     def test_run_until_stops_clock(self):
         sim = Simulator()
@@ -100,44 +83,6 @@ class TestRunControl:
             sim.schedule(float(i + 1), fired.append, i)
         sim.run(max_events=3)
         assert fired == [0, 1, 2]
-
-    def test_max_events_skips_cancelled_head(self):
-        """A cancelled head event must not consume the event budget."""
-        sim = Simulator()
-        fired = []
-        head = sim.schedule(1.0, fired.append, "a")
-        sim.schedule(2.0, fired.append, "b")
-        sim.schedule(3.0, fired.append, "c")
-        head.cancel()
-        sim.run(max_events=1)
-        assert fired == ["b"]
-        assert sim.now == 2.0
-        sim.run(max_events=1)
-        assert fired == ["b", "c"]
-        assert sim.step() is False
-
-    def test_max_events_with_all_heads_cancelled(self):
-        """Budgeted run over a fully cancelled queue fires nothing."""
-        sim = Simulator()
-        fired = []
-        handles = [sim.schedule(float(i + 1), fired.append, i)
-                   for i in range(3)]
-        for handle in handles:
-            handle.cancel()
-        sim.run(max_events=5)
-        assert fired == []
-        assert sim.step() is False
-
-    def test_until_with_cancelled_head_past_deadline(self):
-        """A cancelled event beyond ``until`` must not stall the clock."""
-        sim = Simulator()
-        fired = []
-        late = sim.schedule(10.0, fired.append, "late")
-        sim.schedule(1.0, fired.append, "early")
-        late.cancel()
-        sim.run(until=5.0, max_events=10)
-        assert fired == ["early"]
-        assert sim.now == 5.0
 
     def test_nan_until_rejected_before_any_event(self):
         """``head.time > nan`` is always False, so a self-rescheduling

@@ -22,12 +22,8 @@ from repro.orbits import (
     starlink,
 )
 from repro.orbits.coordinates import central_angle, wrap_signed
-from repro.orbits.coverage import (
-    coverage_half_angle,
-    serving_satellite,
-    visible_satellites,
-)
-from repro.orbits.snapshot import serving_over_times, serving_satellites
+from repro.orbits.coverage import coverage_half_angle, serving_satellite
+from repro.orbits.snapshot import serving_over_times
 from repro.topology.grid import GridTopology
 from repro.topology.routing import GeospatialRouter, RouteResult
 
@@ -204,7 +200,7 @@ class TestCoverageEquivalence:
         rng = np.random.default_rng(2)
         lats, lons = _sample_points(rng, 40)
         for t, lat, lon in zip(rng.uniform(0, 7000, 40), lats, lons):
-            got = visible_satellites(prop, float(t), lat, lon)
+            got = snapshot_for(prop, float(t)).visible_satellites(lat, lon)
             want = _scalar_visible(prop, float(t), lat, lon)
             assert list(map(int, got)) == list(map(int, want))
 
@@ -234,7 +230,7 @@ class TestBatchEquivalence:
         rng = np.random.default_rng(4)
         lats, lons = _sample_points(rng, 100)
         t = 1234.5
-        batch = serving_satellites(prop, t, lats, lons)
+        batch = snapshot_for(prop, t).serving_satellites(lats, lons)
         for i in range(len(lats)):
             assert int(batch[i]) == _scalar_serving(
                 prop, t, float(lats[i]), float(lons[i]))
@@ -282,7 +278,6 @@ class TestRouterEquivalence:
     def test_per_hop_decisions_match(self, kind):
         prop = make_propagator(starlink(), kind)
         topology = GridTopology(prop, [])
-        fast = GeospatialRouter(topology)
         slow = _ScalarRouter(topology)
         # The walk decides each hop inline; a one-hop route reads one
         # decision (cover, degraded delivery, next hop or deflection).
@@ -295,12 +290,12 @@ class TestRouterEquivalence:
             sat = int(rng.integers(0, c.total_satellites))
             lat = float(np.radians(rng.uniform(-55, 55)))
             lon = float(np.radians(rng.uniform(-180, 180)))
-            covered = fast.covers(sat, lat, lon, t)
-            assert covered == slow.covers(sat, lat, lon, t)
+            covered = slow.covers(sat, lat, lon, t)
             a = fast_hop.route(sat, lat, lon, t)
             b = slow_hop.route(sat, lat, lon, t)
             assert (a.delivered, a.path, a.degraded) == (
                 b.delivered, b.path, b.degraded)
+            assert (a.delivered and not a.degraded) == covered
             preferred = slow.next_hop(sat, lat, lon, t)
             if not covered and preferred is not None:
                 # No faults: the preferred hop is always taken.

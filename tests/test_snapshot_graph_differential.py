@@ -79,8 +79,7 @@ STATIONS = default_ground_stations()
 EPOCHS = (0.0, 615.0, 2871.5)
 
 
-def oracle_graph(topology: GridTopology, t: float,
-                 include_ground: bool) -> nx.Graph:
+def oracle_graph(topology: GridTopology, t: float) -> nx.Graph:
     """The pre-array ``snapshot_graph`` loop, lengths from the table."""
     graph = nx.Graph()
     c = topology.constellation
@@ -99,33 +98,23 @@ def oracle_graph(topology: GridTopology, t: float,
                 graph.add_edge(sat, nbr,
                                weight=dist / SPEED_OF_LIGHT_KM_S,
                                distance_km=dist)
-    if include_ground:
-        for _, gs in topology.live_ground_stations():
-            access = topology.station_access_satellite(gs, t)
-            if access >= 0:
-                delay = topology.gsl_delay_s(access, gs, t)
-                graph.add_edge(gs.name, access, weight=delay,
-                               distance_km=delay * SPEED_OF_LIGHT_KM_S)
     return graph
 
 
 def assert_same_graph(topology: GridTopology, t: float) -> None:
-    for include_ground in (False, True):
-        got = topology.snapshot_graph(t, include_ground=include_ground)
-        want = oracle_graph(topology, t, include_ground)
-        assert list(got.nodes) == list(want.nodes)
-        assert list(got.edges) == list(want.edges)
-        assert ({n: list(got.adj[n]) for n in got}
-                == {n: list(want.adj[n]) for n in want})
-        for a, b, data in got.edges(data=True):
-            # Exact float equality, key order included.
-            assert list(data.items()) == list(want[a][b].items())
-            assert type(data["weight"]) is float
-            assert type(data["distance_km"]) is float
-            if isinstance(a, int) and isinstance(b, int):
-                assert (data["weight"]
-                        == data["distance_km"] / SPEED_OF_LIGHT_KM_S)
-        assert all(type(n) in (int, str) for n in got.nodes)
+    got = topology.snapshot_graph(t)
+    want = oracle_graph(topology, t)
+    assert list(got.nodes) == list(want.nodes)
+    assert list(got.edges) == list(want.edges)
+    assert ({n: list(got.adj[n]) for n in got}
+            == {n: list(want.adj[n]) for n in want})
+    for a, b, data in got.edges(data=True):
+        # Exact float equality, key order included.
+        assert list(data.items()) == list(want[a][b].items())
+        assert type(data["weight"]) is float
+        assert type(data["distance_km"]) is float
+        assert data["weight"] == data["distance_km"] / SPEED_OF_LIGHT_KM_S
+    assert all(type(n) is int for n in got.nodes)
 
 
 @st.composite
@@ -205,11 +194,11 @@ def test_isl_mark_on_dead_endpoint_outlives_its_recovery():
     topology.fail_isl(5, up)
     assert_same_graph(topology, 0.0)
     topology.recover_satellite(5)
-    graph = topology.snapshot_graph(0.0, include_ground=False)
+    graph = topology.snapshot_graph(0.0)
     assert 5 in graph and not graph.has_edge(5, up)
     assert_same_graph(topology, 0.0)
     topology.recover_isl(5, up)
-    assert topology.snapshot_graph(0.0, include_ground=False).has_edge(5, up)
+    assert topology.snapshot_graph(0.0).has_edge(5, up)
 
 
 @pytest.mark.parametrize("faulted", [False, True])
@@ -228,7 +217,7 @@ def test_graph_weights_equal_csr_weights(shell, faulted):
         for sat in range(0, total, 7):
             topology.fail_isl(sat, int(neighbors[sat, sat % 4]))
     t = 615.0
-    graph = topology.snapshot_graph(t, include_ground=False)
+    graph = topology.snapshot_graph(t)
     matrix = topology.delay_adjacency(t)
     # Zero-length self-loops (1 plane / 1 slot) are not stored.
     loops = nx.number_of_selfloops(graph)
@@ -241,9 +230,10 @@ def test_graph_weights_equal_csr_weights(shell, faulted):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_dijkstra_router_matches_networkx(shell, data):
-    """``route`` == one-pair ``route_many`` == networkx Dijkstra over
-    ``snapshot_graph``: same verdict and ``delay_s`` bits, and the path
-    is a live path whose lengths sum to the reported totals."""
+    """One-pair ``route_many`` == batched ``route_many`` == networkx
+    Dijkstra over ``snapshot_graph``: same verdict and ``delay_s`` bits,
+    and the path is a live path whose lengths sum to the reported
+    totals."""
     topology, t = faulted_topology(shell, data)
     total = topology.constellation.total_satellites
     # Dead and out-of-range endpoints are drawn on purpose.
@@ -253,12 +243,12 @@ def test_dijkstra_router_matches_networkx(shell, data):
                         + [-1, total, total + 3]))
     pairs = data.draw(st.lists(st.tuples(endpoint, endpoint),
                                min_size=1, max_size=12))
-    graph = topology.snapshot_graph(t, include_ground=False)
+    graph = topology.snapshot_graph(t)
     router = DijkstraRouter(topology)
     batched = router.route_many([s for s, _ in pairs],
                                 [d for _, d in pairs], t)
     for (s, d), many in zip(pairs, batched):
-        got = router.route(s, d, t)
+        got, = router.route_many([s], [d], t)
         assert got == many
         reachable = s in graph and d in graph and nx.has_path(graph, s, d)
         assert got.delivered == reachable
@@ -278,7 +268,7 @@ def test_dijkstra_router_matches_networkx(shell, data):
 @given(data=st.data())
 def test_csr_components_partition_live_satellites_like_networkx(shell, data):
     topology, t = faulted_topology(shell, data)
-    graph = topology.snapshot_graph(t, include_ground=False)
+    graph = topology.snapshot_graph(t)
     _, label = connected_components(topology.delay_adjacency(t),
                                     directed=False)
     by_label = {}
@@ -346,7 +336,7 @@ def test_csr_components_match_networkx_on_generated_shells(constellation,
             max_size=total)):
         topology.fail_isl(sat, int(neighbors[sat, column]))
     t = data.draw(st.floats(0.0, 2 * constellation.period_s))
-    graph = topology.snapshot_graph(t, include_ground=False)
+    graph = topology.snapshot_graph(t)
     _, label = connected_components(topology.delay_adjacency(t),
                                     directed=False)
     by_label = {}
@@ -405,7 +395,7 @@ def test_liveness_masks_are_the_fault_log_per_fault_epoch(constellation,
 
 def nx_mean_hops(constellation, t):
     topology = GridTopology(IdealPropagator(constellation), STATIONS)
-    graph = topology.snapshot_graph(t, include_ground=False)
+    graph = topology.snapshot_graph(t)
     sources = {sat for _, sat in topology.gateway_access_satellites(t)}
     hops = nx.multi_source_dijkstra_path_length(graph, sources, weight=None)
     return sum(hops.values()) / len(hops)
@@ -417,7 +407,7 @@ def nx_gateway_reachability(constellation, failure_fraction, seed, t):
     rng = random.Random(seed)
     for sat in rng.sample(range(total), int(total * failure_fraction)):
         topology.fail_satellite(sat)
-    graph = topology.snapshot_graph(t, include_ground=False)
+    graph = topology.snapshot_graph(t)
     sources = {sat for _, sat in topology.gateway_access_satellites(t)}
     reachable = set()
     for component in nx.connected_components(graph):
@@ -427,7 +417,7 @@ def nx_gateway_reachability(constellation, failure_fraction, seed, t):
 
 
 def nx_link_load(topology, t, demands):
-    graph = topology.snapshot_graph(t, include_ground=False)
+    graph = topology.snapshot_graph(t)
     access_sats = [sat for _, sat in topology.gateway_access_satellites(t)]
     paths = {}
     load = TrafficLoad()

@@ -166,21 +166,15 @@ class TestGridTopology:
 
     def test_snapshot_graph_connected(self, topo):
         import networkx as nx
-        graph = topo.snapshot_graph(0.0, include_ground=False)
+        graph = topo.snapshot_graph(0.0)
         assert graph.number_of_nodes() == 1584
         assert graph.number_of_edges() == 2 * 1584  # 4 ISLs each, halved
         assert nx.is_connected(graph)
 
-    def test_snapshot_graph_includes_ground(self, topo):
-        graph = topo.snapshot_graph(0.0, include_ground=True)
-        names = {gs.name for gs in topo.ground_stations}
-        present = names.intersection(graph.nodes)
-        assert len(present) > len(names) * 0.6
-
-    def test_gsl_delay_positive(self, topo):
-        gs = topo.ground_stations[0]
-        sat = topo.station_access_satellite(gs, 0.0)
-        assert topo.gsl_delay_s(sat, gs, 0.0) > 0
+    def test_most_gateways_have_an_access_satellite(self, topo):
+        attached = topo.gateway_access_satellites(0.0)
+        assert len(attached) > len(topo.ground_stations) * 0.6
+        assert all(sat >= 0 for _, sat in attached)
 
 
 class TestAlgorithm1:
@@ -224,7 +218,7 @@ class TestAlgorithm1:
         src = serving_satellite(topo.propagator, 0.0, *BEIJING)
         dst = serving_satellite(topo.propagator, 0.0, *NEW_YORK)
         geo = router.route(src, *NEW_YORK, 0.0)
-        base = DijkstraRouter(topo).route(src, dst, 0.0)
+        base, = DijkstraRouter(topo).route_many([src], [dst], 0.0)
         assert base.delivered
         assert geo.delay_s < 1.6 * base.delay_s
 

@@ -4,7 +4,6 @@
 import pytest
 
 from repro.core import SpaceCoreSatellite, SpaceCoreHome
-from repro.fiveg import CoreNetwork, ProcedureRunner
 from repro.fiveg.nf import Upf
 from repro.workload import (
     CpuSample,
@@ -77,33 +76,6 @@ class TestReplayCpuSeries:
 
 
 class TestNfEdgeCases:
-    def test_amf_paging_counts(self):
-        core = CoreNetwork()
-        ue = core.provision_subscriber(3)
-        ProcedureRunner(core).initial_registration(ue, (0, 0))
-        assert core.amf.page(ue.supi)
-        stranger = core.provision_subscriber(4)
-        assert not core.amf.page(stranger.supi)
-        assert core.amf.paging_requests == 2
-
-    def test_smf_release_unknown_session_is_noop(self):
-        core = CoreNetwork()
-        core.smf.release_session(999)  # must not raise
-
-    def test_smf_switch_path_unknown_session(self):
-        core = CoreNetwork()
-        with pytest.raises(KeyError):
-            core.smf.switch_path(999, "nowhere")
-
-    def test_smf_switch_path_unknown_upf(self):
-        core = CoreNetwork()
-        ue = core.provision_subscriber(6)
-        runner = ProcedureRunner(core)
-        runner.initial_registration(ue, (0, 0))
-        session = runner.establish_session(ue, (0, 0), (0, 0))
-        with pytest.raises(KeyError):
-            core.smf.switch_path(session.session_id, "ghost-upf")
-
     def test_smf_requires_upf(self):
         from repro.fiveg.nf import Smf
         from repro.geo import AddressAllocator
