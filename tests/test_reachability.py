@@ -49,8 +49,9 @@ held in exactly one of these places:
   (``bench/tests/test_trace.py`` installs every one) or a function a
   ``bench/*.py`` file imports by name.
 
-One test id per module, so a failure names the module and lists each
-unexecuted definition in it.
+Two test ids per module: one fails when no root imports the module at
+all, the other names the module and lists each unexecuted definition
+in it.
 """
 
 import ast
@@ -452,8 +453,16 @@ def test_cli_roots_are_the_documented_command_lines():
 
 
 @pytest.mark.parametrize("name", SRC_MODULES)
+def test_module_is_reached_from_a_root(name, census):
+    assert name not in {d.qualname for d in census.dead()}, (
+        f"{name}: imported by no documented command, example or bench "
+        "workload; delete it or give it a documented root")
+
+
+@pytest.mark.parametrize("name", SRC_MODULES)
 def test_definitions_run_from_a_root(name, census):
-    dead = [d for d in census.dead() if d.module == name]
+    dead = [d for d in census.dead()
+            if d.module == name and d.qualname != name]
     assert not dead, (
         f"{name}: run by no documented command, example or bench "
         "workload; delete it, give it a documented root, or hold it "
