@@ -82,10 +82,10 @@ def load_module(path: Path, root: Path) -> Tuple[Optional[ModuleInfo],
     return ModuleInfo(relpath, source, tree), None
 
 
-def analyze(paths: Sequence[Path],
-            root: Optional[Path] = None) -> AnalysisResult:
-    """Run every registered rule over the given files/directories."""
-    root = (root or find_project_root(Path(paths[0]))).resolve()
+def analyze(paths: Sequence[Path]) -> AnalysisResult:
+    """Run every registered rule over the given files/directories,
+    reporting paths relative to the first path's project root."""
+    root = find_project_root(Path(paths[0]))
     rules = all_rules()
     result = AnalysisResult(root=root)
     for path in collect_files(paths):

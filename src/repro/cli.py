@@ -217,18 +217,20 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .experiments.report import generate_report, write_report
+    from .experiments.report import generate_report
     if args.check:
         if args.full or args.output:
             print("repro report: --check compares the fast report and "
                   "takes no --full or --output", file=sys.stderr)
             return 2
         return _check_report()
+    content = generate_report(fast=not args.full)
     if args.output:
-        write_report(args.output, fast=not args.full)
+        with open(args.output, "w") as handle:
+            handle.write(content)
         print(f"report written to {args.output}")
     else:
-        sys.stdout.write(generate_report(fast=not args.full))
+        sys.stdout.write(content)
     return 0
 
 

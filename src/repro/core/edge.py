@@ -47,19 +47,17 @@ class EdgeRequestResult:
 class OrbitalEdgeService:
     """A replicated service living on satellites."""
 
-    def __init__(self, topology: GridTopology,
-                 router: Optional[GeospatialRouter] = None):
+    def __init__(self, topology: GridTopology):
         self.topology = topology
-        self.router = router or GeospatialRouter(topology)
+        self.router = GeospatialRouter(topology)
         self._replicas: set = set()
         self.requests_served = 0
         self.failovers = 0
 
     # -- placement ----------------------------------------------------------------
 
-    def place_over_population(self, t: float, replica_count: int = 6,
-                              population: Optional[PopulationGrid]
-                              = None) -> List[int]:
+    def place_over_population(self, t: float,
+                              replica_count: int = 6) -> List[int]:
         """Place replicas on satellites over the densest ground.
 
         Greedy anti-collocation: each new replica must not share a
@@ -68,7 +66,7 @@ class OrbitalEdgeService:
         """
         if replica_count < 1:
             raise ValueError("need at least one replica")
-        population = population or PopulationGrid()
+        population = PopulationGrid()
         c = self.topology.constellation
         radius = footprint_radius_km(c.altitude_km, c.min_elevation_deg)
         subpoints = self.topology.propagator.subpoints(t)

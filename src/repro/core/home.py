@@ -29,9 +29,8 @@ CellId = Tuple[int, int]
 class SpaceCoreHome:
     """Wraps the legacy core with SpaceCore's state authority."""
 
-    def __init__(self, name: str = "home", plmn: Plmn = Plmn(460, 0),
-                 rng=None):
-        self.core = CoreNetwork(name, plmn, rng)
+    def __init__(self, name: str = "home", plmn: Plmn = Plmn(460, 0)):
+        self.core = CoreNetwork(name, plmn)
         self.registrar = SpaceCoreRegistrar(self.core)
         self.epoch = 0
         self._enrolled: Dict[str, SatelliteCredentials] = {}

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..fiveg.bus import SignalingBus
 from ..fiveg.identifiers import Plmn
@@ -25,7 +25,7 @@ from ..geo.addressing import GeospatialAddress
 from ..geo.cells import GeospatialCellGrid
 from ..orbits.constellation import Constellation
 from ..orbits.coverage import serving_satellite
-from ..orbits.groundstations import GroundStation, default_ground_stations
+from ..orbits.groundstations import default_ground_stations
 from ..orbits.propagator import make_propagator
 from ..topology.grid import GridTopology
 from ..topology.routing import GeospatialRouter, RouteResult
@@ -48,14 +48,11 @@ class SpaceCoreSystem:
     """The deployed SpaceCore of Fig. 14."""
 
     def __init__(self, constellation: Constellation,
-                 ground_stations: Optional[List[GroundStation]] = None,
                  propagator_kind: str = "ideal",
                  plmn: Plmn = Plmn(460, 0)):
         self.constellation = constellation
         self.propagator = make_propagator(constellation, propagator_kind)
-        self.ground_stations = (ground_stations
-                                if ground_stations is not None
-                                else default_ground_stations())
+        self.ground_stations = default_ground_stations()
         self.topology = GridTopology(self.propagator, self.ground_stations)
         self.router = GeospatialRouter(self.topology)
         self.grid = GeospatialCellGrid(constellation)
@@ -120,11 +117,11 @@ class SpaceCoreSystem:
 
     # -- control-plane procedures ----------------------------------------------------------
 
-    def register(self, ue: UserEquipment, t: float = 0.0,
-                 home_cell: Optional[CellId] = None):
-        """C1: authenticate with the home and receive the state replica."""
+    def register(self, ue: UserEquipment, t: float = 0.0):
+        """C1: authenticate with the home and receive the state replica;
+        the UE's current cell becomes its home cell."""
         ue_cell = self.cell_of(ue)
-        return self.home.register(ue, home_cell or ue_cell, ue_cell, t)
+        return self.home.register(ue, ue_cell, ue_cell, t)
 
     def establish_session(self, ue: UserEquipment, t: float = 0.0,
                           allow_fallback: bool = False) -> ServedSession:

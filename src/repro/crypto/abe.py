@@ -28,7 +28,7 @@ import hashlib
 import hmac
 import secrets
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from .access_tree import Gate, Leaf, PolicyNode
 from .group import ShareField
@@ -94,10 +94,9 @@ class AbeCiphertext:
             self.tag)
 
 
-def setup(rng_seed: Optional[bytes] = None
-          ) -> Tuple[AbePublicParams, AbeMasterKey]:
+def setup() -> Tuple[AbePublicParams, AbeMasterKey]:
     """Algorithm 2 line 2: ``(pk, msk) <- Setup(1^lambda)``."""
-    secret = rng_seed if rng_seed is not None else secrets.token_bytes(32)
+    secret = secrets.token_bytes(32)
     authority = hashlib.sha256(b"authority|" + secret).digest()[:16]
     return AbePublicParams(authority), AbeMasterKey(secret)
 

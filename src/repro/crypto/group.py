@@ -85,10 +85,8 @@ class SchnorrGroup:
         if not 1 < self.g < self.p or pow(self.g, self.q, self.p) != 1:
             raise ValueError("g must generate the order-q subgroup")
 
-    def random_scalar(self, rng=None) -> int:
+    def random_scalar(self) -> int:
         """A uniform nonzero exponent modulo q."""
-        if rng is not None:
-            return rng.randrange(1, self.q)
         return secrets.randbelow(self.q - 1) + 1
 
     def power(self, base: int, exponent: int) -> int:
@@ -261,9 +259,7 @@ class ShareField:
     prime = SHARE_PRIME
 
     @classmethod
-    def random(cls, rng=None) -> int:
-        if rng is not None:
-            return rng.randrange(cls.prime)
+    def random(cls) -> int:
         return secrets.randbelow(cls.prime)
 
     @classmethod

@@ -60,9 +60,9 @@ class VerifyKey:
         return expected == e
 
 
-def generate_keypair(rng=None) -> Tuple[SigningKey, VerifyKey]:
+def generate_keypair() -> Tuple[SigningKey, VerifyKey]:
     """A fresh Schnorr keypair."""
-    x = SCHNORR_GROUP.random_scalar(rng)
+    x = SCHNORR_GROUP.random_scalar()
     sk = SigningKey(x)
     return sk, sk.public
 

@@ -66,10 +66,10 @@ class Initiator:
     """The UE side of Algorithm 2."""
 
     def __init__(self, home_verify_key: VerifyKey,
-                 group: SchnorrGroup = SCHNORR_GROUP, rng=None):
+                 group: SchnorrGroup = SCHNORR_GROUP):
         self.group = group
         self.home_verify_key = home_verify_key
-        self._x = group.random_scalar(rng)
+        self._x = group.random_scalar()
         self.hello = InitiatorHello(group.generate(self._x))
 
     def finish(self, reply: ResponderReply) -> SessionKey:
@@ -99,18 +99,17 @@ class Responder:
     """The satellite side of Algorithm 2."""
 
     def __init__(self, certificate: Certificate, signing_key: SigningKey,
-                 group: SchnorrGroup = SCHNORR_GROUP, rng=None):
+                 group: SchnorrGroup = SCHNORR_GROUP):
         self.group = group
         self.certificate = certificate
         self._signing_key = signing_key
-        self._rng = rng
 
     def respond(self, hello: InitiatorHello
                 ) -> Tuple[ResponderReply, SessionKey]:
         """Lines 12-13: compute Y, K, and the authenticating signature."""
         if not self.group.is_element(hello.exponential):
             raise KeyAgreementError("initiator exponential not in group")
-        y = self.group.random_scalar(self._rng)
+        y = self.group.random_scalar()
         y_pub = self.group.generate(y)
         shared = self.group.power(hello.exponential, y)
         transcript = _transcript(hello.exponential, y_pub, self.group)
@@ -122,11 +121,10 @@ class Responder:
 
 
 def agree(home_verify_key: VerifyKey, certificate: Certificate,
-          satellite_key: SigningKey, rng=None
-          ) -> Tuple[SessionKey, SessionKey]:
+          satellite_key: SigningKey) -> Tuple[SessionKey, SessionKey]:
     """Run the whole exchange in-process (for tests and benchmarks)."""
-    ue = Initiator(home_verify_key, rng=rng)
-    sat = Responder(certificate, satellite_key, rng=rng)
+    ue = Initiator(home_verify_key)
+    sat = Responder(certificate, satellite_key)
     reply, sat_session = sat.respond(ue.hello)
     ue_session = ue.finish(reply)
     return ue_session, sat_session

@@ -62,7 +62,7 @@ from .relay import (
     relay_times,
     relay_trials,
 )
-from .report import generate_report, write_report
+from .report import generate_report
 from .sensitivity import (
     ScalingPoint,
     SensitivityPoint,
@@ -120,7 +120,7 @@ __all__ = [
     "tcp_recovery_time_s",
     "chaos_observability", "cohort_observability",
     "write_metrics_snapshot", "write_trace_jsonl",
-    "generate_report", "write_report",
+    "generate_report",
     "ServiceAreaChurn", "fig11_comparison", "geospatial_area_churn",
     "logical_area_churn",
     "ScalingPoint", "SensitivityPoint",

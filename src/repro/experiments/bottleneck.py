@@ -13,12 +13,11 @@ Two demonstrations with the transparent-pipe (bent-pipe) architecture:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from ..constants import BASEBAND_DEADLINE_S
 from ..orbits.constellation import Constellation
 from ..orbits.groundstations import (
-    GroundStation,
     default_ground_stations,
     station_load_shares,
 )
@@ -42,11 +41,9 @@ class GatewayConcentration:
 
 
 def gateway_concentration(constellation: Constellation,
-                          stations: Optional[Sequence[GroundStation]] = None,
                           t: float = 0.0) -> GatewayConcentration:
     """Compute the Fig. 5a satellite-per-gateway concentration."""
-    stations = (list(stations) if stations is not None
-                else default_ground_stations())
+    stations = default_ground_stations()
     propagator = IdealPropagator(constellation)
     subpoints = [tuple(row) for row in propagator.subpoints(t)]
     shares = station_load_shares(subpoints, stations)

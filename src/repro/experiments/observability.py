@@ -16,11 +16,11 @@ appears in any payload; every timestamp is simulated time.
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
-from ..baselines import solution_by_name
+from ..baselines import ALL_SOLUTIONS, solution_by_name
 from ..obs import MetricsRegistry, merge_snapshots
-from ..orbits.constellation import Constellation
+from ..orbits.constellation import starlink
 from ..runtime.cohort import UECohortEngine
 from ..runtime.parallel import get_shared, run_sharded, seed_for
 from .chaos_availability import ChaosScenario, run_chaos_trials
@@ -39,7 +39,6 @@ __all__ = [
 
 def chaos_observability(n_trials: int = 1, base_seed: int = 0,
                         scenario: Optional[ChaosScenario] = None,
-                        constellation: Optional[Constellation] = None,
                         workers: Optional[int] = None) -> Dict:
     """Instrumented chaos Monte Carlo: merged metrics + full trace.
 
@@ -50,8 +49,7 @@ def chaos_observability(n_trials: int = 1, base_seed: int = 0,
     the payload is bit-identical for any ``workers`` value.
     """
     mc = run_chaos_trials(n_trials=n_trials, base_seed=base_seed,
-                          scenario=scenario, constellation=constellation,
-                          workers=workers)
+                          scenario=scenario, workers=workers)
     return {
         "experiment": "chaos",
         "base_seed": base_seed,
@@ -90,28 +88,19 @@ def _observed_cohort_point(work) -> Dict:
     }
 
 
-def cohort_observability(solutions: Optional[Sequence[str]] = None,
-                         constellation: Optional[Constellation] = None,
-                         n_ues: int = 20_000, duration_s: float = 600.0,
+def cohort_observability(n_ues: int = 20_000, duration_s: float = 600.0,
                          base_seed: int = 0, n_cohorts: int = 32,
                          workers: Optional[int] = None) -> Dict:
     """Instrumented cohort sweep: one design point per solution.
 
-    Each point runs on its own registry with a seed derived from the
-    solution name (not the shard slot), so the merged snapshot is
-    independent of worker count and of the order solutions are listed
-    relative to pool scheduling.
+    Each point runs on Starlink on its own registry with a seed derived
+    from the solution name (not the shard slot), so the merged snapshot
+    is independent of worker count and of pool scheduling.
     """
-    if constellation is None:
-        from ..orbits.constellation import starlink
-        constellation = starlink()
-    if solutions is None:
-        from ..baselines import ALL_SOLUTIONS
-        solutions = [factory().name for factory in ALL_SOLUTIONS]
-    work = [(index, name, n_ues, duration_s, base_seed, n_cohorts)
-            for index, name in enumerate(solutions)]
+    work = [(index, factory().name, n_ues, duration_s, base_seed, n_cohorts)
+            for index, factory in enumerate(ALL_SOLUTIONS)]
     shards = run_sharded(_observed_cohort_point, work, workers=workers,
-                         shared={"cohort:constellation": constellation},
+                         shared={"cohort:constellation": starlink()},
                          label="obs.cohort")
     return {
         "experiment": "cohort",

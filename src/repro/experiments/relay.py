@@ -88,9 +88,7 @@ def relay_trials(constellation: Constellation, propagator_kind: str,
                  src: Tuple[float, float] = BEIJING,
                  dst: Tuple[float, float] = NEW_YORK,
                  samples: int = 24,
-                 horizon_s: float = 5700.0,
-                 router: Optional[BatchGeoRouter] = None
-                 ) -> List[RelayTrial]:
+                 horizon_s: float = 5700.0) -> List[RelayTrial]:
     """Route ``samples`` packets spread over ``horizon_s`` seconds.
 
     One packet departs per sample epoch; the whole horizon routes as a
@@ -98,10 +96,9 @@ def relay_trials(constellation: Constellation, propagator_kind: str,
     route_sweep` (grouped by epoch, one next-hop table per epoch),
     bit-identical to the retired per-epoch scalar loop.
     """
-    if router is None:
-        router = relay_router(constellation, propagator_kind)
     ts = relay_times(samples, horizon_s)
-    src_sats, wave = router.sweep_trials(src, dst, ts)
+    src_sats, wave = relay_router(
+        constellation, propagator_kind).sweep_trials(src, dst, ts)
     return [RelayTrial(t, propagator_kind, bool(wave.delivered[i]),
                        float(wave.delay_s[i]) * 1000.0,
                        int(wave.hops[i]))
@@ -205,9 +202,7 @@ class RoutingSweep:
 
 def routing_sweep(constellation: Constellation, packets: int = 2000,
                   t: float = 300.0, seed: int = 11,
-                  propagator_kind: str = "ideal",
-                  router: Optional[BatchGeoRouter] = None
-                  ) -> RoutingSweep:
+                  propagator_kind: str = "ideal") -> RoutingSweep:
     """Route a Monte Carlo packet wave through the batch plane.
 
     Sources are uniform over the constellation; destinations are
@@ -215,9 +210,8 @@ def routing_sweep(constellation: Constellation, packets: int = 2000,
     directly).  One ``route_batch`` call answers the whole wave --
     this is the workload the routing benchmark times.
     """
-    if router is None:
-        propagator = make_propagator(constellation, propagator_kind)
-        router = BatchGeoRouter(GridTopology(propagator, []))
+    router = BatchGeoRouter(GridTopology(
+        make_propagator(constellation, propagator_kind), []))
     rng = np.random.default_rng(seed)
     lat_band = math.radians(
         min(constellation.inclination_deg,

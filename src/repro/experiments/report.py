@@ -508,10 +508,3 @@ def generate_report(fast: bool = True) -> str:
     return HEADER + "".join(render_section(name, fast)
                             for name in SECTION_TITLES)
 
-
-def write_report(path: str, fast: bool = True) -> str:
-    """Generate the report and write it to ``path``."""
-    content = generate_report(fast)
-    with open(path, "w") as handle:
-        handle.write(content)
-    return content

@@ -208,7 +208,6 @@ def _sweep_point(work) -> SignalingLoad:
 
 def sweep(solutions: Iterable, constellations: Iterable[Constellation],
           capacities: Sequence[int] = SATELLITE_CAPACITIES,
-          stations: Optional[Sequence[GroundStation]] = None,
           workers: Optional[int] = None) -> List[SignalingLoad]:
     """Cartesian sweep used by Fig. 10 (options) and Fig. 20 (solutions).
 
@@ -220,8 +219,7 @@ def sweep(solutions: Iterable, constellations: Iterable[Constellation],
     bit-identical values.  Parallel runs need picklable solution specs
     (module-level factories or instances, not lambdas).
     """
-    stations = (tuple(stations) if stations is not None
-                else tuple(default_ground_stations()))
+    stations = tuple(default_ground_stations())
     solutions = list(solutions)
     constellations = list(constellations)
     points = [(constellation_index, solution_index, capacity)

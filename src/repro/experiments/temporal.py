@@ -10,9 +10,8 @@ time series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from ..baselines.base import Solution
 from ..baselines.options import option3_session_mobility
 from ..geo.population import PopulationGrid
 from ..orbits.constellation import Constellation
@@ -38,9 +37,7 @@ def satellite_ground_track_load(
         capacity: int,
         duration_s: float = 6000.0,
         step_s: float = 60.0,
-        solution: Optional[Solution] = None,
-        sat_plane: int = 0, sat_slot: int = 0,
-        population: Optional[PopulationGrid] = None
+        sat_plane: int = 0, sat_slot: int = 0
         ) -> List[TemporalSample]:
     """Signaling and state-transmission load along one ground track.
 
@@ -48,14 +45,12 @@ def satellite_ground_track_load(
     its own users (Fig. 12 left); ``state_tx_per_s`` counts the state
     items migrated (Fig. 12 right).
     """
-    solution = solution if solution is not None \
-        else option3_session_mobility()
-    if population is None:
-        # An early satellite-direct service serves an operator-scale
-        # subscriber base (millions, not billions); this is what makes
-        # the per-region structure of Fig. 12 visible below the
-        # per-satellite capacity cap.
-        population = PopulationGrid(total_subscribers=2.0e6)
+    solution = option3_session_mobility()
+    # An early satellite-direct service serves an operator-scale
+    # subscriber base (millions, not billions); this is what makes the
+    # per-region structure of Fig. 12 visible below the per-satellite
+    # capacity cap.
+    population = PopulationGrid(total_subscribers=2.0e6)
     propagator = IdealPropagator(constellation)
     radius = footprint_radius_km(constellation.altitude_km,
                                  constellation.min_elevation_deg)

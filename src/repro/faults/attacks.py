@@ -103,20 +103,16 @@ def _is_encrypted_at_rest(message_name: str) -> bool:
     return "replica" in message_name
 
 
-def mitm_leak_rate(solution: Solution, capacity: int, dwell_s: float,
-                   ipsec_enabled: bool = False) -> float:
+def mitm_leak_rate(solution: Solution, capacity: int,
+                   dwell_s: float) -> float:
     """Security states/s leaked to a passive wireless listener.
 
     Counts S5-carrying messages per second on any wireless segment
-    (radio, ISL, or ground-space link), excluding end-to-end-encrypted
-    payloads (ABE replicas), plus SkyCore-style sync broadcasts which
-    replicate security contexts between satellites.
+    (radio, ISL, or ground-space link) with IPsec off, as in Fig. 19b,
+    excluding end-to-end-encrypted payloads (ABE replicas), plus
+    SkyCore-style sync broadcasts which replicate security contexts
+    between satellites.
     """
-    if ipsec_enabled:
-        # IPsec protects the infrastructure links; only the initial
-        # over-the-air AKA exchange remains, which carries no usable
-        # key material in the clear.
-        return 0.0
     rates = solution.procedure_rates_per_user(dwell_s)
     per_user = 0.0
     for kind, rate in rates.items():

@@ -129,11 +129,11 @@ class FaultSchedule:
 
     def add_satellite_decay(self, satellites: Sequence[int],
                             horizon_s: float,
-                            monthly_hazard: Optional[float] = None,
                             acceleration: float = 1.0,
                             repair_delay_s: Optional[float] = None,
                             seed: int = 0) -> "FaultSchedule":
-        """Exponential per-satellite failure times from the decay hazard.
+        """Exponential per-satellite failure times from the decay hazard
+        of :func:`~repro.faults.failures.satellite_decay_series`.
 
         ``acceleration`` compresses wall-clock so chaos runs over
         simulation-scale horizons still see failures (standard chaos-
@@ -144,12 +144,7 @@ class FaultSchedule:
             raise ValueError("horizon must be non-negative")
         if acceleration <= 0:
             raise ValueError("acceleration must be positive")
-        if monthly_hazard is None:
-            monthly_hazard = STARLINK_FAILURE_FRACTION / 24.0
-        if not 0.0 <= monthly_hazard <= 1.0:
-            raise ValueError("monthly_hazard must be in [0, 1]")
-        if monthly_hazard == 0.0:
-            return self
+        monthly_hazard = STARLINK_FAILURE_FRACTION / 24.0
         # Continuous-time rate whose one-month failure probability
         # matches the monthly hazard: p = 1 - exp(-rate * MONTH_S).
         rate = -math.log(1.0 - monthly_hazard) / MONTH_S * acceleration

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..constants import GATEWAY_PATH_HOPS, STARLINK_FAILURE_FRACTION
 
@@ -31,21 +31,17 @@ class DecaySample:
 
 
 def satellite_decay_series(fleet_size: int, months: int,
-                           monthly_hazard: Optional[float] = None,
                            seed: int = 0) -> List[DecaySample]:
     """Monthly failure additions and the cumulative count (Fig. 13a).
 
-    The default hazard is calibrated so roughly 1/40 of the fleet has
+    The monthly hazard is calibrated so roughly 1/40 of the fleet has
     failed after two years -- the paper's Starlink statistic.
     """
     if fleet_size < 0:
         raise ValueError("fleet_size must be non-negative")
     if months < 0:
         raise ValueError("months must be non-negative")
-    if monthly_hazard is None:
-        monthly_hazard = STARLINK_FAILURE_FRACTION / 24.0
-    if not 0.0 <= monthly_hazard <= 1.0:
-        raise ValueError("monthly_hazard must be in [0, 1]")
+    monthly_hazard = STARLINK_FAILURE_FRACTION / 24.0
     rng = random.Random(seed)
     alive = fleet_size
     accumulated = 0

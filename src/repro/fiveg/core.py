@@ -39,17 +39,16 @@ class SatelliteCredentials:
 class CoreNetwork:
     """The terrestrial home network: all control functions + PKI."""
 
-    def __init__(self, name: str = "home", plmn: Plmn = Plmn(460, 0),
-                 rng=None):
+    def __init__(self, name: str = "home", plmn: Plmn = Plmn(460, 0)):
         self.name = name
         self.plmn = plmn
         # Home PKI (Algorithm 2 initialisation).
-        self.home_signing_key, self.home_verify_key = generate_keypair(rng)
+        self.home_signing_key, self.home_verify_key = generate_keypair()
         self.abe_params, self.abe_master = abe.setup()
         # Network functions.
         self.udm = Udm(name, self.home_signing_key)
         self.ausf = Ausf(self.udm)
-        self.amf = Amf(f"{name}-amf", plmn, self.ausf, rng=rng)
+        self.amf = Amf(f"{name}-amf", plmn, self.ausf)
         self.address_allocator = AddressAllocator(plmn.encode())
         self.smf = Smf(f"{name}-smf", self.address_allocator)
         self.pcf = Pcf()

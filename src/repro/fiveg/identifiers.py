@@ -64,10 +64,9 @@ class Suci:
     masked_msin: bytes
 
     @classmethod
-    def conceal(cls, supi: Supi, home_public: VerifyKey,
-                rng=None) -> "Suci":
+    def conceal(cls, supi: Supi, home_public: VerifyKey) -> "Suci":
         group = home_public.group
-        r = group.random_scalar(rng)
+        r = group.random_scalar()
         ephemeral = group.generate(r)
         shared = group.power(home_public.y, r)
         mask = hashlib.sha256(
@@ -118,17 +117,15 @@ class Guti:
 class GutiAllocator:
     """AMF-side TMSI allocation with reuse avoidance."""
 
-    def __init__(self, plmn: Plmn, amf_id: int, rng=None):
+    def __init__(self, plmn: Plmn, amf_id: int):
         self.plmn = plmn
         self.amf_id = amf_id
         self._used: set = set()
-        self._rng = rng
 
     def allocate(self) -> Guti:
         """Hand out a fresh, unused 5G-GUTI."""
         for _ in range(64):
-            tmsi = (self._rng.randrange(2**32) if self._rng is not None
-                    else secrets.randbelow(2**32))
+            tmsi = secrets.randbelow(2**32)
             if tmsi not in self._used:
                 self._used.add(tmsi)
                 return Guti(self.plmn, self.amf_id, tmsi)

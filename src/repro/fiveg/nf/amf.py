@@ -32,11 +32,11 @@ class Amf:
     """Mobility anchor and NAS terminator."""
 
     def __init__(self, name: str, plmn: Plmn, ausf: Ausf,
-                 amf_id: int = 1, rng=None):
+                 amf_id: int = 1):
         self.name = name
         self.plmn = plmn
         self.ausf = ausf
-        self._guti_allocator = GutiAllocator(plmn, amf_id, rng)
+        self._guti_allocator = GutiAllocator(plmn, amf_id)
         self._contexts: Dict[str, UeContext] = {}
         self.registrations = 0
 

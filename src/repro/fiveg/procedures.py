@@ -8,7 +8,7 @@ signaling-cost experiments count exactly what the flow diagrams show).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..crypto import abe
 from ..crypto.group import SCHNORR_GROUP
@@ -39,9 +39,9 @@ class ProcedureError(Exception):
 class ProcedureRunner:
     """Runs the legacy 5G procedures against a home core network."""
 
-    def __init__(self, core: CoreNetwork, bus: Optional[SignalingBus] = None):
+    def __init__(self, core: CoreNetwork):
         self.core = core
-        self.bus = bus if bus is not None else SignalingBus()
+        self.bus = SignalingBus()
 
     def _emit(self, flow, kind: ProcedureKind) -> None:
         for template in flow:

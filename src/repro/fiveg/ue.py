@@ -56,9 +56,9 @@ class UserEquipment:
 
     # -- identity ----------------------------------------------------------------
 
-    def conceal_identity(self, rng=None) -> Suci:
+    def conceal_identity(self) -> Suci:
         """Build the SUCI for over-the-air registration."""
-        return Suci.conceal(self.supi, self.home_public, rng)
+        return Suci.conceal(self.supi, self.home_public)
 
     # -- authentication -------------------------------------------------------------
 

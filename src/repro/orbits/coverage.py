@@ -14,7 +14,6 @@ coverage figure (S3.2).
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from ..constants import EARTH_RADIUS_KM
 from .constellation import Constellation
@@ -41,8 +40,7 @@ def footprint_area_km2(altitude_km: float, min_elevation_deg: float) -> float:
     return 2.0 * math.pi * EARTH_RADIUS_KM**2 * (1.0 - math.cos(theta))
 
 
-def mean_dwell_time_s(constellation: Constellation,
-                      min_elevation_deg: Optional[float] = None) -> float:
+def mean_dwell_time_s(constellation: Constellation) -> float:
     """Mean single-satellite pass duration over a static user (s).
 
     A chord through a cap of half angle ``theta``, traversed at the
@@ -50,9 +48,8 @@ def mean_dwell_time_s(constellation: Constellation,
     over uniformly offset passes; the Starlink parameters with a ~25
     degree mask reproduce the paper's ~165.8 s coverage transient.
     """
-    if min_elevation_deg is None:
-        min_elevation_deg = constellation.min_elevation_deg
-    theta = coverage_half_angle(constellation.altitude_km, min_elevation_deg)
+    theta = coverage_half_angle(constellation.altitude_km,
+                                constellation.min_elevation_deg)
     # Ground-track angular rate relative to the Earth-fixed user: the
     # satellite's mean motion dominates; Earth rotation contributes a
     # second-order correction we fold in via the inclination projection.
@@ -62,8 +59,6 @@ def mean_dwell_time_s(constellation: Constellation,
 
 
 def serving_satellite(propagator: IdealPropagator, t: float,
-                      ue_lat: float, ue_lon: float,
-                      min_elevation_deg: Optional[float] = None) -> int:
+                      ue_lat: float, ue_lon: float) -> int:
     """The closest covering satellite, or -1 when none covers the UE."""
-    return snapshot_for(propagator, t).serving_satellite(
-        ue_lat, ue_lon, min_elevation_deg)
+    return snapshot_for(propagator, t).serving_satellite(ue_lat, ue_lon)

@@ -62,13 +62,11 @@ __all__ = [
 SNAPSHOT_CACHE_SIZE = 128
 
 
-def _cap_angle(constellation: Constellation,
-               min_elevation_deg: Optional[float]) -> float:
-    """Coverage half angle, defaulting to the constellation's mask."""
+def _cap_angle(constellation: Constellation) -> float:
+    """Coverage half angle at the constellation's elevation mask."""
     from .coverage import coverage_half_angle
-    if min_elevation_deg is None:
-        min_elevation_deg = constellation.min_elevation_deg
-    return coverage_half_angle(constellation.altitude_km, min_elevation_deg)
+    return coverage_half_angle(constellation.altitude_km,
+                               constellation.min_elevation_deg)
 
 
 def _wrap_array(angles: np.ndarray) -> np.ndarray:
@@ -150,17 +148,14 @@ class ConstellationSnapshot:
              * np.sin(dlon / 2.0) ** 2)
         return 2.0 * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
 
-    def visible_satellites(self, lat: float, lon: float,
-                           min_elevation_deg: Optional[float] = None
-                           ) -> np.ndarray:
+    def visible_satellites(self, lat: float, lon: float) -> np.ndarray:
         """Flat indices of every satellite covering ``(lat, lon)``."""
-        theta = _cap_angle(self.constellation, min_elevation_deg)
+        theta = _cap_angle(self.constellation)
         return np.nonzero(self.central_angles(lat, lon) <= theta)[0]
 
-    def serving_satellite(self, lat: float, lon: float,
-                          min_elevation_deg: Optional[float] = None) -> int:
+    def serving_satellite(self, lat: float, lon: float) -> int:
         """Closest covering satellite, or -1 when none covers."""
-        theta = _cap_angle(self.constellation, min_elevation_deg)
+        theta = _cap_angle(self.constellation)
         ang = self.central_angles(lat, lon)
         best = int(np.argmin(ang))
         if ang[best] > theta:
@@ -169,12 +164,11 @@ class ConstellationSnapshot:
 
     # -- batch of ground points (M users x N satellites) ---------------------
 
-    def serving_satellites(self, lats: np.ndarray, lons: np.ndarray,
-                           min_elevation_deg: Optional[float] = None
-                           ) -> np.ndarray:
+    def serving_satellites(self, lats: np.ndarray,
+                           lons: np.ndarray) -> np.ndarray:
         """Serving satellite per user, shape ``(M,)`` (-1 = uncovered),
         from one ``(M, N)`` haversine broadcast."""
-        theta = _cap_angle(self.constellation, min_elevation_deg)
+        theta = _cap_angle(self.constellation)
         lats = np.asarray(lats, dtype=float)
         lons = np.asarray(lons, dtype=float)
         subs = self.subpoints
@@ -405,14 +399,13 @@ def _cos_angles_over_times(propagator: IdealPropagator,
 
 
 def serving_over_times(propagator: IdealPropagator,
-                       times: Sequence[float], lat: float, lon: float,
-                       min_elevation_deg: Optional[float] = None
+                       times: Sequence[float], lat: float, lon: float
                        ) -> np.ndarray:
     """Serving satellite (or -1) at each sampled time, shape ``(T,)``.
 
     The vectorised core of the moving-service-area sweeps.
     """
-    theta = _cap_angle(propagator.constellation, min_elevation_deg)
+    theta = _cap_angle(propagator.constellation)
     dots = _cos_angles_over_times(propagator, times, lat, lon)
     if dots.shape[0] == 0:
         return np.zeros(0, dtype=int)

@@ -79,16 +79,15 @@ class UECohortEngine:
     """One population-scale signaling load point, O(cohorts).
 
     ``solution`` supplies the procedure mix and per-procedure message
-    flows (default: SpaceCore); ``dwell_s`` defaults to the
-    constellation's mean pass duration via the shard-local cache.
+    flows (default: SpaceCore); the dwell time is the constellation's
+    mean pass duration, via the shard-local cache.
     """
 
-    def __init__(self, constellation=None, n_ues: int = 10_000,
+    def __init__(self, constellation, n_ues: int = 10_000,
                  solution=None, seed: int = 0,
                  n_cohorts: int = DEFAULT_COHORTS,
                  session_interval_s: float = SESSION_INTERARRIVAL_S,
                  rrc_timeout_s: float = RRC_INACTIVITY_TIMEOUT_S,
-                 dwell_s: Optional[float] = None,
                  metrics: Optional[MetricsRegistry] = None):
         if n_ues < 1:
             raise ValueError("need at least one UE")
@@ -99,11 +98,6 @@ class UECohortEngine:
         if solution is None:
             from ..baselines.solutions import spacecore
             solution = spacecore()
-        if dwell_s is None:
-            if constellation is None:
-                raise ValueError(
-                    "need a constellation or an explicit dwell_s")
-            dwell_s = cached_dwell_time_s(constellation)
         self.constellation = constellation
         self.solution = solution
         self.n_ues = n_ues
@@ -111,7 +105,7 @@ class UECohortEngine:
         self.seed = seed
         self.session_interval_s = session_interval_s
         self.rrc_timeout_s = rrc_timeout_s
-        self.dwell_s = dwell_s
+        self.dwell_s = cached_dwell_time_s(constellation)
         #: Optional observability sink mirroring :class:`CohortStats`
         #: as mergeable ``cohort.*`` series.
         self.metrics = metrics

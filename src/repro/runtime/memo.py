@@ -14,7 +14,7 @@ free on fork platforms).
 from __future__ import annotations
 
 import functools
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 #: Every function wrapped by :func:`shard_memoized`, for global clearing.
 _MEMOIZED: List[Callable] = []
@@ -43,8 +43,7 @@ def clear_shard_caches() -> None:
 
 
 @shard_memoized
-def cached_dwell_time_s(constellation,
-                        min_elevation_deg: Optional[float] = None) -> float:
+def cached_dwell_time_s(constellation) -> float:
     """Shard-local :func:`repro.orbits.coverage.mean_dwell_time_s`."""
     from ..orbits.coverage import mean_dwell_time_s
-    return mean_dwell_time_s(constellation, min_elevation_deg)
+    return mean_dwell_time_s(constellation)

@@ -32,11 +32,12 @@ __all__ = [
     "usable_cores",
 ]
 
-#: Environment knob forcing the medium: ``auto`` (default), ``serial``
-#: (never pool), or ``sharded`` (always pool when the caller asked for
-#: >1 worker) -- how the equivalence tests and CI drive the pool path.
+#: Environment knob forcing the medium: ``auto`` (default) or
+#: ``sharded`` (always pool when the caller asked for >1 worker) -- how
+#: the equivalence tests and CI drive the pool path.  ``workers=1``
+#: (or ``REPRO_WORKERS=1``) is the way to stay serial.
 PLANNER_ENV_VAR = "REPRO_PLANNER"
-_FORCE_MODES = ("auto", "serial", "sharded")
+_FORCE_MODES = ("auto", "sharded")
 
 #: In-process seconds a fan-out may spend before the rest is shipped.
 #: A fork pool plus eight dispatches costs 50-80 ms on the 2-core host
@@ -72,10 +73,7 @@ def forced_mode() -> Optional[str]:
 
 def serial_budget(label: str) -> Tuple[float, str]:
     """In-process seconds a fan-out may spend before shipping, and why."""
-    force = forced_mode()
-    if force == "serial":
-        return math.inf, "forced-serial"
-    if force == "sharded":
+    if forced_mode() == "sharded":
         return 0.0, "forced-sharded"
     if usable_cores() == 1:
         return math.inf, "single-core"

@@ -95,20 +95,14 @@ class CheckOutcome:
 
 
 def check_scenario(spec: ScenarioSpec,
-                   workers: Optional[int] = None,
-                   update: bool = False) -> CheckOutcome:
-    """Re-run one scenario and hold it to its golden bytes + SLOs.
-
-    ``update=True`` rewrites the golden instead of diffing against it
-    (the ``repro scenario run --update`` path).
-    """
+                   workers: Optional[int] = None) -> CheckOutcome:
+    """Re-run one scenario and hold it to its golden bytes + SLOs
+    (``repro scenario check``; ``repro scenario run --update`` rewrites
+    a golden through :func:`write_golden`)."""
     result = run_scenario(spec, workers=workers)
     actual = result.artifact_json()
     verdict = result.slo_report().verdict
     path = golden_path(spec.name)
-    if update:
-        write_golden(result)
-        return CheckOutcome(spec.name, verdict, drift=False, result=result)
     if not path.exists():
         return CheckOutcome(spec.name, verdict, drift=True,
                             missing_golden=True, result=result)

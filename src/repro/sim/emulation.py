@@ -180,20 +180,20 @@ class CohortEmulation:
     (constellation, UE count, seed, session interval) but no per-UE
     simulator events: arrivals are sampled per cohort and message
     costs applied in batch, so ``num_ues`` can be millions.  The
-    signaling model is the solution's message flows (SpaceCore by
-    default) rather than the live NF stack -- cross-validation tests
-    hold the two within sampling noise of each other on the rates
+    signaling model is SpaceCore's message flows rather than the live
+    NF stack -- cross-validation tests hold the two within sampling
+    noise of each other on the rates
     both report.
     """
 
     def __init__(self, constellation: Constellation,
                  num_ues: int = 100_000, seed: int = 0,
                  session_interval_s: float = SESSION_INTERARRIVAL_S,
-                 n_cohorts: int = 256, solution=None):
+                 n_cohorts: int = 256):
         from ..runtime.cohort import UECohortEngine
         self.engine = UECohortEngine(
-            constellation, n_ues=num_ues, solution=solution, seed=seed,
-            n_cohorts=n_cohorts, session_interval_s=session_interval_s)
+            constellation, n_ues=num_ues, seed=seed, n_cohorts=n_cohorts,
+            session_interval_s=session_interval_s)
 
     def run(self, duration_s: float):
         """Sample the load point; returns ``CohortStats``."""

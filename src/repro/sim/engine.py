@@ -96,24 +96,19 @@ class Simulator:
             self._metrics.gauge("sim.time_s").set(self._now)
         return True
 
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> None:
-        """Run until the queue drains, ``until`` passes, or the budget ends.
+    def run(self, until: Optional[float] = None) -> None:
+        """Run until the queue drains or ``until`` passes.
 
         A NaN ``until`` raises ``ValueError``: no event time compares
         greater than NaN, so a self-rescheduling callback would run forever.
         """
         if until is not None and math.isnan(until):
             raise ValueError("run(until=nan) would never stop")
-        processed = 0
         while self._queue:
-            if max_events is not None and processed >= max_events:
-                return
             head = self._queue[0]
             if until is not None and head.time > until:
                 self._now = until
                 return
             self.step()
-            processed += 1
         if until is not None and self._now < until:
             self._now = until

@@ -4,7 +4,7 @@ The routing layer computes paths and sums propagation delays
 statically; this module *plays them out* on the event engine: each
 packet is an event chain hopping satellite to satellite, with per-hop
 propagation plus serialisation, per-satellite FIFO egress queues, and
-optional loss.  Its purpose is twofold:
+drops on links that fail mid-flight.  Its purpose is twofold:
 
 * cross-validate the static delay arithmetic (an unloaded network must
   reproduce ``RouteResult.delay_s`` exactly up to serialisation), and
@@ -14,11 +14,9 @@ optional loss.  Its purpose is twofold:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..obs.metrics import DEFAULT_COUNT_BUCKETS, MetricsRegistry
 from ..topology.batch_routing import BatchGeoRouter
 from ..topology.grid import GridTopology
 from .engine import Simulator
@@ -53,28 +51,15 @@ class PacketSimulation:
     """
 
     def __init__(self, topology: GridTopology,
-                 link_rate_mbps: float = 1000.0,
-                 loss_probability: float = 0.0,
-                 seed: int = 0,
-                 metrics: Optional[MetricsRegistry] = None):
+                 link_rate_mbps: float = 1000.0):
         if link_rate_mbps <= 0:
             raise ValueError("link rate must be positive")
-        if not 0.0 <= loss_probability < 1.0:
-            raise ValueError("loss probability must be in [0, 1)")
         self.topology = topology
         #: The batch routing plane: :meth:`send_batch` routes a whole
         #: wave in one vectorized call before any event is scheduled.
-        self.router = BatchGeoRouter(topology, metrics=metrics)
+        self.router = BatchGeoRouter(topology)
         self.sim = Simulator()
         self.link_rate_mbps = link_rate_mbps
-        self.loss_probability = loss_probability
-        self._rng = random.Random(seed)
-        #: Optional observability sink; per-link queueing histograms
-        #: plus drop counters land here, and the
-        #: event engine itself is instrumented through it.
-        self.metrics = metrics
-        if metrics is not None:
-            self.sim.attach_metrics(metrics)
         #: When each directed link (a, b) next becomes free.
         self._link_free_at: Dict[Tuple[int, int], float] = {}
         self.records: List[PacketRecord] = []
@@ -107,10 +92,8 @@ class PacketSimulation:
             self._next_id += 1
             self.records.append(record)
             records.append(record)
-            if self.metrics is not None:
-                self.metrics.counter("packet.sent").inc()
             if not batch.delivered[i]:
-                self._drop(record, "unroutable")
+                record.dropped = True
                 continue
             self.sim.schedule_at(injected_at_s, self._hop, record,
                                  batch.path(i), 0, size_bytes, route_t)
@@ -119,40 +102,20 @@ class PacketSimulation:
     def _serialization_s(self, size_bytes: int) -> float:
         return size_bytes * 8.0 / (self.link_rate_mbps * 1e6)
 
-    def _drop(self, record: PacketRecord, reason: str) -> None:
-        record.dropped = True
-        if self.metrics is not None:
-            self.metrics.counter("packet.dropped", reason=reason).inc()
-
     def _hop(self, record: PacketRecord, path: List[int], index: int,
              size_bytes: int, route_t: float) -> None:
         """Process the packet's arrival at ``path[index]``."""
         if index == len(path) - 1:
             record.delivered_at_s = self.sim.now
-            if self.metrics is not None:
-                self.metrics.counter("packet.delivered").inc()
-                self.metrics.histogram("packet.latency_s").observe(
-                    record.latency_s or 0.0)
-                self.metrics.histogram(
-                    "packet.hops",
-                    buckets=DEFAULT_COUNT_BUCKETS).observe(record.hops)
             return
         current, nxt = path[index], path[index + 1]
         if not self.topology.isl_up(current, nxt):
-            self._drop(record, "link-failed")
-            return
-        if (self.loss_probability
-                and self._rng.random() < self.loss_probability):
-            self._drop(record, "random-loss")
+            record.dropped = True
             return
         link = (current, nxt)
         serialization = self._serialization_s(size_bytes)
         start = max(self.sim.now, self._link_free_at.get(link,
                                                          self.sim.now))
-        if self.metrics is not None:
-            self.metrics.histogram(
-                "packet.queue_wait_s",
-                link=f"{current}-{nxt}").observe(start - self.sim.now)
         self._link_free_at[link] = start + serialization
         propagation = self.topology.isl_delay_s(current, nxt, route_t)
         arrival = start + serialization + propagation
@@ -162,9 +125,9 @@ class PacketSimulation:
 
     # -- running & results ------------------------------------------------------------
 
-    def run(self, until: Optional[float] = None) -> None:
+    def run(self) -> None:
         """Drain the event queue (deliver everything in flight)."""
-        self.sim.run(until=until)
+        self.sim.run()
 
     def delivered(self) -> List[PacketRecord]:
         """All delivered packets."""

@@ -3,7 +3,7 @@
 Algorithm 1 exists exactly twice in this repo.  The *reference walk*
 is the scalar :class:`~repro.topology.routing.GeospatialRouter`: one
 packet at a time through a Python hop loop, every code path modelled
-(deflection around faults, ``avoid_links``, seam revisits).  The
+(deflection around faults, seam revisits).  The
 *compiled walk* (:mod:`repro.topology._walk_kernel`) is a per-packet C
 loop over shared per-epoch arrays that replays the reference
 arithmetic operation for operation and *flags* any packet that needs
@@ -22,10 +22,9 @@ the equivalence suite asserts on both lanes.
 ``BatchRouteResult.fallback[i]`` means one thing on both lanes: packet
 ``i`` left Algorithm 1's preferred direction (centered but uncovered,
 dead preferred edge, seam revisit) -- the compiled walk's flag, and
-``RouteResult.deflected`` of the reference walk.  Two flags stay
-engine-specific: ``avoid_links`` flags the whole wave on either lane,
-and a path longer than the compiled walk's 64-node cap is flagged by
-the compiled walk only.
+``RouteResult.deflected`` of the reference walk.  One flag stays
+engine-specific: a path longer than the compiled walk's 64-node cap is
+flagged by the compiled walk only.
 
 Paths as moves
 ==============
@@ -84,8 +83,7 @@ import mmap
 from array import array
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import (FrozenSet, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -397,12 +395,18 @@ class BatchGeoRouter:
 
         Every entry must meet
         :data:`~repro.topology.routing.SOURCE_CONTRACT`; a float entry
-        (``2.5``) is refused, not truncated to an index.
+        (``2.5``) is refused, not truncated to an index, and so is a
+        bool, which ``np.asarray`` turns into an int inside a sequence
+        that holds ints too.  An ndarray is checked by its dtype alone,
+        so a large wave pays no per-entry scan.
         """
         raw = np.asarray(src_sats)
         total = self.topology.constellation.total_satellites
         if raw.size and (raw.dtype.kind not in "iu"
-                         or int(raw.min()) < 0 or int(raw.max()) >= total):
+                         or int(raw.min()) < 0 or int(raw.max()) >= total
+                         or (not isinstance(src_sats, np.ndarray) and any(
+                             isinstance(entry, (bool, np.bool_))
+                             for entry in src_sats))):
             raise ValueError(SOURCE_CONTRACT)
         return np.ascontiguousarray(raw, dtype=np.int64)
 
@@ -410,16 +414,14 @@ class BatchGeoRouter:
 
     def route_batch(self, src_sats: Sequence[int],
                     dest_lats: Sequence[float],
-                    dest_lons: Sequence[float], t: float,
-                    avoid_links: Optional[Set[FrozenSet[int]]] = None
+                    dest_lons: Sequence[float], t: float
                     ) -> BatchRouteResult:
         """Route ``(N,)`` packets that share one epoch ``t``.
 
         The compiled walk routes the wave against the epoch's next-hop
         table; the reference walk continues each packet it flags
         (deflection, seam revisit, path longer than its cap) from
-        the prefix the compiled walk handed over, and routes every
-        packet of an ``avoid_links`` wave from its source.  Without a
+        the prefix the compiled walk handed over.  Without a
         compiled walk the reference walk routes the whole wave, with
         the same results and the same ``fallback`` mask (see the
         module docstring).  Raises ``ValueError`` before any routing
@@ -444,14 +446,8 @@ class BatchGeoRouter:
                 "routing.batch_size",
                 buckets=BATCH_SIZE_BUCKETS).observe(float(n))
 
-        if n == 0 or avoid_links:
-            # Caller-supplied link avoidance composes with the visited
-            # set inside the reference walk; rare (mid-flight
-            # reroutes), so those waves take it wholesale, flagged as
-            # a whole, and build no table.
-            out = self._result(src)
-            out.fallback[:] = True
-            return self._finish(out, src, dlat, dlon, t, avoid_links)
+        if n == 0:
+            return self._result(src)
 
         # Table first, kernel second: the table counters
         # (``routing.table_builds`` / ``table_cache_*``) are the same
@@ -459,8 +455,7 @@ class BatchGeoRouter:
         table = self._table(t)
         kernel = load_kernel()
         if kernel is None:
-            return self._finish(self._result(src), src, dlat, dlon, t,
-                                whole_wave=True)
+            return self._finish(self._result(src), src, dlat, dlon, t)
         # Each chunk's moves are packed from its region start, a
         # region of ``cap`` bytes per packet (more than the ``cap - 1``
         # moves a packet can write).  The array is left uninitialised,
@@ -493,16 +488,14 @@ class BatchGeoRouter:
                 for _ in pool.map(walk, parts):
                     pass
         out._used = int(out._offsets[-1]) + int(out.path_len[-1]) - 1
-        return self._finish(out, src, dlat, dlon, t, kernel=kernel)
+        return self._finish(out, src, dlat, dlon, t, kernel)
 
     # -- the epoch sweep -------------------------------------------------------
 
     def route_sweep(self, src_sats: Sequence[int],
                     dest_lats: Sequence[float],
                     dest_lons: Sequence[float],
-                    ts: Sequence[float],
-                    avoid_links: Optional[Set[FrozenSet[int]]] = None
-                    ) -> BatchRouteResult:
+                    ts: Sequence[float]) -> BatchRouteResult:
         """Route ``(N,)`` packets, each at its *own* epoch ``ts[i]``.
 
         The time-sweeping face of the batch plane: packets are grouped
@@ -554,8 +547,7 @@ class BatchGeoRouter:
         for k in range(epochs.size):
             sel = np.nonzero(inverse == k)[0]
             out._scatter(sel, self.route_batch(
-                src[sel], dlat[sel], dlon[sel], float(epochs[k]),
-                avoid_links=avoid_links))
+                src[sel], dlat[sel], dlon[sel], float(epochs[k])))
         return out
 
     def sweep_trials(self, src: Tuple[float, float],
@@ -675,23 +667,20 @@ class BatchGeoRouter:
 
     def _finish(self, out: BatchRouteResult, src: np.ndarray,
                 dlat: np.ndarray, dlon: np.ndarray, t: float,
-                avoid_links: Optional[Set[FrozenSet[int]]] = None,
-                whole_wave: bool = False,
                 kernel: Optional[ctypes.CDLL] = None) -> BatchRouteResult:
         """Route the flagged packets of ``out`` with the reference walk.
 
         On the compiled-walk lane (``kernel`` given) each flagged
         packet's reference walk continues the prefix the compiled walk
         left in ``out``: its ``path_len``-node path (see
-        :meth:`_prefixes`), its ``delay_s`` and its ``distance_km``.  ``avoid_links`` waves
-        and ``whole_wave`` walk from the source.  ``whole_wave`` is the
-        lane without a compiled walk: every packet takes the reference
-        walk and ``fallback`` reports its ``deflected`` bit, which is
-        what the compiled walk's flags mean -- so the mask (and
-        ``routing.scalar_fallbacks``) does not depend on whether this
-        host could build the kernel.
+        :meth:`_prefixes`), its ``delay_s`` and its ``distance_km``.
+        Without a compiled walk every packet takes the reference walk
+        from its source and ``fallback`` reports its ``deflected``
+        bit, which is what the compiled walk's flags mean -- so the
+        mask (and ``routing.scalar_fallbacks``) does not depend on
+        whether this host could build the kernel.
         """
-        flagged = (np.arange(len(out)) if whole_wave
+        flagged = (np.arange(len(out)) if kernel is None
                    else np.nonzero(out.fallback)[0])
         nodes, lengths = array("i"), array("i")
         # A chunk of flagged packets at a time: their inputs are read
@@ -702,13 +691,12 @@ class BatchGeoRouter:
                     part.tolist(), src[part].tolist(), dlat[part].tolist(),
                     dlon[part].tolist(), self._prefixes(kernel, out, part)):
                 result = self.scalar.route(source, lat, lon, t,
-                                           avoid_links=avoid_links,
                                            walked=walked)
                 out.delivered[index] = result.delivered
                 out.degraded[index] = result.degraded
                 out.delay_s[index] = result.delay_s
                 out.distance_km[index] = result.distance_km
-                if whole_wave:
+                if kernel is None:
                     out.fallback[index] = result.deflected
                 nodes.extend(result.path)
                 lengths.append(len(result.path))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,19 +118,14 @@ class GeospatialRouter:
     # -- end-to-end ---------------------------------------------------------------
 
     def route(self, src_sat: int, dest_lat: float, dest_lon: float,
-              t: float,
-              avoid_links: Optional[Set[FrozenSet[int]]] = None,
-              *, walked: Optional[RouteResult] = None
+              t: float, *, walked: Optional[RouteResult] = None
               ) -> RouteResult:
         """Forward hop by hop from ``src_sat`` to the destination's cell.
 
         Failed satellites/ISLs deflect the packet: when the preferred
         direction is dead, the packet takes the live neighbour that
         minimises the remaining hop metric (and never revisits a node,
-        bounding detours).  ``avoid_links`` marks extra links to treat
-        as down -- e.g. links the packet layer found to be inside a
-        Gilbert-Elliott loss burst -- so degraded links can be routed
-        around without mutating the shared topology.  A source outside
+        bounding detours).  A source outside
         :data:`SOURCE_CONTRACT`, a destination outside
         :data:`DESTINATION_CONTRACT` or an epoch outside
         :data:`EPOCH_CONTRACT` raises ``ValueError``.
@@ -253,11 +248,7 @@ class GeospatialRouter:
                 else:
                     column = 0 if dg > 0 else 1
                 preferred = wiring(current, column)
-                if (preferred in visited
-                        or not edge_up(current, column)
-                        or (avoid_links
-                            and frozenset((current, preferred))
-                            in avoid_links)):
+                if preferred in visited or not edge_up(current, column):
                     column = None
             if column is None:
                 # Greedy deflection: the live unvisited neighbour
@@ -267,9 +258,6 @@ class GeospatialRouter:
                 for candidate in range(4):
                     nbr = wiring(current, candidate)
                     if not edge_up(current, candidate) or nbr in visited:
-                        continue
-                    if (avoid_links
-                            and frozenset((current, nbr)) in avoid_links):
                         continue
                     da, dg = offsets(nbr)
                     metric = abs(da) + abs(dg)

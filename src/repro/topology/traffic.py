@@ -19,7 +19,7 @@ population under their footprints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..geo.population import PopulationGrid
 from ..orbits.coverage import footprint_radius_km
@@ -77,7 +77,6 @@ class TrafficLoad:
 
 
 def gravity_demand(topology: GridTopology, t: float,
-                   population: Optional[PopulationGrid] = None,
                    top_satellites: int = 24,
                    total_demand: float = 1000.0
                    ) -> List[Tuple[int, int, float]]:
@@ -87,7 +86,7 @@ def gravity_demand(topology: GridTopology, t: float,
     and generates pairwise demand proportional to the product of the
     populations beneath them.
     """
-    population = population or PopulationGrid()
+    population = PopulationGrid()
     c = topology.constellation
     radius = footprint_radius_km(c.altitude_km, c.min_elevation_deg)
     subpoints = snapshot_for(topology.propagator, t).subpoints
@@ -146,11 +145,10 @@ def load_to_gateways(topology: GridTopology, t: float,
 
 
 def load_peer_to_peer(topology: GridTopology, t: float,
-                      demands: Sequence[Tuple[int, int, float]],
-                      router: Optional[GeospatialRouter] = None
+                      demands: Sequence[Tuple[int, int, float]]
                       ) -> TrafficLoad:
     """SpaceCore pattern: demand rides Algorithm 1 paths end to end."""
-    router = router or GeospatialRouter(topology)
+    router = GeospatialRouter(topology)
     subpoints = snapshot_for(topology.propagator, t).subpoints
     load = TrafficLoad()
     for src, dst, demand in demands:

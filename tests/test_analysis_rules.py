@@ -19,8 +19,7 @@ FIXTURE_ROOT = Path(__file__).parent / "fixtures" / "lint"
 
 def findings_for(filename):
     """All findings for one fixture file, analyzed under fixture root."""
-    result = analyze([FIXTURE_ROOT / "src" / "repro" / filename],
-                     root=FIXTURE_ROOT)
+    result = analyze([FIXTURE_ROOT / "src" / "repro" / filename])
     return result.findings
 
 
@@ -35,10 +34,11 @@ def messages(findings):
 def lint_source(tmp_path, relpath, source):
     """All findings for one module written at ``relpath`` under a
     scratch root, so path-scoped rules see it where it would live."""
+    (tmp_path / "pyproject.toml").touch()
     path = tmp_path / relpath
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(source))
-    return analyze([path], root=tmp_path).findings
+    return analyze([path]).findings
 
 
 class TestStatelessnessRule:
@@ -209,28 +209,29 @@ class TestFrameworkPlumbing:
         """The fixture corpus and the registry stay in step: each rule
         fires on some fixture, and each fixture draws some finding, so
         deleting a rule or a fixture leaves no orphan behind."""
-        result = analyze([FIXTURE_ROOT / "src"], root=FIXTURE_ROOT)
+        result = analyze([FIXTURE_ROOT / "src"])
         fired = {f.rule for f in result.findings}
         assert {rule.id for rule in all_rules()} - fired == set()
         assert set(result.files) - {f.path for f in result.findings} \
             == set()
 
     def test_parse_error_becomes_finding(self, tmp_path):
+        (tmp_path / "pyproject.toml").touch()
         broken = tmp_path / "broken.py"
         broken.write_text("def f(:\n")
-        result = analyze([broken], root=tmp_path)
+        result = analyze([broken])
         assert [f.rule for f in result.findings] == ["parse-error"]
 
     def test_a_linted_directory_skips_its_fixtures(self, tmp_path):
         """``repro lint tests`` gates the suite, not the known-bad
         corpus under ``tests/fixtures``; naming the corpus lints it."""
+        (tmp_path / "pyproject.toml").touch()
         (tmp_path / "fixtures").mkdir()
         (tmp_path / "fixtures" / "bad.py").write_text(
             "def f(n: int = None):\n    return n\n")
         (tmp_path / "ok.py").write_text("X = 1\n")
-        assert analyze([tmp_path], root=tmp_path).files == ["ok.py"]
-        assert analyze([tmp_path / "fixtures"],
-                       root=tmp_path).files == ["fixtures/bad.py"]
+        assert analyze([tmp_path]).files == ["ok.py"]
+        assert analyze([tmp_path / "fixtures"]).files == ["fixtures/bad.py"]
 
 
 class TestBareSuppressionRule:
@@ -281,5 +282,5 @@ class TestBareSuppressionRule:
     def test_the_waived_findings_still_count_as_suppressed(self):
         result = analyze(
             [FIXTURE_ROOT / "src" / "repro" / "runtime"
-             / "bad_suppressions.py"], root=FIXTURE_ROOT)
+             / "bad_suppressions.py"])
         assert result.suppressed >= 3

@@ -17,7 +17,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 @pytest.fixture(scope="module")
 def package_result():
     """One analyzer run over src/repro, shared by this module."""
-    return analyze([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
+    return analyze([REPO_ROOT / "src" / "repro"])
 
 
 def _render(findings):
@@ -44,7 +44,7 @@ def test_examples_lint_clean():
     """The executable entry points around the package ride the same
     contracts: examples must be free of findings too (they define
     workloads whose artifacts the golden gate compares)."""
-    result = analyze([REPO_ROOT / "examples"], root=REPO_ROOT)
+    result = analyze([REPO_ROOT / "examples"])
     assert result.files
     assert not result.findings, _render(result.findings)
 
@@ -52,7 +52,7 @@ def test_examples_lint_clean():
 def test_suite_itself_lints_clean():
     """The test suite is analyzed too (fixtures excluded -- they are
     the known-bad corpus)."""
-    result = analyze([REPO_ROOT / "tests"], root=REPO_ROOT)
+    result = analyze([REPO_ROOT / "tests"])
     assert len(result.files) >= 50
     assert not result.findings, _render(result.findings)
 

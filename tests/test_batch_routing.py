@@ -105,13 +105,11 @@ def _wave(constellation, packets, seed, lat_slack=0.02):
     return src, lats, lons
 
 
-def assert_bit_equal(batch, scalar_router, src, lats, lons, t,
-                     avoid_links=None):
+def assert_bit_equal(batch, scalar_router, src, lats, lons, t):
     """Every packet of the batch must equal the scalar walk exactly."""
     for i in range(len(src)):
         expected = scalar_router.route(int(src[i]), float(lats[i]),
-                                       float(lons[i]), t,
-                                       avoid_links=avoid_links)
+                                       float(lons[i]), t)
         assert bool(batch.delivered[i]) == expected.delivered, i
         assert bool(batch.degraded[i]) == expected.degraded, i
         assert float(batch.delay_s[i]) == expected.delay_s, i
@@ -203,20 +201,6 @@ class TestBatchScalarEquivalence:
         src, lats, lons = _wave(topo.constellation, 120, seed=seed + 50)
         batch = router.route_batch(src, lats, lons, 90.0)
         assert_bit_equal(batch, router.scalar, src, lats, lons, 90.0)
-
-    @both_engines
-    def test_avoid_links_matches_scalar(self, engine):
-        topo = _topology("square")
-        router = BatchGeoRouter(topo)
-        src, lats, lons = _wave(topo.constellation, 40, seed=3)
-        avoid = set()
-        for sat in (0, 5, 17):
-            for nbr in topo.isl_neighbors(sat)[:2]:
-                avoid.add(frozenset((sat, nbr)))
-        batch = router.route_batch(src, lats, lons, 30.0,
-                                   avoid_links=avoid)
-        assert_bit_equal(batch, router.scalar, src, lats, lons, 30.0,
-                         avoid_links=avoid)
 
     @needs_kernel
     @settings(max_examples=30, deadline=None)
@@ -684,18 +668,6 @@ class TestKernelHandOff:
             longest = max(longest, int(batch.path_len.max()))
         assert pools == ([] if cores == 1 else [2, 2])
         assert full > 0 and longest > cap
-
-    def test_avoid_links_waves_walk_from_the_source(self):
-        topo = _topology("square")
-        router = BatchGeoRouter(topo)
-        src, lats, lons = _wave(topo.constellation, 12, seed=3)
-        avoid = {frozenset((0, topo.isl_neighbors(0)[0]))}
-        with mock.patch.object(router.scalar, "route",
-                               wraps=router.scalar.route) as spy:
-            router.route_batch(src, lats, lons, 30.0, avoid_links=avoid)
-        assert spy.call_count == 12
-        assert all(call.kwargs["walked"] is None
-                   for call in spy.call_args_list)
 
 
 #: The sanitizer leg's child: build the kernel under ASan/UBSan into a

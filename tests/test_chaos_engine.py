@@ -67,11 +67,6 @@ class TestFaultSchedule:
                 assert event.time == pytest.approx(
                     down_at[event.target] + 600.0)
 
-    def test_zero_hazard_schedules_nothing(self):
-        schedule = FaultSchedule().add_satellite_decay(
-            range(100), horizon_s=3600.0, monthly_hazard=0.0, seed=SEED)
-        assert schedule.events() == []
-
     def test_link_bursts_pair_up_and_close(self):
         links = [(0, 1), (4, 5), (100, 101)]
         schedule = FaultSchedule().add_link_bursts(
@@ -112,8 +107,6 @@ class TestFaultSchedule:
         lambda s: s.add(FaultEvent(-1.0, FaultKind.SAT_FAIL, (0,))),
         lambda s: s.add_satellite_decay([0], horizon_s=-1.0),
         lambda s: s.add_satellite_decay([0], 10.0, acceleration=0.0),
-        lambda s: s.add_satellite_decay([0], 10.0, monthly_hazard=1.5),
-        lambda s: s.add_satellite_decay([0], 10.0, monthly_hazard=-0.1),
         lambda s: s.add_link_bursts([(0, 1)], horizon_s=-5.0),
         lambda s: s.add_link_bursts([(0, 1)], 10.0, step_s=0.0),
         lambda s: s.add_jamming_window(JammingAttack(0, 0), -1.0, 5.0),
@@ -258,23 +251,20 @@ class TestJammingIdempotency:
 
 
 class TestFailuresValidation:
-    def test_default_hazard_used_when_none(self):
+    def test_hazard_fails_part_of_the_fleet(self):
         series = satellite_decay_series(1000, months=24, seed=SEED)
         assert len(series) == 24
         assert series[-1].accumulated > 0
 
-    def test_explicit_hazard_reproducible(self):
+    def test_series_reproducible(self):
         def run():
             return [p.accumulated for p in
-                    satellite_decay_series(500, 12, monthly_hazard=0.01,
-                                           seed=SEED)]
+                    satellite_decay_series(500, 12, seed=SEED)]
         assert run() == run()
 
     @pytest.mark.parametrize("kwargs", [
         dict(fleet_size=-1, months=12),
         dict(fleet_size=10, months=-1),
-        dict(fleet_size=10, months=12, monthly_hazard=-0.01),
-        dict(fleet_size=10, months=12, monthly_hazard=1.01),
     ])
     def test_invalid_inputs_rejected(self, kwargs):
         with pytest.raises(ValueError):

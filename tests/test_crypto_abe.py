@@ -22,7 +22,7 @@ from repro.crypto.access_tree import Gate
 
 @pytest.fixture(scope="module")
 def authority():
-    return setup(b"test-master-secret")
+    return setup()
 
 
 class TestAccessTree:
@@ -122,7 +122,7 @@ class TestAbeRoundtrip:
 
     def test_different_authority_cannot_decrypt(self, authority):
         _, msk = authority
-        _, foreign_msk = setup(b"another-authority")
+        _, foreign_msk = setup()
         ct = encrypt(msk, b"w", attr("a"))
         foreign_key = keygen(foreign_msk, ["a"])
         with pytest.raises(AbeDecryptionError):
@@ -169,7 +169,7 @@ class TestAbeRoundtrip:
     @settings(max_examples=30, deadline=None)
     def test_decryption_iff_satisfaction(self, holder_attrs):
         """The functional contract: decrypt succeeds iff A(S) = true."""
-        _, msk = setup(b"property-test-secret")
+        _, msk = setup()
         policy = or_(and_(attr("a"), attr("b")),
                      Gate(2, (attr("c"), attr("d"), attr("e"))))
         ct = encrypt(msk, b"payload", policy)

@@ -79,11 +79,6 @@ class TestSchnorrGroup:
         g = SCHNORR_GROUP
         assert g.hash_to_scalar(b"ab", b"c") != g.hash_to_scalar(b"a", b"bc")
 
-    def test_random_scalar_deterministic_with_rng(self):
-        g = SCHNORR_GROUP
-        assert (g.random_scalar(random.Random(1))
-                == g.random_scalar(random.Random(1)))
-
     @pytest.mark.parametrize("p, q, g", [
         (23, 7, 4),      # p != 2q + 1
         (47, 11, 4),     # the wrong q for a safe prime
@@ -362,22 +357,22 @@ class TestShareField:
 
 class TestSignatures:
     def test_sign_verify(self):
-        sk, vk = generate_keypair(random.Random(5))
+        sk, vk = generate_keypair()
         sig = sk.sign(b"message")
         assert vk.verify(b"message", sig)
 
     def test_wrong_message_fails(self):
-        sk, vk = generate_keypair(random.Random(5))
+        sk, vk = generate_keypair()
         sig = sk.sign(b"message")
         assert not vk.verify(b"other", sig)
 
     def test_wrong_key_fails(self):
-        sk, _ = generate_keypair(random.Random(5))
-        _, other_vk = generate_keypair(random.Random(6))
+        sk, _ = generate_keypair()
+        _, other_vk = generate_keypair()
         assert not other_vk.verify(b"m", sk.sign(b"m"))
 
     def test_out_of_range_signature_rejected(self):
-        _, vk = generate_keypair(random.Random(5))
+        _, vk = generate_keypair()
         assert not vk.verify(b"m", (SCHNORR_GROUP.q, 1))
         assert not vk.verify(b"m", (1, SCHNORR_GROUP.q))
 
@@ -397,7 +392,7 @@ class TestSignatures:
             return group.hash_to_scalar(group.element_bytes(r),
                                         message) == e
 
-        sk, vk = generate_keypair(random.Random(5))
+        sk, vk = generate_keypair()
         e, s = sk.sign(b"message")
         cases = [
             (vk.y, b"message", (e, s), True),
@@ -444,10 +439,10 @@ class TestSignatures:
                                         message) == e
 
         rng = random.Random(seed)
-        sk, vk = generate_keypair(rng)
+        sk = SigningKey(rng.randrange(1, group.q))
         e, s = sk.sign(b"message")
-        y = vk.y
-        non_member = p - group.generate(group.random_scalar(rng))
+        y = sk.public.y
+        non_member = p - group.generate(rng.randrange(1, group.q))
         signatures = [(e, s), (e, (s + 1) % group.q), (0, s)]
         accepted = 0
         for key in (y, 0, p, y + p, p - y, -y, non_member):
@@ -460,21 +455,21 @@ class TestSignatures:
         assert accepted == (4 if e % 2 == 0 else 2)
 
     def test_certificate_chain(self):
-        home_sk, home_vk = generate_keypair(random.Random(1))
-        sat_sk, sat_vk = generate_keypair(random.Random(2))
+        home_sk, home_vk = generate_keypair()
+        sat_sk, sat_vk = generate_keypair()
         cert = issue_certificate("home", home_sk, "sat-1", sat_vk)
         assert cert.verify(home_vk)
         assert cert.subject == "sat-1"
 
     def test_forged_certificate_fails(self):
-        home_sk, home_vk = generate_keypair(random.Random(1))
-        mallory_sk, mallory_vk = generate_keypair(random.Random(3))
+        home_sk, home_vk = generate_keypair()
+        mallory_sk, mallory_vk = generate_keypair()
         fake = issue_certificate("home", mallory_sk, "sat-1", mallory_vk)
         assert not fake.verify(home_vk)
 
     def test_certificate_subject_tamper_detected(self):
-        home_sk, home_vk = generate_keypair(random.Random(1))
-        sat_sk, sat_vk = generate_keypair(random.Random(2))
+        home_sk, home_vk = generate_keypair()
+        sat_sk, sat_vk = generate_keypair()
         cert = issue_certificate("home", home_sk, "sat-1", sat_vk)
         tampered = dataclasses.replace(cert, subject="sat-666")
         assert not tampered.verify(home_vk)
@@ -482,8 +477,8 @@ class TestSignatures:
 
 @pytest.fixture()
 def pki():
-    home_sk, home_vk = generate_keypair(random.Random(10))
-    sat_sk, sat_vk = generate_keypair(random.Random(11))
+    home_sk, home_vk = generate_keypair()
+    sat_sk, sat_vk = generate_keypair()
     cert = issue_certificate("home", home_sk, "sat-7", sat_vk)
     return home_sk, home_vk, sat_sk, cert
 
@@ -491,8 +486,7 @@ def pki():
 class TestStationToStation:
     def test_both_sides_agree(self, pki):
         _, home_vk, sat_sk, cert = pki
-        ue_session, sat_session = agree(home_vk, cert, sat_sk,
-                                        rng=random.Random(0))
+        ue_session, sat_session = agree(home_vk, cert, sat_sk)
         assert ue_session.key == sat_session.key
         assert len(ue_session.key) == 32
 
@@ -505,7 +499,7 @@ class TestStationToStation:
 
     def test_uncertified_satellite_rejected(self, pki):
         home_sk, home_vk, _, _ = pki
-        rogue_sk, rogue_vk = generate_keypair(random.Random(13))
+        rogue_sk, rogue_vk = generate_keypair()
         rogue_cert = issue_certificate("rogue-home", rogue_sk, "sat-evil",
                                        rogue_vk)
         with pytest.raises(KeyAgreementError):

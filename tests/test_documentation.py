@@ -6,9 +6,11 @@ class, function, or method.
 
 The prose docs are held to the code too: every ``REPRO_*`` variable
 they name is read by ``src/``, a bench script or a CI workflow, every
-backticked ``repro.x.y`` name they cite imports, and every backticked
+backticked ``repro.x.y`` name they cite imports, every backticked
 CamelCase or UPPER_SNAKE name is defined or imported in ``src/``,
-``bench/`` or ``tests/``, a builtin, or an environment variable.
+``bench/`` or ``tests/``, a builtin, or an environment variable, and
+every backticked lower_snake name is one the code defines, takes,
+assigns or spells.
 """
 
 import ast
@@ -98,26 +100,29 @@ def _doc_matches(pattern):
                        (REPO_ROOT / doc).read_text(encoding="utf-8"))})
 
 
+def _literals(tree: ast.AST):
+    """The string constants of ``tree`` that are not docstrings."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef,
+                                       ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body
+                  and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)}
+    return [node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings]
+
+
 @pytest.fixture(scope="module")
 def code_env_vars():
     """``REPRO_*`` names in non-docstring literals of src/ and bench/*.py."""
     paths = sorted((REPO_ROOT / "src").rglob("*.py")) \
         + sorted((REPO_ROOT / "bench").glob("*.py"))
-    strings = set()
-    for path in paths:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
-                      if isinstance(node, (ast.Module, ast.ClassDef,
-                                           ast.FunctionDef,
-                                           ast.AsyncFunctionDef))
-                      and node.body
-                      and isinstance(node.body[0], ast.Expr)
-                      and isinstance(node.body[0].value, ast.Constant)}
-        strings.update(node.value for node in ast.walk(tree)
-                       if isinstance(node, ast.Constant)
-                       and isinstance(node.value, str)
-                       and id(node) not in docstrings)
-    return {name for text in strings for name in _ENV_VAR.findall(text)}
+    return {name for path in paths
+            for text in _literals(ast.parse(path.read_text(encoding="utf-8")))
+            for name in _ENV_VAR.findall(text)}
 
 
 @pytest.fixture(scope="module")
@@ -146,24 +151,30 @@ def _code_names():
     return sorted(names.items())
 
 
+def _trees(*roots: str):
+    for root in roots:
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            yield ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _defined(tree: ast.AST):
+    """The class, function, assigned and imported names of ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name.split(".")[-1]
+
+
 @pytest.fixture(scope="module")
 def defined_names():
     """Every class, function, assigned or imported name in src/,
     bench/ and tests/."""
-    names = set()
-    for root in ("src", "bench", "tests"):
-        for path in sorted((REPO_ROOT / root).rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            for node in ast.walk(tree):
-                if isinstance(node, (ast.ClassDef, ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                    names.add(node.name)
-                elif isinstance(node, ast.Name) \
-                        and isinstance(node.ctx, ast.Store):
-                    names.add(node.id)
-                elif isinstance(node, ast.alias):
-                    names.add(node.asname or node.name.split(".")[-1])
-    return names
+    return {name for tree in _trees("src", "bench", "tests")
+            for name in _defined(tree)}
 
 
 @pytest.mark.parametrize("name,where", _code_names())
@@ -191,6 +202,55 @@ def test_documented_repro_name_imports(dotted):
             target = getattr(target, attr)
         return
     pytest.fail(f"{dotted} does not import")
+
+
+#: A lower_snake name with an underscore, alone in a backticked span or
+#: called or assigned there (``avoid_links``, ``route_batch(...)``,
+#: ``workers=2``).
+_SNAKE_SPAN = re.compile(r"([a-z][a-z0-9]*(?:_[a-z0-9]+)+)(?:\(.*\)|=.*)?")
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _snake_names():
+    """Backticked lower_snake names of the prose docs, each with the
+    ``doc:line`` it first appears at."""
+    names = {}
+    for doc in DOCS:
+        text = (REPO_ROOT / doc).read_text(encoding="utf-8")
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for span in _CODE_SPAN.findall(line):
+                match = _SNAKE_SPAN.fullmatch(span)
+                if match:
+                    names.setdefault(match.group(1), f"{doc}:{lineno}")
+    return sorted(names.items())
+
+
+@pytest.fixture(scope="module")
+def spelled_names():
+    """Every name src/, bench/, tests/ or examples/ defines, imports,
+    takes as a parameter or assigns as an attribute, and every
+    identifier their non-docstring string literals spell."""
+    names = set()
+    for tree in _trees("src", "bench", "tests", "examples"):
+        names.update(_defined(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+        names.update(name for text in _literals(tree)
+                     for name in _IDENTIFIER.findall(text))
+    return names
+
+
+@pytest.mark.parametrize("name,where", _snake_names())
+def test_documented_snake_name_is_in_the_code(name, where, spelled_names):
+    """A doc that names a parameter, function or attribute the code no
+    longer has describes an option or a path that is gone."""
+    assert name in spelled_names, (
+        f"{where} names `{name}`, which nothing in src/, bench/, tests/ "
+        f"or examples/ defines, takes, assigns or spells")
 
 
 #: A backticked kebab-case name (``stateful-nf``, ``urban-hotspot``).

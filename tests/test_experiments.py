@@ -16,7 +16,7 @@ from repro.experiments import (
     tcp_recovery_time_s,
 )
 from repro.fiveg.messages import ProcedureKind
-from repro.orbits import default_ground_stations, iridium, starlink
+from repro.orbits import iridium, starlink
 
 
 @pytest.fixture(scope="module")
@@ -75,8 +75,7 @@ class TestSignalingStorms:
 
     def test_sweep_covers_grid(self):
         loads = sweep([spacecore, fiveg_ntn], [iridium()],
-                      capacities=(2_000, 10_000),
-                      stations=default_ground_stations(6))
+                      capacities=(2_000, 10_000))
         assert len(loads) == 4
 
 

@@ -1,7 +1,6 @@
 """Tests for 5G identifiers and AKA."""
 
 import dataclasses
-import random
 
 import pytest
 
@@ -39,29 +38,29 @@ class TestSupi:
 
 class TestSuci:
     def test_conceal_deconceal_roundtrip(self):
-        home_sk, home_vk = generate_keypair(random.Random(1))
+        home_sk, home_vk = generate_keypair()
         supi = Supi(Plmn(460, 0), 987654)
-        suci = Suci.conceal(supi, home_vk, random.Random(2))
+        suci = Suci.conceal(supi, home_vk)
         assert suci.deconceal(home_sk) == supi
 
     def test_concealment_hides_msin(self):
         """The SUCI must not contain the MSIN in the clear."""
-        home_sk, home_vk = generate_keypair(random.Random(1))
+        home_sk, home_vk = generate_keypair()
         supi = Supi(Plmn(460, 0), 987654)
-        suci = Suci.conceal(supi, home_vk, random.Random(2))
+        suci = Suci.conceal(supi, home_vk)
         msin_bytes = supi.msin.to_bytes(8, "big")
         assert suci.masked_msin != msin_bytes
 
     def test_concealment_randomised(self):
-        home_sk, home_vk = generate_keypair(random.Random(1))
+        home_sk, home_vk = generate_keypair()
         supi = Supi(Plmn(460, 0), 987654)
         a = Suci.conceal(supi, home_vk)
         b = Suci.conceal(supi, home_vk)
         assert a.ephemeral != b.ephemeral
 
     def test_wrong_home_key_garbles(self):
-        home_sk, home_vk = generate_keypair(random.Random(1))
-        other_sk, _ = generate_keypair(random.Random(9))
+        home_sk, home_vk = generate_keypair()
+        other_sk, _ = generate_keypair()
         supi = Supi(Plmn(460, 0), 987654)
         suci = Suci.conceal(supi, home_vk)
         # The wrong key either yields a different subscriber or an
@@ -76,9 +75,9 @@ class TestSuci:
         """``p - 1`` has order 2: ``shared`` would be 1 or ``p - 1`` by
         the parity of the home key.  0 and values ``>= p`` are not
         elements either; the check runs before any exponentiation."""
-        home_sk, home_vk = generate_keypair(random.Random(1))
+        home_sk, home_vk = generate_keypair()
         supi = Supi(Plmn(460, 0), 987654)
-        genuine = Suci.conceal(supi, home_vk, random.Random(2))
+        genuine = Suci.conceal(supi, home_vk)
         p = home_vk.group.p
         for ephemeral in (p - 1, 0, p + genuine.ephemeral):
             forged = dataclasses.replace(genuine, ephemeral=ephemeral)
@@ -93,12 +92,12 @@ class TestGuti:
             Guti(Plmn(460, 0), 1, 2**32)
 
     def test_allocator_unique(self):
-        alloc = GutiAllocator(Plmn(460, 0), 1, random.Random(0))
+        alloc = GutiAllocator(Plmn(460, 0), 1)
         gutis = {alloc.allocate().tmsi for _ in range(200)}
         assert len(gutis) == 200
 
     def test_release_allows_reuse(self):
-        alloc = GutiAllocator(Plmn(460, 0), 1, random.Random(0))
+        alloc = GutiAllocator(Plmn(460, 0), 1)
         guti = alloc.allocate()
         alloc.release(guti)
         # No assertion on reuse -- just no exhaustion errors.

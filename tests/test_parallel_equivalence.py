@@ -145,8 +145,8 @@ class TestMetricsEquivalence:
             assert total == sum(c.get(key, 0) for c in per_trial)
 
     def test_cohort_snapshot_bit_identical(self):
-        kwargs = dict(constellation=iridium(), n_ues=2_000,
-                      duration_s=300.0, base_seed=5, n_cohorts=8)
+        kwargs = dict(n_ues=2_000, duration_s=300.0, base_seed=5,
+                      n_cohorts=8)
         serial = cohort_observability(workers=1, **kwargs)
         sharded = cohort_observability(workers=2, **kwargs)
         assert json.dumps(serial["snapshot"], sort_keys=True) == \

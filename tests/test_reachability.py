@@ -49,9 +49,19 @@ held in exactly one of these places:
   (``bench/tests/test_trace.py`` installs every one) or a function a
   ``bench/*.py`` file imports by name.
 
-Two test ids per module: one fails when no root imports the module at
-all, the other names the module and lists each unexecuted definition
-in it.
+The hook also records arguments: for each executed definition with a
+parameter defaulting to ``None``, ``True`` or ``False`` (an *option*),
+whether any root call bound a value that ``is not`` the default.  It
+reads the callee's frame at its call event, where the locals are
+exactly the arguments, and only for the code objects of such
+definitions, until each of their options has been seen set.  An
+option no root sets is made the value every root uses, or is held in
+:data:`OPTION_HOLDS` with one of :data:`REASONS` or :data:`SETTING`,
+unless a ``bench/*.py`` call passes it by keyword.
+
+Three test ids per module: one fails when no root imports the module
+at all, one names the module and lists each unexecuted definition in
+it, and one lists the options no root sets.
 """
 
 import ast
@@ -80,6 +90,9 @@ LANES = 2
 
 #: ``(resolved file, first line, co_name)`` of code objects that ran.
 Ran = Set[Tuple[str, int, str]]
+#: ``(resolved file, first line, co_name, option)`` of watched options
+#: some call bound to a value that is not the default.
+Bound = Set[Tuple[str, int, str, str]]
 #: ``(kind, target, env)``: a command line, a script, a bench workload
 #: or a list of test ids, run in-process by the census subprocess.
 Root = Tuple[str, object, Dict[str, str]]
@@ -169,9 +182,34 @@ ERROR_PATHS: Dict[str, str] = {
     "repro.scenarios.golden.diff_lines":
         "tests/test_cli.py::TestReportCommands"
         "::test_check_fails_on_drift_with_a_diff",
-    "repro.sim.packets.PacketSimulation._drop":
-        "tests/test_packet_simulation.py::TestLossAndFailures"
-        "::test_random_loss_drops_some",
+}
+
+#: The reason an option no root sets may stay: a deployment setting
+#: (worker count, a path, ``argv``), named with the variable or flag
+#: behind it.
+SETTING = "setting:"
+
+#: ``qualname(option)`` of options no root sets that stay, with why.
+OPTION_HOLDS: Dict[str, str] = {
+    "repro.cli.main(argv)":
+        "setting: the command line, sys.argv when unset",
+    "repro.experiments.cpu.fig7_cpu_breakdown(workers)":
+        "setting: REPRO_WORKERS when unset",
+    "repro.experiments.cpu.fig8_latency_sweep(workers)":
+        "setting: REPRO_WORKERS when unset",
+    "repro.experiments.observability.cohort_observability(workers)":
+        "setting: repro metrics --experiment cohort --workers, else "
+        "REPRO_WORKERS",
+    "repro.experiments.sensitivity.constellation_scaling(workers)":
+        "setting: REPRO_WORKERS when unset",
+    "repro.experiments.sensitivity.sensitivity_sweep(workers)":
+        "setting: REPRO_WORKERS when unset",
+    "repro.experiments.report.generate_report(fast)":
+        "setting: repro report --full",
+    "repro.experiments.report.render_section(fast)":
+        "setting: repro report --full, through generate_report",
+    "repro.scenarios.golden.check_scenario(workers)":
+        "setting: repro scenario check --workers, else REPRO_WORKERS",
 }
 
 #: Definitions that run only inside a pool worker -> the test driving it.
@@ -235,38 +273,67 @@ def _run_root(kind: str, target, env: Dict[str, str]) -> None:
 
 def _census_child(spec_path: str) -> None:
     """Record every code object under ``spec["record"]`` that each
-    phase's roots run, one record per phase."""
+    phase's roots run, and each watched option a call bound to a value
+    that is not its default, one record per phase."""
+    spec = json.loads(Path(spec_path).read_text(encoding="utf-8"))
+    watched = {(file, line, name): options
+               for file, line, name, options in spec["watch"]}
     codes: Dict[int, object] = {}
+    # id(code) -> {option: default} of its watched options still unset
+    # (None for code with no watched option); one lookup per call.
+    unset: Dict[int, Optional[Dict[str, object]]] = {}
+    bound: Bound = set()
 
     def record(frame, event, arg):
-        if event == "call":
-            codes.setdefault(id(frame.f_code), frame.f_code)
+        if event != "call":
+            return
+        code = frame.f_code
+        left = unset.get(id(code), codes)
+        if left is codes:   # first call of this code object
+            codes[id(code)] = code
+            options = watched.get(
+                (code.co_filename, code.co_firstlineno, code.co_name))
+            left = unset[id(code)] = dict(options) if options else None
+        if left:
+            # At the call event the callee's locals are its arguments.
+            arguments = frame.f_locals
+            for option, default in list(left.items()):
+                if arguments.get(option, default) is not default:
+                    del left[option]
+                    bound.add((code.co_filename, code.co_firstlineno,
+                               code.co_name, option))
 
     threading.setprofile(record)
     sys.setprofile(record)
-    spec = json.loads(Path(spec_path).read_text(encoding="utf-8"))
     phases = []
     for roots in spec["phases"]:
         codes.clear()
+        unset.clear()
+        bound.clear()
         for kind, target, env in roots:
             _run_root(kind, target, env)
-        phases.append(sorted({
+        phases.append({"ran": sorted({
             (code.co_filename, code.co_firstlineno, code.co_name)
             for code in list(codes.values())
-            if code.co_filename.startswith(spec["record"])}))
+            if code.co_filename.startswith(spec["record"])}),
+            "bound": sorted(bound)})
     sys.setprofile(None)
     threading.setprofile(None)
     Path(spec["output"]).write_text(json.dumps(phases), encoding="utf-8")
 
 
 def executed(record: Path, phases: Sequence[Sequence[Root]],
-             workdir: Path) -> List[Ran]:
+             workdir: Path, watch: Sequence["Definition"]
+             ) -> List[Tuple[Ran, Bound]]:
     """Per phase, ``(file, first line, name)`` of each code object
-    under ``record`` that its roots ran."""
+    under ``record`` that its roots ran, and which options of the
+    ``watch`` definitions a call set."""
     spec = workdir / "census-spec.json"
     output = workdir / "census-ran.json"
-    spec.write_text(json.dumps({"record": str(record), "phases": phases,
-                                "output": str(output)}), encoding="utf-8")
+    spec.write_text(json.dumps({
+        "record": str(record), "phases": phases, "output": str(output),
+        "watch": [[*d.key, list(d.options)] for d in watch if d.options]}),
+        encoding="utf-8")
     env = {key: os.environ[key] for key in ("PATH", "HOME", "TMPDIR")
            if key in os.environ}
     env.update(PYTHONHASHSEED="0", PYTHONPATH=os.pathsep.join(
@@ -275,8 +342,10 @@ def executed(record: Path, phases: Sequence[Sequence[Root]],
         [sys.executable, str(Path(__file__).resolve()), str(spec)],
         cwd=workdir, env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, (proc.stdout + proc.stderr)[-4000:]
-    return [{(str(Path(path).resolve()), line, name)
-             for path, line, name in phase}
+    return [({(str(Path(path).resolve()), line, name)
+              for path, line, name in phase["ran"]},
+             {(str(Path(path).resolve()), line, name, option)
+              for path, line, name, option in phase["bound"]})
             for phase in json.loads(output.read_text(encoding="utf-8"))]
 
 
@@ -291,6 +360,21 @@ class Definition:
     key: Tuple[str, int, str]   # (resolved file, first line, co_name)
     lines: int
     parent: Optional[str]       # enclosing function, or the module
+    #: ``(parameter, default)`` of each parameter defaulting to
+    #: ``None``, ``True`` or ``False``.
+    options: Tuple[Tuple[str, object], ...] = ()
+
+
+def _options(node: ast.AST) -> Tuple[Tuple[str, object], ...]:
+    """The options of a ``def``: its ``None``/bool-defaulted parameters."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    pairs = list(zip(positional[len(positional) - len(args.defaults):],
+                     args.defaults)) + list(zip(args.kwonlyargs,
+                                                args.kw_defaults))
+    return tuple((arg.arg, default.value) for arg, default in pairs
+                 if isinstance(default, ast.Constant) and (
+                     default.value is None or type(default.value) is bool))
 
 
 def definitions(root: Path, package: str) -> Dict[str, Definition]:
@@ -317,7 +401,8 @@ def definitions(root: Path, package: str) -> Dict[str, Definition]:
                         qual = f"{qual}@{first}"
                     found[qual] = Definition(
                         qual, module, (file, first, child.name),
-                        child.end_lineno - first + 1, parent)
+                        child.end_lineno - first + 1, parent,
+                        _options(child))
                     visit(child, qual, qual)
                 elif isinstance(child, ast.ClassDef):
                     visit(child, f"{prefix}.{child.name}", parent)
@@ -371,6 +456,26 @@ def bench_held() -> Ran:
     return held
 
 
+def _callee(definition: Definition) -> str:
+    """The name a call of ``definition`` spells: a constructor call
+    names the class."""
+    parts = definition.qualname.split(".")
+    return parts[-2] if parts[-1] == "__init__" else parts[-1]
+
+
+def bench_passed() -> Set[Tuple[str, str]]:
+    """``(callee, keyword)`` of every keyword a ``bench/*.py`` call passes."""
+    passed = set()
+    for path in sorted((REPO_ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = getattr(func, "attr", getattr(func, "id", None))
+                passed.update((callee, keyword.arg)
+                              for keyword in node.keywords if keyword.arg)
+    return passed
+
+
 # -- the census -----------------------------------------------------------------
 
 def _documented_command_lines() -> Set[str]:
@@ -407,8 +512,10 @@ def roots() -> List[Root]:
 class Census:
     found: Dict[str, Definition]
     ran: Ran            # by the roots
+    bound: Bound        # options the roots set
     by_tests: Ran       # by the tests ERROR_PATHS and POOL_ONLY name
     held: Ran           # by bench/
+    passed: Set[Tuple[str, str]]    # keywords bench/ passes
 
     def dead(self) -> List[Definition]:
         listed = set(ALLOWLIST) | set(ERROR_PATHS) | set(POOL_ONLY)
@@ -418,6 +525,15 @@ class Census:
     def never_ran(self, qualname: str) -> bool:
         return any(d.qualname == qualname
                    for d in unexecuted(self.found, self.ran))
+
+    def unset(self) -> Dict[str, Definition]:
+        """``qualname(option)`` -> definition, for each option of an
+        executed definition that no root set and no bench call passes."""
+        return {f"{d.qualname}({option})": d
+                for d in self.found.values() if d.key in self.ran
+                for option, _ in d.options
+                if (*d.key, option) not in self.bound
+                and (_callee(d), option) not in self.passed}
 
 
 SRC_MODULES = sorted(d.module for d in definitions(SRC, "repro").values()
@@ -436,12 +552,16 @@ def census(tmp_path_factory) -> Census:
     lanes = [[every[lane::LANES]] for lane in range(LANES)]
     lanes[0].append([("tests", tests, {})])
     workdirs = [tmp_path_factory.mktemp("census") for _ in lanes]
+    found = definitions(SRC, "repro")
     with ThreadPoolExecutor(LANES) as pool:
         runs = list(pool.map(
-            lambda phases, workdir: executed(SRC.resolve(), phases, workdir),
+            lambda phases, workdir: executed(
+                SRC.resolve(), phases, workdir, list(found.values())),
             lanes, workdirs))
-    ran = set().union(*(run[0] for run in runs))
-    return Census(definitions(SRC, "repro"), ran, runs[0][1], bench_held())
+    ran = set().union(*(run[0][0] for run in runs))
+    bound = set().union(*(run[0][1] for run in runs))
+    return Census(found, ran, bound, runs[0][1][0], bench_held(),
+                  bench_passed())
 
 
 def test_cli_roots_are_the_documented_command_lines():
@@ -498,6 +618,31 @@ def test_held_definition_runs_only_off_the_roots(qualname, census):
             f"{ERROR_PATHS[qualname]} does not run {qualname}")
 
 
+@pytest.mark.parametrize("name", SRC_MODULES)
+def test_options_set_from_a_root(name, census):
+    unset = sorted(option for option, d in census.unset().items()
+                   if d.module == name and option not in OPTION_HOLDS)
+    assert not unset, (
+        f"{name}: no documented command, example or bench workload sets "
+        "these options; make each the value every root uses, or hold "
+        "it (OPTION_HOLDS with one of "
+        + ", ".join(REASONS + (SETTING,)) + "):\n"
+        + "\n".join(f"  {option}" for option in unset))
+
+
+@pytest.mark.parametrize("option", sorted(OPTION_HOLDS))
+def test_option_hold_is_needed_and_justified(option, census):
+    assert OPTION_HOLDS[option].startswith(REASONS + (SETTING,)), (
+        f"{option}: the reason must start with one of "
+        f"{REASONS + (SETTING,)}")
+    assert option in census.unset(), (
+        f"{option} is gone or now set from a root; drop its hold")
+
+
+def test_option_holds_stay_short():
+    assert len(OPTION_HOLDS) <= 15
+
+
 # -- the bookkeeping, on a module small enough to read --------------------------
 
 SYNTHETIC = '''\
@@ -523,15 +668,18 @@ class Point:
     def unused(self):
         return -self.x
 
+    def moved(self, dx=None, clamp=True):
+        return self.x + (dx or 0) if clamp else -self.x
+
 
 ORIGIN = Point(0)
 
 
 @functools.lru_cache(maxsize=None)
-def cached(n):
+def cached(n, negate=False):
     def inner(k):
         return k + 1
-    return inner(n)
+    return -inner(n) if negate else inner(n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -545,11 +693,15 @@ def outer():
     def nested():
         return 1
     return 0
+
+
+def scale(x, factor=None, exact=False):
+    return x * (factor or 1)
 '''
 
 
 @pytest.fixture(scope="module")
-def synthetic(tmp_path_factory):
+def synthetic(tmp_path_factory) -> Census:
     workdir = tmp_path_factory.mktemp("synthetic")
     package = workdir / "synth"
     package.mkdir()
@@ -561,14 +713,18 @@ def synthetic(tmp_path_factory):
     root.write_text(
         "import sys\n"
         f"sys.path.insert(0, {str(workdir)!r})\n"
-        "from synth.shapes import Point, cached, outer\n"
+        "from synth.shapes import Point, cached, outer, scale\n"
         "assert Point(2).double == 4\n"
+        "assert Point(2).moved(clamp=False) == -2\n"
         "assert cached(1) == 2\n"
-        "assert outer() == 0\n", encoding="utf-8")
-    ran, = executed(package.resolve(), [[("script", str(root), {})]],
-                    workdir)
-    return {d.qualname for d in unexecuted(
-        definitions(package, "synth"), ran)}
+        "assert cached(1, negate=True) == -2\n"
+        "assert outer() == 0\n"
+        "assert scale(2, factor=3, exact=False) == 6\n", encoding="utf-8")
+    found = definitions(package, "synth")
+    (ran, bound), = executed(package.resolve(),
+                             [[("script", str(root), {})]], workdir,
+                             list(found.values()))
+    return Census(found, ran, bound, set(), set(), set())
 
 
 @pytest.mark.parametrize("qualname,reached", [
@@ -585,12 +741,23 @@ def synthetic(tmp_path_factory):
     ("synth.shapes", True),
 ])
 def test_census_bookkeeping(qualname, reached, synthetic):
-    assert (qualname not in synthetic) == reached
+    assert synthetic.never_ran(qualname) != reached
 
 
 def test_unexecuted_parent_hides_its_children(synthetic):
-    assert "synth.shapes.never.inner" not in synthetic
-    assert "synth.unused.f" not in synthetic
+    assert not synthetic.never_ran("synth.shapes.never.inner")
+    assert not synthetic.never_ran("synth.unused.f")
+
+
+@pytest.mark.parametrize("option,set_by_root", [
+    ("synth.shapes.scale(factor)", True),       # a None option, set
+    ("synth.shapes.scale(exact)", False),       # passed, at its default
+    ("synth.shapes.Point.moved(clamp)", True),  # a bool option, on a method
+    ("synth.shapes.Point.moved(dx)", False),
+    ("synth.shapes.cached(negate)", True),      # on a decorated def
+])
+def test_option_census_bookkeeping(option, set_by_root, synthetic):
+    assert (option not in synthetic.unset()) == set_by_root
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ distance as float bits, ``deflected`` by name because
 ``RouteResult.__eq__`` skips it -- and on the one-hop route from every
 node the packet visits (cover, degraded delivery, next hop or
 deflection, hop length), over generated packets on full-torus, seam
-and degenerate shells under fault cocktails, with and without
-``avoid_links``.  The walk makes those per-hop decisions inline, so
+and degenerate shells under fault cocktails.  The walk makes those
+per-hop decisions inline, so
 the one-hop route is how a test reads them; the oracle keeps its
 own ``_covers``.  The same
 packets through ``route_batch`` must match the oracle on whichever
@@ -25,7 +25,7 @@ need no oracle at all.
 
 import contextlib
 import math
-from typing import FrozenSet, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Tuple
 from unittest import mock
 
 import numpy as np
@@ -104,9 +104,7 @@ class _ParentWalk(GeospatialRouter):
         return neighbors[direction]
 
     def route(self, src_sat: int, dest_lat: float, dest_lon: float,
-              t: float,
-              avoid_links: Optional[Set[FrozenSet[int]]] = None
-              ) -> RouteResult:
+              t: float) -> RouteResult:
         if not (math.isfinite(dest_lon) and abs(dest_lat) <= HALF_PI):
             raise ValueError(
                 f"{DESTINATION_CONTRACT}: got ({dest_lat!r}, {dest_lon!r})")
@@ -135,15 +133,12 @@ class _ParentWalk(GeospatialRouter):
                                        degraded=True, deflected=deflected)
                 deflected = True
                 preferred = self._best_live_neighbor_snap(
-                    snap, current, dest_reps, visited, avoid_links)
+                    snap, current, dest_reps, visited)
             if (preferred is None or preferred in visited
-                    or not topo.isl_up(current, preferred)
-                    or (avoid_links
-                        and frozenset((current, preferred))
-                        in avoid_links)):
+                    or not topo.isl_up(current, preferred)):
                 deflected = True
                 preferred = self._best_live_neighbor_snap(
-                    snap, current, dest_reps, visited, avoid_links)
+                    snap, current, dest_reps, visited)
             if preferred is None:
                 return RouteResult(False, path, delay, distance,
                                    deflected=deflected)
@@ -182,17 +177,12 @@ class _ParentWalk(GeospatialRouter):
     def _best_live_neighbor_snap(self, snap: ConstellationSnapshot,
                                  sat: int,
                                  dest_reps: Sequence[Tuple[float, float]],
-                                 visited: set,
-                                 avoid_links: Optional[
-                                     Set[FrozenSet[int]]] = None
-                                 ) -> Optional[int]:
+                                 visited: set) -> Optional[int]:
         """Greedy deflection: live unvisited neighbour nearest the goal."""
         best = None
         best_metric = math.inf
         for nbr in self.topology.isl_neighbors(sat):
             if nbr in visited:
-                continue
-            if avoid_links and frozenset((sat, nbr)) in avoid_links:
                 continue
             da, dg = self._hop_offsets_snap(snap, nbr, dest_reps)
             metric = abs(da) + abs(dg)
@@ -296,30 +286,22 @@ class TestParentWalkOracle:
     @given(name=st.sampled_from(sorted(PROPAGATORS)),
            seed=st.integers(0, 2**32 - 1),
            dead=st.integers(0, 40), torn=st.integers(0, 25),
-           t=st.sampled_from(EPOCHS), avoid=st.booleans(),
-           probe=st.none())
+           t=st.sampled_from(EPOCHS), probe=st.none())
     # Two slots per plane (up == down): the compiled walk must still
     # check for revisits, or it bounces between the two slots.
-    @example(name="two-slot", seed=3, dead=0, torn=0, t=0.0, avoid=False,
-             probe=None)
+    @example(name="two-slot", seed=3, dead=0, torn=0, t=0.0, probe=None)
     # A centred hop one bisection step either side of the degraded
     # bound: the one haversine per hop decides both coverage tests.
     @example(name="two-slot", seed=5, dead=0, torn=0, t=615.0,
-             avoid=False, probe="inside")
+             probe="inside")
     @example(name="two-slot", seed=5, dead=0, torn=0, t=615.0,
-             avoid=False, probe="outside")
+             probe="outside")
     def test_route_is_bit_identical_to_the_parent_walk(
-            self, name, seed, dead, torn, t, avoid, probe):
+            self, name, seed, dead, torn, t, probe):
         topology = GridTopology(PROPAGATORS[name], [])
         total = topology.constellation.total_satellites
         rng = np.random.default_rng(seed)
         _fault_cocktail(topology, rng, dead, torn)
-        avoid_links = None
-        if avoid:
-            wiring = grid_neighbor_table(topology.constellation)
-            avoid_links = {frozenset((int(a), int(wiring[a, column])))
-                           for a, column in zip(rng.integers(0, total, 6),
-                                                rng.integers(0, 4, 6))}
         # The old walk reads isl_up and the new one the edge mask,
         # neither part of the copy: hold both to the old formula on
         # every wired edge.
@@ -347,14 +329,12 @@ class TestParentWalkOracle:
             lons = np.append(lons, lon)
         expected = []
         for s, lat, lon in zip(src.tolist(), lats.tolist(), lons.tolist()):
-            want = old.route(s, lat, lon, t, avoid_links=avoid_links)
-            got = new.route(s, lat, lon, t, avoid_links=avoid_links)
+            want = old.route(s, lat, lon, t)
+            got = new.route(s, lat, lon, t)
             assert _bits(got) == _bits(want)
             for node in want.path:
-                assert _bits(one_hop_new.route(
-                    node, lat, lon, t, avoid_links=avoid_links)) == _bits(
-                    one_hop_old.route(node, lat, lon, t,
-                                      avoid_links=avoid_links))
+                assert _bits(one_hop_new.route(node, lat, lon, t)) == _bits(
+                    one_hop_old.route(node, lat, lon, t))
             expected.append(want)
         if probe is not None:
             snap = old._snapshot(t)
@@ -366,12 +346,10 @@ class TestParentWalkOracle:
             assert want.deflected == (probe == "outside")
 
         # The batch plane, on this host's lane, against the same oracle.
-        batch = BatchGeoRouter(topology).route_batch(
-            src, lats, lons, t, avoid_links=avoid_links)
+        batch = BatchGeoRouter(topology).route_batch(src, lats, lons, t)
         for i, want in enumerate(expected):
             assert batch.result(i) == want
-            assert bool(batch.fallback[i]) == (bool(avoid_links)
-                                               or want.deflected)
+            assert bool(batch.fallback[i]) == want.deflected
 
 
 class TestWalkedHandOff:
@@ -386,34 +364,26 @@ class TestWalkedHandOff:
     @given(name=st.sampled_from(sorted(PROPAGATORS)),
            seed=st.integers(0, 2**32 - 1),
            dead=st.integers(0, 40), torn=st.integers(0, 25),
-           t=st.sampled_from(EPOCHS), avoid=st.booleans(),
-           cut=st.floats(0.0, 1.0))
+           t=st.sampled_from(EPOCHS), cut=st.floats(0.0, 1.0))
     def test_any_prefix_continues_to_the_same_route(
-            self, name, seed, dead, torn, t, avoid, cut):
+            self, name, seed, dead, torn, t, cut):
         topology = GridTopology(PROPAGATORS[name], [])
         total = topology.constellation.total_satellites
         rng = np.random.default_rng(seed)
         _fault_cocktail(topology, rng, dead, torn)
-        avoid_links = None
-        if avoid:
-            wiring = grid_neighbor_table(topology.constellation)
-            avoid_links = {frozenset((int(a), int(wiring[a, column])))
-                           for a, column in zip(rng.integers(0, total, 6),
-                                                rng.integers(0, 4, 6))}
         router = GeospatialRouter(topology)
         packets = 12
         src = rng.integers(0, total, packets)
         lats = rng.uniform(-HALF_PI, HALF_PI, packets)
         lons = rng.uniform(-math.pi, math.pi, packets)
         for s, lat, lon in zip(src.tolist(), lats.tolist(), lons.tolist()):
-            whole = router.route(s, lat, lon, t, avoid_links=avoid_links)
+            whole = router.route(s, lat, lon, t)
             # The empty prefix, a drawn one, and the whole path.
             for hops in sorted({0, int(cut * whole.hops), whole.hops}):
                 walked = GeospatialRouter(topology, max_hops=hops).route(
-                    s, lat, lon, t, avoid_links=avoid_links)
+                    s, lat, lon, t)
                 assert walked.path == whole.path[:hops + 1]
-                got = router.route(s, lat, lon, t, avoid_links=avoid_links,
-                                   walked=walked)
+                got = router.route(s, lat, lon, t, walked=walked)
                 assert _bits(got) == _bits(whole)
                 # The caller's prefix is read, never extended.
                 assert walked.path == whole.path[:hops + 1]
@@ -434,7 +404,7 @@ class TestSourceIngress:
     raised before any routing, table build or counter."""
 
     @pytest.mark.parametrize("lane", LANES)
-    @pytest.mark.parametrize("bad", [-1, -5, "N", "N+7", 2.5])
+    @pytest.mark.parametrize("bad", [-1, -5, "N", "N+7", 2.5, True])
     def test_every_entry_point_rejects_a_bad_source(self, bad, lane):
         topology = GridTopology(PROPAGATORS["starlink"], [])
         total = topology.constellation.total_satellites

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.experiments.report import RENDERERS, _exact, generate_report
 from repro.report_sections import SECTION_TITLES
 
@@ -46,11 +47,10 @@ class TestReport:
             if line.startswith("|"):
                 assert line.rstrip().endswith("|")
 
-    def test_write_report(self, tmp_path, report):
+    def test_output_writes_the_report(self, tmp_path, report):
         target = tmp_path / "report.md"
-        # Reuse the cached content path: write directly.
-        target.write_text(report)
-        assert target.read_text() == report
+        assert main(["report", "--output", str(target)]) == 0
+        assert target.read_text(encoding="utf-8") == report
 
     def test_every_titled_section_has_a_renderer(self):
         assert list(RENDERERS) == list(SECTION_TITLES)

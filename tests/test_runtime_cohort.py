@@ -104,8 +104,6 @@ class TestScaling:
         with pytest.raises(ValueError):
             UECohortEngine(starlink(), n_ues=10, session_interval_s=0.0)
         with pytest.raises(ValueError):
-            UECohortEngine(dwell_s=None, n_ues=10)
-        with pytest.raises(ValueError):
             UECohortEngine(starlink(), n_ues=10).run(0.0)
 
 

@@ -245,14 +245,13 @@ class TestForcedMode:
         monkeypatch.setenv(PLANNER_ENV_VAR, "auto")
         assert forced_mode() is None
 
-    def test_serial_and_sharded(self, monkeypatch):
-        monkeypatch.setenv(PLANNER_ENV_VAR, "serial")
-        assert forced_mode() == "serial"
+    def test_sharded(self, monkeypatch):
         monkeypatch.setenv(PLANNER_ENV_VAR, " Sharded ")
         assert forced_mode() == "sharded"
 
-    def test_invalid_raises(self, monkeypatch):
-        monkeypatch.setenv(PLANNER_ENV_VAR, "turbo")
+    @pytest.mark.parametrize("raw", ["turbo", "serial"])
+    def test_invalid_raises(self, monkeypatch, raw):
+        monkeypatch.setenv(PLANNER_ENV_VAR, raw)
         with pytest.raises(ValueError):
             forced_mode()
 
@@ -349,14 +348,6 @@ class TestPoolIntegration:
         assert decision["label"] == "planner-test.cheap"
         assert decision["mode"] == "serial"
         assert decision["reason"] in ("budget", "single-core")
-
-    def test_forced_serial_never_pools(self, monkeypatch):
-        monkeypatch.setenv(PLANNER_ENV_VAR, "serial")
-        before = pools_created()
-        run_sharded(_double, range(16), workers=4, label="forced-serial")
-        assert pools_created() == before
-        decision = planner_decisions()[-1]
-        assert decision["reason"] == "forced-serial"
 
     def test_decision_log_records_forced_pool_runs(self, monkeypatch):
         monkeypatch.setenv(PLANNER_ENV_VAR, "sharded")

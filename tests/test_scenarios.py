@@ -33,6 +33,7 @@ from repro.scenarios import (
     golden_path,
     run_scenario,
     scenario_names,
+    write_golden,
 )
 from repro.scenarios.golden import GOLDEN_DIR_ENV
 
@@ -303,8 +304,7 @@ class TestGoldenGate:
         missing = check_scenario(TINY, workers=1)
         assert missing.missing_golden and not missing.ok
         # Commit, then tamper: the diff must surface.
-        outcome = check_scenario(TINY, workers=1, update=True)
-        assert outcome.ok
+        write_golden(run_scenario(TINY, workers=1))
         assert check_scenario(TINY, workers=1).ok
         path = golden_path(TINY.name)
         path.write_text(path.read_text().replace(

@@ -184,7 +184,7 @@ class TestUeManipulation:
         # The UE cannot produce a home signature for the new bytes;
         # the best it can do is reuse the old signature.
         from repro.crypto import abe as abe_module
-        _, fake_master = abe_module.setup(b"ue-forged-authority")
+        _, fake_master = abe_module.setup()
         forged_ct = abe_module.encrypt(fake_master, upgraded.to_bytes(),
                                        home.state_policy(str(ue.supi)))
         ue.replica = dataclasses.replace(ue.replica,

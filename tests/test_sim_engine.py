@@ -76,14 +76,6 @@ class TestRunControl:
         sim.run(until=42.0)
         assert sim.now == 42.0
 
-    def test_max_events_budget(self):
-        sim = Simulator()
-        fired = []
-        for i in range(10):
-            sim.schedule(float(i + 1), fired.append, i)
-        sim.run(max_events=3)
-        assert fired == [0, 1, 2]
-
     def test_nan_until_rejected_before_any_event(self):
         """``head.time > nan`` is always False, so a self-rescheduling
         callback under ``until=nan`` would never return."""

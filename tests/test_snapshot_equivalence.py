@@ -35,12 +35,10 @@ NEW_YORK = (math.radians(40.7), math.radians(-74.0))
 # Faithful replicas of the pre-refactor scalar implementations
 # ---------------------------------------------------------------------------
 
-def _scalar_visible(propagator, t, ue_lat, ue_lon, min_elevation_deg=None):
+def _scalar_visible(propagator, t, ue_lat, ue_lon):
     """Pre-refactor coverage.visible_satellites (per-query full scan)."""
     c = propagator.constellation
-    if min_elevation_deg is None:
-        min_elevation_deg = c.min_elevation_deg
-    theta = coverage_half_angle(c.altitude_km, min_elevation_deg)
+    theta = coverage_half_angle(c.altitude_km, c.min_elevation_deg)
     subs = propagator.subpoints(t)
     dlat = subs[:, 0] - ue_lat
     dlon = subs[:, 1] - ue_lon
@@ -50,12 +48,10 @@ def _scalar_visible(propagator, t, ue_lat, ue_lon, min_elevation_deg=None):
     return list(np.nonzero(ang <= theta)[0])
 
 
-def _scalar_serving(propagator, t, ue_lat, ue_lon, min_elevation_deg=None):
+def _scalar_serving(propagator, t, ue_lat, ue_lon):
     """Pre-refactor coverage.serving_satellite."""
     c = propagator.constellation
-    if min_elevation_deg is None:
-        min_elevation_deg = c.min_elevation_deg
-    theta = coverage_half_angle(c.altitude_km, min_elevation_deg)
+    theta = coverage_half_angle(c.altitude_km, c.min_elevation_deg)
     subs = propagator.subpoints(t)
     dlat = subs[:, 0] - ue_lat
     dlon = subs[:, 1] - ue_lon

@@ -148,10 +148,6 @@ class TestAttacks:
         ntn_rate = mitm_leak_rate(fiveg_ntn(), 30000, 165.8)
         assert sc_rate < ntn_rate / 50
 
-    def test_mitm_ipsec_mitigates(self):
-        assert mitm_leak_rate(baoyun(), 30000, 165.8,
-                              ipsec_enabled=True) == 0.0
-
     def test_skycore_mitm_worst(self):
         """Sync broadcasts replicate vectors over wireless ISLs."""
         rates = {f().name: mitm_leak_rate(f(), 30000, 165.8)
