@@ -9,7 +9,8 @@ deterministic structures:
   fast enough for the latency micro-benchmarks, compiled or not, while
   preserving the real protocol structure.  The constants were produced
   once by a seeded Miller-Rabin search (seed 20220822, the paper's
-  conference date) and are fixed here.
+  conference date) and are fixed here; the test suite proves them
+  prime with its own Miller-Rabin test, so the package carries none.
 * ``ShareField``: the prime field over the Mersenne prime
   ``SHARE_PRIME`` = 2^127 - 1, used for Shamir secret sharing in the
   ABE scheme.
@@ -215,37 +216,6 @@ def _fixed_base_table(group: SchnorrGroup, kernel):
 
 SCHNORR_GROUP = SchnorrGroup(p=_P, q=_Q, g=_G)
 
-
-def is_probable_prime(n: int, rounds: int = 40,
-                      rng=None) -> bool:
-    """Miller-Rabin primality test (deterministic enough at 40 rounds).
-
-    Used by the test suite to verify the hard-coded group constants;
-    exposed because downstream users regenerating parameters need it.
-    """
-    import random as _random
-    if n < 2:
-        return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % small == 0:
-            return n == small
-    rng = rng or _random.Random(0xC0FFEE)
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for _ in range(rounds):
-        a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 #: Mersenne prime 2^127 - 1: the Shamir share field for ABE.  A 127-bit
 #: field keeps Lagrange interpolation in the tens of microseconds --

@@ -14,17 +14,20 @@ the chunks of a large wave on every core.
 It models Algorithm 1's preferred-direction walk only; a packet that
 needs anything else (deflection, seam revisit, a path longer than the
 caller's per-packet cap) is flagged, with the prefix walked so far
-(moves, delay, distance, length) written out, and the reference walk
-*continues* it from the node where the flag was raised.  The prefix is
-the one the reference walk would have walked itself, bit for bit, so
-continuing it equals recomputing it.  A path is written as its moves:
-one byte per hop, the ``grid_neighbor_table`` column taken, each
-packet's moves right after the previous packet's, so a chunk's paths
-take one byte per hop walked, not per hop of capacity.  The source
-node is the packet's own input, and the nodes the seam-revisit check
-reads live in a per-packet buffer on the stack.  ``decode_paths``
-turns the flagged packets' moves back into node paths, all of them in
-one call, for the reference walk to continue.
+(moves, delay, distance, length) written out.  The reference walk
+takes the one hop the flag is about (the deflection, or the packet's
+drop or delivery), and this walk *resumes* the one hop longer prefix,
+handed back as its node list, in the same hop loop, up to the next
+flag.  Every prefix is the one the reference walk would have walked
+itself, bit for bit, so the turns add up to its route.  A path is
+written as its moves: one byte per hop, the ``grid_neighbor_table``
+column taken, each packet's moves right after the previous packet's,
+so a chunk's paths take one byte per hop walked, not per hop of
+capacity.  The source node is the packet's own input, and the nodes
+the seam-revisit check reads (a resumed prefix's included) live in a
+per-packet buffer on the stack.  ``decode_paths`` turns the flagged
+packets' moves back into node paths, all of them in one call, for the
+reference walk's first turn.
 
 Bit-exactness
 =============
@@ -233,17 +236,30 @@ static int hop_decision(double wa0, double wg0, double wa1, double wg1,
  * step + 1 nodes, so a flagged packet's reference walk continues from
  * there instead of starting over.
  *
+ * With prefix non-NULL the walks resume instead of starting: packet
+ * i's path so far is the next path_len[i] nodes of prefix (packets
+ * back to back; src is not read), delay_out[i] and dist_out[i] hold
+ * what it has accumulated, and the same hop loop continues from its
+ * last node with every prefix node in the node buffer.  A resumed
+ * walk has left the preferred direction at least once, so the
+ * strict-decrease argument that spares a full torus the revisit check
+ * no longer holds: resumed walks always check.  path_len[i] comes
+ * back as the whole path's node count, and the moves written are the
+ * resumed hops only.
+ *
  * Moves are compact: packet i's moves start where packet i - 1's
- * ended, at the sum of path_len[j] - 1 over j < i, so the caller's
- * region needs n * (path_cap - 1) bytes only in the worst case.  Bytes past the last packet's moves are never written.
- * Returns -1, writing nothing, unless 1 <= path_cap <= PATH_CAP_MAX. */
+ * ended, at the sum of the hops walked here over j < i, so the
+ * caller's region needs n * (path_cap - 1) bytes only in the worst
+ * case.  Bytes past the last packet's moves are never written.
+ * Returns -1, writing nothing, unless 1 <= path_cap <= PATH_CAP_MAX
+ * and every resumed prefix holds 1..path_cap nodes. */
 int walk_chunk(
     int64_t n, int64_t max_hops, int64_t path_cap,
     int32_t full_torus, int32_t healthy,
     double theta, double slack_theta, double cos_in, double cos_out,
     double delta_raan, double delta_phase,
     double band, double sin_i, double cos_i,
-    const int64_t *src,
+    const int64_t *src, const int32_t *prefix,
     const double *dest_lat, const double *dest_lon,
     const double *t_alpha, const double *t_gamma,
     const double *t_slat, const double *t_slon,
@@ -255,12 +271,28 @@ int walk_chunk(
     int32_t *path_len, uint8_t *moves)
 {
     if (path_cap < 1 || path_cap > PATH_CAP_MAX) return -1;
+    if (prefix) {
+        for (int64_t i = 0; i < n; i++)
+            if (path_len[i] < 1 || path_len[i] > path_cap) return -1;
+    }
+    const int check_revisit = !full_torus || prefix;
     const double half_dr = 0.5 * delta_raan;   /* exact */
     const double half_dp = 0.5 * delta_phase;  /* exact */
-    int64_t cursor = 0;
+    int64_t cursor = 0, taken = 0;
     int32_t path[PATH_CAP_MAX];
     for (int64_t i = 0; i < n; i++) {
-        int64_t cur = src[i];
+        int64_t first = 0;  /* hops walked before this call */
+        double delay = 0.0, dist = 0.0;
+        if (prefix) {
+            first = path_len[i] - 1;
+            for (int64_t k = 0; k <= first; k++) path[k] = prefix[taken + k];
+            taken += first + 1;
+            delay = delay_out[i];
+            dist = dist_out[i];
+        } else {
+            path[0] = (int32_t)src[i];
+        }
+        int64_t cur = path[first];
         const double DLAT = dest_lat[i], DLON = dest_lon[i];
         double reps[4];
         destination_reps(DLAT, DLON, band, sin_i, cos_i, reps);
@@ -270,11 +302,9 @@ int walk_chunk(
         const double COS_LAT = cos(DLAT);
         const double UX = COS_LAT * cos(DLON), UY = COS_LAT * sin(DLON);
         const double UZ = sin(DLAT);
-        double delay = 0.0, dist = 0.0;
         uint8_t *move = moves + cursor;
-        path[0] = (int32_t)cur;
         int64_t step;
-        for (step = 0; step < max_hops; step++) {
+        for (step = first; step < max_hops; step++) {
             double dot = t_ux[cur] * UX + t_uy[cur] * UY
                        + t_uz[cur] * UZ;
             int covered;
@@ -315,7 +345,7 @@ int walk_chunk(
                 fallback[i] = 1;
                 break;
             }
-            if (!full_torus) {
+            if (check_revisit) {
                 int revisit = 0;
                 for (int64_t k = 0; k <= step; k++) {
                     if (path[k] == nxt) { revisit = 1; break; }
@@ -337,7 +367,7 @@ int walk_chunk(
              * per-hop division. */
             delay += t_delay[off];
             dist += t_hop[off];
-            move[step] = (uint8_t)dir;
+            move[step - first] = (uint8_t)dir;
             path[step + 1] = nxt;
             cur = (int64_t)nxt;
         }
@@ -346,7 +376,7 @@ int walk_chunk(
         delay_out[i] = delay;
         dist_out[i] = dist;
         path_len[i] = (int32_t)(step + 1);
-        cursor += step;
+        cursor += step - first;
     }
     return 0;
 }
@@ -660,7 +690,7 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.walk_chunk.argtypes = [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_int32, ctypes.c_int32,
-    ] + [ctypes.c_double] * 9 + [ctypes.c_void_p] * 21
+    ] + [ctypes.c_double] * 9 + [ctypes.c_void_p] * 22
     lib.walk_chunk.restype = ctypes.c_int
     lib.destination_reps.argtypes = [ctypes.c_double] * 5 + [
         ctypes.c_void_p]

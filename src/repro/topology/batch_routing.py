@@ -8,13 +8,17 @@ packet at a time through a Python hop loop, every code path modelled
 loop over shared per-epoch arrays that replays the reference
 arithmetic operation for operation and *flags* any packet that needs
 a path it does not model.  :meth:`BatchGeoRouter.route_batch` runs the
-compiled walk over the wave, and the reference walk *continues* each
-flagged packet from where the compiled walk stopped: the compiled walk
-hands over the prefix it walked (moves, delay, distance), which is the
-reference walk's own prefix bit for bit, so only the hops from the
-flag on run in Python.  On a host without the compiled walk (no C
-compiler, failed build, ``REPRO_NO_CKERNEL``) the whole wave takes the
-reference walk from the source.  Either way each packet's
+compiled walk over the wave, and then the two walks take turns on each
+flagged packet: the reference walk takes the one hop at the flag (the
+deflection, or the drop or delivery verdict) from the prefix the
+compiled walk handed over, and the compiled walk resumes the one hop
+longer prefix up to its next flag, round after round over the
+packets still flagged.  Every prefix is the reference walk's own bit
+for bit, so only the deflection hops run in Python; a prefix at the
+compiled walk's 64-node cap is walked to its end in Python.  On a
+host without the compiled walk (no C compiler, failed build,
+``REPRO_NO_CKERNEL``) the whole wave takes the reference walk from the
+source.  Either way each packet's
 ``route_batch(...).result(i)`` is identical (path, verdict, delay,
 distance) to ``GeospatialRouter.route`` on that packet, which is what
 the equivalence suite asserts on both lanes.
@@ -77,13 +81,12 @@ serves the whole sweep and every repeat of it.
 from __future__ import annotations
 
 import ctypes
-import itertools
 import math
 import mmap
 from array import array
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -150,7 +153,8 @@ class NextHopTable:
 
     __slots__ = ("snapshot", "fault_epoch", "neighbors", "hop_km",
                  "hop_delay_s", "alpha", "gamma", "sub_lat", "sub_lon",
-                 "unit_x", "unit_y", "unit_z", "healthy", "edge_up")
+                 "unit_x", "unit_y", "unit_z", "healthy", "edge_up",
+                 "pointers")
 
     def __init__(self, snapshot: ConstellationSnapshot,
                  topology: GridTopology):
@@ -182,6 +186,13 @@ class NextHopTable:
         self.unit_z = pos[:, 2] / norm
         self.healthy = not topology.has_topology_faults
         self.edge_up = topology.edge_liveness()
+        #: The addresses of the arrays the compiled walk reads, in its
+        #: argument order, taken once per table: a hand-off round
+        #: calls the walk again over the same table.
+        self.pointers = tuple(_ptr(array) for array in (
+            self.alpha, self.gamma, self.sub_lat, self.sub_lon,
+            self.unit_x, self.unit_y, self.unit_z, self.neighbors,
+            self.hop_km, self.hop_delay_s, self.edge_up))
 
 
 class BatchRouteResult:
@@ -281,9 +292,15 @@ class BatchRouteResult:
             degraded=bool(self.degraded[index]))
 
 
-def _ptr(array: np.ndarray) -> ctypes.c_void_p:
+def _ptr(array: np.ndarray) -> int:
     """The data pointer of a contiguous array, for the compiled walk."""
-    return ctypes.c_void_p(array.ctypes.data)
+    return array.ctypes.data
+
+
+def _address(buffer: array) -> int:
+    """The data pointer of an ``array.array``, far cheaper to take
+    than an ndarray's."""
+    return buffer.buffer_info()[0]
 
 
 def _address_space(size: int) -> np.ndarray:
@@ -329,10 +346,10 @@ class BatchGeoRouter:
     """Algorithm 1 over packet batches, next-hop tables per epoch.
 
     Wraps a scalar :class:`GeospatialRouter` (sharing its coverage
-    geometry and ``degraded_slack``): the reference walk that
-    continues the packets the compiled walk flags, routes the whole
-    wave when there is no compiled walk, and is what the equivalence
-    suite compares against.
+    geometry and ``degraded_slack``): the reference walk that takes
+    the deflection hops of the packets the compiled walk flags, routes
+    the whole wave when there is no compiled walk, and is what the
+    equivalence suite compares against.
     """
 
     def __init__(self, topology: GridTopology, max_hops: int = 256,
@@ -340,8 +357,14 @@ class BatchGeoRouter:
         self.topology = topology
         self.scalar = GeospatialRouter(topology, max_hops=max_hops)
         self.max_hops = max_hops
+        #: The compiled walk's per-packet path cap, in nodes: +Grid
+        #: walks on the paper's shells stay well under 64 nodes, and
+        #: only fault deflections ever exceed it.
+        self._cap = min(max_hops + 1, 64)
         self.metrics = metrics
         self._wiring = grid_neighbor_table(topology.constellation)
+        #: The wiring as nested lists, for decoding resumed walks.
+        self._wiring_rows = self._wiring.tolist()
         self._table_cache_size = _TABLE_CACHE_SIZE
         self._tables: "OrderedDict[Tuple[float, int], NextHopTable]" = (
             OrderedDict())
@@ -419,9 +442,10 @@ class BatchGeoRouter:
         """Route ``(N,)`` packets that share one epoch ``t``.
 
         The compiled walk routes the wave against the epoch's next-hop
-        table; the reference walk continues each packet it flags
-        (deflection, seam revisit, path longer than its cap) from
-        the prefix the compiled walk handed over.  Without a
+        table; each packet it flags (deflection, seam revisit, path
+        longer than its cap) then alternates between the reference
+        walk, for the hop at the flag, and the compiled walk, up to
+        the next flag (:meth:`_hand_off`).  Without a
         compiled walk the reference walk routes the whole wave, with
         the same results and the same ``fallback`` mask (see the
         module docstring).  Raises ``ValueError`` before any routing
@@ -461,10 +485,8 @@ class BatchGeoRouter:
         # moves a packet can write).  The array is left uninitialised,
         # so the bytes no path reaches are address space, not memory.
         # The kernel flags the rare walk longer than ``cap`` nodes for
-        # the reference walk to continue (it has no capacity limit);
-        # +Grid walks on the paper's shells stay well under 64 nodes,
-        # and only fault deflections ever exceed it.
-        cap = min(self.max_hops + 1, 64)
+        # the reference walk to continue (it has no capacity limit).
+        cap = self._cap
         out = self._result(src, n * cap)
         self._count("routing.kernel_packets", n)
 
@@ -488,7 +510,7 @@ class BatchGeoRouter:
                 for _ in pool.map(walk, parts):
                     pass
         out._used = int(out._offsets[-1]) + int(out.path_len[-1]) - 1
-        return self._finish(out, src, dlat, dlon, t, kernel)
+        return self._finish(out, src, dlat, dlon, t, kernel, table)
 
     # -- the epoch sweep -------------------------------------------------------
 
@@ -609,108 +631,205 @@ class BatchGeoRouter:
         worker thread, so it writes only the chunk's share of ``out``
         and touches no metrics registry.
         """
-        src, dlat, dlon = src[part], dlat[part], dlon[part]
-        theta = self.scalar.coverage_angle
-        c = self.topology.constellation
         path_len = out.path_len[part]
-        status = kernel.walk_chunk(
-            src.shape[0], self.max_hops, cap,
-            1 if self._full_torus else 0,
-            1 if table.healthy else 0,
-            theta, theta * self.scalar.degraded_slack,
-            math.cos(theta) + _COVERAGE_GUARD,
-            math.cos(theta) - _COVERAGE_GUARD,
-            c.delta_raan, c.delta_phase,
-            *self._inclination_terms,
-            _ptr(src), _ptr(dlat), _ptr(dlon),
-            _ptr(table.alpha), _ptr(table.gamma),
-            _ptr(table.sub_lat), _ptr(table.sub_lon),
-            _ptr(table.unit_x), _ptr(table.unit_y), _ptr(table.unit_z),
-            _ptr(table.neighbors), _ptr(table.hop_km),
-            _ptr(table.hop_delay_s), _ptr(table.edge_up),
-            _ptr(out.delivered[part]), _ptr(out.degraded[part]),
-            _ptr(out.fallback[part]), _ptr(out.delay_s[part]),
-            _ptr(out.distance_km[part]), _ptr(path_len),
-            _ptr(out._moves[part.start * cap:]))
-        if status != 0:
-            raise ValueError(f"path cap {cap} is outside the compiled "
-                             "walk's node buffer")
+        self._walk(kernel, table, path_len.shape[0], cap,
+                   (_ptr(src[part]), None, _ptr(dlat[part]),
+                    _ptr(dlon[part])),
+                   (_ptr(out.delivered[part]), _ptr(out.degraded[part]),
+                    _ptr(out.fallback[part]), _ptr(out.delay_s[part]),
+                    _ptr(out.distance_km[part]), _ptr(path_len),
+                    _ptr(out._moves[part.start * cap:])))
         # Packet i of the chunk starts where packet i - 1 ended.
         offsets = out._offsets[part]
         offsets[0] = part.start * cap
         np.cumsum(path_len[:-1] - 1, dtype=np.int64, out=offsets[1:])
         offsets[1:] += offsets[0]
 
-    def _prefixes(self, kernel: Optional[ctypes.CDLL],
-                  out: BatchRouteResult, part: np.ndarray
-                  ) -> Iterable[Optional[RouteResult]]:
-        """The ``walked`` hand-off of each packet of ``part``: the
-        prefix the compiled walk left in ``out``, its nodes decoded for
-        all of ``part`` in one ``decode_paths`` call, or ``None`` for
-        every packet when there is no compiled walk to continue.  Reads
-        all of ``out`` it needs before returning, so the caller may
-        overwrite those packets' fields while it iterates."""
-        if kernel is None:
-            return itertools.repeat(None)
+    def _walk(self, kernel: ctypes.CDLL, table: NextHopTable, n: int,
+              cap: int, inputs: Tuple[Optional[int], ...],
+              outputs: Tuple[int, ...]) -> None:
+        """One ``walk_chunk`` call over ``n`` packets against ``table``:
+        ``inputs`` are the addresses of their sources, resumed
+        prefixes (``None`` for fresh walks), latitudes and longitudes,
+        ``outputs`` those of the delivered, degraded and flag bytes,
+        delays, distances, path lengths and moves."""
+        theta = self.scalar.coverage_angle
+        c = self.topology.constellation
+        status = kernel.walk_chunk(
+            n, self.max_hops, cap,
+            1 if self._full_torus else 0,
+            1 if table.healthy else 0,
+            theta, theta * self.scalar.degraded_slack,
+            math.cos(theta) + _COVERAGE_GUARD,
+            math.cos(theta) - _COVERAGE_GUARD,
+            c.delta_raan, c.delta_phase,
+            *self._inclination_terms, *inputs, *table.pointers, *outputs)
+        if status != 0:
+            raise ValueError(f"path cap {cap} (or a resumed prefix) is "
+                             "outside the compiled walk's node buffer")
+
+    def _walked(self, kernel: ctypes.CDLL, out: BatchRouteResult,
+                part: np.ndarray) -> Iterator[Tuple[List[int], float, float]]:
+        """The path, delay and distance ``out`` holds for each packet of
+        ``part``, the nodes decoded for all of ``part`` in one
+        ``decode_paths`` call."""
         lengths = out.path_len[part]
         nodes = np.empty(int(lengths.sum()), dtype=np.int32)
         kernel.decode_paths(
             part.size, _ptr(part), _ptr(out._source), _ptr(out._offsets),
             _ptr(out.path_len), _ptr(out._moves), _ptr(self._wiring),
             _ptr(nodes))
-        return (RouteResult(False, nodes[end - length:end].tolist(),
-                            delay, distance)
-                for end, length, delay, distance in zip(
-                    np.cumsum(lengths).tolist(), lengths.tolist(),
-                    out.delay_s[part].tolist(),
-                    out.distance_km[part].tolist()))
+        flat = nodes.tolist()
+        return zip((flat[end - length:end] for end, length in zip(
+                        np.cumsum(lengths).tolist(), lengths.tolist())),
+                   out.delay_s[part].tolist(),
+                   out.distance_km[part].tolist())
 
     def _finish(self, out: BatchRouteResult, src: np.ndarray,
                 dlat: np.ndarray, dlon: np.ndarray, t: float,
-                kernel: Optional[ctypes.CDLL] = None) -> BatchRouteResult:
+                kernel: Optional[ctypes.CDLL] = None,
+                table: Optional[NextHopTable] = None) -> BatchRouteResult:
         """Route the flagged packets of ``out`` with the reference walk.
 
-        On the compiled-walk lane (``kernel`` given) each flagged
-        packet's reference walk continues the prefix the compiled walk
-        left in ``out``: its ``path_len``-node path (see
-        :meth:`_prefixes`), its ``delay_s`` and its ``distance_km``.
-        Without a compiled walk every packet takes the reference walk
-        from its source and ``fallback`` reports its ``deflected``
-        bit, which is what the compiled walk's flags mean -- so the
-        mask (and ``routing.scalar_fallbacks``) does not depend on
-        whether this host could build the kernel.
+        On the compiled-walk lane (``kernel`` and the wave's ``table``
+        given) each flagged packet starts from the prefix the compiled
+        walk left in ``out`` (its ``path_len``-node path, ``delay_s``
+        and ``distance_km``), and the two walks take turns on it
+        (:meth:`_hand_off`) until it has its verdict.  Without a
+        compiled walk every packet takes the reference walk from its
+        source and ``fallback`` reports its ``deflected`` bit, which is
+        what the compiled walk's flags mean -- so the mask (and
+        ``routing.scalar_fallbacks``) does not depend on whether this
+        host could build the kernel.
         """
         flagged = (np.arange(len(out)) if kernel is None
                    else np.nonzero(out.fallback)[0])
+        # Each settled packet's verdict, in settling order, written to
+        # ``out`` in one pass at the end.
+        done, reached, low = array("q"), array("B"), array("B")
+        delays, distances = array("d"), array("d")
         nodes, lengths = array("i"), array("i")
+
+        def settle(index: int, delivered: int, degraded: int, delay: float,
+                   distance: float, path: List[int]) -> None:
+            done.append(index)
+            reached.append(delivered)
+            low.append(degraded)
+            delays.append(delay)
+            distances.append(distance)
+            nodes.extend(path)
+            lengths.append(len(path))
+
         # A chunk of flagged packets at a time: their inputs are read
         # as Python lists, which bounds those lists' memory.
         for lo in range(0, flagged.size, _CHUNK_PACKETS):
             part = flagged[lo:lo + _CHUNK_PACKETS]
-            for index, source, lat, lon, walked in zip(
-                    part.tolist(), src[part].tolist(), dlat[part].tolist(),
-                    dlon[part].tolist(), self._prefixes(kernel, out, part)):
-                result = self.scalar.route(source, lat, lon, t,
-                                           walked=walked)
-                out.delivered[index] = result.delivered
-                out.degraded[index] = result.degraded
-                out.delay_s[index] = result.delay_s
-                out.distance_km[index] = result.distance_km
-                if kernel is None:
+            packets = zip(part.tolist(), src[part].tolist(),
+                          dlat[part].tolist(), dlon[part].tolist())
+            if kernel is None:
+                for index, source, lat, lon in packets:
+                    result = self.scalar.route(source, lat, lon, t)
                     out.fallback[index] = result.deflected
-                nodes.extend(result.path)
-                lengths.append(len(result.path))
-        # The reference walk's paths are encoded in one pass and go to
-        # the tail in one copy; a continued packet's compiled-walk
-        # slot is left unclaimed.
+                    settle(index, result.delivered, result.degraded,
+                           result.delay_s, result.distance_km, result.path)
+                continue
+            walks = [(packet, RouteResult(False, path, delay, distance))
+                     for packet, (path, delay, distance) in zip(
+                         packets, self._walked(kernel, out, part))]
+            while walks:
+                walks = self._hand_off(kernel, table, walks, t, settle)
+        sel = np.frombuffer(done, dtype=np.int64)
+        out.delivered[sel] = np.frombuffer(reached, dtype=np.uint8)
+        out.degraded[sel] = np.frombuffer(low, dtype=np.uint8)
+        out.delay_s[sel] = np.frombuffer(delays)
+        out.distance_km[sel] = np.frombuffer(distances)
+        # The settled paths are encoded in one pass and go to the tail
+        # in one copy; a continued packet's compiled-walk slot is left
+        # unclaimed.
         counts = np.frombuffer(lengths, dtype=np.intc)
         hops = np.maximum(counts - 1, 0)
-        out._append(flagged, _encode_moves(
+        out._append(sel, _encode_moves(
             self._wiring, np.frombuffer(nodes, dtype=np.intc), counts),
             np.cumsum(hops, dtype=np.int64) - hops, counts)
         self._count("routing.scalar_fallbacks",
                     int(np.count_nonzero(out.fallback)))
         return out
+
+    def _hand_off(self, kernel: ctypes.CDLL, table: NextHopTable,
+                  walks: List[Tuple[Tuple[int, int, float, float],
+                                    RouteResult]],
+                  t: float, settle: Callable[..., None]
+                  ) -> List[Tuple[Tuple[int, int, float, float],
+                                  RouteResult]]:
+        """One turn of each walk in ``walks``, ``(index, source, lat,
+        lon)`` packets with the prefix each has walked.
+
+        The reference walk takes the hop the compiled walk flagged: one
+        hop (``hops=1``), the deflection Algorithm 1 decides there, or
+        the packet's delivery or drop, which ``settle`` records.  A
+        prefix at the compiled walk's 64-node cap is walked to its end
+        instead.  The compiled walk then resumes every packet still
+        walking, over the same ``table``, up to its next flag,
+        delivery or ``max_hops``.  Returns the packets it flagged
+        again, each with its longer prefix; each prefix is the
+        reference walk's own, so the turns add up to its whole route.
+        """
+        cap = self._cap
+        route = self.scalar.route
+        resumed = []
+        for packet, walked in walks:
+            index, source, lat, lon = packet
+            budget = 1 if len(walked.path) < cap else None
+            result = route(source, lat, lon, t, walked=walked, hops=budget)
+            if (budget is None or result.delivered
+                    or len(result.path) == len(walked.path)):
+                settle(index, result.delivered, result.degraded,
+                       result.delay_s, result.distance_km, result.path)
+            else:
+                resumed.append((packet, result))
+        if not resumed:
+            return []
+        # The compiled walk resumes every prefix from its last node; its
+        # buffers are ``array.array``s, whose addresses cost next to
+        # nothing, since most rounds resume only a few packets.
+        n = len(resumed)
+        packets, prefixes = zip(*resumed)
+        _, _, lat, lon = zip(*packets)
+        lat, lon = array("d", lat), array("d", lon)
+        nodes = array("i")
+        for walked in prefixes:
+            nodes.extend(walked.path)
+        lengths = array("i", [len(walked.path) for walked in prefixes])
+        delay = array("d", [walked.delay_s for walked in prefixes])
+        distance = array("d", [walked.distance_km for walked in prefixes])
+        delivered, degraded, again = (array("B", bytes(n)) for _ in range(3))
+        moves = array("B", bytes(n * cap))
+        self._walk(kernel, table, n, cap,
+                   (None, _address(nodes), _address(lat), _address(lon)),
+                   tuple(map(_address, (delivered, degraded, again, delay,
+                                        distance, lengths, moves))))
+        # Each resumed prefix grows by the moves the compiled walk took,
+        # packed back to back.
+        rows = self._wiring_rows
+        walks = []
+        end = 0
+        for packet, walked, length, verdict, delay_s, distance_km, low, \
+                flagged in zip(packets, prefixes, lengths, delivered, delay,
+                               distance, degraded, again):
+            start = end
+            end += length - len(walked.path)
+            path = list(walked.path)
+            node = path[-1]
+            for move in moves[start:end]:
+                node = rows[node][move]
+                path.append(node)
+            if flagged:
+                walks.append((packet, RouteResult(
+                    False, path, delay_s, distance_km,
+                    deflected=walked.deflected)))
+            else:
+                settle(packet[0], verdict, low, delay_s, distance_km, path)
+        return walks
 
 
 def _check_destinations(dlat: np.ndarray, dlon: np.ndarray) -> None:

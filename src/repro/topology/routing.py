@@ -118,8 +118,8 @@ class GeospatialRouter:
     # -- end-to-end ---------------------------------------------------------------
 
     def route(self, src_sat: int, dest_lat: float, dest_lon: float,
-              t: float, *, walked: Optional[RouteResult] = None
-              ) -> RouteResult:
+              t: float, *, walked: Optional[RouteResult] = None,
+              hops: Optional[int] = None) -> RouteResult:
         """Forward hop by hop from ``src_sat`` to the destination's cell.
 
         Failed satellites/ISLs deflect the packet: when the preferred
@@ -136,8 +136,18 @@ class GeospatialRouter:
         ``deflected`` if it deflected).  The walk resumes at the
         prefix's last node with the prefix's nodes visited and the
         remaining hop budget, so the result equals the from-scratch
-        route bit for bit.  The batch plane passes the compiled walk's
-        prefix of a packet it flagged.
+        route bit for bit.
+
+        ``hops`` caps the hops this call walks (``None``: up to
+        ``max_hops``; anything but an integer ``>= 1`` raises
+        ``ValueError``).  A call that runs out of it returns the route
+        so far, undelivered, for the next call to take as ``walked``:
+        a chain of one-hop calls from ``src_sat`` equals the whole
+        route bit for bit.  The batch plane alternates the two walks this way: each
+        packet the compiled walk flags gets one-hop calls from the
+        compiled walk's prefix, so the reference walk takes only the
+        hops that leave Algorithm 1's preferred direction (or delivers
+        or drops the packet), and the compiled walk resumes the rest.
         """
         if not (is_index(src_sat) and 0 <= src_sat < self._total):
             raise ValueError(f"{SOURCE_CONTRACT}: got {src_sat!r}")
@@ -145,6 +155,8 @@ class GeospatialRouter:
             raise ValueError(
                 f"{DESTINATION_CONTRACT}: got ({dest_lat!r}, {dest_lon!r})")
         check_epoch(t)
+        if hops is not None and not (is_index(hops) and hops >= 1):
+            raise ValueError(f"hops must be an integer >= 1: got {hops!r}")
         src_sat = int(src_sat)
         if walked is None:
             walked = RouteResult(False, [src_sat])
@@ -204,7 +216,10 @@ class GeospatialRouter:
         deflected = walked.deflected
         visited = set(path)
         current = path[-1]
-        for _ in range(self.max_hops - (len(path) - 1)):
+        budget = self.max_hops - (len(path) - 1)
+        if hops is not None:
+            budget = min(budget, hops)
+        for _ in range(budget):
             # Lines 1-2: central_angle(satellite, D), operand for
             # operand; the one angle also decides degraded delivery.
             lat = sub(current, 0)

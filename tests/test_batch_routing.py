@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.constants import SPEED_OF_LIGHT_KM_S
 from repro.crypto import SCHNORR_GROUP
+from repro.obs.metrics import MetricsRegistry
 from repro.orbits.constellation import Constellation, iridium, starlink
 from repro.orbits.propagator import make_propagator
 from repro.orbits.snapshot import grid_neighbor_table, snapshot_for
@@ -570,8 +571,11 @@ class TestKernelHandOff:
             with mock.patch.object(router.scalar, "route", spy):
                 batch = router.route_batch(src, lats, lons, t)
             flagged = np.nonzero(batch.fallback)[0]
-            # One reference walk per flagged packet, as before.
-            assert len(handed) == flagged.size > 0
+            # The first turn of the reference walk, one per flagged
+            # packet in order, gets the compiled walk's prefix; the
+            # later turns are test_the_walks_take_turns' subject.
+            assert len(handed) >= flagged.size > 0
+            handed = handed[:flagged.size]
             reference = GeospatialRouter(topo)
             snap = snapshot_for(topo.propagator, t)
             wiring = grid_neighbor_table(shell)
@@ -596,6 +600,91 @@ class TestKernelHandOff:
                          "dead preferred edge", "seam revisit",
                          "path cap reached"}
         assert longest > 64
+
+    #: The routing counters the faulted Starlink wave and the stretched
+    #: star, each routed twice at one epoch, counted when the reference
+    #: walk continued each flagged packet to its end in one call.
+    PARENT_COUNTS = {
+        "Starlink": {"routing.table_builds": 1,
+                     "routing.table_cache_hits": 1,
+                     "routing.table_cache_misses": 1,
+                     "routing.kernel_packets": 1200,
+                     "routing.scalar_fallbacks": 522},
+        "iridium-stretched": {"routing.table_builds": 1,
+                              "routing.table_cache_hits": 1,
+                              "routing.table_cache_misses": 1,
+                              "routing.kernel_packets": 120,
+                              "routing.scalar_fallbacks": 106},
+    }
+
+    def test_the_walks_take_turns(self):
+        """After a flag the two walks alternate.  Every reference-walk
+        call from ``_finish`` walks at most one hop (the deflection at
+        the flag, or the packet's delivery or drop), unless its prefix
+        already holds the compiled walk's 64 nodes; every prefix it is
+        handed is the reference walk's own, float bits included; the
+        compiled walk resumes the rest, over the same table, without
+        moving a routing counter; and every packet lands on the
+        reference walk's route."""
+        t = 90.0
+        turns = {"one hop": 0, "past the cap": 0}
+        for shell, dead, torn, packets in [(starlink(), 40, 25, 600),
+                                           (_stretched_star(), 0, 0, 60)]:
+            topo = _faulted(shell, 1, dead, torn)
+            metrics = MetricsRegistry()
+            router = BatchGeoRouter(topo, metrics=metrics)
+            src, lats, lons = _wave(shell, packets, 1)
+            calls, resumed, tables = [], [], set()
+            route, walk = router.scalar.route, router._walk
+
+            def route_spy(source, lat, lon, when, *, walked=None,
+                          hops=None):
+                result = route(source, lat, lon, when, walked=walked,
+                               hops=hops)
+                calls.append((source, lat, lon, walked, hops, result))
+                return result
+
+            def walk_spy(kernel, table, n, cap, inputs, outputs):
+                tables.add(id(table))
+                if inputs[1] is not None:
+                    resumed.append(n)
+                walk(kernel, table, n, cap, inputs, outputs)
+
+            with mock.patch.object(router.scalar, "route", route_spy), \
+                    mock.patch.object(router, "_walk", walk_spy):
+                for _ in range(2):
+                    batch = router.route_batch(src, lats, lons, t)
+            counters = metrics.snapshot()["counters"]
+            expected = self.PARENT_COUNTS[shell.name]
+            assert {name: counters.get(name, 0)
+                    for name in expected} == expected
+            # One table serves both waves' first walks and every resume.
+            assert sum(resumed) > 0 and len(tables) == 1
+            reference = GeospatialRouter(topo)
+            wholes = {}
+            for source, lat, lon, walked, hops, result in calls:
+                whole = wholes.get((source, lat, lon))
+                if whole is None:
+                    whole = reference.route(source, lat, lon, t)
+                    wholes[(source, lat, lon)] = whole
+                walked_hops = len(walked.path) - 1
+                cut = GeospatialRouter(topo, max_hops=walked_hops).route(
+                    source, lat, lon, t)
+                assert walked.path == cut.path == whole.path[:walked_hops + 1]
+                assert (walked.delay_s.hex(), walked.distance_km.hex()) == (
+                    cut.delay_s.hex(), cut.distance_km.hex())
+                assert result.path == whole.path[:len(result.path)]
+                if len(walked.path) < 64:
+                    assert hops == 1
+                    assert len(result.path) <= len(walked.path) + 1
+                    turns["one hop"] += 1
+                else:
+                    assert hops is None and result == whole
+                    turns["past the cap"] += 1
+            for i in range(packets):
+                assert batch.result(i) == reference.route(
+                    int(src[i]), float(lats[i]), float(lons[i]), t), i
+        assert turns["one hop"] > 0 and turns["past the cap"] > 0
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_no_packet_writes_past_its_compact_slot(self, cores,
@@ -674,7 +763,9 @@ class TestKernelHandOff:
 #: fresh cache, then hold a faulted Starlink wave (flagged packets, one
 #: path longer than 64 nodes) and stretched star packets (walks that
 #: fill a 64-node slot, seam-revisit checks over the on-stack node
-#: buffer) to the reference walk, counting the 64-node hand-offs.  Each
+#: buffer) to the reference walk, counting the 64-node hand-offs and
+#: the walks the compiled walk resumed from a prefix (the prefix
+#: buffers and the resume path run under the sanitizers too).  Each
 #: star packet is its own one-packet wave, so its 64-byte move region
 #: ends where the heap block does and a write past it cannot land in a
 #: neighbour's slot.
@@ -706,6 +797,13 @@ def spy(router, out, *args, **kwargs):
     full.append(int((out.path_len[out.fallback] == 64).sum()))
     return finish(router, out, *args, **kwargs)
 BatchGeoRouter._finish = spy
+resumed = []
+walk = BatchGeoRouter._walk
+def walk_spy(router, kernel, table, n, cap, inputs, outputs):
+    if inputs[1] is not None:
+        resumed.append(n)
+    walk(router, kernel, table, n, cap, inputs, outputs)
+BatchGeoRouter._walk = walk_spy
 flagged = longest = 0
 for shell, dead, torn, packets, wave in [(starlink(), 40, 25, 400, 400),
                                          (_stretched_star(), 0, 0, 40, 1)]:
@@ -725,6 +823,7 @@ for shell, dead, torn, packets, wave in [(starlink(), 40, 25, 400, 400),
 # compiled window's edges, on both groups the crypto tests use.
 import random
 from repro.crypto import SCHNORR_GROUP
+from repro.obs.metrics import MetricsRegistry
 from repro.crypto.group import SchnorrGroup
 rng = random.Random(34)
 checked = 0
@@ -751,7 +850,7 @@ for group in (SCHNORR_GROUP, SchnorrGroup(p=23, q=11, g=4)):
             assert group.is_element(x) is (
                 0 < x < p and pow(x, q, p) == 1), (x, p)
             checked += 1
-print(flagged, longest, max(threads), checked, sum(full))
+print(flagged, longest, max(threads), checked, sum(full), sum(resumed))
 """
 
 
@@ -787,8 +886,11 @@ class TestKernelUnderSanitizers:
         if libasan is None:
             pytest.skip("no C compiler or no ASan/UBSan runtime")
         repo = pathlib.Path(__file__).resolve().parent.parent
+        # PYTHONMALLOC=malloc gives every small buffer (the resumed
+        # walks' array.array prefixes and moves) its own heap block,
+        # which ASan bounds; pymalloc would pool them in arenas.
         env = dict(os.environ, LD_PRELOAD=libasan,
-                   ASAN_OPTIONS="detect_leaks=0",
+                   ASAN_OPTIONS="detect_leaks=0", PYTHONMALLOC="malloc",
                    REPRO_KERNEL_CACHE=str(tmp_path),
                    PYTHONPATH=os.pathsep.join([str(repo / "src"),
                                                str(repo)]))
@@ -797,10 +899,10 @@ class TestKernelUnderSanitizers:
             [sys.executable, "-c", _SANITIZED_CHILD], cwd=repo, env=env,
             capture_output=True, text=True, timeout=120)
         assert child.returncode == 0, child.stderr[-3000:]
-        flagged, longest, threads, checked, full = map(
+        flagged, longest, threads, checked, full, resumed = map(
             int, child.stdout.split())
         assert flagged > 0 and longest > 64 and threads >= 2
-        assert checked >= 1000 and full > 0
+        assert checked >= 1000 and full > 0 and resumed > 0
 
 
 class TestKernelSourceWarnings:

@@ -1,13 +1,41 @@
 """Tests for the group parameters and the Fig. 11 churn experiment."""
 
+import random
 
-from repro.crypto.group import SCHNORR_GROUP, SHARE_PRIME, is_probable_prime
+from repro.crypto.group import SCHNORR_GROUP, SHARE_PRIME
 from repro.experiments import (
     fig11_comparison,
     geospatial_area_churn,
     logical_area_churn,
 )
 from repro.orbits import iridium, starlink
+
+
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin over 40 seeded witnesses: the oracle that proves
+    the committed group constants prime."""
+    if n < 2:
+        return False
+    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % small == 0:
+            return n == small
+    rng = random.Random(0xC0FFEE)
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for _ in range(40):
+        a = rng.randrange(2, n - 1)
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class TestGroupParameters:

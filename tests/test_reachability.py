@@ -127,9 +127,6 @@ ALLOWLIST: Dict[str, str] = {
     "repro.crypto.access_tree.satisfies":
         "oracle: test_crypto_abe's test_decryption_iff_satisfaction holds "
         "abe.decrypt's share recovery to it on generated attribute sets",
-    "repro.crypto.group.is_probable_prime":
-        "oracle: test_group_params_moving_areas proves the committed "
-        "SCHNORR_GROUP and SHARE_PRIME prime with it",
     "repro.faults.failures.GilbertElliottChannel.steady_state_bad_fraction":
         "oracle: test_workload_faults's test_gilbert_elliott_bursty "
         "holds the Fig. 13b FER series to the chain's stationary law",

@@ -388,6 +388,51 @@ class TestWalkedHandOff:
                 # The caller's prefix is read, never extended.
                 assert walked.path == whole.path[:hops + 1]
 
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(PROPAGATORS)),
+           seed=st.integers(0, 2**32 - 1),
+           dead=st.integers(0, 40), torn=st.integers(0, 25),
+           t=st.sampled_from(EPOCHS))
+    def test_one_hop_calls_chain_to_the_same_route(
+            self, name, seed, dead, torn, t):
+        """``hops=1`` walks one hop per call, and each call's result is
+        the next call's prefix: the chain from the source to a verdict
+        (delivery, a drop with no live neighbour, or ``max_hops``)
+        equals the whole route bit for bit.  This is the batch plane's
+        turn of the reference walk."""
+        topology = GridTopology(PROPAGATORS[name], [])
+        total = topology.constellation.total_satellites
+        rng = np.random.default_rng(seed)
+        _fault_cocktail(topology, rng, dead, torn)
+        router = GeospatialRouter(topology)
+        packets = 12
+        src = rng.integers(0, total, packets)
+        lats = rng.uniform(-HALF_PI, HALF_PI, packets)
+        lons = rng.uniform(-math.pi, math.pi, packets)
+        for s, lat, lon in zip(src.tolist(), lats.tolist(), lons.tolist()):
+            whole = router.route(s, lat, lon, t)
+            step = router.route(s, lat, lon, t, hops=1)
+            assert step.hops <= 1
+            while True:
+                assert step.path == whole.path[:len(step.path)]
+                if step.delivered or step.hops == router.max_hops:
+                    break
+                walked = step
+                before = list(walked.path)
+                step = router.route(s, lat, lon, t, walked=walked, hops=1)
+                # The caller's prefix is read, never extended.
+                assert walked.path == before
+                assert step.hops <= walked.hops + 1
+                if step.hops == walked.hops:
+                    break
+            assert _bits(step) == _bits(whole)
+
+    @pytest.mark.parametrize("hops", [0, -1, True, 2.5])
+    def test_rejects_a_hop_budget_that_is_not_a_count(self, hops):
+        router = GeospatialRouter(GridTopology(PROPAGATORS["starlink"], []))
+        with pytest.raises(ValueError, match="hops must be an integer"):
+            router.route(3, 0.3, 1.0, 0.0, hops=hops)
+
     def test_rejects_a_foreign_prefix(self):
         router = GeospatialRouter(GridTopology(PROPAGATORS["starlink"], []))
         whole = router.route(3, 0.3, 1.0, 0.0)
