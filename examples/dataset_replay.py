@@ -27,7 +27,7 @@ def main() -> None:
     print("== Dataset replay ==")
 
     # 1. Trace 1: what a GEO terminal goes through for one session.
-    timeline = trace1_timeline("inmarsat-explorer-710", seed=7)
+    timeline = trace1_timeline(seed=7)
     print("\nTrace 1 -- session establishment, Inmarsat Explorer 710:")
     for event in timeline:
         print(f"  +{event.t_s:7.3f}s  {event.layer:5s} {event.text}")
@@ -42,8 +42,7 @@ def main() -> None:
     # 2. Table 2 replay on satellite hardware.
     print("\nTiantong SC310 replay on hardware 1 (RPi 4), "
           "20k messages / 10 min:")
-    series = replay_cpu_series("tiantong-sc310", 20_000,
-                               duration_s=600.0, window_s=60.0)
+    series = replay_cpu_series("tiantong-sc310", 20_000, window_s=60.0)
     for sample in series:
         bar = "#" * int(sample.cpu_percent)
         print(f"  t={sample.window_start_s:5.0f}s "

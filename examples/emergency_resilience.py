@@ -87,7 +87,7 @@ def main() -> None:
     # 2. Hijack blast radius + revocation (Appendix B).
     system = SpaceCoreSystem(starlink())
     ue = system.provision_ue(*DISASTER_SITES[0])
-    system.register(ue)
+    system.register(ue, 0.0)
     system.establish_session(ue, t=0.0)
     sat_idx = system.serving_satellite_of(ue, 0.0)
     hijacked = system.satellite(sat_idx)
@@ -97,7 +97,7 @@ def main() -> None:
           "no other users' vectors")
     system.home.revoke_satellite(f"sat-{sat_idx}")
     fresh = system.provision_ue(38.5, 115.0)
-    system.register(fresh)
+    system.register(fresh, 0.0)
     try:
         hijacked.establish_session_locally(fresh, 0.0,
                                            system.home.verify_key)

@@ -49,7 +49,7 @@ def main() -> None:
     sensors = []
     for name, lat, lon in SENSOR_SITES:
         ue = system.provision_ue(lat, lon)
-        system.register(ue)
+        system.register(ue, 0.0)
         sensors.append((name, ue))
         print(f"  {name:18s} cell {system.cell_of(ue)!s:10s} "
               f"addr {ue.ip_address}")

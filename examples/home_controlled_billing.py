@@ -35,7 +35,7 @@ def main() -> None:
 
     ue = home.provision_subscriber(1, quota_mb=15_000,
                                    max_bitrate_down_kbps=100_000)
-    session = home.register(ue, (1, 1), (1, 1))
+    session = home.register(ue, (1, 1), (1, 1), 0.0)
     print(f"subscriber {ue.supi}")
     print(f"  quota 15,000 MB, line rate 100 Mbps")
     print(f"  replica v{ue.replica.version} delegated to the device")
@@ -55,7 +55,7 @@ def main() -> None:
           "downlink to the home")
     bundle = build_state_bundle(session,
                                 home.core.amf.context(ue.supi), (1, 1))
-    updated = home.apply_usage_report(ue, bundle, 0, bytes_down)
+    updated = home.apply_usage_report(ue, bundle, bytes_down)
     print(f"[home] PCF re-evaluates: used "
           f"{updated.billing.used_mb:.0f}/{updated.billing.quota_mb} MB "
           f"-> throttled={updated.billing.throttled}")

@@ -34,7 +34,7 @@ def main() -> None:
     topology = GridTopology(IdealPropagator(starlink()),
                             default_ground_stations())
     service = OrbitalEdgeService(topology)
-    replicas = service.place_over_population(0.0, replica_count=6)
+    replicas = service.place_over_population(0.0)
     subs = topology.propagator.subpoints(0.0)
     print(f"placed {len(replicas)} replicas:")
     for sat in replicas:

@@ -29,7 +29,7 @@ def main() -> None:
 
     # 1. Provision + register (C1 through the terrestrial home).
     beijing_ue = system.provision_ue(39.9, 116.4)
-    session = system.register(beijing_ue)
+    session = system.register(beijing_ue, 0.0)
     print(f"\n[C1] registered {beijing_ue.supi}")
     print(f"     geospatial IP: {beijing_ue.ip_address}")
     print(f"     cell: {system.cell_of(beijing_ue)}")
@@ -49,7 +49,7 @@ def main() -> None:
     ok = system.send_uplink(beijing_ue, 1500)
     print(f"\n[data] uplink 1500B forwarded: {ok}")
     ny_ue = system.provision_ue(40.7, -74.0)
-    system.register(ny_ue)
+    system.register(ny_ue, 0.0)
     result = system.deliver_downlink(sat_index, ny_ue, t=0.0)
     print(f"[data] downlink Beijing->New York: delivered="
           f"{result.route.delivered}, {result.route.hops} ISL hops, "
@@ -69,7 +69,7 @@ def main() -> None:
     print(f"\n[security] home revoked hijacked sat-{victim} "
           f"(ABE epoch now {system.home.epoch})")
     probe = system.provision_ue(39.0, 116.0)
-    system.register(probe)
+    system.register(probe, 0.0)
     try:
         system.satellite(victim).establish_session_locally(
             probe, 200.0, system.home.verify_key)

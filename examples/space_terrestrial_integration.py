@@ -41,7 +41,7 @@ def main() -> None:
     manager = IntegratedAccessManager(system, gnbs)
 
     ue = system.provision_ue(*CITY)
-    system.register(ue)
+    system.register(ue, 0.0)
     print(f"subscriber {ue.supi} registered once, usable in both "
           "domains\n")
 

@@ -16,7 +16,7 @@ Quickstart::
 
     system = SpaceCoreSystem(starlink())
     ue = system.provision_ue(39.9, 116.4)   # Beijing
-    system.register(ue)                     # C1 through the home
+    system.register(ue, 0.0)                # C1 through the home
     session = system.establish_session(ue)  # localized C2 (Fig. 16a)
 """
 

@@ -59,7 +59,6 @@ class Solution:
     on_board: FrozenSet[Role]
     flows: Dict[ProcedureKind, List[MessageTemplate]]
     mobility_registration_per_pass: bool
-    handover_per_pass: bool = True
     state_residency: StateResidency = StateResidency.ACTIVE_CONTEXTS
     #: Extra ISL messages per state change for proactive sync
     #: (SkyCore's neighbourhood broadcast).
@@ -151,9 +150,7 @@ class Solution:
         rates = {
             ProcedureKind.SESSION_ESTABLISHMENT:
                 1.0 / SESSION_INTERARRIVAL_S,
-            ProcedureKind.HANDOVER:
-                (handover_fraction / dwell_s if self.handover_per_pass
-                 else 0.0),
+            ProcedureKind.HANDOVER: handover_fraction / dwell_s,
             ProcedureKind.MOBILITY_REGISTRATION:
                 (1.0 / dwell_s if self.mobility_registration_per_pass
                  else 0.0),

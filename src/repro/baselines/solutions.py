@@ -52,7 +52,6 @@ def fiveg_ntn() -> Solution:
         on_board=_RADIO_ONLY,
         flows=dict(LEGACY_FLOWS),
         mobility_registration_per_pass=False,
-        handover_per_pass=True,
         state_residency=StateResidency.RELAY_ONLY,
         # The IP anchors at the remote home gateway, so it survives
         # satellite mobility -- at the price of slow, remote signaling.

@@ -103,6 +103,10 @@ GATEWAY_PATH_HOPS = 6.0
 #: Satellite user-capacity sweep used throughout the evaluation (Fig. 10/20).
 SATELLITE_CAPACITIES = (2_000, 10_000, 20_000, 30_000)
 
+#: Users on the busiest satellite: the capacity of Table 4, Fig. 19 and
+#: the state-footprint comparison.
+SATELLITE_CAPACITY = 30_000
+
 # ---------------------------------------------------------------------------
 # Misc helpers
 # ---------------------------------------------------------------------------

@@ -56,16 +56,13 @@ class OrbitalEdgeService:
 
     # -- placement ----------------------------------------------------------------
 
-    def place_over_population(self, t: float,
-                              replica_count: int = 6) -> List[int]:
-        """Place replicas on satellites over the densest ground.
+    def place_over_population(self, t: float) -> List[int]:
+        """Place six replicas on satellites over the densest ground.
 
         Greedy anti-collocation: each new replica must not share a
         footprint with an already chosen one, so the set spreads over
         distinct population centres.
         """
-        if replica_count < 1:
-            raise ValueError("need at least one replica")
         population = PopulationGrid()
         c = self.topology.constellation
         radius = footprint_radius_km(c.altitude_km, c.min_elevation_deg)
@@ -87,7 +84,7 @@ class OrbitalEdgeService:
         min_separation = 6.0 * radius / EARTH_RADIUS_KM
         from ..orbits.coordinates import central_angle
         for _, sat in scored:
-            if len(chosen) >= replica_count:
+            if len(chosen) >= 6:
                 break
             lat, lon = subpoints[sat]
             if all(central_angle(float(lat), float(lon),
@@ -136,10 +133,10 @@ class OrbitalEdgeService:
     # -- comparison --------------------------------------------------------------------
 
     def ground_cdn_latency_s(self, user_lat: float, user_lon: float,
-                             t: float,
-                             gateway_rtt_s: float = 0.060) -> float:
+                             t: float) -> float:
         """Latency of the terrestrial-CDN alternative: the request
-        must exit through a gateway and come back."""
+        must exit through a gateway and come back (a 60 ms gateway
+        round trip, half of it on this leg)."""
         src = serving_satellite(self.topology.propagator, t, user_lat,
                                 user_lon)
         if src < 0 or not self.topology.ground_stations:
@@ -149,5 +146,5 @@ class OrbitalEdgeService:
             lat, lon = self.topology.propagator.subpoints(t)[access]
             route = self.router.route(src, float(lat), float(lon), t)
             if route.delivered:
-                best = min(best, route.delay_s + gateway_rtt_s / 2.0)
+                best = min(best, route.delay_s + 0.060 / 2.0)
         return best

@@ -29,8 +29,8 @@ CellId = Tuple[int, int]
 class SpaceCoreHome:
     """Wraps the legacy core with SpaceCore's state authority."""
 
-    def __init__(self, name: str = "home", plmn: Plmn = Plmn(460, 0)):
-        self.core = CoreNetwork(name, plmn)
+    def __init__(self, plmn: Plmn = Plmn(460, 0)):
+        self.core = CoreNetwork(plmn)
         self.registrar = SpaceCoreRegistrar(self.core)
         self.epoch = 0
         self._enrolled: Dict[str, SatelliteCredentials] = {}
@@ -85,7 +85,7 @@ class SpaceCoreHome:
     # -- registration & delegation ---------------------------------------------------
 
     def register(self, ue: UserEquipment, home_cell: CellId,
-                 ue_cell: CellId, now: float = 0.0):
+                 ue_cell: CellId, now: float):
         """C1 with delegation, re-encrypting under the epoch policy."""
         session = self.registrar.register_and_delegate(
             ue, home_cell, ue_cell, now)
@@ -108,14 +108,14 @@ class SpaceCoreHome:
     # -- home-controlled updates (S4.4) ------------------------------------------------
 
     def apply_usage_report(self, ue: UserEquipment, bundle: SessionState,
-                           bytes_up: int, bytes_down: int,
+                           bytes_used: int,
                            now: float = 0.0) -> SessionState:
         """Session modification after a satellite usage report.
 
         Charges the billing state, reruns dynamic policy (e.g. the
         15GB/128Kbps throttle), bumps the version, and re-delegates.
         """
-        used_mb = (bytes_up + bytes_down) / 1e6
+        used_mb = bytes_used / 1e6
         billing = bundle.billing.charge(used_mb)
         qos, billing = self.core.pcf.reevaluate(bundle.qos, billing)
         updated = dataclasses.replace(bundle, qos=qos,

@@ -87,16 +87,15 @@ class IntegratedAccessManager:
                 return station
         return None
 
-    def best_access(self, ue: UserEquipment,
-                    t: float = 0.0) -> AccessDecision:
-        """What the UE should camp on right now."""
+    def best_access(self, ue: UserEquipment) -> AccessDecision:
+        """What the UE should camp on at t = 0."""
         station = self.terrestrial_station_for(ue)
         if station is not None:
             return AccessDecision(
                 AccessDomain.TERRESTRIAL, station.name,
                 "terrestrial coverage available: higher reselection "
                 "priority")
-        satellite = self.system.serving_satellite_of(ue, t)
+        satellite = self.system.serving_satellite_of(ue)
         if satellite >= 0:
             return AccessDecision(
                 AccessDomain.SATELLITE, f"sat-{satellite}",
@@ -110,13 +109,12 @@ class IntegratedAccessManager:
 
     # -- idle-mode reselection (S4.5: "standard cell re-selection") ----------------
 
-    def reselect_idle(self, ue: UserEquipment,
-                      t: float = 0.0) -> AccessDecision:
+    def reselect_idle(self, ue: UserEquipment) -> AccessDecision:
         """Idle-mode camping decision: free of core signaling."""
         if ue.connected:
             raise ValueError("reselection applies to idle UEs; use "
                              "handover() for connected ones")
-        decision = self.best_access(ue, t)
+        decision = self.best_access(ue)
         previous = self._domain.get(str(ue.supi))
         self._domain[str(ue.supi)] = decision.domain
         if previous is not None and previous != decision.domain:
@@ -125,8 +123,7 @@ class IntegratedAccessManager:
 
     # -- connected-mode handover ------------------------------------------------------
 
-    def handover_connected(self, ue: UserEquipment,
-                           t: float = 0.0) -> AccessDecision:
+    def handover_connected(self, ue: UserEquipment) -> AccessDecision:
         """Cross-domain handover through the home (standard Fig. 9c).
 
         Satellite -> terrestrial (and back) uses the legacy home-
@@ -135,7 +132,7 @@ class IntegratedAccessManager:
         """
         if not ue.connected:
             raise ValueError("handover applies to connected UEs")
-        decision = self.best_access(ue, t)
+        decision = self.best_access(ue)
         previous = self._domain.get(str(ue.supi), AccessDomain.NONE)
         if decision.domain == previous or \
                 decision.domain is AccessDomain.NONE:
@@ -146,7 +143,7 @@ class IntegratedAccessManager:
             # Entering the space domain: establish locally with the
             # replica, exactly as a satellite-to-satellite handover.
             try:
-                self.system.establish_session(ue, t)
+                self.system.establish_session(ue, 0.0)
             except FallbackRequired:
                 return AccessDecision(AccessDomain.NONE, None,
                                       "satellite rejected the replica; "

@@ -38,20 +38,17 @@ class PagingCost:
     paged_area_km2: float
 
 
-def legacy_tracking_area_cost(constellation: Constellation,
-                              cells_per_tracking_area: int = 16
+def legacy_tracking_area_cost(constellation: Constellation
                               ) -> PagingCost:
     """Legacy paging: every satellite covering the tracking area pages.
 
-    Tracking areas group many cells; with satellite-bound logical
-    areas, the pages go to every satellite currently mapped into the
-    area.
+    A tracking area groups 16 satellite footprints; with satellite-bound
+    logical areas, the pages go to every satellite currently mapped
+    into the area.
     """
     footprint = footprint_area_km2(constellation.altitude_km,
                                    constellation.min_elevation_deg)
-    area = footprint * cells_per_tracking_area
-    satellites = max(1.0, area / footprint)
-    return PagingCost("legacy-tracking-area", satellites, area)
+    return PagingCost("legacy-tracking-area", 16.0, footprint * 16)
 
 
 def geospatial_cell_cost(grid: GeospatialCellGrid) -> PagingCost:

@@ -153,18 +153,17 @@ class ResilientSpaceCore:
 
     # -- timed procedures ----------------------------------------------------------
 
-    def register(self, ue: UserEquipment,
-                 t: float = 0.0) -> ProcedureOutcome:
-        """C1 with T3510 retries; tracks the UE for chaos recovery."""
+    def register(self, ue: UserEquipment) -> ProcedureOutcome:
+        """C1 at t = 0 with T3510 retries; tracks the UE for chaos
+        recovery."""
         self.track(ue)
         _, outcome = self._run_with_retries(
-            "register", str(ue.supi), t, NAS_T3510_S,
+            "register", str(ue.supi), 0.0, NAS_T3510_S,
             lambda now: self.system.register(ue, now))
         return outcome
 
-    def establish_session(self, ue: UserEquipment,
-                          t: float = 0.0) -> ProcedureOutcome:
-        """Localized C2 with T3580 retries.
+    def establish_session(self, ue: UserEquipment) -> ProcedureOutcome:
+        """Localized C2 at t = 0 with T3580 retries.
 
         Every attempt re-selects the best *live* serving satellite, so
         a satellite death between attempts costs one timer expiry, not
@@ -172,7 +171,7 @@ class ResilientSpaceCore:
         """
         self.track(ue)
         _, outcome = self._run_with_retries(
-            "establish", str(ue.supi), t, NAS_T3580_S,
+            "establish", str(ue.supi), 0.0, NAS_T3580_S,
             lambda now: self.system.establish_session(
                 ue, now, allow_fallback=True))
         return outcome

@@ -11,7 +11,7 @@ served sessions -- the resiliency property Fig. 19 measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..crypto import abe
 from ..crypto.sts import Initiator, KeyAgreementError, Responder
@@ -189,11 +189,11 @@ class SpaceCoreSatellite:
         self.pagings += 1
         return True
 
-    def usage_report(self, supi: str) -> Tuple[int, int]:
+    def usage_report(self, supi: str) -> int:
         """Bytes used, reported up to the home for billing (S4.4)."""
         served = self._served.get(supi)
         if served is None:
-            return 0, 0
+            return 0
         return self.upf.usage_report(served.state.identifiers.tunnel_id)
 
     # -- attack surface (Fig. 19) ----------------------------------------------------------

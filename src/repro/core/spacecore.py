@@ -8,7 +8,7 @@ and the UEs.  This is the top-level public API the examples use:
 >>> from repro.orbits import starlink
 >>> system = SpaceCoreSystem(starlink())
 >>> ue = system.provision_ue(39.9, 116.4)     # Beijing, degrees
->>> system.register(ue)                       # C1 through the home
+>>> system.register(ue, 0.0)                  # C1 through the home
 >>> session = system.establish_session(ue)    # localized C2 (Fig. 16a)
 """
 
@@ -26,7 +26,7 @@ from ..geo.cells import GeospatialCellGrid
 from ..orbits.constellation import Constellation
 from ..orbits.coverage import serving_satellite
 from ..orbits.groundstations import default_ground_stations
-from ..orbits.propagator import make_propagator
+from ..orbits.propagator import IdealPropagator
 from ..topology.grid import GridTopology
 from ..topology.routing import GeospatialRouter, RouteResult
 from .home import SpaceCoreHome
@@ -48,10 +48,9 @@ class SpaceCoreSystem:
     """The deployed SpaceCore of Fig. 14."""
 
     def __init__(self, constellation: Constellation,
-                 propagator_kind: str = "ideal",
                  plmn: Plmn = Plmn(460, 0)):
         self.constellation = constellation
-        self.propagator = make_propagator(constellation, propagator_kind)
+        self.propagator = IdealPropagator(constellation)
         self.ground_stations = default_ground_stations()
         self.topology = GridTopology(self.propagator, self.ground_stations)
         self.router = GeospatialRouter(self.topology)
@@ -117,7 +116,7 @@ class SpaceCoreSystem:
 
     # -- control-plane procedures ----------------------------------------------------------
 
-    def register(self, ue: UserEquipment, t: float = 0.0):
+    def register(self, ue: UserEquipment, t: float):
         """C1: authenticate with the home and receive the state replica;
         the UE's current cell becomes its home cell."""
         ue_cell = self.cell_of(ue)

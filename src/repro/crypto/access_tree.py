@@ -72,14 +72,14 @@ def satisfies(policy: PolicyNode, attributes: Iterable[str]) -> bool:
     return meets(policy)
 
 
-def serving_satellite_policy(min_bandwidth_gbps: int = 10) -> Gate:
+def serving_satellite_policy() -> Gate:
     """The paper's S4.4 example policy for a UE's delegated states.
 
     Either the UE itself (matching SUPI) or a QoS-capable satellite
-    with sufficient bandwidth may open the states.
+    with at least 10 Gbps may open the states.
     """
     return or_(
         and_(attr("role:ue"), attr("supi:self")),
         and_(attr("role:satellite"), attr("cap:qos"),
-             attr(f"bandwidth>={min_bandwidth_gbps}gbps")),
+             attr("bandwidth>=10gbps")),
     )

@@ -43,10 +43,9 @@ class AvailabilityPoint:
 
 
 def gateway_reachability(constellation: Constellation,
-                         failure_fraction: float,
-                         seed: int = 0,
-                         t: float = 0.0) -> float:
-    """Fraction of live satellites with an ISL path to some gateway."""
+                         failure_fraction: float, seed: int = 0) -> float:
+    """Fraction of live satellites with an ISL path to some gateway at
+    t = 0."""
     from scipy.sparse.csgraph import connected_components
     if not 0.0 <= failure_fraction < 1.0:
         raise ValueError("failure fraction must be in [0, 1)")
@@ -57,10 +56,10 @@ def gateway_reachability(constellation: Constellation,
     for sat in rng.sample(range(total), int(total * failure_fraction)):
         topology.fail_satellite(sat)
     sources = [access for _, access
-               in topology.gateway_access_satellites(t)]
+               in topology.gateway_access_satellites(0.0)]
     if not sources:
         return 0.0
-    _, label = connected_components(topology.delay_adjacency(t),
+    _, label = connected_components(topology.delay_adjacency(0.0),
                                     directed=False)
     # A failed satellite is an isolated node with a label no (live)
     # access satellite shares, so it is in neither count.
@@ -70,8 +69,8 @@ def gateway_reachability(constellation: Constellation,
 
 def availability_sweep(constellation: Constellation,
                        failure_fractions: Tuple[float, ...] = (
-                           0.0, 0.025, 0.05, 0.1, 0.2),
-                       seed: int = 0) -> List[AvailabilityPoint]:
+                           0.0, 0.025, 0.05, 0.1, 0.2)
+                       ) -> List[AvailabilityPoint]:
     """Compare SpaceCore vs 5G NTN availability as failures mount.
 
     Every wireless hop loses :data:`~repro.constants.PER_LINK_LOSS` of
@@ -80,7 +79,7 @@ def availability_sweep(constellation: Constellation,
     """
     points: List[AvailabilityPoint] = []
     for fraction in failure_fractions:
-        reach = gateway_reachability(constellation, fraction, seed)
+        reach = gateway_reachability(constellation, fraction)
         for solution in (spacecore(), fiveg_ntn()):
             flow = solution.flow(ProcedureKind.SESSION_ESTABLISHMENT)
             crossing = solution.crossing_messages(flow)

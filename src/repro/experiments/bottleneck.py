@@ -40,12 +40,12 @@ class GatewayConcentration:
                 if self.mean_satellites else 0.0)
 
 
-def gateway_concentration(constellation: Constellation,
-                          t: float = 0.0) -> GatewayConcentration:
-    """Compute the Fig. 5a satellite-per-gateway concentration."""
+def gateway_concentration(constellation: Constellation
+                          ) -> GatewayConcentration:
+    """Compute the Fig. 5a satellite-per-gateway concentration at t = 0."""
     stations = default_ground_stations()
     propagator = IdealPropagator(constellation)
-    subpoints = [tuple(row) for row in propagator.subpoints(t)]
+    subpoints = [tuple(row) for row in propagator.subpoints(0.0)]
     shares = station_load_shares(subpoints, stations)
     return GatewayConcentration(
         constellation=constellation.name,
@@ -55,16 +55,17 @@ def gateway_concentration(constellation: Constellation,
     )
 
 
-def registration_delay_cdf(source: str, samples: int = 500,
-                           seed: int = 0) -> List[Tuple[float, float]]:
-    """The Fig. 5b CDF: (delay_s, cumulative fraction) points."""
-    delays = sorted(registration_delay_samples(source, samples, seed))
+def registration_delay_cdf(source: str) -> List[Tuple[float, float]]:
+    """The Fig. 5b CDF: (delay_s, cumulative fraction) points of 500
+    samples."""
+    delays = sorted(registration_delay_samples(source, 500))
     return [(delay, (i + 1) / len(delays))
             for i, delay in enumerate(delays)]
 
 
-def deadline_violation_factor(source: str, samples: int = 500) -> float:
-    """How many times over the 5G baseband deadline the median sits."""
-    cdf = registration_delay_cdf(source, samples)
+def deadline_violation_factor(source: str) -> float:
+    """How many times over the 5G baseband deadline the median of the
+    Fig. 5b CDF sits."""
+    cdf = registration_delay_cdf(source)
     median = cdf[len(cdf) // 2][0]
     return median / BASEBAND_DEADLINE_S

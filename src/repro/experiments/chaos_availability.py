@@ -708,8 +708,8 @@ def run_chaos_availability(
     # -- population + initial attach at t=0 -------------------------------------
     ues = _place_ues(system, scenario)
     for ue in ues:
-        resilient.register(ue, 0.0)
-        resilient.establish_session(ue, 0.0)
+        resilient.register(ue)
+        resilient.establish_session(ue)
     baseline.bind_ues(ues)
     baseline.establish_all(ues, 0.0)
 

@@ -71,21 +71,20 @@ class LatencyPoint:
 def _fig8_point(work) -> LatencyPoint:
     """One (platform, rate) latency sample, shardable."""
     from ..baselines.options import option3_session_mobility
-    platform_index, rate, ground_rtt_s = work
+    platform_index, rate = work
     platform = get_shared("fig8:platforms")[platform_index]
     option = option3_session_mobility()
     # Fig. 8a replays initial *and* mobility registrations.
     registration = procedure_latency(
         platform, rate, _REGISTRATION_FLOW,
-        option.on_board, ground_rtt_s)
+        option.on_board, 0.030)
     session = procedure_latency(
         platform, rate, SESSION_ESTABLISHMENT_FLOW,
-        option.on_board, ground_rtt_s)
+        option.on_board, 0.030)
     return LatencyPoint(platform.name, rate, registration, session)
 
 
-def fig8_latency_sweep(ground_rtt_s: float = 0.030,
-                       rates: Sequence[int] = FIG8_RATES,
+def fig8_latency_sweep(rates: Sequence[int] = FIG8_RATES,
                        workers: Optional[int] = None
                        ) -> List[LatencyPoint]:
     """Signaling latency vs load on both platforms (Fig. 8).
@@ -96,7 +95,7 @@ def fig8_latency_sweep(ground_rtt_s: float = 0.030,
     """
     platforms = tuple(PLATFORMS)
     return run_sharded(_fig8_point,
-                       [(platform_index, rate, ground_rtt_s)
+                       [(platform_index, rate)
                         for platform_index in range(len(platforms))
                         for rate in rates],
                        workers=workers,

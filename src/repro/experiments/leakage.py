@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..baselines.solutions import ALL_SOLUTIONS
+from ..constants import SATELLITE_CAPACITY
 from ..faults.attacks import (
     HijackScenario,
     hijack_leak_series,
@@ -29,21 +30,18 @@ class LeakageStudy:
     mitm_rates: Dict[str, float]
 
 
-def fig19_study(constellation: Constellation, capacity: int = 30_000,
-                duration_s: float = 6000.0,
-                subscribers_per_satellite: int = 65_000
-                ) -> LeakageStudy:
-    """Run the full Fig. 19 comparison.
+def fig19_study(constellation: Constellation) -> LeakageStudy:
+    """Run the full Fig. 19 comparison over 6000 s.
 
-    ``subscribers_per_satellite`` scales the constellation-wide base a
-    SkyCore-style design pre-provisions on every node; with ~1.5k
-    satellites this lands at the 1e8 scale of the paper's y-axis.
+    Satellites serve :data:`~repro.constants.SATELLITE_CAPACITY` users
+    each.  The constellation-wide base a SkyCore-style design
+    pre-provisions on every node is 65K subscribers per satellite; with
+    ~1.5k satellites this lands at the 1e8 scale of the paper's y-axis.
     """
     dwell = mean_dwell_time_s(constellation)
     scenario = HijackScenario(
-        capacity=capacity,
-        total_subscribers=(subscribers_per_satellite
-                           * constellation.total_satellites),
+        capacity=SATELLITE_CAPACITY,
+        total_subscribers=65_000 * constellation.total_satellites,
         dwell_s=dwell,
     )
     series = {}
@@ -51,8 +49,8 @@ def fig19_study(constellation: Constellation, capacity: int = 30_000,
     solutions = [factory() for factory in ALL_SOLUTIONS]
     for solution in solutions:
         series[solution.name] = hijack_leak_series(solution, scenario,
-                                                   duration_s)
-    rates = mitm_comparison(solutions, capacity, dwell)
+                                                   6000.0)
+    rates = mitm_comparison(solutions, SATELLITE_CAPACITY, dwell)
     return LeakageStudy(hijack_series=series, mitm_rates=rates)
 
 

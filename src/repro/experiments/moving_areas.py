@@ -30,15 +30,16 @@ class ServiceAreaChurn:
 
 
 def logical_area_churn(constellation: Constellation, lat_deg: float,
-                       lon_deg: float, duration_s: float = 3600.0,
-                       step_s: float = 20.0) -> ServiceAreaChurn:
-    """Churn when the tracking area is the serving satellite's."""
+                       lon_deg: float, duration_s: float = 3600.0
+                       ) -> ServiceAreaChurn:
+    """Churn when the tracking area is the serving satellite's, sampled
+    every 20 s."""
     propagator = IdealPropagator(constellation)
     lat, lon = math.radians(lat_deg), math.radians(lon_deg)
     # The whole serving-satellite timeline comes from one vectorised
     # time-grid sweep; only the churn bookkeeping stays in Python.
     servers = serving_over_times(
-        propagator, sample_times(0.0, duration_s, step_s), lat, lon)
+        propagator, sample_times(0.0, duration_s, 20.0), lat, lon)
     seen = set()
     changes = 0
     current: Optional[int] = None
@@ -55,9 +56,9 @@ def logical_area_churn(constellation: Constellation, lat_deg: float,
 
 def geospatial_area_churn(constellation: Constellation, lat_deg: float,
                           lon_deg: float,
-                          duration_s: float = 3600.0,
-                          step_s: float = 20.0) -> ServiceAreaChurn:
-    """Churn under SpaceCore's frozen geospatial cells: zero, always."""
+                          duration_s: float = 3600.0) -> ServiceAreaChurn:
+    """Churn under SpaceCore's frozen geospatial cells, sampled every
+    20 s: zero, always."""
     grid = GeospatialCellGrid(constellation)
     lat, lon = math.radians(lat_deg), math.radians(lon_deg)
     seen = set()
@@ -70,19 +71,16 @@ def geospatial_area_churn(constellation: Constellation, lat_deg: float,
         if current is not None and cell != current:
             changes += 1
         current = cell
-        t += step_s
+        t += 20.0
     return ServiceAreaChurn("geospatial (SpaceCore)", len(seen),
                             changes, changes * 3600.0 / duration_s)
 
 
 def fig11_comparison(constellation: Constellation,
-                     lat_deg: float = 39.9, lon_deg: float = 116.4,
                      duration_s: float = 3600.0
                      ) -> List[ServiceAreaChurn]:
-    """Both definitions, side by side, for one static UE."""
+    """Both definitions, side by side, for one static UE in Beijing."""
     return [
-        logical_area_churn(constellation, lat_deg, lon_deg,
-                           duration_s),
-        geospatial_area_churn(constellation, lat_deg, lon_deg,
-                              duration_s),
+        logical_area_churn(constellation, 39.9, 116.4, duration_s),
+        geospatial_area_churn(constellation, 39.9, 116.4, duration_s),
     ]

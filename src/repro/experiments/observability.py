@@ -37,7 +37,7 @@ __all__ = [
 # Chaos Monte Carlo, instrumented
 # ---------------------------------------------------------------------------
 
-def chaos_observability(n_trials: int = 1, base_seed: int = 0,
+def chaos_observability(base_seed: int, n_trials: int = 1,
                         scenario: Optional[ChaosScenario] = None,
                         workers: Optional[int] = None) -> Dict:
     """Instrumented chaos Monte Carlo: merged metrics + full trace.
@@ -88,9 +88,9 @@ def _observed_cohort_point(work) -> Dict:
     }
 
 
-def cohort_observability(n_ues: int = 20_000, duration_s: float = 600.0,
-                         base_seed: int = 0, n_cohorts: int = 32,
-                         workers: Optional[int] = None) -> Dict:
+def cohort_observability(n_ues: int, duration_s: float, base_seed: int,
+                         n_cohorts: int, workers: Optional[int] = None
+                         ) -> Dict:
     """Instrumented cohort sweep: one design point per solution.
 
     Each point runs on Starlink on its own registry with a seed derived

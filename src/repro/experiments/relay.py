@@ -59,14 +59,15 @@ class RelayComparison:
     max_extra_delay_ms: float
 
 
-def relay_times(samples: int, horizon_s: float = 5700.0) -> List[float]:
-    """The exact departure epochs the relay pipeline samples.
+def relay_times(samples: int) -> List[float]:
+    """The exact departure epochs the relay pipeline samples over its
+    5700 s horizon.
 
-    The same ``horizon_s * i / samples`` floats the scalar loop
-    computed, so the batched sweep keys identical snapshot/table cache
-    entries and routes bit-identical packets.
+    The same ``5700.0 * i / samples`` floats the scalar loop computed,
+    so the batched sweep keys identical snapshot/table cache entries
+    and routes bit-identical packets.
     """
-    return [horizon_s * i / samples for i in range(samples)]
+    return [5700.0 * i / samples for i in range(samples)]
 
 
 def relay_router(constellation: Constellation, propagator_kind: str,
@@ -87,16 +88,15 @@ def relay_router(constellation: Constellation, propagator_kind: str,
 def relay_trials(constellation: Constellation, propagator_kind: str,
                  src: Tuple[float, float] = BEIJING,
                  dst: Tuple[float, float] = NEW_YORK,
-                 samples: int = 24,
-                 horizon_s: float = 5700.0) -> List[RelayTrial]:
-    """Route ``samples`` packets spread over ``horizon_s`` seconds.
+                 samples: int = 24) -> List[RelayTrial]:
+    """Route ``samples`` packets spread over :func:`relay_times`.
 
     One packet departs per sample epoch; the whole horizon routes as a
     single :meth:`~repro.topology.batch_routing.BatchGeoRouter.
     route_sweep` (grouped by epoch, one next-hop table per epoch),
     bit-identical to the retired per-epoch scalar loop.
     """
-    ts = relay_times(samples, horizon_s)
+    ts = relay_times(samples)
     src_sats, wave = relay_router(
         constellation, propagator_kind).sweep_trials(src, dst, ts)
     return [RelayTrial(t, propagator_kind, bool(wave.delivered[i]),
@@ -157,25 +157,23 @@ class RelaySweepStats:
 
 
 def relay_sweep_stats(constellation: Constellation,
-                      propagator_kind: str = "ideal",
-                      samples: int = 24,
-                      horizon_s: float = 5700.0) -> RelaySweepStats:
-    """Run the relay sweep once and report what the plane did.
+                      samples: int = 24) -> RelaySweepStats:
+    """Run the relay sweep once on ideal orbits and report what the
+    plane did.
 
     The report's routing section uses this to show the epoch-sweep
     path working: exactly one next-hop table build per distinct epoch
     (``routing.table_builds``) no matter how often the sweep repeats.
     """
     metrics = MetricsRegistry()
-    router = relay_router(constellation, propagator_kind,
-                          metrics=metrics)
-    ts = relay_times(samples, horizon_s)
+    router = relay_router(constellation, "ideal", metrics=metrics)
+    ts = relay_times(samples)
     src_sats, wave = router.sweep_trials(BEIJING, NEW_YORK, ts)
     delivered = wave.delivered
     n_ok = int(delivered.sum())
     return RelaySweepStats(
         constellation=constellation.name,
-        propagator=propagator_kind,
+        propagator="ideal",
         epochs=samples,
         routed=int((src_sats >= 0).sum()),
         delivered=n_ok,
@@ -200,10 +198,9 @@ class RoutingSweep:
     scalar_fallbacks: int
 
 
-def routing_sweep(constellation: Constellation, packets: int = 2000,
-                  t: float = 300.0, seed: int = 11,
-                  propagator_kind: str = "ideal") -> RoutingSweep:
-    """Route a Monte Carlo packet wave through the batch plane.
+def routing_sweep(constellation: Constellation,
+                  packets: int) -> RoutingSweep:
+    """Route a Monte Carlo packet wave through the batch plane at t = 300 s.
 
     Sources are uniform over the constellation; destinations are
     uniform over the inclination band (the region Algorithm 1 serves
@@ -211,15 +208,15 @@ def routing_sweep(constellation: Constellation, packets: int = 2000,
     this is the workload the routing benchmark times.
     """
     router = BatchGeoRouter(GridTopology(
-        make_propagator(constellation, propagator_kind), []))
-    rng = np.random.default_rng(seed)
+        make_propagator(constellation, "ideal"), []))
+    rng = np.random.default_rng(11)
     lat_band = math.radians(
         min(constellation.inclination_deg,
             180.0 - constellation.inclination_deg)) - 0.02
     src = rng.integers(0, constellation.total_satellites, packets)
     lats = rng.uniform(-lat_band, lat_band, packets)
     lons = rng.uniform(-math.pi, math.pi, packets)
-    result = router.route_batch(src, lats, lons, t)
+    result = router.route_batch(src, lats, lons, 300.0)
     delivered = result.delivered
     n_ok = int(delivered.sum())
     delay_ms = (float(result.delay_s[delivered].mean() * 1000.0)
@@ -236,9 +233,10 @@ def routing_sweep(constellation: Constellation, packets: int = 2000,
     )
 
 
-def batch_path_stretch(constellation: Constellation, pairs: int = 64,
-                       t: float = 0.0, seed: int = 11) -> float:
-    """Mean delay stretch of Algorithm 1 over the Dijkstra optimum.
+def batch_path_stretch(constellation: Constellation,
+                       pairs: int = 64) -> float:
+    """Mean delay stretch of Algorithm 1 over the Dijkstra optimum at
+    t = 0.
 
     Each delivered packet is compared with Dijkstra's shortest path to
     the satellite the walk landed on -- the same destination, so every
@@ -248,20 +246,20 @@ def batch_path_stretch(constellation: Constellation, pairs: int = 64,
     """
     from ..topology.routing import DijkstraRouter
     topology = GridTopology(make_propagator(constellation, "ideal"), [])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     lat_band = math.radians(
         min(constellation.inclination_deg,
             180.0 - constellation.inclination_deg)) - 0.05
     lats = rng.uniform(-lat_band, lat_band, pairs)
     lons = rng.uniform(-math.pi, math.pi, pairs)
     srcs = rng.integers(0, constellation.total_satellites, pairs)
-    geo = BatchGeoRouter(topology).route_batch(srcs, lats, lons, t)
+    geo = BatchGeoRouter(topology).route_batch(srcs, lats, lons, 0.0)
     delivered = [int(i) for i in np.nonzero(geo.delivered)[0]]
     if not delivered:
         raise RuntimeError("Algorithm 1 delivered no packet")
     landings = [geo.path(i)[-1] for i in delivered]
     optimal = DijkstraRouter(topology).route_many(
-        [int(srcs[i]) for i in delivered], landings, t)
+        [int(srcs[i]) for i in delivered], landings, 0.0)
     stretches = [float(geo.delay_s[i]) / best.delay_s
                  if best.delay_s > 0 else 1.0
                  for i, best in zip(delivered, optimal)]

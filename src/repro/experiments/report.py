@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Tuple
 
 from ..baselines import ALL_SOLUTIONS
+from ..constants import SATELLITE_CAPACITIES, SATELLITE_CAPACITY
 from ..geo import GeospatialCellGrid
 from ..orbits import TABLE1, default_ground_stations, mean_dwell_time_s
 from ..report_sections import SECTION_TITLES
@@ -135,7 +136,7 @@ def _fig5(fast: bool) -> str:
              f"{conc.mean_satellites:.1f} mean "
              f"({conc.concentration_factor:.1f}x)\n"]
     for source in ("inmarsat-explorer-710", "tiantong-sc310"):
-        cdf = registration_delay_cdf(source, 500)
+        cdf = registration_delay_cdf(source)
         mean = sum(d for d, _ in cdf) / len(cdf)
         lines.append(f"* {source}: mean registration delay {mean:.1f} s\n")
     for source in ("inmarsat-explorer-710", "tiantong-sc310"):
@@ -187,7 +188,6 @@ def _fig8(fast: bool) -> str:
 
 def _fig10(fast: bool) -> str:
     from ..baselines import ALL_OPTIONS
-    from ..constants import SATELLITE_CAPACITIES
     starlink = TABLE1["Starlink"]()
     stations = _gateways_for(starlink)
     lines = ["| option | capacity | satellite session | satellite mobility "
@@ -207,8 +207,8 @@ def _fig10(fast: bool) -> str:
 
 def _fig12(fast: bool) -> str:
     from .temporal import load_variation, satellite_ground_track_load
-    samples = satellite_ground_track_load(TABLE1["Starlink"](), 30_000,
-                                          6000.0, 120.0)
+    samples = satellite_ground_track_load(TABLE1["Starlink"](),
+                                          SATELLITE_CAPACITY, 120.0)
     lines = ["| t | subpoint | region | signaling | state transmissions |\n",
              "|---|---|---|---|---|\n"]
     for s in samples[::5]:
@@ -331,7 +331,7 @@ def _routing(fast: bool) -> str:
 
 
 def _fig19(fast: bool) -> str:
-    study = fig19_study(TABLE1["Starlink"](), duration_s=6000.0)
+    study = fig19_study(TABLE1["Starlink"]())
     lines = ["| solution | hijack (50 min) | hijack (100 min) | MITM rate |\n"
              "|---|---|---|---|\n"]
     finals = final_hijack_leaks(study)
@@ -349,7 +349,8 @@ def _fig20(fast: bool) -> str:
     starlink = TABLE1["Starlink"]()
     stations = _gateways_for(starlink)
     for factory in ALL_SOLUTIONS:
-        load = signaling_load(factory(), starlink, 30_000, stations)
+        load = signaling_load(factory(), starlink, SATELLITE_CAPACITY,
+                              stations)
         lines.append(f"| {load.solution} "
                      f"| {load.satellite_hotspot_per_s:,.0f}/s "
                      f"| {_exact(load.ground_station_per_s, ',.0f')}/s |\n")
@@ -360,7 +361,8 @@ def _fig20(fast: bool) -> str:
         shell = TABLE1[name]()
         stations = _gateways_for(shell)
         for factory in ALL_SOLUTIONS:
-            load = signaling_load(factory(), shell, 30_000, stations)
+            load = signaling_load(factory(), shell, SATELLITE_CAPACITY,
+                                  stations)
             lines.append(f"| {name} | {load.solution} "
                          f"| {load.satellite_hotspot_per_s:,.0f}/s "
                          f"| {_exact(load.ground_station_per_s, ',.0f')}/s "

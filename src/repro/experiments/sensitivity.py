@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..baselines.solutions import fiveg_ntn, spacecore
+from ..constants import SATELLITE_CAPACITIES, SATELLITE_CAPACITY
 from ..orbits.constellation import Constellation
 from ..orbits.groundstations import default_ground_stations
 from ..runtime.parallel import get_shared, run_sharded
@@ -56,10 +57,10 @@ def _sensitivity_cell(work) -> SensitivityPoint:
 
 
 def sensitivity_sweep(constellation: Constellation,
-                      base_capacity: int = 30_000,
                       workers: Optional[int] = None
                       ) -> List[SensitivityPoint]:
-    """Perturb hops, gateway count, and capacity one at a time.
+    """Perturb hops, gateway count, and capacity one at a time around
+    :data:`~repro.constants.SATELLITE_CAPACITY` users a satellite.
 
     Each perturbation cell is independent, so the grid may shard
     across workers (it finishes inside the planner's serial budget, so
@@ -71,13 +72,13 @@ def sensitivity_sweep(constellation: Constellation,
     }
     cells = []
     for hops in (2.0, 5.0, 10.0, 20.0):
-        cells.append(("mean_hops", hops, base_capacity, "base", hops))
+        cells.append(("mean_hops", hops, SATELLITE_CAPACITY, "base", hops))
     for gateway_count in (4, 8, 16, 26):
         key = f"gateways:{gateway_count}"
         station_sets[key] = tuple(default_ground_stations(gateway_count))
-        cells.append(("gateways", float(gateway_count), base_capacity,
+        cells.append(("gateways", float(gateway_count), SATELLITE_CAPACITY,
                       key, 5.0))
-    for capacity in (2_000, 10_000, 20_000, 30_000):
+    for capacity in SATELLITE_CAPACITIES:
         cells.append(("capacity", float(capacity), capacity, "base",
                       5.0))
     return run_sharded(
@@ -111,22 +112,20 @@ def _scaling_cell(work) -> ScalingPoint:
     the worker against the shard-local memo.
     """
     from .signaling import mean_hops_to_ground
-    planes, slots, altitude_km, inclination_deg, capacity = work
+    planes, slots = work
     stations = get_shared("scaling:stations")
-    shell = Constellation("scaling", slots, planes, altitude_km,
-                          inclination_deg, min_elevation_deg=32.0)
+    shell = Constellation("scaling", slots, planes, 550.0, 53.0,
+                          min_elevation_deg=32.0)
     hops = mean_hops_to_ground(shell, list(stations))
     return ScalingPoint(shell.total_satellites,
-                        _reduction(shell, capacity, list(stations), hops))
+                        _reduction(shell, SATELLITE_CAPACITY,
+                                   list(stations), hops))
 
 
-def constellation_scaling(sizes: Sequence[Tuple[int, int]] = (
-        (6, 11), (18, 20), (36, 20), (72, 22)),
-        altitude_km: float = 550.0,
-        inclination_deg: float = 53.0,
-        capacity: int = 30_000,
-        workers: Optional[int] = None) -> List[ScalingPoint]:
-    """SpaceCore's advantage vs shell size (synthetic Walker shells).
+def constellation_scaling(workers: Optional[int] = None
+                          ) -> List[ScalingPoint]:
+    """SpaceCore's advantage vs shell size (synthetic 550 km, 53 deg
+    Walker shells of 66 to 1584 satellites).
 
     The paper's trend: the denser the constellation, the harsher the
     stateful storm -- and the larger SpaceCore's win.  Shells left
@@ -134,8 +133,7 @@ def constellation_scaling(sizes: Sequence[Tuple[int, int]] = (
     workers; each process builds a given shell's topology once.
     """
     stations = tuple(default_ground_stations())
-    cells = [(planes, slots, altitude_km, inclination_deg, capacity)
-             for planes, slots in sizes]
+    cells = [(6, 11), (18, 20), (36, 20), (72, 22)]
     return run_sharded(_scaling_cell, cells, workers=workers,
                        shared={"scaling:stations": stations},
                        label="sensitivity.scaling")

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..baselines.base import Solution
 from ..baselines.solutions import ALL_SOLUTIONS
-from ..constants import SATELLITE_CAPACITIES
+from ..constants import SATELLITE_CAPACITIES, SATELLITE_CAPACITY
 from ..fiveg.messages import ProcedureKind
 from ..orbits.constellation import Constellation
 from ..orbits.coverage import mean_dwell_time_s
@@ -80,37 +80,36 @@ class SignalingLoad:
 
 @shard_memoized
 def _cached_mean_hops(constellation: Constellation,
-                      stations: Tuple[GroundStation, ...],
-                      t: float) -> float:
+                      stations: Tuple[GroundStation, ...]) -> float:
     # Keyed by the full (frozen) constellation rather than its name:
     # synthetic shells share a name but differ in geometry.
     from scipy.sparse.csgraph import dijkstra
     topology = GridTopology(IdealPropagator(constellation), list(stations))
     sources = [access for _, access
-               in topology.gateway_access_satellites(t)]
+               in topology.gateway_access_satellites(0.0)]
     if not sources:
-        raise RuntimeError("no gateway has satellite coverage at t")
-    hops = dijkstra(topology.delay_adjacency(t), unweighted=True,
+        raise RuntimeError("no gateway has satellite coverage at t = 0")
+    hops = dijkstra(topology.delay_adjacency(0.0), unweighted=True,
                     indices=sources, min_only=True)
     # Hop counts are whole numbers, so the float mean is order-exact.
     return float(hops[np.isfinite(hops)].mean())
 
 
 def mean_hops_to_ground(constellation: Constellation,
-                        stations: Optional[Sequence[GroundStation]] = None,
-                        t: float = 0.0) -> float:
-    """Mean ISL hop count from a satellite to its nearest gateway.
+                        stations: Optional[Sequence[GroundStation]] = None
+                        ) -> float:
+    """Mean ISL hop count at t = 0 from a satellite to its nearest gateway.
 
     Multi-source BFS from every gateway's access satellite over the
     +Grid adjacency -- the multi-hop factor of the storm arithmetic ("up
     to 48" hops in the paper's polar worst case).  The search is
-    memoized per process on (constellation, station set, t):
+    memoized per process on (constellation, station set):
     ``reduction_factors`` and ``sweep`` ask for the same constellation
     many times, and sharded workers ask once per design point.
     """
     stations = (tuple(stations) if stations is not None
                 else tuple(default_ground_stations()))
-    return _cached_mean_hops(constellation, stations, t)
+    return _cached_mean_hops(constellation, stations)
 
 
 def _extra_local_messages(solution: Solution,
@@ -235,8 +234,7 @@ def sweep(solutions: Iterable, constellations: Iterable[Constellation],
 
 
 def cohort_load_point(solution, constellation: Constellation,
-                      n_ues: int = 1_000_000, duration_s: float = 3600.0,
-                      seed: int = 0,
+                      n_ues: int, duration_s: float, seed: int,
                       n_cohorts: int = DEFAULT_COHORTS) -> CohortStats:
     """One population-scale load point on the vectorized cohort engine.
 
@@ -253,10 +251,10 @@ def cohort_load_point(solution, constellation: Constellation,
 
 
 def reduction_factors(constellation: Constellation,
-                      capacity: int = 30_000,
                       stations: Optional[Sequence[GroundStation]] = None
                       ) -> Dict[str, float]:
-    """Table 4: SpaceCore's satellite signaling reduction per baseline.
+    """Table 4: SpaceCore's satellite signaling reduction per baseline,
+    at :data:`~repro.constants.SATELLITE_CAPACITY` users a satellite.
 
     Reduction = baseline hotspot load / SpaceCore hotspot load.
     """
@@ -264,8 +262,8 @@ def reduction_factors(constellation: Constellation,
                 else default_ground_stations())
     hops = mean_hops_to_ground(constellation, stations)
     loads = {
-        factory().name: signaling_load(factory(), constellation, capacity,
-                                       stations, hops)
+        factory().name: signaling_load(factory(), constellation,
+                                       SATELLITE_CAPACITY, stations, hops)
         for factory in ALL_SOLUTIONS
     }
     spacecore_load = loads["SpaceCore"].satellite_hotspot_per_s

@@ -17,6 +17,7 @@ from typing import List
 
 from ..baselines.base import ACTIVE_FRACTION, Solution, StateResidency
 from ..baselines.solutions import ALL_SOLUTIONS
+from ..constants import SATELLITE_CAPACITY
 from ..fiveg.aka import generate_vector
 from ..fiveg.state import (
     IdentifierState,
@@ -71,10 +72,9 @@ def satellite_state_footprint(solution: Solution, capacity: int,
     return StateFootprint(solution.name, items, size)
 
 
-def footprint_comparison(capacity: int = 30_000,
-                         total_subscribers: int = 100_000_000
-                         ) -> List[StateFootprint]:
-    """All five solutions' on-board state bills."""
-    return [satellite_state_footprint(factory(), capacity,
-                                      total_subscribers)
+def footprint_comparison() -> List[StateFootprint]:
+    """All five solutions' on-board state bills: a satellite of
+    :data:`~repro.constants.SATELLITE_CAPACITY` users, 1e8 subscribers."""
+    return [satellite_state_footprint(factory(), SATELLITE_CAPACITY,
+                                      100_000_000)
             for factory in ALL_SOLUTIONS]

@@ -35,11 +35,10 @@ class TemporalSample:
 def satellite_ground_track_load(
         constellation: Constellation,
         capacity: int,
-        duration_s: float = 6000.0,
-        step_s: float = 60.0,
-        sat_plane: int = 0, sat_slot: int = 0
+        step_s: float = 60.0
         ) -> List[TemporalSample]:
-    """Signaling and state-transmission load along one ground track.
+    """Signaling and state-transmission load along one ground track:
+    satellite (0, 0) over 6000 s.
 
     ``signaling_per_s`` counts the messages the satellite handles for
     its own users (Fig. 12 left); ``state_tx_per_s`` counts the state
@@ -68,8 +67,8 @@ def satellite_ground_track_load(
     import math
     samples: List[TemporalSample] = []
     t = 0.0
-    while t <= duration_s:
-        lat, lon = propagator.state(sat_plane, sat_slot, t).subpoint()
+    while t <= 6000.0:
+        lat, lon = propagator.state(0, 0, t).subpoint()
         users = population.capped_users(lat, lon, radius, capacity)
         samples.append(TemporalSample(
             t_s=t,

@@ -67,14 +67,14 @@ class StallResult:
     ping_stall_s: float
 
 
-def satellite_pass_impact(solution: Solution,
-                          rate_per_s: int = 100) -> StallResult:
+def satellite_pass_impact(solution: Solution) -> StallResult:
     """Fig. 21a for one solution.
 
     The outage window is the mobility signaling the solution runs on a
-    pass: the mobility registration (logical designs) or the local
-    handover (SpaceCore).
+    pass, at 100 procedures/s: the mobility registration (logical
+    designs) or the local handover (SpaceCore).
     """
+    rate_per_s = 100
     if solution.mobility_registration_per_pass:
         kind = ProcedureKind.MOBILITY_REGISTRATION
     else:
@@ -100,7 +100,7 @@ def satellite_pass_impact(solution: Solution,
     return StallResult(solution.name, reset, outage, tcp, ping)
 
 
-def fig21_comparison(rate_per_s: int = 100) -> List[StallResult]:
+def fig21_comparison() -> List[StallResult]:
     """All five solutions' user-level stalls (Fig. 21a)."""
-    return [satellite_pass_impact(factory(), rate_per_s)
+    return [satellite_pass_impact(factory())
             for factory in ALL_SOLUTIONS]

@@ -74,9 +74,9 @@ def hijack_leak_rate(solution: Solution,
 
 
 def hijack_leak_series(solution: Solution, scenario: HijackScenario,
-                       duration_s: float,
-                       step_s: float = 60.0) -> List[Tuple[float, float]]:
-    """Cumulative leaked states over time (the Fig. 19a curves)."""
+                       duration_s: float) -> List[Tuple[float, float]]:
+    """Cumulative leaked states over time (the Fig. 19a curves), one
+    point a minute."""
     initial = float(hijack_initial_leak(solution, scenario))
     rate = hijack_leak_rate(solution, scenario)
     revocable = solution.state_residency is StateResidency.NONE
@@ -88,7 +88,7 @@ def hijack_leak_series(solution: Solution, scenario: HijackScenario,
         else:
             exposure = t
         series.append((t, initial + rate * exposure))
-        t += step_s
+        t += 60.0
     return series
 
 

@@ -164,28 +164,26 @@ class FaultSchedule:
     # -- Gilbert-Elliott ISL bursts (Fig. 13b made live) ------------------------
 
     def add_link_bursts(self, links: Iterable[Tuple[int, int]],
-                        horizon_s: float, step_s: float = 10.0,
+                        horizon_s: float,
                         p_good_to_bad: float = 0.01,
                         p_bad_to_good: float = 0.2,
                         seed: int = 0) -> "FaultSchedule":
         """Turn bad-state windows of a per-link GE chain into ISL outages.
 
         Each link gets an independent chain seeded from (seed, link),
-        sampled every ``step_s``; entering the bad state downs the ISL,
+        sampled every 10 s; entering the bad state downs the ISL,
         leaving it restores it (with a closing recovery at the horizon
         so no outage leaks past the run).
         """
         if horizon_s < 0:
             raise ValueError("horizon must be non-negative")
-        if step_s <= 0:
-            raise ValueError("step must be positive")
         for sat_a, sat_b in links:
             channel = GilbertElliottChannel(
                 p_good_to_bad=p_good_to_bad, p_bad_to_good=p_bad_to_good,
                 seed=_link_seed(seed, sat_a, sat_b))
             target = (int(sat_a), int(sat_b))
             in_bad = False
-            steps = int(horizon_s / step_s)
+            steps = int(horizon_s / 10.0)
             for i in range(1, steps + 1):
                 channel.step()
                 if channel.in_bad_state == in_bad:
@@ -193,10 +191,10 @@ class FaultSchedule:
                 in_bad = channel.in_bad_state
                 kind = (FaultKind.ISL_FAIL if in_bad
                         else FaultKind.ISL_RECOVER)
-                self.add(FaultEvent(i * step_s, kind, target))
+                self.add(FaultEvent(i * 10.0, kind, target))
             if in_bad:
                 self.add(FaultEvent(
-                    steps * step_s, FaultKind.ISL_RECOVER, target))
+                    steps * 10.0, FaultKind.ISL_RECOVER, target))
         return self
 
     # -- jamming windows (S3.3) -------------------------------------------------

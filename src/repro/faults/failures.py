@@ -30,8 +30,8 @@ class DecaySample:
     accumulated: int
 
 
-def satellite_decay_series(fleet_size: int, months: int,
-                           seed: int = 0) -> List[DecaySample]:
+def satellite_decay_series(fleet_size: int,
+                           months: int) -> List[DecaySample]:
     """Monthly failure additions and the cumulative count (Fig. 13a).
 
     The monthly hazard is calibrated so roughly 1/40 of the fleet has
@@ -42,7 +42,7 @@ def satellite_decay_series(fleet_size: int, months: int,
     if months < 0:
         raise ValueError("months must be non-negative")
     monthly_hazard = STARLINK_FAILURE_FRACTION / 24.0
-    rng = random.Random(seed)
+    rng = random.Random(0)
     alive = fleet_size
     accumulated = 0
     series: List[DecaySample] = []
@@ -58,22 +58,19 @@ def satellite_decay_series(fleet_size: int, months: int,
 class GilbertElliottChannel:
     """Two-state bursty frame-error channel (Fig. 13b).
 
-    ``good`` state: near-zero frame error rate; ``bad`` state: heavy
-    loss.  Transitions are memoryless per sample step, producing the
-    intermittent spikes of the Tiantong measurement.
+    ``good`` state: near-zero frame error rate (0.1%); ``bad`` state:
+    heavy loss (35%).  Transitions are memoryless per sample step,
+    producing the intermittent spikes of the Tiantong measurement.
     """
 
     def __init__(self, p_good_to_bad: float = 0.01,
                  p_bad_to_good: float = 0.2,
-                 fer_good: float = 0.001, fer_bad: float = 0.35,
                  seed: int = 0):
-        for p in (p_good_to_bad, p_bad_to_good, fer_good, fer_bad):
+        for p in (p_good_to_bad, p_bad_to_good):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must be in [0, 1]")
         self.p_good_to_bad = p_good_to_bad
         self.p_bad_to_good = p_bad_to_good
-        self.fer_good = fer_good
-        self.fer_bad = fer_bad
         self._rng = random.Random(seed)
         self.in_bad_state = False
 
@@ -85,7 +82,7 @@ class GilbertElliottChannel:
         else:
             if self._rng.random() < self.p_good_to_bad:
                 self.in_bad_state = True
-        return self.fer_bad if self.in_bad_state else self.fer_good
+        return 0.35 if self.in_bad_state else 0.001
 
     def series(self, steps: int) -> List[float]:
         """A FER time series (the Fig. 13b trace)."""
@@ -98,21 +95,19 @@ class GilbertElliottChannel:
 
 
 def procedure_success_probability(message_count: int,
-                                  per_message_loss: float,
-                                  retries: int = 0) -> float:
+                                  per_message_loss: float) -> float:
     """Probability a stateful procedure completes despite link loss.
 
     S3.3: "any signaling loss/error can block the entire procedure" --
-    success requires *every* message (with its retries) to get
-    through.  Long flows are exponentially fragile, which is exactly
-    why SpaceCore's 4-message local exchange wins under failures.
+    success requires *every* message to get through.  Long flows are
+    exponentially fragile, which is exactly why SpaceCore's 4-message
+    local exchange wins under failures.
     """
     if not 0.0 <= per_message_loss <= 1.0:
         raise ValueError("loss must be a probability")
-    if message_count < 0 or retries < 0:
+    if message_count < 0:
         raise ValueError("counts must be non-negative")
-    p_message = 1.0 - per_message_loss ** (retries + 1)
-    return p_message ** message_count
+    return (1.0 - per_message_loss) ** message_count
 
 
 def crossing_loss(per_hop_loss: float) -> float:

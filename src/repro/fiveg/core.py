@@ -39,20 +39,20 @@ class SatelliteCredentials:
 class CoreNetwork:
     """The terrestrial home network: all control functions + PKI."""
 
-    def __init__(self, name: str = "home", plmn: Plmn = Plmn(460, 0)):
-        self.name = name
+    def __init__(self, plmn: Plmn = Plmn(460, 0)):
+        self.name = "home"
         self.plmn = plmn
         # Home PKI (Algorithm 2 initialisation).
         self.home_signing_key, self.home_verify_key = generate_keypair()
         self.abe_params, self.abe_master = abe.setup()
         # Network functions.
-        self.udm = Udm(name, self.home_signing_key)
+        self.udm = Udm(self.name, self.home_signing_key)
         self.ausf = Ausf(self.udm)
-        self.amf = Amf(f"{name}-amf", plmn, self.ausf)
+        self.amf = Amf("home-amf", plmn, self.ausf)
         self.address_allocator = AddressAllocator(plmn.encode())
-        self.smf = Smf(f"{name}-smf", self.address_allocator)
+        self.smf = Smf("home-smf", self.address_allocator)
         self.pcf = Pcf()
-        self.anchor_upf = Upf(f"{name}-anchor-upf", is_anchor=True)
+        self.anchor_upf = Upf("home-anchor-upf", is_anchor=True)
         self.smf.attach_upf(self.anchor_upf)
         self._satellite_credentials: Dict[str, SatelliteCredentials] = {}
         self._revoked_satellites: set = set()

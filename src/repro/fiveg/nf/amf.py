@@ -24,19 +24,17 @@ class UeContext:
     guti: Guti
     tracking_area: Tuple[int, int]
     k_amf: bytes
-    registered: bool = True
     session_ids: List[int] = field(default_factory=list)
 
 
 class Amf:
     """Mobility anchor and NAS terminator."""
 
-    def __init__(self, name: str, plmn: Plmn, ausf: Ausf,
-                 amf_id: int = 1):
+    def __init__(self, name: str, plmn: Plmn, ausf: Ausf):
         self.name = name
         self.plmn = plmn
         self.ausf = ausf
-        self._guti_allocator = GutiAllocator(plmn, amf_id)
+        self._guti_allocator = GutiAllocator(plmn, 1)
         self._contexts: Dict[str, UeContext] = {}
         self.registrations = 0
 

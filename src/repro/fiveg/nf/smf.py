@@ -27,7 +27,6 @@ class SessionContext:
     upf_name: str
     qos: QosState
     billing: BillingState
-    active: bool = True
 
 
 class Smf:

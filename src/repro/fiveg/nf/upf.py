@@ -9,7 +9,7 @@ single-point bottleneck SpaceCore removes (S3.1, Fig. 5a).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..qos import QosShaper
 from ..state import QosState
@@ -23,7 +23,6 @@ class ForwardingEntry:
     ue_address: str
     qos: QosState
     bytes_up: int = 0
-    bytes_down: int = 0
     shaper: Optional[QosShaper] = None
 
 
@@ -86,9 +85,7 @@ class Upf:
 
     # -- billing support ---------------------------------------------------------
 
-    def usage_report(self, tunnel_id: int) -> Tuple[int, int]:
-        """(bytes_up, bytes_down) for the billing chain (S4)."""
+    def usage_report(self, tunnel_id: int) -> int:
+        """Bytes forwarded, for the billing chain (S4)."""
         entry = self._entries.get(tunnel_id)
-        if entry is None:
-            return 0, 0
-        return entry.bytes_up, entry.bytes_down
+        return 0 if entry is None else entry.bytes_up

@@ -83,7 +83,7 @@ class SpaceCoreRegistrar(ProcedureRunner):
 
     def register_and_delegate(self, ue: UserEquipment, home_cell: CellId,
                               ue_cell: CellId,
-                              now: float = 0.0) -> SessionContext:
+                              now: float) -> SessionContext:
         """Full C1 plus state delegation: the SpaceCore onboarding path."""
         core = self.core
         # Standard authentication and registration, without re-emitting
@@ -143,7 +143,7 @@ def build_state_bundle(session: SessionContext, context: UeContext,
 
 
 def delegate_states(core: CoreNetwork, bundle: SessionState,
-                    now: float = 0.0) -> StateReplica:
+                    now: float) -> StateReplica:
     """Sign and ABE-encrypt a state bundle for UE storage (S4.4)."""
     serialized = bundle.to_bytes()
     signature = core.home_signing_key.sign(serialized)

@@ -137,15 +137,14 @@ class GeospatialCellGrid:
         return (EARTH_RADIUS_KM * EARTH_RADIUS_KM * jacobian
                 * self.delta_alpha * self.delta_gamma)
 
-    def cell_size_statistics(self, samples: int = 40000,
-                             seed: int = 7) -> CellStatistics:
+    def cell_size_statistics(self, samples: int = 40000) -> CellStatistics:
         """Monte-Carlo estimate of min/max/avg non-empty cell footprints.
 
         Points are drawn uniformly on the sphere and attributed via
         :meth:`cell_of`; each sample carries an equal share of the
         Earth's surface area.  Reproduces the structure of Table 3.
         """
-        rng = random.Random(seed)
+        rng = random.Random(7)
         counts: dict = {}
         for _ in range(samples):
             # Uniform on the sphere: lon uniform, sin(lat) uniform.

@@ -61,15 +61,12 @@ def mm1_wait_s(arrival_rate: float, service_time_s: float,
 def procedure_latency(platform: HardwarePlatform, rate_per_s: float,
                       flow: Iterable[MessageTemplate],
                       on_board: Iterable[Role],
-                      ground_rtt_s: float = 0.0,
-                      crypto_overhead_s: float = 0.0) -> LatencyEstimate:
+                      ground_rtt_s: float = 0.0) -> LatencyEstimate:
     """End-to-end signaling latency of one procedure under load.
 
     ``ground_rtt_s`` is charged once per message whose source and
     destination straddle the space-ground boundary (one one-way trip
     each, so two boundary messages make a round trip).
-    ``crypto_overhead_s`` models SpaceCore's local state decryption and
-    key agreement (Fig. 18a), charged once per procedure.
     """
     flow = list(flow)
     on_board_set = set(on_board)
@@ -87,8 +84,7 @@ def procedure_latency(platform: HardwarePlatform, rate_per_s: float,
         if _is_space(m.src, on_board_set) != _is_space(m.dst, on_board_set)
         and Role.UE not in (m.src, m.dst))
     propagation = boundary_msgs * (ground_rtt_s / 2.0)
-    return LatencyEstimate(service + crypto_overhead_s, queueing,
-                           propagation, saturated)
+    return LatencyEstimate(service, queueing, propagation, saturated)
 
 
 def _is_space(role: Role, on_board: set) -> bool:

@@ -63,10 +63,8 @@ class EmulationStats:
 class NeighborhoodEmulation:
     """One geographic neighbourhood of UEs under live SpaceCore."""
 
-    def __init__(self, constellation: Constellation, num_ues: int = 25,
-                 center_lat_deg: float = 39.9,
-                 center_lon_deg: float = 116.4,
-                 seed: int = 0,
+    def __init__(self, constellation: Constellation, seed: int,
+                 num_ues: int = 25,
                  session_interval_s: float = SESSION_INTERARRIVAL_S):
         if num_ues < 1:
             raise ValueError("need at least one UE")
@@ -78,8 +76,9 @@ class NeighborhoodEmulation:
         self.dwell_s = mean_dwell_time_s(constellation)
         self.ues: List[UserEquipment] = []
         for _ in range(num_ues):
-            lat = center_lat_deg + self.rng.uniform(-1.5, 1.5)
-            lon = center_lon_deg + self.rng.uniform(-1.5, 1.5)
+            # Scattered within 1.5 deg of Beijing.
+            lat = 39.9 + self.rng.uniform(-1.5, 1.5)
+            lon = 116.4 + self.rng.uniform(-1.5, 1.5)
             ue = self.system.provision_ue(lat, lon)
             self.system.register(ue, t=0.0)
             self.ues.append(ue)
@@ -115,14 +114,14 @@ class NeighborhoodEmulation:
         if sat_index is None:
             return
         satellite = self.system.satellite(sat_index)
-        bytes_up, bytes_down = satellite.usage_report(supi)
-        if bytes_up == 0 and bytes_down == 0:
+        bytes_used = satellite.usage_report(supi)
+        if bytes_used == 0:
             return
         served = satellite.served_session(supi)
         if served is None:
             return
         self.system.home.apply_usage_report(
-            ue, served.state, bytes_up, bytes_down, self.sim.now)
+            ue, served.state, bytes_used, self.sim.now)
         self.stats.usage_reports += 1
         self.stats.state_updates_pushed = \
             self.system.home.state_updates_pushed
@@ -186,8 +185,8 @@ class CohortEmulation:
     both report.
     """
 
-    def __init__(self, constellation: Constellation,
-                 num_ues: int = 100_000, seed: int = 0,
+    def __init__(self, constellation: Constellation, seed: int,
+                 num_ues: int = 100_000,
                  session_interval_s: float = SESSION_INTERARRIVAL_S,
                  n_cohorts: int = 256):
         from ..runtime.cohort import UECohortEngine

@@ -36,8 +36,8 @@ class Simulator:
     ['b', 'a']
     """
 
-    def __init__(self, start_time: float = 0.0):
-        self._now = start_time
+    def __init__(self):
+        self._now = 0.0
         self._queue: List[_QueuedEvent] = []
         self._seq = itertools.count()
         self._running = False

@@ -44,22 +44,18 @@ class PacketRecord:
 class PacketSimulation:
     """Event-driven packet forwarding along Algorithm 1 paths.
 
-    Each satellite has one egress queue per neighbour; a packet
-    occupies the link for its serialisation time and arrives after the
-    propagation delay.  Paths are pinned at send time (the topology
-    barely moves over packet timescales).
+    Each satellite has one egress queue per neighbour; a packet (1500
+    bytes) occupies a 1 Gbps link for its serialisation time and
+    arrives after the propagation delay.  Paths and delays are those
+    of t = 0 (the topology barely moves over packet timescales).
     """
 
-    def __init__(self, topology: GridTopology,
-                 link_rate_mbps: float = 1000.0):
-        if link_rate_mbps <= 0:
-            raise ValueError("link rate must be positive")
+    def __init__(self, topology: GridTopology):
         self.topology = topology
         #: The batch routing plane: :meth:`send_batch` routes a whole
         #: wave in one vectorized call before any event is scheduled.
         self.router = BatchGeoRouter(topology)
         self.sim = Simulator()
-        self.link_rate_mbps = link_rate_mbps
         #: When each directed link (a, b) next becomes free.
         self._link_free_at: Dict[Tuple[int, int], float] = {}
         self.records: List[PacketRecord] = []
@@ -67,24 +63,21 @@ class PacketSimulation:
 
     # -- sending ------------------------------------------------------------------
 
-    def send_batch(self, src_sats, dest_lats, dest_lons,
-                   size_bytes: int = 1500, at_s: float = 0.0,
-                   route_t: float = 0.0) -> List[PacketRecord]:
-        """Inject a wave of packets, routed in one vectorized call.
+    def send_batch(self, src_sats, dest_lats,
+                   dest_lons) -> List[PacketRecord]:
+        """Inject a wave of packets now, routed in one vectorized call.
 
         The path computation for the whole wave happens in a single
         ``route_batch`` (bit-identical to the scalar walk) before any
         event is scheduled -- at Monte Carlo sizes that is the
         difference between routing dominating the run and the event
-        engine dominating it.  ``at_s`` earlier than the simulated
-        clock is clamped to *now* for both the first hop and
-        ``sent_at_s``: a packet cannot be injected into the past, and
-        its reported latency measures from when it actually entered
-        the network.
+        engine dominating it.  Each packet's ``sent_at_s`` is the
+        simulated clock at injection, so its reported latency measures
+        from when it actually entered the network.
         """
         batch = self.router.route_batch(src_sats, dest_lats, dest_lons,
-                                        route_t)
-        injected_at_s = max(at_s, self.sim.now)
+                                        0.0)
+        injected_at_s = self.sim.now
         records: List[PacketRecord] = []
         for i, src_sat in enumerate(src_sats):
             record = PacketRecord(self._next_id, int(src_sat),
@@ -96,14 +89,11 @@ class PacketSimulation:
                 record.dropped = True
                 continue
             self.sim.schedule_at(injected_at_s, self._hop, record,
-                                 batch.path(i), 0, size_bytes, route_t)
+                                 batch.path(i), 0)
         return records
 
-    def _serialization_s(self, size_bytes: int) -> float:
-        return size_bytes * 8.0 / (self.link_rate_mbps * 1e6)
-
-    def _hop(self, record: PacketRecord, path: List[int], index: int,
-             size_bytes: int, route_t: float) -> None:
+    def _hop(self, record: PacketRecord, path: List[int],
+             index: int) -> None:
         """Process the packet's arrival at ``path[index]``."""
         if index == len(path) - 1:
             record.delivered_at_s = self.sim.now
@@ -113,15 +103,14 @@ class PacketSimulation:
             record.dropped = True
             return
         link = (current, nxt)
-        serialization = self._serialization_s(size_bytes)
+        serialization = 1500 * 8.0 / 1e9
         start = max(self.sim.now, self._link_free_at.get(link,
                                                          self.sim.now))
         self._link_free_at[link] = start + serialization
-        propagation = self.topology.isl_delay_s(current, nxt, route_t)
+        propagation = self.topology.isl_delay_s(current, nxt, 0.0)
         arrival = start + serialization + propagation
         record.hops += 1
-        self.sim.schedule_at(arrival, self._hop, record, path,
-                             index + 1, size_bytes, route_t)
+        self.sim.schedule_at(arrival, self._hop, record, path, index + 1)
 
     # -- running & results ------------------------------------------------------------
 

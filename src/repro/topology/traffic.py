@@ -77,14 +77,13 @@ class TrafficLoad:
 
 
 def gravity_demand(topology: GridTopology, t: float,
-                   top_satellites: int = 24,
-                   total_demand: float = 1000.0
+                   top_satellites: int = 24
                    ) -> List[Tuple[int, int, float]]:
     """A gravity-model demand matrix between populated satellites.
 
     Picks the ``top_satellites`` satellites over the densest ground
     and generates pairwise demand proportional to the product of the
-    populations beneath them.
+    populations beneath them, 1000 units in all.
     """
     population = PopulationGrid()
     c = topology.constellation
@@ -105,7 +104,7 @@ def gravity_demand(topology: GridTopology, t: float,
     for i, (wa, sa) in enumerate(chosen):
         for wb, sb in chosen[i + 1:]:
             pair_weights.append((sa, sb, wa * wb))
-    scale = total_demand / sum(w for _, _, w in pair_weights)
+    scale = 1000.0 / sum(w for _, _, w in pair_weights)
     return [(a, b, w * scale) for a, b, w in pair_weights]
 
 
@@ -171,14 +170,14 @@ class ConcentrationComparison:
     peer_gini: float
 
 
-def compare_concentration(topology: GridTopology, t: float = 0.0,
+def compare_concentration(topology: GridTopology,
                           top_satellites: int = 16
                           ) -> ConcentrationComparison:
-    """Run both patterns on the same gravity demand and compare."""
-    demands = gravity_demand(topology, t,
-                             top_satellites=top_satellites)
-    gateway = load_to_gateways(topology, t, demands)
-    peer = load_peer_to_peer(topology, t, demands)
+    """Run both patterns on the same gravity demand at t = 0 and
+    compare."""
+    demands = gravity_demand(topology, 0.0, top_satellites=top_satellites)
+    gateway = load_to_gateways(topology, 0.0, demands)
+    peer = load_peer_to_peer(topology, 0.0, demands)
     return ConcentrationComparison(
         gateway_peak_to_mean=gateway.peak_to_mean_link_ratio(),
         peer_peak_to_mean=peer.peak_to_mean_link_ratio(),

@@ -47,17 +47,15 @@ _TRACE1_SKELETON: Sequence[Tuple[str, str, float]] = (
 )
 
 
-def trace1_timeline(terminal: str = "inmarsat-explorer-710",
-                    seed: int = 0) -> List[TimelineEvent]:
+def trace1_timeline(seed: int = 0) -> List[TimelineEvent]:
     """One synthetic session-establishment timeline (Trace 1).
 
     The event order is fixed (it is the protocol); the total duration
-    is drawn from the terminal's measured registration-delay model, so
-    ensembles of timelines reproduce the Fig. 5b distribution.
+    is drawn from the Inmarsat Explorer 710's measured
+    registration-delay model, so ensembles of timelines reproduce the
+    Fig. 5b distribution.
     """
-    mean = REGISTRATION_DELAY_S.get(terminal)
-    if mean is None:
-        raise KeyError(f"{terminal!r} has no measured delay model")
+    mean = REGISTRATION_DELAY_S["inmarsat-explorer-710"]
     rng = random.Random(seed)
     floor = 0.55 * mean
     duration = floor + rng.expovariate(1.0 / (mean - floor))
@@ -94,18 +92,18 @@ class CpuSample:
 
 
 def replay_cpu_series(source: str, num_messages: int,
-                      duration_s: float = 600.0,
                       window_s: float = 30.0,
-                      platform: HardwarePlatform = RASPBERRY_PI_4,
-                      seed: int = 0) -> List[CpuSample]:
-    """Feed a synthesized Table 2 trace through the CPU model.
+                      platform: HardwarePlatform = RASPBERRY_PI_4
+                      ) -> List[CpuSample]:
+    """Feed a synthesized 10-minute Table 2 trace through the CPU model.
 
     Returns one utilisation sample per window -- the replay-driven
     counterpart of the analytic Fig. 7 bars.
     """
-    if window_s <= 0 or duration_s <= 0:
-        raise ValueError("windows and duration must be positive")
-    trace = synthesize(source, num_messages, duration_s, seed)
+    if window_s <= 0:
+        raise ValueError("windows must be positive")
+    duration_s = 600.0
+    trace = synthesize(source, num_messages, duration_s)
     windows: Dict[int, List[TraceMessage]] = {}
     for message in trace:
         windows.setdefault(int(message.time_s // window_s),

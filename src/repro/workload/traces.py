@@ -105,8 +105,7 @@ def synthesize(source: str, num_messages: int,
             for t in times]
 
 
-def registration_delay_samples(source: str, count: int,
-                               seed: int = 0) -> List[float]:
+def registration_delay_samples(source: str, count: int) -> List[float]:
     """Registration-delay samples matching the measured means (Fig. 5b).
 
     Modelled as a shifted exponential: a fixed GEO/processing floor
@@ -116,7 +115,7 @@ def registration_delay_samples(source: str, count: int,
     if mean is None:
         raise KeyError(f"{source!r} is not a satellite terminal with a "
                        "measured registration delay")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     floor = 0.55 * mean
     tail = mean - floor
     return [floor + rng.expovariate(1.0 / tail) for _ in range(count)]

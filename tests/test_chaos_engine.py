@@ -70,8 +70,7 @@ class TestFaultSchedule:
     def test_link_bursts_pair_up_and_close(self):
         links = [(0, 1), (4, 5), (100, 101)]
         schedule = FaultSchedule().add_link_bursts(
-            links, horizon_s=5000.0, step_s=5.0, p_good_to_bad=0.05,
-            seed=SEED)
+            links, horizon_s=5000.0, p_good_to_bad=0.05, seed=SEED)
         open_links = set()
         for event in schedule.events():
             if event.kind is FaultKind.ISL_FAIL:
@@ -84,8 +83,8 @@ class TestFaultSchedule:
     def test_link_bursts_reproducible_per_link(self):
         def make():
             return FaultSchedule().add_link_bursts(
-                [(7, 8)], horizon_s=8000.0, step_s=5.0,
-                p_good_to_bad=0.05, seed=SEED).events()
+                [(7, 8)], horizon_s=8000.0, p_good_to_bad=0.05,
+                seed=SEED).events()
         assert [e.key() for e in make()] == [e.key() for e in make()]
 
     def test_jamming_window_events(self):
@@ -108,7 +107,6 @@ class TestFaultSchedule:
         lambda s: s.add_satellite_decay([0], horizon_s=-1.0),
         lambda s: s.add_satellite_decay([0], 10.0, acceleration=0.0),
         lambda s: s.add_link_bursts([(0, 1)], horizon_s=-5.0),
-        lambda s: s.add_link_bursts([(0, 1)], 10.0, step_s=0.0),
         lambda s: s.add_jamming_window(JammingAttack(0, 0), -1.0, 5.0),
         lambda s: s.add_jamming_window(JammingAttack(0, 0), 9.0, 5.0),
     ])
@@ -252,14 +250,14 @@ class TestJammingIdempotency:
 
 class TestFailuresValidation:
     def test_hazard_fails_part_of_the_fleet(self):
-        series = satellite_decay_series(1000, months=24, seed=SEED)
+        series = satellite_decay_series(1000, months=24)
         assert len(series) == 24
         assert series[-1].accumulated > 0
 
     def test_series_reproducible(self):
         def run():
             return [p.accumulated for p in
-                    satellite_decay_series(500, 12, seed=SEED)]
+                    satellite_decay_series(500, 12)]
         assert run() == run()
 
     @pytest.mark.parametrize("kwargs", [

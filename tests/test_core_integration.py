@@ -20,8 +20,8 @@ def setup():
     manager = IntegratedAccessManager(system, [CITY_GNB])
     urban = system.provision_ue(39.9, 116.41)   # inside gNB coverage
     rural = system.provision_ue(36.0, 100.0)    # satellite-only
-    system.register(urban)
-    system.register(rural)
+    system.register(urban, 0.0)
+    system.register(rural, 0.0)
     return system, manager, urban, rural
 
 

@@ -21,7 +21,7 @@ def system():
 @pytest.fixture()
 def registered_ue(system):
     ue = system.provision_ue(39.9, 116.4)  # Beijing
-    system.register(ue)
+    system.register(ue, 0.0)
     return ue
 
 
@@ -145,7 +145,7 @@ class TestHandover:
 class TestDownlink:
     def test_downlink_reaches_remote_ue(self, system, registered_ue):
         ny = system.provision_ue(40.7, -74.0)
-        system.register(ny)
+        system.register(ny, 0.0)
         system.establish_session(registered_ue, t=0.0)
         ingress = system._ue_serving_sat[str(registered_ue.supi)]
         result = system.deliver_downlink(ingress, ny, t=0.0)
@@ -163,11 +163,11 @@ class TestHomeAuthority:
     def test_usage_report_updates_billing(self):
         home = SpaceCoreHome()
         ue = home.provision_subscriber(1)
-        session = home.register(ue, (1, 1), (1, 1))
+        session = home.register(ue, (1, 1), (1, 1), 0.0)
         from repro.fiveg.procedures import build_state_bundle
         bundle = build_state_bundle(session,
                                     home.core.amf.context(ue.supi), (1, 1))
-        updated = home.apply_usage_report(ue, bundle, 5_000_000, 5_000_000)
+        updated = home.apply_usage_report(ue, bundle, 10_000_000)
         assert updated.billing.used_mb == pytest.approx(10.0)
         assert updated.version == bundle.version + 1
         assert ue.replica.version == updated.version
@@ -175,12 +175,11 @@ class TestHomeAuthority:
     def test_quota_exhaustion_throttles(self):
         home = SpaceCoreHome()
         ue = home.provision_subscriber(2, quota_mb=10)
-        session = home.register(ue, (1, 1), (1, 1))
+        session = home.register(ue, (1, 1), (1, 1), 0.0)
         from repro.fiveg.procedures import build_state_bundle
         bundle = build_state_bundle(session,
                                     home.core.amf.context(ue.supi), (1, 1))
-        updated = home.apply_usage_report(ue, bundle, 20_000_000,
-                                          0)
+        updated = home.apply_usage_report(ue, bundle, 20_000_000)
         assert updated.billing.throttled
         assert updated.qos.max_bitrate_down_kbps == 128
 
@@ -188,12 +187,12 @@ class TestHomeAuthority:
         """A malicious UE cannot roll back to an older, cheaper state."""
         home = SpaceCoreHome()
         ue = home.provision_subscriber(3)
-        session = home.register(ue, (1, 1), (1, 1))
+        session = home.register(ue, (1, 1), (1, 1), 0.0)
         from repro.fiveg.procedures import build_state_bundle
         bundle = build_state_bundle(session,
                                     home.core.amf.context(ue.supi), (1, 1))
         old_replica = ue.replica
-        home.apply_usage_report(ue, bundle, 1000, 1000)
+        home.apply_usage_report(ue, bundle, 2000)
         with pytest.raises(ValueError):
             ue.store_replica(old_replica)
 
@@ -205,7 +204,7 @@ class TestRevocation:
         home.enroll_satellite("sat-good")
         home.revoke_satellite("sat-bad")
         ue = home.provision_subscriber(4)
-        home.register(ue, (1, 1), (1, 1))
+        home.register(ue, (1, 1), (1, 1), 0.0)
         bad_sat = SpaceCoreSatellite("sat-bad", bad_creds)
         with pytest.raises(FallbackRequired):
             bad_sat.establish_session_locally(ue, 0.0, home.verify_key)
@@ -234,7 +233,7 @@ class TestRevocation:
         ues = []
         for msin in range(5, 8):
             ue = home.provision_subscriber(msin)
-            home.register(ue, (1, 1), (1, 1))
+            home.register(ue, (1, 1), (1, 1), 0.0)
             sat.establish_session_locally(ue, 0.0, home.verify_key)
             ues.append(ue)
         assert len(sat.exposed_states()) == 3

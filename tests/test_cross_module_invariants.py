@@ -63,7 +63,7 @@ class TestAddressCellCoherence:
         system = SpaceCoreSystem(starlink())
         for lat, lon in ((39.9, 116.4), (-33.9, 151.2), (6.5, 3.4)):
             ue = system.provision_ue(lat, lon)
-            system.register(ue)
+            system.register(ue, 0.0)
             address = GeospatialAddress.from_ipv6(ue.ip_address)
             assert address.ue_cell == system.grid.cell_of(ue.lat,
                                                           ue.lon)

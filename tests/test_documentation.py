@@ -138,6 +138,14 @@ def test_documented_env_var_is_read(name, code_env_vars, workflows):
         f"reads it")
 
 
+def _by_name(pairs):
+    """Parametrize ``name,where`` over ``pairs``, each id the name alone
+    (a ``doc:line`` in the id would rename it whenever lines above it
+    move; the failure message still says where)."""
+    return pytest.mark.parametrize("name,where", pairs,
+                                   ids=[name for name, _ in pairs])
+
+
 def _code_names():
     """Backticked CamelCase / UPPER_SNAKE names of the prose docs, each
     with the ``doc:line`` it first appears at."""
@@ -177,7 +185,7 @@ def defined_names():
             for name in _defined(tree)}
 
 
-@pytest.mark.parametrize("name,where", _code_names())
+@_by_name(_code_names())
 def test_documented_code_name_exists(name, where, defined_names,
                                      code_env_vars, workflows):
     """A doc that names a class or constant the code no longer has
@@ -244,7 +252,7 @@ def spelled_names():
     return names
 
 
-@pytest.mark.parametrize("name,where", _snake_names())
+@_by_name(_snake_names())
 def test_documented_snake_name_is_in_the_code(name, where, spelled_names):
     """A doc that names a parameter, function or attribute the code no
     longer has describes an option or a path that is gone."""
@@ -293,7 +301,7 @@ def other_kebab_names(workflows):
         PARSE_ERROR_RULE}
 
 
-@pytest.mark.parametrize("name,where", _kebab_names())
+@_by_name(_kebab_names())
 def test_documented_rule_id_is_registered(name, where, rule_ids,
                                           other_kebab_names):
     """A doc that names a lint rule the registry no longer has

@@ -26,13 +26,13 @@ def topology():
 @pytest.fixture(scope="module")
 def edge(topology):
     service = OrbitalEdgeService(topology)
-    service.place_over_population(0.0, replica_count=5)
+    service.place_over_population(0.0)
     return service
 
 
 class TestPlacement:
     def test_places_requested_count(self, edge):
-        assert len(edge._replicas) == 5
+        assert len(edge._replicas) == 6
 
     def test_replicas_spread_apart(self, edge, topology):
         from repro.orbits.coordinates import central_angle
@@ -45,11 +45,6 @@ class TestPlacement:
                                       float(subs[b][0]),
                                       float(subs[b][1]))
                 assert angle * 6371.0 > 1500.0
-
-    def test_validation(self, topology):
-        with pytest.raises(ValueError):
-            OrbitalEdgeService(topology).place_over_population(
-                0.0, replica_count=0)
 
 
 class TestServing:
@@ -68,7 +63,7 @@ class TestServing:
 
     def test_failover_to_next_replica(self, topology):
         service = OrbitalEdgeService(topology)
-        service.place_over_population(0.0, replica_count=5)
+        service.place_over_population(0.0)
         first = service.serve(*BEIJING, 0.0)
         assert first.served
         topology.fail_satellite(first.replica_sat)

@@ -128,7 +128,7 @@ class TestUserLevel:
 
 class TestBottleneck:
     def test_fig5b_cdf_monotone(self):
-        cdf = registration_delay_cdf("inmarsat-explorer-710", 200)
+        cdf = registration_delay_cdf("inmarsat-explorer-710")
         fractions = [f for _, f in cdf]
         assert fractions == sorted(fractions)
         assert fractions[-1] == pytest.approx(1.0)

@@ -20,7 +20,7 @@ def _real_bundle() -> bytes:
     from repro.crypto import decrypt
     home = SpaceCoreHome()
     ue = home.provision_subscriber(1)
-    home.register(ue, (0, 0), (0, 0))
+    home.register(ue, (0, 0), (0, 0), 0.0)
     credentials = home.enroll_satellite("sat-fuzz")
     return decrypt(credentials.abe_key, ue.replica.ciphertext)
 

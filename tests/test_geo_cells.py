@@ -132,8 +132,8 @@ class TestCellAreas:
         assert stats.max_km2 / stats.min_km2 > 5.0
 
     def test_statistics_deterministic_for_seed(self, grid):
-        a = grid.cell_size_statistics(samples=2000, seed=3)
-        b = grid.cell_size_statistics(samples=2000, seed=3)
+        a = grid.cell_size_statistics(samples=2000)
+        b = grid.cell_size_statistics(samples=2000)
         assert a == b
 
     def test_ascending_half_of_cells_nonempty(self, grid):

@@ -1,6 +1,5 @@
 """Tests for the hardware CPU model and the queueing-latency model."""
 
-import pytest
 
 from repro.baselines import option3_session_mobility, option4_all_functions
 from repro.fiveg.messages import (
@@ -131,17 +130,6 @@ class TestProcedureLatency:
                                      SESSION_ESTABLISHMENT_FLOW,
                                      option.on_board, ground_rtt_s=0.5)
         assert estimate.propagation_s == 0.0
-
-    def test_crypto_overhead_added(self):
-        option = option3_session_mobility()
-        plain = procedure_latency(RASPBERRY_PI_4, 10,
-                                  SESSION_ESTABLISHMENT_FLOW,
-                                  option.on_board)
-        crypto = procedure_latency(RASPBERRY_PI_4, 10,
-                                   SESSION_ESTABLISHMENT_FLOW,
-                                   option.on_board,
-                                   crypto_overhead_s=0.004)
-        assert crypto.total_s == pytest.approx(plain.total_s + 0.004)
 
     def test_xeon_lower_latency(self):
         option = option4_all_functions()

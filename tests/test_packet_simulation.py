@@ -37,10 +37,10 @@ class TestDelivery:
     def test_matches_static_route_delay(self, topology, src_sat):
         """Cross-validation: DES latency == static propagation plus
         per-hop serialisation on an unloaded network."""
-        sim = PacketSimulation(topology, link_rate_mbps=1000.0)
+        sim = PacketSimulation(topology)
         static = GeospatialRouter(topology).route(src_sat, *NEW_YORK,
                                                   0.0)
-        record = sim.send_batch([src_sat], *TO_NEW_YORK, size_bytes=1500)[0]
+        record = sim.send_batch([src_sat], *TO_NEW_YORK)[0]
         sim.run()
         serialization = static.hops * 1500 * 8 / 1e9
         assert record.latency_s == pytest.approx(
@@ -55,8 +55,8 @@ class TestDelivery:
 
     def test_many_packets_statistics(self, topology, src_sat):
         sim = PacketSimulation(topology)
-        for i in range(20):
-            sim.send_batch([src_sat], *TO_NEW_YORK, at_s=i * 0.01)
+        for _ in range(20):
+            sim.send_batch([src_sat], *TO_NEW_YORK)
         sim.run()
         low, mean, high = sim.latency_stats()
         assert 0.02 < low <= mean <= high < 0.2
@@ -66,24 +66,17 @@ class TestDelivery:
 class TestQueueing:
     def test_burst_into_one_link_queues(self, topology, src_sat):
         """Simultaneous packets share the first ISL: later ones wait."""
-        sim = PacketSimulation(topology, link_rate_mbps=1.0)  # slow
-        records = [sim.send_batch([src_sat], *TO_NEW_YORK, size_bytes=1500,
-                                  at_s=0.0)[0] for _ in range(5)]
+        sim = PacketSimulation(topology)
+        records = [sim.send_batch([src_sat], *TO_NEW_YORK)[0]
+                   for _ in range(5)]
         sim.run()
         latencies = [r.latency_s for r in records]
         assert latencies == sorted(latencies)
-        # Each 1500B packet serialises in 12 ms at 1 Mbps; the 5th
-        # packet waits 4 serialisation slots at the first hop alone.
-        assert latencies[-1] - latencies[0] > 0.04
-
-    def test_fast_links_no_spread(self, topology, src_sat):
-        sim = PacketSimulation(topology, link_rate_mbps=10_000.0)
-        records = [sim.send_batch([src_sat], *TO_NEW_YORK, at_s=0.0)[0]
-                   for _ in range(5)]
-        sim.run()
-        spread = (max(r.latency_s for r in records)
-                  - min(r.latency_s for r in records))
-        assert spread < 0.001
+        # Each 1500B packet serialises in 12 us at 1 Gbps; the 5th
+        # packet waits 4 serialisation slots at the first hop alone,
+        # and the queue stays far below a millisecond.
+        spread = latencies[-1] - latencies[0]
+        assert 4 * 12e-6 * (1 - 1e-9) <= spread < 0.001
 
 
 class TestLossAndFailures:
@@ -108,10 +101,6 @@ class TestLossAndFailures:
         sim.run()
         assert record.dropped
 
-    def test_validation(self, topology):
-        with pytest.raises(ValueError):
-            PacketSimulation(topology, link_rate_mbps=0.0)
-
     def test_latency_stats_requires_deliveries(self, topology):
         sim = PacketSimulation(topology)
         with pytest.raises(RuntimeError):
@@ -121,21 +110,18 @@ class TestLossAndFailures:
 class TestInjectionClamping:
     def test_past_injection_does_not_inflate_latency(self, topology,
                                                      src_sat):
-        """ISSUE 5 regression: ``at_s`` in the simulated past is
-        clamped for *both* the first hop and ``sent_at_s``.
-
-        Before the fix the first hop was clamped to ``sim.now`` but
-        ``sent_at_s`` kept the stale request time, so the packet
-        reported ``latency_s`` inflated by however far the clock had
-        already advanced -- poisoning ``latency_stats()``.
+        """A wave sent after the clock advanced is stamped with the
+        clock for *both* the first hop and ``sent_at_s``: a stale
+        ``sent_at_s`` would inflate ``latency_s`` by however far the
+        clock had already advanced -- poisoning ``latency_stats()``.
         """
         sim = PacketSimulation(topology)
-        reference = sim.send_batch([src_sat], *TO_NEW_YORK, at_s=0.0)[0]
+        reference = sim.send_batch([src_sat], *TO_NEW_YORK)[0]
         sim.run()
         advanced_to = sim.sim.now
         assert advanced_to > 0.0
 
-        late = sim.send_batch([src_sat], *TO_NEW_YORK, at_s=0.0)[0]
+        late = sim.send_batch([src_sat], *TO_NEW_YORK)[0]
         sim.run()
         assert late.sent_at_s == advanced_to
         assert late.latency_s == pytest.approx(reference.latency_s)
@@ -145,20 +131,11 @@ class TestInjectionClamping:
         sim = PacketSimulation(topology)
         first = sim.send_batch([src_sat], *TO_NEW_YORK)[0]
         sim.run()
-        sim.send_batch([src_sat], *TO_NEW_YORK, at_s=0.0)
+        sim.send_batch([src_sat], *TO_NEW_YORK)
         sim.run()
         lo, mean, hi = sim.latency_stats()
         assert hi == pytest.approx(first.latency_s)
         assert hi - lo < 1e-9
-
-    def test_future_injection_waits_and_counts_from_request(
-            self, topology, src_sat):
-        sim = PacketSimulation(topology)
-        record = sim.send_batch([src_sat], *TO_NEW_YORK, at_s=5.0)[0]
-        sim.run()
-        assert record.sent_at_s == 5.0
-        assert record.delivered_at_s is not None
-        assert record.delivered_at_s >= 5.0
 
 
 class TestBatchInjection:

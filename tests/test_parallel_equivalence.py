@@ -167,9 +167,8 @@ class TestSweepEquivalence:
         assert sensitivity_sweep(iridium(), workers=2) == serial
 
     def test_constellation_scaling_identical(self):
-        sizes = ((6, 11), (12, 12))
-        serial = constellation_scaling(sizes=sizes)
-        assert constellation_scaling(sizes=sizes, workers=2) == serial
+        serial = constellation_scaling()
+        assert constellation_scaling(workers=2) == serial
 
     def test_fig8_latency_identical(self):
         serial = fig8_latency_sweep(rates=(10, 100, 300))

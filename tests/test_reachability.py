@@ -49,15 +49,22 @@ held in exactly one of these places:
   (``bench/tests/test_trace.py`` installs every one) or a function a
   ``bench/*.py`` file imports by name.
 
-The hook also records arguments: for each executed definition with a
-parameter defaulting to ``None``, ``True`` or ``False`` (an *option*),
-whether any root call bound a value that ``is not`` the default.  It
-reads the callee's frame at its call event, where the locals are
-exactly the arguments, and only for the code objects of such
-definitions, until each of their options has been seen set.  An
-option no root sets is made the value every root uses, or is held in
-:data:`OPTION_HOLDS` with one of :data:`REASONS` or :data:`SETTING`,
-unless a ``bench/*.py`` call passes it by keyword.
+The hook also records arguments.  An *option* is a parameter whose
+default is a literal (:func:`_literal`: a number, a negative one too,
+a string, bytes, ``None``, a bool, or a tuple of those).  For each
+executed definition with options, the hook notes whether any root
+call bound a value that is *set*: one that neither ``is`` the default
+nor has its type and compares equal (:func:`_is_default`; a numpy
+scalar or array is therefore always set, so the census may miss a
+knob but never condemns one in use).  It reads the callee's frame at
+its call event, where the locals are exactly the arguments, and only
+for the code objects of such definitions, until each of their options
+has been seen set.  An option no root sets is deleted (every call
+passes nothing or the default: the value becomes a literal in the
+body), loses only its default (a ``src/`` caller passes a computed
+value, so every caller states it), or is held in :data:`OPTION_HOLDS`
+with one of :data:`REASONS` or :data:`SETTING`, unless a ``bench/*.py``
+call passes it by keyword.
 
 Three test ids per module: one fails when no root imports the module
 at all, one names the module and lists each unexecuted definition in
@@ -91,7 +98,7 @@ LANES = 2
 #: ``(resolved file, first line, co_name)`` of code objects that ran.
 Ran = Set[Tuple[str, int, str]]
 #: ``(resolved file, first line, co_name, option)`` of watched options
-#: some call bound to a value that is not the default.
+#: some call set (:func:`_is_default` said no).
 Bound = Set[Tuple[str, int, str, str]]
 #: ``(kind, target, env)``: a command line, a script, a bench workload
 #: or a list of test ids, run in-process by the census subprocess.
@@ -190,6 +197,17 @@ SETTING = "setting:"
 OPTION_HOLDS: Dict[str, str] = {
     "repro.cli.main(argv)":
         "setting: the command line, sys.argv when unset",
+    "repro.core.spacecore.SpaceCoreSystem.deliver_downlink(t)":
+        "paper claim: test_scenario_day_in_the_life relays the Fig. 16b "
+        "downlink at t = 100 s and, around a jammed hole, at t = 700 s, "
+        "after the constellation has moved",
+    "repro.core.spacecore.SpaceCoreSystem.serving_satellite_of(t)":
+        "paper claim: test_scenario_day_in_the_life takes the Fig. 16b "
+        "ingress and the hijacked satellite at t = 100, 700 and 1000 s",
+    "repro.experiments.availability.gateway_reachability(seed)":
+        "oracle: test_snapshot_graph_differential's "
+        "test_consumers_keep_their_networkx_numbers holds it to networkx "
+        "on the failure sets of seeds 0 and 1",
     "repro.experiments.cpu.fig7_cpu_breakdown(workers)":
         "setting: REPRO_WORKERS when unset",
     "repro.experiments.cpu.fig8_latency_sweep(workers)":
@@ -268,12 +286,26 @@ def _run_root(kind: str, target, env: Dict[str, str]) -> None:
         raise SystemExit(f"root {kind} {target!r} failed: {failure!r}")
 
 
+def _is_default(value, default) -> bool:
+    """``value`` is the default object, or one of its type equal to it
+    (a numpy scalar or array is never a literal's type, so it is set)."""
+    if value is default:
+        return True
+    if type(value) is not type(default):
+        return False
+    try:
+        return bool(value == default)
+    except ValueError:   # a tuple holding an array
+        return False
+
+
 def _census_child(spec_path: str) -> None:
     """Record every code object under ``spec["record"]`` that each
-    phase's roots run, and each watched option a call bound to a value
-    that is not its default, one record per phase."""
+    phase's roots run, and each watched option a call set, one record
+    per phase."""
     spec = json.loads(Path(spec_path).read_text(encoding="utf-8"))
-    watched = {(file, line, name): options
+    watched = {(file, line, name): {option: ast.literal_eval(default)
+                                    for option, default in options}
                for file, line, name, options in spec["watch"]}
     codes: Dict[int, object] = {}
     # id(code) -> {option: default} of its watched options still unset
@@ -295,7 +327,7 @@ def _census_child(spec_path: str) -> None:
             # At the call event the callee's locals are its arguments.
             arguments = frame.f_locals
             for option, default in list(left.items()):
-                if arguments.get(option, default) is not default:
+                if not _is_default(arguments.get(option, default), default):
                     del left[option]
                     bound.add((code.co_filename, code.co_firstlineno,
                                code.co_name, option))
@@ -357,21 +389,35 @@ class Definition:
     key: Tuple[str, int, str]   # (resolved file, first line, co_name)
     lines: int
     parent: Optional[str]       # enclosing function, or the module
-    #: ``(parameter, default)`` of each parameter defaulting to
-    #: ``None``, ``True`` or ``False``.
-    options: Tuple[Tuple[str, object], ...] = ()
+    #: ``(parameter, default's source)`` of each parameter whose
+    #: default is a literal.
+    options: Tuple[Tuple[str, str], ...] = ()
 
 
-def _options(node: ast.AST) -> Tuple[Tuple[str, object], ...]:
-    """The options of a ``def``: its ``None``/bool-defaulted parameters."""
+#: The types of a literal default besides a tuple (a bool is an int).
+LITERALS = (int, float, complex, str, bytes, type(None))
+
+
+def _literal(node: ast.AST) -> bool:
+    """``node`` is a literal: a number (a negative one too), a string,
+    bytes, ``None``, a bool, or a tuple of literals."""
+    if isinstance(node, ast.Tuple):
+        return all(_literal(element) for element in node.elts)
+    try:
+        return isinstance(ast.literal_eval(node), LITERALS)
+    except (ValueError, TypeError):   # a name, a call, a list, ...
+        return False
+
+
+def _options(node: ast.AST) -> Tuple[Tuple[str, str], ...]:
+    """The options of a ``def``: its parameters with a literal default."""
     args = node.args
     positional = args.posonlyargs + args.args
     pairs = list(zip(positional[len(positional) - len(args.defaults):],
                      args.defaults)) + list(zip(args.kwonlyargs,
                                                 args.kw_defaults))
-    return tuple((arg.arg, default.value) for arg, default in pairs
-                 if isinstance(default, ast.Constant) and (
-                     default.value is None or type(default.value) is bool))
+    return tuple((arg.arg, ast.unparse(default)) for arg, default in pairs
+                 if default is not None and _literal(default))
 
 
 def definitions(root: Path, package: str) -> Dict[str, Definition]:
@@ -694,6 +740,14 @@ def outer():
 
 def scale(x, factor=None, exact=False):
     return x * (factor or 1)
+
+
+def grow(x, rate=1.5, shift=0, unit="km", bounds=(0, 1), floor=-1.0):
+    return (x * rate + shift, unit, bounds, floor)
+
+
+def pace(x, step=1.5):
+    return x * step
 '''
 
 
@@ -710,13 +764,18 @@ def synthetic(tmp_path_factory) -> Census:
     root.write_text(
         "import sys\n"
         f"sys.path.insert(0, {str(workdir)!r})\n"
-        "from synth.shapes import Point, cached, outer, scale\n"
+        "import numpy\n"
+        "from synth.shapes import Point, cached, grow, outer, pace, scale\n"
         "assert Point(2).double == 4\n"
         "assert Point(2).moved(clamp=False) == -2\n"
         "assert cached(1) == 2\n"
         "assert cached(1, negate=True) == -2\n"
         "assert outer() == 0\n"
-        "assert scale(2, factor=3, exact=False) == 6\n", encoding="utf-8")
+        "assert scale(2, factor=3, exact=False) == 6\n"
+        "grow(2, float('1.5'), floor=-1.0)\n"
+        "grow(2, 1.5, 3)\n"
+        "grow(2, unit='m', bounds=(0, 2))\n"
+        "pace(2, numpy.float64(1.5))\n", encoding="utf-8")
     found = definitions(package, "synth")
     (ran, bound), = executed(package.resolve(),
                              [[("script", str(root), {})]], workdir,
@@ -752,9 +811,28 @@ def test_unexecuted_parent_hides_its_children(synthetic):
     ("synth.shapes.Point.moved(clamp)", True),  # a bool option, on a method
     ("synth.shapes.Point.moved(dx)", False),
     ("synth.shapes.cached(negate)", True),      # on a decorated def
+    ("synth.shapes.grow(rate)", False),         # an equal float, built at run
+    ("synth.shapes.grow(floor)", False),        # a negative default, equal
+    ("synth.shapes.grow(shift)", True),         # an int, passed positionally
+    ("synth.shapes.grow(unit)", True),          # a str default, another str
+    ("synth.shapes.grow(bounds)", True),        # a tuple default, another
+    ("synth.shapes.pace(step)", True),          # a numpy scalar, even if equal
 ])
 def test_option_census_bookkeeping(option, set_by_root, synthetic):
     assert (option not in synthetic.unset()) == set_by_root
+
+
+@pytest.mark.parametrize("default,watched", [
+    ("1.5", True), ("-1", True), ("'km'", True), ("b'k'", True),
+    ("None", True), ("True", True), ("(0, (1.5, 'a'))", True),
+    ("[1]", False), ("(0, [1])", False), ("{}", False),
+    ("Plmn(460, 0)", False), ("FIG8_RATES", False), ("-x", False),
+])
+def test_literal_default_is_an_option(default, watched):
+    """Literals, tuples of them and negative numbers are options;
+    containers, calls and names are not."""
+    node = ast.parse(f"def f(x, y={default}):\n    pass\n").body[0]
+    assert _options(node) == ((("y", default),) if watched else ())
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ def system():
 @pytest.fixture()
 def attached(system):
     ue = system.provision_ue(*BEIJING_DEG)
-    system.register(ue)
+    system.register(ue, 0.0)
     system.establish_session(ue, t=0.0)
     return system, ue
 
@@ -129,8 +129,8 @@ class TestResilientRetries:
     def test_clean_register_and_establish(self, system):
         resilient = ResilientSpaceCore(system)
         ue = system.provision_ue(*BEIJING_DEG)
-        reg = resilient.register(ue, t=0.0)
-        est = resilient.establish_session(ue, t=0.0)
+        reg = resilient.register(ue)
+        est = resilient.establish_session(ue)
         for outcome in (reg, est):
             assert outcome.completed and not outcome.abandoned
             assert outcome.attempts == 1

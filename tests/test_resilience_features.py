@@ -11,7 +11,7 @@ class TestFailureRecovery:
     def system_with_session(self):
         system = SpaceCoreSystem(starlink())
         ue = system.provision_ue(39.9, 116.4)
-        system.register(ue)
+        system.register(ue, 0.0)
         system.establish_session(ue, t=0.0)
         return system, ue
 
@@ -43,7 +43,7 @@ class TestFailureRecovery:
     def test_recovery_fails_politely_without_coverage(self):
         system = SpaceCoreSystem(starlink())
         ue = system.provision_ue(39.9, 116.4)
-        system.register(ue)
+        system.register(ue, 0.0)
         system.establish_session(ue, t=0.0)
         # Kill every visible satellite.
         from repro.orbits import snapshot_for

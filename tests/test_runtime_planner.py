@@ -206,7 +206,7 @@ class TestBreakEven:
         sensitivity_sweep(starlink(), workers=2)
         fig7_cpu_breakdown(RASPBERRY_PI_4, workers=2)
         fig8_latency_sweep(workers=2)
-        cohort_observability(workers=2)
+        cohort_observability(20_000, 600.0, 0, 32, workers=2)
         assert [(decision["label"], decision["mode"])
                 for decision in planner_decisions()] == [
             ("sensitivity.grid", "serial"), ("cpu.fig7", "serial"),

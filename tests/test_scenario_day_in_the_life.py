@@ -115,9 +115,8 @@ class TestDayInTheLife:
             sat = system._ue_serving_sat[supi]
         satellite = system.satellite(sat)
         served = satellite.served_session(supi)
-        bytes_up, bytes_down = satellite.usage_report(supi)
         updated = system.home.apply_usage_report(
-            ue, served.state, bytes_up, bytes_down, 1400.0)
+            ue, served.state, satellite.usage_report(supi), 1400.0)
         assert updated.version > served.state.version
         assert ue.replica.version == updated.version
 

@@ -30,7 +30,7 @@ def deployment():
     creds = home.enroll_satellite("sat-1")
     satellite = SpaceCoreSatellite("sat-1", creds)
     ue = home.provision_subscriber(1)
-    home.register(ue, (1, 1), (1, 1))
+    home.register(ue, (1, 1), (1, 1), 0.0)
     return home, satellite, ue
 
 
@@ -61,7 +61,7 @@ class TestAuthenticity:
         home, satellite, ue = deployment
         home.revoke_satellite("sat-1")
         fresh = home.provision_subscriber(2)
-        home.register(fresh, (1, 1), (1, 1))
+        home.register(fresh, (1, 1), (1, 1), 0.0)
         with pytest.raises(FallbackRequired):
             satellite.establish_session_locally(fresh, 0.0,
                                                 home.verify_key)
@@ -80,7 +80,7 @@ class TestAuthorization:
     def test_ue_authorized_for_own_states_only(self, deployment):
         home, _, ue = deployment
         other = home.provision_subscriber(3)
-        home.register(other, (1, 1), (1, 1))
+        home.register(other, (1, 1), (1, 1), 0.0)
         own_key = keygen(home.core.abe_master,
                          ("role:ue", f"supi:{ue.supi}"))
         assert decrypt(own_key, ue.replica.ciphertext)
@@ -152,7 +152,7 @@ class TestReplayAndFreshness:
         session = home.core.smf._sessions[context.session_ids[0]]
         bundle = build_state_bundle(session, context, (1, 1))
         old = ue.replica
-        home.apply_usage_report(ue, bundle, 1000, 1000)
+        home.apply_usage_report(ue, bundle, 2000)
         with pytest.raises(ValueError):
             ue.store_replica(old)
 

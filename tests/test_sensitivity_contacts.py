@@ -55,14 +55,13 @@ class TestSensitivity:
 
 class TestScaling:
     def test_denser_shells_bigger_win(self):
-        points = constellation_scaling(sizes=((6, 11), (36, 20),
-                                              (72, 22)))
+        points = constellation_scaling()
         assert points[0].total_satellites < points[-1].total_satellites
         assert (points[-1].reduction_vs_ntn
                 > points[0].reduction_vs_ntn)
 
     def test_all_sizes_favor_spacecore(self):
-        points = constellation_scaling(sizes=((6, 11), (18, 20)))
+        points = constellation_scaling()
         for point in points:
             assert point.reduction_vs_ntn > 2.0
 

@@ -50,13 +50,10 @@ class TestScheduling:
             sim.schedule(-1.0, lambda: None)
 
     def test_schedule_at_past_rejected(self):
-        sim = Simulator(start_time=10.0)
+        sim = Simulator()
+        sim.run(until=10.0)
         with pytest.raises(ValueError):
             sim.schedule_at(5.0, lambda: None)
-
-    def test_start_time(self):
-        sim = Simulator(start_time=100.0)
-        assert sim.now == 100.0
 
 
 class TestRunControl:

@@ -32,11 +32,10 @@ def topology():
 
 class TestGravityDemand:
     def test_demand_positive_and_normalised(self, topology):
-        demands = gravity_demand(topology, 0.0, top_satellites=10,
-                                 total_demand=500.0)
+        demands = gravity_demand(topology, 0.0, top_satellites=10)
         assert demands
         assert all(d > 0 for _, _, d in demands)
-        assert sum(d for _, _, d in demands) == pytest.approx(500.0)
+        assert sum(d for _, _, d in demands) == pytest.approx(1000.0)
 
     def test_endpoints_are_distinct_satellites(self, topology):
         demands = gravity_demand(topology, 0.0, top_satellites=8)

@@ -63,7 +63,7 @@ class TestNeighborhoodEmulation:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            NeighborhoodEmulation(starlink(), num_ues=0)
+            NeighborhoodEmulation(starlink(), seed=0, num_ues=0)
 
     def test_usage_reports_flow_to_home(self, stats):
         """The S4.4 billing loop runs inside the emulation."""

@@ -72,14 +72,14 @@ class TestTable2Traces:
 
 class TestFailures:
     def test_decay_accumulates(self):
-        series = satellite_decay_series(1584, 24, seed=1)
+        series = satellite_decay_series(1584, 24)
         accumulated = [s.accumulated for s in series]
         assert accumulated == sorted(accumulated)
         assert accumulated[-1] > 0
 
     def test_decay_calibrated_to_one_in_forty(self):
         """S3.3: about 1/40 Starlink satellites failed over ~2 years."""
-        series = satellite_decay_series(10000, 24, seed=2)
+        series = satellite_decay_series(10000, 24)
         fraction = series[-1].accumulated / 10000
         assert fraction == pytest.approx(1 / 40, rel=0.3)
 
@@ -101,10 +101,6 @@ class TestFailures:
         short = procedure_success_probability(4, 0.05)
         long = procedure_success_probability(18, 0.05)
         assert short > long
-
-    def test_retries_help(self):
-        assert (procedure_success_probability(18, 0.05, retries=2)
-                > procedure_success_probability(18, 0.05, retries=0))
 
     @given(st.integers(0, 40), st.floats(0.0, 0.5))
     @settings(max_examples=50)

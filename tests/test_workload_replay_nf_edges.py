@@ -39,34 +39,25 @@ class TestTrace1:
         layers = {e.layer for e in timeline}
         assert {"GMM", "MM", "SM"}.issubset(layers)
 
-    def test_unknown_terminal_rejected(self):
-        with pytest.raises(KeyError):
-            trace1_timeline("china-mobile")
-
 
 class TestReplayCpuSeries:
     def test_series_covers_duration(self):
-        series = replay_cpu_series("tiantong-sc310", 3000,
-                                   duration_s=300.0, window_s=30.0)
-        assert len(series) == 10
+        series = replay_cpu_series("tiantong-sc310", 3000, window_s=30.0)
+        assert len(series) == 20
         assert all(isinstance(s, CpuSample) for s in series)
 
     def test_messages_accounted(self):
-        series = replay_cpu_series("tiantong-sc310", 2000,
-                                   duration_s=200.0, window_s=20.0)
+        series = replay_cpu_series("tiantong-sc310", 2000, window_s=20.0)
         assert sum(s.messages for s in series) == pytest.approx(
             2000, abs=50)
 
     def test_cpu_capped(self):
-        series = replay_cpu_series("china-mobile", 200_000,
-                                   duration_s=60.0, window_s=10.0)
+        series = replay_cpu_series("china-mobile", 200_000, window_s=10.0)
         assert all(0.0 <= s.cpu_percent <= 100.0 for s in series)
 
     def test_heavier_replay_costs_more(self):
-        light = replay_cpu_series("tiantong-sc310", 1000,
-                                  duration_s=300.0)
-        heavy = replay_cpu_series("tiantong-sc310", 20000,
-                                  duration_s=300.0)
+        light = replay_cpu_series("tiantong-sc310", 1000)
+        heavy = replay_cpu_series("tiantong-sc310", 20000)
         assert (sum(s.cpu_percent for s in heavy)
                 > sum(s.cpu_percent for s in light))
 
@@ -88,7 +79,7 @@ class TestNfEdgeCases:
         upf.remove_rule(42)  # must not raise
 
     def test_upf_usage_report_unknown_tunnel(self):
-        assert Upf("u").usage_report(7) == (0, 0)
+        assert Upf("u").usage_report(7) == 0
 
 
 class TestSatelliteQosEnforcement:
@@ -98,7 +89,7 @@ class TestSatelliteQosEnforcement:
         creds = home.enroll_satellite("sat-q")
         satellite = SpaceCoreSatellite("sat-q", creds)
         ue = home.provision_subscriber(9, max_bitrate_up_kbps=8)
-        home.register(ue, (1, 1), (1, 1))
+        home.register(ue, (1, 1), (1, 1), 0.0)
         satellite.establish_session_locally(ue, 0.0, home.verify_key)
         supi = str(ue.supi)
         assert satellite.forward_uplink(supi, 1000, now_s=0.0)
@@ -112,7 +103,7 @@ class TestSatelliteQosEnforcement:
         creds = home.enroll_satellite("sat-r")
         satellite = SpaceCoreSatellite("sat-r", creds)
         ue = home.provision_subscriber(10, max_bitrate_up_kbps=8)
-        home.register(ue, (1, 1), (1, 1))
+        home.register(ue, (1, 1), (1, 1), 0.0)
         satellite.establish_session_locally(ue, 0.0, home.verify_key)
         for _ in range(5):
             assert satellite.forward_uplink(str(ue.supi), 1500)
