@@ -73,7 +73,7 @@ def main() -> None:
     sc_per_day = REPORTS_PER_DAY * sc_flow
     by_per_day = (REPORTS_PER_DAY * by_flow
                   + passes_per_day * by_mobility)
-    print(f"\nSignaling messages per sensor per day:")
+    print("\nSignaling messages per sensor per day:")
     print(f"  SpaceCore (geospatial areas): {sc_per_day:7.0f}  "
           f"({REPORTS_PER_DAY} wakeups x {sc_flow} msgs, 0 mobility)")
     print(f"  Baoyun    (logical areas)   : {by_per_day:7.0f}  "

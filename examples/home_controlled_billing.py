@@ -20,9 +20,6 @@ Run:  python examples/home_controlled_billing.py
 import dataclasses
 
 from repro.core import SpaceCoreSatellite, SpaceCoreHome
-from repro.crypto import decrypt
-from repro.fiveg import SessionState
-from repro.fiveg.nf import Upf
 from repro.fiveg.procedures import build_state_bundle
 from repro.fiveg.qos import QosShaper
 
@@ -37,7 +34,7 @@ def main() -> None:
                                    max_bitrate_down_kbps=100_000)
     session = home.register(ue, (1, 1), (1, 1), 0.0)
     print(f"subscriber {ue.supi}")
-    print(f"  quota 15,000 MB, line rate 100 Mbps")
+    print("  quota 15,000 MB, line rate 100 Mbps")
     print(f"  replica v{ue.replica.version} delegated to the device")
 
     # Localized establishment; the satellite decrypts and installs.

@@ -29,7 +29,7 @@ def main() -> None:
 
     # 1. Provision + register (C1 through the terrestrial home).
     beijing_ue = system.provision_ue(39.9, 116.4)
-    session = system.register(beijing_ue, 0.0)
+    system.register(beijing_ue, 0.0)
     print(f"\n[C1] registered {beijing_ue.supi}")
     print(f"     geospatial IP: {beijing_ue.ip_address}")
     print(f"     cell: {system.cell_of(beijing_ue)}")

@@ -13,7 +13,6 @@ Run:  python examples/space_terrestrial_integration.py
 """
 
 from repro.core import (
-    AccessDomain,
     IntegratedAccessManager,
     SpaceCoreSystem,
     TerrestrialBaseStation,

@@ -415,24 +415,17 @@ def _place_ues(system: SpaceCoreSystem, scenario: ChaosScenario):
 # Compute-degradation latency coupling (hardware model made live)
 # ---------------------------------------------------------------------------
 
-_PENALTY_FLOW_CACHE: Dict[str, Tuple[list, frozenset]] = {}
-
-
 def _penalty_flow(system_kind: str) -> Tuple[list, frozenset]:
     """(flow, on-board roles) whose processing a derating stretches."""
-    cached = _PENALTY_FLOW_CACHE.get(system_kind)
-    if cached is None:
-        from ..baselines.solutions import spacecore
-        if system_kind == "spacecore":
-            solution = spacecore()
-            flow = solution.flow(ProcedureKind.SESSION_ESTABLISHMENT)
-        else:
-            solution = fiveg_ntn()
-            flow = (solution.flow(ProcedureKind.INITIAL_REGISTRATION)
-                    + solution.flow(ProcedureKind.SESSION_ESTABLISHMENT))
-        cached = (flow, solution.on_board)
-        _PENALTY_FLOW_CACHE[system_kind] = cached
-    return cached
+    from ..baselines.solutions import spacecore
+    if system_kind == "spacecore":
+        solution = spacecore()
+        flow = solution.flow(ProcedureKind.SESSION_ESTABLISHMENT)
+    else:
+        solution = fiveg_ntn()
+        flow = (solution.flow(ProcedureKind.INITIAL_REGISTRATION)
+                + solution.flow(ProcedureKind.SESSION_ESTABLISHMENT))
+    return flow, solution.on_board
 
 
 def compute_degradation_penalty_s(system_kind: str, factor: float,

@@ -143,7 +143,7 @@ def compare_ideal_vs_j4(constellation: Constellation,
 
 @dataclass(frozen=True)
 class RelaySweepStats:
-    """One epoch-sweep relay run plus its table-reuse accounting."""
+    """One epoch-sweep relay run plus its table-build accounting."""
 
     constellation: str
     propagator: str
@@ -162,8 +162,10 @@ def relay_sweep_stats(constellation: Constellation,
     plane did.
 
     The report's routing section uses this to show the epoch-sweep
-    path working: exactly one next-hop table build per distinct epoch
-    (``routing.table_builds``) no matter how often the sweep repeats.
+    path working: exactly one next-hop table build per routed epoch
+    (``routing.table_builds``) in the one sweep it runs.  The router
+    keeps only its last table, so a repeated sweep would build them
+    all again.
     """
     metrics = MetricsRegistry()
     router = relay_router(constellation, "ideal", metrics=metrics)

@@ -34,11 +34,10 @@ class TemporalSample:
 
 def satellite_ground_track_load(
         constellation: Constellation,
-        capacity: int,
-        step_s: float = 60.0
+        capacity: int
         ) -> List[TemporalSample]:
     """Signaling and state-transmission load along one ground track:
-    satellite (0, 0) over 6000 s.
+    satellite (0, 0) over 6000 s, sampled every 120 s.
 
     ``signaling_per_s`` counts the messages the satellite handles for
     its own users (Fig. 12 left); ``state_tx_per_s`` counts the state
@@ -79,7 +78,7 @@ def satellite_ground_track_load(
             signaling_per_s=users * per_user_msgs,
             state_tx_per_s=users * per_user_states,
         ))
-        t += step_s
+        t += 120.0
     return samples
 
 

@@ -137,7 +137,7 @@ class GeospatialCellGrid:
         return (EARTH_RADIUS_KM * EARTH_RADIUS_KM * jacobian
                 * self.delta_alpha * self.delta_gamma)
 
-    def cell_size_statistics(self, samples: int = 40000) -> CellStatistics:
+    def cell_size_statistics(self, samples: int) -> CellStatistics:
         """Monte-Carlo estimate of min/max/avg non-empty cell footprints.
 
         Points are drawn uniformly on the sphere and attributed via

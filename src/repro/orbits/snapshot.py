@@ -33,6 +33,7 @@ marked dead, which is what lets routing under faults share the cache.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple
@@ -46,7 +47,6 @@ from .propagator import IdealPropagator
 __all__ = [
     "ConstellationSnapshot",
     "snapshot_for",
-    "snapshots_for",
     "clear_snapshot_cache",
     "snapshot_cache_info",
     "serving_satellites",
@@ -224,9 +224,6 @@ def chord_lengths_km(positions: np.ndarray, a: np.ndarray,
 #: Direction-name -> column index of :func:`grid_neighbor_table`.
 GRID_DIRECTIONS: Tuple[str, str, str, str] = ("up", "down", "left", "right")
 
-_NEIGHBOR_TABLES: "OrderedDict[Tuple[int, int], np.ndarray]" = OrderedDict()
-_NEIGHBOR_TABLE_CACHE_SIZE = 16
-
 
 def grid_neighbor_table(constellation: Constellation) -> np.ndarray:
     """The +Grid wiring as an ``(N, 4)`` int32 table.
@@ -238,12 +235,12 @@ def grid_neighbor_table(constellation: Constellation) -> np.ndarray:
     The wiring depends only on the grid shape ``(num_planes,
     sats_per_plane)``, so tables are memoised per shape.
     """
-    key = (constellation.num_planes, constellation.sats_per_plane)
-    table = _NEIGHBOR_TABLES.get(key)
-    if table is not None:
-        _NEIGHBOR_TABLES.move_to_end(key)
-        return table
-    num_planes, sats_per_plane = key
+    return _grid_wiring(constellation.num_planes,
+                        constellation.sats_per_plane)
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_wiring(num_planes: int, sats_per_plane: int) -> np.ndarray:
     planes = np.repeat(np.arange(num_planes), sats_per_plane)
     slots = np.tile(np.arange(sats_per_plane), num_planes)
     base = planes * sats_per_plane
@@ -253,9 +250,6 @@ def grid_neighbor_table(constellation: Constellation) -> np.ndarray:
     table[:, 2] = ((planes - 1) % num_planes) * sats_per_plane + slots
     table[:, 3] = ((planes + 1) % num_planes) * sats_per_plane + slots
     table.setflags(write=False)
-    _NEIGHBOR_TABLES[key] = table
-    while len(_NEIGHBOR_TABLES) > _NEIGHBOR_TABLE_CACHE_SIZE:
-        _NEIGHBOR_TABLES.popitem(last=False)
     return table
 
 
@@ -266,11 +260,6 @@ def grid_neighbor_table(constellation: Constellation) -> np.ndarray:
 _cache: "OrderedDict[Tuple[int, float], ConstellationSnapshot]" = OrderedDict()
 _hits = 0
 _misses = 0
-#: Effective cache capacity.  Starts at :data:`SNAPSHOT_CACHE_SIZE`
-#: and only ever grows: epoch sweeps wider than the default capacity
-#: (see :func:`snapshots_for`) raise it so a sweep's second pass hits
-#: instead of rebuilding every epoch it just visited.
-_capacity = SNAPSHOT_CACHE_SIZE
 
 
 def snapshot_for(propagator: IdealPropagator,
@@ -292,36 +281,18 @@ def snapshot_for(propagator: IdealPropagator,
     snap = ConstellationSnapshot(propagator, t)
     _cache[key] = snap
     _cache.move_to_end(key)
-    while len(_cache) > _capacity:
+    while len(_cache) > SNAPSHOT_CACHE_SIZE:
         _cache.popitem(last=False)
     _misses += 1
     return snap
 
 
-def snapshots_for(propagator: IdealPropagator,
-                  times: Sequence[float]) -> List[ConstellationSnapshot]:
-    """Sweep-friendly prefetch: the snapshot of every epoch in ``times``.
-
-    Functionally just ``[snapshot_for(propagator, t) for t in times]``
-    -- every snapshot comes from (and lands in) the same LRU -- but a
-    sweep wider than the cache capacity first *grows* the capacity to
-    cover itself, so routing an orbital period in one pass can never
-    evict the epochs it is about to revisit.  The capacity only grows
-    (snapshots are ~60 KB; a sweep-sized cache is a few MB at worst).
-    """
-    global _capacity
-    if len(times) > _capacity:
-        _capacity = len(times)
-    return [snapshot_for(propagator, t) for t in times]
-
-
 def clear_snapshot_cache() -> None:
     """Drop every cached snapshot (mainly for tests and benchmarks)."""
-    global _hits, _misses, _capacity
+    global _hits, _misses
     _cache.clear()
     _hits = 0
     _misses = 0
-    _capacity = SNAPSHOT_CACHE_SIZE
 
 
 def snapshot_cache_info() -> Tuple[int, int, int]:

@@ -17,18 +17,14 @@ work units across workers.  This package is that spine:
   prefix that is the fan-out's own cost estimate, one heavy/light bit
   per label, fixed chunking, with every decision logged;
 * :mod:`.memo` -- shard-local memoization of expensive pure inputs
-  (mean ISL hops to a gateway, dwell times) so workers never recompute
-  topology per design point;
+  (mean ISL hops to a gateway) so workers never recompute topology per
+  design point;
 * :mod:`.cohort` -- a vectorized UE-cohort signaling engine that makes
   a 1M-UE load point O(cohorts) instead of O(users).
 """
 
 from .cohort import CohortStats, UECohortEngine
-from .memo import (
-    cached_dwell_time_s,
-    clear_shard_caches,
-    shard_memoized,
-)
+from .memo import clear_shard_caches, shard_memoized
 from .parallel import (
     WORKERS_ENV_VAR,
     get_shared,
@@ -45,7 +41,6 @@ __all__ = [
     "PLANNER_ENV_VAR",
     "UECohortEngine",
     "WORKERS_ENV_VAR",
-    "cached_dwell_time_s",
     "clear_shard_caches",
     "get_shared",
     "planner_decisions",

@@ -29,7 +29,7 @@ import numpy as np
 from ..constants import RRC_INACTIVITY_TIMEOUT_S, SESSION_INTERARRIVAL_S
 from ..fiveg.messages import ProcedureKind
 from ..obs.metrics import MetricsRegistry
-from .memo import cached_dwell_time_s
+from ..orbits.coverage import mean_dwell_time_s
 from .parallel import seed_for
 
 #: Default cohort count: fine enough that Poisson sampling noise per
@@ -105,7 +105,7 @@ class UECohortEngine:
         self.seed = seed
         self.session_interval_s = session_interval_s
         self.rrc_timeout_s = rrc_timeout_s
-        self.dwell_s = cached_dwell_time_s(constellation)
+        self.dwell_s = mean_dwell_time_s(constellation)
         #: Optional observability sink mirroring :class:`CohortStats`
         #: as mergeable ``cohort.*`` series.
         self.metrics = metrics

@@ -2,13 +2,12 @@
 
 A sharded sweep hands each worker a stream of design points that share
 most of their expensive inputs: the multi-source Dijkstra behind
-``mean_hops_to_ground``, the coverage-transient dwell time, the epoch
-snapshot of a constellation.  All of those are pure functions of
-hashable arguments, so each worker process keeps a private cache and
-computes each distinct input once -- "shard-local" because the caches
-live in module state, which every forked/spawned worker owns
-separately (and the pre-fork parent's warm cache is inherited for
-free on fork platforms).
+``mean_hops_to_ground`` and the epoch snapshot of a constellation.
+Both are pure functions of hashable arguments, so each worker process
+keeps a private cache and computes each distinct input once --
+"shard-local" because the caches live in module state, which every
+forked/spawned worker owns separately (and the pre-fork parent's warm
+cache is inherited for free on fork platforms).
 """
 
 from __future__ import annotations
@@ -35,15 +34,8 @@ def clear_shard_caches() -> None:
     """
     for cached in _MEMOIZED:
         cached.cache_clear()
-    # The epoch-keyed constellation snapshot LRU is the third expensive
+    # The epoch-keyed constellation snapshot LRU is the other expensive
     # pure input; it predates this module but is shard-local in exactly
     # the same sense.
     from ..orbits.snapshot import clear_snapshot_cache
     clear_snapshot_cache()
-
-
-@shard_memoized
-def cached_dwell_time_s(constellation) -> float:
-    """Shard-local :func:`repro.orbits.coverage.mean_dwell_time_s`."""
-    from ..orbits.coverage import mean_dwell_time_s
-    return mean_dwell_time_s(constellation)

@@ -50,10 +50,11 @@ reads, one copy per fact: the ``(N, 4)`` wiring
 (``GridTopology.edge_liveness()``, per fault epoch).  A
 :class:`NextHopTable` holds those by reference, plus the few arrays
 only the compiled walk wants (unit vectors, per-edge delays), for one
-``(epoch, fault_epoch)`` in a small LRU.  Every fault mutation bumps
-``fault_epoch``, so a table built before a fault is never looked up
-after it; the epoch only grows, so a miss also drops the tables of
-older epochs, which can never hit again.
+``(epoch, fault_epoch)``.  The router keeps only the last table it
+built: the CLI, the examples and the bench workloads ask for the
+table just built or for a new one, never for an older one.  Every
+fault mutation bumps ``fault_epoch``, so a table built before a fault
+is never looked up after it.
 
 Chunks on threads
 =================
@@ -73,9 +74,7 @@ engine probes offered load over a horizon -- go through
 :meth:`BatchGeoRouter.route_sweep`: packets carry per-element epochs,
 are grouped by epoch, and each epoch's wave routes in one
 ``route_batch``-equivalent call with the results scattered back in
-input order.  The table LRU (and the snapshot LRU underneath it) is
-sized to the sweep up front, so one table build per distinct epoch
-serves the whole sweep and every repeat of it.
+input order, one table build per distinct epoch.
 """
 
 from __future__ import annotations
@@ -84,7 +83,6 @@ import ctypes
 import math
 import mmap
 from array import array
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -96,7 +94,6 @@ from ..orbits.snapshot import (
     ConstellationSnapshot,
     grid_neighbor_table,
     snapshot_for,
-    snapshots_for,
 )
 from ._walk_kernel import load_kernel
 from .grid import GridTopology
@@ -131,9 +128,6 @@ _CHUNK_PACKETS = 65536
 #: huge pages (its allocator's threshold).
 _HUGE_PAGE_ARRAY = 1 << 22
 
-#: Next-hop tables kept per router until a sweep asks for more.
-_TABLE_CACHE_SIZE = 8
-
 #: Half-width of the guard band (in cosine space) around the coverage
 #: threshold inside which the compiled walk's dot-product screen defers
 #: to the exact scalar haversine.  Both formulas agree with the true
@@ -148,7 +142,7 @@ class NextHopTable:
 
     Coordinates, wiring and hop lengths come from the epoch snapshot
     and the shell shape; ``edge_up`` is the fault epoch's mask, held by
-    reference, which is why the cache key includes the fault epoch.
+    reference, which is why a table serves only its own fault epoch.
     """
 
     __slots__ = ("snapshot", "fault_epoch", "neighbors", "hop_km",
@@ -365,9 +359,8 @@ class BatchGeoRouter:
         self._wiring = grid_neighbor_table(topology.constellation)
         #: The wiring as nested lists, for decoding resumed walks.
         self._wiring_rows = self._wiring.tolist()
-        self._table_cache_size = _TABLE_CACHE_SIZE
-        self._tables: "OrderedDict[Tuple[float, int], NextHopTable]" = (
-            OrderedDict())
+        #: The last table built, the only one any caller asks for again.
+        self._last: Optional[NextHopTable] = None
         c = topology.constellation
         #: Full-torus Walker shells (delta-RAAN spans the whole circle,
         #: e.g. Starlink/Kuiper deltas) admit a strict-decrease
@@ -388,30 +381,23 @@ class BatchGeoRouter:
             min(inclination, math.pi - inclination),
             math.sin(inclination), math.cos(inclination))
 
-    # -- table cache ---------------------------------------------------------
+    # -- table slot ----------------------------------------------------------
 
     def _count(self, name: str, amount: int = 1, **labels: object) -> None:
         if self.metrics is not None and amount:
             self.metrics.counter(name, **labels).inc(amount)
 
     def _table(self, t: float) -> NextHopTable:
-        fault_epoch = self.topology.fault_epoch
-        key = (float(t), fault_epoch)
-        table = self._tables.get(key)
-        if table is not None:
-            self._tables.move_to_end(key)
+        table = self._last
+        if (table is not None and table.snapshot.t == float(t)
+                and table.fault_epoch == self.topology.fault_epoch):
             self._count("routing.table_cache_hits")
             return table
-        for stale in [k for k in self._tables if k[1] < fault_epoch]:
-            del self._tables[stale]
         self._count("routing.table_cache_misses")
         self._count("routing.table_builds")
         snapshot = snapshot_for(self.topology.propagator, t)
-        table = NextHopTable(snapshot, self.topology)
-        self._tables[key] = table
-        while len(self._tables) > self._table_cache_size:
-            self._tables.popitem(last=False)
-        return table
+        self._last = NextHopTable(snapshot, self.topology)
+        return self._last
 
     def _check_sources(self, src_sats: Sequence[int]) -> np.ndarray:
         """``src_sats`` as a contiguous int64 array, or ``ValueError``.
@@ -530,13 +516,9 @@ class BatchGeoRouter:
         ts[i])`` exactly, which is what the serial-vs-sweep
         equivalence suite asserts.
 
-        The table LRU is sized to the sweep before the first wave
-        routes: a 24-epoch sweep over the default 8-entry cache would
-        otherwise evict every table it builds before a second pass
-        (a repeated sweep, or the scalar fallback of a later epoch)
-        could reuse it.  The capacity only grows, and sweeps that
-        revisit their epochs rebuild nothing (``routing.table_builds``
-        counts exactly one build per distinct ``(t, fault_epoch)``).
+        Each distinct epoch builds its table once
+        (``routing.table_builds``), and the router keeps only the
+        last, so a repeated sweep builds every table again.
         """
         src = self._check_sources(src_sats)
         dlat = np.ascontiguousarray(np.asarray(dest_lats, dtype=float))
@@ -556,15 +538,6 @@ class BatchGeoRouter:
             return BatchRouteResult(0, self._wiring)
         epochs, inverse = np.unique(t_arr, return_inverse=True)
         self._count("routing.sweep_epochs", int(epochs.size))
-        if int(epochs.size) > self._table_cache_size:
-            self._table_cache_size = int(epochs.size)
-        # Build every epoch's snapshot up front through the
-        # sweep-sized prefetch, so neither the table builds below nor
-        # the scalar fallbacks inside them can thrash the snapshot LRU
-        # on sweeps wider than its default capacity.
-        snapshots_for(self.topology.propagator,
-                      [float(t) for t in epochs])
-
         out = BatchRouteResult(n, self._wiring)
         for k in range(epochs.size):
             sel = np.nonzero(inverse == k)[0]
@@ -594,9 +567,10 @@ class BatchGeoRouter:
         """
         ts_list = [float(t) for t in ts]
         n = len(ts_list)
-        snaps = snapshots_for(self.topology.propagator, ts_list)
+        propagator = self.topology.propagator
         src_sats = np.fromiter(
-            (snap.serving_satellite(src[0], src[1]) for snap in snaps),
+            (snapshot_for(propagator, t).serving_satellite(src[0], src[1])
+             for t in ts_list),
             dtype=np.int64, count=n)
         routed = np.nonzero(src_sats >= 0)[0]
         wave = self.route_sweep(

@@ -304,12 +304,11 @@ class TestBatchRouterMechanics:
                 int(src[i]), float(lats[i]), float(lons[i]), 0.0).path
 
     def test_table_cache_invalidated_by_fault_events(self):
-        """The cache is correct by its ``(t, fault_epoch)`` key alone.
+        """The table slot is correct by its ``(t, fault_epoch)`` alone.
 
         Route, fail, route, recover, route at one epoch ``t``: every
-        wave equals the scalar walk, each fault state builds its own
-        table, and a lookup leaves no table of an older fault epoch
-        resident.
+        wave equals the scalar walk, and each fault state builds its
+        own table, the recovered one included.
         """
         from repro.obs.metrics import MetricsRegistry
         topo = _topology("square")
@@ -320,7 +319,6 @@ class TestBatchRouterMechanics:
         def wave():
             batch = router.route_batch(src, lats, lons, 0.0)
             assert_bit_equal(batch, router.scalar, src, lats, lons, 0.0)
-            assert len(router._tables) == 1
             return batch
 
         before = wave()
@@ -338,6 +336,30 @@ class TestBatchRouterMechanics:
             == [before.result(i) for i in range(len(before))]
         counters = metrics.snapshot()["counters"]
         assert counters["routing.table_builds"] == 3
+        assert "routing.table_cache_hits" not in counters
+
+    def test_table_slot_serves_only_the_last_table(self):
+        """One table is kept: a repeat wave at the same ``(t,
+        fault_epoch)`` hits and builds nothing, a new epoch builds, and
+        going back to an earlier epoch builds that table again."""
+        from repro.obs.metrics import MetricsRegistry
+        topo = _topology("square")
+        metrics = MetricsRegistry()
+        router = BatchGeoRouter(topo, metrics=metrics)
+        src, lats, lons = _wave(topo.constellation, 8, seed=5)
+
+        def counts():
+            counters = metrics.snapshot()["counters"]
+            return (counters.get("routing.table_builds", 0),
+                    counters.get("routing.table_cache_hits", 0),
+                    counters.get("routing.table_cache_misses", 0))
+
+        for t, expected in ((0.0, (1, 0, 1)), (0.0, (1, 1, 1)),
+                            (60.0, (2, 1, 2)), (60.0, (2, 2, 2)),
+                            (0.0, (3, 2, 3))):
+            batch = router.route_batch(src, lats, lons, t)
+            assert_bit_equal(batch, router.scalar, src, lats, lons, t)
+            assert counts() == expected, t
 
     def test_routing_metrics_counters(self):
         from repro.obs.metrics import MetricsRegistry, merge_snapshots
@@ -1062,33 +1084,6 @@ class TestEpochSweepEquivalence:
         with pytest.raises(ValueError):
             router.route_sweep([0, 1], [0.0, 0.0], [0.0, 0.0], [0.0])
 
-    def test_sweep_sizes_table_cache_to_epochs(self):
-        """A 24-epoch sweep must not thrash the default 8-entry LRU.
-
-        Regression for the second-pass rebuild bug: with the default
-        cache the sweep evicted every table it built, so repeating the
-        sweep (the second propagator leg of Fig. 18b, a timing repeat)
-        rebuilt all 24.  Sized to the sweep, the repeat is all hits.
-        """
-        from repro.obs.metrics import MetricsRegistry
-        topo = _topology("square")
-        metrics = MetricsRegistry()
-        router = BatchGeoRouter(topo, metrics=metrics)
-        src, lats, lons, ts = _sweep_wave(topo.constellation, 96,
-                                          epochs=24, seed=37,
-                                          spacing_s=120.0)
-        router.route_sweep(src, lats, lons, ts)
-        counters = metrics.snapshot()["counters"]
-        assert counters["routing.table_builds"] == 24
-        assert counters["routing.sweeps"] == 1
-        assert counters["routing.sweep_epochs"] == 24
-        assert len(router._tables) == 24
-        # Second pass: every epoch's table is still resident.
-        router.route_sweep(src, lats, lons, ts)
-        counters = metrics.snapshot()["counters"]
-        assert counters["routing.table_builds"] == 24
-        assert counters["routing.table_cache_hits"] >= 24
-
     def test_sweep_trials_matches_scalar_relay_loop(self):
         """sweep_trials == the retired snapshot+route per-epoch loop,
         including epochs whose ground source is uncovered."""
@@ -1125,9 +1120,9 @@ class TestSweepAcrossAFault:
     @both_engines
     def test_fault_between_two_sweeps_rebuilds_every_epoch(self, engine):
         """Sweep E epochs, fail a satellite on a packet's path, sweep the
-        same epochs again: exactly E more table builds, every resident
-        table is of the new fault epoch, and every element equals the
-        reference walk under the new fault state."""
+        same epochs again: E table builds per sweep, 2E in all, and
+        every element equals the reference walk under its fault
+        state."""
         from repro.obs.metrics import MetricsRegistry
         topo = _topology("starlink")
         metrics = MetricsRegistry()
@@ -1136,16 +1131,17 @@ class TestSweepAcrossAFault:
         src, lats, lons, ts = _sweep_wave(topo.constellation, 64,
                                           epochs=epochs, seed=41)
         before = router.route_sweep(src, lats, lons, ts)
-        builds = metrics.snapshot()["counters"]["routing.table_builds"]
-        assert builds == epochs
+        assert_sweep_bit_equal(before, GeospatialRouter(topo), src, lats,
+                               lons, ts)
+        counters = metrics.snapshot()["counters"]
+        assert counters["routing.table_builds"] == epochs
+        assert counters["routing.sweeps"] == 1
+        assert counters["routing.sweep_epochs"] == epochs
         victim = max(_paths(before), key=len)[1]
         topo.fail_satellite(victim)
         after = router.route_sweep(src, lats, lons, ts)
         counters = metrics.snapshot()["counters"]
-        assert counters["routing.table_builds"] == builds + epochs
-        assert len(router._tables) == epochs
-        assert all(table.fault_epoch == topo.fault_epoch
-                   for table in router._tables.values())
+        assert counters["routing.table_builds"] == 2 * epochs
         assert_sweep_bit_equal(after, GeospatialRouter(topo), src, lats,
                                lons, ts)
         assert all(victim not in path for path in _paths(after))
