@@ -15,17 +15,17 @@ It models Algorithm 1's preferred-direction walk only; a packet that
 needs anything else (deflection, seam revisit, a path longer than the
 caller's per-packet cap) is flagged, with the prefix walked so far
 (moves, delay, distance, length) written out.  The reference walk
-takes the one hop the flag is about (the deflection, or the packet's
-drop or delivery), and this walk *resumes* the one hop longer prefix,
-handed back as its node list, in the same hop loop, up to the next
-flag.  Every prefix is the one the reference walk would have walked
-itself, bit for bit, so the turns add up to its route.  A path is
-written as its moves: one byte per hop, the ``grid_neighbor_table``
-column taken, each packet's moves right after the previous packet's,
-so a chunk's paths take one byte per hop walked, not per hop of
-capacity.  The source node is the packet's own input, and the nodes
-the seam-revisit check reads (a resumed prefix's included) live in a
-per-packet buffer on the stack.  ``decode_paths`` turns the flagged
+takes the run of deflection hops from the flag (or the packet's drop
+or delivery) up to the next preferred-direction hop, and this walk
+*resumes* the longer prefix, handed back as its node list, in the same
+hop loop, up to the next flag.  Every prefix is the one the reference
+walk would have walked itself, bit for bit, so the turns add up to its
+route.  A path is written as its moves: one byte per hop, the
+``grid_neighbor_table`` column taken, each packet's moves right after
+the previous packet's, so a chunk's paths take one byte per hop
+walked, not per hop of capacity.  The source node is the packet's own
+input, and the nodes the seam-revisit check reads (a resumed prefix's
+included) live in a per-packet buffer on the stack.  ``decode_paths`` turns the flagged
 packets' moves back into node paths, all of them in one call, for the
 reference walk's first turn.
 

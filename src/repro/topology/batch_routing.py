@@ -9,16 +9,17 @@ loop over shared per-epoch arrays that replays the reference
 arithmetic operation for operation and *flags* any packet that needs
 a path it does not model.  :meth:`BatchGeoRouter.route_batch` runs the
 compiled walk over the wave, and then the two walks take turns on each
-flagged packet: the reference walk takes the one hop at the flag (the
-deflection, or the drop or delivery verdict) from the prefix the
-compiled walk handed over, and the compiled walk resumes the one hop
-longer prefix up to its next flag, round after round over the
-packets still flagged.  Every prefix is the reference walk's own bit
-for bit, so only the deflection hops run in Python; a prefix at the
-compiled walk's 64-node cap is walked to its end in Python.  On a
-host without the compiled walk (no C compiler, failed build,
-``REPRO_NO_CKERNEL``) the whole wave takes the reference walk from the
-source.  Either way each packet's
+flagged packet: from the prefix the compiled walk handed over, the
+reference walk takes a *deflection run* (the hop at the flag and every
+hop after it that leaves Algorithm 1's preferred direction, or the
+drop or delivery verdict), and the compiled walk resumes the longer
+prefix up to its next flag, round after round over the packets still
+flagged.  Every prefix is the reference walk's own bit for bit, so
+only the deflection hops run in Python; a prefix at or past the
+compiled walk's 64-node cap stays with the reference walk to its
+verdict.  On a host without the compiled walk (no C compiler, failed
+build, ``REPRO_NO_CKERNEL``) the whole wave takes the reference walk
+from the source.  Either way each packet's
 ``route_batch(...).result(i)`` is identical (path, verdict, delay,
 distance) to ``GeospatialRouter.route`` on that packet, which is what
 the equivalence suite asserts on both lanes.
@@ -84,7 +85,8 @@ import math
 import mmap
 from array import array
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -430,11 +432,11 @@ class BatchGeoRouter:
         The compiled walk routes the wave against the epoch's next-hop
         table; each packet it flags (deflection, seam revisit, path
         longer than its cap) then alternates between the reference
-        walk, for the hop at the flag, and the compiled walk, up to
-        the next flag (:meth:`_hand_off`).  Without a
-        compiled walk the reference walk routes the whole wave, with
-        the same results and the same ``fallback`` mask (see the
-        module docstring).  Raises ``ValueError`` before any routing
+        walk, for the run of deflection hops from the flag, and the
+        compiled walk, up to the next flag (:meth:`_hand_off`).
+        Without a compiled walk the reference walk routes the whole
+        wave, with the same results and the same ``fallback`` mask
+        (see the module docstring).  Raises ``ValueError`` before any routing
         on mismatched shapes, a source outside
         :data:`~repro.topology.routing.SOURCE_CONTRACT`, a destination
         outside :data:`~repro.topology.routing.DESTINATION_CONTRACT`
@@ -678,22 +680,10 @@ class BatchGeoRouter:
         """
         flagged = (np.arange(len(out)) if kernel is None
                    else np.nonzero(out.fallback)[0])
-        # Each settled packet's verdict, in settling order, written to
-        # ``out`` in one pass at the end.
-        done, reached, low = array("q"), array("B"), array("B")
-        delays, distances = array("d"), array("d")
-        nodes, lengths = array("i"), array("i")
-
-        def settle(index: int, delivered: int, degraded: int, delay: float,
-                   distance: float, path: List[int]) -> None:
-            done.append(index)
-            reached.append(delivered)
-            low.append(degraded)
-            delays.append(delay)
-            distances.append(distance)
-            nodes.extend(path)
-            lengths.append(len(path))
-
+        # Each settled packet's ``(index, delivered, degraded, delay,
+        # distance, path)``, in settling order, written to ``out`` in
+        # one pass at the end.
+        settled: List[Tuple[int, bool, bool, float, float, List[int]]] = []
         # A chunk of flagged packets at a time: their inputs are read
         # as Python lists, which bounds those lists' memory.
         for lo in range(0, flagged.size, _CHUNK_PACKETS):
@@ -704,27 +694,32 @@ class BatchGeoRouter:
                 for index, source, lat, lon in packets:
                     result = self.scalar.route(source, lat, lon, t)
                     out.fallback[index] = result.deflected
-                    settle(index, result.delivered, result.degraded,
-                           result.delay_s, result.distance_km, result.path)
+                    settled.append((index, result.delivered,
+                                    result.degraded, result.delay_s,
+                                    result.distance_km, result.path))
                 continue
             walks = [(packet, RouteResult(False, path, delay, distance))
                      for packet, (path, delay, distance) in zip(
                          packets, self._walked(kernel, out, part))]
             while walks:
-                walks = self._hand_off(kernel, table, walks, t, settle)
-        sel = np.frombuffer(done, dtype=np.int64)
-        out.delivered[sel] = np.frombuffer(reached, dtype=np.uint8)
-        out.degraded[sel] = np.frombuffer(low, dtype=np.uint8)
-        out.delay_s[sel] = np.frombuffer(delays)
-        out.distance_km[sel] = np.frombuffer(distances)
-        # The settled paths are encoded in one pass and go to the tail
-        # in one copy; a continued packet's compiled-walk slot is left
-        # unclaimed.
-        counts = np.frombuffer(lengths, dtype=np.intc)
-        hops = np.maximum(counts - 1, 0)
-        out._append(sel, _encode_moves(
-            self._wiring, np.frombuffer(nodes, dtype=np.intc), counts),
-            np.cumsum(hops, dtype=np.int64) - hops, counts)
+                walks = self._hand_off(kernel, table, walks, t, settled)
+        if settled:
+            done, reached, low, delays, distances, paths = zip(*settled)
+            sel = np.array(done, dtype=np.int64)
+            out.delivered[sel] = reached
+            out.degraded[sel] = low
+            out.delay_s[sel] = delays
+            out.distance_km[sel] = distances
+            # The settled paths are encoded in one pass and go to the
+            # tail in one copy; a continued packet's compiled-walk slot
+            # is left unclaimed.
+            counts = np.fromiter(map(len, paths), dtype=np.intc,
+                                 count=len(paths))
+            nodes = np.fromiter(chain.from_iterable(paths), dtype=np.intc,
+                                count=int(counts.sum()))
+            hops = np.maximum(counts - 1, 0)
+            out._append(sel, _encode_moves(self._wiring, nodes, counts),
+                        np.cumsum(hops, dtype=np.int64) - hops, counts)
         self._count("routing.scalar_fallbacks",
                     int(np.count_nonzero(out.fallback)))
         return out
@@ -732,35 +727,44 @@ class BatchGeoRouter:
     def _hand_off(self, kernel: ctypes.CDLL, table: NextHopTable,
                   walks: List[Tuple[Tuple[int, int, float, float],
                                     RouteResult]],
-                  t: float, settle: Callable[..., None]
+                  t: float, settled: List[Tuple]
                   ) -> List[Tuple[Tuple[int, int, float, float],
                                   RouteResult]]:
-        """One turn of each walk in ``walks``, ``(index, source, lat,
-        lon)`` packets with the prefix each has walked.
+        """One round over ``walks``, ``(index, source, lat, lon)``
+        packets with the prefix each has walked.
 
-        The reference walk takes the hop the compiled walk flagged: one
-        hop (``hops=1``), the deflection Algorithm 1 decides there, or
-        the packet's delivery or drop, which ``settle`` records.  A
-        prefix at the compiled walk's 64-node cap is walked to its end
-        instead.  The compiled walk then resumes every packet still
+        The reference walk takes each packet's turn from its prefix
+        (``route(..., walked=prefix)``): the hop the compiled walk
+        flagged and every deflection hop after it, up to the next
+        preferred-direction hop, or the packet's verdict, which goes to
+        ``settled``.  A turn that takes no hop is a drop, and one that
+        spends ``max_hops`` is the budget's verdict.  A prefix of the
+        compiled walk's 64 nodes or more is outside its node buffer,
+        so the reference walk takes turns on it until its verdict.  The compiled walk then resumes every packet still
         walking, over the same ``table``, up to its next flag,
         delivery or ``max_hops``.  Returns the packets it flagged
         again, each with its longer prefix; each prefix is the
         reference walk's own, so the turns add up to its whole route.
         """
         cap = self._cap
+        last = self.max_hops + 1
         route = self.scalar.route
         resumed = []
         for packet, walked in walks:
             index, source, lat, lon = packet
-            budget = 1 if len(walked.path) < cap else None
-            result = route(source, lat, lon, t, walked=walked, hops=budget)
-            if (budget is None or result.delivered
-                    or len(result.path) == len(walked.path)):
-                settle(index, result.delivered, result.degraded,
-                       result.delay_s, result.distance_km, result.path)
-            else:
-                resumed.append((packet, result))
+            while True:
+                result = route(source, lat, lon, t, walked=walked)
+                length = len(result.path)
+                if (result.delivered or length == len(walked.path)
+                        or length == last):
+                    settled.append((index, result.delivered,
+                                    result.degraded, result.delay_s,
+                                    result.distance_km, result.path))
+                    break
+                if length < cap:
+                    resumed.append((packet, result))
+                    break
+                walked = result
         if not resumed:
             return []
         # The compiled walk resumes every prefix from its last node; its
@@ -783,7 +787,8 @@ class BatchGeoRouter:
                    tuple(map(_address, (delivered, degraded, again, delay,
                                         distance, lengths, moves))))
         # Each resumed prefix grows by the moves the compiled walk took,
-        # packed back to back.
+        # packed back to back.  The turn's path is this round's own
+        # list, so it grows in place.
         rows = self._wiring_rows
         walks = []
         end = 0
@@ -792,7 +797,7 @@ class BatchGeoRouter:
                                distance, degraded, again):
             start = end
             end += length - len(walked.path)
-            path = list(walked.path)
+            path = walked.path
             node = path[-1]
             for move in moves[start:end]:
                 node = rows[node][move]
@@ -802,7 +807,8 @@ class BatchGeoRouter:
                     False, path, delay_s, distance_km,
                     deflected=walked.deflected)))
             else:
-                settle(packet[0], verdict, low, delay_s, distance_km, path)
+                settled.append((packet[0], verdict, low, delay_s,
+                                distance_km, path))
         return walks
 
 

@@ -108,6 +108,9 @@ class GeospatialRouter:
         self.degraded_slack = 1.6
         self.max_hops = max_hops
         self._neighbors = grid_neighbor_table(c)
+        #: ``((t, fault_epoch), reads)``: the bound per-epoch reads of
+        #: the last epoch routed (:meth:`_epoch_reads`).
+        self._epoch: Optional[Tuple[Tuple[float, int], Tuple]] = None
 
     # -- per-hop decision (the Algorithm 1 listing) ------------------------------
 
@@ -115,11 +118,31 @@ class GeospatialRouter:
         """The cached epoch snapshot every per-hop read indexes into."""
         return snapshot_for(self.topology.propagator, t)
 
+    def _epoch_reads(self, t: float) -> Tuple:
+        """The bound ``ndarray.item`` reads of epoch ``t`` at the
+        current fault epoch: subpoints, ``(alpha, gamma)``
+        coordinates, the edge mask and the ISL lengths.
+
+        One slot holds the last epoch's reads: every turn of a
+        flagged packet is a call at the epoch of the wave it belongs
+        to, and a fault bumps ``fault_epoch``, so the slot never
+        serves a mask from before a fault.
+        """
+        key = (t, self.topology.fault_epoch)
+        slot = self._epoch
+        if slot is None or slot[0] != key:
+            snap = self._snapshot(t)
+            slot = self._epoch = (key, (
+                snap.subpoints.item, snap.raan_ecef.item,
+                snap.arg_latitude.item, self.topology.edge_liveness().item,
+                snap.hop_lengths_km().item))
+        return slot[1]
+
     # -- end-to-end ---------------------------------------------------------------
 
     def route(self, src_sat: int, dest_lat: float, dest_lon: float,
-              t: float, *, walked: Optional[RouteResult] = None,
-              hops: Optional[int] = None) -> RouteResult:
+              t: float, *, walked: Optional[RouteResult] = None
+              ) -> RouteResult:
         """Forward hop by hop from ``src_sat`` to the destination's cell.
 
         Failed satellites/ISLs deflect the packet: when the preferred
@@ -130,24 +153,24 @@ class GeospatialRouter:
         :data:`DESTINATION_CONTRACT` or an epoch outside
         :data:`EPOCH_CONTRACT` raises ``ValueError``.
 
-        ``walked`` continues a walk instead of starting one: a prefix
-        of this very route (``path`` from ``src_sat``, with the
-        ``delay_s`` / ``distance_km`` accumulated over it, and
-        ``deflected`` if it deflected).  The walk resumes at the
-        prefix's last node with the prefix's nodes visited and the
-        remaining hop budget, so the result equals the from-scratch
-        route bit for bit.
-
-        ``hops`` caps the hops this call walks (``None``: up to
-        ``max_hops``; anything but an integer ``>= 1`` raises
-        ``ValueError``).  A call that runs out of it returns the route
-        so far, undelivered, for the next call to take as ``walked``:
-        a chain of one-hop calls from ``src_sat`` equals the whole
-        route bit for bit.  The batch plane alternates the two walks this way: each
-        packet the compiled walk flags gets one-hop calls from the
-        compiled walk's prefix, so the reference walk takes only the
-        hops that leave Algorithm 1's preferred direction (or delivers
-        or drops the packet), and the compiled walk resumes the rest.
+        ``walked`` makes the call one *turn* of the walk instead of
+        the whole of it: ``walked`` is a prefix of this very route
+        (``path`` from ``src_sat``, with the ``delay_s`` /
+        ``distance_km`` accumulated over it, and ``deflected`` if it
+        deflected), and the walk resumes at its last node with its
+        nodes visited and the remaining hop budget.  A turn takes the
+        next hop, whichever it is, and then every hop that leaves
+        Algorithm 1's preferred direction.  It returns the verdict
+        (delivery, a drop with no live unvisited neighbour, or
+        ``max_hops`` spent), or, undelivered, the prefix that ends
+        just before the next preferred-direction hop: a node that is
+        not covered, not centred on the destination, and whose
+        preferred neighbour is live and unvisited.  Each turn's
+        result is the next turn's ``walked``, so a chain of turns from
+        any prefix equals the whole route bit for bit.  The batch
+        plane hands the packets the compiled walk flags over this way:
+        the reference walk takes the run of deflection hops, and the
+        compiled walk the preferred-direction hops between runs.
         """
         if not (is_index(src_sat) and 0 <= src_sat < self._total):
             raise ValueError(f"{SOURCE_CONTRACT}: got {src_sat!r}")
@@ -155,16 +178,19 @@ class GeospatialRouter:
             raise ValueError(
                 f"{DESTINATION_CONTRACT}: got ({dest_lat!r}, {dest_lon!r})")
         check_epoch(t)
-        if hops is not None and not (is_index(hops) and hops >= 1):
-            raise ValueError(f"hops must be an integer >= 1: got {hops!r}")
         src_sat = int(src_sat)
+        max_hops = self.max_hops
+        turn = walked is not None
         if walked is None:
             walked = RouteResult(False, [src_sat])
         path = list(walked.path)
-        if not path or path[0] != src_sat or len(path) - 1 > self.max_hops:
+        if not path or path[0] != src_sat or len(path) - 1 > max_hops:
             raise ValueError("walked must be a prefix of this route: "
                              "a path from src_sat within max_hops")
-        # One cached snapshot, one destination (alpha, gamma)
+        # A turn hands back at the first preferred-direction hop after
+        # its own first hop; a whole walk never does.
+        hand_back = len(path) + 1 if turn else max_hops + 2
+        # The epoch's bound reads, one destination (alpha, gamma)
         # conversion and the fault epoch's edge mask serve every hop:
         # the compiled walk reads the same wiring, mask and lengths.
         # Every per-hop read is a bound ``ndarray.item``, so the
@@ -175,15 +201,10 @@ class GeospatialRouter:
         # There are no per-snapshot ``tolist()`` views: ``wave-churn``
         # routes 100 fresh snapshots, and a list view of each would
         # raise its peak RSS for what a bound ``.item`` already saves.
-        snap = self._snapshot(t)
+        sub, raan, arg_lat, edge_up, hop_km = self._epoch_reads(t)
         (alpha_a, gamma_a), (alpha_d, gamma_d) = (
             self.system.both_representations(dest_lat, dest_lon))
-        sub = snap.subpoints.item
-        raan = snap.raan_ecef.item
-        arg_lat = snap.arg_latitude.item
         wiring = self._neighbors.item
-        edge_up = self.topology.edge_liveness().item
-        hop_km = snap.hop_lengths_km().item
         d_raan = self._delta_raan
         d_phase = self._delta_phase
         cos_dest = math.cos(dest_lat)
@@ -216,10 +237,7 @@ class GeospatialRouter:
         deflected = walked.deflected
         visited = set(path)
         current = path[-1]
-        budget = self.max_hops - (len(path) - 1)
-        if hops is not None:
-            budget = min(budget, hops)
-        for _ in range(budget):
+        for _ in range(max_hops - (len(path) - 1)):
             # Lines 1-2: central_angle(satellite, D), operand for
             # operand; the one angle also decides degraded delivery.
             lat = sub(current, 0)
@@ -265,6 +283,9 @@ class GeospatialRouter:
                 preferred = wiring(current, column)
                 if preferred in visited or not edge_up(current, column):
                     column = None
+                elif len(path) >= hand_back:
+                    return RouteResult(False, path, delay, distance,
+                                       deflected=deflected)
             if column is None:
                 # Greedy deflection: the live unvisited neighbour
                 # nearest the goal (the first of equals), or give up.

@@ -12,6 +12,7 @@ walk a host without a compiler gets.  Any `==` here is deliberate.
 
 import contextlib
 import ctypes
+import dataclasses
 import math
 import os
 import pathlib
@@ -547,26 +548,53 @@ def _faulted(constellation, seed, dead, torn):
     return topo
 
 
+def _copied(result):
+    """``result`` with a path list of its own."""
+    return dataclasses.replace(result, path=list(result.path))
+
+
+def _ints(address, n):
+    """The ``n`` int32 values a hand-off buffer holds at ``address``."""
+    return list((ctypes.c_int32 * n).from_address(address))
+
+
 @needs_kernel
 class TestKernelHandOff:
     """A flag is a hand-off, not a redo: the prefix the compiled walk
     leaves for each flagged packet is the reference walk's own prefix,
-    path cells and float bits alike, at all four flag sites."""
+    path cells and float bits alike, at all four flag sites, and the
+    reference walk takes the deflection run from there."""
+
+    #: The two waves every hand-off test routes at ``t = 90 s``: a
+    #: faulted Starlink wave and stretched star packets.
+    WAVES = [(starlink(), 40, 25, 600), (_stretched_star(), 0, 0, 60)]
 
     @staticmethod
-    def _flag_kind(topo, walked, lat, lon, t):
-        """Which of the compiled walk's four flags stopped ``walked``.
-
-        On the same shell without faults, one hop of the reference walk
-        from the last node takes Algorithm 1's preferred hop, or
-        deflects when that node is centred on an uncovered D."""
-        node = walked.path[-1]
+    def _preferred(topo, node, lat, lon, t):
+        """Algorithm 1's preferred next hop from ``node``, or ``None``
+        where ``node`` covers D or is centred on it: one hop of the
+        reference walk on the same shell without faults."""
         clean = GridTopology(topo.propagator, [])
         step = GeospatialRouter(clean, max_hops=1).route(node, lat, lon, t)
-        assert not step.delivered
-        if step.deflected:
+        if step.delivered or step.deflected:
+            return None
+        return step.path[1]
+
+    @classmethod
+    def _hands_back(cls, topo, path, lat, lon, t):
+        """Whether a turn that has walked ``path`` stops there: the next
+        hop is the preferred one, live and unvisited."""
+        preferred = cls._preferred(topo, path[-1], lat, lon, t)
+        return (preferred is not None and preferred not in path
+                and topo.isl_up(path[-1], preferred))
+
+    @classmethod
+    def _flag_kind(cls, topo, walked, lat, lon, t):
+        """Which of the compiled walk's four flags stopped ``walked``."""
+        node = walked.path[-1]
+        preferred = cls._preferred(topo, node, lat, lon, t)
+        if preferred is None:
             return "centred, not nearly covered"
-        preferred = step.path[1]
         if not topo.isl_up(node, preferred):
             return "dead preferred edge"
         if preferred in walked.path:
@@ -578,32 +606,31 @@ class TestKernelHandOff:
         kinds = set()
         longest = 0
         t = 90.0
-        for shell, dead, torn, packets in [(starlink(), 40, 25, 600),
-                                           (_stretched_star(), 0, 0, 60)]:
+        for shell, dead, torn, packets in self.WAVES:
             topo = _faulted(shell, 1, dead, torn)
             router = BatchGeoRouter(topo)
             src, lats, lons = _wave(shell, packets, 1)
-            handed = []
+            handed = {}
             route = router.scalar.route
 
-            def spy(*args, walked=None, **kwargs):
-                handed.append(walked)
-                return route(*args, walked=walked, **kwargs)
+            def spy(source, lat, lon, when, *, walked=None):
+                handed.setdefault((source, lat, lon), walked)
+                return route(source, lat, lon, when, walked=walked)
 
             with mock.patch.object(router.scalar, "route", spy):
                 batch = router.route_batch(src, lats, lons, t)
             flagged = np.nonzero(batch.fallback)[0]
-            # The first turn of the reference walk, one per flagged
-            # packet in order, gets the compiled walk's prefix; the
-            # later turns are test_the_walks_take_turns' subject.
-            assert len(handed) >= flagged.size > 0
-            handed = handed[:flagged.size]
+            # Each flagged packet's first turn of the reference walk
+            # gets the compiled walk's prefix; the later turns are
+            # test_the_walks_take_turns' subject.
+            assert len(handed) == flagged.size > 0
             reference = GeospatialRouter(topo)
             snap = snapshot_for(topo.propagator, t)
             wiring = grid_neighbor_table(shell)
             lengths = snap.hop_lengths_km()
-            for i, walked in zip(flagged, handed):
+            for i in flagged:
                 lat, lon = float(lats[i]), float(lons[i])
+                walked = handed[(int(src[i]), lat, lon)]
                 expected = reference.route(int(src[i]), lat, lon, t)
                 hops = len(walked.path) - 1
                 assert walked.path == expected.path[:hops + 1]
@@ -641,17 +668,16 @@ class TestKernelHandOff:
 
     def test_the_walks_take_turns(self):
         """After a flag the two walks alternate.  Every reference-walk
-        call from ``_finish`` walks at most one hop (the deflection at
-        the flag, or the packet's delivery or drop), unless its prefix
-        already holds the compiled walk's 64 nodes; every prefix it is
-        handed is the reference walk's own, float bits included; the
-        compiled walk resumes the rest, over the same table, without
-        moving a routing counter; and every packet lands on the
-        reference walk's route."""
+        call from ``_finish`` is one turn from a prefix that is the
+        reference walk's own, float bits included: it takes the hop at
+        the flag and then only hops that leave the preferred direction,
+        and ends with the packet's verdict or before the next
+        preferred-direction hop, which the compiled walk resumes from,
+        over the same table, without moving a routing counter.  Every
+        packet lands on the reference walk's route."""
         t = 90.0
-        turns = {"one hop": 0, "past the cap": 0}
-        for shell, dead, torn, packets in [(starlink(), 40, 25, 600),
-                                           (_stretched_star(), 0, 0, 60)]:
+        turns = {"verdict": 0, "hand-back": 0, "run": 0, "past the cap": 0}
+        for shell, dead, torn, packets in self.WAVES:
             topo = _faulted(shell, 1, dead, torn)
             metrics = MetricsRegistry()
             router = BatchGeoRouter(topo, metrics=metrics)
@@ -659,11 +685,10 @@ class TestKernelHandOff:
             calls, resumed, tables = [], [], set()
             route, walk = router.scalar.route, router._walk
 
-            def route_spy(source, lat, lon, when, *, walked=None,
-                          hops=None):
-                result = route(source, lat, lon, when, walked=walked,
-                               hops=hops)
-                calls.append((source, lat, lon, walked, hops, result))
+            def route_spy(source, lat, lon, when, *, walked=None):
+                result = route(source, lat, lon, when, walked=walked)
+                # The hand-off grows a turn's path in place.
+                calls.append((source, lat, lon, walked, _copied(result)))
                 return result
 
             def walk_spy(kernel, table, n, cap, inputs, outputs):
@@ -684,7 +709,7 @@ class TestKernelHandOff:
             assert sum(resumed) > 0 and len(tables) == 1
             reference = GeospatialRouter(topo)
             wholes = {}
-            for source, lat, lon, walked, hops, result in calls:
+            for source, lat, lon, walked, result in calls:
                 whole = wholes.get((source, lat, lon))
                 if whole is None:
                     whole = reference.route(source, lat, lon, t)
@@ -696,17 +721,134 @@ class TestKernelHandOff:
                 assert (walked.delay_s.hex(), walked.distance_km.hex()) == (
                     cut.delay_s.hex(), cut.distance_km.hex())
                 assert result.path == whole.path[:len(result.path)]
-                if len(walked.path) < 64:
-                    assert hops == 1
-                    assert len(result.path) <= len(walked.path) + 1
-                    turns["one hop"] += 1
+                # The run: no node after the turn's first hop is one the
+                # turn should have stopped at.
+                for end in range(len(walked.path) + 1, len(result.path)):
+                    assert not self._hands_back(topo, result.path[:end],
+                                                lat, lon, t)
+                if result == whole:
+                    turns["verdict"] += 1
                 else:
-                    assert hops is None and result == whole
-                    turns["past the cap"] += 1
+                    assert self._hands_back(topo, result.path, lat, lon, t)
+                    turns["hand-back"] += 1
+                turns["run"] += result.hops > walked.hops + 1
+                turns["past the cap"] += len(walked.path) >= 64
             for i in range(packets):
                 assert batch.result(i) == reference.route(
                     int(src[i]), float(lats[i]), float(lons[i]), t), i
-        assert turns["one hop"] > 0 and turns["past the cap"] > 0
+        assert all(turns.values()), turns
+
+    def test_a_run_past_the_cap_is_finished_by_the_reference_walk(self):
+        """A deflection run that takes a prefix to 64 nodes or more
+        leaves it outside the compiled walk's node buffer
+        (``walk_chunk`` refuses it), so the reference walk takes every
+        later turn of that packet: no prefix handed back to the compiled
+        walk holds 64 nodes."""
+        shell = _stretched_star()
+        t = 90.0
+        topo = _faulted(shell, 1, 0, 0)
+        router = BatchGeoRouter(topo)
+        src, lats, lons = _wave(shell, 60, 1)
+        handed, calls = [], []
+        route, walk = router.scalar.route, router._walk
+
+        def route_spy(source, lat, lon, when, *, walked=None):
+            result = route(source, lat, lon, when, walked=walked)
+            calls.append(((source, lat, lon), len(walked.path),
+                          _copied(result)))
+            return result
+
+        def walk_spy(kernel, table, n, cap, inputs, outputs):
+            if inputs[1] is not None:
+                handed.extend(_ints(outputs[5], n))
+            walk(kernel, table, n, cap, inputs, outputs)
+
+        with mock.patch.object(router.scalar, "route", route_spy), \
+                mock.patch.object(router, "_walk", walk_spy):
+            batch = router.route_batch(src, lats, lons, t)
+        assert handed and max(handed) < 64
+        reference = GeospatialRouter(topo)
+        turns = {}
+        for key, before, result in calls:
+            turns.setdefault(key, []).append((before, result))
+        crossed = 0
+        for key, chain in turns.items():
+            whole = reference.route(*key, t)
+            for (before, result), later in zip(chain, chain[1:] + [None]):
+                if len(result.path) >= 64 and result != whole:
+                    # The next turn starts right where this one ended:
+                    # the compiled walk took no hop in between.
+                    assert later is not None
+                    assert later[0] == len(result.path)
+                    crossed += before < 64
+        assert crossed > 0
+        for i in range(len(src)):
+            assert batch.result(i) == reference.route(
+                int(src[i]), float(lats[i]), float(lons[i]), t), i
+
+    #: Resumed packets the compiled walk flags again without a hop on
+    #: the heavily faulted Starlink wave: deflection runs that end in
+    #: a dead end.  A turn cannot tell a drop after deflection hops
+    #: from a hand-back, so each costs one more round and a turn that
+    #: takes no hop.
+    ZERO_HOP_REFLAGS = 19
+
+    def test_a_drop_after_deflection_hops_is_flagged_again_with_no_hop(self):
+        shell = starlink()
+        t = 90.0
+        topo = _faulted(shell, 1, 200, 100)
+        router = BatchGeoRouter(topo)
+        src, lats, lons = _wave(shell, 600, 1)
+        stuck = []
+        walk = router._walk
+
+        def walk_spy(kernel, table, n, cap, inputs, outputs):
+            if inputs[1] is None:
+                return walk(kernel, table, n, cap, inputs, outputs)
+            before = _ints(outputs[5], n)
+            walk(kernel, table, n, cap, inputs, outputs)
+            after = _ints(outputs[5], n)
+            again = list((ctypes.c_uint8 * n).from_address(outputs[2]))
+            lat = list((ctypes.c_double * n).from_address(inputs[2]))
+            stuck.extend((lat[k], before[k]) for k in range(n)
+                         if again[k] and after[k] == before[k])
+
+        with mock.patch.object(router, "_walk", walk_spy):
+            batch = router.route_batch(src, lats, lons, t)
+        assert len(stuck) == self.ZERO_HOP_REFLAGS
+        reference = GeospatialRouter(topo)
+        row = {float(lat): i for i, lat in enumerate(lats)}
+        for lat, length in stuck:
+            i = row[lat]
+            expected = reference.route(int(src[i]), lat, float(lons[i]), t)
+            assert batch.result(i) == expected
+            assert not expected.delivered and expected.deflected
+            assert len(expected.path) == length < router.max_hops + 1
+
+    def test_every_flagged_packet_gets_a_reference_turn(self):
+        """On every wave the reference walk takes at least one turn on
+        each flagged packet, and on no other: its calls are at least
+        the flags."""
+        t = 90.0
+        for shell, dead, torn, packets in self.WAVES + [
+                (starlink(), 200, 100, 600), (starlink(), 0, 0, 200)]:
+            topo = _faulted(shell, 1, dead, torn)
+            router = BatchGeoRouter(topo)
+            src, lats, lons = _wave(shell, packets, 1)
+            calls = []
+            route = router.scalar.route
+
+            def spy(source, lat, lon, when, *, walked=None):
+                calls.append((source, lat, lon))
+                return route(source, lat, lon, when, walked=walked)
+
+            with mock.patch.object(router.scalar, "route", spy):
+                batch = router.route_batch(src, lats, lons, t)
+            flagged = np.nonzero(batch.fallback)[0]
+            assert set(calls) == {
+                (int(src[i]), float(lats[i]), float(lons[i]))
+                for i in flagged}
+            assert len(calls) >= flagged.size
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_no_packet_writes_past_its_compact_slot(self, cores,

@@ -352,21 +352,59 @@ class TestParentWalkOracle:
             assert bool(batch.fallback[i]) == want.deflected
 
 
+def _hands_back(oracle: _ParentWalk, walked: RouteResult, lat: float,
+                lon: float, t: float) -> bool:
+    """Whether a turn that has walked ``walked`` stops there: the frozen
+    walk's next hop from its last node is Algorithm 1's preferred one,
+    live and unvisited (the node neither covers D nor is centred on
+    it), with hop budget left."""
+    node = walked.path[-1]
+    snap = oracle._snapshot(t)
+    if (walked.hops >= oracle.max_hops
+            or oracle._covers(snap, node, lat, lon)):
+        return False
+    preferred = oracle._next_hop_snap(
+        snap, node, oracle.system.both_representations(lat, lon))
+    return (preferred is not None and preferred not in walked.path
+            and oracle.topology.isl_up(node, preferred))
+
+
 class TestWalkedHandOff:
-    """``route(..., walked=prefix)`` continues a walk: from any prefix of
-    the route's own path it lands on the from-scratch result, every
-    field's bits included.  A prefix is the same walk cut short by a
-    ``hops``-hop budget: its path, delay, distance and ``deflected``
-    so far.  The batch plane hands the compiled walk's prefix over this
-    way."""
+    """``route(..., walked=prefix)`` is one turn of the walk: from a
+    prefix of the route's own path (its path, delay, distance and
+    ``deflected`` so far: the same walk cut short by a smaller
+    ``max_hops``) it takes the next hop and every deflection hop after
+    it, and stops before the next preferred-direction hop or at the
+    verdict.  The batch plane hands the compiled walk's prefixes over
+    this way."""
+
+    @staticmethod
+    def _turns(router, s, lat, lon, t, walked):
+        """The chain of turns from ``walked`` to the packet's verdict:
+        each turn's result is the next one's prefix, and a turn that
+        delivers, spends ``max_hops`` or takes no hop is the last."""
+        turns = []
+        while True:
+            before = list(walked.path)
+            step = router.route(s, lat, lon, t, walked=walked)
+            # The caller's prefix is read, never extended.
+            assert walked.path == before
+            turns.append((walked, step))
+            if (step.delivered or step.hops == router.max_hops
+                    or step.hops == walked.hops):
+                return turns
+            walked = step
 
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(sorted(PROPAGATORS)),
            seed=st.integers(0, 2**32 - 1),
            dead=st.integers(0, 40), torn=st.integers(0, 25),
            t=st.sampled_from(EPOCHS), cut=st.floats(0.0, 1.0))
-    def test_any_prefix_continues_to_the_same_route(
+    def test_turns_from_any_prefix_chain_to_the_same_route(
             self, name, seed, dead, torn, t, cut):
+        """From the empty prefix, a drawn one or the whole path, the
+        chain of turns lands on the from-scratch route bit for bit:
+        path, verdict, delay and distance bits and ``deflected``."""
         topology = GridTopology(PROPAGATORS[name], [])
         total = topology.constellation.total_satellites
         rng = np.random.default_rng(seed)
@@ -378,60 +416,90 @@ class TestWalkedHandOff:
         lons = rng.uniform(-math.pi, math.pi, packets)
         for s, lat, lon in zip(src.tolist(), lats.tolist(), lons.tolist()):
             whole = router.route(s, lat, lon, t)
-            # The empty prefix, a drawn one, and the whole path.
             for hops in sorted({0, int(cut * whole.hops), whole.hops}):
                 walked = GeospatialRouter(topology, max_hops=hops).route(
                     s, lat, lon, t)
                 assert walked.path == whole.path[:hops + 1]
-                got = router.route(s, lat, lon, t, walked=walked)
-                assert _bits(got) == _bits(whole)
-                # The caller's prefix is read, never extended.
-                assert walked.path == whole.path[:hops + 1]
+                turns = self._turns(router, s, lat, lon, t, walked)
+                for _, step in turns:
+                    assert step.path == whole.path[:len(step.path)]
+                assert _bits(turns[-1][1]) == _bits(whole)
 
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(sorted(PROPAGATORS)),
            seed=st.integers(0, 2**32 - 1),
            dead=st.integers(0, 40), torn=st.integers(0, 25),
            t=st.sampled_from(EPOCHS))
-    def test_one_hop_calls_chain_to_the_same_route(
-            self, name, seed, dead, torn, t):
-        """``hops=1`` walks one hop per call, and each call's result is
-        the next call's prefix: the chain from the source to a verdict
-        (delivery, a drop with no live neighbour, or ``max_hops``)
-        equals the whole route bit for bit.  This is the batch plane's
-        turn of the reference walk."""
+    def test_each_turn_is_one_deflection_run(self, name, seed, dead, torn,
+                                             t):
+        """Every turn of a chain from the source ends with the verdict
+        or where the frozen walk's next hop is the preferred one, live
+        and unvisited; no node the turn passes after its first hop is
+        such a node, so a turn's later hops all leave the preferred
+        direction.  A turn cannot tell a drop after deflection hops
+        from a hand-back: the next turn from it takes no hop."""
         topology = GridTopology(PROPAGATORS[name], [])
         total = topology.constellation.total_satellites
         rng = np.random.default_rng(seed)
         _fault_cocktail(topology, rng, dead, torn)
         router = GeospatialRouter(topology)
+        oracle = _ParentWalk(topology)
         packets = 12
         src = rng.integers(0, total, packets)
         lats = rng.uniform(-HALF_PI, HALF_PI, packets)
         lons = rng.uniform(-math.pi, math.pi, packets)
         for s, lat, lon in zip(src.tolist(), lats.tolist(), lons.tolist()):
-            whole = router.route(s, lat, lon, t)
-            step = router.route(s, lat, lon, t, hops=1)
-            assert step.hops <= 1
-            while True:
-                assert step.path == whole.path[:len(step.path)]
-                if step.delivered or step.hops == router.max_hops:
-                    break
-                walked = step
-                before = list(walked.path)
-                step = router.route(s, lat, lon, t, walked=walked, hops=1)
-                # The caller's prefix is read, never extended.
-                assert walked.path == before
-                assert step.hops <= walked.hops + 1
-                if step.hops == walked.hops:
-                    break
-            assert _bits(step) == _bits(whole)
+            whole = oracle.route(s, lat, lon, t)
+            turns = self._turns(router, s, lat, lon, t,
+                                RouteResult(False, [s]))
+            for k, (walked, step) in enumerate(turns):
+                assert step.hops >= walked.hops + (k < len(turns) - 1)
+                for end in range(len(walked.path) + 1, len(step.path)):
+                    cut = RouteResult(False, step.path[:end])
+                    assert not _hands_back(oracle, cut, lat, lon, t)
+                if k < len(turns) - 1 and not _hands_back(
+                        oracle, step, lat, lon, t):
+                    # A drop after deflection hops: undelivered, and the
+                    # next, last turn takes no hop.
+                    assert k == len(turns) - 2
+                    assert _bits(turns[-1][1]) == _bits(step)
+            assert _bits(turns[-1][1]) == _bits(whole)
 
-    @pytest.mark.parametrize("hops", [0, -1, True, 2.5])
-    def test_rejects_a_hop_budget_that_is_not_a_count(self, hops):
-        router = GeospatialRouter(GridTopology(PROPAGATORS["starlink"], []))
-        with pytest.raises(ValueError, match="hops must be an integer"):
-            router.route(3, 0.3, 1.0, 0.0, hops=hops)
+    @pytest.mark.parametrize(
+        "verdict", ["delivered", "degraded", "dropped", "max_hops"])
+    def test_a_turn_from_a_verdict_takes_no_hop(self, verdict):
+        """A turn whose prefix is a finished route returns that route
+        bit for bit: a chain of turns ends on the turn that takes no
+        hop, so every verdict must be a fixed point.  Degraded delivery
+        needs a shell whose footprints leave gaps."""
+        shell = "two-plane" if verdict == "degraded" else "starlink"
+        topology = GridTopology(PROPAGATORS[shell], [])
+        router = GeospatialRouter(topology)
+        t = 0.0
+        snap = router._snapshot(t)
+        if verdict == "degraded":
+            s, lat, lon = _degraded_boundary_packet(router, t, inside=True)
+        elif verdict == "delivered":
+            s = 3
+            lat, lon = (float(x) for x in snap.subpoints[s])
+        else:
+            # A far destination: the other side of the globe.
+            s = 3
+            lat, lon = (float(x) for x in snap.subpoints[s])
+            lat, lon = -lat, lon - math.pi
+            if verdict == "dropped":
+                wiring = grid_neighbor_table(topology.constellation)
+                for column in range(4):
+                    topology.fail_isl(s, int(wiring[s, column]))
+            else:
+                router = GeospatialRouter(topology, max_hops=5)
+        whole = router.route(s, lat, lon, t)
+        assert whole.delivered == (verdict in ("delivered", "degraded"))
+        assert whole.degraded == (verdict == "degraded")
+        assert whole.hops == {"delivered": 0, "degraded": 1, "dropped": 0,
+                              "max_hops": 5}[verdict]
+        turn = router.route(s, lat, lon, t, walked=whole)
+        assert _bits(turn) == _bits(whole)
 
     def test_rejects_a_foreign_prefix(self):
         router = GeospatialRouter(GridTopology(PROPAGATORS["starlink"], []))
