@@ -288,8 +288,8 @@ class ChaosController:
     """Arms a :class:`FaultSchedule` on a simulator and applies it.
 
     Each fired event mutates the topology (which bumps its
-    ``fault_epoch``, invalidating liveness caches such as the batch
-    router's next-hop tables), lands in the append-only :attr:`log`,
+    ``fault_epoch``, so the next ``GridTopology.state`` read is a new
+    topology state), lands in the append-only :attr:`log`,
     and is fanned out to every subscriber -- the hook the procedure-
     level recovery machinery uses to learn of satellite deaths the
     instant they happen.

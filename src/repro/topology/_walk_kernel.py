@@ -6,8 +6,8 @@ The reference walk (:meth:`repro.topology.routing.GeospatialRouter.route`)
 costs on the order of a hundred microseconds per packet in the
 interpreter (~11 k packets/s on Starlink).  This module compiles the
 *same* walk -- operation-for-operation the same float64 arithmetic --
-as a per-packet C loop over the shared :class:`NextHopTable` arrays,
-which brings a hop down to a few dozen nanoseconds (~1.1-1.5 M
+as a per-packet C loop over the arrays of one
+:class:`~repro.topology.grid.TopologyState`, which brings a hop down to a few dozen nanoseconds (~1.1-1.5 M
 packets/s per core).  The call releases the GIL, so
 :meth:`~repro.topology.batch_routing.BatchGeoRouter.route_batch` runs
 the chunks of a large wave on every core.

@@ -42,20 +42,18 @@ from the source.  The compiled walk writes the columns directly; the
 reference walk's node paths are encoded in one vectorised pass per
 wave (:func:`_encode_moves`).
 
-Per-epoch next-hop tables
-=========================
-The compiled walk gathers from the same arrays the reference walk
-reads, one copy per fact: the ``(N, 4)`` wiring
-(``grid_neighbor_table``, per shell shape), ISL lengths
-(``hop_lengths_km()``, per snapshot) and the edge mask
-(``GridTopology.edge_liveness()``, per fault epoch).  A
-:class:`NextHopTable` holds those by reference, plus the few arrays
-only the compiled walk wants (unit vectors, per-edge delays), for one
-``(epoch, fault_epoch)``.  The router keeps only the last table it
-built: the CLI, the examples and the bench workloads ask for the
-table just built or for a new one, never for an older one.  Every
-fault mutation bumps ``fault_epoch``, so a table built before a fault
-is never looked up after it.
+One state per epoch
+===================
+Both walks read one :class:`~repro.topology.grid.TopologyState`, the
+grid's ``state(t)`` for the wave's ``(t, fault_epoch)``: the ``(N,
+4)`` wiring (``grid_neighbor_table``, per shell shape), ISL lengths
+(``hop_lengths_km()``, per snapshot) and the edge mask (per fault
+epoch).  The few arrays only the compiled walk wants (unit vectors,
+per-edge delays) are built on the state by the first wave routed at
+it, which is what ``routing.table_builds`` counts; a later wave at
+the same state is a ``routing.table_cache_hits``.  Every fault bumps
+``fault_epoch``, so no wave after a fault reads a pre-fault state,
+and a wave keeps the state it started with to its end.
 
 Chunks on threads
 =================
@@ -75,7 +73,7 @@ engine probes offered load over a horizon -- go through
 :meth:`BatchGeoRouter.route_sweep`: packets carry per-element epochs,
 are grouped by epoch, and each epoch's wave routes in one
 ``route_batch``-equivalent call with the results scattered back in
-input order, one table build per distinct epoch.
+input order, one walk-array build per distinct epoch.
 """
 
 from __future__ import annotations
@@ -90,28 +88,17 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..constants import HALF_PI, SPEED_OF_LIGHT_KM_S, TWO_PI
+from ..constants import HALF_PI, TWO_PI
 from ..obs.metrics import MetricsRegistry
-from ..orbits.snapshot import (
-    ConstellationSnapshot,
-    grid_neighbor_table,
-    snapshot_for,
-)
+from ..orbits.snapshot import grid_neighbor_table, snapshot_for
 from ._walk_kernel import load_kernel
-from .grid import GridTopology
-from .routing import (
-    DESTINATION_CONTRACT,
-    EPOCH_CONTRACT,
-    SOURCE_CONTRACT,
-    GeospatialRouter,
-    RouteResult,
-    check_epoch,
-)
+from .grid import (DESTINATION_CONTRACT, EPOCH_CONTRACT, GridTopology,
+                   TopologyState, check_epoch)
+from .routing import SOURCE_CONTRACT, GeospatialRouter, RouteResult
 
 __all__ = [
     "BatchGeoRouter",
     "BatchRouteResult",
-    "NextHopTable",
     "BATCH_SIZE_BUCKETS",
 ]
 
@@ -137,58 +124,6 @@ _HUGE_PAGE_ARRAY = 1 << 22
 #: any possible disagreement -- decisions outside the band are provably
 #: identical.
 _COVERAGE_GUARD = 1e-9
-
-
-class NextHopTable:
-    """Everything one epoch of batch forwarding gathers from.
-
-    Coordinates, wiring and hop lengths come from the epoch snapshot
-    and the shell shape; ``edge_up`` is the fault epoch's mask, held by
-    reference, which is why a table serves only its own fault epoch.
-    """
-
-    __slots__ = ("snapshot", "fault_epoch", "neighbors", "hop_km",
-                 "hop_delay_s", "alpha", "gamma", "sub_lat", "sub_lon",
-                 "unit_x", "unit_y", "unit_z", "healthy", "edge_up",
-                 "pointers")
-
-    def __init__(self, snapshot: ConstellationSnapshot,
-                 topology: GridTopology):
-        self.snapshot = snapshot
-        self.fault_epoch = topology.fault_epoch
-        self.neighbors = grid_neighbor_table(snapshot.constellation)
-        self.hop_km = snapshot.hop_lengths_km()
-        # Per-edge propagation delay, divided once at table build: the
-        # scalar accumulates ``hop_km / c`` per hop, and an elementwise
-        # divide of the same operands yields the same quotient bits.
-        self.hop_delay_s = self.hop_km / SPEED_OF_LIGHT_KM_S
-        # ascontiguousarray is a no-op passthrough when the snapshot
-        # arrays are already contiguous; the compiled walk kernel
-        # indexes raw pointers, so contiguity is load-bearing.
-        self.alpha = np.ascontiguousarray(snapshot.raan_ecef)
-        self.gamma = np.ascontiguousarray(snapshot.arg_latitude)
-        subs = snapshot.subpoints
-        self.sub_lat = np.ascontiguousarray(subs[:, 0])
-        self.sub_lon = np.ascontiguousarray(subs[:, 1])
-        # Unit position vectors: the walk's coverage *screen* is a dot
-        # product against the destination radial (far cheaper than a
-        # gathered haversine); only near-threshold packets re-test with
-        # the exact scalar formula.
-        pos = snapshot.positions_ecef
-        norm = np.sqrt(pos[:, 0] * pos[:, 0] + pos[:, 1] * pos[:, 1]
-                       + pos[:, 2] * pos[:, 2])
-        self.unit_x = pos[:, 0] / norm
-        self.unit_y = pos[:, 1] / norm
-        self.unit_z = pos[:, 2] / norm
-        self.healthy = not topology.has_topology_faults
-        self.edge_up = topology.edge_liveness()
-        #: The addresses of the arrays the compiled walk reads, in its
-        #: argument order, taken once per table: a hand-off round
-        #: calls the walk again over the same table.
-        self.pointers = tuple(_ptr(array) for array in (
-            self.alpha, self.gamma, self.sub_lat, self.sub_lon,
-            self.unit_x, self.unit_y, self.unit_z, self.neighbors,
-            self.hop_km, self.hop_delay_s, self.edge_up))
 
 
 class BatchRouteResult:
@@ -339,7 +274,7 @@ def _encode_moves(wiring: np.ndarray, nodes: np.ndarray,
 
 
 class BatchGeoRouter:
-    """Algorithm 1 over packet batches, next-hop tables per epoch.
+    """Algorithm 1 over packet batches, one topology state per wave.
 
     Wraps a scalar :class:`GeospatialRouter` (sharing its coverage
     geometry and ``degraded_slack``): the reference walk that takes
@@ -361,8 +296,6 @@ class BatchGeoRouter:
         self._wiring = grid_neighbor_table(topology.constellation)
         #: The wiring as nested lists, for decoding resumed walks.
         self._wiring_rows = self._wiring.tolist()
-        #: The last table built, the only one any caller asks for again.
-        self._last: Optional[NextHopTable] = None
         c = topology.constellation
         #: Full-torus Walker shells (delta-RAAN spans the whole circle,
         #: e.g. Starlink/Kuiper deltas) admit a strict-decrease
@@ -371,10 +304,14 @@ class BatchGeoRouter:
         #: raan_spread = pi) have a seam where it can, and get an
         #: explicit per-step revisit check.  So does a torus with a
         #: ring of two or fewer (up == down, or left == right): one hop
-        #: can undo the last, and the walk can bounce between two nodes.
+        #: can undo the last, and the walk can bounce between two nodes;
+        #: and one with a phasing factor of magnitude 2 or more, whose
+        #: last-to-first plane hop shifts the phase by a slot or more:
+        #: the walk can bounce across that seam.
         self._full_torus = (
             math.isclose(c.delta_raan * c.num_planes, TWO_PI, rel_tol=1e-9)
-            and min(c.num_planes, c.sats_per_plane) > 2)
+            and min(c.num_planes, c.sats_per_plane) > 2
+            and abs(c.phasing_factor) <= 1)
         #: What the compiled walk's ``destination_reps`` reads of the
         #: inclination: ``InclinedCoordinateSystem``'s band, sine and
         #: cosine, by the same expressions.
@@ -383,23 +320,9 @@ class BatchGeoRouter:
             min(inclination, math.pi - inclination),
             math.sin(inclination), math.cos(inclination))
 
-    # -- table slot ----------------------------------------------------------
-
     def _count(self, name: str, amount: int = 1, **labels: object) -> None:
         if self.metrics is not None and amount:
             self.metrics.counter(name, **labels).inc(amount)
-
-    def _table(self, t: float) -> NextHopTable:
-        table = self._last
-        if (table is not None and table.snapshot.t == float(t)
-                and table.fault_epoch == self.topology.fault_epoch):
-            self._count("routing.table_cache_hits")
-            return table
-        self._count("routing.table_cache_misses")
-        self._count("routing.table_builds")
-        snapshot = snapshot_for(self.topology.propagator, t)
-        self._last = NextHopTable(snapshot, self.topology)
-        return self._last
 
     def _check_sources(self, src_sats: Sequence[int]) -> np.ndarray:
         """``src_sats`` as a contiguous int64 array, or ``ValueError``.
@@ -429,8 +352,8 @@ class BatchGeoRouter:
                     ) -> BatchRouteResult:
         """Route ``(N,)`` packets that share one epoch ``t``.
 
-        The compiled walk routes the wave against the epoch's next-hop
-        table; each packet it flags (deflection, seam revisit, path
+        The compiled walk routes the wave against the epoch's topology
+        state; each packet it flags (deflection, seam revisit, path
         longer than its cap) then alternates between the reference
         walk, for the run of deflection hops from the flag, and the
         compiled walk, up to the next flag (:meth:`_hand_off`).
@@ -461,10 +384,16 @@ class BatchGeoRouter:
         if n == 0:
             return self._result(src)
 
-        # Table first, kernel second: the table counters
+        # The walk arrays first, the kernel second: the table counters
         # (``routing.table_builds`` / ``table_cache_*``) are the same
         # with and without a compiled walk.
-        table = self._table(t)
+        state = self.topology.state(t)
+        if state.walk_built:
+            self._count("routing.table_cache_hits")
+        else:
+            self._count("routing.table_cache_misses")
+            self._count("routing.table_builds")
+            state.walk_pointers()
         kernel = load_kernel()
         if kernel is None:
             return self._finish(self._result(src), src, dlat, dlon, t)
@@ -479,7 +408,7 @@ class BatchGeoRouter:
         self._count("routing.kernel_packets", n)
 
         def walk(part: slice) -> None:
-            self._route_chunk_kernel(kernel, table, src, dlat, dlon, out,
+            self._route_chunk_kernel(kernel, state, src, dlat, dlon, out,
                                      part, cap)
 
         parts = [slice(lo, lo + _CHUNK_PACKETS)
@@ -498,7 +427,7 @@ class BatchGeoRouter:
                 for _ in pool.map(walk, parts):
                     pass
         out._used = int(out._offsets[-1]) + int(out.path_len[-1]) - 1
-        return self._finish(out, src, dlat, dlon, t, kernel, table)
+        return self._finish(out, src, dlat, dlon, t, kernel, state)
 
     # -- the epoch sweep -------------------------------------------------------
 
@@ -510,7 +439,7 @@ class BatchGeoRouter:
 
         The time-sweeping face of the batch plane: packets are grouped
         by epoch, each epoch's wave runs through one
-        :meth:`route_batch` call against that epoch's next-hop table,
+        :meth:`route_batch` call against that epoch's topology state,
         and the per-epoch results scatter back into one flat
         :class:`BatchRouteResult` **in input order**.  Packets are
         independent, so the grouping is bitwise neutral: element ``i``
@@ -518,9 +447,9 @@ class BatchGeoRouter:
         ts[i])`` exactly, which is what the serial-vs-sweep
         equivalence suite asserts.
 
-        Each distinct epoch builds its table once
-        (``routing.table_builds``), and the router keeps only the
-        last, so a repeated sweep builds every table again.
+        Each distinct epoch builds its walk arrays once
+        (``routing.table_builds``), and the grid keeps only the last
+        state, so a repeated sweep builds every epoch's again.
         """
         src = self._check_sources(src_sats)
         dlat = np.ascontiguousarray(np.asarray(dest_lats, dtype=float))
@@ -594,7 +523,7 @@ class BatchGeoRouter:
         return out
 
     def _route_chunk_kernel(self, kernel: ctypes.CDLL,
-                            table: NextHopTable, src: np.ndarray,
+                            state: TopologyState, src: np.ndarray,
                             dlat: np.ndarray, dlon: np.ndarray,
                             out: BatchRouteResult, part: slice,
                             cap: int) -> None:
@@ -608,7 +537,7 @@ class BatchGeoRouter:
         and touches no metrics registry.
         """
         path_len = out.path_len[part]
-        self._walk(kernel, table, path_len.shape[0], cap,
+        self._walk(kernel, state, path_len.shape[0], cap,
                    (_ptr(src[part]), None, _ptr(dlat[part]),
                     _ptr(dlon[part])),
                    (_ptr(out.delivered[part]), _ptr(out.degraded[part]),
@@ -621,10 +550,10 @@ class BatchGeoRouter:
         np.cumsum(path_len[:-1] - 1, dtype=np.int64, out=offsets[1:])
         offsets[1:] += offsets[0]
 
-    def _walk(self, kernel: ctypes.CDLL, table: NextHopTable, n: int,
+    def _walk(self, kernel: ctypes.CDLL, state: TopologyState, n: int,
               cap: int, inputs: Tuple[Optional[int], ...],
               outputs: Tuple[int, ...]) -> None:
-        """One ``walk_chunk`` call over ``n`` packets against ``table``:
+        """One ``walk_chunk`` call over ``n`` packets against ``state``:
         ``inputs`` are the addresses of their sources, resumed
         prefixes (``None`` for fresh walks), latitudes and longitudes,
         ``outputs`` those of the delivered, degraded and flag bytes,
@@ -634,12 +563,13 @@ class BatchGeoRouter:
         status = kernel.walk_chunk(
             n, self.max_hops, cap,
             1 if self._full_torus else 0,
-            1 if table.healthy else 0,
+            1 if state.healthy else 0,
             theta, theta * self.scalar.degraded_slack,
             math.cos(theta) + _COVERAGE_GUARD,
             math.cos(theta) - _COVERAGE_GUARD,
             c.delta_raan, c.delta_phase,
-            *self._inclination_terms, *inputs, *table.pointers, *outputs)
+            *self._inclination_terms, *inputs, *state.walk_pointers(),
+            *outputs)
         if status != 0:
             raise ValueError(f"path cap {cap} (or a resumed prefix) is "
                              "outside the compiled walk's node buffer")
@@ -664,10 +594,10 @@ class BatchGeoRouter:
     def _finish(self, out: BatchRouteResult, src: np.ndarray,
                 dlat: np.ndarray, dlon: np.ndarray, t: float,
                 kernel: Optional[ctypes.CDLL] = None,
-                table: Optional[NextHopTable] = None) -> BatchRouteResult:
+                state: Optional[TopologyState] = None) -> BatchRouteResult:
         """Route the flagged packets of ``out`` with the reference walk.
 
-        On the compiled-walk lane (``kernel`` and the wave's ``table``
+        On the compiled-walk lane (``kernel`` and the wave's ``state``
         given) each flagged packet starts from the prefix the compiled
         walk left in ``out`` (its ``path_len``-node path, ``delay_s``
         and ``distance_km``), and the two walks take turns on it
@@ -702,7 +632,7 @@ class BatchGeoRouter:
                      for packet, (path, delay, distance) in zip(
                          packets, self._walked(kernel, out, part))]
             while walks:
-                walks = self._hand_off(kernel, table, walks, t, settled)
+                walks = self._hand_off(kernel, state, walks, t, settled)
         if settled:
             done, reached, low, delays, distances, paths = zip(*settled)
             sel = np.array(done, dtype=np.int64)
@@ -724,7 +654,7 @@ class BatchGeoRouter:
                     int(np.count_nonzero(out.fallback)))
         return out
 
-    def _hand_off(self, kernel: ctypes.CDLL, table: NextHopTable,
+    def _hand_off(self, kernel: ctypes.CDLL, state: TopologyState,
                   walks: List[Tuple[Tuple[int, int, float, float],
                                     RouteResult]],
                   t: float, settled: List[Tuple]
@@ -741,7 +671,7 @@ class BatchGeoRouter:
         spends ``max_hops`` is the budget's verdict.  A prefix of the
         compiled walk's 64 nodes or more is outside its node buffer,
         so the reference walk takes turns on it until its verdict.  The compiled walk then resumes every packet still
-        walking, over the same ``table``, up to its next flag,
+        walking, over the same ``state``, up to its next flag,
         delivery or ``max_hops``.  Returns the packets it flagged
         again, each with its longer prefix; each prefix is the
         reference walk's own, so the turns add up to its whole route.
@@ -782,7 +712,7 @@ class BatchGeoRouter:
         distance = array("d", [walked.distance_km for walked in prefixes])
         delivered, degraded, again = (array("B", bytes(n)) for _ in range(3))
         moves = array("B", bytes(n * cap))
-        self._walk(kernel, table, n, cap,
+        self._walk(kernel, state, n, cap,
                    (None, _address(nodes), _address(lat), _address(lon)),
                    tuple(map(_address, (delivered, degraded, again, delay,
                                         distance, lengths, moves))))

@@ -10,23 +10,26 @@ Each +Grid fact has one copy: the wiring is ``grid_neighbor_table``
 (per shell shape), ISL lengths are ``hop_lengths_km()`` (per
 snapshot), and liveness is one read-only ``(N,)`` satellite mask and
 one ``(N, 4)`` edge mask per :attr:`GridTopology.fault_epoch`, which
-every change of the fault sets bumps.
+every change of the fault sets bumps.  Every per-epoch read goes
+through the :class:`TopologyState` of ``GridTopology.state(t)``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import (TYPE_CHECKING, Dict, FrozenSet, List, Optional,
                     Sequence, Tuple)
 
 import numpy as np
 
-from ..constants import SPEED_OF_LIGHT_KM_S
+from ..constants import HALF_PI, SPEED_OF_LIGHT_KM_S
 from ..orbits.constellation import Constellation
 from ..orbits.coverage import coverage_half_angle
 from ..orbits.groundstations import GroundStation
 from ..orbits.propagator import IdealPropagator
 from ..orbits.snapshot import (
     GRID_DIRECTIONS,
+    ConstellationSnapshot,
     grid_neighbor_table,
     snapshot_for,
 )
@@ -34,6 +37,143 @@ from .links import propagation_delay_s
 
 if TYPE_CHECKING:
     import networkx as nx
+
+#: The destination contract of every routing entry point and of
+#: ground-point attachment; violations raise ``ValueError`` before any
+#: routing or snapshot read.
+DESTINATION_CONTRACT = ("destination lat/lon must be finite radians "
+                        "with |lat| <= pi/2")
+
+#: The epoch contract of every per-epoch read: ``t`` is a finite
+#: number of seconds (a NaN epoch would otherwise compare its way to
+#: "delivered in 0 hops", and an infinite one dies in the propagator).
+EPOCH_CONTRACT = "route epoch t must be finite seconds"
+
+
+def check_epoch(t: float) -> None:
+    """``ValueError`` unless ``t`` meets :data:`EPOCH_CONTRACT`."""
+    if not math.isfinite(t):
+        raise ValueError(f"{EPOCH_CONTRACT}: got {t!r}")
+
+
+def check_ground_point(lat: float, lon: float) -> None:
+    """``ValueError`` unless ``(lat, lon)`` meets
+    :data:`DESTINATION_CONTRACT`."""
+    if not (math.isfinite(lon) and abs(lat) <= HALF_PI):
+        raise ValueError(f"{DESTINATION_CONTRACT}: got ({lat!r}, {lon!r})")
+
+
+class FaultLog:
+    """One fault epoch's failed satellites and ISLs, frozen, and the
+    read-only liveness masks built from them on the first read
+    (:attr:`TopologyState.sat_up`); every state of the epoch shares it."""
+
+    __slots__ = ("sats", "isls", "masks")
+
+    def __init__(self, sats: set, isls: set):
+        self.sats = frozenset(sats)
+        self.isls = frozenset(isls)
+        self.masks: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+
+class TopologyState:
+    """Everything a routing decision at one ``(t, fault_epoch)`` reads.
+
+    ``snapshot`` is the epoch's geometry (coordinates, subpoints,
+    ``hop_lengths_km()``) and ``faults`` the fault epoch's
+    :class:`FaultLog`.  Nothing in a state changes once built: a fault
+    makes :meth:`GridTopology.state` build a new one, so a wave that
+    holds this one routes on the pre-fault arrays to its end.  The
+    masks and the compiled walk's arrays (:meth:`walk_pointers`) are
+    built on first read.
+    """
+
+    __slots__ = ("snapshot", "fault_epoch", "faults", "_walk")
+
+    def __init__(self, snapshot: ConstellationSnapshot, fault_epoch: int,
+                 faults: FaultLog):
+        self.snapshot = snapshot
+        self.fault_epoch = fault_epoch
+        self.faults = faults
+        #: ``(arrays, addresses)`` of the compiled walk, once built.
+        self._walk: Optional[Tuple[Tuple, Tuple[int, ...]]] = None
+
+    @property
+    def healthy(self) -> bool:
+        """Whether no satellite and no ISL is down."""
+        return not (self.faults.sats or self.faults.isls)
+
+    @property
+    def sat_up(self) -> np.ndarray:
+        """Read-only ``(N,)`` bool: entry ``s`` is ``is_up(s)``."""
+        return self._masks()[0]
+
+    @property
+    def edge_up(self) -> np.ndarray:
+        """Read-only ``(N, 4)`` liveness of every +Grid edge: entry
+        ``[s, d]`` is ``isl_up(s, grid_neighbor_table[s, d])``."""
+        return self._masks()[1]
+
+    def _masks(self) -> Tuple[np.ndarray, np.ndarray]:
+        faults = self.faults
+        if faults.masks is None:
+            neighbors = grid_neighbor_table(self.snapshot.constellation)
+            sat_up = np.ones(len(neighbors), dtype=bool)
+            sat_up[list(faults.sats)] = False
+            edge_up = sat_up[:, None] & sat_up[neighbors]
+            for link in faults.isls:
+                a, b = min(link), max(link)
+                edge_up[a, neighbors[a] == b] = False
+                edge_up[b, neighbors[b] == a] = False
+            sat_up.setflags(write=False)
+            edge_up.setflags(write=False)
+            faults.masks = (sat_up, edge_up)
+        return faults.masks
+
+    @property
+    def walk_built(self) -> bool:
+        """Whether :meth:`walk_pointers` has built its arrays."""
+        return self._walk is not None
+
+    def walk_pointers(self) -> Tuple[int, ...]:
+        """The addresses of the read-only arrays the compiled walk
+        reads, in its argument order, built on the first call.
+
+        The wiring, hop lengths and edge mask are the shared copies;
+        the rest exist for the walk alone: contiguous ``(alpha,
+        gamma)`` and subpoint columns, ``hop_km / c`` delays (the
+        reference walk's quotient bits) and unit position vectors for
+        the coverage screen.
+        """
+        if self._walk is None:
+            snap = self.snapshot
+            hop_km = snap.hop_lengths_km()
+            pos = snap.positions_ecef
+            norm = np.sqrt(pos[:, 0] * pos[:, 0] + pos[:, 1] * pos[:, 1]
+                           + pos[:, 2] * pos[:, 2])
+            arrays = tuple(np.ascontiguousarray(array) for array in (
+                snap.raan_ecef, snap.arg_latitude, snap.subpoints[:, 0],
+                snap.subpoints[:, 1], pos[:, 0] / norm, pos[:, 1] / norm,
+                pos[:, 2] / norm, grid_neighbor_table(snap.constellation),
+                hop_km, hop_km / SPEED_OF_LIGHT_KM_S, self.edge_up))
+            for array in arrays:
+                array.setflags(write=False)
+            self._walk = (arrays, tuple(array.ctypes.data
+                                        for array in arrays))
+        return self._walk[1]
+
+    def live_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(src, dst, km)`` of every live ``(up, right)`` ISL,
+        satellites ascending, ``up`` first, lengths from
+        ``hop_lengths_km``: the edges of both ``delay_adjacency`` and
+        ``snapshot_graph``."""
+        columns = [0, 3]  # up, right (GRID_DIRECTIONS)
+        live = self.edge_up[:, columns]
+        src = np.nonzero(live)[0]
+        dst = grid_neighbor_table(
+            self.snapshot.constellation)[:, columns][live]
+        hop_km = self.snapshot.hop_lengths_km()
+        return src, dst, hop_km[:, columns][live]
 
 
 class GridTopology:
@@ -51,19 +191,18 @@ class GridTopology:
         self._failed_sats: set = set()
         self._failed_isls: set = set()
         self._failed_stations: set = set()
-        #: Monotonic counter bumped on every failure-state change, so
-        #: liveness-dependent caches (the liveness masks, the batch
-        #: router's next-hop tables) can key on it.  Pure-geometry
+        #: Monotonic counter bumped on every failure-state change: the
+        #: second half of a :class:`TopologyState`'s key.  Pure-geometry
         #: snapshots never depend on it.
         self._fault_epoch = 0
-        #: ``(fault_epoch, sat_up, edge_up)`` of the last mask build.
-        self._masks: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        #: The last state built (:meth:`state`), the only one kept.
+        self._state: Optional[TopologyState] = None
 
     # -- failure injection ---------------------------------------------------
 
     @property
     def fault_epoch(self) -> int:
-        """Version of the failure state; liveness caches key on it."""
+        """Version of the failure state; :meth:`state` keys on it."""
         return self._fault_epoch
 
     def _check_satellite(self, sat: int) -> int:
@@ -130,11 +269,6 @@ class GridTopology:
         """The currently-failed satellite set (immutable view)."""
         return frozenset(self._failed_sats)
 
-    @property
-    def has_topology_faults(self) -> bool:
-        """Whether any satellite or ISL failure mark is active."""
-        return bool(self._failed_sats or self._failed_isls)
-
     def live_ground_stations(self) -> List[Tuple[int, GroundStation]]:
         """(index, station) pairs of every currently-online station."""
         return [(index, station)
@@ -149,7 +283,8 @@ class GridTopology:
         """Whether the link between two satellites is usable.
 
         A fault-set query: both endpoints alive and no failure mark on
-        the link.  The walks read the same fact from :meth:`edge_liveness`.
+        the link.  The walks read the same fact from a
+        :class:`TopologyState`'s ``edge_up``.
         """
         key = self._isl_key(sat_a, sat_b)
         return key.isdisjoint(self._failed_sats) \
@@ -165,54 +300,28 @@ class GridTopology:
         """
         return self._isl_key(sat_a, sat_b) in self._failed_isls
 
-    def _liveness(self) -> Tuple[int, np.ndarray, np.ndarray]:
-        """``(fault_epoch, sat_up, edge_up)``: the one build of the
-        liveness masks from the fault sets, once per fault epoch.  Both
-        masks are read-only; a fault makes the next read build new ones.
+    def state(self, t: float) -> TopologyState:
+        """The :class:`TopologyState` at epoch ``t`` and the current
+        fault epoch.
+
+        One slot holds the last state built: every root asks for the
+        state it just used or for a new one.  A new state at the same
+        fault epoch shares its predecessor's :class:`FaultLog`, so the
+        masks are built at most once per fault epoch.  ``ValueError``
+        with :data:`EPOCH_CONTRACT` for a non-finite ``t``.
         """
-        masks = self._masks
-        if masks is None or masks[0] != self._fault_epoch:
-            neighbors = grid_neighbor_table(self.constellation)
-            sat_up = np.ones(len(neighbors), dtype=bool)
-            sat_up[list(self._failed_sats)] = False
-            edge_up = sat_up[:, None] & sat_up[neighbors]
-            for link in self._failed_isls:
-                a, b = min(link), max(link)
-                edge_up[a, neighbors[a] == b] = False
-                edge_up[b, neighbors[b] == a] = False
-            sat_up.setflags(write=False)
-            edge_up.setflags(write=False)
-            masks = self._masks = (self._fault_epoch, sat_up, edge_up)
-        return masks
-
-    def satellite_liveness(self) -> np.ndarray:
-        """Read-only ``(N,)`` bool: entry ``s`` is ``is_up(s)``."""
-        return self._liveness()[1]
-
-    def edge_liveness(self) -> np.ndarray:
-        """Read-only ``(N, 4)`` liveness of every +Grid edge.
-
-        Entry ``[s, d]`` is ``isl_up(s, grid_neighbor_table[s, d])``.
-        The one mask behind both routing walks, the batch router's
-        next-hop tables, :meth:`delay_adjacency` and
-        :meth:`snapshot_graph`.
-        """
-        return self._liveness()[2]
-
-    def _live_grid_edges(self, t: float
-                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(src, dst, km)`` of every live ``(up, right)`` ISL at t.
-
-        Satellites ascending, ``up`` first; lengths are the snapshot's
-        ``hop_lengths_km``.  The edge list :meth:`delay_adjacency` and
-        :meth:`snapshot_graph` share.
-        """
-        columns = [0, 3]  # up, right (GRID_DIRECTIONS)
-        live = self.edge_liveness()[:, columns]
-        src = np.nonzero(live)[0]
-        dst = grid_neighbor_table(self.constellation)[:, columns][live]
-        hop_km = snapshot_for(self.propagator, t).hop_lengths_km()
-        return src, dst, hop_km[:, columns][live]
+        state = self._state
+        epoch = self.fault_epoch
+        if (state is not None and state.snapshot.t == t
+                and state.fault_epoch == epoch):
+            return state
+        check_epoch(t)
+        faults = (state.faults if state is not None
+                  and state.fault_epoch == epoch
+                  else FaultLog(self._failed_sats, self._failed_isls))
+        state = self._state = TopologyState(
+            snapshot_for(self.propagator, t), epoch, faults)
+        return state
 
     def delay_adjacency(self, t: float):
         """Symmetric CSR of one-way ISL delays (s) over the live +Grid at t.
@@ -232,7 +341,7 @@ class GridTopology:
         """
         from scipy.sparse import csr_matrix
         total = self.constellation.total_satellites
-        src, dst, km = self._live_grid_edges(t)
+        src, dst, km = self.state(t).live_edges()
         half = csr_matrix((km / SPEED_OF_LIGHT_KM_S, (src, dst)),
                           shape=(total, total))
         return half.maximum(half.T)
@@ -245,9 +354,9 @@ class GridTopology:
         return tuple(table[self._check_satellite(sat)].tolist())
 
     def isl_neighbors(self, sat: int) -> List[int]:
-        """The up-to-four live grid neighbours of ``sat``."""
-        live = self.edge_liveness()[self._check_satellite(sat)].tolist()
-        return [n for n, up in zip(self.grid_neighbors(sat), live) if up]
+        """The up-to-four live grid neighbours of ``sat``, by
+        :meth:`isl_up`."""
+        return [n for n in self.grid_neighbors(sat) if self.isl_up(sat, n)]
 
     def directional_neighbors(self, sat: int) -> Dict[str, int]:
         """Neighbours keyed by the Algorithm 1 direction names."""
@@ -270,7 +379,7 @@ class GridTopology:
         if not columns.size:
             raise ValueError(
                 f"satellites {a} and {b} are not +Grid neighbours")
-        hop_km = snapshot_for(self.propagator, t).hop_lengths_km()
+        hop_km = self.state(t).snapshot.hop_lengths_km()
         return float(hop_km[a, columns[0]])
 
     def isl_delay_s(self, sat_a: int, sat_b: int, t: float) -> float:
@@ -295,12 +404,16 @@ class GridTopology:
         satellites and angles beyond the coverage half angle are out,
         and among equal angles the lowest index wins (a stable sort of
         the covering satellites picks the same one).  -1 when none.
+        A point outside :data:`DESTINATION_CONTRACT` raises
+        ``ValueError`` before any snapshot read.
         """
+        check_ground_point(lat, lon)
+        state = self.state(t)
         c = self.constellation
         theta = coverage_half_angle(c.altitude_km, c.min_elevation_deg)
-        ang = snapshot_for(self.propagator, t).central_angles(lat, lon)
-        if self._failed_sats:
-            ang[~self.satellite_liveness()] = np.inf
+        ang = state.snapshot.central_angles(lat, lon)
+        if state.faults.sats:
+            ang[~state.sat_up] = np.inf
         best = int(np.argmin(ang))
         return best if ang[best] <= theta else -1
 
@@ -331,10 +444,10 @@ class GridTopology:
         # Function-local: a process that never builds a graph does not
         # pay for importing networkx.
         import networkx as nx
+        state = self.state(t)
         graph = nx.Graph()
-        graph.add_nodes_from(
-            np.nonzero(self.satellite_liveness())[0].tolist())
-        src, dst, dist = self._live_grid_edges(t)
+        graph.add_nodes_from(np.nonzero(state.sat_up)[0].tolist())
+        src, dst, dist = state.live_edges()
         graph.add_edges_from(
             (a, b, {"weight": w, "distance_km": d})
             for a, b, w, d in zip(src.tolist(), dst.tolist(),

@@ -22,15 +22,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..constants import HALF_PI, SPEED_OF_LIGHT_KM_S, TWO_PI
+from ..constants import SPEED_OF_LIGHT_KM_S, TWO_PI
 from ..orbits.coordinates import InclinedCoordinateSystem
 from ..orbits.coverage import coverage_half_angle
-from ..orbits.snapshot import (
-    ConstellationSnapshot,
-    grid_neighbor_table,
-    snapshot_for,
-)
-from .grid import GridTopology, is_index
+from ..orbits.snapshot import grid_neighbor_table
+from .grid import GridTopology, check_epoch, check_ground_point, is_index
 
 #: Hop budget of the relay pipeline (Fig. 18b and every consumer that
 #: routes across an orbital period).  Long detours on the large shells
@@ -41,28 +37,12 @@ from .grid import GridTopology, is_index
 #: constant fixes -- see tests/test_batch_routing.py).
 RELAY_MAX_HOPS = 512
 
-#: The destination contract of every routing entry point (the scalar
-#: ``route``, ``route_batch``, ``route_sweep`` and everything layered
-#: on them); violations raise ``ValueError`` before any routing.
-DESTINATION_CONTRACT = ("destination lat/lon must be finite radians "
-                        "with |lat| <= pi/2")
-
-#: The source contract of the same entry points: a source satellite is
-#: an integer flat index in ``[0, total_satellites)``.  Negative
+#: The source contract of every routing entry point: a source satellite
+#: is an integer flat index in ``[0, total_satellites)``.  Negative
 #: indices must not wrap to the end of the snapshot arrays.
 SOURCE_CONTRACT = ("source satellite index out of range: need an "
                    "integer in [0, total_satellites)")
 
-#: The epoch contract of the same entry points: ``t`` is a finite
-#: number of seconds (a NaN epoch would otherwise compare its way to
-#: "delivered in 0 hops").
-EPOCH_CONTRACT = "route epoch t must be finite seconds"
-
-
-def check_epoch(t: float) -> None:
-    """``ValueError`` unless ``t`` meets :data:`EPOCH_CONTRACT`."""
-    if not math.isfinite(t):
-        raise ValueError(f"{EPOCH_CONTRACT}: got {t!r}")
 
 @dataclass
 class RouteResult:
@@ -108,35 +88,6 @@ class GeospatialRouter:
         self.degraded_slack = 1.6
         self.max_hops = max_hops
         self._neighbors = grid_neighbor_table(c)
-        #: ``((t, fault_epoch), reads)``: the bound per-epoch reads of
-        #: the last epoch routed (:meth:`_epoch_reads`).
-        self._epoch: Optional[Tuple[Tuple[float, int], Tuple]] = None
-
-    # -- per-hop decision (the Algorithm 1 listing) ------------------------------
-
-    def _snapshot(self, t: float) -> ConstellationSnapshot:
-        """The cached epoch snapshot every per-hop read indexes into."""
-        return snapshot_for(self.topology.propagator, t)
-
-    def _epoch_reads(self, t: float) -> Tuple:
-        """The bound ``ndarray.item`` reads of epoch ``t`` at the
-        current fault epoch: subpoints, ``(alpha, gamma)``
-        coordinates, the edge mask and the ISL lengths.
-
-        One slot holds the last epoch's reads: every turn of a
-        flagged packet is a call at the epoch of the wave it belongs
-        to, and a fault bumps ``fault_epoch``, so the slot never
-        serves a mask from before a fault.
-        """
-        key = (t, self.topology.fault_epoch)
-        slot = self._epoch
-        if slot is None or slot[0] != key:
-            snap = self._snapshot(t)
-            slot = self._epoch = (key, (
-                snap.subpoints.item, snap.raan_ecef.item,
-                snap.arg_latitude.item, self.topology.edge_liveness().item,
-                snap.hop_lengths_km().item))
-        return slot[1]
 
     # -- end-to-end ---------------------------------------------------------------
 
@@ -174,10 +125,8 @@ class GeospatialRouter:
         """
         if not (is_index(src_sat) and 0 <= src_sat < self._total):
             raise ValueError(f"{SOURCE_CONTRACT}: got {src_sat!r}")
-        if not (math.isfinite(dest_lon) and abs(dest_lat) <= HALF_PI):
-            raise ValueError(
-                f"{DESTINATION_CONTRACT}: got ({dest_lat!r}, {dest_lon!r})")
-        check_epoch(t)
+        check_ground_point(dest_lat, dest_lon)
+        state = self.topology.state(t)
         src_sat = int(src_sat)
         max_hops = self.max_hops
         turn = walked is not None
@@ -190,9 +139,9 @@ class GeospatialRouter:
         # A turn hands back at the first preferred-direction hop after
         # its own first hop; a whole walk never does.
         hand_back = len(path) + 1 if turn else max_hops + 2
-        # The epoch's bound reads, one destination (alpha, gamma)
-        # conversion and the fault epoch's edge mask serve every hop:
-        # the compiled walk reads the same wiring, mask and lengths.
+        # The epoch's state and one destination (alpha, gamma)
+        # conversion serve every hop: the compiled walk reads the same
+        # wiring, edge mask and lengths.
         # Every per-hop read is a bound ``ndarray.item``, so the
         # arithmetic runs on Python floats: the same IEEE operations
         # as on numpy scalars (float64 ``%`` and float ``%`` are both
@@ -201,7 +150,10 @@ class GeospatialRouter:
         # There are no per-snapshot ``tolist()`` views: ``wave-churn``
         # routes 100 fresh snapshots, and a list view of each would
         # raise its peak RSS for what a bound ``.item`` already saves.
-        sub, raan, arg_lat, edge_up, hop_km = self._epoch_reads(t)
+        snap = state.snapshot
+        sub, raan, arg_lat, edge_up, hop_km = (
+            snap.subpoints.item, snap.raan_ecef.item, snap.arg_latitude.item,
+            state.edge_up.item, snap.hop_lengths_km().item)
         (alpha_a, gamma_a), (alpha_d, gamma_d) = (
             self.system.both_representations(dest_lat, dest_lon))
         wiring = self._neighbors.item
@@ -318,10 +270,10 @@ class DijkstraRouter:
     """Stateful shortest-path baseline over a topology snapshot.
 
     Every query builds :meth:`GridTopology.delay_adjacency` for its
-    epoch and searches it with ``scipy.sparse.csgraph.dijkstra``.
-    Nothing is cached, so there is no liveness to go stale under fault
-    injection: a build is about 0.3 ms on Starlink and no caller asks
-    twice at one ``(t, fault_epoch)``.
+    epoch's :class:`~repro.topology.grid.TopologyState` and searches it
+    with ``scipy.sparse.csgraph.dijkstra``.  The CSR is not cached: a
+    build is about 0.3 ms on Starlink and no caller asks twice at one
+    ``(t, fault_epoch)``.
     """
 
     def __init__(self, topology: GridTopology):
@@ -355,11 +307,12 @@ class DijkstraRouter:
             raise ValueError("src/dst sequences must have equal length")
         if not srcs:
             return []
+        state = self.topology.state(t)
         matrix = self.topology.delay_adjacency(t)
         neighbors = grid_neighbor_table(self.topology.constellation)
-        hop_km = snapshot_for(self.topology.propagator, t).hop_lengths_km()
+        hop_km = state.snapshot.hop_lengths_km()
         total = matrix.shape[0]
-        sat_up = self.topology.satellite_liveness()
+        sat_up = state.sat_up
         unique = sorted({s for s in srcs if 0 <= s < total})
         index_of = {s: k for k, s in enumerate(unique)}
         if unique:

@@ -35,9 +35,8 @@ from repro.orbits.snapshot import grid_neighbor_table, snapshot_for
 from repro.topology import _walk_kernel, batch_routing
 from repro.topology._walk_kernel import load_kernel
 from repro.topology.batch_routing import BatchGeoRouter
-from repro.topology.grid import GridTopology
+from repro.topology.grid import EPOCH_CONTRACT, GridTopology
 from repro.topology.routing import (
-    EPOCH_CONTRACT,
     RELAY_MAX_HOPS,
     SOURCE_CONTRACT,
     DijkstraRouter,
@@ -156,6 +155,28 @@ class TestBatchScalarEquivalence:
         assert_bit_equal(batch, router.scalar, src, lats, lons, 120.0)
 
     @both_engines
+    @pytest.mark.parametrize("phasing", [1, -1, 2, -2, 3])
+    def test_full_torus_with_a_phase_jump_at_the_seam(self, phasing,
+                                                      engine):
+        """A full-circle shell whose last-to-first plane hop shifts the
+        phase by ``phasing * 9 / 10`` slots.  From a shift of a slot on,
+        the compiled walk's no-revisit argument fails at that seam: it
+        bounced between satellites 54 and 0 up to its 64-node cap, and
+        the batch path was not the reference walk's."""
+        shell = Constellation(
+            name=f"seam-{phasing}", num_planes=10, sats_per_plane=6,
+            altitude_km=450.0, inclination_deg=90.0,
+            phasing_factor=phasing)
+        router = BatchGeoRouter(
+            GridTopology(make_propagator(shell, "ideal"), []))
+        src, lats, lons = _wave(shell, 160, seed=7)
+        src = np.append(src, 54)
+        lats = np.append(lats, -0.15246145841727365)
+        lons = np.append(lons, -2.380877793713941)
+        batch = router.route_batch(src, lats, lons, 0.0)
+        assert_bit_equal(batch, router.scalar, src, lats, lons, 0.0)
+
+    @both_engines
     def test_coverage_edge_destinations(self, engine):
         """Destinations nudged across the coverage boundary.
 
@@ -256,12 +277,14 @@ class TestBatchRouterMechanics:
         monkeypatch.setattr(batch_routing, "ThreadPoolExecutor",
                             RecordingPool)
         monkeypatch.setattr(planner, "usable_cores", lambda: cores)
-        topo = _faulted(starlink(), 3, 40, 25)
-        src, lats, lons = _wave(topo.constellation, 101, seed=9)
+        src, lats, lons = _wave(starlink(), 101, seed=9)
 
         def run():
+            # A fresh topology per run: the walk arrays live on its
+            # state, which a second wave at the same state reuses.
             metrics = MetricsRegistry()
-            batch = BatchGeoRouter(topo, metrics=metrics).route_batch(
+            batch = BatchGeoRouter(_faulted(starlink(), 3, 40, 25),
+                                   metrics=metrics).route_batch(
                 src, lats, lons, 10.0)
             return batch, metrics.snapshot()["counters"]
 
@@ -303,64 +326,6 @@ class TestBatchRouterMechanics:
         for i in range(len(batch)):
             assert batch.path(i) == router.scalar.route(
                 int(src[i]), float(lats[i]), float(lons[i]), 0.0).path
-
-    def test_table_cache_invalidated_by_fault_events(self):
-        """The table slot is correct by its ``(t, fault_epoch)`` alone.
-
-        Route, fail, route, recover, route at one epoch ``t``: every
-        wave equals the scalar walk, and each fault state builds its
-        own table, the recovered one included.
-        """
-        from repro.obs.metrics import MetricsRegistry
-        topo = _topology("square")
-        metrics = MetricsRegistry()
-        router = BatchGeoRouter(topo, metrics=metrics)
-        src, lats, lons = _wave(topo.constellation, 8, seed=4)
-
-        def wave():
-            batch = router.route_batch(src, lats, lons, 0.0)
-            assert_bit_equal(batch, router.scalar, src, lats, lons, 0.0)
-            return batch
-
-        before = wave()
-        victim = max((p for i in range(len(before))
-                      for p in before.path(i)[:-1]),
-                     key=lambda s: sum(s in before.path(i)
-                                       for i in range(len(before))))
-        topo.fail_satellite(victim)
-        after = wave()
-        for i in range(len(after)):
-            assert victim not in after.path(i)[1:]
-        topo.recover_satellite(victim)
-        again = wave()
-        assert [again.result(i) for i in range(len(again))] \
-            == [before.result(i) for i in range(len(before))]
-        counters = metrics.snapshot()["counters"]
-        assert counters["routing.table_builds"] == 3
-        assert "routing.table_cache_hits" not in counters
-
-    def test_table_slot_serves_only_the_last_table(self):
-        """One table is kept: a repeat wave at the same ``(t,
-        fault_epoch)`` hits and builds nothing, a new epoch builds, and
-        going back to an earlier epoch builds that table again."""
-        from repro.obs.metrics import MetricsRegistry
-        topo = _topology("square")
-        metrics = MetricsRegistry()
-        router = BatchGeoRouter(topo, metrics=metrics)
-        src, lats, lons = _wave(topo.constellation, 8, seed=5)
-
-        def counts():
-            counters = metrics.snapshot()["counters"]
-            return (counters.get("routing.table_builds", 0),
-                    counters.get("routing.table_cache_hits", 0),
-                    counters.get("routing.table_cache_misses", 0))
-
-        for t, expected in ((0.0, (1, 0, 1)), (0.0, (1, 1, 1)),
-                            (60.0, (2, 1, 2)), (60.0, (2, 2, 2)),
-                            (0.0, (3, 2, 3))):
-            batch = router.route_batch(src, lats, lons, t)
-            assert_bit_equal(batch, router.scalar, src, lats, lons, t)
-            assert counts() == expected, t
 
     def test_routing_metrics_counters(self):
         from repro.obs.metrics import MetricsRegistry, merge_snapshots
@@ -1402,7 +1367,7 @@ class TestPathIsSourceAndMoves:
         out._moves[:] = 0xFF
         for cap in (0, 65):
             with pytest.raises(ValueError, match="node buffer"):
-                router._route_chunk_kernel(load_kernel(), router._table(0.0),
+                router._route_chunk_kernel(load_kernel(), topo.state(0.0),
                                            src, lats, lons, out,
                                            slice(0, 4), cap)
         assert np.all(out._moves == 0xFF)

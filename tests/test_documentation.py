@@ -32,7 +32,7 @@ DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "examples/README.md")
 
 _ENV_VAR = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
 _DOTTED = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)")
-#: A CamelCase (``NextHopTable``) or UPPER_SNAKE (``RELAY_MAX_HOPS``)
+#: A CamelCase (``TopologyState``) or UPPER_SNAKE (``RELAY_MAX_HOPS``)
 #: name inside a backticked span.
 _CODE_SPAN = re.compile(r"`([^`\n]+)`")
 _CODE_NAME = re.compile(r"\b(?:[A-Z][a-z0-9]+[A-Z][A-Za-z0-9]*"

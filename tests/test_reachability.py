@@ -169,7 +169,7 @@ ALLOWLIST: Dict[str, str] = {
     "repro.topology.grid.GridTopology.isl_neighbors":
         "oracle: test_reference_walk's _ParentWalk and "
         "test_snapshot_equivalence's _ScalarRouter deflect over it, the "
-        "per-satellite form of the edge mask the walks read",
+        "fault-set form of the edge mask the walks read",
 }
 
 #: Definitions that run only on a failure path -> the test driving it.

@@ -38,13 +38,16 @@ from repro.obs.metrics import MetricsRegistry
 from repro.orbits.constellation import Constellation, iridium, starlink
 from repro.orbits.coordinates import central_angle, wrap_signed
 from repro.orbits.propagator import IdealPropagator
-from repro.orbits.snapshot import ConstellationSnapshot, grid_neighbor_table
+from repro.orbits.snapshot import (
+    ConstellationSnapshot,
+    grid_neighbor_table,
+    snapshot_for,
+)
 from repro.topology import batch_routing
 from repro.topology._walk_kernel import load_kernel
 from repro.topology.batch_routing import BatchGeoRouter
-from repro.topology.grid import GridTopology
+from repro.topology.grid import DESTINATION_CONTRACT, GridTopology
 from repro.topology.routing import (
-    DESTINATION_CONTRACT,
     DijkstraRouter,
     GeospatialRouter,
     RouteResult,
@@ -111,7 +114,7 @@ class _ParentWalk(GeospatialRouter):
         topo = self.topology
         # One cached snapshot and one destination (alpha, gamma)
         # conversion serve every hop of this packet.
-        snap = self._snapshot(t)
+        snap = snapshot_for(topo.propagator, t)
         dest_reps = self.system.both_representations(dest_lat, dest_lon)
         path = [src_sat]
         visited = {src_sat}
@@ -255,7 +258,7 @@ def _degraded_boundary_packet(router: GeospatialRouter, t: float,
     a slot; ``theta`` is bisected until the subpoint-to-destination
     angle, computed as the walk computes it, brackets the bound.
     """
-    snap = router._snapshot(t)
+    snap = snapshot_for(router.topology.propagator, t)
     src = int(np.argmin(np.abs(np.cos(snap.arg_latitude) - 1.0)))
     alpha = float(snap.raan_ecef[src])
     gamma = float(snap.arg_latitude[src])
@@ -306,7 +309,7 @@ class TestParentWalkOracle:
         # neither part of the copy: hold both to the old formula on
         # every wired edge.
         wiring = grid_neighbor_table(topology.constellation)
-        edge_up = topology.edge_liveness()
+        edge_up = topology.state(t).edge_up
         for a in range(total):
             for column, b in enumerate(wiring[a].tolist()):
                 assert topology.isl_up(a, b) == edge_up[a, column] == (
@@ -337,7 +340,7 @@ class TestParentWalkOracle:
                     one_hop_old.route(node, lat, lon, t))
             expected.append(want)
         if probe is not None:
-            snap = old._snapshot(t)
+            snap = snapshot_for(old.topology.propagator, t)
             reps = old.system.both_representations(lat, lon)
             assert old._next_hop_snap(snap, s, reps) is None
             assert not old._covers(snap, s, lat, lon)
@@ -359,7 +362,7 @@ def _hands_back(oracle: _ParentWalk, walked: RouteResult, lat: float,
     live and unvisited (the node neither covers D nor is centred on
     it), with hop budget left."""
     node = walked.path[-1]
-    snap = oracle._snapshot(t)
+    snap = snapshot_for(oracle.topology.propagator, t)
     if (walked.hops >= oracle.max_hops
             or oracle._covers(snap, node, lat, lon)):
         return False
@@ -476,7 +479,7 @@ class TestWalkedHandOff:
         topology = GridTopology(PROPAGATORS[shell], [])
         router = GeospatialRouter(topology)
         t = 0.0
-        snap = router._snapshot(t)
+        snap = snapshot_for(topology.propagator, t)
         if verdict == "degraded":
             s, lat, lon = _degraded_boundary_packet(router, t, inside=True)
         elif verdict == "delivered":

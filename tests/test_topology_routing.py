@@ -150,14 +150,14 @@ class TestGridTopology:
         with pytest.raises(ValueError):
             getattr(topo, method)(*args)
         assert topo.fault_epoch == 0
-        assert topo.satellite_liveness().all()
-        assert topo.edge_liveness().all()
+        assert topo.state(0.0).sat_up.all()
+        assert topo.state(0.0).edge_up.all()
 
     def test_fault_ingress_accepts_numpy_index(self):
         topo = GridTopology(IdealPropagator(starlink()), [])
         topo.fail_satellite(np.int64(7))
         assert topo.failed_satellites() == {7}
-        assert not topo.satellite_liveness()[7]
+        assert not topo.state(0.0).sat_up[7]
 
     def test_station_access_satellite(self, topo):
         gs = topo.ground_stations[0]
